@@ -105,8 +105,8 @@ class LegacyTransport(Transport):
                 cache[key] = size
         return size
 
-    def deliver(self, round_number, sender, outbox, next_inboxes, pipeline,
-                inbox_pool=None):
+    def deliver(self, round_number, sender, outbox, next_inboxes, inbox_pool,
+                metrics, listeners=(), plan=None, pending=None):
         from repro.congest.errors import BandwidthExceededError, ProtocolError
 
         graph = self.graph
@@ -118,8 +118,15 @@ class LegacyTransport(Transport):
                 )
             size = self.measure(payload)
             violation = size > budget
-            pipeline.on_message(round_number, sender, target, payload, size,
-                                violation)
+            # Per-message accounting, as the seed's metrics observer did.
+            metrics.messages += 1
+            metrics.total_bits += size
+            if size > metrics.max_edge_bits_per_round:
+                metrics.max_edge_bits_per_round = size
+            if violation:
+                metrics.bandwidth_violations += 1
+            for listener in listeners:
+                listener(round_number, sender, target, payload, size, violation)
             if violation and self.strict_bandwidth:
                 raise BandwidthExceededError(
                     f"round {round_number}: node {sender!r} sent {size} bits "

@@ -4,19 +4,11 @@ The numpy tier (:mod:`repro.tier`) exists because the bitset regime of the
 all-eccentricities oracle -- the correctness gate of every large sweep --
 spends its time OR-ing reachability sets, and a 64-source batched
 Takes-Kosters sweep over ``uint64`` words (:mod:`repro.graphs.vector`)
-covers the same ground in a handful of vectorized passes.  The vector
-execution engine rides along: a dense-semantics round loop that addresses
-node inboxes by CSR index and delivers broadcasts in one batch.
+covers the same ground in a handful of vectorized passes.
 
-This harness measures:
-
-* the headline ``all_eccentricities`` oracle on an n>=4000 clique chain,
-  numpy tier vs the stdlib dispatch (the acceptance bar: >= 5x), results
-  asserted identical;
-* the vector engine vs the dense engine on the clique-chain classical
-  exact-diameter workload (every node active every round, so the sparse
-  scheduler cannot help; the win is pure loop overhead);
-* multi-source BFS across all three engines for context.
+This harness measures the headline ``all_eccentricities`` oracle on an
+n>=4000 clique chain, numpy tier vs the stdlib dispatch (the acceptance
+bar: >= 5x), results asserted identical.
 
 Results land in ``BENCH_vector.json`` next to the repository root.
 
@@ -37,9 +29,6 @@ import json
 import os
 import time
 
-from repro.algorithms import run_classical_exact_diameter
-from repro.algorithms.multi_source_bfs import run_multi_source_bfs
-from repro.congest.network import Network
 from repro.graphs import generators
 from repro.tier import set_default_tier
 
@@ -53,9 +42,6 @@ TARGET_SPEEDUP = 5.0
 #: Relaxed bar asserted in ``--smoke`` mode (n=1500; smaller graphs
 #: amortise the per-block numpy overhead less, and CI boxes are noisy).
 SMOKE_TARGET_SPEEDUP = 1.5
-
-#: Acceptance bar for the vector engine on the all-active workload.
-ENGINE_TARGET_SPEEDUP = 1.15
 
 #: Where the results land (repository root, next to ROADMAP.md).
 OUTPUT_PATH = os.path.join(
@@ -103,118 +89,20 @@ def _bench_all_eccentricities(nodes: int) -> dict:
     }
 
 
-def _metric_snapshot(metrics):
-    return {
-        "rounds": metrics.rounds,
-        "messages": metrics.messages,
-        "total_bits": metrics.total_bits,
-        "max_edge_bits_per_round": metrics.max_edge_bits_per_round,
-        "max_node_memory_bits": metrics.max_node_memory_bits,
-    }
-
-
-def _bench_engine_exact_diameter(num_cliques: int, clique_size: int) -> dict:
-    """Vector vs dense engine on the all-active exact-diameter workload.
-
-    Classical exact diameter keeps every node broadcasting its distance
-    table every round, so the sparse scheduler's idle-skip cannot help;
-    the vector loop's index-addressed slots and batched broadcast delivery
-    attack the per-node and per-message constant factors instead.
-    """
-    chain = generators.clique_chain(
-        num_cliques=num_cliques, clique_size=clique_size
-    )
-    results = {}
-    runs = {}
-    for engine in ("dense", "sparse", "vector"):
-        network = Network(chain, engine=engine)
-        seconds, run = _time(lambda: run_classical_exact_diameter(network))
-        runs[engine] = run
-        results[f"{engine}_seconds"] = round(seconds, 6)
-    if not (
-        runs["dense"].diameter == runs["sparse"].diameter == runs["vector"].diameter
-    ):
-        raise AssertionError("engines disagree on the exact diameter")
-    snapshots = {
-        engine: _metric_snapshot(run.metrics) for engine, run in runs.items()
-    }
-    if not (snapshots["dense"] == snapshots["sparse"] == snapshots["vector"]):
-        raise AssertionError("engines disagree on exact-diameter metrics")
-    results.update(
-        {
-            "nodes": chain.num_nodes,
-            "rounds": runs["dense"].metrics.rounds,
-            "messages": runs["dense"].metrics.messages,
-            "speedup": round(
-                results["dense_seconds"]
-                / max(results["vector_seconds"], 1e-9),
-                2,
-            ),
-        }
-    )
-    return results
-
-
-def _bench_engine_multi_source(
-    num_cliques: int, clique_size: int, sources: int
-) -> dict:
-    """Pipelined multi-source BFS across all three engines (context row)."""
-    chain = generators.clique_chain(
-        num_cliques=num_cliques, clique_size=clique_size
-    )
-    roots = chain.nodes()[:sources]
-    results = {}
-    runs = {}
-    for engine in ("dense", "sparse", "vector"):
-        network = Network(chain, engine=engine)
-        seconds, run = _time(lambda: run_multi_source_bfs(network, roots))
-        runs[engine] = run
-        results[f"{engine}_seconds"] = round(seconds, 6)
-    if not (
-        runs["dense"].distances == runs["sparse"].distances == runs["vector"].distances
-    ):
-        raise AssertionError("engines disagree on multi-source BFS distances")
-    results.update(
-        {
-            "nodes": chain.num_nodes,
-            "sources": sources,
-            "rounds": runs["dense"].metrics.rounds,
-            "messages": runs["dense"].metrics.messages,
-            "speedup": round(
-                results["dense_seconds"]
-                / max(results["vector_seconds"], 1e-9),
-                2,
-            ),
-        }
-    )
-    return results
-
-
 def run_benchmark(smoke: bool = False) -> dict:
-    """Measure all workloads; return the report."""
+    """Measure the oracle workload; return the report."""
     oracle_nodes = 1500 if smoke else ORACLE_NODES
-    num_cliques, clique_size = (25, 4) if smoke else (40, 5)
-    ms_sources = 8 if smoke else 16
     report = {
         "smoke": smoke,
         "workloads": {
             "all_eccentricities_clique_chain": _bench_all_eccentricities(
                 oracle_nodes
             ),
-            "engine_exact_diameter": _bench_engine_exact_diameter(
-                num_cliques, clique_size
-            ),
-            "engine_multi_source_bfs": _bench_engine_multi_source(
-                num_cliques, clique_size, ms_sources
-            ),
         },
     }
     report["headline_speedup"] = report["workloads"][
         "all_eccentricities_clique_chain"
     ]["speedup"]
-    report["engine_speedup"] = report["workloads"]["engine_exact_diameter"][
-        "speedup"
-    ]
     return report
 
 
@@ -232,7 +120,6 @@ def test_vector_oracle_speedup():
     report = run_benchmark()
     write_report(report)
     assert report["headline_speedup"] >= TARGET_SPEEDUP, report
-    assert report["engine_speedup"] >= ENGINE_TARGET_SPEEDUP, report
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 numpy is a *declared but optional* dependency (the ``repro[numpy]``
 extra in ``pyproject.toml``): the stdlib compute tier, the CONGEST
 simulator and the quantum schedule backends never touch it, while the
-``numpy`` compute tier (:mod:`repro.tier`, :mod:`repro.graphs.vector`,
-the vector execution engine) and the curve-fitting helpers
+``numpy`` compute tier (:mod:`repro.tier`, :mod:`repro.graphs.vector`)
+and the curve-fitting helpers
 (:mod:`repro.analysis.fitting`) require it.  Those subsystems import
 numpy through :func:`require_numpy` so a missing install fails with one
 actionable message naming the extra instead of a bare

@@ -18,7 +18,7 @@ least once.
 
 Determinism across engines.  Retry instants are absolute round numbers
 stored on the node and compared against ``round_number`` in ``on_round``:
-the dense/vector schedulers poll every node every round and the sparse
+the dense scheduler polls every node every round and the sparse
 scheduler wakes the node exactly at the stored round, so all engines
 execute identical retry sequences.  On a fault-free network the retry
 budget still runs to completion (a node cannot locally detect that the

@@ -43,9 +43,10 @@ class RoundLimitExceededError(CongestSimulationError):
     ) -> "RoundLimitExceededError":
         """The round-cap abort of the engine's run loops.
 
-        One construction site for every loop, so the (enriched) message
-        is identical across the dense, sparse, vector and fault-aware
-        paths and states how far the execution got before the cap.
+        One construction site for the engine's round cap, so the
+        (enriched) message is identical across the dense and sparse
+        engines, with or without faults, and states how far the
+        execution got before the cap.
         """
         return cls(
             f"algorithm did not terminate within {max_rounds} rounds "

@@ -9,10 +9,12 @@ memory (see :mod:`repro.congest.metrics`).
 Execution engines.  Since the ``repro.engine`` refactor, ``Network`` is a
 thin facade: the round loop itself lives in
 :class:`repro.engine.engine.ExecutionEngine`, which composes a *scheduler*
-(which nodes run each round), a *transport* (message delivery + bandwidth
-policy, with a payload-size memo cache) and a *metrics pipeline* (pluggable
-observers).  ``Network(graph, engine="dense")`` reproduces the historical
-behaviour bit-for-bit; ``engine="sparse"`` skips idle nodes entirely, which
+(which nodes run each round) and a *transport* (message delivery,
+bandwidth policy and message accounting, with a payload-size memo cache),
+and accounts every run inline; observers attached with
+:meth:`Network.add_observer` are opt-in.  ``Network(graph,
+engine="dense")`` reproduces the historical behaviour bit-for-bit;
+``engine="sparse"`` skips idle nodes entirely, which
 is asymptotically faster for the paper's BFS-wave algorithms and produces
 identical metrics for idle-quiescent algorithms (see
 :mod:`repro.engine.scheduler`).
@@ -156,9 +158,10 @@ class Network:
     def add_observer(self, observer) -> None:
         """Attach a persistent :class:`repro.engine.MetricsObserver`.
 
-        The observer is notified on every subsequent *top-level* ``run``
-        of this network (in addition to the per-run accounting), e.g. the
-        stitched traffic recorder of the Theorem-10 two-party reduction.
+        The observer is notified of the start and end of every subsequent
+        *top-level* ``run`` of this network, and of every message if it
+        overrides ``on_message`` -- e.g. the stitched traffic recorder of
+        the Theorem-10 two-party reduction.
         Nested (re-entrant) runs are not reported, so cross-run accounting
         like the stitched transcript stays sequential.
         """

@@ -1,7 +1,7 @@
 """Pluggable execution engines for the CONGEST simulator.
 
-The simulation core is decomposed into three composable components, wired
-together by :class:`repro.engine.engine.ExecutionEngine`:
+The simulation core is one round loop,
+:class:`repro.engine.engine.ExecutionEngine`, built from two components:
 
 * **Scheduler** (:mod:`repro.engine.scheduler`) -- which nodes run in each
   round.  ``DenseScheduler`` reproduces the seed behaviour bit-for-bit;
@@ -9,9 +9,13 @@ together by :class:`repro.engine.engine.ExecutionEngine`:
   turns Theta(n * rounds) scheduling work into Theta(activations) for the
   BFS-wave algorithms at the heart of the paper.
 * **Transport** (:mod:`repro.engine.transport`) -- message validation,
-  memoised size measurement and the bandwidth policy.
-* **MetricsPipeline** (:mod:`repro.engine.observers`) -- pluggable
-  observers replacing the inlined accounting and traffic-log code.
+  memoised size measurement, the bandwidth policy, the run's message
+  accounting and, under a fault model, each message's fate.
+
+Core accounting happens inline in the loop.  **Observers**
+(:mod:`repro.engine.observers`) are opt-in: traffic logs and run logs
+attach to a network and see run boundaries, and per-message events only
+if they override ``on_message``.
 
 ``repro.congest.network.Network`` remains the public facade: it builds an
 engine at construction (``Network(graph, engine="sparse")``) and delegates
@@ -27,10 +31,7 @@ from repro.engine.engine import (
     set_default_engine,
 )
 from repro.engine.observers import (
-    CoreMetricsObserver,
-    FaultObserver,
     MetricsObserver,
-    MetricsPipeline,
     RunLogObserver,
     StitchedTrafficObserver,
     TrafficLogObserver,
@@ -40,7 +41,6 @@ from repro.engine.scheduler import (
     DenseScheduler,
     Scheduler,
     SparseScheduler,
-    VectorScheduler,
     make_scheduler,
 )
 from repro.engine.transport import Transport
@@ -57,14 +57,10 @@ __all__ = [
     "Scheduler",
     "DenseScheduler",
     "SparseScheduler",
-    "VectorScheduler",
     "SCHEDULERS",
     "make_scheduler",
     "Transport",
     "MetricsObserver",
-    "MetricsPipeline",
-    "CoreMetricsObserver",
-    "FaultObserver",
     "TrafficLogObserver",
     "StitchedTrafficObserver",
     "RunLogObserver",

@@ -1,23 +1,29 @@
-"""The execution engine: scheduler + transport + metrics pipeline.
+"""The execution engine: one synchronous CONGEST round loop.
 
 :class:`ExecutionEngine` is the round loop that used to live inline in
-``Network.run``, decomposed into three composable components:
+``Network.run``.  It composes two components:
 
 * a :class:`repro.engine.scheduler.Scheduler` decides *which* nodes run in
   each round (dense = all, sparse = only nodes with messages or self-wakes);
 * a :class:`repro.engine.transport.Transport` moves messages -- neighbour
-  validation, memoised size measurement, bandwidth policy, delivery;
-* a :class:`repro.engine.observers.MetricsPipeline` receives every
-  measurable event (core accounting, traffic logs, custom observers).
+  validation, memoised size measurement, bandwidth policy, message
+  accounting, delivery.
 
-``Network`` keeps its public ``run`` signature and delegates here; new
-execution policies are additional schedulers/transports, not rewrites of
-the loop.  Faulty links and dynamic topologies are in: a network built
-with a non-null :class:`repro.faults.FaultModel` routes through
-:meth:`ExecutionEngine._run_loop_faulty`, which layers message
-loss/delay, fail-pause crash/restart and per-round edge churn over the
-same scheduler/transport structure (the null model keeps the clean
-loops, byte-identical to the pre-fault engine).
+Each round, every scheduled node reads its inbox, computes and hands its
+outbox to the transport.  The core accounting (rounds, messages, bits,
+the per-edge maximum, violations, the memory high-water mark) is done
+inline into the run's own :class:`repro.congest.metrics.ExecutionMetrics`,
+so nested runs stay separate.  Observers
+(:mod:`repro.engine.observers`) see run boundaries, and per-message events
+only when they override ``on_message``.
+
+Faults are one branch of the same loop.  A network built with a non-null
+:class:`repro.faults.FaultModel` resolves a per-run
+:class:`repro.faults.FaultPlan`; the loop then merges delayed arrivals,
+counts churn, skips down nodes, pre-registers restart wakes and clamps
+the round cap to the model's ``timeout``, and the transport asks the plan
+for each message's fate.  The null model resolves no plan, so its runs
+are byte-identical to the fault-free simulator.
 
 Internally the engine represents inboxes *sparsely*: the inbox mapping of a
 round contains exactly the nodes that received at least one message, so the
@@ -30,14 +36,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.congest.errors import RoundLimitExceededError
+from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Inbox, NodeAlgorithm
-from repro.engine.observers import (
-    CoreMetricsObserver,
-    FaultObserver,
-    MetricsObserver,
-    MetricsPipeline,
-    TrafficLogObserver,
-)
+from repro.engine.observers import MetricsObserver, TrafficLogObserver
 from repro.engine.scheduler import (
     Scheduler,
     make_scheduler,
@@ -88,8 +89,8 @@ class ExecutionEngine:
         given.  The transport's payload-size memo cache persists across the
         runs of one network.
     observers:
-        Persistent extra observers notified on every run of this engine
-        (in addition to the per-run core accounting / traffic observers).
+        Persistent extra observers notified on every top-level run of this
+        engine (in addition to the per-run traffic log).
     """
 
     def __init__(
@@ -135,8 +136,6 @@ class ExecutionEngine:
         network (e.g. a factory or callback simulating a sub-protocol) gets
         its own scheduler instance so the outer run's state survives.
         """
-        from repro.congest.network import ExecutionResult
-
         network = self.network
         if max_rounds is None:
             max_rounds = network.default_max_rounds()
@@ -149,31 +148,11 @@ class ExecutionEngine:
             scheduler = self.scheduler
         else:
             scheduler = make_scheduler(self.scheduler.name)
-        # The fault model only reroutes execution when it injects
-        # something: the null model takes the exact pre-fault code paths,
-        # which is what keeps it byte-identical to the fault-free
-        # simulator (values, metrics, traffic logs, error messages).
-        fault_model = getattr(network, "fault_model", None)
-        if fault_model is not None and fault_model.is_null:
-            fault_model = None
         self._run_depth += 1
         try:
-            if fault_model is not None:
-                run_index = self._fault_runs
-                self._fault_runs += 1
-                return self._run_loop_faulty(
-                    network, algorithms, scheduler, ExecutionResult,
-                    max_rounds, exact_rounds, record_traffic,
-                    fault_model, run_index,
-                )
-            run_loop = (
-                self._run_loop_vector
-                if getattr(scheduler, "vectorized", False)
-                else self._run_loop
-            )
-            return run_loop(
-                network, algorithms, scheduler, ExecutionResult,
-                max_rounds, exact_rounds, record_traffic,
+            return self._run_loop(
+                network, algorithms, scheduler, max_rounds, exact_rounds,
+                record_traffic,
             )
         finally:
             self._run_depth -= 1
@@ -183,23 +162,26 @@ class ExecutionEngine:
         network,
         algorithms: Dict[NodeId, NodeAlgorithm],
         scheduler: Scheduler,
-        result_type,
         max_rounds: int,
         exact_rounds: Optional[int],
         record_traffic: bool,
     ):
+        from repro.congest.network import ExecutionResult
 
-        core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
-        traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core]
-        if traffic_observer is not None:
-            observers.append(traffic_observer)
-        if self._run_depth == 1:
-            # Persistent observers see only top-level runs: interleaving a
-            # nested run's events would corrupt cross-run accounting such as
-            # the stitched traffic transcript's sequential round re-basing.
-            observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
+        metrics = ExecutionMetrics(bandwidth_limit_bits=network.bandwidth_bits)
+        traffic_log = TrafficLogObserver() if record_traffic else None
+        # Persistent observers see only top-level runs: interleaving a
+        # nested run's events would corrupt cross-run accounting such as
+        # the stitched traffic transcript's sequential round re-basing.
+        observers = list(self.observers) if self._run_depth == 1 else []
+        # Per-message calls are opt-in: only observers whose class
+        # overrides ``on_message`` are handed to the transport.
+        listeners = [
+            observer.on_message
+            for observer in [traffic_log, *observers]
+            if observer is not None
+            and type(observer).on_message is not MetricsObserver.on_message
+        ]
 
         # The bandwidth policy is re-read from the network on every run so
         # that post-construction mutations of ``bandwidth_bits`` /
@@ -212,6 +194,25 @@ class ExecutionEngine:
         transport.strict_bandwidth = network.strict_bandwidth
         indexed = network.graph.compile()
         transport.bind_topology(indexed)
+
+        # The fault layer is a per-round branch plus a delivery filter,
+        # both keyed on ``plan is not None``; the null model resolves no
+        # plan, which keeps it byte-identical to the fault-free simulator.
+        plan = None
+        has_crashes = has_churn = False
+        fault_model = network.fault_model
+        if not fault_model.is_null:
+            plan = fault_model.resolve(network._seed, indexed, self._fault_runs)
+            self._fault_runs += 1
+            if fault_model.timeout is not None:
+                max_rounds = min(max_rounds, fault_model.timeout)
+            has_crashes = bool(plan.crash_round)
+            has_churn = fault_model.churn > 0.0
+            node_down = plan.node_down
+        #: In-flight delayed messages: arrival round -> [(sender, target,
+        #: payload)] in delivery order.  Stays empty without a plan.
+        pending: Dict[int, list] = {}
+        churned_edge_rounds = 0
 
         cache_misses_before = transport.cache_misses
         cache_overflows_before = transport.cache_overflows
@@ -234,8 +235,17 @@ class ExecutionEngine:
                     scheduler.request_wake(
                         node, 0 if request is None else max(0, request)
                     )
+        if plan is not None and uses_wakes:
+            # Restarted nodes must run at their restart round even with an
+            # empty inbox; registering the wakes up-front also keeps
+            # ``has_scheduled_wakes`` true through the outage, so the
+            # sparse termination logic cannot declare quiescence while a
+            # restart is still ahead.
+            for node, at in plan.restart_round.items():
+                scheduler.request_wake(node, at)
 
-        pipeline.on_run_start(network)
+        for observer in observers:
+            observer.on_run_start(network)
 
         # Hot-loop bindings: the attribute lookups below run O(active)
         # times per round, so they are hoisted out of the loop.  Consumed
@@ -244,12 +254,11 @@ class ExecutionEngine:
         # duration of the ``on_round`` call it is passed to (see
         # :class:`repro.congest.node.NodeAlgorithm`).
         deliver = transport.deliver
-        on_memory_sample = pipeline.on_memory_sample
-        on_round_end = pipeline.on_round_end
         active_nodes = scheduler.active_nodes
         request_wake = scheduler.request_wake
         has_scheduled_wakes = scheduler.has_scheduled_wakes
         inbox_pool: list = []
+        peak_memory = 0
         # Full-round fast path: when the scheduler hands back its
         # every-node sequence (identity check), iterate the prezipped
         # (node, algorithm) pairs instead of one dict lookup per node --
@@ -260,27 +269,57 @@ class ExecutionEngine:
         inboxes: Dict[NodeId, Inbox] = {}
         round_number = 0
         while True:
+            if plan is not None:
+                # Delayed deliveries scheduled for this round re-enter the
+                # inboxes before any termination check or scheduling
+                # decision.  ``setdefault``: an on-time message from the
+                # same sender was sent later and wins over a delayed
+                # (older) one; among delayed messages the earliest-sent
+                # wins.
+                for sender, target, payload in pending.pop(round_number, ()):
+                    inbox = inboxes.get(target)
+                    if inbox is None:
+                        inbox = inbox_pool.pop() if inbox_pool else {}
+                        inboxes[target] = inbox
+                    inbox.setdefault(sender, payload)
+
             if exact_rounds is not None and round_number >= exact_rounds:
                 break
             if exact_rounds is None and round_number > 0:
-                pending_wakes = has_scheduled_wakes()
-                if not inboxes and not pending_wakes:
+                # In-flight delayed messages keep the run alive in every
+                # termination check.
+                if not inboxes and not has_scheduled_wakes() and not pending:
                     if unfinished == 0:
                         break
-                    scheduler.check_quiescent(round_number, unfinished)
+                    if plan is None or not plan.restarts_pending(round_number):
+                        scheduler.check_quiescent(
+                            round_number, unfinished, metrics.messages
+                        )
             if round_number >= max_rounds:
                 raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
+                    max_rounds, round_number, metrics.messages
                 )
 
             active = active_nodes(round_number, inboxes)
-            next_inboxes: Dict[NodeId, Inbox] = {}
-            any_message = False
-            inboxes_get = inboxes.get
-            if active is full_sequence:
+            if has_crashes:
+                # Down nodes neither run nor drain their wakes (fail-pause);
+                # their inboxes are already empty -- the transport drops
+                # messages whose receiver is down at arrival.
+                items = [
+                    (node, algorithms[node])
+                    for node in active
+                    if not node_down(round_number, node)
+                ]
+            elif active is full_sequence:
                 items = algorithm_pairs
             else:
                 items = [(node, algorithms[node]) for node in active]
+            if has_churn:
+                churned_edge_rounds += len(plan.churned_edges(round_number))
+
+            next_inboxes: Dict[NodeId, Inbox] = {}
+            any_message = False
+            inboxes_get = inboxes.get
             for node, algorithm in items:
                 inbox = inboxes_get(node)
                 if inbox is None:
@@ -289,8 +328,8 @@ class ExecutionEngine:
                 if outbox:
                     any_message = True
                     deliver(
-                        round_number, node, outbox, next_inboxes, pipeline,
-                        inbox_pool,
+                        round_number, node, outbox, next_inboxes, inbox_pool,
+                        metrics, listeners, plan, pending,
                     )
                 # Recycle the consumed inbox (after delivery, in case the
                 # algorithm returned its inbox as the outbox).  Contract
@@ -300,8 +339,8 @@ class ExecutionEngine:
                     inbox.clear()
                 inbox_pool.append(inbox)
                 memory = algorithm.memory_bits()
-                if memory is not None:
-                    on_memory_sample(node, memory)
+                if memory is not None and memory > peak_memory:
+                    peak_memory = memory
                 finished = algorithm.finished
                 if finished != finished_state[node]:
                     finished_state[node] = finished
@@ -318,17 +357,26 @@ class ExecutionEngine:
                                 if request is None
                                 else max(request, round_number + 1),
                             )
-            on_round_end(round_number)
 
             round_number += 1
             inboxes = next_inboxes
 
             if exact_rounds is None and not any_message:
-                if unfinished == 0 and not has_scheduled_wakes():
+                if unfinished == 0 and not has_scheduled_wakes() and not pending:
                     break
 
-        metrics = core.metrics
         metrics.rounds = round_number
+        metrics.max_node_memory_bits = peak_memory
+        if plan is not None:
+            # Crash and restart events fire at the top of their round, so
+            # exactly the events of the rounds that ran have happened.
+            metrics.node_crashes = sum(
+                1 for at in plan.crash_round.values() if at < round_number
+            )
+            metrics.node_restarts = sum(
+                1 for at in plan.restart_round.values() if at < round_number
+            )
+            metrics.churned_edge_rounds = churned_edge_rounds
         # Each delivered message performed exactly one measurement, so the
         # cache hits of this run are the messages that were not misses
         # (clamped: a nested run's misses land in this delta while its
@@ -339,412 +387,13 @@ class ExecutionEngine:
         metrics.size_cache_overflows = (
             transport.cache_overflows - cache_overflows_before
         )
-        pipeline.on_run_end(metrics)
+        for observer in observers:
+            observer.on_run_end(metrics)
         results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
+        return ExecutionResult(
             results=results,
             metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
-        )
-
-
-    def _run_loop_vector(
-        self,
-        network,
-        algorithms: Dict[NodeId, NodeAlgorithm],
-        scheduler: Scheduler,
-        result_type,
-        max_rounds: int,
-        exact_rounds: Optional[int],
-        record_traffic: bool,
-    ):
-        """The array-indexed round loop of the ``vector`` engine.
-
-        Dense semantics (every node runs every round), restructured
-        around node *indices* instead of labels: per-node state lives in
-        flat lists addressed by CSR index -- inbox slot arrays that the
-        transport's :meth:`~repro.engine.transport.Transport.deliver_vector`
-        fills in place, prebound wake-request lists (no per-activation
-        ``getattr``), finished flags (no dict probes) -- and an outbox
-        that shares one payload object across its targets (the
-        ``broadcast`` shape) is measured and observed once per batch.
-        Results, metrics and event streams are byte-identical to
-        :meth:`_run_loop` under the dense scheduler; the differential
-        tests hold all three engines equal.
-        """
-        core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
-        traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core]
-        if traffic_observer is not None:
-            observers.append(traffic_observer)
-        if self._run_depth == 1:
-            observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
-
-        transport = self.transport
-        transport.bandwidth_bits = network.bandwidth_bits
-        transport.strict_bandwidth = network.strict_bandwidth
-        indexed = network.graph.compile()
-        transport.bind_topology(indexed)
-
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
-
-        scheduler.begin_run(algorithms, indexed)
-
-        labels = indexed.labels
-        n = len(labels)
-        algos = [algorithms[label] for label in labels]
-
-        finished_flags = []
-        unfinished = 0
-        for algorithm in algos:
-            finished = algorithm.finished
-            finished_flags.append(finished)
-            if not finished:
-                unfinished += 1
-            # Wakes requested during construction are drained exactly as
-            # in the dense loop; the vector policy ignores them.
-            algorithm.consume_wake_requests()
-        # Prebound wake lists -- bound *after* the initial drain, which
-        # replaces each algorithm's list object.  The loop clears these
-        # in place (``del wakes[:]``) so the bindings stay valid, which
-        # removes the per-activation ``getattr`` of the dense loop.
-        wake_lists = [
-            getattr(algorithm, "_wake_requests", None) for algorithm in algos
-        ]
-
-        pipeline.on_run_start(network)
-
-        deliver_vector = transport.deliver_vector
-        # Single-observer fast path: the common un-instrumented run has
-        # exactly the core observer, so events skip the pipeline fan-out
-        # loop (same calls, one layer fewer).
-        if len(observers) == 1:
-            on_memory_sample = core.on_memory_sample
-        else:
-            on_memory_sample = pipeline.on_memory_sample
-        on_round_end = pipeline.on_round_end
-        inbox_pool: list = []
-        node_range = range(n)
-
-        # Ping-pong inbox slot arrays: ``slots[i]`` is node i's inbox for
-        # the current round (``None`` = nothing received), ``touched``
-        # the indices holding one.  After a round the consumed slots are
-        # nulled (O(touched)) and the arrays swap.
-        slots: list = [None] * n
-        touched: list = []
-        next_slots: list = [None] * n
-        next_touched: list = []
-
-        round_number = 0
-        while True:
-            if exact_rounds is not None and round_number >= exact_rounds:
-                break
-            if (
-                exact_rounds is None
-                and round_number > 0
-                and not touched
-                and unfinished == 0
-            ):
-                break
-            if round_number >= max_rounds:
-                raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
-                )
-
-            any_message = False
-            for index in node_range:
-                algorithm = algos[index]
-                inbox = slots[index]
-                if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
-                outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
-                    any_message = True
-                    deliver_vector(
-                        round_number, labels[index], outbox, next_slots,
-                        next_touched, pipeline, inbox_pool,
-                    )
-                # Recycle the consumed inbox (after delivery, in case the
-                # algorithm returned its inbox as the outbox); same
-                # ownership contract as the dense loop.
-                if inbox:
-                    inbox.clear()
-                inbox_pool.append(inbox)
-                memory = algorithm.memory_bits()
-                if memory is not None:
-                    on_memory_sample(labels[index], memory)
-                finished = algorithm.finished
-                if finished != finished_flags[index]:
-                    finished_flags[index] = finished
-                    unfinished += -1 if finished else 1
-                wakes = wake_lists[index]
-                if wakes:
-                    # Drained like every engine so requests cannot pile
-                    # up; cleared in place to keep the binding valid.
-                    del wakes[:]
-            on_round_end(round_number)
-
-            round_number += 1
-            for index in touched:
-                slots[index] = None
-            touched.clear()
-            slots, next_slots = next_slots, slots
-            touched, next_touched = next_touched, touched
-
-            if exact_rounds is None and not any_message and unfinished == 0:
-                break
-
-        metrics = core.metrics
-        metrics.rounds = round_number
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
-        )
-        pipeline.on_run_end(metrics)
-        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
-            results=results,
-            metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
-        )
-
-
-    def _run_loop_faulty(
-        self,
-        network,
-        algorithms: Dict[NodeId, NodeAlgorithm],
-        scheduler: Scheduler,
-        result_type,
-        max_rounds: int,
-        exact_rounds: Optional[int],
-        record_traffic: bool,
-        fault_model,
-        run_index: int,
-    ):
-        """The fault-aware round loop (any scheduler, non-null model only).
-
-        A sibling of :meth:`_run_loop` -- kept separate so the clean
-        loops stay byte-identical to the pre-fault engine -- with four
-        additions threaded through the same structure:
-
-        * the resolved :class:`repro.faults.FaultPlan` decides message
-          fates inside :meth:`repro.engine.transport.Transport.deliver_faulty`
-          (drop / delay / on-time) and which nodes are down;
-        * delayed messages live in ``pending`` keyed by absolute arrival
-          round and are merged into the inboxes of that round (a normal
-          message from the same sender wins -- it is newer); in-flight
-          deliveries keep the run alive in every termination check, which
-          is how the sparse scheduler's wake logic accounts for them;
-        * crashed nodes are filtered out of the active set (fail-pause:
-          their state is kept) and restarts are pre-registered as
-          scheduler wakes so the sparse policy re-runs a restarted node;
-        * a :class:`repro.engine.observers.FaultObserver` accounts
-          degradation events into the run's metrics, and the model's
-          ``timeout`` tightens ``max_rounds`` so stuck runs fail fast.
-
-        The vector scheduler is handled here through its dense semantics
-        (label-keyed inboxes, per-message delivery): fault decisions are
-        per-message anyway, so the broadcast fast path does not apply.
-        All fault decisions are stateless hashes of their coordinates
-        (see :mod:`repro.faults`), so the dense, sparse and vector
-        engines produce identical faulty executions.
-        """
-        core = CoreMetricsObserver(bandwidth_limit_bits=network.bandwidth_bits)
-        traffic_observer = TrafficLogObserver() if record_traffic else None
-        observers = [core, FaultObserver(core.metrics)]
-        if traffic_observer is not None:
-            observers.append(traffic_observer)
-        if self._run_depth == 1:
-            observers.extend(self.observers)
-        pipeline = MetricsPipeline(observers)
-
-        transport = self.transport
-        transport.bandwidth_bits = network.bandwidth_bits
-        transport.strict_bandwidth = network.strict_bandwidth
-        indexed = network.graph.compile()
-        transport.bind_topology(indexed)
-
-        plan = fault_model.resolve(network._seed, indexed, run_index)
-        if fault_model.timeout is not None:
-            max_rounds = min(max_rounds, fault_model.timeout)
-        # Crash/restart event schedules, inverted to round -> nodes in the
-        # deterministic CSR label order the plan was built in.
-        crash_events: Dict[int, list] = {}
-        for node, at in plan.crash_round.items():
-            crash_events.setdefault(at, []).append(node)
-        restart_events: Dict[int, list] = {}
-        for node, at in plan.restart_round.items():
-            restart_events.setdefault(at, []).append(node)
-        has_crashes = bool(plan.crash_round)
-        has_churn = fault_model.churn > 0.0
-
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
-
-        scheduler.begin_run(algorithms, indexed)
-        uses_wakes = scheduler.uses_wakes
-
-        finished_state: Dict[NodeId, bool] = {}
-        unfinished = 0
-        for node, algorithm in algorithms.items():
-            finished = algorithm.finished
-            finished_state[node] = finished
-            if not finished:
-                unfinished += 1
-            requests = algorithm.consume_wake_requests()
-            if uses_wakes and requests:
-                for request in requests:
-                    scheduler.request_wake(
-                        node, 0 if request is None else max(0, request)
-                    )
-        if uses_wakes:
-            # Restarted nodes must run at their restart round even with an
-            # empty inbox; registering the wakes up-front also keeps
-            # ``has_scheduled_wakes`` true through the outage, so the
-            # sparse termination logic cannot declare quiescence while a
-            # restart is still ahead.
-            for node, at in plan.restart_round.items():
-                scheduler.request_wake(node, at)
-
-        pipeline.on_run_start(network)
-
-        deliver_faulty = transport.deliver_faulty
-        on_memory_sample = pipeline.on_memory_sample
-        on_round_end = pipeline.on_round_end
-        on_node_crashed = pipeline.on_node_crashed
-        on_node_restarted = pipeline.on_node_restarted
-        on_edge_churned = pipeline.on_edge_churned
-        active_nodes = scheduler.active_nodes
-        request_wake = scheduler.request_wake
-        has_scheduled_wakes = scheduler.has_scheduled_wakes
-        node_down = plan.node_down
-        inbox_pool: list = []
-        full_sequence = scheduler.all_nodes()
-        algorithm_pairs = list(algorithms.items())
-
-        #: In-flight delayed messages: arrival round -> [(sender, target,
-        #: payload)] in delivery order.
-        pending: Dict[int, list] = {}
-
-        inboxes: Dict[NodeId, Inbox] = {}
-        round_number = 0
-        while True:
-            # Delayed deliveries scheduled for this round re-enter the
-            # inboxes before any termination check or scheduling decision.
-            # ``setdefault``: an on-time message from the same sender was
-            # sent later and wins over a delayed (older) one; among
-            # delayed messages the earliest-sent wins.
-            arrivals = pending.pop(round_number, None)
-            if arrivals:
-                for sender, target, payload in arrivals:
-                    inbox = inboxes.get(target)
-                    if inbox is None:
-                        inbox = inbox_pool.pop() if inbox_pool else {}
-                        inboxes[target] = inbox
-                    inbox.setdefault(sender, payload)
-
-            if exact_rounds is not None and round_number >= exact_rounds:
-                break
-            if exact_rounds is None and round_number > 0:
-                pending_wakes = has_scheduled_wakes()
-                if not inboxes and not pending_wakes and not pending:
-                    if unfinished == 0:
-                        break
-                    if not plan.restarts_pending(round_number):
-                        scheduler.check_quiescent(round_number, unfinished)
-            if round_number >= max_rounds:
-                raise RoundLimitExceededError.for_run(
-                    max_rounds, round_number, core.metrics.messages
-                )
-
-            for node in crash_events.pop(round_number, ()):
-                on_node_crashed(round_number, node)
-            for node in restart_events.pop(round_number, ()):
-                on_node_restarted(round_number, node)
-            if has_churn:
-                for u, v in plan.churned_edges(round_number):
-                    on_edge_churned(round_number, u, v)
-
-            active = active_nodes(round_number, inboxes)
-            # Down nodes neither run nor drain their wakes (fail-pause);
-            # their inboxes are already empty -- the transport drops
-            # messages whose receiver is down at arrival.
-            if has_crashes:
-                items = [
-                    (node, algorithms[node])
-                    for node in active
-                    if not node_down(round_number, node)
-                ]
-            elif active is full_sequence:
-                items = algorithm_pairs
-            else:
-                items = [(node, algorithms[node]) for node in active]
-
-            next_inboxes: Dict[NodeId, Inbox] = {}
-            any_message = False
-            inboxes_get = inboxes.get
-            for node, algorithm in items:
-                inbox = inboxes_get(node)
-                if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
-                outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
-                    any_message = True
-                    deliver_faulty(
-                        round_number, node, outbox, next_inboxes, pipeline,
-                        inbox_pool, plan, pending,
-                    )
-                if inbox:
-                    inbox.clear()
-                inbox_pool.append(inbox)
-                memory = algorithm.memory_bits()
-                if memory is not None:
-                    on_memory_sample(node, memory)
-                finished = algorithm.finished
-                if finished != finished_state[node]:
-                    finished_state[node] = finished
-                    unfinished += -1 if finished else 1
-                if getattr(algorithm, "_wake_requests", None):
-                    requests = algorithm.consume_wake_requests()
-                    if uses_wakes:
-                        for request in requests:
-                            request_wake(
-                                node,
-                                round_number + 1
-                                if request is None
-                                else max(request, round_number + 1),
-                            )
-            on_round_end(round_number)
-
-            round_number += 1
-            inboxes = next_inboxes
-
-            if exact_rounds is None and not any_message:
-                if (
-                    unfinished == 0
-                    and not has_scheduled_wakes()
-                    and not pending
-                ):
-                    break
-
-        metrics = core.metrics
-        metrics.rounds = round_number
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
-        )
-        pipeline.on_run_end(metrics)
-        results = {node: algorithm.result() for node, algorithm in algorithms.items()}
-        return result_type(
-            results=results,
-            metrics=metrics,
-            traffic=traffic_observer.traffic if traffic_observer is not None else None,
+            traffic=traffic_log.traffic if traffic_log is not None else None,
         )
 
 

@@ -1,22 +1,18 @@
-"""Pluggable metrics pipeline: observers of a CONGEST execution.
+"""Observers of a CONGEST execution.
 
-The execution engine (:mod:`repro.engine.engine`) no longer hard-codes its
-accounting: every measurable event -- a message crossing an edge, a memory
-sample, the end of a round or of a whole run -- is fanned out to a list of
-:class:`MetricsObserver` instances.  The core accounting that the seed
-simulator performed inline (rounds, messages, bits, bandwidth violations,
-per-node memory) now lives in :class:`CoreMetricsObserver`; the per-message
-traffic log that the Theorem-10 two-party reduction consumes lives in
-:class:`TrafficLogObserver` and :class:`StitchedTrafficObserver`.
-
-Observers are cheap to compose and are the seam where future concerns plug
-in (per-edge congestion heat maps, latency histograms, live dashboards, ...)
-without touching the engine's hot loop.
+The engine (:mod:`repro.engine.engine`) does its core accounting --
+rounds, messages, bits, bandwidth violations, per-node memory, fault
+counters -- inline in the round loop.  Observers are the opt-in seam for
+everything else: they see the start and end of every top-level run, and
+an observer that overrides :meth:`MetricsObserver.on_message` also sees
+every message.  The per-message traffic log that the Theorem-10
+two-party reduction consumes lives in :class:`TrafficLogObserver` and
+:class:`StitchedTrafficObserver`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
 from repro.graphs.graph import NodeId
@@ -29,8 +25,9 @@ class MetricsObserver:
     """Base class for execution observers.
 
     All hooks default to no-ops so observers only override what they need.
-    Hooks are called from the engine's hot loop; implementations should be
-    O(1) per event.
+    Per-message calls are opt-in: the engine calls :meth:`on_message` only
+    on observers whose class overrides it, so an observer that only needs
+    run boundaries costs nothing per message.
     """
 
     def on_run_start(self, network: Any) -> None:
@@ -49,237 +46,13 @@ class MetricsObserver:
 
         ``violation`` is true when ``size_bits`` exceeds the bandwidth
         budget (in strict mode the transport raises immediately after the
-        observers have seen the message).
+        observers have seen the message).  Under a fault model the call
+        happens before the message's fate is decided: a dropped message
+        was still sent.
         """
-
-    def on_broadcast(
-        self,
-        round_number: int,
-        sender: NodeId,
-        targets: Sequence[NodeId],
-        payload: Any,
-        size_bits: int,
-        violation: bool,
-    ) -> None:
-        """Called when the vector transport delivers one shared payload to
-        ``targets`` in a single batch (a ``NodeAlgorithm.broadcast``).
-
-        The default implementation replays the batch as per-target
-        :meth:`on_message` calls in target order, so observers that only
-        override ``on_message`` see byte-identical event streams under
-        every engine; accounting observers override this with an O(1)
-        batched update instead.
-        """
-        for target in targets:
-            self.on_message(
-                round_number, sender, target, payload, size_bits, violation
-            )
-
-    def on_memory_sample(self, node: NodeId, memory_bits: int) -> None:
-        """Called with each non-``None`` ``memory_bits()`` sample."""
-
-    def on_round_end(self, round_number: int) -> None:
-        """Called after all nodes scheduled in ``round_number`` have run."""
 
     def on_run_end(self, metrics: ExecutionMetrics) -> None:
         """Called once when a run completes normally (not on error)."""
-
-    # -- fault-layer events (only emitted by fault-aware runs) ----------
-    def on_message_dropped(
-        self, round_number: int, sender: NodeId, receiver: NodeId, reason: str
-    ) -> None:
-        """A sent message was discarded by the fault plan.
-
-        ``reason`` is ``"loss"`` (random message loss), ``"churn"`` (the
-        edge was down this round) or ``"crash"`` (the receiver is down at
-        the arrival round).  The message was still *sent* -- it consumed
-        bandwidth and was reported through :meth:`on_message` first.
-        """
-
-    def on_message_delayed(
-        self,
-        round_number: int,
-        sender: NodeId,
-        receiver: NodeId,
-        arrival_round: int,
-    ) -> None:
-        """A sent message was delayed to arrive at ``arrival_round``
-        (instead of ``round_number + 1``)."""
-
-    def on_node_crashed(self, round_number: int, node: NodeId) -> None:
-        """``node`` crashed at the top of ``round_number`` (fail-pause)."""
-
-    def on_node_restarted(self, round_number: int, node: NodeId) -> None:
-        """``node`` restarted at the top of ``round_number`` with its
-        pre-crash state intact."""
-
-    def on_edge_churned(
-        self, round_number: int, u: NodeId, v: NodeId
-    ) -> None:
-        """The edge ``{u, v}`` is down for the duration of ``round_number``."""
-
-
-class MetricsPipeline:
-    """An ordered fan-out of observers.
-
-    The engine drives a pipeline per run; the pipeline owns no accounting
-    state of its own.
-    """
-
-    __slots__ = ("observers",)
-
-    def __init__(self, observers) -> None:
-        self.observers: List[MetricsObserver] = list(observers)
-
-    def on_run_start(self, network: Any) -> None:
-        for observer in self.observers:
-            observer.on_run_start(network)
-
-    def on_message(
-        self,
-        round_number: int,
-        sender: NodeId,
-        receiver: NodeId,
-        payload: Any,
-        size_bits: int,
-        violation: bool,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_message(
-                round_number, sender, receiver, payload, size_bits, violation
-            )
-
-    def on_broadcast(
-        self,
-        round_number: int,
-        sender: NodeId,
-        targets: Sequence[NodeId],
-        payload: Any,
-        size_bits: int,
-        violation: bool,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_broadcast(
-                round_number, sender, targets, payload, size_bits, violation
-            )
-
-    def on_memory_sample(self, node: NodeId, memory_bits: int) -> None:
-        for observer in self.observers:
-            observer.on_memory_sample(node, memory_bits)
-
-    def on_round_end(self, round_number: int) -> None:
-        for observer in self.observers:
-            observer.on_round_end(round_number)
-
-    def on_run_end(self, metrics: ExecutionMetrics) -> None:
-        for observer in self.observers:
-            observer.on_run_end(metrics)
-
-    def on_message_dropped(
-        self, round_number: int, sender: NodeId, receiver: NodeId, reason: str
-    ) -> None:
-        for observer in self.observers:
-            observer.on_message_dropped(round_number, sender, receiver, reason)
-
-    def on_message_delayed(
-        self,
-        round_number: int,
-        sender: NodeId,
-        receiver: NodeId,
-        arrival_round: int,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_message_delayed(
-                round_number, sender, receiver, arrival_round
-            )
-
-    def on_node_crashed(self, round_number: int, node: NodeId) -> None:
-        for observer in self.observers:
-            observer.on_node_crashed(round_number, node)
-
-    def on_node_restarted(self, round_number: int, node: NodeId) -> None:
-        for observer in self.observers:
-            observer.on_node_restarted(round_number, node)
-
-    def on_edge_churned(self, round_number: int, u: NodeId, v: NodeId) -> None:
-        for observer in self.observers:
-            observer.on_edge_churned(round_number, u, v)
-
-
-class CoreMetricsObserver(MetricsObserver):
-    """The accounting the seed simulator performed inline.
-
-    Collects messages, total bits, the largest single-edge-per-round
-    message, bandwidth violations and the per-node memory high-water mark
-    into an :class:`repro.congest.metrics.ExecutionMetrics`.  The engine
-    stamps ``metrics.rounds`` itself when the run terminates.
-    """
-
-    def __init__(self, bandwidth_limit_bits: Optional[int]) -> None:
-        self.metrics = ExecutionMetrics(bandwidth_limit_bits=bandwidth_limit_bits)
-
-    def on_message(
-        self, round_number, sender, receiver, payload, size_bits, violation
-    ) -> None:
-        metrics = self.metrics
-        metrics.messages += 1
-        metrics.total_bits += size_bits
-        if size_bits > metrics.max_edge_bits_per_round:
-            metrics.max_edge_bits_per_round = size_bits
-        if violation:
-            metrics.bandwidth_violations += 1
-
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        # The O(1) batched form of ``on_message`` applied ``len(targets)``
-        # times: every counter update is additive, so the batch lands on
-        # exactly the totals the per-message replay would produce.
-        metrics = self.metrics
-        count = len(targets)
-        metrics.messages += count
-        metrics.total_bits += size_bits * count
-        if size_bits > metrics.max_edge_bits_per_round:
-            metrics.max_edge_bits_per_round = size_bits
-        if violation:
-            metrics.bandwidth_violations += count
-
-    def on_memory_sample(self, node, memory_bits) -> None:
-        if memory_bits > self.metrics.max_node_memory_bits:
-            self.metrics.max_node_memory_bits = memory_bits
-
-
-class FaultObserver(MetricsObserver):
-    """Account fault-layer events into an :class:`ExecutionMetrics`.
-
-    Attached by the engine's fault-aware run loop next to the
-    :class:`CoreMetricsObserver` (sharing its metrics object), so faulty
-    runs report their degradation -- dropped/delayed messages, crash and
-    restart events, churned (edge, round) pairs -- alongside the ordinary
-    cost counters.  Never attached under the null fault model.
-    """
-
-    def __init__(self, metrics: ExecutionMetrics) -> None:
-        self.metrics = metrics
-
-    def on_message_dropped(
-        self, round_number, sender, receiver, reason
-    ) -> None:
-        self.metrics.dropped_messages += 1
-
-    def on_message_delayed(
-        self, round_number, sender, receiver, arrival_round
-    ) -> None:
-        self.metrics.delayed_messages += 1
-
-    def on_node_crashed(self, round_number, node) -> None:
-        self.metrics.node_crashes += 1
-
-    def on_node_restarted(self, round_number, node) -> None:
-        self.metrics.node_restarts += 1
-
-    def on_edge_churned(self, round_number, u, v) -> None:
-        self.metrics.churned_edge_rounds += 1
 
 
 class TrafficLogObserver(MetricsObserver):
@@ -297,15 +70,6 @@ class TrafficLogObserver(MetricsObserver):
         self, round_number, sender, receiver, payload, size_bits, violation
     ) -> None:
         self.traffic.append((round_number, sender, receiver, size_bits))
-
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        # Same entries in the same (target) order as the per-message
-        # replay, appended in one ``extend``.
-        self.traffic.extend(
-            (round_number, sender, target, size_bits) for target in targets
-        )
 
 
 class StitchedTrafficObserver(MetricsObserver):
@@ -333,16 +97,6 @@ class StitchedTrafficObserver(MetricsObserver):
     ) -> None:
         self.traffic.append(
             (self._offset + round_number, sender, receiver, size_bits)
-        )
-        if round_number > self._phase_last_round:
-            self._phase_last_round = round_number
-
-    def on_broadcast(
-        self, round_number, sender, targets, payload, size_bits, violation
-    ) -> None:
-        rebased = self._offset + round_number
-        self.traffic.extend(
-            (rebased, sender, target, size_bits) for target in targets
         )
         if round_number > self._phase_last_round:
             self._phase_last_round = round_number

@@ -6,7 +6,7 @@ the Figure-2 Evaluation procedure) almost all nodes are idle in almost all
 rounds -- a wavefront of O(1) nodes does the work -- so the dense policy
 spends Theta(n * rounds) scheduler time where Theta(activations) suffices.
 
-Three policies ship:
+Two policies ship:
 
 * :class:`DenseScheduler` -- the seed behaviour, bit-for-bit: every node
   runs every round, wake requests are no-ops (a node that wants to act at a
@@ -17,12 +17,6 @@ Three policies ship:
   :meth:`repro.congest.node.NodeAlgorithm.wake_next_round` /
   :meth:`~repro.congest.node.NodeAlgorithm.wake_at` API.  Idle nodes are
   never touched.
-* :class:`VectorScheduler` -- dense semantics through the engine's
-  array-indexed round loop (part of the ``numpy`` compute tier, see
-  :mod:`repro.tier`): index-addressed inbox slots and batched broadcast
-  delivery remove the per-node dict probes and per-message accounting
-  calls that dominate message-heavy workloads where the sparse policy
-  cannot help because almost every node is active anyway.
 
 The sparse policy requires algorithms to be *idle-quiescent*: a node whose
 ``on_round`` is called with an empty inbox and no pending self-wake must
@@ -36,7 +30,7 @@ instead of silently spinning to the round cap.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, Mapping, Optional, Sequence, Set
 
 from repro.congest.errors import RoundLimitExceededError
 from repro.graphs.graph import NodeId
@@ -101,11 +95,15 @@ class Scheduler:
         """Whether any future self-wake is pending (termination input)."""
         return False
 
-    def check_quiescent(self, round_number: int, unfinished: int) -> None:
+    def check_quiescent(
+        self, round_number: int, unfinished: int, messages_sent: int
+    ) -> None:
         """Called when no messages are in flight, no wakes are scheduled and
         ``unfinished`` nodes have not finished.  Dense scheduling keeps
         spinning (a node may act on a later ``round_number``); sparse
-        scheduling would never run another node, so it fails fast."""
+        scheduling would never run another node, so it fails fast.
+        ``messages_sent`` is the run's message count so far, for the
+        abort's progress data."""
 
 
 class DenseScheduler(Scheduler):
@@ -196,50 +194,23 @@ class SparseScheduler(Scheduler):
     def has_scheduled_wakes(self) -> bool:
         return bool(self._wakes)
 
-    def check_quiescent(self, round_number: int, unfinished: int) -> None:
+    def check_quiescent(
+        self, round_number: int, unfinished: int, messages_sent: int
+    ) -> None:
         raise RoundLimitExceededError(
             f"round {round_number}: {unfinished} node(s) have not finished "
             "but no message is in flight and no self-wake is scheduled; "
             "under the sparse scheduler idle nodes are never re-run -- "
-            "timer-driven algorithms must call wake_next_round()/wake_at()"
+            "timer-driven algorithms must call wake_next_round()/wake_at()",
+            rounds_completed=round_number,
+            messages_sent=messages_sent,
         )
-
-
-class VectorScheduler(DenseScheduler):
-    """Dense semantics through the engine's array-indexed round loop.
-
-    Scheduling policy is identical to :class:`DenseScheduler` (every
-    node runs every round, wakes are no-ops), but the ``vectorized``
-    flag routes execution through the engine's vector round loop:
-    node-index-addressed inbox slot arrays instead of label-keyed dicts,
-    per-node state in flat arrays, and batched broadcast delivery
-    through :meth:`repro.engine.transport.Transport.deliver_vector`
-    (one payload measurement and one pipeline event per outbox that
-    shares a payload object, the shape ``NodeAlgorithm.broadcast``
-    produces).  Results, metrics, traffic logs and exceptions are
-    byte-identical to the dense engine -- see
-    ``tests/test_engine_differential.py``.
-
-    The vector engine ships with the ``numpy`` compute tier
-    (:mod:`repro.tier`), so constructing it without numpy installed
-    fails with the tier's actionable :class:`ImportError`.
-    """
-
-    name = "vector"
-    vectorized = True
-
-    def __init__(self) -> None:
-        from repro._numpy import require_numpy
-
-        require_numpy("the 'vector' execution engine")
-        super().__init__()
 
 
 #: The available scheduling policies, by registry name.
 SCHEDULERS = {
     DenseScheduler.name: DenseScheduler,
     SparseScheduler.name: SparseScheduler,
-    VectorScheduler.name: VectorScheduler,
 }
 
 

@@ -18,7 +18,11 @@ outbox and its neighbour's next-round inbox:
   rounds, so identical payloads are measured once;
 * the bandwidth policy: in strict mode an oversized message raises
   :class:`repro.congest.errors.BandwidthExceededError`, otherwise the
-  violation is only reported to the metrics pipeline.
+  violation is only counted;
+* the run's core message accounting (messages, bits, the per-edge
+  maximum, violations), summed per outbox into the run's
+  :class:`repro.congest.metrics.ExecutionMetrics`;
+* under a fault model, each message's fate (see :meth:`Transport.deliver`).
 
 Memo cache.  Two tiers, tried hash-first:
 
@@ -37,8 +41,8 @@ Memo cache.  Two tiers, tried hash-first:
 Both tiers share one entry budget (``size_cache_limit``); beyond it new
 payloads are measured without being cached (no eviction churn).
 
-Cache effectiveness is reported through the metrics pipeline without
-touching the hit path: ``measure`` counts only its (rare) misses and
+Cache effectiveness is reported on the run's metrics without touching
+the hit path: ``measure`` counts only its (rare) misses and
 overflows, and the engine derives per-run hits as ``messages - misses``
 when stamping ``ExecutionMetrics`` -- every delivered message performs
 exactly one measurement, so the identity is exact for leaf runs (and
@@ -48,11 +52,11 @@ delta while their messages do not).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
-from repro.engine.observers import MetricsPipeline
+from repro.congest.metrics import ExecutionMetrics
 from repro.graphs.graph import Graph, NodeId
 from repro.graphs.indexed import IndexedGraph
 
@@ -129,7 +133,6 @@ class Transport:
         #: between runs are honoured.
         self._indexed: Optional[IndexedGraph] = None
         self._neighbor_sets: Dict[NodeId, Any] = {}
-        self._index_of: Dict[NodeId, int] = {}
         self.bind_topology(graph.compile())
         # Cache-effectiveness counters, cumulative across the network's
         # runs; the engine stamps per-run deltas into the run's metrics.
@@ -152,7 +155,6 @@ class Transport:
         if indexed is not self._indexed:
             self._indexed = indexed
             self._neighbor_sets = indexed.neighbor_sets()
-            self._index_of = indexed.index_of
 
     def measure(self, payload: Any) -> int:
         """Size of ``payload`` in bits, memoised across the network's runs."""
@@ -232,208 +234,95 @@ class Transport:
         sender: NodeId,
         outbox: Dict[NodeId, Any],
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
-        pipeline: MetricsPipeline,
-        inbox_pool: Optional[List[Dict[NodeId, Any]]] = None,
+        inbox_pool: List[Dict[NodeId, Any]],
+        metrics: ExecutionMetrics,
+        listeners: Sequence[Callable[..., None]] = (),
+        plan=None,
+        pending: Optional[Dict[int, List[Tuple[NodeId, NodeId, Any]]]] = None,
     ) -> None:
         """Validate, measure, account and enqueue one node's outbox.
 
         ``next_inboxes`` is the sparse mapping of the *following* round's
-        inboxes: only nodes that actually receive something get an entry.
-        ``inbox_pool`` is an optional free list of empty dicts the engine
-        recycles across rounds; newly needed inboxes are taken from it
-        before being allocated.
+        inboxes: only nodes that actually receive something get an entry;
+        new inboxes are taken from the engine's ``inbox_pool`` free list
+        before being allocated.  The outbox's messages, bits, largest
+        message and bandwidth violations are added to ``metrics``, and
+        every message is passed to each of ``listeners`` (the
+        ``on_message`` hooks of the run's per-message observers) before
+        the strict bandwidth check.
+
+        ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
+        under the null model.  A faulty network does not change what a
+        node *sends* -- every message is accounted and observed whether
+        or not it arrives -- so the plan decides the fate only after
+        that, checked in physical order: a churned (down) edge carries
+        nothing; then random loss; then the arrival-time crash check (a
+        delayed message arriving while its receiver is down is lost too);
+        then delay, which parks the message in ``pending`` (keyed by
+        absolute arrival round -- the engine merges it into the inboxes
+        of that round) instead of ``next_inboxes``.
         """
         neighbors = self._neighbor_sets.get(sender)
         budget = self.bandwidth_bits
         measure = self.measure
-        on_message = pipeline.on_message
         next_inboxes_get = next_inboxes.get
+        if plan is not None:
+            edge_down = plan.edge_down
+            message_fate = plan.message_fate
+            node_down = plan.node_down
+        total = peak = violations = dropped = delayed = 0
         for target, payload in outbox.items():
             if neighbors is None or target not in neighbors:
                 raise ProtocolError(
                     f"node {sender!r} tried to send to non-neighbour {target!r}"
                 )
             size = measure(payload)
+            total += size
+            if size > peak:
+                peak = size
             violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
-            inbox = next_inboxes_get(target)
-            if inbox is None:
-                if inbox_pool:
-                    inbox = inbox_pool.pop()
-                else:
-                    inbox = {}
-                next_inboxes[target] = inbox
-            inbox[sender] = payload
-
-    # ------------------------------------------------------------------
-    def deliver_faulty(
-        self,
-        round_number: int,
-        sender: NodeId,
-        outbox: Dict[NodeId, Any],
-        next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
-        pipeline: MetricsPipeline,
-        inbox_pool: Optional[List[Dict[NodeId, Any]]],
-        plan,
-        pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]],
-    ) -> None:
-        """:meth:`deliver` with the fault plan consulted per message.
-
-        The clean prefix is identical to :meth:`deliver` -- neighbour
-        contract, measurement, :meth:`MetricsPipeline.on_message`, strict
-        bandwidth -- because a faulty network does not change what a node
-        *sends*: every message consumes bandwidth and appears in traffic
-        logs whether or not it arrives.  After accounting, the plan
-        decides the fate, checked in physical order: a churned (down)
-        edge carries nothing; then random loss; then the arrival-time
-        crash check (a delayed message arriving while its receiver is
-        down is lost too); then delay, which parks the message in
-        ``pending`` (keyed by absolute arrival round -- the engine merges
-        it into the inboxes of that round) instead of ``next_inboxes``.
-        """
-        neighbors = self._neighbor_sets.get(sender)
-        budget = self.bandwidth_bits
-        measure = self.measure
-        on_message = pipeline.on_message
-        next_inboxes_get = next_inboxes.get
-        edge_down = plan.edge_down
-        message_fate = plan.message_fate
-        node_down = plan.node_down
-        for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
-                )
-            size = measure(payload)
-            violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
-            if edge_down(round_number, sender, target):
-                pipeline.on_message_dropped(round_number, sender, target, "churn")
-                continue
-            fate = message_fate(round_number, sender, target)
-            if fate < 0:
-                pipeline.on_message_dropped(round_number, sender, target, "loss")
-                continue
-            arrival = round_number + 1 + fate
-            if node_down(arrival, target):
-                pipeline.on_message_dropped(round_number, sender, target, "crash")
-                continue
-            if fate:
-                pipeline.on_message_delayed(round_number, sender, target, arrival)
-                bucket = pending.get(arrival)
-                if bucket is None:
-                    bucket = pending[arrival] = []
-                bucket.append((sender, target, payload))
-                continue
-            inbox = next_inboxes_get(target)
-            if inbox is None:
-                if inbox_pool:
-                    inbox = inbox_pool.pop()
-                else:
-                    inbox = {}
-                next_inboxes[target] = inbox
-            inbox[sender] = payload
-
-    # ------------------------------------------------------------------
-    def deliver_vector(
-        self,
-        round_number: int,
-        sender: NodeId,
-        outbox: Dict[NodeId, Any],
-        next_slots: List[Optional[Dict[NodeId, Any]]],
-        touched: List[int],
-        pipeline: MetricsPipeline,
-        inbox_pool: List[Dict[NodeId, Any]],
-    ) -> None:
-        """Index-addressed delivery with a batched broadcast fast path.
-
-        The vector engine's counterpart of :meth:`deliver`:
-        ``next_slots`` is a node-index-addressed inbox array (``None`` =
-        no messages yet) and ``touched`` records which indices gained an
-        inbox this round.  Observable behaviour -- metrics, traffic
-        entries and their order, exceptions -- is byte-identical to
-        :meth:`deliver`.
-
-        Fast path: ``NodeAlgorithm.broadcast`` reuses *one* payload
-        object for every neighbour, so an outbox whose payloads are all
-        the same object (by identity) and whose targets are all valid
-        neighbours is measured **once** and reported to the pipeline as
-        a single :meth:`MetricsPipeline.on_broadcast` batch.  Outboxes
-        with per-target payloads, a non-neighbour target or a strict
-        bandwidth overrun take the exact per-message path below (nothing
-        has been observed at that point, so the replay starts clean).
-        """
-        if not outbox:
-            return
-        neighbors = self._neighbor_sets.get(sender)
-        budget = self.bandwidth_bits
-        index_of = self._index_of
-        shared = None
-        if neighbors is not None:
-            iterator = iter(outbox.values())
-            shared = next(iterator)
-            for payload in iterator:
-                if payload is not shared:
-                    shared = None
-                    break
-        if shared is not None:
-            valid = True
-            for target in outbox:
-                if target not in neighbors:
-                    valid = False
-                    break
-            if valid:
-                size = self.measure(shared)
-                violation = size > budget
-                if not (violation and self.strict_bandwidth):
-                    targets = list(outbox)
-                    pipeline.on_broadcast(
-                        round_number, sender, targets, shared, size, violation
+            if listeners:
+                for listener in listeners:
+                    listener(round_number, sender, target, payload, size, violation)
+            if violation:
+                violations += 1
+                if self.strict_bandwidth:
+                    raise BandwidthExceededError(
+                        f"round {round_number}: node {sender!r} sent "
+                        f"{size} bits to {target!r} "
+                        f"(budget {budget} bits)"
                     )
-                    for target in targets:
-                        index = index_of[target]
-                        inbox = next_slots[index]
-                        if inbox is None:
-                            inbox = inbox_pool.pop() if inbox_pool else {}
-                            next_slots[index] = inbox
-                            touched.append(index)
-                        inbox[sender] = shared
-                    return
-
-        # Exact per-message path: same event order and exceptions as
-        # :meth:`deliver`, writing into index slots instead of a dict.
-        measure = self.measure
-        on_message = pipeline.on_message
-        for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
-                )
-            size = measure(payload)
-            violation = size > budget
-            on_message(round_number, sender, target, payload, size, violation)
-            if violation and self.strict_bandwidth:
-                raise BandwidthExceededError(
-                    f"round {round_number}: node {sender!r} sent "
-                    f"{size} bits to {target!r} "
-                    f"(budget {budget} bits)"
-                )
-            index = index_of[target]
-            inbox = next_slots[index]
+            if plan is not None:
+                if edge_down(round_number, sender, target):
+                    dropped += 1
+                    continue
+                fate = message_fate(round_number, sender, target)
+                if fate < 0:
+                    dropped += 1
+                    continue
+                arrival = round_number + 1 + fate
+                if node_down(arrival, target):
+                    dropped += 1
+                    continue
+                if fate:
+                    delayed += 1
+                    bucket = pending.get(arrival)
+                    if bucket is None:
+                        bucket = pending[arrival] = []
+                    bucket.append((sender, target, payload))
+                    continue
+            inbox = next_inboxes_get(target)
             if inbox is None:
                 inbox = inbox_pool.pop() if inbox_pool else {}
-                next_slots[index] = inbox
-                touched.append(index)
+                next_inboxes[target] = inbox
             inbox[sender] = payload
+        metrics.messages += len(outbox)
+        metrics.total_bits += total
+        if peak > metrics.max_edge_bits_per_round:
+            metrics.max_edge_bits_per_round = peak
+        if violations:
+            metrics.bandwidth_violations += violations
+        if dropped:
+            metrics.dropped_messages += dropped
+        if delayed:
+            metrics.delayed_messages += delayed

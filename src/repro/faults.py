@@ -28,7 +28,7 @@ sequential RNG stream: each decision is a pure function of the fault seed
 and the event's coordinates (round, sender, receiver / node / edge),
 computed with the same CRC idiom as :func:`repro.runner.batch.task_seed`.
 This makes faulty executions independent of *evaluation order* -- the
-dense, sparse and vector engines consult the plan in different orders yet
+dense and sparse engines consult the plan in different orders yet
 produce identical executions -- and independent of
 ``PYTHONHASHSEED``.  The fault seed itself is derived from the network
 seed, the model's :attr:`FaultModel.seed` and a per-engine run counter,
@@ -43,8 +43,9 @@ Selection follows the engine/backend/tier idiom
 ``--loss/--crash/--churn`` flags, re-applied in
 :class:`repro.runner.batch.BatchRunner` pool workers and stamped into
 :func:`repro.store.provenance.collect_provenance`.  The null model is
-guaranteed byte-identical to the fault-free path: the engine only enters
-its fault-aware loop when :attr:`FaultModel.is_null` is false.
+guaranteed byte-identical to the fault-free path: the engine resolves a
+:class:`FaultPlan` -- and so takes its fault branches -- only when
+:attr:`FaultModel.is_null` is false.
 """
 
 from __future__ import annotations

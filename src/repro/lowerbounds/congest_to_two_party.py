@@ -65,8 +65,8 @@ class _RecordingDiameterSolver:
 
     def __call__(self, network: Network) -> Tuple[int, int, list]:
         # The composed classical algorithm issues one ``Network.run`` per
-        # phase; a stitched traffic observer attached to the network's
-        # metrics pipeline records all of them, re-basing rounds so that
+        # phase; a stitched traffic observer attached to the network
+        # records all of them, re-basing rounds so that
         # phase i starts after the last traffic-carrying round of phases
         # < i (a single sequential transcript, as Theorem 10 requires).
         recorder = StitchedTrafficObserver()

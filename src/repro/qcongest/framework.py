@@ -122,8 +122,8 @@ class DistributedOptimizationResult:
     evaluation_rounds_per_call: int
     distinct_evaluations: int
     #: CONGEST executions actually simulated during the optimization (as
-    #: opposed to the *modelled* rounds of ``metrics``), observed via the
-    #: engine's metrics pipeline when the problem exposes its network.
+    #: opposed to the *modelled* rounds of ``metrics``), observed via a
+    #: run-log observer when the problem exposes its network.
     simulated_runs: int = 0
     simulated_rounds: int = 0
 
@@ -183,9 +183,10 @@ def run_distributed_quantum_optimization(
     schedule_backend = resolve_schedule_backend(backend)
 
     # When the problem exposes the CONGEST network it simulates on, observe
-    # every run it performs during the optimization through the engine's
-    # metrics pipeline -- this reports how much simulation the optimization
-    # really executed, separately from the modelled Theorem-7 cost.
+    # every run it performs during the optimization with a run-log
+    # observer (run boundaries only, no per-message cost) -- this reports
+    # how much simulation the optimization really executed, separately
+    # from the modelled Theorem-7 cost.
     run_log = RunLogObserver()
     network = getattr(problem, "network", None)
     observed = network is not None and hasattr(network, "add_observer")

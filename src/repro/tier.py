@@ -3,16 +3,15 @@
 The repository keeps two implementations of its hot numerical paths:
 
 * ``"stdlib"`` -- the reference tier.  Pure-stdlib kernels (big-int
-  bitsets, Takes-Kosters pruning, the dense/sparse engine round loops);
-  always available, and the behaviour every other tier is proven
-  byte-identical against.
+  bitsets, Takes-Kosters pruning); always available, and the behaviour
+  every other tier is proven byte-identical against.
 * ``"numpy"`` -- the vectorized tier.  uint64-word bitset multi-source
   BFS and batched-pruning all-eccentricities kernels over the CSR arrays
-  (:mod:`repro.graphs.vector`), plus the array-indexed ``vector``
-  execution engine (:mod:`repro.engine.scheduler`).  Requires the
-  optional ``repro[numpy]`` extra; selecting it without numpy installed
-  raises the actionable :class:`ImportError` of
-  :func:`repro._numpy.require_numpy`.
+  (:mod:`repro.graphs.vector`).  Requires the optional ``repro[numpy]``
+  extra; selecting it without numpy installed raises the actionable
+  :class:`ImportError` of :func:`repro._numpy.require_numpy`.
+
+The CONGEST round loop (:mod:`repro.engine`) is the same on both tiers.
 
 Tier selection follows the execution-engine / schedule-backend idiom
 (:func:`repro.engine.set_default_engine`,

@@ -3,8 +3,9 @@
 Covers engine selection, the failure paths of ``Network.run`` under *both*
 schedulers (strict bandwidth, round limit, protocol violations), the
 self-wake API that keeps timer-driven algorithms correct under the sparse
-scheduler, the transport's payload-size memo cache, and the observer
-pipeline (traffic logs, stitched multi-phase recording, run logs).
+scheduler, the transport's payload-size memo cache, and observers
+(traffic logs, stitched multi-phase recording, run logs, opt-in
+per-message calls).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.congest.node import NodeAlgorithm
 from repro.engine import (
     ENGINE_NAMES,
     DenseScheduler,
+    MetricsObserver,
     RunLogObserver,
     SparseScheduler,
     StitchedTrafficObserver,
@@ -32,7 +34,9 @@ from repro.engine import (
     make_scheduler,
     set_default_engine,
 )
+from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.service import GridRequest, execute_grid_request, fault_model_from_flags
 
 ENGINES = list(ENGINE_NAMES)
 
@@ -142,6 +146,24 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             Network(generators.path_graph(3), engine="warp")
 
+    def test_vector_engine_rejected_everywhere(self, capsys):
+        from repro.cli import main
+
+        assert ENGINE_NAMES == ("dense", "sparse")
+        with pytest.raises(ValueError, match=r"available: dense, sparse"):
+            Network(generators.path_graph(3), engine="vector")
+        request = GridRequest(
+            families=("cycle",), sizes=(8,), algorithms=("two_approx",),
+            engine="vector",
+        )
+        with pytest.raises(ValueError, match=r"available: dense, sparse"):
+            request.validate()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--families", "cycle", "--sizes", "8",
+                  "--algorithms", "two_approx", "--engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "'dense', 'sparse'" in capsys.readouterr().err
+
     def test_unknown_default_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             set_default_engine("warp")
@@ -248,6 +270,39 @@ class TestSelfWakes:
         network = Network(generators.path_graph(3), engine="sparse")
         with pytest.raises(RoundLimitExceededError, match="wake_next_round"):
             network.run(_factory(_SilentlyStuck), max_rounds=10_000)
+
+    def test_sparse_deadlock_reports_progress(self):
+        """The quiescence abort carries the rounds and messages so far,
+        like the round-cap abort, without changing its message."""
+
+        class _PingThenStall(NodeAlgorithm):
+            def on_round(self, round_number, inbox):
+                if round_number == 0 and self.node_id == 0:
+                    return self.send_to(1, ("p",))
+                return {}
+
+        network = Network(generators.path_graph(3), engine="sparse")
+        with pytest.raises(RoundLimitExceededError) as excinfo:
+            network.run(_factory(_PingThenStall), max_rounds=10_000)
+        error = excinfo.value
+        assert str(error).startswith("round 2: 3 node(s) have not finished")
+        assert error.rounds_completed == 2
+        assert error.messages_sent == 1
+
+    def test_sparse_deadlock_rounds_reach_sweep_records(self):
+        request = GridRequest(
+            families=("cycle",), sizes=(24,), algorithms=("two_approx",),
+            seed=3, engine="sparse",
+            fault=fault_model_from_flags(
+                loss=0.05, crash=0.1, down_rounds=6, timeout=256
+            ),
+        )
+        (record,) = execute_grid_request(request)
+        assert not record.success
+        assert record.failure_reason.startswith(
+            "RoundLimitExceededError: round 23: 19 node(s) have not finished"
+        )
+        assert record.rounds == 23
 
     def test_dense_spins_to_round_limit(self):
         network = Network(generators.path_graph(3), engine="dense")
@@ -512,3 +567,56 @@ class TestObservers:
         # Only the outer run is reported: one run, one message.
         assert log.runs == 1
         assert log.messages == 1
+
+    def test_observers_do_not_change_metrics(self):
+        """Attaching a run log or a traffic log leaves every metric field
+        (cache diagnostics included) exactly as in an unobserved run."""
+        from dataclasses import asdict
+
+        graph = generators.clique_chain(3, 4)
+        plain = run_bfs_tree(Network(graph), 0).metrics
+        for observer in (RunLogObserver(), TrafficLogObserver()):
+            network = Network(graph)
+            network.add_observer(observer)
+            assert asdict(run_bfs_tree(network, 0).metrics) == asdict(plain)
+        assert observer.traffic and len(observer.traffic) == plain.messages
+
+    def test_per_message_calls_are_opt_in(self, monkeypatch):
+        """An observer that does not override ``on_message`` gets run
+        boundaries but no per-message calls."""
+        calls = []
+        monkeypatch.setattr(
+            MetricsObserver, "on_message", lambda self, *event: calls.append(event)
+        )
+
+        class _Boundaries(MetricsObserver):
+            def __init__(self):
+                self.events = []
+
+            def on_run_start(self, network):
+                self.events.append("start")
+
+            def on_run_end(self, metrics):
+                self.events.append(metrics.messages)
+
+        network = Network(generators.path_graph(5))
+        observer = _Boundaries()
+        network.add_observer(observer)
+        messages = run_bfs_tree(network, 0).metrics.messages
+        assert messages > 0
+        assert observer.events == ["start", messages]
+        assert calls == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_faulty_traffic_logs_dropped_messages_as_sent(self, engine):
+        network = Network(
+            generators.path_graph(4), engine=engine,
+            fault_model=FaultModel(loss=1.0, timeout=64),
+        )
+        result = network.run(
+            _factory(_NeverFinishes), exact_rounds=3, record_traffic=True
+        )
+        metrics = result.metrics
+        assert metrics.messages > 0
+        assert metrics.dropped_messages == metrics.messages
+        assert len(result.traffic) == metrics.messages

@@ -1,14 +1,13 @@
-"""Differential tests: every engine must be observationally identical
-to the dense engine.
+"""Differential tests: the sparse engine must be observationally
+identical to the dense engine.
 
 The dense scheduler reproduces the seed simulator bit-for-bit; the sparse
-scheduler skips idle nodes; the vector scheduler routes dense semantics
-through the engine's array-indexed round loop with batched broadcast
-delivery.  For the paper's (idle-quiescent, self-waking) algorithms all
-three must therefore agree on *everything* measurable: per-node results,
-rounds, messages, total bits, the per-edge maximum, the memory high-water
-mark -- and even the order of the traffic log, since the sparse active set
-is ordered like the dense node order and the vector loop iterates it.
+scheduler skips idle nodes.  For the paper's (idle-quiescent,
+self-waking) algorithms both must therefore agree on *everything*
+measurable: per-node results, rounds, messages, total bits, the per-edge
+maximum, the memory high-water mark, bandwidth violations and abort
+messages -- and even the order of the traffic log, since the sparse
+active set is ordered like the dense node order.
 
 Workloads, per the engine-refactor acceptance criteria: single-source BFS,
 pipelined multi-source BFS and the Figure-2 Evaluation procedure, on random
@@ -54,6 +53,30 @@ DIFFERENTIAL_GRAPHS = {
 @pytest.fixture(params=sorted(DIFFERENTIAL_GRAPHS))
 def diff_graph(request):
     return DIFFERENTIAL_GRAPHS[request.param]()
+
+
+class _BigBroadcaster(NodeAlgorithm):
+    """Broadcasts an over-budget payload once (bandwidth-parity probe)."""
+
+    def on_round(self, round_number, inbox):
+        if round_number == 0:
+            return self.broadcast(list(range(64)))
+        self.finished = True
+        return None
+
+
+class _NonNeighbourSender(NodeAlgorithm):
+    """Sends to every node, neighbour or not (protocol-parity probe)."""
+
+    labels = ()
+
+    def on_round(self, round_number, inbox):
+        self.finished = True
+        if round_number == 0:
+            return {
+                other: 1 for other in self.labels if other != self.node_id
+            }
+        return None
 
 
 class TestSchedulerDifferential:
@@ -113,106 +136,19 @@ class TestSchedulerDifferential:
             assert dense.diameter == sparse.diameter == graph.diameter()
             assert _metric_tuple(dense.metrics) == _metric_tuple(sparse.metrics)
 
-
-pytest.importorskip("numpy")
-
-
-class _BigBroadcaster(NodeAlgorithm):
-    """Broadcasts an over-budget payload once (bandwidth-parity probe)."""
-
-    def on_round(self, round_number, inbox):
-        if round_number == 0:
-            return self.broadcast(list(range(64)))
-        self.finished = True
-        return None
-
-
-class _NonNeighbourSender(NodeAlgorithm):
-    """Sends to every node, neighbour or not (protocol-parity probe)."""
-
-    labels = ()
-
-    def on_round(self, round_number, inbox):
-        self.finished = True
-        if round_number == 0:
-            return {
-                other: 1 for other in self.labels if other != self.node_id
-            }
-        return None
-
-
-class TestVectorEngineDifferential:
-    """The vector engine (array-indexed round loop, batched broadcast
-    delivery) against the dense reference, on the same fixtures."""
-
-    def test_bfs_identical(self, diff_graph):
-        root = diff_graph.nodes()[0]
-        dense = run_bfs_tree(Network(diff_graph, engine="dense"), root)
-        vec = run_bfs_tree(Network(diff_graph, engine="vector"), root)
-        assert dense.parent == vec.parent
-        assert dense.distance == vec.distance
-        assert dense.children == vec.children
-        assert _metric_tuple(dense.metrics) == _metric_tuple(vec.metrics)
-
-    def test_multi_source_bfs_identical(self, diff_graph):
-        sources = diff_graph.nodes()[:: max(1, diff_graph.num_nodes // 5)][:5]
-        dense = run_multi_source_bfs(Network(diff_graph, engine="dense"), sources)
-        vec = run_multi_source_bfs(Network(diff_graph, engine="vector"), sources)
-        assert dense.distances == vec.distances
-        assert _metric_tuple(dense.metrics) == _metric_tuple(vec.metrics)
-
-    def test_evaluation_procedure_identical(self, diff_graph):
-        root = diff_graph.nodes()[0]
-        dense_net = Network(diff_graph, engine="dense")
-        vec_net = Network(diff_graph, engine="vector")
-        dense_tree = run_bfs_tree(dense_net, root)
-        vec_tree = run_bfs_tree(vec_net, root)
-        d = max(1, dense_tree.depth)
-        for u0 in diff_graph.nodes()[:: max(1, diff_graph.num_nodes // 4)][:4]:
-            dense = run_evaluation_procedure(dense_net, dense_tree, d, u0)
-            vec = run_evaluation_procedure(vec_net, vec_tree, d, u0)
-            assert dense.value == vec.value
-            assert dense.window_nodes == vec.window_nodes
-            assert _metric_tuple(dense.metrics) == _metric_tuple(vec.metrics)
-
-    def test_traffic_logs_identical(self, diff_graph):
-        """The batched broadcast delivery must leave the same traffic-log
-        entries in the same order as per-message dense delivery."""
-        root = diff_graph.nodes()[0]
-        dense_net = Network(diff_graph, engine="dense")
-        vec_net = Network(diff_graph, engine="vector")
-
-        def bfs_factory(node, net):
-            return _BFSNode(
-                node, net.graph.neighbors(node), net.num_nodes,
-                net.node_rng(node), root,
-            )
-
-        dense = dense_net.run(bfs_factory, record_traffic=True)
-        vec = vec_net.run(bfs_factory, record_traffic=True)
-        assert dense.traffic == vec.traffic
-
-    def test_classical_exact_diameter_end_to_end(self):
-        for seed in (1, 5):
-            graph = generators.random_connected_gnp(24, p=0.15, seed=seed)
-            dense = run_classical_exact_diameter(Network(graph, engine="dense"))
-            vec = run_classical_exact_diameter(Network(graph, engine="vector"))
-            assert dense.diameter == vec.diameter == graph.diameter()
-            assert _metric_tuple(dense.metrics) == _metric_tuple(vec.metrics)
-
     def test_bandwidth_violations_counted_identically(self):
         chain = generators.clique_chain(5, 4)
         factory = lambda node, net: _BigBroadcaster(
             node, net.neighbors(node), net.num_nodes
         )
         snapshots = {}
-        for engine in ("dense", "vector"):
+        for engine in ("dense", "sparse"):
             network = Network(
                 chain, bandwidth_bits=8, strict_bandwidth=False, engine=engine
             )
             execution = network.run(factory)
             snapshots[engine] = _metric_tuple(execution.metrics)
-        assert snapshots["dense"] == snapshots["vector"]
+        assert snapshots["dense"] == snapshots["sparse"]
         assert snapshots["dense"][4] > 0  # the probe really violated
 
     def test_strict_bandwidth_error_identical(self):
@@ -221,12 +157,12 @@ class TestVectorEngineDifferential:
             node, net.neighbors(node), net.num_nodes
         )
         messages = {}
-        for engine in ("dense", "vector"):
+        for engine in ("dense", "sparse"):
             network = Network(chain, bandwidth_bits=8, engine=engine)
             with pytest.raises(BandwidthExceededError) as error:
                 network.run(factory)
             messages[engine] = str(error.value)
-        assert messages["dense"] == messages["vector"]
+        assert messages["dense"] == messages["sparse"]
 
     def test_non_neighbour_error_identical(self):
         path = generators.path_graph(5)
@@ -235,9 +171,9 @@ class TestVectorEngineDifferential:
             node, net.neighbors(node), net.num_nodes
         )
         messages = {}
-        for engine in ("dense", "vector"):
+        for engine in ("dense", "sparse"):
             network = Network(path, engine=engine)
             with pytest.raises(ProtocolError) as error:
                 network.run(factory)
             messages[engine] = str(error.value)
-        assert messages["dense"] == messages["vector"]
+        assert messages["dense"] == messages["sparse"]
