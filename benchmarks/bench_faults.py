@@ -26,9 +26,14 @@ the workloads:
 * a delay-only model (``delay=0.3, max_delay=3``) loses no information,
   so the retrying variant must stay correct on every seed.
 
-Everything is deterministic (stateless hashed fault decisions), so the
-report is byte-stable for fixed sizes -- the ``repro bench`` regression
-gate diffs the headline against ``BENCH_baselines.json``.  Results land
+A third workload measures the absolute throughput of the fault path:
+messages per second through a ``loss=0.1, delay=0.1`` run of the retrying
+2-approximation on a fixed graph (best of several repeats, stamped with
+``os.cpu_count()``).  It is informational; the headline does not use it.
+
+Everything but the timings is deterministic (stateless hashed fault
+decisions), so the headline is stable for fixed sizes -- the ``repro
+bench`` regression gate diffs it against ``BENCH_baselines.json``.  Results land
 in ``BENCH_faults.json`` next to the repository root.
 
 Run it standalone (no pytest plugins needed)::
@@ -64,6 +69,9 @@ HEADLINE_LOSS = 0.1
 #: Per-run round budget under faults: failures abort here instead of at
 #: the generic 64*(n+2) cap, keeping the failure rows cheap.
 FAULT_TIMEOUT = 256
+
+#: The fault mix of the throughput workload (the perfbench ``lossy`` one).
+THROUGHPUT_MODEL = FaultModel(loss=0.1, delay=0.1)
 
 #: Acceptance bar (both modes): at the headline loss rate the retrying
 #: variant must succeed at strictly better smoothed odds than the plain
@@ -186,6 +194,39 @@ def _bench_delay_tolerance(nodes: int, seeds) -> dict:
     }
 
 
+def _bench_fault_throughput(nodes: int, repeats: int) -> dict:
+    """Messages per second through the fault-injecting delivery path."""
+    graph = generators.family_for_sweep("clique_chain", nodes, seed=3)
+    best = float("inf")
+    counts = None
+    for _ in range(repeats):
+        network = Network(graph, seed=1, fault_model=THROUGHPUT_MODEL)
+        started = time.perf_counter()
+        metrics = run_resilient_two_approximation(network).metrics
+        best = min(best, time.perf_counter() - started)
+        run_counts = (
+            metrics.messages, metrics.dropped_messages, metrics.delayed_messages
+        )
+        if counts is not None and run_counts != counts:
+            raise AssertionError("repeated fault runs diverged")
+        counts = run_counts
+    messages, dropped, delayed = counts
+    return {
+        "family": "clique_chain",
+        "nodes": graph.num_nodes,
+        "edges": graph.num_edges,
+        "loss": THROUGHPUT_MODEL.loss,
+        "delay": THROUGHPUT_MODEL.delay,
+        "messages": messages,
+        "dropped_messages": dropped,
+        "delayed_messages": delayed,
+        "repeats": repeats,
+        "best_seconds": round(best, 6),
+        "messages_per_second": round(messages / best),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def run_benchmark(smoke: bool = False) -> dict:
     """Measure all workloads; return the report."""
     nodes = 24 if smoke else 32
@@ -206,6 +247,9 @@ def run_benchmark(smoke: bool = False) -> dict:
         "workloads": {
             "loss_curve_clique_chain": curve,
             "delay_tolerance": _bench_delay_tolerance(nodes, seeds),
+            "fault_throughput": _bench_fault_throughput(
+                96 if smoke else 192, 3 if smoke else 5
+            ),
         },
         "headline_loss": HEADLINE_LOSS,
         "headline_speedup": odds_ratio,

@@ -51,6 +51,7 @@ class _BFSNode(NodeAlgorithm):
 
     def __init__(self, node_id, neighbors, num_nodes, rng, root: NodeId) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
+        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.root = root
         self.distance: Optional[int] = None
         self.parent: Optional[NodeId] = None
@@ -105,8 +106,7 @@ class _BFSNode(NodeAlgorithm):
         # Parent pointer, distance counter and one flag: O(log n) bits.  The
         # children list is part of the node's (classical) knowledge of its
         # incident tree edges, which the CONGEST model grants for free.
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 3 * log_n
+        return 3 * self._log_n
 
 
 def run_bfs_tree(network: Network, root: NodeId) -> BFSTreeResult:

@@ -29,6 +29,7 @@ children are simply skipped by the local rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -79,6 +80,7 @@ class _EulerTourNode(NodeAlgorithm):
         member: Callable[[NodeId], bool],
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
+        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.tree = tree
         self.start = start
         self.budget = budget
@@ -167,11 +169,8 @@ class _EulerTourNode(NodeAlgorithm):
         return self.visit_time
 
     def memory_bits(self) -> Optional[int]:
-        import math
-
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
         # Visit time, parent pointer, child cursor: O(log n) bits.
-        return 4 * log_n
+        return 4 * self._log_n
 
 
 def _run_tour(

@@ -58,6 +58,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         self, node_id, neighbors, num_nodes, rng, is_source: bool
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
+        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.known: Dict[NodeId, int] = {}
         self.pending: Set[NodeId] = set()
         if is_source:
@@ -93,8 +94,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         return dict(self.known)
 
     def memory_bits(self) -> Optional[int]:
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return max(1, 2 * len(self.known)) * log_n
+        return max(1, 2 * len(self.known)) * self._log_n
 
 
 def run_multi_source_bfs(

@@ -68,6 +68,7 @@ class _ResilientBFSNode(NodeAlgorithm):
         self, node_id, neighbors, num_nodes, rng, root: NodeId, max_retries: int
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
+        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.root = root
         self.max_retries = max_retries
         self.distance: Optional[int] = None
@@ -115,8 +116,7 @@ class _ResilientBFSNode(NodeAlgorithm):
     def memory_bits(self) -> Optional[int]:
         # Distance, attempt counter and retry round: O(log n) bits (the
         # retry round is O(log(rounds)) = O(log n) for this procedure).
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 3 * log_n
+        return 3 * self._log_n
 
 
 def run_resilient_bfs(

@@ -78,6 +78,7 @@ class _WaveNode(NodeAlgorithm):
         forward_all: bool,
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
+        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
         self.schedule = schedule
         self.duration = duration
         self.forward_all = forward_all
@@ -143,8 +144,7 @@ class _WaveNode(NodeAlgorithm):
 
     def memory_bits(self) -> Optional[int]:
         # t_v, d_v, the schedule entry and one in-flight message: O(log n).
-        log_n = max(1, math.ceil(math.log2(self.num_nodes + 1)))
-        return 6 * log_n
+        return 6 * self._log_n
 
 
 def run_distance_waves(

@@ -254,23 +254,22 @@ class Transport:
         ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
         under the null model.  A faulty network does not change what a
         node *sends* -- every message is accounted and observed whether
-        or not it arrives -- so the plan decides the fate only after
-        that, checked in physical order: a churned (down) edge carries
-        nothing; then random loss; then the arrival-time crash check (a
-        delayed message arriving while its receiver is down is lost too);
-        then delay, which parks the message in ``pending`` (keyed by
-        absolute arrival round -- the engine merges it into the inboxes
-        of that round) instead of ``next_inboxes``.
+        or not it arrives -- so the fates are decided only after the
+        whole outbox has passed those checks, with one
+        :meth:`~repro.faults.FaultPlan.outbox_fates` call.  Each message
+        is then dropped if its edge is churned (down) or its fate is a
+        loss, or if its receiver is down at arrival (a delayed message
+        arriving while its receiver is down is lost too); a delayed
+        message is parked in ``pending`` (keyed by absolute arrival
+        round -- the engine merges it into the inboxes of that round)
+        instead of ``next_inboxes``.  The churn and crash checks are
+        bound only when the plan can churn or crash.
         """
         neighbors = self._neighbor_sets.get(sender)
         budget = self.bandwidth_bits
         measure = self.measure
         next_inboxes_get = next_inboxes.get
-        if plan is not None:
-            edge_down = plan.edge_down
-            message_fate = plan.message_fate
-            node_down = plan.node_down
-        total = peak = violations = dropped = delayed = 0
+        total = peak = violations = 0
         for target, payload in outbox.items():
             if neighbors is None or target not in neighbors:
                 raise ProtocolError(
@@ -292,36 +291,47 @@ class Transport:
                         f"{size} bits to {target!r} "
                         f"(budget {budget} bits)"
                     )
-            if plan is not None:
-                if edge_down(round_number, sender, target):
-                    dropped += 1
-                    continue
-                fate = message_fate(round_number, sender, target)
-                if fate < 0:
-                    dropped += 1
-                    continue
-                arrival = round_number + 1 + fate
-                if node_down(arrival, target):
-                    dropped += 1
-                    continue
-                if fate:
-                    delayed += 1
-                    bucket = pending.get(arrival)
-                    if bucket is None:
-                        bucket = pending[arrival] = []
-                    bucket.append((sender, target, payload))
-                    continue
-            inbox = next_inboxes_get(target)
-            if inbox is None:
-                inbox = inbox_pool.pop() if inbox_pool else {}
-                next_inboxes[target] = inbox
-            inbox[sender] = payload
+            if plan is None:
+                inbox = next_inboxes_get(target)
+                if inbox is None:
+                    inbox = inbox_pool.pop() if inbox_pool else {}
+                    next_inboxes[target] = inbox
+                inbox[sender] = payload
         metrics.messages += len(outbox)
         metrics.total_bits += total
         if peak > metrics.max_edge_bits_per_round:
             metrics.max_edge_bits_per_round = peak
         if violations:
             metrics.bandwidth_violations += violations
+        if plan is None:
+            return
+
+        edge_down = plan.edge_down if plan.model.churn > 0.0 else None
+        node_down = plan.node_down if plan.crash_round else None
+        fates = plan.outbox_fates(round_number, sender, outbox)
+        dropped = delayed = 0
+        for (target, payload), fate in zip(outbox.items(), fates):
+            if fate < 0 or (
+                edge_down is not None and edge_down(round_number, sender, target)
+            ):
+                dropped += 1
+                continue
+            arrival = round_number + 1 + fate
+            if node_down is not None and node_down(arrival, target):
+                dropped += 1
+                continue
+            if fate:
+                delayed += 1
+                bucket = pending.get(arrival)
+                if bucket is None:
+                    bucket = pending[arrival] = []
+                bucket.append((sender, target, payload))
+                continue
+            inbox = next_inboxes_get(target)
+            if inbox is None:
+                inbox = inbox_pool.pop() if inbox_pool else {}
+                next_inboxes[target] = inbox
+            inbox[sender] = payload
         if dropped:
             metrics.dropped_messages += dropped
         if delayed:

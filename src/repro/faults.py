@@ -27,6 +27,14 @@ Determinism.  Fault decisions are **stateless hashes**, not draws from a
 sequential RNG stream: each decision is a pure function of the fault seed
 and the event's coordinates (round, sender, receiver / node / edge),
 computed with the same CRC idiom as :func:`repro.runner.batch.task_seed`.
+The specification is the hashed text: a message's loss decision, for
+instance, is ``crc32(f"{seed}|{'loss'!r}|{round!r}|{sender!r}|{receiver!r}")
+/ 2**32 < loss`` (:func:`_unit`; ``'delay?'``, ``'delay+'``, ``'crash?'``,
+``'crash@'`` and ``'churn'`` decisions have the same layout over their own
+coordinates).  :class:`FaultPlan` evaluates message and churn decisions
+incrementally -- one CRC prefix per round and outbox, extended by
+precomputed per-target bytes -- which is an exact implementation of that
+text, because ``crc32(b, crc32(a)) == crc32(a + b)``.
 This makes faulty executions independent of *evaluation order* -- the
 dense and sparse engines consult the plan in different orders yet
 produce identical executions -- and independent of
@@ -50,9 +58,10 @@ guaranteed byte-identical to the fault-free path: the engine resolves a
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.graphs.graph import NodeId
 from repro.graphs.indexed import IndexedGraph
@@ -276,14 +285,41 @@ def _edge_key(u: NodeId, v: NodeId) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _suffix(coordinate) -> bytes:
+    """The bytes one coordinate appends to a decision's hashed text."""
+    return ("|" + repr(coordinate)).encode("utf-8")
+
+
+def _round_head(seed: int, tag: str, round_number: int) -> int:
+    """CRC of the text ``f"{seed}|{tag!r}|{round!r}"`` shared by a round's
+    decisions of one kind; :func:`zlib.crc32` extends it by suffixes."""
+    return zlib.crc32(f"{seed}|{tag!r}|{round_number!r}".encode("utf-8"))
+
+
+def _cut(probability: float) -> int:
+    """The integer CRC cut-off of a probability: ``crc < _cut(p)`` iff
+    ``crc / 2**32 < p`` (scaling by ``2**32`` is exact in binary64, and
+    for an integer ``crc``, ``crc < x`` iff ``crc < ceil(x)``)."""
+    return math.ceil(probability * _UNIT_SCALE)
+
+
 class FaultPlan:
     """One run's resolved fault decisions.
 
     Built by the engine at the start of a faulty run from the model, the
-    run's fault-stream seed and the compiled topology.  Crash/restart
-    schedules are precomputed (they are per-node, O(n)); message fates
-    and churn are decided lazily via stateless hashes of their
-    coordinates, with a one-round memo for the churned-edge set.
+    run's fault-stream seed and the compiled topology.  Every decision is
+    specified by :func:`_unit` over the hashed text
+    ``f"{seed}|{tag!r}|{round!r}|{sender!r}|{receiver!r}"`` (node and
+    edge decisions hash their own coordinates the same way).  Crash and
+    restart schedules are per-node, so they are precomputed with
+    :func:`_unit` directly.  Message fates and churn use an exact
+    incremental form of the same CRC: the per-label suffix bytes and the
+    integer probability cut-offs are built here, the
+    ``(seed, tag, round)`` head CRC once per round, the sender's prefix
+    CRC once per outbox (:meth:`outbox_fates`), and each target then
+    costs one ``crc32(suffix, prefix)`` call.  Since
+    ``crc32(b, crc32(a)) == crc32(a + b)``, every decision is
+    bit-for-bit the one the hashed text specifies.
     """
 
     __slots__ = (
@@ -291,11 +327,19 @@ class FaultPlan:
         "seed",
         "crash_round",
         "restart_round",
-        "_edges",
         "_max_restart",
+        "_suffix",
+        "_loss_cut",
+        "_delay_cut",
+        "_fate_round",
+        "_loss_head",
+        "_delay_head",
+        "_edges",
+        "_edge_suffixes",
+        "_churn_cut",
         "_churn_round",
-        "_churn_keys",
         "_churn_edges",
+        "_churn_pairs",
     )
 
     def __init__(self, model: FaultModel, seed: int, indexed: IndexedGraph) -> None:
@@ -315,9 +359,18 @@ class FaultPlan:
                     if model.down_rounds > 0:
                         self.restart_round[label] = at + model.down_rounds
         self._max_restart = max(self.restart_round.values(), default=-1)
-        #: Canonical undirected edge list in CSR order (u-index < v-index),
-        #: built only when churn can occur.
+        #: node -> its hashed-text suffix bytes, for the message fates.
+        self._suffix = {label: _suffix(label) for label in indexed.labels}
+        self._loss_cut = _cut(model.loss)
+        self._delay_cut = _cut(model.delay)
+        self._fate_round = -1
+        self._loss_head = self._delay_head = 0
+        #: Canonical undirected edge list in CSR order (u-index < v-index)
+        #: and each edge's churn-key suffix bytes, built only when churn
+        #: can occur.
         self._edges: Tuple[Tuple[NodeId, NodeId], ...] = ()
+        self._edge_suffixes: Tuple[bytes, ...] = ()
+        self._churn_cut = _cut(model.churn)
         if model.churn > 0.0:
             labels = indexed.labels
             offsets = indexed.offsets
@@ -329,9 +382,12 @@ class FaultPlan:
                     if i < j:
                         edges.append((labels[i], labels[j]))
             self._edges = tuple(edges)
+            self._edge_suffixes = tuple(
+                _suffix(_edge_key(u, v)) for u, v in edges
+            )
         self._churn_round = -1
-        self._churn_keys: FrozenSet[Tuple[str, str]] = frozenset()
         self._churn_edges: Tuple[Tuple[NodeId, NodeId], ...] = ()
+        self._churn_pairs: FrozenSet[Tuple[NodeId, NodeId]] = frozenset()
 
     # ------------------------------------------------------------------
     def node_down(self, round_number: int, node: NodeId) -> bool:
@@ -349,27 +405,51 @@ class FaultPlan:
         must keep running (the restarted node may produce new work)."""
         return round_number <= self._max_restart
 
+    def outbox_fates(
+        self, round_number: int, sender: NodeId, targets: Iterable[NodeId]
+    ) -> List[int]:
+        """The fates of one outbox's messages, in ``targets`` order.
+
+        A fate is ``-1`` lost, ``0`` on time, ``d > 0`` delayed by ``d``
+        extra rounds (arrival at ``round + 1 + d``).  Every target must be
+        a node of the plan's topology; the transport calls this only after
+        its neighbour check has passed for the whole outbox.
+        """
+        if round_number != self._fate_round:
+            self._fate_round = round_number
+            self._loss_head = _round_head(self.seed, "loss", round_number)
+            self._delay_head = _round_head(self.seed, "delay?", round_number)
+        crc32 = zlib.crc32
+        suffix = self._suffix
+        loss_cut = self._loss_cut
+        delay_cut = self._delay_cut
+        head = suffix[sender]
+        loss_prefix = crc32(head, self._loss_head)
+        delay_prefix = crc32(head, self._delay_head)
+        max_delay = self.model.max_delay
+        fates: List[int] = []
+        append = fates.append
+        for target in targets:
+            tail = suffix[target]
+            if loss_cut and crc32(tail, loss_prefix) < loss_cut:
+                append(-1)
+            elif delay_cut and crc32(tail, delay_prefix) < delay_cut:
+                if max_delay == 1:
+                    append(1)
+                else:
+                    append(1 + int(
+                        _unit(self.seed, "delay+", round_number, sender, target)
+                        * max_delay
+                    ))
+            else:
+                append(0)
+        return fates
+
     def message_fate(
         self, round_number: int, sender: NodeId, receiver: NodeId
     ) -> int:
-        """Decide one message's fate: ``-1`` lost, ``0`` on time, ``d > 0``
-        delayed by ``d`` extra rounds (arrival at ``round + 1 + d``)."""
-        model = self.model
-        if model.loss > 0.0 and (
-            _unit(self.seed, "loss", round_number, sender, receiver) < model.loss
-        ):
-            return -1
-        if model.delay > 0.0 and (
-            _unit(self.seed, "delay?", round_number, sender, receiver)
-            < model.delay
-        ):
-            if model.max_delay == 1:
-                return 1
-            return 1 + int(
-                _unit(self.seed, "delay+", round_number, sender, receiver)
-                * model.max_delay
-            )
-        return 0
+        """Decide one message's fate (see :meth:`outbox_fates`)."""
+        return self.outbox_fates(round_number, sender, (receiver,))[0]
 
     # ------------------------------------------------------------------
     def churned_edges(self, round_number: int) -> Tuple[Tuple[NodeId, NodeId], ...]:
@@ -384,20 +464,19 @@ class FaultPlan:
         if self.model.churn <= 0.0:
             return False
         self._refresh_churn(round_number)
-        return _edge_key(u, v) in self._churn_keys
+        return (u, v) in self._churn_pairs
 
     def _refresh_churn(self, round_number: int) -> None:
         if round_number == self._churn_round:
             return
-        churn = self.model.churn
-        seed = self.seed
-        down: List[Tuple[NodeId, NodeId]] = []
-        keys: List[Tuple[str, str]] = []
-        for u, v in self._edges:
-            key = _edge_key(u, v)
-            if _unit(seed, "churn", round_number, key) < churn:
-                down.append((u, v))
-                keys.append(key)
+        crc32 = zlib.crc32
+        head = _round_head(self.seed, "churn", round_number)
+        cut = self._churn_cut
+        down = tuple(
+            edge
+            for edge, tail in zip(self._edges, self._edge_suffixes)
+            if crc32(tail, head) < cut
+        )
         self._churn_round = round_number
-        self._churn_edges = tuple(down)
-        self._churn_keys = frozenset(keys)
+        self._churn_edges = down
+        self._churn_pairs = frozenset(down).union((v, u) for u, v in down)

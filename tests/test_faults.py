@@ -21,8 +21,11 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults, tier
 from repro.algorithms.bfs import run_bfs_tree
@@ -32,13 +35,18 @@ from repro.algorithms.resilient import (
     run_resilient_two_approximation,
 )
 from repro.analysis.sweep import run_sweep_grid, sweep_task_key
-from repro.congest.errors import CongestSimulationError, RoundLimitExceededError
+from repro.congest.errors import (
+    CongestSimulationError,
+    ProtocolError,
+    RoundLimitExceededError,
+)
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.faults import (
     FAULT_MODELS,
     NULL_FAULT_MODEL,
     FaultModel,
+    FaultPlan,
     fault_stream_seed,
     get_default_fault_model,
     register_fault_model,
@@ -47,6 +55,7 @@ from repro.faults import (
     validate_fault_model,
 )
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, collect_provenance, record_from_dict, record_to_dict
 
@@ -215,6 +224,167 @@ class TestFaultPlan:
         assert plan.message_fate(0, labels[0], labels[1]) == 0
         assert not plan.node_down(5, labels[0])
         assert plan.churned_edges(5) == ()
+
+
+def _spec_unit(seed, *coordinates):
+    """The decision formula as first written, frozen here as the
+    specification: a CRC of ``str(seed)`` and the coordinates' ``repr``s
+    joined by ``|``, mapped to ``[0, 1)``."""
+    text = "|".join([str(seed)] + [repr(item) for item in coordinates])
+    return zlib.crc32(text.encode("utf-8")) / 4294967296.0
+
+
+def _spec_fate(model, seed, round_number, sender, receiver):
+    if model.loss > 0.0 and (
+        _spec_unit(seed, "loss", round_number, sender, receiver) < model.loss
+    ):
+        return -1
+    if model.delay > 0.0 and (
+        _spec_unit(seed, "delay?", round_number, sender, receiver) < model.delay
+    ):
+        if model.max_delay == 1:
+            return 1
+        return 1 + int(
+            _spec_unit(seed, "delay+", round_number, sender, receiver)
+            * model.max_delay
+        )
+    return 0
+
+
+def _spec_edge_down(model, seed, round_number, u, v):
+    a, b = repr(u), repr(v)
+    key = (a, b) if a <= b else (b, a)
+    return model.churn > 0.0 and _spec_unit(seed, "churn", round_number, key) < model.churn
+
+
+_LABELS = st.one_of(
+    st.integers(min_value=-1000, max_value=10**9),
+    st.text(max_size=5),
+    st.tuples(st.integers(min_value=0, max_value=9), st.text(max_size=3)),
+)
+
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@st.composite
+def _labelled_graphs(draw):
+    """A connected graph over int, str and tuple labels: a random path
+    through the labels plus random chords."""
+    labels = draw(st.lists(_LABELS, min_size=2, max_size=7, unique=True))
+    graph = Graph(nodes=labels)
+    for u, v in zip(labels, labels[1:]):
+        graph.add_edge(u, v)
+    for i, j in draw(
+        st.lists(st.tuples(st.integers(0, len(labels) - 1),
+                           st.integers(0, len(labels) - 1)), max_size=6)
+    ):
+        if i != j:
+            graph.add_edge(labels[i], labels[j])
+    return graph
+
+
+class TestDecisionSpecification:
+    """The plan's incremental CRCs against the frozen hashed-text formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=_labelled_graphs(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        loss=_PROBABILITIES,
+        delay=_PROBABILITIES,
+        max_delay=st.sampled_from([1, 3]),
+        churn=_PROBABILITIES,
+        crash=_PROBABILITIES,
+        down_rounds=st.integers(min_value=0, max_value=4),
+        rounds=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=3),
+    )
+    def test_decisions_match_the_hashed_text(
+        self, graph, seed, loss, delay, max_delay, churn, crash, down_rounds, rounds
+    ):
+        model = FaultModel(
+            loss=loss, delay=delay, max_delay=max_delay, churn=churn,
+            crash=crash, crash_window=8, down_rounds=down_rounds,
+        )
+        plan = FaultPlan(model, seed, graph.compile())
+        nodes = graph.nodes()
+        for round_number in rounds:
+            for sender in nodes:
+                # Any node may be a target of the plan, neighbour or not.
+                expected = [
+                    _spec_fate(model, seed, round_number, sender, target)
+                    for target in nodes
+                ]
+                assert plan.outbox_fates(round_number, sender, nodes) == expected
+                assert [
+                    plan.message_fate(round_number, sender, target)
+                    for target in nodes
+                ] == expected
+            down = {
+                frozenset(edge)
+                for edge in graph.edges()
+                if _spec_edge_down(model, seed, round_number, *edge)
+            }
+            churned = plan.churned_edges(round_number)
+            assert len(churned) == len(down)
+            assert {frozenset(edge) for edge in churned} == down
+            for u, v in graph.edges():
+                assert plan.edge_down(round_number, u, v) == (frozenset((u, v)) in down)
+                assert plan.edge_down(round_number, v, u) == (frozenset((u, v)) in down)
+        crash_round = {}
+        for node in nodes:
+            if crash > 0.0 and _spec_unit(seed, "crash?", node) < crash:
+                crash_round[node] = 1 + int(_spec_unit(seed, "crash@", node) * 8)
+        assert plan.crash_round == crash_round
+        assert plan.restart_round == (
+            {node: at + down_rounds for node, at in crash_round.items()}
+            if down_rounds else {}
+        )
+
+    def test_probability_cut_off_is_exact(self):
+        # A probability equal to a message's own unit value must not fire
+        # (``<`` is strict); any larger one must, down to half a CRC step.
+        indexed = _graph().compile()
+        u, v = indexed.labels[0], indexed.labels[1]
+        crc = zlib.crc32(f"7|'loss'|3|{u!r}|{v!r}".encode("utf-8"))
+        for offset, fate in ((0, 0), (0.5, -1), (1, -1)):
+            plan = FaultPlan(FaultModel(loss=(crc + offset) / 2**32), 7, indexed)
+            assert plan.message_fate(3, u, v) == fate
+
+
+class _NonNeighbourSender(NodeAlgorithm):
+    """Node 0 sends to its neighbour 1, then to ``target`` (not one)."""
+
+    target = None
+
+    def on_round(self, round_number, inbox):
+        self.finished = True
+        if round_number == 0 and self.node_id == 0:
+            return {1: "hi", self.target: "hello"}
+        return {}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("target", [2, "ghost"])
+def test_faulty_network_rejects_non_neighbour(engine, target):
+    # The fates of an outbox are decided only after the neighbour check,
+    # so a non-neighbour -- a node or not -- is a protocol error, never a
+    # failed fate lookup.
+    sender = type("Sender", (_NonNeighbourSender,), {"target": target})
+    network = Network(
+        generators.path_graph(3),
+        engine=engine,
+        fault_model=FaultModel(
+            loss=0.3, delay=0.3, max_delay=3, crash=0.3, churn=0.3, timeout=64
+        ),
+    )
+    with pytest.raises(ProtocolError, match="non-neighbour"):
+        network.run(
+            lambda node, net: sender(
+                node, net.graph.neighbors(node), net.num_nodes, net.node_rng(node)
+            )
+        )
 
 
 class TestRetryHelpers:
@@ -492,6 +662,7 @@ from repro.analysis.sweep import run_sweep_grid
 from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 from repro.runner import GraphSpec, resolve_algorithms
 
 model = FaultModel(loss=0.1, delay=0.1, max_delay=2, timeout=256)
