@@ -37,19 +37,11 @@ Quick start::
     quantum = quantum_exact_diameter(graph, oracle_mode="reference", seed=1)
     classical = run_classical_exact_diameter(Network(graph))
     print(quantum.diameter, quantum.rounds, classical.diameter, classical.rounds)
-"""
 
-from repro import (
-    algorithms,
-    analysis,
-    congest,
-    core,
-    faults,
-    graphs,
-    lowerbounds,
-    qcongest,
-    quantum,
-)
+Importing :mod:`repro` loads none of the subpackages: import the ones you
+use (``import repro.core`` or ``from repro import core``), so each command
+pays only for the layers it runs.
+"""
 
 __version__ = "1.0.0"
 

@@ -12,6 +12,9 @@ checks their *shape* on finite instances.  The primary tools are
   (e.g. where the quantum algorithm starts beating the classical baseline);
 * :func:`geometric_mean_ratio` -- the typical speed-up factor between two
   series.
+
+The two fits run on numpy, imported on use: importing this module, or
+calling the pure-Python helpers, works on a stdlib-only install.
 """
 
 from __future__ import annotations
@@ -20,12 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    from repro._numpy import missing_numpy_message
+from repro._numpy import require_numpy
 
-    raise ImportError(missing_numpy_message("the scaling-fit analysis"))
+_FEATURE = "the scaling-fit analysis"
 
 
 @dataclass
@@ -49,6 +49,7 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
         raise ValueError("need at least two points to fit a power law")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("power-law fitting requires positive data")
+    np = require_numpy(_FEATURE)
     log_x = np.log(np.asarray(xs, dtype=float))
     log_y = np.log(np.asarray(ys, dtype=float))
     design = np.vstack([log_x, np.ones_like(log_x)]).T
@@ -86,6 +87,7 @@ def fit_power_law_two_predictors(
         raise ValueError("need at least three points for a two-predictor fit")
     if any(value <= 0 for value in list(us) + list(vs) + list(ys)):
         raise ValueError("power-law fitting requires positive data")
+    np = require_numpy(_FEATURE)
     log_u = np.log(np.asarray(us, dtype=float))
     log_v = np.log(np.asarray(vs, dtype=float))
     log_y = np.log(np.asarray(ys, dtype=float))

@@ -80,8 +80,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import CongestSimulationError
 from repro.faults import FaultModel, get_default_fault_model, set_default_fault_model
@@ -94,6 +93,10 @@ from repro.runner.algorithms import (
 )
 from repro.runner.batch import BatchRunner, task_seed
 from repro.runner.spec import GraphSpec, build_graph_cached, graph_diameter_cached
+# Defined in the store, which imports no simulator layer; re-exported for
+# the callers that import them from the sweep module.
+from repro.store.export import sweep_table
+from repro.store.records import SweepRecord
 
 #: Tolerance of the exactness assertion: an exact algorithm must return a
 #: value that *is* an integer (up to float noise), not merely one that
@@ -118,76 +121,6 @@ class SweepCancelled(Exception):
         )
         self.completed = completed
         self.total = total
-
-
-@dataclass
-class SweepRecord:
-    """One measurement: an algorithm run on one graph.
-
-    ``diameter`` is the true diameter from the sequential oracle when the
-    sweep needed it for a correctness check, else ``None`` (the oracle is
-    lazy; see the module docstring).  ``correct`` reflects the algorithm's
-    declared guarantee -- exact equality for exact algorithms, the
-    approximation bound for approximation algorithms -- and stays ``None``
-    when no guarantee was declared or the oracle was unavailable.
-    Failed checks describe the mismatch in ``extra``
-    (``oracle_diameter``, ``value_minus_oracle`` and, for non-integral
-    exact values, ``nonintegral_value``).
-
-    ``success`` is ``False`` when the run did not converge -- only
-    possible under an active fault model, where the simulator abort (or
-    unreached-node error) is captured into ``failure_reason`` instead of
-    propagating.  Failed cells carry ``value=-1.0``, ``correct=None``
-    and the rounds completed before the abort.
-    """
-
-    family: str
-    algorithm: str
-    num_nodes: int
-    diameter: Optional[int]
-    rounds: int
-    value: float
-    correct: Optional[bool] = None
-    extra: Dict[str, float] = field(default_factory=dict)
-    success: bool = True
-    failure_reason: Optional[str] = None
-
-
-def sweep_table(records: Iterable[SweepRecord]) -> str:
-    """Render a list of sweep records as an aligned text table.
-
-    A ``status`` column (``ok``/``failed``) appears only when some record
-    failed to converge, so fault-free tables render exactly as before.
-    """
-    records = list(records)
-    if not records:
-        return "(no records)"
-    with_status = any(not record.success for record in records)
-    header = ["family", "algorithm", "n", "D", "rounds", "value", "correct"]
-    if with_status:
-        header = header + ["status"]
-    rows = [header]
-    for record in records:
-        row = [
-            record.family,
-            record.algorithm,
-            str(record.num_nodes),
-            "-" if record.diameter is None else str(record.diameter),
-            str(record.rounds),
-            f"{record.value:g}",
-            "-" if record.correct is None else str(record.correct),
-        ]
-        if with_status:
-            row.append("ok" if record.success else "failed")
-        rows.append(row)
-    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
-    lines = []
-    for index, row in enumerate(rows):
-        line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        lines.append(line.rstrip())
-        if index == 0:
-            lines.append("-" * len(line))
-    return "\n".join(lines)
 
 
 def _guarantee_of(algorithm) -> Optional[str]:

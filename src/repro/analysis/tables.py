@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.core.complexity import Table1Row, table1_rows
+from typing import List, Optional, Sequence
 
 
 def render_table(
@@ -32,6 +30,8 @@ def render_table1(
     The benchmark harnesses print this next to their measured round counts
     so the reader can compare shapes directly.
     """
+    from repro.core.complexity import table1_rows
+
     rows = []
     for row in table1_rows(memory_qubits=memory_qubits):
         values = row.evaluate(n, diameter)

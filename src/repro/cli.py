@@ -42,6 +42,10 @@ streams)::
     python -m repro quantum --list
     python -m repro quantum --families clique_chain --sizes 24,48 \
         --backend batched --out quantum.jsonl
+
+Start-up: building the parser imports only :mod:`repro.names`; each
+command handler imports the layers it runs, so ``repro export`` never
+loads the simulator and a stdlib-tier sweep never loads numpy.
 """
 
 from __future__ import annotations
@@ -55,56 +59,28 @@ import signal
 import sys
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.algorithms import (
-    run_classical_exact_diameter,
-    run_classical_two_approximation,
-    run_hprw_three_halves_approximation,
-)
-from repro.analysis.sweep import sweep_table
-from repro.analysis.tables import render_table, render_table1
-from repro.congest import Network
-from repro.core import quantum_exact_diameter, quantum_three_halves_diameter
-from repro.core.problems import QUANTUM_PROBLEMS, quantum_problem_names
-from repro.dispatch import (
+from repro.names import (
+    BACKEND_NAMES,
     DISPATCH_NAMES,
-    SHARD_POLICIES,
-    DispatchCoordinator,
-    DispatchError,
-    RemoteDispatch,
-    parse_address,
-)
-from repro.dispatch.worker import run_worker
-from repro.engine import ENGINE_NAMES
-from repro.graphs import generators
-from repro.quantum.backend import BACKEND_NAMES
-from repro.runner import SWEEP_ALGORITHMS, task_seed
-from repro.service import (
-    ExperimentService,
-    GridRequest,
-    QuotaPolicy,
-    ServiceClient,
-    ServiceClientError,
-    execute_grid_request,
-    fault_model_from_flags,
-    serve_api,
-)
-from repro.store import (
+    ENGINE_NAMES,
     EXPORT_FORMATS,
-    ExperimentStore,
-    ExperimentStoreError,
-    append_jsonl_line,
-    export_records,
-    git_describe,
-    merge_shards,
-    render_records,
-    shard_stats,
+    QUANTUM_PROBLEM_NAMES,
+    SHARD_POLICIES,
+    SWEEP_ALGORITHM_NAMES,
+    SWEEP_FAMILIES,
+    TIER_NAMES,
 )
-from repro.tier import TIER_NAMES, set_default_tier
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+    from repro.service.gridspec import GridRequest
 
 
 def _build_graph(args: argparse.Namespace):
+    from repro.graphs import generators
+
     if args.diameter is not None and args.family == "controlled":
         return generators.diameter_controlled_graph(
             args.nodes, args.diameter, seed=args.seed
@@ -125,6 +101,8 @@ def _compute_tier(name: Optional[str]):
     if name is None:
         yield
         return
+    from repro.tier import set_default_tier
+
     previous = set_default_tier(name)
     try:
         yield
@@ -140,6 +118,8 @@ def _quantum_seeds(seed: int):
     the same raw value (the streams would replay each other); mirror the
     sweep command's graph-vs-algorithm split.
     """
+    from repro.runner import task_seed
+
     return (
         task_seed(seed, "quantum-network-stream"),
         task_seed(seed, "quantum-schedule-stream"),
@@ -147,6 +127,11 @@ def _quantum_seeds(seed: int):
 
 
 def _cmd_diameter(args: argparse.Namespace) -> int:
+    from repro.algorithms import run_classical_exact_diameter
+    from repro.analysis.tables import render_table
+    from repro.congest import Network
+    from repro.core import quantum_exact_diameter
+
     with _compute_tier(args.tier):
         graph = _build_graph(args)
         truth = graph.compile().diameter()
@@ -172,6 +157,14 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    from repro.algorithms import (
+        run_classical_two_approximation,
+        run_hprw_three_halves_approximation,
+    )
+    from repro.analysis.tables import render_table
+    from repro.congest import Network
+    from repro.core import quantum_three_halves_diameter
+
     with _compute_tier(args.tier):
         graph = _build_graph(args)
         truth = graph.compile().diameter()
@@ -217,6 +210,9 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
     byte-identical to a local run.  Raises ``ValueError`` with
     CLI-grade messages (reported as usage errors, exit 2).
     """
+    from repro.core.problems import quantum_problem_names
+    from repro.service.gridspec import GridRequest, fault_model_from_flags
+
     if kind == "quantum":
         algorithms = (
             list(quantum_problem_names())
@@ -266,6 +262,9 @@ def _dispatch_backend(args: argparse.Namespace, request: GridRequest):
     if request.dispatch != "remote":
         yield None
         return
+    from repro.dispatch import RemoteDispatch, parse_address
+    from repro.dispatch.coordinator import DispatchCoordinator
+
     if args.coordinator is not None:
         host, port = parse_address(args.coordinator)
         yield RemoteDispatch(
@@ -318,6 +317,10 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
     if args.resume and args.out is None:
         print("--resume requires --out (the store file to continue)", file=sys.stderr)
         return 2
+    from repro.dispatch.protocol import DispatchError
+    from repro.service.gridspec import execute_grid_request
+    from repro.store import ExperimentStore, ExperimentStoreError, sweep_table
+
     try:
         request = _grid_request_from_args(args, kind)
         request.validate()
@@ -360,6 +363,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
     if args.list:
+        from repro.analysis.tables import render_table
+        from repro.core.problems import QUANTUM_PROBLEMS
+
         rows = [
             [name, info.theorem, info.guarantee, info.description]
             for name, info in sorted(QUANTUM_PROBLEMS.items())
@@ -370,6 +376,8 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.store import ExperimentStore, export_records, render_records, sweep_table
+
     store = ExperimentStore(args.store)
     if not store.exists():
         print(f"store {args.store!r} does not exist", file=sys.stderr)
@@ -398,6 +406,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     """Merge distributed store shards into one canonical store."""
+    from repro.analysis.tables import render_table
+    from repro.store import ExperimentStoreError, merge_shards, shard_stats, sweep_table
+
     try:
         records = merge_shards(
             args.shards,
@@ -444,6 +455,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_worker_join(args: argparse.Namespace) -> int:
     """Join a dispatch coordinator and execute sweep shards until it stops."""
+    from repro.dispatch.protocol import DispatchError, parse_address
+    from repro.dispatch.worker import run_worker
+
     try:
         host, port = parse_address(args.address)
     except ValueError as error:
@@ -495,6 +509,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     between task completions and the jobs requeue durably), so a
     restarted daemon resumes exactly where this one stopped.
     """
+    from repro.service.api import serve_api
+    from repro.service.queue import ExperimentService
+    from repro.service.quota import QuotaPolicy
+
     try:
         service = ExperimentService(
             args.data_dir,
@@ -553,6 +571,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 _WATCH_EXIT_CODES = {"done": 0, "failed": 1, "cancelled": 3}
 
 
+def _client(url: str) -> ServiceClient:
+    """A client of the experiment service at ``url``."""
+    from repro.service.client import ServiceClient
+
+    return ServiceClient(url)
+
+
 def _watch_job(client: ServiceClient, job_id: str, poll: float = 0.5) -> int:
     """Poll a job to a terminal state, echoing progress changes to stderr."""
     last: dict = {}
@@ -586,6 +611,8 @@ def _jobs_client_errors(handler):
     """
 
     def wrapped(args: argparse.Namespace) -> int:
+        from repro.service.client import ServiceClientError
+
         try:
             return handler(args)
         except ServiceClientError as error:
@@ -603,7 +630,7 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    client = ServiceClient(args.url)
+    client = _client(args.url)
     status = client.submit(args.tenant, request)
     job_id = status["job_id"]
     # The bare id on stdout keeps submission scriptable:
@@ -621,14 +648,16 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
 
 @_jobs_client_errors
 def _cmd_jobs_status(args: argparse.Namespace) -> int:
-    status = ServiceClient(args.url).status(args.job_id)
+    status = _client(args.url).status(args.job_id)
     print(json.dumps(status, indent=2, sort_keys=True))
     return 0
 
 
 @_jobs_client_errors
 def _cmd_jobs_list(args: argparse.Namespace) -> int:
-    jobs = ServiceClient(args.url).list_jobs(tenant=args.tenant)
+    from repro.analysis.tables import render_table
+
+    jobs = _client(args.url).list_jobs(tenant=args.tenant)
     rows = [
         [
             job["job_id"],
@@ -645,7 +674,7 @@ def _cmd_jobs_list(args: argparse.Namespace) -> int:
 
 @_jobs_client_errors
 def _cmd_jobs_cancel(args: argparse.Namespace) -> int:
-    status = ServiceClient(args.url).cancel(args.job_id)
+    status = _client(args.url).cancel(args.job_id)
     print(f"{args.job_id}: cancel requested (state {status['state']})",
           file=sys.stderr)
     return 0
@@ -653,7 +682,7 @@ def _cmd_jobs_cancel(args: argparse.Namespace) -> int:
 
 @_jobs_client_errors
 def _cmd_jobs_results(args: argparse.Namespace) -> int:
-    text = ServiceClient(args.url).results(args.job_id, format=args.format)
+    text = _client(args.url).results(args.job_id, format=args.format)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -666,12 +695,12 @@ def _cmd_jobs_results(args: argparse.Namespace) -> int:
 
 @_jobs_client_errors
 def _cmd_jobs_watch(args: argparse.Namespace) -> int:
-    return _watch_job(ServiceClient(args.url), args.job_id, poll=args.poll)
+    return _watch_job(_client(args.url), args.job_id, poll=args.poll)
 
 
 @_jobs_client_errors
 def _cmd_jobs_capacity(args: argparse.Namespace) -> int:
-    print(json.dumps(ServiceClient(args.url).capacity(), indent=2, sort_keys=True))
+    print(json.dumps(_client(args.url).capacity(), indent=2, sort_keys=True))
     return 0
 
 
@@ -709,6 +738,9 @@ def _load_harness(path: str):
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_table
+    from repro.store import append_jsonl_line, git_describe
+
     bench_dir = args.dir
     if not os.path.isdir(bench_dir):
         print(
@@ -796,6 +828,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_table1
+
     diameter = args.diameter if args.diameter is not None else max(1, args.nodes // 100)
     print(render_table1(n=args.nodes, diameter=diameter, memory_qubits=args.memory))
     return 0
@@ -1012,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--family",
             default="clique_chain",
-            choices=sorted(set(generators.SWEEP_FAMILIES) | {"controlled"}),
+            choices=sorted(set(SWEEP_FAMILIES) | {"controlled"}),
             help="graph family to generate (default: clique_chain)",
         )
         sub.add_argument("--nodes", type=int, default=24, help="number of nodes")
@@ -1076,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", default="classical_exact,two_approx",
         help=(
             "comma-separated algorithm names; available: "
-            + ", ".join(sorted(SWEEP_ALGORITHMS))
+            + ", ".join(SWEEP_ALGORITHM_NAMES)
         ),
     )
     add_store_options(sweep_parser)
@@ -1101,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--problems", default="all",
         help=(
             "comma-separated problem names, or 'all'; available: "
-            + ", ".join(sorted(QUANTUM_PROBLEMS))
+            + ", ".join(QUANTUM_PROBLEM_NAMES)
         ),
     )
     quantum_parser.add_argument(
@@ -1342,7 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", default="classical_exact,two_approx",
         help=(
             "comma-separated algorithm names; available: "
-            + ", ".join(sorted(SWEEP_ALGORITHMS))
+            + ", ".join(SWEEP_ALGORITHM_NAMES)
         ),
     )
     add_fault_options(submit_parser)

@@ -45,15 +45,11 @@ CLI surface: ``repro sweep --dispatch {inprocess,multiprocessing,remote}
 daemon-managed fan-out.
 """
 
+from repro._lazy import lazy_exports
 from repro.dispatch.backend import (
-    DISPATCH_NAMES,
     RemoteDispatch,
     dispatch_signature,
     resolve_dispatch,
-)
-from repro.dispatch.coordinator import (
-    SHARD_POLICIES,
-    DispatchCoordinator,
 )
 from repro.dispatch.cost import CostModel, plan_chunks, static_cell_cost
 from repro.dispatch.protocol import (
@@ -63,6 +59,13 @@ from repro.dispatch.protocol import (
     FrameError,
     parse_address,
 )
+from repro.names import DISPATCH_NAMES, SHARD_POLICIES
+
+# The coordinator (sockets, threads) loads on first use, so a local sweep
+# that only resolves a dispatch name never starts to import it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DispatchCoordinator": "repro.dispatch.coordinator",
+})
 
 # NOTE: repro.dispatch.worker is deliberately NOT imported here -- it is
 # a ``python -m repro.dispatch.worker`` entry point, and importing it

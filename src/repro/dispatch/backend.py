@@ -28,10 +28,8 @@ import socket
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dispatch.protocol import DispatchError, FramedSocket
+from repro.names import DISPATCH_NAMES
 from repro.runner.batch import BatchRunner
-
-#: The selectable dispatch backends, in CLI ``--dispatch`` order.
-DISPATCH_NAMES = ("inprocess", "multiprocessing", "remote")
 
 
 def dispatch_signature(keys: List[str]) -> str:

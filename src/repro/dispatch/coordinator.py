@@ -65,14 +65,12 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.dispatch.cost import FACTOR, CostModel, take_cost_prefix
 from repro.dispatch.protocol import DispatchError, FramedSocket, FrameError
+from repro.names import SHARD_POLICIES
 
 #: Ceiling on one shard's cell count.  Mirrors BatchRunner's chunk cap:
 #: large enough to amortise per-shard framing, small enough that a dead
 #: worker forfeits little work and load stays balanced.
 MAX_SHARD_CELLS = 16
-
-#: The selectable shard scheduling policies.
-SHARD_POLICIES = ("static", "adaptive")
 
 #: Capability weights below this floor are clamped: a worker that
 #: reported a zero/garbage score must still receive work.
@@ -246,6 +244,12 @@ class DispatchCoordinator:
             self._queue.clear()
         self._stop_ticker.set()
         if self._server is not None:
+            # close() alone does not wake the accept() blocked in the
+            # accept thread; shutting the listening socket down does.
+            try:
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._server.close()
             except OSError:

@@ -15,9 +15,10 @@ All generators take a ``seed`` (or none when deterministic) and return a
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.graphs.graph import Graph
+from repro.names import SWEEP_FAMILIES
 
 
 def path_graph(n: int) -> Graph:
@@ -415,21 +416,6 @@ def family_for_sweep(
     if kind == "tree":
         return random_tree(n, seed=seed)
     raise ValueError(f"unknown graph family {kind!r}")
-
-
-SWEEP_FAMILIES: Tuple[str, ...] = (
-    "path",
-    "cycle",
-    "star",
-    "clique_chain",
-    "ring_of_cliques",
-    "lollipop",
-    "random_sparse",
-    "random_dense",
-    "random_regular",
-    "preferential",
-    "tree",
-)
 
 
 def _require_positive(value: int) -> None:

@@ -32,9 +32,11 @@ nothing but wall-clock.
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
 provided for register-level unit checks such as the CNOT-copy operation of
 Section 2 (``|u>|v> -> |u>|u xor v>``), which is how the Setup procedure
-broadcasts the search register over the network.
+broadcasts the search register over the network.  It needs numpy and loads
+on first use of :class:`StateVector` or :func:`cnot_copy_register`.
 """
 
+from repro._lazy import lazy_exports
 from repro.quantum.amplitude_amplification import (
     AmplificationOutcome,
     amplitude_amplification_search,
@@ -60,7 +62,11 @@ from repro.quantum.maximum_finding import (
     find_maximum,
     uniform_amplitudes,
 )
-from repro.quantum.state import StateVector, cnot_copy_register
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "StateVector": "repro.quantum.state",
+    "cnot_copy_register": "repro.quantum.state",
+})
 
 __all__ = [
     "grover_success_probability",

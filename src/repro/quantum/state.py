@@ -8,14 +8,22 @@ register-level building blocks the paper relies on -- in particular the
 Setup procedure of Proposition 2 broadcasts the internal register over the
 network, and the phase/diffusion steps of amplitude amplification on tiny
 instances.
+
+numpy is imported when a state is built, not when this module is
+imported, so ``import repro.quantum`` works on a stdlib-only install.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Sequence, Tuple
 
-import numpy as np
+from repro._numpy import require_numpy
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_FEATURE = "the dense state-vector simulator"
 
 
 class StateVector:
@@ -34,6 +42,7 @@ class StateVector:
                 "the dense simulator is meant for register-level unit checks; "
                 f"{num_qubits} qubits would allocate 2^{num_qubits} amplitudes"
             )
+        np = require_numpy(_FEATURE)
         self.num_qubits = num_qubits
         self.amplitudes = np.zeros(2 ** num_qubits, dtype=np.complex128)
         self.amplitudes[0] = 1.0
@@ -76,6 +85,7 @@ class StateVector:
 
     def is_normalised(self, tolerance: float = 1e-9) -> bool:
         """Whether the squared amplitudes sum to 1."""
+        np = require_numpy(_FEATURE)
         return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0) < tolerance
 
     # ------------------------------------------------------------------
@@ -83,6 +93,7 @@ class StateVector:
     # ------------------------------------------------------------------
     def apply_hadamard(self, qubit: int) -> None:
         """Apply a Hadamard gate to ``qubit``."""
+        np = require_numpy(_FEATURE)
         self._apply_single_qubit(
             qubit,
             np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2),
@@ -90,12 +101,14 @@ class StateVector:
 
     def apply_x(self, qubit: int) -> None:
         """Apply a Pauli-X (NOT) gate to ``qubit``."""
+        np = require_numpy(_FEATURE)
         self._apply_single_qubit(
             qubit, np.array([[0, 1], [1, 0]], dtype=np.complex128)
         )
 
     def apply_z(self, qubit: int) -> None:
         """Apply a Pauli-Z gate to ``qubit``."""
+        np = require_numpy(_FEATURE)
         self._apply_single_qubit(
             qubit, np.array([[1, 0], [0, -1]], dtype=np.complex128)
         )
@@ -121,12 +134,14 @@ class StateVector:
 
     def apply_diffusion(self) -> None:
         """Reflect about the uniform superposition (the Grover diffusion)."""
+        np = require_numpy(_FEATURE)
         mean = np.mean(self.amplitudes)
         self.amplitudes = 2 * mean - self.amplitudes
 
     # ------------------------------------------------------------------
     def measure(self, rng) -> Tuple[int, ...]:
         """Sample a basis state according to the Born rule."""
+        np = require_numpy(_FEATURE)
         probabilities = np.abs(self.amplitudes) ** 2
         probabilities = probabilities / probabilities.sum()
         index = rng.choices(range(len(self.amplitudes)), weights=probabilities)[0]

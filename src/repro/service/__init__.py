@@ -26,8 +26,14 @@ With ``repro serve --dispatch remote`` the daemon also owns a
 ``"dispatch": "remote"`` fan their cells out to registered
 ``repro worker join`` workers instead of computing in the job
 subprocess.
+
+The daemon, its HTTP face and the client load on first use of
+:class:`ExperimentService`, :func:`serve_api` or :class:`ServiceClient`,
+so a local grid command that only needs :class:`GridRequest` does not
+import ``http.server``, ``urllib`` or the dispatch coordinator.
 """
 
+from repro._lazy import lazy_exports
 from repro.service.gridspec import (
     GRID_KINDS,
     GridRequest,
@@ -43,10 +49,14 @@ from repro.service.jobs import (
     JobRecord,
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE, render_metrics
-from repro.service.queue import ExperimentService
 from repro.service.quota import QuotaExceeded, QuotaPolicy, capacity_report
-from repro.service.api import serve_api
-from repro.service.client import ServiceClient, ServiceClientError
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ExperimentService": "repro.service.queue",
+    "serve_api": "repro.service.api",
+    "ServiceClient": "repro.service.client",
+    "ServiceClientError": "repro.service.client",
+})
 
 __all__ = [
     "GRID_KINDS",

@@ -26,10 +26,10 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.sweep import run_sweep_grid
-from repro.dispatch import DISPATCH_NAMES
 from repro.engine import ENGINE_NAMES, set_default_engine
 from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.names import DISPATCH_NAMES
 from repro.quantum.backend import BACKEND_NAMES, set_default_schedule_backend
 from repro.runner import (
     BatchRunner,

@@ -5,7 +5,7 @@ this subsystem existed, those records lived only in-process -- a killed
 sweep lost everything.  :mod:`repro.store` makes sweeps durable:
 
 * :class:`ExperimentStore` (:mod:`repro.store.jsonl`) -- an append-only
-  JSONL file holding every :class:`repro.analysis.sweep.SweepRecord` plus
+  JSONL file holding every :class:`repro.store.records.SweepRecord` plus
   run provenance (grid signature, specs, seeds, engine, worker count,
   git describe, wall time).  Records are flushed as they complete, so an
   interrupted run keeps everything it finished.
@@ -32,6 +32,7 @@ from repro.store.export import (
     render_json,
     render_jsonl,
     render_records,
+    sweep_table,
 )
 from repro.store.jsonl import (
     SCHEMA_VERSION,
@@ -52,6 +53,7 @@ from repro.store.provenance import (
 )
 from repro.store.records import (
     RECORD_FIELDS,
+    SweepRecord,
     canonical_json,
     record_from_dict,
     record_to_dict,
@@ -78,9 +80,11 @@ __all__ = [
     "render_csv",
     "render_json",
     "render_jsonl",
+    "sweep_table",
     "collect_provenance",
     "git_describe",
     "RECORD_FIELDS",
+    "SweepRecord",
     "canonical_json",
     "record_to_dict",
     "record_from_dict",

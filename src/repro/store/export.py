@@ -10,9 +10,12 @@ Three formats, all byte-deterministic for a given record list:
   the checkpoint/resume acceptance check compares byte-for-byte: a
   resumed store and a fresh serial store export to identical files.
 
+:func:`sweep_table` renders records as the aligned text table that
+``repro sweep`` prints and ``repro export --format table`` writes.
+
 The loader side lives in :class:`repro.store.ExperimentStore`
 (``load_records``), which round-trips records back into
-:func:`repro.analysis.sweep.sweep_table` and the fitting helpers.
+:func:`sweep_table` and the fitting helpers.
 """
 
 from __future__ import annotations
@@ -22,10 +25,45 @@ import io
 import json
 from typing import Iterable, List, Sequence
 
-from repro.analysis.sweep import SweepRecord
-from repro.store.records import RECORD_FIELDS, canonical_json, record_to_dict
+from repro.names import EXPORT_FORMATS
+from repro.store.records import RECORD_FIELDS, SweepRecord, canonical_json, record_to_dict
 
-EXPORT_FORMATS = ("csv", "json", "jsonl")
+
+def sweep_table(records: Iterable[SweepRecord]) -> str:
+    """Render a list of sweep records as an aligned text table.
+
+    A ``status`` column (``ok``/``failed``) appears only when some record
+    failed to converge, so fault-free tables render exactly as before.
+    """
+    records = list(records)
+    if not records:
+        return "(no records)"
+    with_status = any(not record.success for record in records)
+    header = ["family", "algorithm", "n", "D", "rounds", "value", "correct"]
+    if with_status:
+        header = header + ["status"]
+    rows = [header]
+    for record in records:
+        row = [
+            record.family,
+            record.algorithm,
+            str(record.num_nodes),
+            "-" if record.diameter is None else str(record.diameter),
+            str(record.rounds),
+            f"{record.value:g}",
+            "-" if record.correct is None else str(record.correct),
+        ]
+        if with_status:
+            row.append("ok" if record.success else "failed")
+        rows.append(row)
+    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
+    lines = []
+    for index, row in enumerate(rows):
+        line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+        lines.append(line.rstrip())
+        if index == 0:
+            lines.append("-" * len(line))
+    return "\n".join(lines)
 
 
 def render_csv(records: Iterable[SweepRecord]) -> str:

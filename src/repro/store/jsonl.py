@@ -31,9 +31,9 @@ import re
 import time
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import SweepRecord
 from repro.store.provenance import collect_provenance
 from repro.store.records import (
+    SweepRecord,
     canonical_json,
     record_from_dict,
     record_to_dict,

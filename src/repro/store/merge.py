@@ -42,14 +42,13 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.sweep import SweepRecord
 from repro.store.jsonl import (
     SCHEMA_VERSION,
     ExperimentStore,
     ExperimentStoreError,
 )
 from repro.store.provenance import collect_provenance
-from repro.store.records import record_to_dict
+from repro.store.records import SweepRecord, record_to_dict
 
 
 def merge_shards(

@@ -1,20 +1,59 @@
 """Canonical (de)serialization of sweep records and graph specs.
 
-The experiment store persists :class:`repro.analysis.sweep.SweepRecord`
-instances as JSON objects.  Serialization is **canonical** -- fixed field
-set, sorted keys, minimal separators -- so that two stores holding the
-same records serialize to byte-identical lines regardless of how the
-records were produced (serial vs parallel, fresh vs resumed).  That byte
-stability is what the checkpoint/resume acceptance test compares.
+:class:`SweepRecord` is the one record type every sweep produces, and
+the experiment store persists it as a JSON object.  Serialization is
+**canonical** -- fixed field set, sorted keys, minimal separators -- so
+that two stores holding the same records serialize to byte-identical
+lines regardless of how the records were produced (serial vs parallel,
+fresh vs resumed).  That byte stability is what the checkpoint/resume
+acceptance test compares.
+
+This module is a leaf: it imports no simulator layer, so reading a store
+(``repro export``) never loads the engine, the runner or the graphs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
-from repro.analysis.sweep import SweepRecord
-from repro.runner.spec import GraphSpec
+if TYPE_CHECKING:
+    from repro.runner.spec import GraphSpec
+
+
+@dataclass
+class SweepRecord:
+    """One measurement: an algorithm run on one graph.
+
+    ``diameter`` is the true diameter from the sequential oracle when the
+    sweep needed it for a correctness check, else ``None`` (the oracle is
+    lazy; see :mod:`repro.analysis.sweep`).  ``correct`` reflects the algorithm's
+    declared guarantee -- exact equality for exact algorithms, the
+    approximation bound for approximation algorithms -- and stays ``None``
+    when no guarantee was declared or the oracle was unavailable.
+    Failed checks describe the mismatch in ``extra``
+    (``oracle_diameter``, ``value_minus_oracle`` and, for non-integral
+    exact values, ``nonintegral_value``).
+
+    ``success`` is ``False`` when the run did not converge -- only
+    possible under an active fault model, where the simulator abort (or
+    unreached-node error) is captured into ``failure_reason`` instead of
+    propagating.  Failed cells carry ``value=-1.0``, ``correct=None``
+    and the rounds completed before the abort.
+    """
+
+    family: str
+    algorithm: str
+    num_nodes: int
+    diameter: Optional[int]
+    rounds: int
+    value: float
+    correct: Optional[bool] = None
+    extra: Dict[str, float] = field(default_factory=dict)
+    success: bool = True
+    failure_reason: Optional[str] = None
+
 
 #: The full field set of a serialized record; kept explicit so loading an
 #: object with missing or unknown fields fails loudly instead of silently
@@ -101,6 +140,8 @@ def spec_to_dict(spec: GraphSpec) -> Dict[str, Any]:
 
 def spec_from_dict(data: Mapping[str, Any]) -> GraphSpec:
     """Rebuild a :class:`GraphSpec` from :func:`spec_to_dict` output."""
+    from repro.runner.spec import GraphSpec
+
     return GraphSpec(
         family=data["family"],
         num_nodes=int(data["num_nodes"]),

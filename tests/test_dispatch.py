@@ -206,6 +206,45 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             DispatchCoordinator(shard_size=0)
 
+    @pytest.mark.parametrize("policy", ["static", "adaptive"])
+    def test_stop_is_prompt_and_joins_its_threads(self, policy):
+        # Regression: close() on the listening socket did not wake the
+        # blocked accept(), so stop() waited out a 5 s join timeout and
+        # left the accept thread running.
+        before = set(threading.enumerate())
+        coordinator = DispatchCoordinator(shard_policy=policy).start()
+        started = time.perf_counter()
+        coordinator.stop()
+        assert time.perf_counter() - started < 0.5
+        leaked = [
+            thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("dispatch-")
+        ]
+        assert leaked == []
+
+    def test_stop_with_a_registered_worker_is_prompt(self, tmp_path):
+        before = set(threading.enumerate())
+        coordinator = DispatchCoordinator().start()
+        host, port = coordinator.address
+        worker = threading.Thread(
+            target=run_worker, args=(host, port, str(tmp_path)),
+            kwargs=dict(worker_id="w1", once=True, connect_wait=15.0,
+                        heartbeat_interval=0.5),
+            daemon=True,
+        )
+        worker.start()
+        coordinator.wait_for_workers(1, timeout=30.0)
+        started = time.perf_counter()
+        coordinator.stop()
+        assert time.perf_counter() - started < 0.5
+        worker.join(timeout=15.0)
+        assert not worker.is_alive()
+        leaked = [
+            thread.name for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("dispatch-")
+        ]
+        assert leaked == []
+
 
 class TestWorkerIds:
     def test_default_id_is_valid(self):
