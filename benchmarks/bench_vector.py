@@ -29,8 +29,8 @@ import json
 import os
 import time
 
+from repro.config import ExecutionConfig
 from repro.graphs import generators
-from repro.tier import set_default_tier
 
 #: Node count of the headline all-eccentricities workload (>= 4000 so the
 #: batched sweep amortises its block setup).
@@ -59,11 +59,10 @@ def _time(fn):
 def _time_tier(nodes: int, tier: str):
     """End-to-end oracle timing (fresh graph + compile) under ``tier``."""
     graph = generators.family_for_sweep("clique_chain", nodes, seed=3)
-    previous = set_default_tier(tier)
-    try:
-        return _time(lambda: graph.compile().all_eccentricities())
-    finally:
-        set_default_tier(previous)
+    # Selecting the tier (as the --tier flag does) imports numpy up front,
+    # so the timing covers the oracle only.
+    config = ExecutionConfig(tier=tier)
+    return _time(lambda: graph.compile().all_eccentricities(config.tier))
 
 
 def _bench_all_eccentricities(nodes: int) -> dict:

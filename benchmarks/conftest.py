@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ENGINE_NAMES, set_default_engine
-from repro.quantum.backend import BACKEND_NAMES, set_default_schedule_backend
-from repro.tier import TIER_NAMES, set_default_tier
+import repro.config
+from repro.names import BACKEND_NAMES, ENGINE_NAMES, TIER_NAMES
 
 
 def pytest_addoption(parser):
@@ -61,61 +60,26 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(autouse=True)
-def _engine_selection(request):
-    """Honour ``--engine`` by switching the process-wide default engine.
+def _execution_config(request):
+    """Honour ``--engine/--backend/--tier`` by replacing the default config.
 
-    The benchmarks build their networks deep inside workload helpers, so the
-    selection rides on the engine default rather than threading a parameter
-    through every call; the previous default is restored after each test.
+    The benchmarks build their networks deep inside workload helpers, so
+    the selections ride on :data:`repro.config.DEFAULT_CONFIG` (which
+    every network and quantum schedule built without an explicit
+    configuration resolves) rather than a parameter threaded through
+    every call; the previous default is restored after each test.
     """
-    name = request.config.getoption("--engine")
-    if name is None:
-        yield
-        return
-    previous = set_default_engine(name)
+    previous = repro.config.DEFAULT_CONFIG
+    repro.config.DEFAULT_CONFIG = repro.config.resolve_config(
+        previous,
+        engine=request.config.getoption("--engine"),
+        backend=request.config.getoption("--backend"),
+        tier=request.config.getoption("--tier"),
+    )
     try:
         yield
     finally:
-        set_default_engine(previous)
-
-
-@pytest.fixture(autouse=True)
-def _backend_selection(request):
-    """Honour ``--backend`` by switching the process-wide schedule backend.
-
-    Mirrors ``--engine``: the quantum workloads resolve the backend deep
-    inside the framework, so the selection rides on the process default
-    (which the batch runner also re-applies in pool workers); the
-    previous default is restored after each test.
-    """
-    name = request.config.getoption("--backend")
-    if name is None:
-        yield
-        return
-    previous = set_default_schedule_backend(name)
-    try:
-        yield
-    finally:
-        set_default_schedule_backend(previous)
-
-
-@pytest.fixture(autouse=True)
-def _tier_selection(request):
-    """Honour ``--tier`` by switching the process-wide compute tier.
-
-    Mirrors ``--engine``/``--backend``: the oracles resolve the tier deep
-    inside the graph core (which the batch runner also re-applies in pool
-    workers); the previous default is restored after each test.
-    """
-    name = request.config.getoption("--tier")
-    if name is None:
-        yield
-        return
-    previous = set_default_tier(name)
-    try:
-        yield
-    finally:
-        set_default_tier(previous)
+        repro.config.DEFAULT_CONFIG = previous
 
 
 @pytest.fixture

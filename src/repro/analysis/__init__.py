@@ -15,7 +15,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "SweepRecord": "repro.analysis.sweep",
     "grid_signature": "repro.analysis.sweep",
-    "run_sweep": "repro.analysis.sweep",
     "run_sweep_grid": "repro.analysis.sweep",
     "sweep_table": "repro.analysis.sweep",
     "sweep_task_key": "repro.analysis.sweep",
@@ -32,7 +31,6 @@ __all__ = [
     "crossover_point",
     "geometric_mean_ratio",
     "SweepRecord",
-    "run_sweep",
     "run_sweep_grid",
     "sweep_table",
     "sweep_task_key",

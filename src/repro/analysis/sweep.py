@@ -8,24 +8,19 @@ records are deliberately plain so they can be printed, fitted
 (:mod:`repro.store`).
 
 Sweeps are batch workloads: every ``(graph, algorithm)`` cell is an
-independent, deterministic run.  Both entry points therefore execute on
-the :class:`repro.runner.batch.BatchRunner` -- ``jobs=1`` (the default)
-runs serially in-process, ``jobs=N`` fans the cells out over a process
-pool.  The task body is the same code either way and results are
+independent, deterministic run.  The one entry point,
+:func:`run_sweep_grid`, takes :class:`repro.runner.spec.GraphSpec` recipes
+and a table of ``(graph, seed, config) -> (rounds, value)`` kernels (by
+default from :data:`repro.runner.algorithms.SWEEP_ALGORITHMS`) and
+executes on the :class:`repro.runner.batch.BatchRunner` -- ``jobs=1``
+(the default) runs serially in-process, ``jobs=N`` fans the cells out
+over a process pool, and :mod:`repro.dispatch` ships them to remote
+workers.  The task body is the same code everywhere and results are
 aggregated in task order, so the parallel record list is byte-identical
-(same order, same values) to the serial one.
-
-Two entry points:
-
-* :func:`run_sweep` takes pre-built graphs and arbitrary algorithm
-  callables (the historical API).  With ``jobs > 1`` the callables and
-  graphs must be picklable; un-picklable inputs (lambdas, closures)
-  degrade gracefully to serial execution.
-* :func:`run_sweep_grid` takes :class:`repro.runner.spec.GraphSpec` recipes
-  and algorithm *names* from :data:`repro.runner.algorithms.SWEEP_ALGORITHMS`.
-  Workers construct each graph themselves, once per worker per spec
-  (see :func:`repro.runner.spec.build_graph_cached`), which keeps task
-  payloads tiny and avoids rebuilding a graph once per algorithm.
+(same order, same values) to the serial one.  Workers construct each
+graph themselves, once per worker per spec (see
+:func:`repro.runner.spec.build_graph_cached`), which keeps task payloads
+tiny and avoids rebuilding a graph once per algorithm.
 
 Correctness checking is driven by **explicit metadata**: registry entries
 are :class:`repro.runner.algorithms.SweepAlgorithmInfo` instances whose
@@ -54,11 +49,12 @@ exact algorithms).  Sweeps of pure approximation algorithms leave
 :func:`sweep_table`); when the oracle is available anyway, approximation
 guarantees are validated opportunistically.
 
-Fault injection: when the process-default fault model
-(:mod:`repro.faults`) is non-null -- set via ``run_sweep_grid``'s
-``fault_model`` parameter, the ``repro sweep --loss/--crash/--churn``
-flags or :func:`repro.faults.set_default_fault_model` -- the networks the
-kernels build inject message loss, delays, crashes and churn.  Under
+Execution configuration: the grid's :class:`repro.config.ExecutionConfig`
+(engine, schedule backend, compute tier, fault model) travels in the task
+context, so every cell -- serial, pooled or remote -- builds its networks
+and runs its oracles under the same selections.  When its fault model is
+non-null (the ``repro sweep --loss/--crash/--churn`` flags) the networks
+the kernels build inject message loss, delays, crashes and churn.  Under
 faults, non-convergence is an *expected outcome*, not a bug: simulator
 aborts (round/timeout limits, quiescence stalls) and unreached-node
 errors are captured into the record as ``success=False`` with a
@@ -78,12 +74,12 @@ uninterrupted run.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.config import ExecutionConfig, resolve_config
 from repro.congest.errors import CongestSimulationError
-from repro.faults import FaultModel, get_default_fault_model, set_default_fault_model
+from repro.faults import FaultModel
 from repro.graphs.graph import Graph
 from repro.runner.algorithms import (
     EXACT,
@@ -195,7 +191,9 @@ def _check_value(
     return correct, extra
 
 
-def _run_cell(kernel, *args) -> Tuple[int, float, bool, Optional[str]]:
+def _run_cell(
+    kernel, graph: Graph, seed: int, config: ExecutionConfig
+) -> Tuple[int, float, bool, Optional[str]]:
     """Invoke one measurement kernel, degrading gracefully under faults.
 
     Returns ``(rounds, value, success, failure_reason)``.  With the null
@@ -207,98 +205,15 @@ def _run_cell(kernel, *args) -> Tuple[int, float, bool, Optional[str]]:
     become failed records; the rounds completed before a round-limit
     abort are recovered from the enriched exception.
     """
-    if get_default_fault_model().is_null:
-        rounds, value = kernel(*args)
+    if config.fault.is_null:
+        rounds, value = kernel(graph, seed, config)
         return rounds, value, True, None
     try:
-        rounds, value = kernel(*args)
+        rounds, value = kernel(graph, seed, config)
     except (CongestSimulationError, RuntimeError) as error:
         rounds = getattr(error, "rounds_completed", None) or 0
         return rounds, -1.0, False, f"{type(error).__name__}: {error}"
     return rounds, value, True, None
-
-
-def _sweep_one_graph(
-    algorithms: Dict[str, Callable[[Graph], Tuple[int, float]]],
-    task: Tuple[str, Graph],
-) -> List[SweepRecord]:
-    """Run every algorithm on one graph (the per-task body of a sweep).
-
-    The diameter oracle runs at most once per graph, and only when some
-    algorithm in the table requires a correctness check.
-    """
-    family, graph = task
-    # The oracle runs on the compiled CSR view; the view is cached on the
-    # graph, so repeated sweeps over the same graph compile once.
-    true_diameter: Optional[int] = (
-        graph.compile().diameter() if _needs_oracle(algorithms) else None
-    )
-    records: List[SweepRecord] = []
-    for name, runner in algorithms.items():
-        rounds, value, success, failure_reason = _run_cell(runner, graph)
-        if success:
-            correct, extra = _check_value(
-                _guarantee_of(runner),
-                value,
-                _check_target(runner, graph, true_diameter),
-            )
-        else:
-            correct, extra = None, {}
-        records.append(
-            SweepRecord(
-                family=family,
-                algorithm=name,
-                num_nodes=graph.num_nodes,
-                diameter=true_diameter,
-                rounds=rounds,
-                value=value,
-                correct=correct,
-                extra=extra,
-                success=success,
-                failure_reason=failure_reason,
-            )
-        )
-    return records
-
-
-def _picklable(*objects) -> bool:
-    try:
-        pickle.dumps(objects)
-    except Exception:
-        return False
-    return True
-
-
-def run_sweep(
-    graphs: Sequence[Tuple[str, Graph]],
-    algorithms: Dict[str, Callable[[Graph], Tuple[int, float]]],
-    jobs: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
-) -> List[SweepRecord]:
-    """Run every algorithm on every graph and collect records.
-
-    ``algorithms`` maps a name to a callable returning ``(rounds, value)``
-    for a given graph; wrap a callable in
-    :class:`repro.runner.algorithms.SweepAlgorithmInfo` to declare a
-    correctness guarantee.  The sequential diameter oracle is computed
-    lazily, once per graph, and skipped entirely when no algorithm
-    requires it.
-
-    ``jobs`` (or an explicit ``runner``) fans the per-graph tasks out over
-    a process pool; records come back in the same order as serial
-    execution.  Parallel dispatch requires picklable inputs: un-picklable
-    algorithm callables (lambdas, closures) silently degrade the sweep to
-    serial execution with identical records.
-    """
-    if runner is None:
-        runner = BatchRunner(jobs=jobs)
-    # Probe only the algorithm table: callables (lambdas, closures) are the
-    # realistic unpicklable input, and probing the graphs as well would
-    # serialize the whole grid a second time just to throw the result away.
-    if runner.jobs > 1 and not _picklable(algorithms):
-        runner = BatchRunner(jobs=1)
-    per_graph = runner.map(_sweep_one_graph, list(graphs), context=algorithms)
-    return [record for records in per_graph for record in records]
 
 
 def _grid_cell_cost(task: Tuple[GraphSpec, str]) -> float:
@@ -318,27 +233,27 @@ def _grid_cell_cost(task: Tuple[GraphSpec, str]) -> float:
 
 
 def _sweep_one_grid_cell(
-    context: Tuple[Dict[str, Callable[[Graph, int], Tuple[int, float]]], int],
+    context: Tuple[Dict[str, Callable[..., Tuple[int, float]]], int, ExecutionConfig],
     task: Tuple[GraphSpec, str],
 ) -> SweepRecord:
     """Run one ``(spec, algorithm)`` grid cell in this process.
 
-    The graph (and, when needed, its diameter oracle) comes from the
-    per-process caches, so a chunk of cells sharing a spec constructs the
-    graph once.
+    ``context`` is ``(algorithms, base_seed, config)``.  The graph (and,
+    when needed, its diameter oracle) comes from the per-process caches,
+    so a chunk of cells sharing a spec constructs the graph once.
     """
-    algorithms, base_seed = context
+    algorithms, base_seed, config = context
     spec, name = task
     graph = build_graph_cached(spec)
     seed = task_seed(base_seed, spec, name)
     algorithm = algorithms[name]
-    rounds, value, success, failure_reason = _run_cell(algorithm, graph, seed)
+    rounds, value, success, failure_reason = _run_cell(algorithm, graph, seed, config)
     true_diameter: Optional[int] = None
     if _needs_oracle(algorithms):
         # Some algorithm of this sweep needs the oracle, so every record
-        # of the spec carries it (matching run_sweep); the per-process
-        # cache makes this one computation per spec per worker.
-        true_diameter = graph_diameter_cached(spec)
+        # of the spec carries it; the per-process cache makes this one
+        # computation per spec per worker.
+        true_diameter = graph_diameter_cached(spec, config.tier)
     if success:
         correct, extra = _check_value(
             _guarantee_of(algorithm),
@@ -408,31 +323,34 @@ def grid_signature(
 
 def run_sweep_grid(
     specs: Sequence[GraphSpec],
-    algorithms: Dict[str, Callable[[Graph, int], Tuple[int, float]]],
+    algorithms: Dict[str, Callable[..., Tuple[int, float]]],
     jobs: Optional[int] = None,
     runner: Optional[BatchRunner] = None,
     base_seed: int = 0,
     store=None,
     resume: bool = False,
-    fault_model: Optional[FaultModel] = None,
+    config: Optional[ExecutionConfig] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
     dispatch=None,
 ) -> List[SweepRecord]:
     """Sweep a ``specs x algorithms`` grid, one record per cell.
 
-    ``algorithms`` maps names to picklable kernels with the
-    ``(graph, seed) -> (rounds, value)`` signature of
-    :mod:`repro.runner.algorithms`; each cell receives a deterministic
-    seed derived from ``(base_seed, spec, name)``, so results do not
-    depend on worker assignment or execution order.  Cells are submitted
+    ``algorithms`` maps names to kernels with the
+    ``(graph, seed, config) -> (rounds, value)`` signature of
+    :mod:`repro.runner.algorithms` (picklable when cells leave the
+    process); wrap a kernel in
+    :class:`repro.runner.algorithms.SweepAlgorithmInfo` to declare a
+    correctness guarantee.  Each cell receives a deterministic seed
+    derived from ``(base_seed, spec, name)``, so results do not depend on
+    worker assignment or execution order.  Cells are submitted
     spec-major so chunk neighbours share the per-worker graph cache.
 
-    ``fault_model`` (a :class:`repro.faults.FaultModel` or registry name)
-    installs a process-default fault model for the duration of the grid
-    (restored afterwards); ``None`` leaves whatever default is active.
-    The batch runner re-applies the default in its pool workers, so
-    parallel faulty sweeps stay byte-identical to serial ones.
+    ``config`` is the :class:`repro.config.ExecutionConfig` every cell
+    runs under (``None``: :data:`repro.config.DEFAULT_CONFIG`).  It
+    travels in the task context, so pooled and remote cells stay
+    byte-identical to serial ones, and its fault model is part of every
+    task key.
 
     ``store`` (a :class:`repro.store.ExperimentStore`) persists every
     record as it completes, together with a run-provenance header and a
@@ -462,24 +380,7 @@ def run_sweep_grid(
     *between* task completions -- everything finished so far is already
     flushed, so a cancelled grid resumes exactly like an interrupted one.
     """
-    if fault_model is not None:
-        previous = set_default_fault_model(fault_model)
-        try:
-            return run_sweep_grid(
-                specs,
-                algorithms,
-                jobs=jobs,
-                runner=runner,
-                base_seed=base_seed,
-                store=store,
-                resume=resume,
-                progress=progress,
-                should_stop=should_stop,
-                dispatch=dispatch,
-            )
-        finally:
-            set_default_fault_model(previous)
-
+    config = resolve_config(config)
     if dispatch is not None:
         # Local import: repro.dispatch imports this module for the task
         # keys and cell body, so the dependency must stay one-way at
@@ -500,9 +401,9 @@ def run_sweep_grid(
         # chunk of cheap ones.  Estimation happens in-parent only, so
         # picklability is not a concern.
         runner.cost_of = _grid_cell_cost
-    fault = get_default_fault_model()
+    fault = config.fault
     tasks = [(spec, name) for spec in specs for name in algorithms]
-    context = (algorithms, base_seed)
+    context = (algorithms, base_seed, config)
     if store is None:
         return runner.map(_sweep_one_grid_cell, tasks, context=context)
 
@@ -516,6 +417,7 @@ def run_sweep_grid(
             signature=signature,
             jobs=runner.jobs,
             resume=resume,
+            config=config,
         )
         keys = [sweep_task_key(spec, name, base_seed, fault) for spec, name in tasks]
         results: List[Optional[SweepRecord]] = [completed.get(key) for key in keys]

@@ -88,26 +88,18 @@ def _build_graph(args: argparse.Namespace):
     return generators.family_for_sweep(args.family, args.nodes, seed=args.seed)
 
 
-@contextlib.contextmanager
-def _compute_tier(name: Optional[str]):
-    """Temporarily select the process-wide compute tier.
+def _execution_config(args: argparse.Namespace):
+    """The execution configuration selected by ``--engine/--backend/--tier``.
 
-    Mirrors :func:`_schedule_backend`: process-wide so the batch runner
-    ships the selection to its pool workers, restored afterwards so
-    in-process callers of :func:`main` do not inherit a leaked default.
-    Results are tier-independent (byte-identical), so the flag only
-    affects wall-clock.
+    Unset flags keep :data:`repro.config.DEFAULT_CONFIG`.  Results are
+    independent of all three (byte-identical), so the flags only affect
+    wall-clock.
     """
-    if name is None:
-        yield
-        return
-    from repro.tier import set_default_tier
+    from repro.config import resolve_config
 
-    previous = set_default_tier(name)
-    try:
-        yield
-    finally:
-        set_default_tier(previous)
+    return resolve_config(
+        None, engine=args.engine, backend=args.backend, tier=args.tier
+    )
 
 
 def _quantum_seeds(seed: int):
@@ -132,24 +124,24 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
     from repro.congest import Network
     from repro.core import quantum_exact_diameter
 
-    with _compute_tier(args.tier):
-        graph = _build_graph(args)
-        truth = graph.compile().diameter()
-        rows = []
+    config = _execution_config(args)
+    graph = _build_graph(args)
+    truth = graph.compile().diameter(config.tier)
+    rows = []
 
-        classical = run_classical_exact_diameter(
-            Network(graph, seed=args.seed, engine=args.engine)
-        )
-        rows.append(
-            ["classical exact [PRT12/HW12]", classical.diameter, classical.rounds]
-        )
+    classical = run_classical_exact_diameter(
+        Network(graph, seed=args.seed, config=config)
+    )
+    rows.append(
+        ["classical exact [PRT12/HW12]", classical.diameter, classical.rounds]
+    )
 
-        network_seed, schedule_seed = _quantum_seeds(args.seed)
-        quantum = quantum_exact_diameter(
-            Network(graph, seed=network_seed, engine=args.engine),
-            oracle_mode=args.oracle_mode, seed=schedule_seed, backend=args.backend,
-        )
-        rows.append(["quantum exact (Theorem 1)", quantum.diameter, quantum.rounds])
+    network_seed, schedule_seed = _quantum_seeds(args.seed)
+    quantum = quantum_exact_diameter(
+        Network(graph, seed=network_seed, config=config),
+        oracle_mode=args.oracle_mode, seed=schedule_seed,
+    )
+    rows.append(["quantum exact (Theorem 1)", quantum.diameter, quantum.rounds])
 
     print(f"graph: n={graph.num_nodes}, m={graph.num_edges}, true diameter={truth}")
     print(render_table(rows, header=["algorithm", "answer", "rounds"]))
@@ -165,31 +157,30 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     from repro.congest import Network
     from repro.core import quantum_three_halves_diameter
 
-    with _compute_tier(args.tier):
-        graph = _build_graph(args)
-        truth = graph.compile().diameter()
-        rows = []
+    config = _execution_config(args)
+    graph = _build_graph(args)
+    truth = graph.compile().diameter(config.tier)
+    rows = []
 
-        two = run_classical_two_approximation(
-            Network(graph, seed=args.seed, engine=args.engine)
-        )
-        rows.append(["2-approximation", two.estimate, two.rounds])
-        classical = run_hprw_three_halves_approximation(
-            Network(graph, seed=args.seed, engine=args.engine), seed=args.seed
+    two = run_classical_two_approximation(
+        Network(graph, seed=args.seed, config=config)
+    )
+    rows.append(["2-approximation", two.estimate, two.rounds])
+    classical = run_hprw_three_halves_approximation(
+        Network(graph, seed=args.seed, config=config), seed=args.seed
+    )
+    rows.append(
+        ["classical 3/2-approx [HPRW14]", classical.estimate, classical.rounds]
+    )
+    if args.quantum:
+        network_seed, schedule_seed = _quantum_seeds(args.seed)
+        quantum = quantum_three_halves_diameter(
+            Network(graph, seed=network_seed, config=config),
+            oracle_mode=args.oracle_mode, seed=schedule_seed,
         )
         rows.append(
-            ["classical 3/2-approx [HPRW14]", classical.estimate, classical.rounds]
+            ["quantum 3/2-approx (Theorem 4)", quantum.estimate, quantum.rounds]
         )
-        if args.quantum:
-            network_seed, schedule_seed = _quantum_seeds(args.seed)
-            quantum = quantum_three_halves_diameter(
-                Network(graph, seed=network_seed, engine=args.engine),
-                oracle_mode=args.oracle_mode, seed=schedule_seed,
-                backend=args.backend,
-            )
-            rows.append(
-                ["quantum 3/2-approx (Theorem 4)", quantum.estimate, quantum.rounds]
-            )
 
     print(f"graph: n={graph.num_nodes}, true diameter={truth}")
     print(render_table(rows, header=["algorithm", "estimate", "rounds"]))
@@ -1064,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "execution engine for the CONGEST simulator: 'dense' runs "
                 "every node every round, 'sparse' skips idle nodes "
-                "(default: the process default, dense)"
+                "(default: dense)"
             ),
         )
         sub.add_argument(
@@ -1073,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "quantum schedule backend: 'sampling' re-derives the "
                 "Grover statistics every round, 'batched' precomputes "
                 "them; results are identical for a fixed seed "
-                "(default: the process default, sampling)"
+                "(default: sampling)"
             ),
         )
         sub.add_argument(
@@ -1081,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "compute tier for the graph oracles: 'stdlib' (reference) "
                 "or 'numpy' (vectorized bitset kernels; byte-identical "
-                "results, default: the process default, stdlib)"
+                "results, default: stdlib)"
             ),
         )
 

@@ -93,15 +93,19 @@ class Network:
     engine:
         Execution-engine name: ``"dense"`` (the historical every-node-every-
         round loop) or ``"sparse"`` (event-driven, idle nodes are skipped).
-        ``None`` uses the process-wide default
-        (:func:`repro.engine.set_default_engine`).
+        ``None`` keeps the engine of ``config``.
     fault_model:
         A :class:`repro.faults.FaultModel` (or registry name) injected
         into every run of this network: seeded message loss/delay, node
-        crash/restart and edge churn.  ``None`` uses the process-wide
-        default (:func:`repro.faults.set_default_fault_model`), which is
-        the null model unless changed -- and the null model is
+        crash/restart and edge churn.  ``None`` keeps the fault model of
+        ``config`` -- the null model unless changed, which is
         byte-identical to the fault-free simulator.
+    config:
+        The :class:`repro.config.ExecutionConfig` of this network's runs
+        (``None``: :data:`repro.config.DEFAULT_CONFIG`).  The resolved
+        configuration, ``engine`` and ``fault_model`` applied, is
+        :attr:`config`; quantum drivers read its schedule backend and the
+        reference oracles its compute tier.
     """
 
     def __init__(
@@ -112,6 +116,7 @@ class Network:
         seed: Optional[int] = None,
         engine: Optional[str] = None,
         fault_model=None,
+        config=None,
     ) -> None:
         if graph.num_nodes == 0:
             raise ValueError("cannot build a network over an empty graph")
@@ -131,18 +136,13 @@ class Network:
         self.strict_bandwidth = strict_bandwidth
         self._seed = seed if seed is not None else 0
 
-        # Resolved at construction time (like the engine), so a network
-        # keeps its fault configuration even if the process default is
-        # flipped between runs.
-        from repro.faults import resolve_fault_model
-
-        self.fault_model = resolve_fault_model(fault_model)
-
         # Imported lazily: repro.engine depends on the sibling congest
         # modules, so a module-level import here would be circular.
+        from repro.config import resolve_config
         from repro.engine import build_engine
 
-        self._engine = build_engine(engine, self)
+        self.config = resolve_config(config, engine=engine, fault=fault_model)
+        self._engine = build_engine(self.config.engine, self)
 
     # ------------------------------------------------------------------
     @property

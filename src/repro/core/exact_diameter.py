@@ -213,7 +213,10 @@ class ExactDiameterProblem(DistributedSearchProblem):
     # ------------------------------------------------------------------
     def _eccentricities(self) -> Dict[NodeId, int]:
         if self._reference_eccentricities is None:
-            self._reference_eccentricities = self.network.graph.compile().all_eccentricities()
+            indexed = self.network.graph.compile()
+            self._reference_eccentricities = indexed.all_eccentricities(
+                self.network.config.tier
+            )
         return self._reference_eccentricities
 
     def _representative_cost(self) -> ExecutionMetrics:
@@ -272,7 +275,7 @@ def quantum_exact_diameter(
     backend:
         Quantum schedule backend (:mod:`repro.quantum.backend`):
         ``"sampling"``, ``"batched"``, a backend instance, or ``None``
-        for the process default.  Backends return identical results for a
+        for the backend of ``network.config``.  Backends return identical results for a
         fixed seed; only wall-clock differs.
 
     Returns

@@ -176,8 +176,9 @@ class ExactRadiusProblem(DistributedSearchProblem):
     # ------------------------------------------------------------------
     def _eccentricities(self) -> Dict[NodeId, int]:
         if self._reference_eccentricities is None:
-            self._reference_eccentricities = (
-                self.network.graph.compile().all_eccentricities()
+            indexed = self.network.graph.compile()
+            self._reference_eccentricities = indexed.all_eccentricities(
+                self.network.config.tier
             )
         return self._reference_eccentricities
 

@@ -50,7 +50,7 @@ class RemoteDispatch:
 
     Duck-types the ``BatchRunner`` mapping surface for grid-cell tasks:
     ``map``/``imap`` accept the ``(spec, name)`` task list and
-    ``(algorithms, base_seed)`` context of
+    ``(algorithms, base_seed, config)`` context of
     :func:`repro.analysis.sweep._sweep_one_grid_cell` -- the one callable
     this backend understands, since workers rebuild the kernel table from
     registry *names* rather than unpickling callables.
@@ -121,32 +121,27 @@ class RemoteDispatch:
     def _describe(self, tasks: List, context) -> dict:
         """The wire description of this batch of cells.
 
-        Captures the effective engine / backend / tier / fault process
-        defaults -- exactly what the BatchRunner pool initializer ships
-        to local workers -- so remote cells run under the same
-        selections regardless of the worker host's own defaults.
+        Carries the context's execution configuration -- exactly what
+        local pool workers receive -- so remote cells run under the same
+        selections on any worker host.
         """
         from repro.analysis.sweep import sweep_task_key
-        from repro.engine import get_default_engine
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
         from repro.store.records import spec_to_dict
 
-        algorithms, base_seed = context
+        algorithms, base_seed, config = context
         names = list(algorithms)
         name_index = {name: position for position, name in enumerate(names)}
         specs: List = []
         spec_index: dict = {}
         task_refs: List[List[int]] = []
         keys: List[str] = []
-        fault = _current_fault()
         for spec, name in tasks:
             position = spec_index.get(spec)
             if position is None:
                 position = spec_index[spec] = len(specs)
                 specs.append(spec)
             task_refs.append([position, name_index[name]])
-            keys.append(sweep_task_key(spec, name, base_seed, fault))
+            keys.append(sweep_task_key(spec, name, base_seed, config.fault))
         return {
             "kind": self.kind,
             "specs": [spec_to_dict(spec) for spec in specs],
@@ -154,10 +149,7 @@ class RemoteDispatch:
             "tasks": task_refs,
             "base_seed": int(base_seed),
             "signature": dispatch_signature(keys),
-            "engine": get_default_engine(),
-            "backend": get_default_schedule_backend(),
-            "tier": get_default_tier(),
-            "fault": _fault_fields(fault),
+            "config": config.to_dict(),
         }
 
     # -- the result stream ---------------------------------------------
@@ -206,22 +198,6 @@ class RemoteDispatch:
                     )
         finally:
             conn.close()
-
-
-def _current_fault():
-    """The effective fault model, or ``None`` for the null model."""
-    from repro.faults import get_default_fault_model
-
-    fault = get_default_fault_model()
-    return None if fault.is_null else fault
-
-
-def _fault_fields(fault) -> Optional[dict]:
-    if fault is None:
-        return None
-    from dataclasses import fields
-
-    return {item.name: getattr(fault, item.name) for item in fields(fault)}
 
 
 def resolve_dispatch(

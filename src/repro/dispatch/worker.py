@@ -7,10 +7,10 @@ and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
 (:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-engine / schedule-backend / compute-tier / fault-model selections
-applied as (restored) process defaults -- the same re-application the
-BatchRunner pool initializer performs, so a remote cell computes the
-byte-identical record a serial run would.
+execution configuration (engine, schedule backend, compute tier, fault
+model), parsed from the grid frame into the same task context local pool
+workers receive -- so a remote cell computes the byte-identical record a
+serial run would.
 
 Every completed cell is appended to the worker's **own** JSONL store
 shard (``DIR/shard-<signature>-<worker_id>.jsonl``) under the store's
@@ -49,7 +49,6 @@ model still learns the true cell times from heartbeat telemetry).
 
 from __future__ import annotations
 
-import contextlib
 import importlib.util
 import os
 import platform
@@ -153,58 +152,18 @@ def probe_capabilities(throttle: Optional[float] = None) -> Dict[str, Any]:
     }
 
 
-@contextlib.contextmanager
-def _restored(setter, value):
-    """Apply a process-default selection, restoring the previous one."""
-    previous = setter(value)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
-@contextlib.contextmanager
-def _grid_environment(description: Dict[str, Any]):
-    """The grid's process-default selections, applied and restored.
-
-    The remote twin of the BatchRunner pool initializer
-    (:func:`repro.runner.batch._worker_initializer`): the client captured
-    its effective engine / backend / tier / fault-model defaults into the
-    grid description, and the worker re-applies them around shard
-    execution so cells compute identical records on any host.
-    """
-    from repro.engine import set_default_engine
-    from repro.faults import FaultModel, set_default_fault_model
-    from repro.quantum.backend import set_default_schedule_backend
-    from repro.tier import set_default_tier
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(
-            _restored(set_default_engine, description["engine"])
-        )
-        stack.enter_context(
-            _restored(set_default_schedule_backend, description["backend"])
-        )
-        stack.enter_context(_restored(set_default_tier, description["tier"]))
-        fault = description.get("fault")
-        if fault is not None:
-            stack.enter_context(
-                _restored(set_default_fault_model, FaultModel(**fault))
-            )
-        yield
-
-
 class _GridContext:
     """A grid description resolved into executable objects, once."""
 
     def __init__(self, description: Dict[str, Any]) -> None:
+        from repro.config import ExecutionConfig
         from repro.runner import (
             resolve_algorithms,
             sweep_algorithm_for_problem,
         )
         from repro.store.records import spec_from_dict
 
-        self.description = description
+        self.config = ExecutionConfig.from_dict(description["config"])
         self.specs = [spec_from_dict(item) for item in description["specs"]]
         self.names = list(description["algorithms"])
         self.tasks = [tuple(item) for item in description["tasks"]]
@@ -282,7 +241,6 @@ def _execute_shard(
     -- frames other than ``trim`` that arrived while polling mid-shard.
     """
     from repro.analysis.sweep import _sweep_one_grid_cell, sweep_task_key
-    from repro.faults import get_default_fault_model
     from repro.store import ExperimentStore
     from repro.store.records import record_to_dict
 
@@ -307,65 +265,64 @@ def _execute_shard(
     started = time.perf_counter()
     streamed = 0
     fresh = 0
-    with _grid_environment(grid.description):
-        fault = get_default_fault_model()
-        with store.acquire_writer(timeout=_LOCK_WAIT_SECONDS):
-            completed = store.begin_sweep(
-                specs=grid.specs,
-                algorithms=grid.names,
-                base_seed=grid.base_seed,
-                signature=grid.signature,
-                jobs=1,
-                resume=store.exists(),
-            )
-            for index in indices:
-                absorb(_poll_frames(conn))
-                if index in trimmed:
-                    stats["trimmed"] += 1
-                    continue
-                spec, name = grid.cell(index)
-                key = sweep_task_key(spec, name, grid.base_seed, fault)
-                record = completed.get(key)
-                if record is None:
-                    cell_started = time.perf_counter()
-                    record = _sweep_one_grid_cell(
-                        (grid.table, grid.base_seed), (spec, name)
-                    )
-                    store.append_record(key, index, record)
-                    if throttle:
-                        time.sleep(throttle)
-                    telemetry.record(
-                        name,
-                        spec.num_nodes,
-                        grid.kind,
-                        time.perf_counter() - cell_started,
-                    )
-                    fresh += 1
-                else:
-                    stats["replayed"] += 1
-                conn.send({
-                    "type": "cell",
-                    "grid": frame["grid"],
-                    "shard": shard_id,
-                    "index": index,
-                    "key": key,
-                    "record": record_to_dict(record),
-                })
-                streamed += 1
-            wall = time.perf_counter() - started
-            store.finish_sweep(
-                wall_seconds=wall,
-                total_records=streamed,
-                resumed_records=streamed - fresh,
-                extra={
-                    "worker": worker_id,
-                    "shard": str(shard_id),
-                    "cells": streamed,
-                    "fresh": fresh,
-                    "cells_per_second": round(streamed / wall, 6)
-                    if wall > 0 else 0.0,
-                },
-            )
+    with store.acquire_writer(timeout=_LOCK_WAIT_SECONDS):
+        completed = store.begin_sweep(
+            specs=grid.specs,
+            algorithms=grid.names,
+            base_seed=grid.base_seed,
+            signature=grid.signature,
+            jobs=1,
+            resume=store.exists(),
+            config=grid.config,
+        )
+        for index in indices:
+            absorb(_poll_frames(conn))
+            if index in trimmed:
+                stats["trimmed"] += 1
+                continue
+            spec, name = grid.cell(index)
+            key = sweep_task_key(spec, name, grid.base_seed, grid.config.fault)
+            record = completed.get(key)
+            if record is None:
+                cell_started = time.perf_counter()
+                record = _sweep_one_grid_cell(
+                    (grid.table, grid.base_seed, grid.config), (spec, name)
+                )
+                store.append_record(key, index, record)
+                if throttle:
+                    time.sleep(throttle)
+                telemetry.record(
+                    name,
+                    spec.num_nodes,
+                    grid.kind,
+                    time.perf_counter() - cell_started,
+                )
+                fresh += 1
+            else:
+                stats["replayed"] += 1
+            conn.send({
+                "type": "cell",
+                "grid": frame["grid"],
+                "shard": shard_id,
+                "index": index,
+                "key": key,
+                "record": record_to_dict(record),
+            })
+            streamed += 1
+        wall = time.perf_counter() - started
+        store.finish_sweep(
+            wall_seconds=wall,
+            total_records=streamed,
+            resumed_records=streamed - fresh,
+            extra={
+                "worker": worker_id,
+                "shard": str(shard_id),
+                "cells": streamed,
+                "fresh": fresh,
+                "cells_per_second": round(streamed / wall, 6)
+                if wall > 0 else 0.0,
+            },
+        )
     return streamed, deferred
 
 

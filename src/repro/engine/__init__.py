@@ -19,17 +19,12 @@ if they override ``on_message``.
 
 ``repro.congest.network.Network`` remains the public facade: it builds an
 engine at construction (``Network(graph, engine="sparse")``) and delegates
-``run`` to it.  The process-wide default engine is controlled by
-:func:`set_default_engine` (used by the CLI and benchmark flags).
+``run`` to it.  The engine is one field of the network's
+:class:`repro.config.ExecutionConfig` (the CLI and benchmark ``--engine``
+flags select it).
 """
 
-from repro.engine.engine import (
-    ExecutionEngine,
-    build_engine,
-    get_default_engine,
-    resolve_engine_name,
-    set_default_engine,
-)
+from repro.engine.engine import ExecutionEngine, build_engine
 from repro.engine.observers import (
     MetricsObserver,
     RunLogObserver,
@@ -50,9 +45,6 @@ ENGINE_NAMES = tuple(sorted(SCHEDULERS))
 __all__ = [
     "ExecutionEngine",
     "build_engine",
-    "set_default_engine",
-    "get_default_engine",
-    "resolve_engine_name",
     "ENGINE_NAMES",
     "Scheduler",
     "DenseScheduler",

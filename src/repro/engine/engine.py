@@ -39,40 +39,9 @@ from repro.congest.errors import RoundLimitExceededError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Inbox, NodeAlgorithm
 from repro.engine.observers import MetricsObserver, TrafficLogObserver
-from repro.engine.scheduler import (
-    Scheduler,
-    make_scheduler,
-    validate_engine_name,
-)
+from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.engine.transport import Transport
 from repro.graphs.graph import NodeId
-
-#: The engine used when neither the ``Network`` constructor nor the caller
-#: picks one explicitly.  Toggled process-wide by :func:`set_default_engine`
-#: (the CLI ``--engine`` flag and the benchmark ``--engine`` option use it).
-_DEFAULT_ENGINE = "dense"
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous default."""
-    global _DEFAULT_ENGINE
-    validate_engine_name(name)
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    return previous
-
-
-def get_default_engine() -> str:
-    """The current process-wide default engine name."""
-    return _DEFAULT_ENGINE
-
-
-def resolve_engine_name(name: Optional[str]) -> str:
-    """Map ``None`` to the process default and validate the name."""
-    if name is None:
-        return _DEFAULT_ENGINE
-    return validate_engine_name(name)
-
 
 class ExecutionEngine:
     """Drives per-node state machines in synchronous rounds.
@@ -200,7 +169,7 @@ class ExecutionEngine:
         # plan, which keeps it byte-identical to the fault-free simulator.
         plan = None
         has_crashes = has_churn = False
-        fault_model = network.fault_model
+        fault_model = network.config.fault
         if not fault_model.is_null:
             plan = fault_model.resolve(network._seed, indexed, self._fault_runs)
             self._fault_runs += 1
@@ -398,14 +367,9 @@ class ExecutionEngine:
 
 
 def build_engine(
-    name: Optional[str],
+    name: str,
     network: Any,
     observers: Sequence[MetricsObserver] = (),
 ) -> ExecutionEngine:
-    """Build the engine registered under ``name`` for ``network``.
-
-    ``name=None`` uses the process-wide default (see
-    :func:`set_default_engine`).
-    """
-    resolved = resolve_engine_name(name)
-    return ExecutionEngine(network, make_scheduler(resolved), observers=observers)
+    """Build the engine registered under ``name`` for ``network``."""
+    return ExecutionEngine(network, make_scheduler(name), observers=observers)

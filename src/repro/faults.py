@@ -44,13 +44,11 @@ so it is isolated from the graph-construction and algorithm seed streams
 (faults never replay algorithm randomness) while multi-phase algorithms
 (one ``Network.run`` per phase) see fresh, reproducible draws per phase.
 
-Selection follows the engine/backend/tier idiom
-(:func:`repro.engine.set_default_engine`,
-:func:`repro.tier.set_default_tier`): a process-wide default fault model
-(the null model unless changed), toggled by the CLI
-``--loss/--crash/--churn`` flags, re-applied in
-:class:`repro.runner.batch.BatchRunner` pool workers and stamped into
-:func:`repro.store.provenance.collect_provenance`.  The null model is
+The fault model is the ``fault`` field of
+:class:`repro.config.ExecutionConfig` (the null model unless changed):
+the CLI ``--loss/--crash/--churn`` flags select it, every network a grid
+builds carries it, and :func:`repro.store.provenance.collect_provenance`
+stamps it into run headers.  The null model is
 guaranteed byte-identical to the fault-free path: the engine resolves a
 :class:`FaultPlan` -- and so takes its fault branches -- only when
 :attr:`FaultModel.is_null` is false.
@@ -230,10 +228,6 @@ def register_fault_model(name: str, model: FaultModel) -> None:
     FAULT_MODELS[name] = model
 
 
-#: Process-wide default, toggled by :func:`set_default_fault_model`.
-_DEFAULT_FAULT_MODEL = NULL_FAULT_MODEL
-
-
 def validate_fault_model(value) -> FaultModel:
     """Coerce a model instance or registry name to a :class:`FaultModel`."""
     if isinstance(value, FaultModel):
@@ -249,34 +243,6 @@ def validate_fault_model(value) -> FaultModel:
     raise TypeError(
         f"expected a FaultModel or registry name, got {type(value).__name__}"
     )
-
-
-def set_default_fault_model(value) -> FaultModel:
-    """Set the process-wide default fault model; returns the previous one.
-
-    Mirrors :func:`repro.engine.set_default_engine` /
-    :func:`repro.tier.set_default_tier`: the CLI flags toggle it, the
-    batch runner re-applies it in pool workers, and
-    :class:`repro.congest.network.Network` resolves ``fault_model=None``
-    against it.
-    """
-    global _DEFAULT_FAULT_MODEL
-    model = validate_fault_model(value)
-    previous = _DEFAULT_FAULT_MODEL
-    _DEFAULT_FAULT_MODEL = model
-    return previous
-
-
-def get_default_fault_model() -> FaultModel:
-    """The current process-wide default fault model."""
-    return _DEFAULT_FAULT_MODEL
-
-
-def resolve_fault_model(value=None) -> FaultModel:
-    """Map ``None`` to the process default; validate names/instances."""
-    if value is None:
-        return _DEFAULT_FAULT_MODEL
-    return validate_fault_model(value)
 
 
 def _edge_key(u: NodeId, v: NodeId) -> Tuple[str, str]:

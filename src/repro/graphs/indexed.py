@@ -31,6 +31,7 @@ from array import array
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs.graph import Graph, GraphError, NodeId
+from repro.tier import active_numpy
 
 
 class IndexedGraph:
@@ -514,11 +515,12 @@ class IndexedGraph:
             candidates = remaining
         return ecc
 
-    def _eccentricities_indexed(self) -> List[int]:
+    def _eccentricities_indexed(self, tier: Optional[str] = None) -> List[int]:
         """Index-ordered eccentricities, computed once and cached.
 
         Strategy dispatch is tier-aware: under the ``numpy`` compute
-        tier (:mod:`repro.tier`) the moderate-diameter band of the
+        ``tier`` (:mod:`repro.tier`; ``None`` is the default
+        configuration's tier) the moderate-diameter band of the
         bitset regime goes to the batched Takes-Kosters kernel of
         :mod:`repro.graphs.vector` (see :meth:`_all_ecc_vector_dispatch`);
         every strategy is exact, so the tier can never change the
@@ -535,9 +537,7 @@ class IndexedGraph:
         else:
             diameter_bound = self._double_sweep()
             result = None
-            from repro.tier import active_numpy
-
-            np = active_numpy()
+            np = active_numpy(tier)
             if np is not None:
                 result = self._all_ecc_vector_dispatch(np, diameter_bound)
             if result is None:
@@ -590,7 +590,7 @@ class IndexedGraph:
             )
         return None
 
-    def all_eccentricities(self) -> Dict[NodeId, int]:
+    def all_eccentricities(self, tier: Optional[str] = None) -> Dict[NodeId, int]:
         """Eccentricity of every node (insertion order), CSR fast path.
 
         Raises :class:`~repro.graphs.graph.GraphError` on a disconnected
@@ -598,25 +598,26 @@ class IndexedGraph:
         :meth:`Graph.all_eccentricities`; this is the headline oracle of
         ``BENCH_graphcore.json``.  The result is computed once per view
         (the view is frozen, so caching is safe) and returned as a fresh
-        dict per call.
+        dict per call.  ``tier`` selects the compute tier of the first
+        computation (see :meth:`_eccentricities_indexed`).
         """
-        eccentricities = self._eccentricities_indexed()
+        eccentricities = self._eccentricities_indexed(tier)
         labels = self.labels
         return {labels[i]: eccentricities[i] for i in range(len(labels))}
 
-    def diameter(self) -> int:
+    def diameter(self, tier: Optional[str] = None) -> int:
         """Exact diameter; :class:`~repro.graphs.graph.GraphError` on the
         empty graph and on disconnected graphs."""
         if not self.labels:
             raise GraphError("diameter is undefined on the empty graph")
-        return max(self._eccentricities_indexed())
+        return max(self._eccentricities_indexed(tier))
 
-    def radius(self) -> int:
+    def radius(self, tier: Optional[str] = None) -> int:
         """Exact radius; :class:`~repro.graphs.graph.GraphError` on the
         empty graph and on disconnected graphs."""
         if not self.labels:
             raise GraphError("radius is undefined on the empty graph")
-        return min(self._eccentricities_indexed())
+        return min(self._eccentricities_indexed(tier))
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph is connected)."""

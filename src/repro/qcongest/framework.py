@@ -176,10 +176,16 @@ def run_distributed_quantum_optimization(
     (:mod:`repro.quantum.backend`): ``"sampling"`` (the reference per-call
     simulation), ``"batched"`` (precomputed rotation statistics), a
     :class:`~repro.quantum.backend.ScheduleBackend` instance, or ``None``
-    for the process-wide default.  Backends are proven byte-identical, so
+    for the backend of the problem's network configuration
+    (``problem.network.config``; the default configuration's when the
+    problem exposes no network).  Backends are proven byte-identical, so
     the choice affects wall-clock only.
     """
     rng = rng if rng is not None else random.Random(0)
+    network = getattr(problem, "network", None)
+    config = getattr(network, "config", None)
+    if backend is None and config is not None:
+        backend = config.backend
     schedule_backend = resolve_schedule_backend(backend)
 
     # When the problem exposes the CONGEST network it simulates on, observe
@@ -188,7 +194,6 @@ def run_distributed_quantum_optimization(
     # how much simulation the optimization really executed, separately
     # from the modelled Theorem-7 cost.
     run_log = RunLogObserver()
-    network = getattr(problem, "network", None)
     observed = network is not None and hasattr(network, "add_observer")
     if observed:
         network.add_observer(run_log)

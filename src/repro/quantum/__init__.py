@@ -26,7 +26,7 @@ per-call reference simulation, the ``"batched"`` backend precomputes the
 exact Grover rotation statistics over the whole search space and serves
 every amplification round from per-threshold tables.  The two are proven
 byte-identical for a fixed seed, so backend choice (CLI ``--backend``,
-:func:`~repro.quantum.backend.set_default_schedule_backend`) trades
+the ``backend`` field of :class:`repro.config.ExecutionConfig`) trades
 nothing but wall-clock.
 
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
@@ -50,9 +50,7 @@ from repro.quantum.backend import (
     BatchedScheduleBackend,
     SamplingScheduleBackend,
     ScheduleBackend,
-    get_default_schedule_backend,
     resolve_schedule_backend,
-    set_default_schedule_backend,
     validate_backend_name,
 )
 from repro.quantum.cost_model import QuantumCostModel, QuantumResourceCount
@@ -80,8 +78,6 @@ __all__ = [
     "SCHEDULE_BACKENDS",
     "BACKEND_NAMES",
     "resolve_schedule_backend",
-    "get_default_schedule_backend",
-    "set_default_schedule_backend",
     "validate_backend_name",
     "grover_search",
     "GroverSearchResult",

@@ -38,10 +38,10 @@ across every registered problem and graph family, the same way the
 dense/sparse engines are proven equal.
 
 Backend selection follows the engine idiom: pass ``backend=`` (a name or
-a :class:`ScheduleBackend` instance) to the quantum entry points, or flip
-the process-wide default with :func:`set_default_schedule_backend` (used
-by the CLI ``--backend`` flag and the benchmark harnesses; the batch
-runner re-applies the parent's default in its pool workers).
+a :class:`ScheduleBackend` instance) to the quantum entry points, or leave
+it ``None`` to use the ``backend`` field of the network's
+:class:`repro.config.ExecutionConfig` (the CLI ``--backend`` flag and the
+benchmark harnesses select it).
 """
 
 from __future__ import annotations
@@ -421,12 +421,6 @@ SCHEDULE_BACKENDS: Dict[str, ScheduleBackend] = {
 #: Stable name tuple for argparse ``choices``.
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(SCHEDULE_BACKENDS))
 
-#: Process-wide default, toggled by :func:`set_default_schedule_backend`
-#: (the CLI ``--backend`` flag, the benchmark conftest); ``"sampling"``
-#: is the seed behaviour.
-_DEFAULT_BACKEND = SamplingScheduleBackend.name
-
-
 def validate_backend_name(name: str) -> str:
     """Return ``name`` if it is a registered backend, else raise."""
     if name not in SCHEDULE_BACKENDS:
@@ -435,30 +429,17 @@ def validate_backend_name(name: str) -> str:
     return name
 
 
-def set_default_schedule_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous default."""
-    global _DEFAULT_BACKEND
-    validate_backend_name(name)
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return previous
-
-
-def get_default_schedule_backend() -> str:
-    """The current process-wide default schedule backend name."""
-    return _DEFAULT_BACKEND
-
-
 def resolve_schedule_backend(
     backend: Optional[Union[str, ScheduleBackend]] = None,
 ) -> ScheduleBackend:
     """Map a backend name / instance / ``None`` to a backend object.
 
-    ``None`` selects the process-wide default (see
-    :func:`set_default_schedule_backend`).
+    ``None`` selects the backend of :data:`repro.config.DEFAULT_CONFIG`.
     """
     if backend is None:
-        return SCHEDULE_BACKENDS[_DEFAULT_BACKEND]
+        from repro.config import resolve_config
+
+        return SCHEDULE_BACKENDS[resolve_config().backend]
     if isinstance(backend, ScheduleBackend):
         return backend
     return SCHEDULE_BACKENDS[validate_backend_name(backend)]

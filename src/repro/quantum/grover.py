@@ -13,7 +13,7 @@ construction and a private result dataclass that drifted from
 module is now a pure re-export: amplitudes come from
 :func:`repro.quantum.maximum_finding.uniform_amplitudes`, the search runs
 through whichever :class:`~repro.quantum.backend.ScheduleBackend` the
-caller (or the process default) selects, and the result *is* an
+caller (or the default configuration) selects, and the result *is* an
 ``AmplificationOutcome`` under its historical name.
 """
 
@@ -50,7 +50,7 @@ def grover_search(
     ``O(sqrt(len(items) / m))``.
 
     ``backend`` selects the schedule simulator (name, instance, or
-    ``None`` for the process default); all backends return identical
+    ``None`` for the default configuration's); all backends return identical
     results for a fixed ``rng`` seed.
     """
     if not items:

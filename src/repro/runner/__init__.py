@@ -16,8 +16,7 @@ package provides the machinery:
 * :data:`SWEEP_ALGORITHMS` (:mod:`repro.runner.algorithms`) -- module-level
   (hence picklable) measurement kernels referenced by name from grid tasks.
 
-Consumers: :func:`repro.analysis.sweep.run_sweep` /
-:func:`repro.analysis.sweep.run_sweep_grid`, the CLI ``sweep --jobs``
+Consumers: :func:`repro.analysis.sweep.run_sweep_grid`, the CLI ``sweep --jobs``
 command, the benchmark harnesses (``--jobs``) and the qcongest framework's
 parallel branch evaluation.
 """

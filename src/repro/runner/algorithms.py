@@ -1,12 +1,12 @@
 """Picklable sweep algorithms for batched grids, with correctness metadata.
 
-The legacy :func:`repro.analysis.sweep.run_sweep` accepts arbitrary
-callables, which is convenient in tests but incompatible with shipping
-work to pool workers (lambdas and closures do not pickle).  This module
-hosts the standard Table-1 measurement kernels as module-level functions
-so that grid tasks can reference them by **name**; every kernel has the
-uniform signature ``(graph, seed) -> (rounds, value)`` and receives a
-deterministic per-task seed from the batch layer.
+Grid cells are shipped to pool and remote workers, where lambdas and
+closures do not travel.  This module hosts the standard Table-1
+measurement kernels as module-level functions so that grid tasks can
+reference them by **name**; every kernel has the uniform signature
+``(graph, seed, config) -> (rounds, value)``, receives a deterministic
+per-task seed from the batch layer and builds its networks under the
+grid's :class:`repro.config.ExecutionConfig`.
 
 Each registry entry is a :class:`SweepAlgorithmInfo` carrying an explicit
 correctness contract -- the sweep layer reads that metadata instead of
@@ -34,9 +34,12 @@ sweep already paid for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:
+    from repro.config import ExecutionConfig
 
 SweepAlgorithm = Callable[..., Tuple[int, float]]
 
@@ -101,52 +104,67 @@ class SweepAlgorithmInfo:
         return self.kernel(*args, **kwargs)
 
 
-def classical_exact(graph: Graph, seed: int) -> Tuple[int, float]:
+def classical_exact(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Classical exact diameter (the PRT12/HW12-style baseline)."""
     from repro.algorithms.diameter_exact import run_classical_exact_diameter
     from repro.congest.network import Network
 
-    result = run_classical_exact_diameter(Network(graph, seed=seed))
+    network = Network(graph, seed=seed, config=config)
+    result = run_classical_exact_diameter(network)
     return result.rounds, float(result.diameter)
 
 
-def two_approx(graph: Graph, seed: int) -> Tuple[int, float]:
+def two_approx(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Classical 2-approximation (BFS from one node)."""
     from repro.algorithms.diameter_approx import run_classical_two_approximation
     from repro.congest.network import Network
 
-    result = run_classical_two_approximation(Network(graph, seed=seed))
+    network = Network(graph, seed=seed, config=config)
+    result = run_classical_two_approximation(network)
     return result.rounds, float(result.estimate)
 
 
-def two_approx_retry(graph: Graph, seed: int) -> Tuple[int, float]:
+def two_approx_retry(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Fault-tolerant 2-approximation (retrying BFS flood with backoff).
 
     The robustness counterpart of :func:`two_approx`: on a fault-free
     network both certify the same eccentricity bound, but this variant
     keeps converging under the message loss / churn / crash models of
     :mod:`repro.faults` (``benchmarks/bench_faults.py`` measures the
-    success-probability gap).  The network picks up the process-default
-    fault model, exactly like every other kernel.
+    success-probability gap).  The network runs under the grid's fault
+    model, exactly like every other kernel.
     """
     from repro.algorithms.resilient import run_resilient_two_approximation
     from repro.congest.network import Network
 
-    result = run_resilient_two_approximation(Network(graph, seed=seed))
+    network = Network(graph, seed=seed, config=config)
+    result = run_resilient_two_approximation(network)
     return result.rounds, float(result.estimate)
 
 
-def hprw_three_halves(graph: Graph, seed: int) -> Tuple[int, float]:
+def hprw_three_halves(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Classical 3/2-approximation of [HPRW14]."""
     from repro.algorithms.diameter_approx import run_hprw_three_halves_approximation
     from repro.congest.network import Network
 
-    result = run_hprw_three_halves_approximation(Network(graph, seed=seed), seed=seed)
+    network = Network(graph, seed=seed, config=config)
+    result = run_hprw_three_halves_approximation(network, seed=seed)
     return result.rounds, float(result.estimate)
 
 
 def quantum_problem_kernel(
-    graph: Graph, seed: int, problem: str = "exact_diameter"
+    graph: Graph,
+    seed: int,
+    config: Optional[ExecutionConfig] = None,
+    problem: str = "exact_diameter",
 ) -> Tuple[int, float]:
     """Run a registered quantum problem (reference oracle mode) as a sweep cell.
 
@@ -155,11 +173,10 @@ def quantum_problem_kernel(
     randomness -- derived with :func:`repro.runner.batch.task_seed`.
     Earlier revisions passed the raw seed to both, correlating leader
     election tie-breaks with the schedule's measurement draws (the same
-    aliasing PR 3 fixed for the sweep's graph-vs-algorithm seed split).
-    The schedule backend is the process default
-    (:func:`repro.quantum.backend.get_default_schedule_backend`), which
-    the batch runner re-applies in its pool workers, so ``--backend``
-    selections reach parallel sweeps too.
+    aliasing fixed for the sweep's graph-vs-algorithm seed split).
+    The schedule backend and the oracle's compute tier are those of
+    ``config``, which travels with the grid's task context, so
+    ``--backend`` / ``--tier`` selections reach parallel sweeps too.
     """
     from repro.congest.network import Network
     from repro.core.problems import resolve_quantum_problem
@@ -169,31 +186,39 @@ def quantum_problem_kernel(
     network_seed = task_seed(seed, "quantum-network-stream")
     schedule_seed = task_seed(seed, "quantum-schedule-stream")
     run = info.solve(
-        Network(graph, seed=network_seed),
+        Network(graph, seed=network_seed, config=config),
         oracle_mode="reference",
         seed=schedule_seed,
     )
     return run.rounds, run.value
 
 
-def quantum_exact(graph: Graph, seed: int) -> Tuple[int, float]:
+def quantum_exact(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Quantum exact diameter (Theorem 1), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, problem="exact_diameter")
+    return quantum_problem_kernel(graph, seed, config, problem="exact_diameter")
 
 
-def quantum_three_halves(graph: Graph, seed: int) -> Tuple[int, float]:
+def quantum_three_halves(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Quantum 3/2-approximation (Theorem 4), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, problem="three_halves")
+    return quantum_problem_kernel(graph, seed, config, problem="three_halves")
 
 
-def quantum_radius(graph: Graph, seed: int) -> Tuple[int, float]:
+def quantum_radius(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Quantum exact radius (Theorem-7 instantiation), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, problem="radius")
+    return quantum_problem_kernel(graph, seed, config, problem="radius")
 
 
-def quantum_source_ecc(graph: Graph, seed: int) -> Tuple[int, float]:
+def quantum_source_ecc(
+    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+) -> Tuple[int, float]:
     """Quantum single-source eccentricity, reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, problem="source_ecc")
+    return quantum_problem_kernel(graph, seed, config, problem="source_ecc")
 
 
 def _radius_oracle(graph: Graph) -> float:

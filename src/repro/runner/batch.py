@@ -14,9 +14,9 @@ output.  :class:`BatchRunner` guarantees that by construction:
   *identity* (not from its execution order or wall-clock), so a task
   computes the same answer no matter which worker runs it;
 * the shared callable and context object are shipped to each worker **once**
-  (via the pool initializer), not once per task, and workers inherit the
-  parent's process-wide default engine, quantum schedule-backend and
-  compute-tier selections;
+  (via the pool initializer), not once per task; everything a task needs
+  -- including the grid's :class:`repro.config.ExecutionConfig` -- rides
+  in that context, so workers depend on no inherited process state;
 * worker exceptions propagate to the caller (the pool is torn down and the
   failure re-raised as :class:`BatchTaskError` naming the failing task and
   chaining the original exception), so a failing task cannot be silently
@@ -98,36 +98,16 @@ def task_seed(base_seed: int, *components: Any) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _worker_initializer(
-    function, context, engine_name: str, backend_name: str, tier_name: str,
-    fault_model=None,
-) -> None:
+def _worker_initializer(function, context) -> None:
     """Install the shared task callable and context in a pool worker.
 
     Runs once per worker process, so the (potentially large) context --
-    an algorithm table, a pickled search problem -- is transferred and
-    deserialised once per worker instead of once per task.  The parent's
-    default-engine, default-schedule-backend, default-compute-tier and
-    default-fault-model selections are re-applied because ``spawn``-style
-    workers do not inherit process-wide globals (and quantum sweep
-    kernels read the backend default; see
-    :func:`repro.runner.algorithms.quantum_problem_kernel`).  The fault
-    model travels as the (picklable, frozen) :class:`repro.faults.FaultModel`
-    instance itself rather than a registry name, so models built from CLI
-    flags reach workers too.
+    an algorithm table with its execution configuration, a pickled search
+    problem -- is transferred and deserialised once per worker instead of
+    once per task.
     """
-    from repro.engine import set_default_engine
-    from repro.faults import set_default_fault_model
-    from repro.quantum.backend import set_default_schedule_backend
-    from repro.tier import set_default_tier
-
     _WORKER_STATE["function"] = function
     _WORKER_STATE["context"] = context
-    set_default_engine(engine_name)
-    set_default_schedule_backend(backend_name)
-    set_default_tier(tier_name)
-    if fault_model is not None:
-        set_default_fault_model(fault_model)
 
 
 def _invoke_task(task):
@@ -252,12 +232,7 @@ class BatchRunner:
         with it, as ``function(context, task)`` -- the context is shipped
         to each worker once, so per-task payloads stay small.
         """
-        tasks = list(tasks)
-        if self.jobs <= 1 or len(tasks) <= 1:
-            if context is _NO_CONTEXT:
-                return [function(task) for task in tasks]
-            return [function(context, task) for task in tasks]
-        return self._map_parallel(function, tasks, context)
+        return list(self.imap(function, tasks, context=context))
 
     def imap(
         self,
@@ -281,65 +256,13 @@ class BatchRunner:
             return (function(context, task) for task in tasks)
         return self._imap_parallel(function, tasks, context)
 
-    def _map_parallel(self, function, tasks: Sequence, context) -> List:
-        from repro.engine import get_default_engine
-        from repro.faults import get_default_fault_model
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
-
-        workers = min(self.jobs, len(tasks))
-        mp_context = multiprocessing.get_context(self.start_method)
-        pool = mp_context.Pool(
-            processes=workers,
-            initializer=_worker_initializer,
-            initargs=(
-                function,
-                context,
-                get_default_engine(),
-                get_default_schedule_backend(),
-                get_default_tier(),
-                get_default_fault_model(),
-            ),
-        )
-        try:
-            if self.chunk_size is not None:
-                results = pool.map(
-                    _invoke_task, tasks, chunksize=self.chunk_size
-                )
-            else:
-                per_chunk = pool.map(
-                    _invoke_chunk, self._chunks(tasks, workers), chunksize=1
-                )
-                results = [
-                    result for chunk in per_chunk for result in chunk
-                ]
-            pool.close()
-            return results
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
-
     def _imap_parallel(self, function, tasks: Sequence, context) -> Iterator:
-        from repro.engine import get_default_engine
-        from repro.faults import get_default_fault_model
-        from repro.quantum.backend import get_default_schedule_backend
-        from repro.tier import get_default_tier
-
         workers = min(self.jobs, len(tasks))
         mp_context = multiprocessing.get_context(self.start_method)
         pool = mp_context.Pool(
             processes=workers,
             initializer=_worker_initializer,
-            initargs=(
-                function,
-                context,
-                get_default_engine(),
-                get_default_schedule_backend(),
-                get_default_tier(),
-                get_default_fault_model(),
-            ),
+            initargs=(function, context),
         )
         try:
             if self.chunk_size is not None:

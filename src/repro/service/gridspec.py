@@ -12,7 +12,8 @@ That identity is structural, not coincidental: both paths construct a
 * family and size validation happens,
 * algorithm (or quantum problem) names resolve to registry kernels, and
 * the engine / schedule-backend / compute-tier / fault-model selections
-  are applied around :func:`repro.analysis.sweep.run_sweep_grid`.
+  become the :class:`repro.config.ExecutionConfig` handed to
+  :func:`repro.analysis.sweep.run_sweep_grid`.
 
 A request is plain data (JSON round-trip via :meth:`GridRequest.to_dict`
 / :meth:`GridRequest.from_dict`), so it travels over the service HTTP
@@ -21,16 +22,14 @@ API and sits in the job ledger unchanged.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.sweep import run_sweep_grid
-from repro.engine import ENGINE_NAMES, set_default_engine
+from repro.config import ExecutionConfig, resolve_config
 from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.names import DISPATCH_NAMES
-from repro.quantum.backend import BACKEND_NAMES, set_default_schedule_backend
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -39,7 +38,9 @@ from repro.runner import (
     sweep_algorithm_for_problem,
     task_seed,
 )
-from repro.tier import TIER_NAMES, set_default_tier
+
+#: The request fields that make up its :class:`repro.config.ExecutionConfig`.
+_CONFIG_FIELDS = tuple(item.name for item in fields(ExecutionConfig))
 
 #: How the algorithm names of a request resolve: ``sweep`` looks them up
 #: in :data:`repro.runner.SWEEP_ALGORITHMS`, ``quantum`` treats them as
@@ -60,8 +61,8 @@ def fault_model_from_flags(
 ) -> Optional[FaultModel]:
     """The fault model selected by the ``--loss/--crash/...`` flag values.
 
-    Returns ``None`` (leave the process default alone) when no flag asks
-    for an actual fault: probabilities at zero and no fault timeout.
+    Returns ``None`` (keep the default configuration's model) when no
+    flag asks for an actual fault: probabilities at zero and no fault timeout.
     May raise ``ValueError`` for out-of-range values.
     """
     if not (loss or delay or crash or churn or timeout is not None):
@@ -140,21 +141,7 @@ class GridRequest:
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (available: "
-                + ", ".join(ENGINE_NAMES) + ")"
-            )
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown schedule backend {self.backend!r} (available: "
-                + ", ".join(BACKEND_NAMES) + ")"
-            )
-        if self.tier is not None and self.tier not in TIER_NAMES:
-            raise ValueError(
-                f"unknown compute tier {self.tier!r} (available: "
-                + ", ".join(TIER_NAMES) + ")"
-            )
+        ExecutionConfig.from_dict(self._config_fields())
         if self.dispatch is not None and self.dispatch not in DISPATCH_NAMES:
             raise ValueError(
                 f"unknown dispatch backend {self.dispatch!r} (available: "
@@ -163,6 +150,14 @@ class GridRequest:
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------
+    def _config_fields(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
+
+    def config(self) -> ExecutionConfig:
+        """The execution configuration: this request's selections over
+        :data:`repro.config.DEFAULT_CONFIG` (``None`` fields keep it)."""
+        return resolve_config(None, **self._config_fields())
+
     def graph_seed(self) -> int:
         """The graph-construction seed stream derived from ``seed``."""
         return task_seed(self.seed, "sweep-graph-stream")
@@ -218,7 +213,8 @@ class GridRequest:
 
         Raises ``ValueError`` on unknown fields so a malformed API
         payload cannot silently drop a selection (e.g. a typoed
-        ``"tir"`` running on the wrong tier).
+        ``"tir"`` running on the wrong tier), and on any execution
+        selection :meth:`repro.config.ExecutionConfig.from_dict` rejects.
         """
         known = {item.name for item in fields(cls)}
         unknown = set(data) - known
@@ -227,11 +223,10 @@ class GridRequest:
                 f"unknown grid request fields {sorted(unknown)} "
                 f"(allowed: {sorted(known)})"
             )
-        fault = data.get("fault")
-        if fault is not None and not isinstance(fault, FaultModel):
-            if not isinstance(fault, Mapping):
-                raise ValueError("'fault' must be an object of FaultModel fields")
-            fault = FaultModel(**fault)
+        config = ExecutionConfig.from_dict(
+            {name: data.get(name) for name in _CONFIG_FIELDS}
+        )
+        fault = None if data.get("fault") is None else config.fault
         return cls(
             families=tuple(data.get("families", ())),
             sizes=tuple(data.get("sizes", ())),
@@ -248,24 +243,6 @@ class GridRequest:
         )
 
 
-@contextlib.contextmanager
-def _process_default(value: Optional[str], setter: Callable[[str], str]):
-    """Temporarily install a process-default registry selection.
-
-    Process-wide so the batch runner ships the selection to its pool
-    workers; restored afterwards so in-process callers (tests, the CLI
-    invoked from a notebook) do not inherit a leaked default.
-    """
-    if value is None:
-        yield
-        return
-    previous = setter(value)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
 def execute_grid_request(
     request: GridRequest,
     runner: Optional[BatchRunner] = None,
@@ -277,9 +254,8 @@ def execute_grid_request(
 ) -> List:
     """Run a grid request: the one execution path of CLI and daemon.
 
-    Applies the request's engine / backend / tier selections as
-    (restored) process defaults, threads its fault model through
-    :func:`repro.analysis.sweep.run_sweep_grid`, and honours the
+    Hands the request's execution configuration (:meth:`GridRequest.config`)
+    to :func:`repro.analysis.sweep.run_sweep_grid` and honours the
     checkpoint-store and cooperative progress/cancellation hooks.  The
     records -- and therefore the canonical export -- depend only on the
     request, never on who executed it.
@@ -296,18 +272,15 @@ def execute_grid_request(
         dispatch = request.dispatch
     if runner is None:
         runner = BatchRunner(jobs=request.jobs)
-    with _process_default(request.engine, set_default_engine), \
-            _process_default(request.backend, set_default_schedule_backend), \
-            _process_default(request.tier, set_default_tier):
-        return run_sweep_grid(
-            request.specs(),
-            request.algorithm_table(),
-            runner=runner,
-            base_seed=request.base_seed(),
-            store=store,
-            resume=resume,
-            fault_model=request.fault,
-            progress=progress,
-            should_stop=should_stop,
-            dispatch=dispatch,
-        )
+    return run_sweep_grid(
+        request.specs(),
+        request.algorithm_table(),
+        runner=runner,
+        base_seed=request.base_seed(),
+        store=store,
+        resume=resume,
+        config=request.config(),
+        progress=progress,
+        should_stop=should_stop,
+        dispatch=dispatch,
+    )

@@ -10,8 +10,8 @@
 * the **worker pool** -- ``workers`` threads, each leasing one queued
   job at a time and executing it in a subprocess
   (:mod:`repro.service.worker`).  Process isolation is what lets each
-  job honour its own engine/backend/tier/fault selections through the
-  process-default registries.  While the subprocess runs, the thread
+  job stamp its own tenant/job run context on its store headers.  While
+  the subprocess runs, the thread
   polls the job store's completed-key scan for durable task-level
   progress;
 * the **capacity accounting** (:mod:`repro.service.quota`) -- worker

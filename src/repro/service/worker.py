@@ -2,10 +2,10 @@
 
 Each daemon worker slot runs its job in a **separate process**
 (``python -m repro.service.worker --ledger ... --job-id ...``) rather
-than a thread, because a job's engine / schedule-backend / compute-tier
-/ fault-model selections are applied through the process-default
-registries -- two concurrent jobs with different selections must not
-share a process.  The subprocess also gives the daemon a clean kill
+than a thread, because the service run context a job stamps on its
+store headers (tenant, job id; :func:`repro.store.set_run_context`) is
+process-wide -- two concurrent jobs must not share a process.  The
+subprocess also gives the daemon a clean kill
 boundary: cancellation and shutdown never have to unwind a half-run
 grid in the daemon's own interpreter.
 

@@ -352,12 +352,15 @@ class ExperimentStore:
         signature: str,
         jobs: int,
         resume: bool = False,
+        config=None,
     ) -> Dict[str, SweepRecord]:
         """Open a run attempt; return the already-completed cells.
 
         A non-empty store can only be continued with ``resume=True``, and
         only when its grid signature matches -- resuming a store written
         for a different grid would silently mix incompatible records.
+        The header stamps the run's execution ``config`` (see
+        :func:`repro.store.provenance.collect_provenance`).
         """
         header, completed = self._scan()
         if header is not None or completed:
@@ -372,7 +375,7 @@ class ExperimentStore:
                     f"store {self.path!r} holds a different grid "
                     f"(signature {previous} != {signature}); refusing to mix"
                 )
-        provenance = collect_provenance()
+        provenance = collect_provenance(config)
         self._append(
             {
                 "kind": "run",

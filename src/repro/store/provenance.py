@@ -79,27 +79,28 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
     return result.stdout.strip() or None
 
 
-def collect_provenance() -> Dict[str, Any]:
+def collect_provenance(config=None) -> Dict[str, Any]:
     """Environment facts stamped on every run header.
 
-    Records the *full* process-default execution configuration -- engine,
-    quantum schedule backend, compute tier and fault model -- not just
-    the engine: a sweep run under ``--backend numpy-sim``, ``--tier
-    numpy`` or ``--loss 0.05`` is not reproducible from a header that
-    omits those selections.  The fault model is stamped as its canonical
-    description string (``"none"`` for the null model), which is exactly
-    the token that distinguishes faulty task keys.
+    Records the *full* :class:`repro.config.ExecutionConfig` of the run
+    (``None``: :data:`repro.config.DEFAULT_CONFIG`) -- engine, quantum
+    schedule backend, compute tier and fault model -- not just the
+    engine: a sweep run under ``--backend batched``, ``--tier numpy`` or
+    ``--loss 0.05`` is not reproducible from a header that omits those
+    selections.  The fault model is stamped as its canonical description
+    string (``"none"`` for the null model), which is exactly the token
+    that distinguishes faulty task keys.
     """
-    from repro.engine import get_default_engine
-    from repro.faults import get_default_fault_model
-    from repro.quantum.backend import get_default_schedule_backend
-    from repro.tier import get_default_tier
+    # Imported on use: the configuration pulls in the fault layer, which
+    # store readers such as ``repro export`` never need.
+    from repro.config import resolve_config
 
+    config = resolve_config(config)
     provenance = {
-        "engine": get_default_engine(),
-        "schedule_backend": get_default_schedule_backend(),
-        "tier": get_default_tier(),
-        "fault_model": get_default_fault_model().describe(),
+        "engine": config.engine,
+        "schedule_backend": config.backend,
+        "tier": config.tier,
+        "fault_model": config.fault.describe(),
         "git": git_describe(),
         "python": platform.python_version(),
     }

@@ -12,10 +12,9 @@ from repro.analysis.fitting import (
     fit_power_law_two_predictors,
     geometric_mean_ratio,
 )
-from repro.analysis.sweep import SweepRecord, run_sweep, sweep_table
+from repro.analysis.sweep import SweepRecord, run_sweep_grid, sweep_table
 from repro.analysis.tables import render_table, render_table1
-from repro.graphs import generators
-from repro.runner import EXACT, THREE_HALVES, SweepAlgorithmInfo
+from repro.runner import EXACT, THREE_HALVES, GraphSpec, SweepAlgorithmInfo
 
 
 class TestPowerLawFits:
@@ -97,15 +96,18 @@ class TestSweepAndTables:
         # a substring match on the algorithm name: "oracle" carries EXACT
         # despite not containing "exact", and the bare "estimate" callable
         # is never checked.
-        graphs = [("cycle", generators.cycle_graph(8)), ("path", generators.path_graph(6))]
+        specs = [GraphSpec("cycle", 8), GraphSpec("path", 6)]
         algorithms = {
             "oracle": SweepAlgorithmInfo(
-                lambda g: (g.num_nodes, float(g.diameter())), guarantee=EXACT
+                lambda g, seed, config: (g.num_nodes, float(g.diameter())),
+                guarantee=EXACT,
             ),
-            "always_zero": SweepAlgorithmInfo(lambda g: (1, 0.0), guarantee=EXACT),
-            "estimate": lambda g: (2, 1.0),
+            "always_zero": SweepAlgorithmInfo(
+                lambda g, seed, config: (1, 0.0), guarantee=EXACT
+            ),
+            "estimate": lambda g, seed, config: (2, 1.0),
         }
-        records = run_sweep(graphs, algorithms)
+        records = run_sweep_grid(specs, algorithms)
         assert len(records) == 6
         oracle_records = [r for r in records if r.algorithm == "oracle"]
         assert all(r.correct for r in oracle_records)
@@ -122,14 +124,16 @@ class TestSweepAndTables:
         # 3.9999999 must compare as 4 (the seed behaviour int()-truncated
         # it to 3); a genuinely non-integral value fails the exactness
         # assertion and is surfaced in extra.
-        graphs = [("controlled", generators.diameter_controlled_graph(12, 4, seed=1))]
+        specs = [GraphSpec("controlled", 12, diameter=4, seed=1)]
         algorithms = {
             "near_integer": SweepAlgorithmInfo(
-                lambda g: (1, 3.9999999), guarantee=EXACT
+                lambda g, seed, config: (1, 3.9999999), guarantee=EXACT
             ),
-            "half_way": SweepAlgorithmInfo(lambda g: (1, 3.5), guarantee=EXACT),
+            "half_way": SweepAlgorithmInfo(
+                lambda g, seed, config: (1, 3.5), guarantee=EXACT
+            ),
         }
-        records = {r.algorithm: r for r in run_sweep(graphs, algorithms)}
+        records = {r.algorithm: r for r in run_sweep_grid(specs, algorithms)}
         assert records["near_integer"].correct is True
         assert records["near_integer"].extra == {}
         assert records["half_way"].correct is False
@@ -138,25 +142,26 @@ class TestSweepAndTables:
     def test_approx_guarantee_checked_when_oracle_available(self):
         # Approximation guarantees don't force the oracle, but are checked
         # opportunistically when an exact algorithm already paid for it.
-        graphs = [("cycle", generators.cycle_graph(12))]  # D = 6
+        specs = [GraphSpec("cycle", 12)]  # D = 6
         algorithms = {
             "oracle": SweepAlgorithmInfo(
-                lambda g: (1, float(g.diameter())), guarantee=EXACT
+                lambda g, seed, config: (1, float(g.diameter())), guarantee=EXACT
             ),
             "good_estimate": SweepAlgorithmInfo(
-                lambda g: (1, 4.0), guarantee=THREE_HALVES  # floor(2*6/3) = 4
+                # floor(2*6/3) = 4
+                lambda g, seed, config: (1, 4.0), guarantee=THREE_HALVES
             ),
             "bad_estimate": SweepAlgorithmInfo(
-                lambda g: (1, 3.0), guarantee=THREE_HALVES
+                lambda g, seed, config: (1, 3.0), guarantee=THREE_HALVES
             ),
         }
-        records = {r.algorithm: r for r in run_sweep(graphs, algorithms)}
+        records = {r.algorithm: r for r in run_sweep_grid(specs, algorithms)}
         assert records["good_estimate"].correct is True
         assert records["bad_estimate"].correct is False
         assert records["bad_estimate"].extra["oracle_diameter"] == 6.0
         # Without the exact algorithm there is no oracle, hence no verdict.
         del algorithms["oracle"]
-        records = {r.algorithm: r for r in run_sweep(graphs, algorithms)}
+        records = {r.algorithm: r for r in run_sweep_grid(specs, algorithms)}
         assert records["good_estimate"].correct is None
         assert records["good_estimate"].diameter is None
 

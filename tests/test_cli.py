@@ -136,7 +136,7 @@ class TestCommands:
         captured = {}
 
         def fake_run_sweep_grid(specs, algorithms, runner=None, base_seed=0,
-                                store=None, resume=False, fault_model=None,
+                                store=None, resume=False, config=None,
                                 progress=None, should_stop=None,
                                 dispatch=None):
             captured["graph_seed"] = specs[0].seed
@@ -233,17 +233,17 @@ class TestTierFlag:
 
     def test_diameter_output_identical_across_tiers(self, capsys):
         pytest.importorskip("numpy")
-        from repro.tier import get_default_tier
+        import repro.config
 
         command = ["diameter", "--family", "clique_chain", "--nodes", "12",
                    "--seed", "1"]
-        default_before = get_default_tier()
+        default_before = repro.config.DEFAULT_CONFIG
         assert main(command) == 0
         stdlib_output = capsys.readouterr().out
         assert main(command + ["--tier", "numpy"]) == 0
         assert capsys.readouterr().out == stdlib_output
-        # the flag must not leak into the process default
-        assert get_default_tier() == default_before
+        # the flag must not leak into the default configuration
+        assert repro.config.DEFAULT_CONFIG is default_before
 
     def test_sweep_output_identical_across_tiers(self, capsys):
         pytest.importorskip("numpy")

@@ -27,6 +27,7 @@ import pytest
 
 import repro
 from repro.analysis.sweep import run_sweep_grid
+from repro.config import ExecutionConfig
 from repro.dispatch import (
     DISPATCH_NAMES,
     DispatchCoordinator,
@@ -352,11 +353,12 @@ def _spawn_worker(address, shard_dir, name, heartbeat=0.5):
 class TestSubprocessWorkers:
     def test_fault_grid_byte_identical(self, tmp_path):
         """Fault-injected grids survive the trip: the fault model rides
-        the grid description and is re-applied on the worker."""
+        the grid description's execution config to the worker."""
         specs, _ = _grid(sizes=(10,))
         table = resolve_algorithms(["two_approx_retry"])
         fault = FaultModel(loss=0.05, crash=0.1, timeout=256, seed=3)
-        serial = run_sweep_grid(specs, table, base_seed=9, fault_model=fault)
+        config = ExecutionConfig(fault=fault)
+        serial = run_sweep_grid(specs, table, base_seed=9, config=config)
 
         coordinator = DispatchCoordinator(worker_timeout=20.0)
         coordinator.start()
@@ -364,7 +366,7 @@ class TestSubprocessWorkers:
         try:
             coordinator.wait_for_workers(1, timeout=30.0)
             remote = run_sweep_grid(
-                specs, table, base_seed=9, fault_model=fault,
+                specs, table, base_seed=9, config=config,
                 dispatch=RemoteDispatch(coordinator=coordinator),
             )
         finally:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.config
 from repro.algorithms.bfs import run_bfs_tree
+from repro.config import ExecutionConfig
 from repro.congest.errors import (
     BandwidthExceededError,
     ProtocolError,
@@ -30,9 +32,7 @@ from repro.engine import (
     StitchedTrafficObserver,
     Transport,
     TrafficLogObserver,
-    get_default_engine,
     make_scheduler,
-    set_default_engine,
 )
 from repro.faults import FaultModel
 from repro.graphs import generators
@@ -166,16 +166,20 @@ class TestEngineSelection:
 
     def test_unknown_default_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            set_default_engine("warp")
+            ExecutionConfig(engine="warp")
 
-    def test_default_engine_toggle(self):
-        previous = set_default_engine("sparse")
-        try:
-            assert get_default_engine() == "sparse"
-            assert Network(generators.path_graph(3)).engine_name == "sparse"
-        finally:
-            set_default_engine(previous)
-        assert get_default_engine() == previous
+    def test_default_engine_toggle(self, monkeypatch):
+        # The default configuration supplies the engine of networks built
+        # without one; an explicit config or engine= overrides it.
+        monkeypatch.setattr(
+            repro.config, "DEFAULT_CONFIG", ExecutionConfig(engine="sparse")
+        )
+        assert Network(generators.path_graph(3)).engine_name == "sparse"
+        dense = ExecutionConfig(engine="dense")
+        assert Network(generators.path_graph(3), config=dense).engine_name == "dense"
+        network = Network(generators.path_graph(3), engine="dense")
+        assert network.engine_name == "dense"
+        assert network.config == dense
 
     def test_make_scheduler(self):
         assert isinstance(make_scheduler("dense"), DenseScheduler)

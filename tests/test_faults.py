@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults, tier
+import repro.config
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_approx import run_classical_two_approximation
 from repro.algorithms.resilient import (
@@ -35,6 +35,7 @@ from repro.algorithms.resilient import (
     run_resilient_two_approximation,
 )
 from repro.analysis.sweep import run_sweep_grid, sweep_task_key
+from repro.config import ExecutionConfig
 from repro.congest.errors import (
     CongestSimulationError,
     ProtocolError,
@@ -48,10 +49,7 @@ from repro.faults import (
     FaultModel,
     FaultPlan,
     fault_stream_seed,
-    get_default_fault_model,
     register_fault_model,
-    resolve_fault_model,
-    set_default_fault_model,
     validate_fault_model,
 )
 from repro.graphs import generators
@@ -67,12 +65,8 @@ ENGINES = ("dense", "sparse")
 LOSSY = FaultModel(loss=0.1, timeout=256)
 
 
-@pytest.fixture(autouse=True)
-def _restore_default_fault_model():
-    """No test may leak a process-default fault model into the suite."""
-    previous = get_default_fault_model()
-    yield
-    set_default_fault_model(previous)
+#: The execution configuration of the faulty grids below.
+LOSSY_CONFIG = ExecutionConfig(fault=LOSSY)
 
 
 def _graph(nodes=18, family="clique_chain"):
@@ -136,13 +130,15 @@ class TestFaultModel:
         finally:
             FAULT_MODELS.pop("test-model", None)
 
-    def test_default_model_toggle(self):
-        previous = set_default_fault_model("lossy")
-        assert get_default_fault_model() == FAULT_MODELS["lossy"]
-        assert resolve_fault_model(None) == FAULT_MODELS["lossy"]
-        assert resolve_fault_model("none").is_null
-        restored = set_default_fault_model(previous)
-        assert restored == FAULT_MODELS["lossy"]
+    def test_default_model_toggle(self, monkeypatch):
+        # Networks built without a fault model take the default
+        # configuration's; names resolve through the registry.
+        monkeypatch.setattr(
+            repro.config, "DEFAULT_CONFIG", ExecutionConfig(fault="lossy")
+        )
+        assert Network(_graph()).config.fault == FAULT_MODELS["lossy"]
+        assert Network(_graph(), fault_model="none").config.fault.is_null
+        assert ExecutionConfig(fault="none").fault is NULL_FAULT_MODEL
 
 
 class TestFaultPlan:
@@ -426,16 +422,13 @@ class TestNullModelIdentity:
     def test_null_model_byte_identical_numpy_tier(self):
         pytest.importorskip("numpy")
         graph = _graph()
-        previous = tier.set_default_tier("numpy")
-        try:
-            clean = run_classical_two_approximation(
-                Network(graph, seed=3, engine="dense")
-            )
-            null = run_classical_two_approximation(
-                Network(graph, seed=3, engine="dense", fault_model=FaultModel())
-            )
-        finally:
-            tier.set_default_tier(previous)
+        config = ExecutionConfig(tier="numpy")
+        clean = run_classical_two_approximation(
+            Network(graph, seed=3, config=config)
+        )
+        null = run_classical_two_approximation(
+            Network(graph, seed=3, fault_model=FaultModel(), config=config)
+        )
         assert null.estimate == clean.estimate
         assert null.metrics == clean.metrics
 
@@ -583,7 +576,7 @@ class TestSweepIntegration:
 
     def test_failed_cells_become_failure_records(self):
         records = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, fault_model=LOSSY
+            self.SPECS, self._algorithms(), base_seed=0, config=LOSSY_CONFIG
         )
         by_name = {record.algorithm: record for record in records}
         failed = by_name["two_approx"]
@@ -595,15 +588,15 @@ class TestSweepIntegration:
         assert survived.success
         assert survived.failure_reason is None
         assert survived.value > 0
-        # The grid restores whatever default was active before it ran.
-        assert get_default_fault_model().is_null
+        # The grid leaves the default configuration alone.
+        assert repro.config.DEFAULT_CONFIG.fault.is_null
 
     def test_faulty_grid_serial_equals_parallel(self):
         serial = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, fault_model=LOSSY
+            self.SPECS, self._algorithms(), base_seed=0, config=LOSSY_CONFIG
         )
         parallel = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, jobs=2, fault_model=LOSSY
+            self.SPECS, self._algorithms(), base_seed=0, jobs=2, config=LOSSY_CONFIG
         )
         assert serial == parallel
 
@@ -623,7 +616,7 @@ class TestSweepIntegration:
             self._algorithms(),
             base_seed=0,
             store=store,
-            fault_model=LOSSY,
+            config=LOSSY_CONFIG,
         )
         assert store.load_records() == records
         header = store.latest_header()
@@ -643,9 +636,10 @@ class TestSweepIntegration:
 
     def test_provenance_stamps_fault_model(self):
         assert collect_provenance()["fault_model"] == "none"
-        set_default_fault_model("lossy")
+        lossy = ExecutionConfig(fault="lossy")
         assert (
-            collect_provenance()["fault_model"] == FAULT_MODELS["lossy"].describe()
+            collect_provenance(lossy)["fault_model"]
+            == FAULT_MODELS["lossy"].describe()
         )
 
 
@@ -663,6 +657,7 @@ from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.graphs.graph import Graph
+from repro.config import ExecutionConfig
 from repro.runner import GraphSpec, resolve_algorithms
 
 model = FaultModel(loss=0.1, delay=0.1, max_delay=2, timeout=256)
@@ -683,7 +678,7 @@ records = run_sweep_grid(
     (GraphSpec(family="clique_chain", num_nodes=24, seed=3),),
     resolve_algorithms(["two_approx", "two_approx_retry"]),
     base_seed=0,
-    fault_model=FaultModel(loss=0.1, timeout=256),
+    config=ExecutionConfig(fault=FaultModel(loss=0.1, timeout=256)),
 )
 
 out = {

@@ -163,14 +163,11 @@ class TestExecution:
         assert records == direct
 
     def test_process_defaults_restored(self):
-        from repro.engine import get_default_engine
-        from repro.tier import get_default_tier
+        import repro.config
 
-        engine_before = get_default_engine()
-        tier_before = get_default_tier()
+        before = repro.config.DEFAULT_CONFIG
         execute_grid_request(_request(engine="sparse", tier="stdlib"))
-        assert get_default_engine() == engine_before
-        assert get_default_tier() == tier_before
+        assert repro.config.DEFAULT_CONFIG is before
 
 
 def _grid_subparsers():

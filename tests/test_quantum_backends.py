@@ -17,6 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.config
+from repro.config import ExecutionConfig
 from repro.congest.network import Network
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
@@ -25,9 +27,7 @@ from repro.quantum.backend import (
     SCHEDULE_BACKENDS,
     BatchedScheduleBackend,
     SamplingScheduleBackend,
-    get_default_schedule_backend,
     resolve_schedule_backend,
-    set_default_schedule_backend,
     validate_backend_name,
 )
 from repro.quantum.grover import grover_search
@@ -62,7 +62,10 @@ class TestBackendRegistry:
         assert isinstance(BATCHED, BatchedScheduleBackend)
 
     def test_resolution(self):
-        assert resolve_schedule_backend(None).name == get_default_schedule_backend()
+        assert (
+            resolve_schedule_backend(None).name
+            == repro.config.DEFAULT_CONFIG.backend
+        )
         assert resolve_schedule_backend("batched") is BATCHED
         assert resolve_schedule_backend(BATCHED) is BATCHED
         with pytest.raises(ValueError):
@@ -70,20 +73,10 @@ class TestBackendRegistry:
         with pytest.raises(ValueError):
             validate_backend_name("")
 
-    def test_default_toggle_returns_previous(self):
-        previous = set_default_schedule_backend("batched")
-        try:
-            assert previous == "sampling"
-            assert get_default_schedule_backend() == "batched"
-            assert resolve_schedule_backend(None) is BATCHED
-        finally:
-            set_default_schedule_backend(previous)
-        assert get_default_schedule_backend() == "sampling"
-
     def test_unknown_default_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_schedule_backend("bogus")
-        assert get_default_schedule_backend() == "sampling"
+        with pytest.raises(ValueError, match="unknown schedule backend"):
+            ExecutionConfig(backend="bogus")
+        assert ExecutionConfig().backend == "sampling"
 
 
 class TestMaximumFindingDifferential:
@@ -358,11 +351,12 @@ class TestProblemsDifferential:
         algorithms = resolve_algorithms(
             ["quantum_exact", "quantum_radius", "quantum_source_ecc"]
         )
-        previous = set_default_schedule_backend("sampling")
-        try:
-            serial = run_sweep_grid(specs, algorithms, jobs=1, base_seed=7)
-            set_default_schedule_backend("batched")
-            parallel = run_sweep_grid(specs, algorithms, jobs=2, base_seed=7)
-        finally:
-            set_default_schedule_backend(previous)
+        serial = run_sweep_grid(
+            specs, algorithms, jobs=1, base_seed=7,
+            config=ExecutionConfig(backend="sampling"),
+        )
+        parallel = run_sweep_grid(
+            specs, algorithms, jobs=2, base_seed=7,
+            config=ExecutionConfig(backend="batched"),
+        )
         assert serial == parallel

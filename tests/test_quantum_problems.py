@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.analysis.sweep import run_sweep, run_sweep_grid
+from repro.analysis.sweep import run_sweep_grid
 from repro.cli import main
 from repro.congest.network import Network
 from repro.core import (
@@ -242,7 +242,7 @@ class TestSweepIntegration:
         assert all(record.correct is True for record in records)
 
     def test_custom_oracle_failure_recorded(self):
-        def wrong_radius(graph):
+        def wrong_radius(graph, seed, config):
             return 1, float(graph.num_nodes + 5)
 
         table = {
@@ -251,7 +251,7 @@ class TestSweepIntegration:
             )
         }
         graph = generators.cycle_graph(12)
-        records = run_sweep([("cycle", graph)], table)
+        records = run_sweep_grid([GraphSpec("cycle", 12)], table)
         assert records[0].correct is False
         assert records[0].extra["oracle_diameter"] == radius_oracle(graph)
 
@@ -359,13 +359,14 @@ class TestQuantumCLI:
     def test_quantum_backend_default_restored(self):
         """The CLI backend selection must not leak into later in-process
         callers (the tests share one interpreter)."""
-        from repro.quantum.backend import get_default_schedule_backend
+        import repro.config
 
+        before = repro.config.DEFAULT_CONFIG
         assert main(
             ["quantum", "--families", "cycle", "--sizes", "8",
              "--problems", "source_ecc", "--backend", "batched"]
         ) == 0
-        assert get_default_schedule_backend() == "sampling"
+        assert repro.config.DEFAULT_CONFIG is before
 
     def test_sweep_accepts_quantum_problem_algorithms(self, capsys):
         exit_code = main(

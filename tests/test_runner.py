@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sweep import SweepRecord, run_sweep, run_sweep_grid, sweep_table
+from repro.analysis.sweep import SweepRecord, run_sweep_grid, sweep_table
 from repro.congest.network import Network
 from repro.core.exact_diameter import quantum_exact_diameter
 from repro.graphs import generators
@@ -47,7 +47,7 @@ def _fail_on_three(task):
     return task
 
 
-def _oracle_kernel(graph):
+def _oracle_kernel(graph, seed, config):
     return graph.num_nodes, float(graph.diameter())
 
 
@@ -56,7 +56,7 @@ def _oracle_kernel(graph):
 _oracle = SweepAlgorithmInfo(_oracle_kernel, guarantee=EXACT)
 
 
-def _estimate(graph):
+def _estimate(graph, seed, config):
     return 2, 1.0
 
 
@@ -141,6 +141,12 @@ class TestGraphSpec:
 
 
 class TestRunSweep:
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_caches(self):
+        clear_worker_caches()
+        yield
+        clear_worker_caches()
+
     @staticmethod
     def _counting_graph(calls):
         """A graph that counts diameter-oracle calls on both paths: the
@@ -151,9 +157,9 @@ class TestRunSweep:
             def __init__(self, view):
                 self._view = view
 
-            def diameter(self):
+            def diameter(self, tier=None):
                 calls.append("csr")
-                return self._view.diameter()
+                return self._view.diameter(tier)
 
             def __getattr__(self, name):
                 return getattr(self._view, name)
@@ -168,45 +174,37 @@ class TestRunSweep:
 
         return CountingGraph(edges=generators.cycle_graph(8).edges())
 
-    def test_lazy_oracle_skipped_without_exact_algorithms(self):
+    def test_lazy_oracle_skipped_without_exact_algorithms(self, monkeypatch):
         calls = []
         graph = self._counting_graph(calls)
-        records = run_sweep([("cycle", graph)], {"estimate": _estimate})
+        monkeypatch.setattr(GraphSpec, "build", lambda spec: graph)
+        records = run_sweep_grid([GraphSpec("cycle", 8)], {"estimate": _estimate})
         assert not calls
         assert records[0].diameter is None
         assert records[0].correct is None
 
-    def test_oracle_computed_once_per_graph_with_exact_algorithm(self):
+    def test_oracle_computed_once_per_graph_with_exact_algorithm(self, monkeypatch):
         calls = []
         graph = self._counting_graph(calls)
-        records = run_sweep(
-            [("cycle", graph)],
+        monkeypatch.setattr(GraphSpec, "build", lambda spec: graph)
+        records = run_sweep_grid(
+            [GraphSpec("cycle", 8)],
             {"oracle": _oracle, "estimate": _estimate},
         )
-        # Once by the sweep's lazy oracle (on the compiled view), once
-        # inside the oracle kernel (which uses the legacy oracle).
-        assert calls == ["csr", "legacy"]
+        # Once inside the oracle kernel (which uses the legacy oracle),
+        # then once by the sweep's lazy oracle (on the compiled view),
+        # cached for the spec's second cell.
+        assert calls == ["legacy", "csr"]
         assert all(record.diameter == 4 for record in records)
         exact = [r for r in records if r.algorithm == "oracle"]
         assert all(r.correct for r in exact)
 
     def test_serial_and_parallel_records_identical(self):
-        graphs = [
-            ("cycle", generators.cycle_graph(10)),
-            ("path", generators.path_graph(8)),
-            ("star", generators.star_graph(9)),
-        ]
+        specs = [GraphSpec("cycle", 10), GraphSpec("path", 8), GraphSpec("star", 9)]
         algorithms = {"oracle": _oracle, "estimate": _estimate}
-        serial = run_sweep(graphs, algorithms, jobs=1)
-        parallel = run_sweep(graphs, algorithms, jobs=2)
+        serial = run_sweep_grid(specs, algorithms, jobs=1)
+        parallel = run_sweep_grid(specs, algorithms, jobs=2)
         assert serial == parallel
-
-    def test_unpicklable_algorithms_degrade_to_serial(self):
-        graphs = [("cycle", generators.cycle_graph(8))]
-        algorithms = {"estimate": lambda graph: (2, 1.0)}  # not picklable
-        records = run_sweep(graphs, algorithms, jobs=2)
-        assert len(records) == 1
-        assert records[0].rounds == 2
 
     def test_sweep_table_renders_missing_diameter_as_dash(self):
         records = [SweepRecord("cycle", "estimate", 10, None, 4, 1.0, None)]
@@ -234,7 +232,7 @@ class TestRunSweepGrid:
 
     def test_mixed_sweep_stamps_diameter_on_every_cell(self):
         # When any algorithm needs the oracle, all records of the spec
-        # carry it (same convention as run_sweep) ...
+        # carry it ...
         records = run_sweep_grid(
             grid(["cycle"], [12]),
             resolve_algorithms(["classical_exact", "two_approx"]),

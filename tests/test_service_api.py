@@ -141,6 +141,15 @@ class TestAPIBasics:
         assert info.value.status == 400
         assert "unknown family" in info.value.message
 
+    @pytest.mark.parametrize("fault", [{"bogus": 1}, {"loss": "abc"}])
+    def test_submit_malformed_fault_400(self, idle, fault):
+        client, _ = idle
+        payload = dict(_request().to_dict(), fault=fault)
+        with pytest.raises(ServiceClientError) as info:
+            client._json("POST", "/jobs", {"tenant": "alice", "request": payload})
+        assert (info.value.status, info.value.code) == (400, "invalid_request")
+        assert "fault field" in info.value.message
+
     def test_submit_bad_tenant_400(self, idle):
         client, _ = idle
         with pytest.raises(ServiceClientError) as info:

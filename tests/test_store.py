@@ -41,7 +41,7 @@ _TRACE_ENV = "REPRO_TEST_STORE_TRACE"
 _EXPLODE_ENV = "REPRO_TEST_STORE_EXPLODE"
 
 
-def _traced_estimate(graph, seed):
+def _traced_estimate(graph, seed, config):
     """A cheap sweep kernel that logs invocations and can be detonated.
 
     Module-level (hence picklable), deterministic in ``(graph, seed)``:

@@ -1,7 +1,7 @@
 """Differential tests: the numpy compute tier vs the stdlib reference.
 
-The tier contract (:mod:`repro.tier`) is that flipping the process-wide
-default between ``stdlib`` and ``numpy`` can never change a result: the
+The tier contract (:mod:`repro.tier`) is that switching the compute tier
+between ``stdlib`` and ``numpy`` can never change a result: the
 vectorized kernels (:mod:`repro.graphs.vector`) must return the same
 values, in the same (dict) order, and raise the same exceptions as the
 stdlib oracles -- on every generator family, on disconnected/singleton/
@@ -24,12 +24,16 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.config
 from repro import tier
 from repro._numpy import missing_numpy_message
 from repro.analysis.sweep import run_sweep_grid
+from repro.config import ExecutionConfig, resolve_config
+from repro.faults import FaultModel
 from repro.graphs import generators, vector
 from repro.graphs.graph import Graph, GraphError
 from repro.runner import BatchRunner, grid, resolve_algorithms
+from repro.store import ExperimentStore
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -44,13 +48,11 @@ settings.register_profile(
 
 
 @pytest.fixture
-def numpy_tier():
-    """Run the test body under the numpy tier, restoring the default."""
-    previous = tier.set_default_tier(tier.TIER_NUMPY)
-    try:
-        yield
-    finally:
-        tier.set_default_tier(previous)
+def numpy_tier(monkeypatch):
+    """Run the test body with the numpy tier as the default configuration's."""
+    monkeypatch.setattr(
+        repro.config, "DEFAULT_CONFIG", ExecutionConfig(tier=tier.TIER_NUMPY)
+    )
 
 
 def _stdlib_ecc_list(graph):
@@ -70,33 +72,19 @@ class TestTierRegistry:
         with pytest.raises(ValueError, match="unknown compute tier"):
             tier.validate_tier_name("cupy")
 
-    def test_set_returns_previous_and_restores(self):
-        original = tier.get_default_tier()
-        flipped = "numpy" if original == "stdlib" else "stdlib"
-        previous = tier.set_default_tier(flipped)
-        try:
-            assert previous == original
-            assert tier.get_default_tier() == flipped
-        finally:
-            assert tier.set_default_tier(previous) == flipped
-        assert tier.get_default_tier() == original
-
     def test_resolve(self):
-        assert tier.resolve_tier(None) == tier.get_default_tier()
-        assert tier.resolve_tier("numpy") == "numpy"
+        assert resolve_config().tier == repro.config.DEFAULT_CONFIG.tier
+        assert resolve_config(None, tier="numpy").tier == "numpy"
         with pytest.raises(ValueError):
-            tier.resolve_tier("bogus")
+            tier.active_numpy("bogus")
 
     def test_active_numpy(self, numpy_tier):
         assert tier.active_numpy() is np
         assert tier.active_numpy("stdlib") is None
 
-    def test_active_numpy_stdlib_default(self):
-        previous = tier.set_default_tier("stdlib")
-        try:
-            assert tier.active_numpy() is None
-        finally:
-            tier.set_default_tier(previous)
+    def test_active_numpy_stdlib_default(self, monkeypatch):
+        monkeypatch.setattr(repro.config, "DEFAULT_CONFIG", ExecutionConfig())
+        assert tier.active_numpy() is None
 
     def test_missing_numpy_message_is_actionable(self):
         message = missing_numpy_message("the widget")
@@ -105,10 +93,10 @@ class TestTierRegistry:
         assert "--tier stdlib" in message
 
     def test_set_default_rejects_unknown(self):
-        before = tier.get_default_tier()
-        with pytest.raises(ValueError):
-            tier.set_default_tier("bogus")
-        assert tier.get_default_tier() == before
+        before = repro.config.DEFAULT_CONFIG
+        with pytest.raises(ValueError, match="unknown compute tier"):
+            resolve_config(None, tier="bogus")
+        assert repro.config.DEFAULT_CONFIG is before
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +117,8 @@ class TestKernelDifferential:
         same values, same dict order."""
         stdlib_graph = generators.family_for_sweep(family, 600, seed=3)
         numpy_graph = generators.family_for_sweep(family, 600, seed=3)
-        previous = tier.set_default_tier("stdlib")
-        try:
-            stdlib_eccs = stdlib_graph.compile().all_eccentricities()
-            tier.set_default_tier("numpy")
-            numpy_eccs = numpy_graph.compile().all_eccentricities()
-        finally:
-            tier.set_default_tier(previous)
+        stdlib_eccs = stdlib_graph.compile().all_eccentricities("stdlib")
+        numpy_eccs = numpy_graph.compile().all_eccentricities("numpy")
         assert numpy_eccs == stdlib_eccs
         assert list(numpy_eccs) == list(stdlib_eccs)
 
@@ -152,14 +135,10 @@ class TestKernelDifferential:
     def test_derived_oracles_match_across_tiers(self, numpy_tier):
         graph = generators.family_for_sweep("clique_chain", 600, seed=7)
         reference = generators.family_for_sweep("clique_chain", 600, seed=7)
-        previous = tier.set_default_tier("stdlib")
-        try:
-            expected = (
-                reference.compile().diameter(),
-                reference.compile().radius(),
-            )
-        finally:
-            tier.set_default_tier(previous)
+        expected = (
+            reference.compile().diameter("stdlib"),
+            reference.compile().radius("stdlib"),
+        )
         assert (graph.compile().diameter(), graph.compile().radius()) == expected
 
 
@@ -228,14 +207,10 @@ class TestEdgeCases:
     def test_disconnected_same_exception_both_tiers(self):
         stdlib_graph = self._disconnected_graph()
         with pytest.raises(GraphError) as stdlib_error:
-            stdlib_graph.compile().all_eccentricities()
+            stdlib_graph.compile().all_eccentricities("stdlib")
         numpy_graph = self._disconnected_graph()
-        previous = tier.set_default_tier("numpy")
-        try:
-            with pytest.raises(GraphError) as numpy_error:
-                numpy_graph.compile().all_eccentricities()
-        finally:
-            tier.set_default_tier(previous)
+        with pytest.raises(GraphError) as numpy_error:
+            numpy_graph.compile().all_eccentricities("numpy")
         assert str(numpy_error.value) == str(stdlib_error.value)
 
     def test_kernel_raises_on_disconnected(self):
@@ -338,35 +313,47 @@ def _record_tuple(record):
     )
 
 
-def _tier_probe(task):
-    from repro.tier import get_default_tier
-
-    return get_default_tier()
-
-
 class TestTierThreading:
     def test_sweep_records_identical_across_tiers(self):
         specs = grid(["clique_chain", "random_sparse"], [24], seed=9)
         algorithms = resolve_algorithms(["classical_exact", "two_approx"])
-        previous = tier.set_default_tier("stdlib")
-        try:
-            stdlib_records = run_sweep_grid(specs, algorithms, base_seed=5)
-            tier.set_default_tier("numpy")
-            numpy_records = run_sweep_grid(specs, algorithms, base_seed=5)
-        finally:
-            tier.set_default_tier(previous)
+        stdlib_records = run_sweep_grid(
+            specs, algorithms, base_seed=5, config=ExecutionConfig(tier="stdlib")
+        )
+        numpy_records = run_sweep_grid(
+            specs, algorithms, base_seed=5, config=ExecutionConfig(tier="numpy")
+        )
         assert [_record_tuple(r) for r in stdlib_records] == [
             _record_tuple(r) for r in numpy_records
         ]
 
-    def test_batch_workers_inherit_tier_default(self):
-        previous = tier.set_default_tier("numpy")
-        try:
-            runner = BatchRunner(jobs=2)
-            seen = runner.map(_tier_probe, [1, 2, 3, 4])
-        finally:
-            tier.set_default_tier(previous)
-        assert seen == ["numpy"] * 4
+    def test_spawned_workers_receive_config_with_context(self, tmp_path):
+        """Spawned pool workers inherit no parent state: every selection
+        of the grid's config must arrive in the task context."""
+        specs = grid(["clique_chain", "cycle"], [16], seed=9)
+        algorithms = resolve_algorithms(
+            ["classical_exact", "two_approx_retry", "quantum_radius"]
+        )
+        fault = FaultModel(loss=0.05, timeout=256, seed=2)
+        config = ExecutionConfig(
+            engine="sparse", backend="batched", tier="numpy", fault=fault
+        )
+        serial = run_sweep_grid(specs, algorithms, base_seed=5, config=config)
+        store = ExperimentStore(tmp_path / "spawned.jsonl")
+        spawned = run_sweep_grid(
+            specs, algorithms, base_seed=5, config=config, store=store,
+            runner=BatchRunner(jobs=2, start_method="spawn"),
+        )
+        assert spawned == serial
+        # The fault model changes the records, so a worker that fell back
+        # to the null default could not have matched.
+        fault_free = run_sweep_grid(specs, algorithms, base_seed=5)
+        assert fault_free != serial
+        header = store.latest_header()
+        assert (
+            header["engine"], header["schedule_backend"], header["tier"],
+            header["fault_model"],
+        ) == ("sparse", "batched", "numpy", fault.describe())
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +363,9 @@ _HASHSEED_SCRIPT = r"""
 import json
 import sys
 
+from repro.config import ExecutionConfig
 from repro.graphs.graph import Graph
-from repro.tier import active_numpy, set_default_tier
+from repro.tier import active_numpy
 
 # A tuple-labelled clique chain big enough for the vectorized regime
 # (25 cliques of 24 nodes: n=600; distinct entry/exit bridge nodes per
@@ -393,12 +381,12 @@ for c in range(cliques):
     if c:
         graph.add_edge(("clique", c - 1, 1), ("clique", c, 0))
 
-set_default_tier("numpy")
-assert active_numpy() is not None
+config = ExecutionConfig(tier="numpy")
+assert active_numpy(config.tier) is not None
 indexed = graph.compile()
 bound = indexed._double_sweep()
 assert bound >= 48 and bound * 8 <= graph.num_nodes, bound
-eccs = indexed.all_eccentricities()
+eccs = indexed.all_eccentricities(config.tier)
 out = {
     "hash_randomised": sys.flags.hash_randomization,
     "eccentricities": [[repr(node), value] for node, value in eccs.items()],
