@@ -431,21 +431,26 @@ def run_sweep_grid(
         # moment it is aggregated -- an interrupted run keeps its completed
         # prefix.  The stream comes first in the zip: with equal lengths,
         # the final pull exhausts the generator, running its pool shutdown
-        # (close/join) instead of leaving it suspended for GC-time
-        # terminate().  (An early SweepCancelled exit leaves the generator
-        # to be closed by the raise, which terminates the pool -- the cells
-        # in flight are recomputed on resume.)
+        # (close/join).  An early SweepCancelled exit closes the stream
+        # explicitly, which terminates a local pool or closes a remote
+        # grid's connection (cancelling it) -- the cells in flight are
+        # recomputed on resume.
         stream = runner.imap(
             _sweep_one_grid_cell, [tasks[index] for index in pending], context=context
         )
-        for record, index in zip(stream, pending):
-            store.append_record(keys[index], index, record)
-            results[index] = record
-            done += 1
-            if progress is not None:
-                progress(done, len(tasks))
-            if should_stop is not None and should_stop():
-                raise SweepCancelled(completed=done, total=len(tasks))
+        try:
+            for record, index in zip(stream, pending):
+                store.append_record(keys[index], index, record)
+                results[index] = record
+                done += 1
+                if progress is not None:
+                    progress(done, len(tasks))
+                if should_stop is not None and should_stop():
+                    raise SweepCancelled(completed=done, total=len(tasks))
+        finally:
+            close = getattr(stream, "close", None)
+            if close is not None:
+                close()
         store.finish_sweep(
             wall_seconds=time.perf_counter() - started,
             total_records=len(results),

@@ -243,11 +243,11 @@ def _dispatch_backend(args: argparse.Namespace, request: GridRequest):
     """The configured dispatch backend of a grid command, if any.
 
     ``--dispatch remote`` needs a coordinator: ``--coordinator HOST:PORT``
-    joins an existing one (e.g. a ``repro serve --dispatch remote``
-    daemon's), otherwise an embedded coordinator is started for the
-    duration of the run -- its address is printed so workers can ``repro
-    worker join`` it -- and the run waits for ``--dispatch-workers``
-    registrations before dispatching.  Local backends need no
+    joins an existing one (e.g. a ``repro serve`` daemon's), otherwise an
+    embedded coordinator is started for the duration of the run -- its
+    address is printed so workers can ``repro worker join`` it -- and the
+    run waits for ``--dispatch-workers`` registrations before
+    dispatching.  Local backends need no
     configuration and yield ``None`` (the request's name is enough).
     """
     if request.dispatch != "remote":
@@ -496,9 +496,9 @@ def _cmd_worker_join(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the experiment service daemon until SIGTERM/SIGINT.
 
-    Shutdown is graceful: running jobs checkpoint (their workers stop
-    between task completions and the jobs requeue durably), so a
-    restarted daemon resumes exactly where this one stopped.
+    Shutdown is graceful: running jobs checkpoint (their grids stop and
+    the jobs requeue durably), so a restarted daemon resumes exactly
+    where this one stopped.
     """
     from repro.service.api import serve_api
     from repro.service.queue import ExperimentService
@@ -510,28 +510,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ledger_path=args.ledger,
             workers=args.workers,
             quota=QuotaPolicy(tenant_jobs=args.tenant_quota),
-            dispatch=args.dispatch,
             dispatch_port=args.dispatch_port,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
     service.start()
-    if service.coordinator is not None:
-        dhost, dport = service.coordinator.address
-        print(
-            f"dispatch coordinator on {dhost}:{dport} "
-            f"(repro worker join {dhost}:{dport} --shard-dir DIR)",
-            file=sys.stderr,
-            flush=True,
-        )
     server = serve_api(service, args.host, args.port)
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}", flush=True)
+    dhost, dport = service.coordinator.address
     print(
         f"data dir {service.data_dir} | ledger {service.ledger.path} | "
         f"{service.workers} worker(s) | quota {service.quota.tenant_jobs} "
-        "active job(s)/tenant",
+        f"active job(s)/tenant | dispatch coordinator on {dhost}:{dport} "
+        f"(repro worker join {dhost}:{dport} --shard-dir DIR)",
         file=sys.stderr,
         flush=True,
     )
@@ -851,8 +844,9 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
     sub.add_argument(
         "--jobs", type=int, default=1,
         help=(
-            "worker processes for the batch runner (1 = serial, 0 = one "
-            "per CPU); parallel output is byte-identical to serial"
+            "worker processes for the batch runner, or a daemon job's "
+            "local dispatch workers (1 = serial, 0 = one per CPU); "
+            "parallel output is byte-identical to serial"
         ),
     )
     sub.add_argument(
@@ -899,7 +893,7 @@ def add_dispatch_options(sub: argparse.ArgumentParser) -> None:
         "--coordinator", default=None, metavar="HOST:PORT",
         help=(
             "join an existing dispatch coordinator instead of embedding "
-            "one (e.g. a 'repro serve --dispatch remote' daemon's)"
+            "one (e.g. a 'repro serve' daemon's)"
         ),
     )
     sub.add_argument(
@@ -1209,11 +1203,11 @@ def build_parser() -> argparse.ArgumentParser:
         "until it shuts down",
         description=(
             "Join a dispatch coordinator (an embedded 'repro sweep "
-            "--dispatch remote' one, or a 'repro serve --dispatch "
-            "remote' daemon's).  Leased shards run the exact per-cell "
-            "code of a local sweep; every completed cell is appended to "
-            "this worker's own JSONL store shard under the advisory "
-            "writer lock and streamed back to the coordinator."
+            "--dispatch remote' one, or a 'repro serve' daemon's).  "
+            "Leased shards run the exact per-cell code of a local sweep; "
+            "every completed cell is appended to this worker's own JSONL "
+            "store shard under the advisory writer lock and streamed "
+            "back to the coordinator."
         ),
     )
     join_parser.add_argument("address", metavar="HOST:PORT",
@@ -1291,12 +1285,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant experiment service daemon "
         "(HTTP JSON API over a durable job queue)",
         description=(
-            "Run the experiment service: a job daemon whose workers "
-            "execute submitted sweep grids through the same store/runner "
-            "stack as 'repro sweep' (exports are byte-identical to local "
-            "runs).  The queue is durably persisted to a JSONL ledger; a "
-            "killed daemon resumes it on restart.  Stop with SIGTERM or "
-            "Ctrl-C; running jobs checkpoint and requeue."
+            "Run the experiment service: a job daemon whose worker slots "
+            "run submitted sweep grids on its own dispatch coordinator, "
+            "through the same store/runner stack as 'repro sweep' "
+            "(exports are byte-identical to local runs).  The queue is "
+            "durably persisted to a JSONL ledger; a killed daemon resumes "
+            "it on restart.  Stop with SIGTERM or Ctrl-C; running jobs "
+            "checkpoint and requeue."
         ),
     )
     serve_parser.add_argument(
@@ -1308,7 +1303,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2,
-        help="concurrent job workers, each a subprocess (default: 2)",
+        help=(
+            "concurrent job slots; a running job adds its --jobs local "
+            "dispatch worker processes (default: 2)"
+        ),
     )
     serve_parser.add_argument(
         "--data-dir", default="service-data", metavar="PATH",
@@ -1326,18 +1324,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="max active (queued+running) jobs per tenant (default: 8)",
     )
     serve_parser.add_argument(
-        "--dispatch", default=None, choices=("remote",),
-        help=(
-            "run a persistent dispatch coordinator so jobs submitted "
-            "with --dispatch remote fan out to registered 'repro worker "
-            "join' workers (the address is printed at startup)"
-        ),
-    )
-    serve_parser.add_argument(
         "--dispatch-port", type=int, default=0, metavar="PORT",
         help=(
-            "port of the daemon's dispatch coordinator "
-            "(default: 0, pick a free port)"
+            "port of the daemon's dispatch coordinator, which 'repro "
+            "worker join' workers may also join (default: 0, pick a "
+            "free port; the address is printed at startup)"
         ),
     )
     serve_parser.set_defaults(handler=_cmd_serve)

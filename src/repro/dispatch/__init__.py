@@ -41,8 +41,8 @@ exact serial record list from the workers' shard files alone.
 CLI surface: ``repro sweep --dispatch {inprocess,multiprocessing,remote}
 --shard-policy {static,adaptive} --straggler-deadline S
 --dispatch-stats FILE``, ``repro worker join HOST:PORT [--supervise]``,
-``repro merge [--stats]``, and ``repro serve --dispatch remote`` for
-daemon-managed fan-out.
+``repro merge [--stats]``; every ``repro serve`` daemon runs its jobs
+on its own coordinator, which ``repro worker join`` workers may join.
 """
 
 from repro._lazy import lazy_exports

@@ -55,10 +55,13 @@ class RemoteDispatch:
     this backend understands, since workers rebuild the kernel table from
     registry *names* rather than unpickling callables.
 
-    Construct with either ``coordinator`` (an owned, started
+    Construct with either ``coordinator`` (a started, in-process
     :class:`DispatchCoordinator` -- the embedded ``repro sweep
-    --dispatch remote`` path) or ``address`` (join an existing
-    coordinator, e.g. the service daemon's).  ``kind`` selects how
+    --dispatch remote`` path and every service daemon job) or
+    ``address`` (join an existing coordinator, e.g. a daemon's).  Closing
+    the stream (a cancelled or stopped sweep) closes the connection,
+    which is how a client cancels its grid; :meth:`close` does the same
+    from another thread.  ``kind`` selects how
     algorithm names resolve on workers (``"sweep"`` registry vs
     ``"quantum"`` problems), mirroring ``GridRequest.kind``.  ``workers``
     is the *requested* worker count, recorded as the run header's
@@ -86,12 +89,24 @@ class RemoteDispatch:
         self.kind = kind
         self.jobs = max(1, int(workers))
         self.connect_timeout = connect_timeout
+        self._conn: Optional[FramedSocket] = None
+        self._closed = False
 
     @property
     def address(self) -> Tuple[str, int]:
         if self._coordinator is not None:
             return self._coordinator.address
         return self._address
+
+    def close(self) -> None:
+        """Cancel the grid from another thread by closing its connection.
+
+        The stream then raises :class:`DispatchError`; a stream that has
+        not connected yet raises as soon as it does.
+        """
+        self._closed = True
+        if self._conn is not None:
+            self._conn.close()
 
     # -- BatchRunner mapping surface -----------------------------------
     def map(self, function, tasks: Iterable, context: Any = None) -> List:
@@ -166,8 +181,10 @@ class RemoteDispatch:
                 f"{self.address[0]}:{self.address[1]}: {error}"
             ) from None
         sock.settimeout(None)
-        conn = FramedSocket(sock)
+        conn = self._conn = FramedSocket(sock)
         try:
+            if self._closed:
+                raise DispatchError("the grid was cancelled before it started")
             conn.send({"type": "grid", "description": description})
             buffered: dict = {}
             next_index = 0
@@ -196,6 +213,10 @@ class RemoteDispatch:
                         "coordinator reported completion with "
                         f"{total - next_index} cell(s) missing"
                     )
+        except OSError as error:
+            raise DispatchError(
+                f"lost the dispatch coordinator connection: {error}"
+            ) from None
         finally:
             conn.close()
 
@@ -230,7 +251,7 @@ def resolve_dispatch(
                 "dispatch backend 'remote' needs a coordinator: pass a "
                 "configured repro.dispatch.RemoteDispatch instance (the "
                 "CLI builds one from --dispatch-port/--coordinator, the "
-                "service daemon from repro serve --dispatch remote)"
+                "service daemon from its own coordinator)"
             )
         raise DispatchError(
             f"unknown dispatch backend {dispatch!r} "

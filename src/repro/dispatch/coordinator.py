@@ -14,9 +14,11 @@ One coordinator serves two kinds of peers over the same listening socket
   times of recently completed cells, which calibrate the coordinator's
   cost model online.
 * **clients** (a :class:`repro.dispatch.backend.RemoteDispatch` inside
-  ``repro sweep`` or a service job worker) send a single ``grid`` frame
+  ``repro sweep`` or a service daemon job) send a single ``grid`` frame
   describing the cells to run and then receive the completed ``cell``
-  frames -- in completion order, dedup'd -- until ``grid_done``.
+  frames -- in completion order, dedup'd -- until ``grid_done``.  A
+  client cancels its grid by closing the connection: the grid's queued
+  shards are dropped and its leaseholders are trimmed.
 
 Two scheduling policies exist (``shard_policy``):
 
@@ -265,12 +267,6 @@ class DispatchCoordinator:
         for thread in self._threads:
             thread.join(timeout=5.0)
 
-    def __enter__(self) -> "DispatchCoordinator":
-        return self.start() if not self._running else self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     @property
     def address(self) -> Tuple[str, int]:
         """The ``(host, port)`` peers connect to (valid after start)."""
@@ -459,7 +455,9 @@ class DispatchCoordinator:
         except (FrameError, OSError):
             pass
         finally:
-            self._abort_grid(grid)
+            # The client is gone (finished, cancelled or crashed).
+            with self._lock:
+                self._drop_grid_locked(grid)
             conn.close()
 
     def _admit_grid(
@@ -530,17 +528,34 @@ class DispatchCoordinator:
         shard_id = f"{grid.grid_id}s{grid.shard_counter}{suffix}"
         return _Shard(shard_id, grid.grid_id, indices, speculative=speculative)
 
-    def _abort_grid(self, grid: _GridState) -> None:
-        """Drop a grid whose client is gone; orphan its queued shards."""
-        with self._lock:
-            grid.finished = True
-            grid.pending = []
-            self._grids.pop(grid.grid_id, None)
-            if self._queue:
-                self._queue = collections.deque(
-                    shard for shard in self._queue
-                    if shard.grid_id != grid.grid_id
-                )
+    def _drop_grid_locked(self, grid: _GridState) -> None:
+        """Forget a grid: orphan its queued shards and send every
+        leaseholder still working on it a ``trim`` for the shard's
+        remaining indices, so the worker frees up at its next cell
+        boundary."""
+        grid.finished = True
+        grid.pending = []
+        self._grids.pop(grid.grid_id, None)
+        self._queue = collections.deque(
+            shard for shard in self._queue if shard.grid_id != grid.grid_id
+        )
+        for worker in self._workers.values():
+            shard = worker.shard
+            if (
+                shard is None or shard.grid_id != grid.grid_id
+                or not shard.remaining
+            ):
+                continue
+            try:
+                worker.conn.send({
+                    "type": "trim",
+                    "grid": grid.grid_id,
+                    "shard": shard.shard_id,
+                    "indices": sorted(shard.remaining),
+                })
+                self._counters["trims_sent"] += 1
+            except OSError:
+                pass  # dead worker: its reader thread drops it
 
     def _fail_grid(self, grid: _GridState, message: str) -> None:
         """A worker reported a cell exception: surface it to the client.
@@ -549,12 +564,7 @@ class DispatchCoordinator:
         non-convergence becomes a failed *record*, not an exception
         (see :func:`repro.analysis.sweep._run_cell`).
         """
-        grid.finished = True
-        grid.pending = []
-        self._grids.pop(grid.grid_id, None)
-        self._queue = collections.deque(
-            shard for shard in self._queue if shard.grid_id != grid.grid_id
-        )
+        self._drop_grid_locked(grid)
         try:
             grid.client.send({"type": "error", "message": message})
         except OSError:
@@ -614,13 +624,10 @@ class DispatchCoordinator:
                     "record": frame.get("record"),
                 })
             except OSError:
-                self._grids.pop(grid.grid_id, None)
-                grid.finished = True
+                self._drop_grid_locked(grid)
                 return
             if len(grid.completed) >= grid.total:
-                grid.finished = True
-                grid.pending = []
-                self._grids.pop(grid.grid_id, None)
+                self._drop_grid_locked(grid)
                 try:
                     grid.client.send({"type": "grid_done"})
                 except OSError:

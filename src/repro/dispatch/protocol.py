@@ -149,9 +149,8 @@ class FramedSocket:
 def parse_address(text: str) -> tuple:
     """Parse a ``host:port`` string into an ``(host, port)`` pair.
 
-    The shared parser of ``repro worker join HOST:PORT``, ``repro sweep
-    --coordinator`` and the service worker's ``--coordinator`` flag.
-    Raises ``ValueError`` with a usage-grade message.
+    The shared parser of ``repro worker join HOST:PORT`` and ``repro
+    sweep --coordinator``.  Raises ``ValueError`` with a usage-grade message.
     """
     host, separator, port_text = text.rpartition(":")
     if not separator or not host:

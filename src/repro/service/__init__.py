@@ -11,7 +11,8 @@ share:
 * :mod:`repro.service.jobs` -- job model + durable JSONL ledger (replay
   reconstructs the queue after a crash);
 * :mod:`repro.service.queue` -- :class:`ExperimentService`, the worker
-  pool leasing jobs into per-job subprocesses with cooperative
+  slots running every job as a dispatched grid on the daemon's own
+  :class:`repro.dispatch.DispatchCoordinator`, with cooperative
   cancellation and SIGTERM checkpointing;
 * :mod:`repro.service.quota` -- capacity accounting and per-tenant
   active-job quotas;
@@ -21,11 +22,9 @@ share:
   HTTP JSON face and its client, surfaced as ``repro serve`` and
   ``repro jobs ...``.
 
-With ``repro serve --dispatch remote`` the daemon also owns a
-:class:`repro.dispatch.DispatchCoordinator`; jobs submitted with
-``"dispatch": "remote"`` fan their cells out to registered
-``repro worker join`` workers instead of computing in the job
-subprocess.
+The daemon's coordinator leases cells to the local worker processes
+each running job brings and to any ``repro worker join`` workers
+registered with it.
 
 The daemon, its HTTP face and the client load on first use of
 :class:`ExperimentService`, :func:`serve_api` or :class:`ServiceClient`,

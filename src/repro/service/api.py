@@ -69,6 +69,8 @@ class ServiceAPIHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -87,10 +89,20 @@ class ServiceAPIHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise _APIError(400, "body_too_large",
-                            f"request body exceeds {_MAX_BODY_BYTES} bytes")
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request: answer,
+            # then close the connection.
+            self.close_connection = True
+            raise _APIError(
+                400, "bad_length",
+                f"Content-Length must be an integer in 0..{_MAX_BODY_BYTES}, "
+                f"got {header!r}",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _APIError(400, "empty_body", "a JSON body is required")

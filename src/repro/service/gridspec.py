@@ -42,6 +42,12 @@ from repro.runner import (
 #: The request fields that make up its :class:`repro.config.ExecutionConfig`.
 _CONFIG_FIELDS = tuple(item.name for item in fields(ExecutionConfig))
 
+
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer (``bool`` is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: How the algorithm names of a request resolve: ``sweep`` looks them up
 #: in :data:`repro.runner.SWEEP_ALGORITHMS`, ``quantum`` treats them as
 #: registered quantum problem names (the ``repro quantum`` command).
@@ -138,6 +144,10 @@ class GridRequest:
                 )
         if "controlled" in self.families and self.diameter is None:
             raise ValueError("family 'controlled' requires --diameter")
+        if self.diameter is not None and not _is_int(self.diameter):
+            raise ValueError(
+                f"diameter must be an integer, got {self.diameter!r}"
+            )
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
@@ -213,8 +223,9 @@ class GridRequest:
 
         Raises ``ValueError`` on unknown fields so a malformed API
         payload cannot silently drop a selection (e.g. a typoed
-        ``"tir"`` running on the wrong tier), and on any execution
-        selection :meth:`repro.config.ExecutionConfig.from_dict` rejects.
+        ``"tir"`` running on the wrong tier), on a sequence or integer
+        field of the wrong type, and on any execution selection
+        :meth:`repro.config.ExecutionConfig.from_dict` rejects.
         """
         known = {item.name for item in fields(cls)}
         unknown = set(data) - known
@@ -227,14 +238,31 @@ class GridRequest:
             {name: data.get(name) for name in _CONFIG_FIELDS}
         )
         fault = None if data.get("fault") is None else config.fault
+        for name, kind in (("families", str), ("sizes", int),
+                           ("algorithms", str)):
+            value = data.get(name, ())
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(item, kind) and not isinstance(item, bool)
+                for item in value
+            ):
+                raise ValueError(
+                    f"grid request field {name!r} must be a list of "
+                    f"{kind.__name__}, got {value!r}"
+                )
+        for name, default in (("seed", 0), ("jobs", 1)):
+            if not _is_int(data.get(name, default)):
+                raise ValueError(
+                    f"grid request field {name!r} must be an integer, "
+                    f"got {data[name]!r}"
+                )
         return cls(
             families=tuple(data.get("families", ())),
             sizes=tuple(data.get("sizes", ())),
             algorithms=tuple(data.get("algorithms", ())),
             kind=data.get("kind", "sweep"),
             diameter=data.get("diameter"),
-            seed=int(data.get("seed", 0)),
-            jobs=int(data.get("jobs", 1)),
+            seed=data.get("seed", 0),
+            jobs=data.get("jobs", 1),
             engine=data.get("engine"),
             backend=data.get("backend"),
             tier=data.get("tier"),
@@ -245,7 +273,6 @@ class GridRequest:
 
 def execute_grid_request(
     request: GridRequest,
-    runner: Optional[BatchRunner] = None,
     store=None,
     resume: bool = False,
     progress=None,
@@ -261,26 +288,22 @@ def execute_grid_request(
     request, never on who executed it.
 
     ``dispatch`` overrides the request's dispatch selection with a
-    *configured* backend object -- the CLI and the service job worker
-    pass a :class:`repro.dispatch.RemoteDispatch` bound to their
-    coordinator here, since the bare name ``"remote"`` carries no
-    address.  ``None`` falls back to ``request.dispatch`` (and a plain
-    ``"remote"`` request with no configured backend fails loudly in
+    *configured* backend object -- the CLI and the service daemon pass a
+    :class:`repro.dispatch.RemoteDispatch` bound to their coordinator
+    here, since the bare name ``"remote"`` carries no address.  ``None``
+    falls back to ``request.dispatch`` (and a plain ``"remote"`` request
+    with no configured backend fails loudly in
     :func:`repro.dispatch.resolve_dispatch`).
     """
-    if dispatch is None:
-        dispatch = request.dispatch
-    if runner is None:
-        runner = BatchRunner(jobs=request.jobs)
     return run_sweep_grid(
         request.specs(),
         request.algorithm_table(),
-        runner=runner,
+        runner=BatchRunner(jobs=request.jobs),
         base_seed=request.base_seed(),
         store=store,
         resume=resume,
         config=request.config(),
         progress=progress,
         should_stop=should_stop,
-        dispatch=dispatch,
+        dispatch=request.dispatch if dispatch is None else dispatch,
     )

@@ -19,9 +19,9 @@ truncated-tail-tolerant reader (:func:`repro.store.append_jsonl_line` /
 submission and one ``state`` entry per transition.  Replaying the file
 reconstructs the queue exactly, so a SIGKILLed daemon resumes its queue
 the way ``sweep --resume`` resumes a grid.  Task-level progress is *not*
-written per cell: it is counted off the job store's completed-key scan
-(:meth:`repro.store.ExperimentStore.completed_keys`), which is already
-durable; the ledger only snapshots the count on state transitions.
+written per cell: the job store already holds every completed record
+durably, and the daemon tracks the running count from the sweep's
+progress hook; the ledger only snapshots the count on state transitions.
 """
 
 from __future__ import annotations
@@ -47,6 +47,22 @@ TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: Ledger file schema, bumped on incompatible layout changes.
 LEDGER_SCHEMA_VERSION = 1
 
+#: The type every ledger field replay reads must have; an entry with a
+#: field of any other type is skipped whole (``bool`` is not an ``int``).
+_FIELD_TYPES = {
+    "job_id": str, "tenant": str, "store_name": str, "request": dict,
+    "state": str, "total": int, "done": int, "created": (int, float),
+    "at": (int, float), "detail": (str, type(None)), "cancel_requested": bool,
+}
+
+
+def _well_typed(entry: Mapping[str, Any]) -> bool:
+    return all(
+        isinstance(entry[key], kinds)
+        and (kinds is bool or not isinstance(entry[key], bool))
+        for key, kinds in _FIELD_TYPES.items() if key in entry
+    )
+
 
 class JobError(ValueError):
     """A job operation cannot be performed (unknown id, bad transition)."""
@@ -65,7 +81,6 @@ class JobRecord:
     done: int = 0
     detail: Optional[str] = None
     cancel_requested: bool = False
-    worker_pid: Optional[int] = None
     created: float = 0.0
     updated: float = 0.0
 
@@ -74,8 +89,12 @@ class JobRecord:
         return self.state in ACTIVE_STATES
 
     def store(self, data_dir: str) -> ExperimentStore:
-        """This job's per-tenant experiment store shard under ``data_dir``."""
-        return ExperimentStore.namespaced(data_dir, self.tenant, self.store_name)
+        """This job's per-tenant experiment store shard under ``data_dir``,
+        stamping the tenant and job id on its run headers."""
+        return ExperimentStore.namespaced(
+            data_dir, self.tenant, self.store_name,
+            run_context={"tenant": self.tenant, "job_id": self.job_id},
+        )
 
     def to_api(self) -> Dict[str, Any]:
         """The JSON shape served by the status endpoints."""
@@ -103,15 +122,12 @@ class JobLedger:
     * ``job`` -- a submission: id, tenant, the full grid request, the
       store shard name and the grid's total cell count.
     * ``state`` -- a transition: new state, the durable progress count
-      at transition time, and optional detail (error text) / worker pid
-      / cancel-request flag.
+      at transition time, and optional detail (error text) /
+      cancel-request flag.
     """
 
     def __init__(self, path) -> None:
         self.path = os.fspath(path)
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
 
     # -- writing -------------------------------------------------------
     def append_job(self, record: JobRecord) -> None:
@@ -135,7 +151,6 @@ class JobLedger:
         state: str,
         done: int = 0,
         detail: Optional[str] = None,
-        worker_pid: Optional[int] = None,
         cancel_requested: Optional[bool] = None,
     ) -> None:
         if state not in JOB_STATES:
@@ -149,8 +164,6 @@ class JobLedger:
         }
         if detail is not None:
             entry["detail"] = detail
-        if worker_pid is not None:
-            entry["worker_pid"] = worker_pid
         if cancel_requested is not None:
             entry["cancel_requested"] = bool(cancel_requested)
         append_jsonl_line(self.path, entry)
@@ -159,22 +172,26 @@ class JobLedger:
     def replay(self) -> Dict[str, JobRecord]:
         """Reconstruct every job's latest state, in submission order.
 
-        Unknown-job state entries and malformed entries are skipped (the
-        only corruption an append-only writer can produce is a truncated
-        tail, already dropped by the shared reader; anything else is a
-        foreign line that must not take the queue down).
+        Unknown-job state entries and malformed entries -- wrong-typed
+        fields, unknown kinds or states -- are skipped whole (the only
+        corruption an append-only writer can produce is a truncated tail,
+        already dropped by the shared reader; anything else is a foreign
+        line that must not take the queue down).  Keys replay does not
+        read, such as the worker pid older daemons recorded, are ignored.
         """
         records: Dict[str, JobRecord] = {}
         for entry in iter_jsonl_entries(self.path):
+            if not _well_typed(entry):
+                continue
             kind = entry.get("kind")
             if kind == "job":
                 try:
                     record = JobRecord(
-                        job_id=str(entry["job_id"]),
-                        tenant=str(entry["tenant"]),
+                        job_id=entry["job_id"],
+                        tenant=entry["tenant"],
                         request=GridRequest.from_dict(entry["request"]),
-                        store_name=str(entry["store_name"]),
-                        total=int(entry["total"]),
+                        store_name=entry["store_name"],
+                        total=entry["total"],
                         created=float(entry.get("created", 0.0)),
                     )
                 except (KeyError, TypeError, ValueError):
@@ -185,20 +202,15 @@ class JobLedger:
                 records.setdefault(record.job_id, record)
             elif kind == "state":
                 record = records.get(entry.get("job_id"))
-                if record is None:
+                if record is None or entry.get("state") not in JOB_STATES:
                     continue
-                state = entry.get("state")
-                if state not in JOB_STATES:
-                    continue
-                record.state = state
-                record.done = int(entry.get("done", record.done))
+                record.state = entry["state"]
+                record.done = entry.get("done", record.done)
                 record.updated = float(entry.get("at", record.updated))
                 if "detail" in entry:
                     record.detail = entry["detail"]
-                if "worker_pid" in entry:
-                    record.worker_pid = entry["worker_pid"]
                 if "cancel_requested" in entry:
-                    record.cancel_requested = bool(entry["cancel_requested"])
+                    record.cancel_requested = entry["cancel_requested"]
         return records
 
     def recover(self) -> Dict[str, JobRecord]:

@@ -3,11 +3,11 @@
 A minimal, dependency-free renderer of the daemon's operational state in
 the Prometheus `text exposition format
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
-(version 0.0.4): job counts by ledger state, per-tenant active jobs, and
-worker-slot capacity, plus the registered remote-dispatch worker count
-when the daemon owns a coordinator.  Everything is derived on scrape
-from the same snapshots the JSON API serves (``service.jobs()`` /
-``service.capacity()``), so the two faces can never disagree.
+(version 0.0.4): job counts by ledger state, per-tenant active jobs,
+worker-slot capacity and the daemon's dispatch coordinator fleet.
+Everything is derived on scrape from the same snapshots the JSON API
+serves (``service.jobs()`` / ``service.capacity()``), so the two faces
+can never disagree.
 
 Label values are escaped per the format spec (backslash, double quote,
 newline); tenant names are already restricted to a safe pattern by the
@@ -54,8 +54,7 @@ def render_metrics(service) -> str:
       the capacity report's worker-slot split;
     * ``repro_service_queued_jobs`` -- depth of the run queue;
     * ``repro_service_dispatch_workers`` / ``..._dispatch_idle_workers``
-      -- registered and currently-idle remote-dispatch workers (only
-      when the daemon owns a coordinator);
+      -- registered and currently-idle dispatch workers;
     * ``repro_service_dispatch_steals`` /
       ``..._dispatch_speculative_leases`` -- the adaptive scheduler's
       work-stealing and speculative re-execution counts since
@@ -107,30 +106,28 @@ def render_metrics(service) -> str:
         _sample("repro_service_queued_jobs", {}, capacity["queued"]),
     ]
 
-    coordinator = getattr(service, "coordinator", None)
-    if coordinator is not None:
-        dispatch = coordinator.stats()
-        lines += [
-            "# HELP repro_service_dispatch_workers "
-            "Workers registered with the dispatch coordinator.",
-            "# TYPE repro_service_dispatch_workers gauge",
-            _sample("repro_service_dispatch_workers", {},
-                    dispatch["registered_workers"]),
-            "# HELP repro_service_dispatch_idle_workers "
-            "Registered dispatch workers currently without a lease.",
-            "# TYPE repro_service_dispatch_idle_workers gauge",
-            _sample("repro_service_dispatch_idle_workers", {},
-                    dispatch["idle_workers"]),
-            "# HELP repro_service_dispatch_steals "
-            "Shards split by work stealing since coordinator start.",
-            "# TYPE repro_service_dispatch_steals gauge",
-            _sample("repro_service_dispatch_steals", {},
-                    dispatch["steals"]),
-            "# HELP repro_service_dispatch_speculative_leases "
-            "Speculative straggler re-leases since coordinator start.",
-            "# TYPE repro_service_dispatch_speculative_leases gauge",
-            _sample("repro_service_dispatch_speculative_leases", {},
-                    dispatch["speculative_leases"]),
-        ]
+    dispatch = service.coordinator.stats()
+    lines += [
+        "# HELP repro_service_dispatch_workers "
+        "Workers registered with the dispatch coordinator.",
+        "# TYPE repro_service_dispatch_workers gauge",
+        _sample("repro_service_dispatch_workers", {},
+                dispatch["registered_workers"]),
+        "# HELP repro_service_dispatch_idle_workers "
+        "Registered dispatch workers currently without a lease.",
+        "# TYPE repro_service_dispatch_idle_workers gauge",
+        _sample("repro_service_dispatch_idle_workers", {},
+                dispatch["idle_workers"]),
+        "# HELP repro_service_dispatch_steals "
+        "Shards split by work stealing since coordinator start.",
+        "# TYPE repro_service_dispatch_steals gauge",
+        _sample("repro_service_dispatch_steals", {},
+                dispatch["steals"]),
+        "# HELP repro_service_dispatch_speculative_leases "
+        "Speculative straggler re-leases since coordinator start.",
+        "# TYPE repro_service_dispatch_speculative_leases gauge",
+        _sample("repro_service_dispatch_speculative_leases", {},
+                dispatch["speculative_leases"]),
+    ]
 
     return "\n".join(lines) + "\n"

@@ -1,23 +1,26 @@
 """The experiment service daemon: a multi-tenant job queue over the store.
 
-:class:`ExperimentService` owns three things:
+:class:`ExperimentService` owns:
 
 * the **job ledger** (:class:`repro.service.jobs.JobLedger`) -- the
   durable queue.  Every submission and transition is appended before it
   is acknowledged, so a SIGKILLed daemon recovers its exact queue on
   restart (stale ``running`` leases are requeued and resume from their
   store checkpoints);
-* the **worker pool** -- ``workers`` threads, each leasing one queued
-  job at a time and executing it in a subprocess
-  (:mod:`repro.service.worker`).  Process isolation is what lets each
-  job stamp its own tenant/job run context on its store headers.  While
-  the subprocess runs, the thread
-  polls the job store's completed-key scan for durable task-level
-  progress;
-* the **capacity accounting** (:mod:`repro.service.quota`) -- worker
-  slots and per-tenant active-job quotas, all mutated and read under
-  one state lock so concurrent submissions always see consistent
-  total/used/available counts.
+* a **dispatch coordinator** that every job runs on: a job is a
+  dispatched grid whose cells are leased to the daemon's local worker
+  processes and to any ``repro worker join`` workers;
+* the **worker slots** -- ``workers`` threads, each leasing one queued
+  job at a time and running it in-process through
+  :func:`repro.service.gridspec.execute_grid_request`.  A running job
+  brings ``jobs`` local ``python -m repro.dispatch.worker`` processes
+  (one per CPU for ``0``), which join the coordinator's fleet until the
+  job ends; a job whose local worker dies fails.  The sweep's progress
+  hook counts the job's cells; cancelling a running job closes its
+  grid's connection;
+* the **capacity accounting** (:mod:`repro.service.quota`), mutated and
+  read under one state lock so concurrent submissions always see
+  consistent total/used/available counts.
 
 The HTTP face lives in :mod:`repro.service.api`; this module is fully
 usable in-process (tests drive it directly).
@@ -27,22 +30,20 @@ from __future__ import annotations
 
 import collections
 import os
+import shutil
 import subprocess
 import sys
 import threading
 import time
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.dispatch import DispatchCoordinator
-from repro.service import worker as worker_mod
-from repro.service.gridspec import GridRequest
+from repro.analysis.sweep import SweepCancelled
+from repro.dispatch import DispatchCoordinator, DispatchError, RemoteDispatch
+from repro.runner.batch import resolve_jobs
+from repro.service.gridspec import GridRequest, execute_grid_request
 from repro.service.jobs import JobError, JobLedger, JobRecord
 from repro.service.quota import QuotaPolicy, capacity_report
-from repro.store import ExperimentStore, render_records
-
-#: How often a worker thread refreshes a running job's progress from the
-#: store's completed-key scan (and checks for shutdown).
-_POLL_INTERVAL = 0.15
+from repro.store import render_records
 
 
 class ExperimentService:
@@ -54,16 +55,10 @@ class ExperimentService:
         ledger_path=None,
         workers: int = 2,
         quota: Optional[QuotaPolicy] = None,
-        poll_interval: float = _POLL_INTERVAL,
-        dispatch: Optional[str] = None,
         dispatch_port: int = 0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if dispatch not in (None, "remote"):
-            raise ValueError(
-                f"service dispatch must be None or 'remote', got {dispatch!r}"
-            )
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.ledger = JobLedger(
@@ -73,33 +68,27 @@ class ExperimentService:
         )
         self.workers = workers
         self.quota = quota or QuotaPolicy()
-        self.poll_interval = poll_interval
+        self.coordinator = DispatchCoordinator(port=dispatch_port)
         self._lock = threading.Lock()
+        self._wakeup = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
         self._queue: Deque[str] = collections.deque()
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._procs: Dict[str, subprocess.Popen] = {}
+        self._running: Dict[str, _JobRun] = {}
         self._started = False
-        # With dispatch="remote" the daemon owns one persistent
-        # coordinator shared by every job that requests remote dispatch;
-        # 'repro worker join' workers register against it once and serve
-        # shards across jobs.
-        self.dispatch = dispatch
-        self.coordinator: Optional[DispatchCoordinator] = (
-            DispatchCoordinator(port=dispatch_port)
-            if dispatch == "remote" else None
-        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        """Recover the ledger and start the worker pool."""
+        """Recover the ledger, start the coordinator and the worker slots."""
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
-        if self.coordinator is not None:
-            self.coordinator.start()
+        self.coordinator.start()
+        # Shard files a killed daemon's local workers left behind.
+        shutil.rmtree(
+            os.path.join(self.data_dir, ".dispatch"), ignore_errors=True
+        )
         recovered = self.ledger.recover()
         with self._lock:
             self._jobs = recovered
@@ -108,34 +97,28 @@ class ExperimentService:
                     self._queue.append(job_id)
         for index in range(self.workers):
             thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-service-worker-{index}",
+                target=self._slot_loop,
+                name=f"repro-service-slot-{index}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
 
-    def stop(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: checkpoint running jobs, stop the pool.
+    def stop(self) -> None:
+        """Graceful shutdown: checkpoint running jobs, stop the slots.
 
-        Running worker subprocesses receive SIGTERM; their cooperative
-        hook stops them between task completions and they exit with the
-        *checkpointed* code, which requeues the job (durably) so the
-        next daemon continues it from the store.
+        Stopping the coordinator drops its client connections, so every
+        running job's result stream raises and the job is requeued
+        durably (``checkpointed on shutdown``); the next daemon resumes
+        it from the store.  Each slot reaps its job's local workers
+        before it exits.
         """
-        self._stop.set()
-        self._wake.set()
-        with self._lock:
-            procs = list(self._procs.values())
-        for proc in procs:
-            try:
-                proc.terminate()
-            except OSError:
-                pass
+        with self._wakeup:
+            self._stop.set()
+            self._wakeup.notify_all()
+        self.coordinator.stop()
         for thread in self._threads:
-            thread.join(timeout=timeout)
-        if self.coordinator is not None:
-            self.coordinator.stop()
+            thread.join()
 
     # -- submission / queries ------------------------------------------
     def submit(self, tenant: str, request: GridRequest) -> JobRecord:
@@ -146,14 +129,8 @@ class ExperimentService:
         on rejection, so a failing submission cannot occupy quota.
         """
         request.validate()
-        if request.dispatch == "remote" and self.coordinator is None:
-            raise ValueError(
-                "this service has no dispatch coordinator; start the "
-                "daemon with --dispatch remote to accept remote-dispatch "
-                "jobs"
-            )
         total = request.total_cells()
-        with self._lock:
+        with self._wakeup:
             self.quota.check_submit(tenant, self._jobs.values())
             job_id = self.ledger.next_job_id(self._jobs)
             record = JobRecord(
@@ -171,7 +148,7 @@ class ExperimentService:
             self.ledger.append_job(record)
             self._jobs[job_id] = record
             self._queue.append(job_id)
-        self._wake.set()
+            self._wakeup.notify()
         return record
 
     def job(self, job_id: str) -> JobRecord:
@@ -199,10 +176,10 @@ class ExperimentService:
         """Request cancellation; immediate for queued jobs.
 
         A queued job transitions to ``cancelled`` on the spot.  A running
-        job gets a cancel sentinel next to its store; the worker
-        subprocess notices between task completions and the final state
-        (with its partial, durable progress) lands when it exits.
-        Cancelling a terminal job raises :class:`JobError`.
+        job has its cancel flag set and its grid's connection closed; the
+        final state (with its partial, durable progress) lands once its
+        slot has reaped the job's local workers.  Cancelling a terminal
+        job raises :class:`JobError`.
         """
         with self._lock:
             record = self._jobs.get(job_id)
@@ -225,10 +202,11 @@ class ExperimentService:
             if record.state == "running":
                 record.cancel_requested = True
                 record.updated = time.time()
-                store_path = record.store(self.data_dir).path
-                sentinel = worker_mod.cancel_sentinel_path(store_path)
-                with open(sentinel, "w", encoding="utf-8") as handle:
-                    handle.write(job_id + "\n")
+                # Durable, so a restart does not run the job again.
+                self.ledger.append_state(
+                    job_id, "running", done=record.done, cancel_requested=True
+                )
+                self._running[job_id].dispatch.close()
                 return record
             raise JobError(
                 f"job {job_id!r} is already {record.state}; "
@@ -246,132 +224,144 @@ class ExperimentService:
         store = record.store(self.data_dir)
         return render_records(store.load_records(), format)
 
-    # -- worker pool ---------------------------------------------------
-    def _lease(self) -> Optional[JobRecord]:
-        with self._lock:
-            while self._queue:
+    # -- worker slots --------------------------------------------------
+    def _slot_loop(self) -> None:
+        while True:
+            with self._wakeup:
+                self._wakeup.wait_for(
+                    lambda: self._stop.is_set() or bool(self._queue)
+                )
+                if self._stop.is_set():
+                    return
                 job_id = self._queue.popleft()
                 record = self._jobs.get(job_id)
                 if record is None or record.state != "queued":
                     continue  # cancelled (or foreign) while queued
+                if record.cancel_requested:
+                    # Cancelled while running, then checkpointed or
+                    # requeued by a restart: nothing left to run.
+                    self._finish_locked(
+                        record, "cancelled", "cancelled before execution"
+                    )
+                    continue
                 record.state = "running"
                 record.updated = time.time()
                 self.ledger.append_state(job_id, "running", done=record.done)
-                return record
-        return None
+                run = self._running[job_id] = _JobRun(
+                    RemoteDispatch(
+                        coordinator=self.coordinator,
+                        kind=record.request.kind,
+                        workers=resolve_jobs(record.request.jobs),
+                    ),
+                    os.path.join(self.data_dir, ".dispatch", job_id),
+                )
+            self._execute(record, run)
 
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            record = self._lease()
-            if record is None:
-                self._wake.wait(timeout=self.poll_interval)
-                self._wake.clear()
-                continue
-            try:
-                self._execute(record)
-            except Exception as error:  # pragma: no cover - defensive
-                self._finish(record, "failed", detail=f"worker error: {error}")
-
-    def _execute(self, record: JobRecord) -> None:
-        store = record.store(self.data_dir)
-        sentinel = worker_mod.cancel_sentinel_path(store.path)
-        if os.path.exists(sentinel):
-            # A cancel left over for this shard (e.g. requested just as
-            # the previous daemon died): honour it, don't run the job.
-            os.unlink(sentinel)
-            if record.cancel_requested:
-                self._finish(record, "cancelled",
-                             detail="cancelled before execution")
-                return
-        log_path = store.path + ".log"
-        argv = [
-            sys.executable, "-m", "repro.service.worker",
-            "--ledger", self.ledger.path,
-            "--data-dir", self.data_dir,
-            "--job-id", record.job_id,
-        ]
-        if record.request.dispatch == "remote" and self.coordinator is not None:
-            host, port = self.coordinator.address
-            argv.extend(["--coordinator", f"{host}:{port}"])
-        with open(log_path, "ab") as log:
-            proc = subprocess.Popen(
-                argv, stdout=log, stderr=subprocess.STDOUT
-            )
-        with self._lock:
-            record.worker_pid = proc.pid
-            self._procs[record.job_id] = proc
-        try:
-            while True:
-                try:
-                    proc.wait(timeout=self.poll_interval)
-                    break
-                except subprocess.TimeoutExpired:
-                    self._refresh_progress(record, store)
-                    if self._stop.is_set():
-                        proc.terminate()
-        finally:
+    def _execute(self, record: JobRecord, run: _JobRun) -> None:
+        def progress(done: int, total: int) -> None:
             with self._lock:
-                self._procs.pop(record.job_id, None)
-        self._refresh_progress(record, store)
-        self._conclude(record, proc.returncode, log_path, sentinel)
-
-    def _refresh_progress(self, record: JobRecord, store: ExperimentStore) -> None:
-        """Task-level progress: the store's durable completed-key count."""
-        try:
-            done = len(store.completed_keys())
-        except OSError:  # pragma: no cover - transient fs error
-            return
-        with self._lock:
-            if done != record.done:
                 record.done = done
                 record.updated = time.time()
 
-    def _conclude(
-        self, record: JobRecord, returncode: Optional[int],
-        log_path: str, sentinel: str,
-    ) -> None:
-        if returncode == worker_mod.EXIT_DONE:
-            self._finish(record, "done")
-        elif returncode == worker_mod.EXIT_CANCELLED:
-            if os.path.exists(sentinel):
-                os.unlink(sentinel)
-            self._finish(
-                record, "cancelled",
-                detail=f"cancelled after {record.done}/{record.total} cells",
-            )
-        elif returncode == worker_mod.EXIT_CHECKPOINTED:
-            # Graceful shutdown checkpoint: back to the queue, durably;
-            # the next lease resumes from the store.
-            self._finish(record, "queued", detail="checkpointed on shutdown")
-            if not self._stop.is_set():
-                with self._lock:
-                    self._queue.append(record.job_id)
-                self._wake.set()
-        else:
-            detail = self._failure_detail(log_path, returncode)
-            self._finish(record, "failed", detail=detail)
-
-    @staticmethod
-    def _failure_detail(log_path: str, returncode: Optional[int]) -> str:
-        tail = ""
         try:
-            with open(log_path, "r", encoding="utf-8", errors="replace") as handle:
-                lines = handle.read().strip().splitlines()
-            tail = " | ".join(lines[-3:])
-        except OSError:
-            pass
-        detail = f"worker exited with code {returncode}"
-        return f"{detail}: {tail}" if tail else detail
+            run.spawn(self.coordinator.address)
+            execute_grid_request(
+                record.request,
+                store=record.store(self.data_dir),
+                resume=True,
+                dispatch=run.dispatch,
+                progress=progress,
+                should_stop=lambda: (
+                    record.cancel_requested or self._stop.is_set()
+                ),
+            )
+        except Exception as error:
+            interrupted = isinstance(error, (SweepCancelled, DispatchError))
+            if interrupted and record.cancel_requested:
+                state = "cancelled"
+                detail = f"cancelled after {record.done}/{record.total} cells"
+            elif interrupted and self._stop.is_set():
+                # Back to the queue, durably: the next daemon resumes the
+                # job from its store.
+                state, detail = "queued", "checkpointed on shutdown"
+            else:
+                state = "failed"
+                detail = run.lost or f"{type(error).__name__}: {error}"
+        else:
+            state, detail = "done", None
+        finally:
+            run.close()
+        with self._lock:
+            del self._running[record.job_id]
+            self._finish_locked(record, state, detail)
 
-    def _finish(
+    def _finish_locked(
         self, record: JobRecord, state: str, detail: Optional[str] = None
     ) -> None:
-        with self._lock:
-            record.state = state
-            record.updated = time.time()
-            if detail is not None:
-                record.detail = detail
-            self.ledger.append_state(
-                record.job_id, state, done=record.done, detail=detail,
-                cancel_requested=record.cancel_requested or None,
+        record.state = state
+        record.updated = time.time()
+        if detail is not None:
+            record.detail = detail
+        self.ledger.append_state(
+            record.job_id, state, done=record.done, detail=detail,
+            cancel_requested=record.cancel_requested or None,
+        )
+
+
+class _JobRun:
+    """A running job's grid connection and the local workers it brings.
+
+    Closing ``dispatch`` cancels the grid.  :meth:`spawn` starts
+    ``dispatch.jobs`` ``python -m repro.dispatch.worker HOST:PORT --once``
+    children that join the daemon's coordinator and write their shard
+    files under ``shard_dir``.  A child that exits before :meth:`close`
+    sets ``lost`` and closes ``dispatch``: the job fails instead of
+    waiting for cells nobody computes.
+    """
+
+    def __init__(self, dispatch: RemoteDispatch, shard_dir: str) -> None:
+        self.dispatch = dispatch
+        self.shard_dir = shard_dir
+        self.lost: Optional[str] = None
+        self.processes: List[subprocess.Popen] = []
+        self._watchers: List[threading.Thread] = []
+        self._closed = threading.Event()
+
+    def spawn(self, address) -> None:
+        host, port = address
+        for index in range(self.dispatch.jobs):
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.dispatch.worker",
+                    f"{host}:{port}",
+                    "--shard-dir", self.shard_dir,
+                    "--name", f"local-{index}",
+                    "--once",
+                ],
+                stdout=subprocess.DEVNULL,
             )
+            self.processes.append(proc)
+            watcher = threading.Thread(
+                target=self._watch,
+                args=(proc,),
+                name=f"repro-service-watch-{proc.pid}",
+                daemon=True,
+            )
+            self._watchers.append(watcher)
+            watcher.start()
+
+    def _watch(self, proc: subprocess.Popen) -> None:
+        code = proc.wait()
+        if not self._closed.is_set():
+            self.lost = f"a local dispatch worker exited with code {code}"
+            self.dispatch.close()
+
+    def close(self) -> None:
+        """Kill and reap the children, then delete their shard files:
+        the job store holds every cell they streamed back."""
+        self._closed.set()
+        for proc in self.processes:
+            proc.kill()
+        for watcher in self._watchers:
+            watcher.join()
+        shutil.rmtree(self.shard_dir, ignore_errors=True)

@@ -44,13 +44,7 @@ from repro.store.jsonl import (
     iter_jsonl_entries,
 )
 from repro.store.merge import merge_shards, shard_stats
-from repro.store.provenance import (
-    clear_run_context,
-    collect_provenance,
-    get_run_context,
-    git_describe,
-    set_run_context,
-)
+from repro.store.provenance import collect_provenance, git_describe
 from repro.store.records import (
     RECORD_FIELDS,
     SweepRecord,
@@ -71,9 +65,6 @@ __all__ = [
     "merge_shards",
     "shard_stats",
     "SCHEMA_VERSION",
-    "set_run_context",
-    "get_run_context",
-    "clear_run_context",
     "EXPORT_FORMATS",
     "export_records",
     "render_records",

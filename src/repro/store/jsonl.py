@@ -29,9 +29,9 @@ import os
 import platform
 import re
 import time
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.store.provenance import collect_provenance
+from repro.store.provenance import RUN_CONTEXT_KEYS, collect_provenance
 from repro.store.records import (
     SweepRecord,
     canonical_json,
@@ -222,13 +222,28 @@ class ExperimentStore:
     append opens the file, writes one line and flushes, so concurrent
     readers always see a prefix of complete lines and a crashed writer
     cannot hold the file hostage.
+
+    ``run_context`` (keys from :data:`RUN_CONTEXT_KEYS`: the experiment
+    service's submitting tenant and job id) is stamped on every run
+    header this store writes; records never carry it, so they stay
+    byte-identical to a local run.
     """
 
-    def __init__(self, path) -> None:
+    def __init__(self, path, run_context: Optional[Dict[str, Any]] = None) -> None:
         self.path = os.fspath(path)
+        self.run_context = dict(run_context or {})
+        unknown = set(self.run_context) - set(RUN_CONTEXT_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown run-context keys {sorted(unknown)} "
+                f"(allowed: {list(RUN_CONTEXT_KEYS)})"
+            )
 
     @classmethod
-    def namespaced(cls, root, tenant: str, name: str) -> "ExperimentStore":
+    def namespaced(
+        cls, root, tenant: str, name: str,
+        run_context: Optional[Dict[str, Any]] = None,
+    ) -> "ExperimentStore":
         """A store under ``root/tenant/name.jsonl`` (per-tenant namespacing).
 
         The experiment service gives every tenant its own directory so
@@ -246,7 +261,7 @@ class ExperimentStore:
         os.makedirs(directory, exist_ok=True)
         if not name.endswith(".jsonl"):
             name += ".jsonl"
-        return cls(os.path.join(directory, name))
+        return cls(os.path.join(directory, name), run_context=run_context)
 
     # -- low-level line access -----------------------------------------
     def exists(self) -> bool:
@@ -292,20 +307,6 @@ class ExperimentStore:
         """
         _, table = self._scan()
         return table
-
-    def completed_keys(self) -> FrozenSet[str]:
-        """Task keys of the completed cells, without parsing the records.
-
-        The cheap progress probe of the experiment service: a daemon
-        polls this while a worker appends, so it must not pay record
-        deserialization for every scan.  Tolerates concurrent appends
-        (it reads whatever complete prefix is on disk).
-        """
-        return frozenset(
-            entry["key"]
-            for entry in self.iter_entries()
-            if entry.get("kind") == "record" and "key" in entry
-        )
 
     def _scan(
         self,
@@ -360,7 +361,8 @@ class ExperimentStore:
         only when its grid signature matches -- resuming a store written
         for a different grid would silently mix incompatible records.
         The header stamps the run's execution ``config`` (see
-        :func:`repro.store.provenance.collect_provenance`).
+        :func:`repro.store.provenance.collect_provenance`) and this
+        store's ``run_context``.
         """
         header, completed = self._scan()
         if header is not None or completed:
@@ -375,7 +377,6 @@ class ExperimentStore:
                     f"store {self.path!r} holds a different grid "
                     f"(signature {previous} != {signature}); refusing to mix"
                 )
-        provenance = collect_provenance(config)
         self._append(
             {
                 "kind": "run",
@@ -386,7 +387,8 @@ class ExperimentStore:
                 "base_seed": base_seed,
                 "jobs": jobs,
                 "resume": bool(resume),
-                **provenance,
+                **collect_provenance(config),
+                **self.run_context,
             }
         )
         return {key: record for key, (_, record) in completed.items()}

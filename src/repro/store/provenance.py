@@ -14,47 +14,10 @@ import platform
 import subprocess
 from typing import Any, Dict, Optional
 
-#: Keys the experiment service may stamp onto run headers; anything else
-#: passed to :func:`set_run_context` is rejected so the header schema
-#: stays enumerable.
+#: Keys the experiment service may stamp onto run headers (an
+#: :class:`repro.store.ExperimentStore` ``run_context``); anything else is
+#: rejected so the header schema stays enumerable.
 RUN_CONTEXT_KEYS = ("tenant", "job_id")
-
-_RUN_CONTEXT: Dict[str, Any] = {}
-
-
-def set_run_context(**context: Any) -> Dict[str, Any]:
-    """Install service context (tenant, job id) stamped on run headers.
-
-    The experiment service sets this in each job's worker process before
-    executing the grid, so every run-attempt header records *who*
-    submitted the work and *which* job produced it -- records themselves
-    stay byte-identical to a local run (the context only reaches
-    headers, never records).  Returns the previous context so callers
-    can restore it; passing a key as ``None`` clears it.
-    """
-    unknown = set(context) - set(RUN_CONTEXT_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown run-context keys {sorted(unknown)} "
-            f"(allowed: {list(RUN_CONTEXT_KEYS)})"
-        )
-    previous = dict(_RUN_CONTEXT)
-    for key, value in context.items():
-        if value is None:
-            _RUN_CONTEXT.pop(key, None)
-        else:
-            _RUN_CONTEXT[key] = value
-    return previous
-
-
-def get_run_context() -> Dict[str, Any]:
-    """The currently installed service run context (may be empty)."""
-    return dict(_RUN_CONTEXT)
-
-
-def clear_run_context() -> None:
-    """Drop any installed service run context (used by tests)."""
-    _RUN_CONTEXT.clear()
 
 
 def git_describe(cwd: Optional[str] = None) -> Optional[str]:
@@ -96,7 +59,7 @@ def collect_provenance(config=None) -> Dict[str, Any]:
     from repro.config import resolve_config
 
     config = resolve_config(config)
-    provenance = {
+    return {
         "engine": config.engine,
         "schedule_backend": config.backend,
         "tier": config.tier,
@@ -104,8 +67,3 @@ def collect_provenance(config=None) -> Dict[str, Any]:
         "git": git_describe(),
         "python": platform.python_version(),
     }
-    # Service context (submitting tenant, job id) when a daemon worker
-    # installed one; absent for local runs so existing headers are
-    # unchanged byte-for-byte.
-    provenance.update(_RUN_CONTEXT)
-    return provenance

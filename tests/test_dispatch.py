@@ -26,7 +26,7 @@ import time
 import pytest
 
 import repro
-from repro.analysis.sweep import run_sweep_grid
+from repro.analysis.sweep import SweepCancelled, run_sweep_grid
 from repro.config import ExecutionConfig
 from repro.dispatch import (
     DISPATCH_NAMES,
@@ -48,7 +48,7 @@ from repro.dispatch.worker import (
 )
 from repro.faults import FaultModel
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
-from repro.store import merge_shards, render_records
+from repro.store import ExperimentStore, merge_shards, render_records
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -322,6 +322,44 @@ class TestRemoteEndToEnd:
         remote = _run_remote(specs, table, 5, str(tmp_path / "shards"),
                              workers=1, start_delay=0.4)
         assert remote == serial
+
+    def test_closed_client_trims_its_leaseholder(self, tmp_path):
+        # A client that stops mid-grid (a cancelled service job) closes
+        # its connection; the coordinator trims the leaseholder, which
+        # skips the rest of its shard instead of computing it.
+        specs, table = _grid()
+        coordinator = DispatchCoordinator(shard_size=8).start()
+        host, port = coordinator.address
+        shard_dir = str(tmp_path / "shards")
+        worker = threading.Thread(
+            target=run_worker, args=(host, port, shard_dir),
+            kwargs=dict(worker_id="w1", once=True, connect_wait=15.0,
+                        heartbeat_interval=0.5, throttle=0.2),
+            daemon=True,
+        )
+        worker.start()
+        done = []
+        try:
+            coordinator.wait_for_workers(1, timeout=30.0)
+            with pytest.raises(SweepCancelled):
+                run_sweep_grid(
+                    specs, table, base_seed=3,
+                    store=ExperimentStore(str(tmp_path / "run.jsonl")),
+                    dispatch=RemoteDispatch(coordinator=coordinator),
+                    progress=lambda count, total: done.append(count),
+                    should_stop=lambda: done[-1] >= 1,
+                )
+            deadline = time.monotonic() + 30
+            while coordinator.stats()["in_flight_shards"]:
+                assert time.monotonic() < deadline, "worker never freed"
+                time.sleep(0.02)
+            assert coordinator.stats()["trims_sent"] == 1
+        finally:
+            coordinator.stop()
+        worker.join(timeout=15.0)
+        (shard,) = os.listdir(shard_dir)
+        computed = ExperimentStore(os.path.join(shard_dir, shard)).completed()
+        assert len(computed) < len(specs) * len(table)
 
     def test_unreachable_coordinator_fails_loudly(self):
         specs, table = _grid(sizes=(10,))

@@ -76,6 +76,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             _request(sizes=(0,)).validate()
 
+    def test_non_integer_diameter(self):
+        with pytest.raises(ValueError, match="diameter must be an integer"):
+            _request(families=("controlled",), diameter="x").validate()
+
     def test_unknown_dispatch(self):
         with pytest.raises(ValueError, match="unknown dispatch backend"):
             _request(dispatch="carrier-pigeon").validate()
@@ -127,6 +131,16 @@ class TestRoundTrip:
         data = _request().to_dict()
         data["tir"] = "numpy"  # a typo must not silently drop a selection
         with pytest.raises(ValueError, match="unknown grid request fields"):
+            GridRequest.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("families", 5), ("families", "cycle"), ("sizes", 5),
+        ("sizes", [10.0]), ("sizes", [True]), ("algorithms", [["x"]]),
+        ("seed", [1]), ("seed", "3"), ("jobs", 1.5), ("jobs", False),
+    ])
+    def test_wrong_typed_field_rejected(self, field, value):
+        data = dict(_request().to_dict(), **{field: value})
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
             GridRequest.from_dict(data)
 
     def test_sequences_normalise_to_tuples(self):

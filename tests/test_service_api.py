@@ -10,6 +10,7 @@ progress, and a SIGKILLed daemon resumes its queue to the same bytes.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -18,7 +19,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.service import (
     ExperimentService,
     GridRequest,
@@ -28,7 +32,7 @@ from repro.service import (
     execute_grid_request,
     serve_api,
 )
-from repro.store import render_records
+from repro.store import ExperimentStore, render_records
 
 _REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -48,6 +52,14 @@ def _request(**overrides) -> GridRequest:
     return GridRequest(**base)
 
 
+def _wait_until(predicate, timeout: float = 60.0) -> None:
+    """Poll daemon state until ``predicate()`` holds (fails past ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "daemon state never reached"
+        time.sleep(0.02)
+
+
 def _local_export(request: GridRequest) -> str:
     """The canonical export of running ``request`` locally, serially.
 
@@ -61,10 +73,8 @@ def _local_export(request: GridRequest) -> str:
 
 @pytest.fixture
 def live(tmp_path):
-    """A started daemon + HTTP server + client (small poll interval)."""
-    service = ExperimentService(
-        tmp_path / "data", workers=2, poll_interval=0.05
-    )
+    """A started daemon + HTTP server + client."""
+    service = ExperimentService(tmp_path / "data", workers=2)
     service.start()
     server = serve_api(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -246,8 +256,8 @@ class TestExecution:
 
     def test_jobs_with_different_selections_isolated(self, live):
         # two concurrent jobs with *different* engine/backend selections:
-        # per-job process isolation must keep the selections apart, and
-        # both exports must still match plain local runs (selections
+        # each grid carries its own selections, which must stay apart,
+        # and both exports must still match plain local runs (selections
         # change wall-clock, never bytes).
         client, _ = live
         a = client.submit("alice", _request(engine="sparse"))["job_id"]
@@ -390,8 +400,8 @@ class TestMetrics:
         assert 'repro_service_worker_slots{state="total"} 2' in body
         assert 'repro_service_worker_slots{state="available"} 2' in body
         assert "repro_service_queued_jobs 0" in body
-        # no coordinator, so no dispatch-worker gauge
-        assert "repro_service_dispatch_workers" not in body
+        # the daemon always owns a coordinator; nothing has registered
+        assert "repro_service_dispatch_workers 0" in body
 
     def test_counts_follow_the_ledger(self, idle):
         client, _ = idle  # daemon not started: jobs stay queued
@@ -415,20 +425,10 @@ class TestMetrics:
 
 
 class TestRemoteDispatchJobs:
-    def test_remote_submit_rejected_without_coordinator(self, live):
-        client, _ = live
-        with pytest.raises(ServiceClientError) as info:
-            client.submit("alice", _request(dispatch="remote"))
-        assert info.value.status == 400
-        assert "no dispatch coordinator" in info.value.message
-
     def test_remote_job_byte_identical_via_daemon_coordinator(self, tmp_path):
         """A daemon owning a coordinator fans a remote-dispatch job out to
         a joined worker; the export must match a plain local run."""
-        service = ExperimentService(
-            tmp_path / "data", workers=1, poll_interval=0.05,
-            dispatch="remote",
-        )
+        service = ExperimentService(tmp_path / "data", workers=1)
         service.start()
         server = serve_api(service, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -469,3 +469,224 @@ class TestRemoteDispatchJobs:
                 worker.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 worker.kill()
+
+
+class TestRunContext:
+    def test_concurrent_jobs_stamp_their_own_context(self, live):
+        # Two jobs running at once in one daemon process: each store
+        # header must carry its own tenant and job id.
+        client, service = live
+        jobs = {
+            tenant: service.submit(tenant, GridRequest(**_SLOW)).job_id
+            for tenant in ("alice", "bob")
+        }
+        stores = {
+            job_id: service.job(job_id).store(service.data_dir)
+            for job_id in jobs.values()
+        }
+        _wait_until(lambda: all(
+            service.job(job_id).state == "running"
+            and store.latest_header() is not None
+            for job_id, store in stores.items()
+        ))
+        for tenant, job_id in jobs.items():
+            header = stores[job_id].latest_header()
+            assert (header["tenant"], header["job_id"]) == (tenant, job_id)
+            client.cancel(job_id)
+        for job_id in jobs.values():
+            assert client.watch(job_id, poll=0.05, timeout=60)["state"] == \
+                "cancelled"
+
+    def test_local_sweep_header_has_no_service_context(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        assert main(["sweep", "--families", "cycle", "--sizes", "10",
+                     "--algorithms", "two_approx", "--out", path]) == 0
+        header = ExperimentStore(path).latest_header()
+        assert "tenant" not in header and "job_id" not in header
+
+    def test_unknown_context_key_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="run-context"):
+            ExperimentStore(tmp_path / "run.jsonl", run_context={"user": "x"})
+
+
+class TestShutdown:
+    def test_stop_is_bounded_clean_and_resumable(self, tmp_path):
+        before = set(threading.enumerate())
+        data_dir = tmp_path / "data"
+        request = GridRequest(**_SLOW)
+        service = ExperimentService(data_dir, workers=1)
+        service.start()
+        job_id = service.submit("alice", request).job_id
+        _wait_until(lambda: service.job(job_id).done >= 1)
+        local_workers = list(service._running[job_id].processes)
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 15.0
+        leaked = [
+            thread.name for thread in threading.enumerate()
+            if thread not in before
+            and thread.name.startswith(("repro-service-", "dispatch-"))
+        ]
+        assert leaked == []
+        assert local_workers
+        assert all(proc.returncode is not None for proc in local_workers)
+        record = service.job(job_id)
+        assert (record.state, record.detail) == (
+            "queued", "checkpointed on shutdown"
+        )
+        assert os.listdir(data_dir / ".dispatch") == []
+
+        restarted = ExperimentService(data_dir, workers=1)
+        restarted.start()
+        try:
+            _wait_until(lambda: restarted.job(job_id).state == "done")
+            assert restarted.results_text(job_id) == _local_export(request)
+        finally:
+            restarted.stop()
+
+
+def _running_processes(service, job_id, count=1):
+    """The local worker processes of a running job, once ``count`` are up."""
+    _wait_until(lambda: len(getattr(
+        service._running.get(job_id), "processes", ())) >= count)
+    return list(service._running[job_id].processes)
+
+
+class TestLocalWorkers:
+    def test_job_brings_its_jobs_count_and_cleans_up(self, live):
+        client, service = live
+        request = GridRequest(**dict(_SLOW, jobs=2))
+        job_id = client.submit("alice", request)["job_id"]
+        processes = _running_processes(service, job_id, count=2)
+        assert len(processes) == 2
+        status = client.watch(job_id, poll=0.05, timeout=120)
+        assert status["state"] == "done"
+        assert client.results(job_id) == _local_export(request)
+        # Once the daemon is idle: children reaped, no shard files left.
+        assert all(proc.returncode is not None for proc in processes)
+        assert os.listdir(os.path.join(service.data_dir, ".dispatch")) == []
+
+    def test_dead_local_worker_fails_the_job(self, live):
+        client, service = live
+        job_id = client.submit("alice", GridRequest(**_SLOW))["job_id"]
+        _wait_until(lambda: service.job(job_id).done >= 1)
+        (worker,) = _running_processes(service, job_id)
+        os.kill(worker.pid, signal.SIGKILL)
+        status = client.watch(job_id, poll=0.05, timeout=60)
+        assert status["state"] == "failed"
+        assert status["detail"] == (
+            "a local dispatch worker exited with code -9"
+        )
+        assert client.capacity()["used"] == {"workers": 0}
+        # The slot is free again: the next job runs to completion.
+        follow_up = client.submit("alice", _request())["job_id"]
+        assert client.watch(follow_up, poll=0.05, timeout=60)["state"] == "done"
+
+    def test_cancel_takes_effect_while_cells_stall(self, live):
+        client, service = live
+        job_id = client.submit("alice", GridRequest(**_SLOW))["job_id"]
+        _wait_until(lambda: service.job(job_id).done >= 1)
+        (worker,) = _running_processes(service, job_id)
+        os.kill(worker.pid, signal.SIGSTOP)  # alive, but no cell arrives
+        client.cancel(job_id)
+        # The request is durable before the job ends ...
+        assert service.ledger.replay()[job_id].cancel_requested is True
+        status = client.watch(job_id, poll=0.05, timeout=30)
+        # ... and takes effect without another cell completing.
+        assert status["state"] == "cancelled"
+        assert worker.returncode == -signal.SIGKILL
+
+    @pytest.mark.parametrize("state,detail", [
+        ("running", None),
+        ("queued", "checkpointed on shutdown"),
+    ])
+    def test_cancel_requested_job_not_rerun_after_restart(
+        self, tmp_path, state, detail
+    ):
+        # A cancel requested while the job ran, then a crash (stale
+        # running lease) or a shutdown checkpoint: the next daemon must
+        # not compute a single cell of it.
+        data_dir = tmp_path / "data"
+        service = ExperimentService(data_dir, workers=1)
+        job_id = service.submit("alice", _request()).job_id
+        service.ledger.append_state(
+            job_id, state, done=0, detail=detail, cancel_requested=True
+        )
+        restarted = ExperimentService(data_dir, workers=1)
+        restarted.start()
+        try:
+            _wait_until(lambda: restarted.job(job_id).state == "cancelled")
+            assert restarted.job(job_id).detail == "cancelled before execution"
+            assert restarted.results_text(job_id) == ""
+        finally:
+            restarted.stop()
+
+
+def _raw_post(url: str, body: bytes, length: str) -> int:
+    """POST /jobs with a raw body and Content-Length; returns the status."""
+    import http.client
+    from urllib.parse import urlparse
+
+    parsed = urlparse(url)
+    connection = http.client.HTTPConnection(
+        parsed.hostname, parsed.port, timeout=10
+    )
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: Request objects that mutate one valid field at a time, so hypothesis
+#: reaches deep into validation as well as the type checks.
+_REQUESTS = st.builds(
+    lambda base, key, value: dict(base, **{key: value}),
+    st.just(_request().to_dict()),
+    st.sampled_from(sorted(_request().to_dict()) + ["bogus"]),
+    _JSON,
+) | _JSON
+_BODIES = st.fixed_dictionaries({}, optional={
+    "tenant": st.sampled_from(["alice", "../evil", ""]) | _JSON,
+    "request": _REQUESTS,
+}) | _JSON
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize(
+        "payload",
+        [{"sizes": 5}, {"families": 5}, {"seed": [1]}, {"jobs": "2"},
+         {"diameter": "x"}, {"algorithms": [["two_approx"]]}],
+    )
+    def test_wrong_typed_fields_400(self, idle, payload):
+        client, _ = idle
+        request = dict(_request().to_dict(), **payload)
+        with pytest.raises(ServiceClientError) as info:
+            client._json("POST", "/jobs", {"tenant": "alice", "request": request})
+        assert (info.value.status, info.value.code) == (400, "invalid_request")
+
+    @pytest.mark.parametrize("length", ["abc", "-5", str(1 << 21)])
+    def test_bad_content_length_400(self, idle, length):
+        client, _ = idle
+        assert _raw_post(client.base_url, b"{}", length) == 400
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_BODIES)
+    def test_every_body_gets_a_response(self, idle, body):
+        client, _ = idle
+        encoded = json.dumps(body).encode("utf-8")
+        status = _raw_post(client.base_url, encoded, str(len(encoded)))
+        assert status in (201, 400, 429)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     GridRequest,
@@ -124,6 +126,26 @@ class TestLedgerReplay:
         assert set(replayed) == {"job-000001"}
         assert replayed["job-000001"].state == "queued"
 
+    def test_wrong_typed_state_fields_skipped(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        ledger = JobLedger(path)
+        ledger.append_job(_record())
+        with open(path, "a", encoding="utf-8") as handle:
+            for extra in ({"done": "x"}, {"at": None}, {"detail": 5},
+                          {"cancel_requested": "yes"}, {"done": True}):
+                entry = {"kind": "state", "job_id": "job-000001",
+                         "state": "done", "done": 1, "at": 0, **extra}
+                handle.write(json.dumps(entry) + "\n")
+        assert ledger.replay()["job-000001"].state == "queued"
+
+    def test_old_worker_pid_key_ignored(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        ledger = JobLedger(path)
+        ledger.append_job(_record())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "state", "job_id": "job-000001", "state": "running", "done": 0, "at": 1.0, "worker_pid": 4242}\n')
+        assert ledger.replay()["job-000001"].state == "running"
+
     def test_unknown_state_rejected_on_write(self, tmp_path):
         ledger = JobLedger(tmp_path / "jobs.jsonl")
         with pytest.raises(ValueError, match="unknown job state"):
@@ -225,3 +247,89 @@ class TestNamespacedStore:
     def test_namespaced_appends_extension(self, tmp_path):
         store = ExperimentStore.namespaced(str(tmp_path), "alice", "run")
         assert store.path.endswith("run.jsonl")
+
+
+#: A value of each JSON type, for replacing a field with the wrong one.
+_JSON_VALUES = {
+    "str": st.text(max_size=5),
+    "int": st.integers(-3, 3),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "list": st.lists(st.integers(), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+#: The JSON types each ledger field may *not* have.
+_WRONG_TYPES = {
+    "job_id": ("int", "null", "list", "dict", "bool"),
+    "tenant": ("int", "null", "list", "dict", "bool"),
+    "store_name": ("int", "null", "list", "dict", "bool"),
+    "request": ("str", "int", "null", "list", "bool"),
+    "total": ("str", "float", "null", "list", "dict", "bool"),
+    "created": ("str", "null", "list", "dict", "bool"),
+    "state": ("int", "null", "list", "dict", "bool"),
+    "done": ("str", "float", "null", "list", "dict", "bool"),
+    "at": ("str", "null", "list", "dict", "bool"),
+    "detail": ("int", "float", "list", "dict", "bool"),
+    "cancel_requested": ("str", "int", "null", "list", "dict"),
+}
+_JOB_FIELDS = ("job_id", "tenant", "store_name", "request", "total", "created")
+_STATE_FIELDS = ("job_id", "state", "done", "at", "detail", "cancel_requested")
+
+
+def _wrong_value(field):
+    return st.sampled_from(_WRONG_TYPES[field]).flatmap(_JSON_VALUES.get)
+
+
+def _mistyped(entry, fields):
+    return st.sampled_from(fields).flatmap(
+        lambda field: _wrong_value(field).map(
+            lambda value: json.dumps(dict(entry, **{field: value}))
+        )
+    )
+
+
+#: Lines that must never change a replay: garbage text, non-object JSON,
+#: unknown kinds, and job/state entries with one wrong-typed field.
+_MALFORMED = st.one_of(
+    st.text(max_size=20).filter(lambda text: "\n" not in text and "\r" not in text),
+    st.sampled_from(["[1, 2]", "7", '"job"', "null", "{", "{}"]),
+    st.builds(lambda kind: json.dumps({"kind": kind, "job_id": "job-000001",
+                                       "state": "done", "done": 1}),
+              st.text(max_size=5).filter(lambda kind: kind not in ("job", "state"))),
+    _mistyped({"kind": "job", "schema": 1, "job_id": "job-000009",
+               "tenant": "alice", "request": _request().to_dict(),
+               "store_name": "job-000009.jsonl", "total": 1, "created": 1.0},
+              _JOB_FIELDS),
+    _mistyped({"kind": "state", "job_id": "job-000001", "state": "failed",
+               "done": 1, "at": 5.0, "detail": "x", "cancel_requested": True},
+              _STATE_FIELDS),
+)
+
+
+class TestLedgerGarbageProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), _MALFORMED), max_size=6))
+    def test_malformed_lines_never_change_replay(self, tmp_path_factory, junk):
+        directory = tmp_path_factory.mktemp("ledger")
+        clean = JobLedger(directory / "clean.jsonl")
+        dirty = JobLedger(directory / "dirty.jsonl")
+        for ledger in (clean, dirty):
+            ledger.append_job(_record())
+            ledger.append_job(_record(job_id="job-000002", tenant="bob"))
+            ledger.append_state("job-000001", "running", done=0)
+            ledger.append_state("job-000002", "cancelled", done=0,
+                                detail="stop", cancel_requested=True)
+        lines = open(dirty.path, encoding="utf-8").read().splitlines()
+        for position, line in sorted(junk, key=lambda item: -item[0]):
+            lines.insert(position, line)
+        with open(dirty.path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        replayed = dirty.replay()
+        expected = clean.replay()
+        assert {job_id: (r.state, r.done, r.detail, r.cancel_requested,
+                         r.tenant, r.request)
+                for job_id, r in replayed.items()} == \
+            {job_id: (r.state, r.done, r.detail, r.cancel_requested,
+                      r.tenant, r.request)
+             for job_id, r in expected.items()}

@@ -1,9 +1,8 @@
 """Concurrent-access tests for the experiment store and its writer lock.
 
 The experiment service turned the store from a single-process file into
-a shared resource: a daemon thread polls ``completed_keys()`` while a
-worker subprocess appends records, and two processes must never
-interleave writes.  These tests pin the two halves of that contract:
+a shared resource: the daemon serves a job's partial records while the
+job appends them, and two processes must never interleave writes.  These tests pin the two halves of that contract:
 
 * **readers during writes** -- a reader scanning mid-append (or after a
   crash truncated the tail mid-record) sees every complete record and
@@ -85,7 +84,7 @@ class TestReaderDuringWrites:
                 store = ExperimentStore(path)
                 if store.exists():
                     records = store.load_records()
-                    keys = store.completed_keys()
+                    keys = store.completed()
                     # every scanned record is complete and well-formed
                     for index, record in enumerate(records):
                         assert record == _record(index)
@@ -110,7 +109,7 @@ class TestReaderDuringWrites:
 
         survivors = ExperimentStore(path).load_records()
         assert survivors == [_record(0), _record(1)]
-        assert ExperimentStore(path).completed_keys() == {"key-0", "key-1"}
+        assert set(ExperimentStore(path).completed()) == {"key-0", "key-1"}
 
         # the newline guard must keep the next append parseable: the
         # partial line is terminated first, then the new record lands
