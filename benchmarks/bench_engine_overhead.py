@@ -28,6 +28,7 @@ import time
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.multi_source_bfs import run_multi_source_bfs
 from repro.congest.network import Network
+from repro.engine import DenseScheduler, SparseScheduler
 from repro.graphs import generators
 
 #: Size of the path gadget driving the headline measurement.
@@ -50,16 +51,16 @@ def _metric_snapshot(metrics):
     }
 
 
-def _time_bfs(graph, engine):
-    network = Network(graph, engine=engine)
+def _time_bfs(graph, scheduler):
+    network = Network(graph, scheduler=scheduler())
     start = time.perf_counter()
     tree = run_bfs_tree(network, graph.nodes()[0])
     elapsed = time.perf_counter() - start
     return elapsed, tree
 
 
-def _time_multi_source(graph, sources, engine):
-    network = Network(graph, engine=engine)
+def _time_multi_source(graph, sources, scheduler):
+    network = Network(graph, scheduler=scheduler())
     start = time.perf_counter()
     result = run_multi_source_bfs(network, sources)
     elapsed = time.perf_counter() - start
@@ -76,8 +77,8 @@ def run_benchmark(path_nodes: int = PATH_NODES, smoke: bool = False) -> dict:
     # Workload 1: single-source BFS on the path gadget (the acceptance
     # criterion: sparse must be >= 3x faster with identical metrics).
     path = generators.path_graph(path_nodes)
-    dense_seconds, dense_tree = _time_bfs(path, "dense")
-    sparse_seconds, sparse_tree = _time_bfs(path, "sparse")
+    dense_seconds, dense_tree = _time_bfs(path, DenseScheduler)
+    sparse_seconds, sparse_tree = _time_bfs(path, SparseScheduler)
     if dense_tree.distance != sparse_tree.distance:
         raise AssertionError("engines disagree on BFS distances")
     if _metric_snapshot(dense_tree.metrics) != _metric_snapshot(sparse_tree.metrics):
@@ -95,8 +96,12 @@ def run_benchmark(path_nodes: int = PATH_NODES, smoke: bool = False) -> dict:
     # driven queue draining; denser activity, smaller but real win).
     chain = generators.clique_chain(num_cliques=num_cliques, clique_size=clique_size)
     sources = chain.nodes()[:8]
-    dense_seconds, dense_ms = _time_multi_source(chain, sources, "dense")
-    sparse_seconds, sparse_ms = _time_multi_source(chain, sources, "sparse")
+    dense_seconds, dense_ms = _time_multi_source(
+        chain, sources, DenseScheduler
+    )
+    sparse_seconds, sparse_ms = _time_multi_source(
+        chain, sources, SparseScheduler
+    )
     if dense_ms.distances != sparse_ms.distances:
         raise AssertionError("engines disagree on multi-source BFS distances")
     if _metric_snapshot(dense_ms.metrics) != _metric_snapshot(sparse_ms.metrics):

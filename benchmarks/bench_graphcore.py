@@ -39,6 +39,7 @@ import time
 
 from repro.algorithms.bfs import run_bfs_tree
 from repro.congest.network import Network
+from repro.engine import DenseScheduler, SparseScheduler
 from repro.graphs import generators
 
 #: Node count of the headline all-eccentricities workload.
@@ -119,8 +120,9 @@ def _bench_engine_rounds(nodes: int) -> dict:
     graph = generators.path_graph(nodes)
     results = {}
     trees = {}
-    for engine in ("dense", "sparse"):
-        network = Network(graph, engine=engine)
+    schedulers = {"dense": DenseScheduler, "sparse": SparseScheduler}
+    for engine, scheduler in schedulers.items():
+        network = Network(graph, scheduler=scheduler())
         seconds, tree = _time(lambda: run_bfs_tree(network, graph.nodes()[0]))
         trees[engine] = tree
         results[f"{engine}_seconds"] = round(seconds, 6)

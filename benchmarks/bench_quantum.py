@@ -56,7 +56,16 @@ from repro.core.exact_diameter import (
 )
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
-from repro.quantum.backend import SCHEDULE_BACKENDS
+from repro.quantum.backend import (
+    BatchedScheduleBackend,
+    SamplingScheduleBackend,
+)
+
+#: The sampling reference and the batched production backend, by name.
+BACKENDS = {
+    "sampling": SamplingScheduleBackend(),
+    "batched": BatchedScheduleBackend(),
+}
 
 #: Node count of the headline schedule workload (the issue bar: n >= 500).
 SCHEDULE_NODES = 3000
@@ -92,7 +101,7 @@ def _prepare_schedule(nodes: int, variant: str):
     touch every branch exactly once).
     """
     graph = generators.family_for_sweep("random_sparse", nodes, seed=17)
-    network = Network(graph, engine="sparse")
+    network = Network(graph)
     problem = ExactDiameterProblem(
         network,
         variant=variant,
@@ -111,8 +120,7 @@ def _bench_schedule(nodes: int, variant: str, seeds: int) -> dict:
     timings = {"sampling": [], "batched": []}
     for _ in range(REPEATS):
         results = {}
-        for name in ("sampling", "batched"):
-            backend = SCHEDULE_BACKENDS[name]
+        for name, backend in BACKENDS.items():
             start = time.perf_counter()
             results[name] = [
                 backend.run_maximum_finding(
@@ -153,10 +161,11 @@ def _bench_end_to_end(nodes: int) -> dict:
     graph = generators.family_for_sweep("clique_chain", nodes, seed=5)
     timings = {}
     results = {}
-    for name in ("sampling", "batched"):
+    for name, backend in BACKENDS.items():
         start = time.perf_counter()
         results[name] = quantum_exact_diameter(
-            Network(graph), oracle_mode=ORACLE_REFERENCE, seed=11, backend=name
+            Network(graph), oracle_mode=ORACLE_REFERENCE, seed=11,
+            backend=backend,
         )
         timings[name] = time.perf_counter() - start
     sampling, batched = results["sampling"], results["batched"]
@@ -192,7 +201,6 @@ def _bench_problems(nodes: int) -> dict:
             Network(graph, seed=1),
             oracle_mode=ORACLE_REFERENCE,
             seed=3,
-            backend="batched",
         )
         seconds = time.perf_counter() - start
         truth = info.oracle(graph)

@@ -43,7 +43,7 @@ from repro.analysis.sweep import run_sweep_grid
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 from repro.engine.engine import ExecutionEngine
-from repro.engine.scheduler import make_scheduler
+from repro.engine.scheduler import DenseScheduler
 from repro.engine.transport import Transport
 from repro.graphs import generators
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
@@ -139,12 +139,12 @@ class LegacyTransport(Transport):
 
 
 def _network_with_transport(graph, transport_cls):
-    network = Network(graph, engine="dense")
+    network = Network(graph, scheduler=DenseScheduler())
     transport = transport_cls(
         network.graph, network.bandwidth_bits, network.strict_bandwidth
     )
     network._engine = ExecutionEngine(
-        network, make_scheduler("dense"), transport=transport
+        network, DenseScheduler(), transport=transport
     )
     return network
 

@@ -5,30 +5,10 @@ from __future__ import annotations
 import pytest
 
 import repro.config
-from repro.names import BACKEND_NAMES, ENGINE_NAMES, TIER_NAMES
+from repro.names import TIER_NAMES
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--engine",
-        default=None,
-        choices=ENGINE_NAMES,
-        help=(
-            "execution engine for all CONGEST networks built by the "
-            "benchmarks: 'dense' (seed behaviour) or 'sparse' (event-driven; "
-            "identical metrics, idle nodes skipped)"
-        ),
-    )
-    parser.addoption(
-        "--backend",
-        default=None,
-        choices=BACKEND_NAMES,
-        help=(
-            "quantum schedule backend for all quantum workloads: "
-            "'sampling' (seed behaviour) or 'batched' (precomputed "
-            "rotation statistics; identical results, faster schedules)"
-        ),
-    )
     parser.addoption(
         "--tier",
         default=None,
@@ -61,20 +41,17 @@ def pytest_addoption(parser):
 
 @pytest.fixture(autouse=True)
 def _execution_config(request):
-    """Honour ``--engine/--backend/--tier`` by replacing the default config.
+    """Honour ``--tier`` by replacing the default config.
 
     The benchmarks build their networks deep inside workload helpers, so
-    the selections ride on :data:`repro.config.DEFAULT_CONFIG` (which
-    every network and quantum schedule built without an explicit
-    configuration resolves) rather than a parameter threaded through
-    every call; the previous default is restored after each test.
+    the selection rides on :data:`repro.config.DEFAULT_CONFIG` (which
+    every network built without an explicit configuration resolves)
+    rather than a parameter threaded through every call; the previous
+    default is restored after each test.
     """
     previous = repro.config.DEFAULT_CONFIG
     repro.config.DEFAULT_CONFIG = repro.config.resolve_config(
-        previous,
-        engine=request.config.getoption("--engine"),
-        backend=request.config.getoption("--backend"),
-        tier=request.config.getoption("--tier"),
+        previous, tier=request.config.getoption("--tier")
     )
     try:
         yield

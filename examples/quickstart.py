@@ -60,20 +60,13 @@ def main() -> None:
         f"{quantum.memory_bits_per_node} (qu)bits of memory per node."
     )
 
-    # The quantum schedule backends ("sampling" and "batched") are proven
-    # byte-identical, so picking the fast one changes wall-clock only --
-    # here both compute the exact radius from the same seed.
-    radius_sampling = quantum_exact_radius(
-        graph, oracle_mode="congest", seed=3, backend="sampling"
-    )
-    radius_batched = quantum_exact_radius(
-        graph, oracle_mode="congest", seed=3, backend="batched"
-    )
-    assert radius_sampling.radius == radius_batched.radius == graph.compile().radius()
-    assert radius_sampling.counts == radius_batched.counts
+    # The same Theorem-7 framework also computes the exact radius, here
+    # with every branch value evaluated on the simulated network.
+    radius = quantum_exact_radius(graph, oracle_mode="congest", seed=3)
+    assert radius.radius == graph.compile().radius()
     print(
-        f"\nquantum exact radius (Theorem-7 framework): {radius_batched.radius} "
-        f"in {radius_batched.rounds} rounds -- identical on both schedule backends."
+        f"\nquantum exact radius (Theorem-7 framework): {radius.radius} "
+        f"in {radius.rounds} rounds."
     )
 
     print("\nTable 1 of the paper, evaluated at this (n, D):\n")

@@ -16,10 +16,10 @@ times, and delayed announcements can only *improve* a node's distance
 correct whenever every node hears from a shortest-path predecessor at
 least once.
 
-Determinism across engines.  Retry instants are absolute round numbers
+Determinism across schedulers.  Retry instants are absolute round numbers
 stored on the node and compared against ``round_number`` in ``on_round``:
 the dense scheduler polls every node every round and the sparse
-scheduler wakes the node exactly at the stored round, so all engines
+scheduler wakes the node exactly at the stored round, so both
 execute identical retry sequences.  On a fault-free network the retry
 budget still runs to completion (a node cannot locally detect that the
 network is reliable), costing a constant factor in messages and

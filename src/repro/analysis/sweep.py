@@ -50,7 +50,7 @@ exact algorithms).  Sweeps of pure approximation algorithms leave
 guarantees are validated opportunistically.
 
 Execution configuration: the grid's :class:`repro.config.ExecutionConfig`
-(engine, schedule backend, compute tier, fault model) travels in the task
+(compute tier and fault model) travels in the task
 context, so every cell -- serial, pooled or remote -- builds its networks
 and runs its oracles under the same selections.  When its fault model is
 non-null (the ``repro sweep --loss/--crash/--churn`` flags) the networks

@@ -14,11 +14,6 @@ Print Table 1 evaluated at a given size::
 
     python -m repro table1 --nodes 100000 --diameter 50
 
-Run on the event-driven execution engine (idle nodes are skipped; same
-results, asymptotically faster for wave-style algorithms)::
-
-    python -m repro diameter --family clique_chain --nodes 24 --engine sparse
-
 Sweep a grid of graph families and sizes over the standard algorithms,
 fanned out over 4 worker processes (records are byte-identical to a
 serial run)::
@@ -34,14 +29,13 @@ resume it after an interruption, and export the result::
     python -m repro export --store run.jsonl --format csv --out run.csv
 
 Run every registered Theorem-7 quantum problem (exact diameter, the
-3/2-approximation, exact radius, single-source eccentricity) on the
-batched schedule backend, persisting records like a sweep (the stores of
-``quantum`` and ``sweep`` are interoperable -- same task keys, same seed
-streams)::
+3/2-approximation, exact radius, single-source eccentricity), persisting
+records like a sweep (the stores of ``quantum`` and ``sweep`` are
+interoperable -- same task keys, same seed streams)::
 
     python -m repro quantum --list
     python -m repro quantum --families clique_chain --sizes 24,48 \
-        --backend batched --out quantum.jsonl
+        --out quantum.jsonl
 
 Start-up: building the parser imports only :mod:`repro.names`; each
 command handler imports the layers it runs, so ``repro export`` never
@@ -62,9 +56,7 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.names import (
-    BACKEND_NAMES,
     DISPATCH_NAMES,
-    ENGINE_NAMES,
     EXPORT_FORMATS,
     QUANTUM_PROBLEM_NAMES,
     SHARD_POLICIES,
@@ -89,17 +81,15 @@ def _build_graph(args: argparse.Namespace):
 
 
 def _execution_config(args: argparse.Namespace):
-    """The execution configuration selected by ``--engine/--backend/--tier``.
+    """The execution configuration selected by ``--tier``.
 
-    Unset flags keep :data:`repro.config.DEFAULT_CONFIG`.  Results are
-    independent of all three (byte-identical), so the flags only affect
+    An unset flag keeps :data:`repro.config.DEFAULT_CONFIG`.  Results are
+    independent of the tier (byte-identical), so the flag only affects
     wall-clock.
     """
     from repro.config import resolve_config
 
-    return resolve_config(
-        None, engine=args.engine, backend=args.backend, tier=args.tier
-    )
+    return resolve_config(None, tier=args.tier)
 
 
 def _quantum_seeds(seed: int):
@@ -220,8 +210,6 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
         diameter=args.diameter,
         seed=args.seed,
         jobs=args.jobs,
-        engine=args.engine,
-        backend=args.backend,
         tier=args.tier,
         dispatch=args.dispatch,
         fault=fault_model_from_flags(
@@ -850,20 +838,6 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
         ),
     )
     sub.add_argument(
-        "--engine", default=None, choices=ENGINE_NAMES,
-        help=(
-            "execution engine for the CONGEST simulator (results are "
-            "engine-independent; default: dense)"
-        ),
-    )
-    sub.add_argument(
-        "--backend", default=None, choices=BACKEND_NAMES,
-        help=(
-            "quantum schedule backend for quantum algorithms in the grid "
-            "(results are backend-independent; default: sampling)"
-        ),
-    )
-    sub.add_argument(
         "--tier", default=None, choices=TIER_NAMES,
         help=(
             "compute tier for the correctness-gate oracles (results are "
@@ -1043,23 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--oracle-mode", default="reference", choices=("reference", "congest"),
             help="how quantum branch values are evaluated (default: reference)",
-        )
-        sub.add_argument(
-            "--engine", default=None, choices=ENGINE_NAMES,
-            help=(
-                "execution engine for the CONGEST simulator: 'dense' runs "
-                "every node every round, 'sparse' skips idle nodes "
-                "(default: dense)"
-            ),
-        )
-        sub.add_argument(
-            "--backend", default=None, choices=BACKEND_NAMES,
-            help=(
-                "quantum schedule backend: 'sampling' re-derives the "
-                "Grover statistics every round, 'batched' precomputes "
-                "them; results are identical for a fixed seed "
-                "(default: sampling)"
-            ),
         )
         sub.add_argument(
             "--tier", default=None, choices=TIER_NAMES,

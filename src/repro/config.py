@@ -1,12 +1,19 @@
 """The execution configuration every grid runs under.
 
-Four settings select *how* a run is executed without changing *what* it
-computes: the CONGEST execution engine, the quantum schedule backend, the
-compute tier of the graph oracles and the fault model.  The first three
-are proven byte-identical across their choices; the fault model is part
-of a record's identity (see :func:`repro.analysis.sweep.sweep_task_key`).
+Two settings shape a run: the compute tier of the graph oracles and the
+fault model.  The tier selects *how* the oracles compute without changing
+*what* they return (the tiers are proven byte-identical); the fault model
+is part of a record's identity (see
+:func:`repro.analysis.sweep.sweep_task_key`).  The CONGEST simulator
+always runs the event-driven :class:`repro.engine.SparseScheduler` and
+the quantum layer always the
+:class:`repro.quantum.backend.BatchedScheduleBackend`; their references
+(:class:`repro.engine.DenseScheduler`,
+:class:`repro.quantum.backend.SamplingScheduleBackend`) are reachable
+only through the ``scheduler=`` / ``backend=`` instance parameters that
+the differential tests use.
 
-:class:`ExecutionConfig` holds the four as one frozen, picklable value.
+:class:`ExecutionConfig` holds the two as one frozen, picklable value.
 It is built once -- from the CLI flags or from
 :meth:`repro.service.gridspec.GridRequest.config` -- and passed
 explicitly: into :func:`repro.analysis.sweep.run_sweep_grid`, inside the
@@ -28,14 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
 from repro.faults import NULL_FAULT_MODEL, FaultModel, validate_fault_model
-from repro.names import BACKEND_NAMES, ENGINE_NAMES, TIER_NAMES
-
-#: ``(field, noun in error messages, known names)`` of the named settings.
-_NAMED_SETTINGS = (
-    ("engine", "engine", ENGINE_NAMES),
-    ("backend", "schedule backend", BACKEND_NAMES),
-    ("tier", "compute tier", TIER_NAMES),
-)
+from repro.names import TIER_NAMES
 
 #: Fault-model fields that must be integers (``timeout`` may be ``None``);
 #: the others are probabilities.
@@ -44,28 +44,24 @@ _INTEGER_FAULT_FIELDS = ("max_delay", "crash_window", "down_rounds", "timeout", 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Engine, schedule backend, compute tier and fault model of a run.
+    """Compute tier and fault model of a run.
 
-    The defaults are the reference selections: the ``dense`` engine, the
-    ``sampling`` backend, the ``stdlib`` tier and the null fault model.
+    The defaults are the ``stdlib`` tier and the null fault model.
     ``fault`` also accepts a :data:`repro.faults.FAULT_MODELS` name.
-    Unknown names raise ``ValueError``; the ``numpy`` tier raises the
+    An unknown tier raises ``ValueError``; the ``numpy`` tier raises the
     actionable ``ImportError`` of :func:`repro._numpy.require_numpy` when
     numpy is not installed.
     """
 
-    engine: str = "dense"
-    backend: str = "sampling"
     tier: str = "stdlib"
     fault: FaultModel = NULL_FAULT_MODEL
 
     def __post_init__(self) -> None:
-        for name, noun, known in _NAMED_SETTINGS:
-            value = getattr(self, name)
-            if value not in known:
-                raise ValueError(
-                    f"unknown {noun} {value!r} (available: {', '.join(known)})"
-                )
+        if self.tier not in TIER_NAMES:
+            raise ValueError(
+                f"unknown compute tier {self.tier!r} "
+                f"(available: {', '.join(TIER_NAMES)})"
+            )
         if self.tier == "numpy":
             from repro._numpy import require_numpy
 
@@ -75,8 +71,6 @@ class ExecutionConfig:
     def to_dict(self) -> Dict[str, Any]:
         """Plain JSON; the default (null) fault model is ``None``."""
         return {
-            "engine": self.engine,
-            "backend": self.backend,
             "tier": self.tier,
             "fault": None if self.fault == NULL_FAULT_MODEL else {
                 item.name: getattr(self.fault, item.name)
@@ -90,7 +84,7 @@ class ExecutionConfig:
 
         ``fault`` may be an object of :class:`repro.faults.FaultModel`
         fields or a model instance.  Every malformed input -- unknown
-        keys or fault fields, non-numeric fault values, unknown names,
+        keys or fault fields, non-numeric fault values, an unknown tier,
         the numpy tier without numpy -- raises ``ValueError``.
         """
         if not isinstance(data, Mapping):
@@ -101,9 +95,8 @@ class ExecutionConfig:
         values = {key: value for key, value in data.items() if value is not None}
         if "fault" in values and not isinstance(values["fault"], FaultModel):
             values["fault"] = _fault_from_dict(values["fault"])
-        for name, _, _ in _NAMED_SETTINGS:
-            if name in values and not isinstance(values[name], str):
-                raise ValueError(f"{name!r} must be a string")
+        if "tier" in values and not isinstance(values["tier"], str):
+            raise ValueError("'tier' must be a string")
         try:
             return cls(**values)
         except ImportError as error:

@@ -41,12 +41,13 @@ class RoundLimitExceededError(CongestSimulationError):
     def for_run(
         cls, max_rounds: int, rounds_completed: int, messages_sent: int
     ) -> "RoundLimitExceededError":
-        """The round-cap abort of the engine's run loops.
+        """The round-cap abort of the engine's run loop.
 
-        One construction site for the engine's round cap, so the
-        (enriched) message is identical across the dense and sparse
-        engines, with or without faults, and states how far the
-        execution got before the cap.
+        One construction site for the engine's round cap -- and for the
+        sparse scheduler's stall abort, which raises the outcome the
+        dense scheduler reaches at the cap -- so the (enriched) message
+        is identical across the schedulers, with or without faults, and
+        states how far the execution got before the cap.
         """
         return cls(
             f"algorithm did not terminate within {max_rounds} rounds "

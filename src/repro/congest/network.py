@@ -6,18 +6,18 @@ synchronous rounds, delivering messages with a one-round latency and
 accounting for rounds, messages, bits, per-edge bandwidth and per-node
 memory (see :mod:`repro.congest.metrics`).
 
-Execution engines.  Since the ``repro.engine`` refactor, ``Network`` is a
-thin facade: the round loop itself lives in
-:class:`repro.engine.engine.ExecutionEngine`, which composes a *scheduler*
-(which nodes run each round) and a *transport* (message delivery,
-bandwidth policy and message accounting, with a payload-size memo cache),
-and accounts every run inline; observers attached with
-:meth:`Network.add_observer` are opt-in.  ``Network(graph,
-engine="dense")`` reproduces the historical behaviour bit-for-bit;
-``engine="sparse"`` skips idle nodes entirely, which
-is asymptotically faster for the paper's BFS-wave algorithms and produces
-identical metrics for idle-quiescent algorithms (see
-:mod:`repro.engine.scheduler`).
+Execution engine.  ``Network`` is a thin facade: the round loop itself
+lives in :class:`repro.engine.engine.ExecutionEngine`, which composes a
+*scheduler* (which nodes run each round) and a *transport* (message
+delivery, bandwidth policy and message accounting, with a payload-size
+memo cache), and accounts every run inline; observers attached with
+:meth:`Network.add_observer` are opt-in.  Every network runs the
+event-driven :class:`repro.engine.SparseScheduler`, which skips idle
+nodes entirely -- asymptotically faster for the paper's BFS-wave
+algorithms.  ``Network(graph, scheduler=DenseScheduler())`` runs every
+node every round instead; it is the reference the differential tests
+hold the sparse policy to, with identical results and metrics for
+idle-quiescent algorithms (see :mod:`repro.engine.scheduler`).
 
 Bandwidth.  The CONGEST model allows ``bw = O(log n)`` bits per edge per
 round.  By default the simulator uses ``bw = BANDWIDTH_LOG_FACTOR *
@@ -90,10 +90,11 @@ class Network:
         the metrics.
     seed:
         Seed for the per-node pseudo-random generators.
-    engine:
-        Execution-engine name: ``"dense"`` (the historical every-node-every-
-        round loop) or ``"sparse"`` (event-driven, idle nodes are skipped).
-        ``None`` keeps the engine of ``config``.
+    scheduler:
+        The :class:`repro.engine.Scheduler` instance of this network's
+        engine; ``None`` (the production path) is a fresh
+        :class:`repro.engine.SparseScheduler`.  Tests and benchmarks pass
+        a :class:`repro.engine.DenseScheduler` as the reference.
     fault_model:
         A :class:`repro.faults.FaultModel` (or registry name) injected
         into every run of this network: seeded message loss/delay, node
@@ -103,9 +104,8 @@ class Network:
     config:
         The :class:`repro.config.ExecutionConfig` of this network's runs
         (``None``: :data:`repro.config.DEFAULT_CONFIG`).  The resolved
-        configuration, ``engine`` and ``fault_model`` applied, is
-        :attr:`config`; quantum drivers read its schedule backend and the
-        reference oracles its compute tier.
+        configuration, ``fault_model`` applied, is :attr:`config`; the
+        reference oracles read its compute tier.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class Network:
         bandwidth_bits: Optional[int] = None,
         strict_bandwidth: bool = True,
         seed: Optional[int] = None,
-        engine: Optional[str] = None,
+        scheduler=None,
         fault_model=None,
         config=None,
     ) -> None:
@@ -139,17 +139,18 @@ class Network:
         # Imported lazily: repro.engine depends on the sibling congest
         # modules, so a module-level import here would be circular.
         from repro.config import resolve_config
-        from repro.engine import build_engine
+        from repro.engine import ExecutionEngine, Scheduler, SparseScheduler
 
-        self.config = resolve_config(config, engine=engine, fault=fault_model)
-        self._engine = build_engine(self.config.engine, self)
+        if scheduler is None:
+            scheduler = SparseScheduler()
+        elif not isinstance(scheduler, Scheduler):
+            raise TypeError(
+                f"scheduler must be a Scheduler instance, got {scheduler!r}"
+            )
+        self.config = resolve_config(config, fault=fault_model)
+        self._engine = ExecutionEngine(self, scheduler)
 
     # ------------------------------------------------------------------
-    @property
-    def engine_name(self) -> str:
-        """Name of the execution engine driving this network's runs."""
-        return self._engine.name
-
     @property
     def engine(self):
         """The underlying :class:`repro.engine.engine.ExecutionEngine`."""
@@ -206,8 +207,7 @@ class Network:
     ) -> ExecutionResult:
         """Run one distributed algorithm to completion.
 
-        Delegates to the configured execution engine; the signature and
-        semantics are unchanged from the pre-engine simulator.
+        Delegates to the network's execution engine.
 
         Parameters
         ----------

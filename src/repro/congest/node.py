@@ -18,12 +18,14 @@ identifiers of its neighbours, the number of nodes ``n``, and whatever it
 learns from messages.  This mirrors the knowledge assumption of Section 2.1
 of the paper.
 
-Self-wakes.  Under the event-driven :class:`repro.engine.SparseScheduler`
-a node's ``on_round`` is only called when its inbox is non-empty (plus once
-at round 0).  Algorithms that need to act in a round *without* having
-received anything -- draining an internal queue, starting a wave at a
-prescribed round -- declare it with :meth:`NodeAlgorithm.wake_next_round`
-or :meth:`NodeAlgorithm.wake_at`.  Under the dense scheduler both are
+Self-wakes.  Networks run the event-driven
+:class:`repro.engine.SparseScheduler`: a node's ``on_round`` is only called
+when its inbox is non-empty (plus once at round 0, and once when it
+restarts after a crash).  Algorithms that need to act in a round *without*
+having received anything -- draining an internal queue, starting a wave at
+a prescribed round -- must declare it with
+:meth:`NodeAlgorithm.wake_next_round` or :meth:`NodeAlgorithm.wake_at`.
+Under the dense reference scheduler of the differential tests both are
 no-ops, so calling them is always safe.
 """
 
@@ -110,11 +112,11 @@ class NodeAlgorithm:
         """Request that ``on_round`` be called next round even if the inbox
         is empty.
 
-        The event-driven :class:`repro.engine.SparseScheduler` only runs
-        nodes with a non-empty inbox, so an algorithm that keeps internal
-        work queued between rounds must declare it.  Under the dense
-        scheduler (every node runs every round) this is a no-op, so the
-        call is always safe.
+        The event-driven :class:`repro.engine.SparseScheduler` of every
+        network only runs nodes with a non-empty inbox, so an algorithm
+        that keeps internal work queued between rounds must declare it.
+        Under the dense reference scheduler (every node runs every round)
+        this is a no-op, so the call is always safe.
 
         Example -- a node draining a local queue one message per round::
 

@@ -46,6 +46,7 @@ from repro.runner.batch import task_seed
 from repro.core.exact_diameter import ORACLE_CONGEST, ORACLE_REFERENCE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.quantum.backend import ScheduleBackend
     from repro.runner.batch import BatchRunner
 
 
@@ -184,7 +185,7 @@ def quantum_three_halves_diameter(
     seed: int = 0,
     budget_constant: float = 4.0,
     runner: Optional["BatchRunner"] = None,
-    backend: Optional[str] = None,
+    backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumApproxDiameterResult:
     """Compute a 3/2-approximation of the diameter (Theorem 4 / Figure 3).
 
@@ -192,9 +193,10 @@ def quantum_three_halves_diameter(
     ``Theta(n^{2/3} / d^{1/3})`` with ``d = ecc(leader)``.  ``runner``
     optionally dispatches the quantum phase's independent branch
     evaluations through a process pool in ``"congest"`` oracle mode; the
-    result is identical to a serial run.  ``backend`` selects the quantum
-    schedule simulator (see :mod:`repro.quantum.backend`; all backends
-    return identical results for a fixed seed).
+    result is identical to a serial run.  ``backend`` is the quantum
+    schedule simulator (see :mod:`repro.quantum.backend`; ``None`` is the
+    batched backend, and all backends return identical results for a
+    fixed seed).
 
     The user-facing ``seed`` feeds two *independent* streams: the
     [HPRW14] preparation's sampling randomness and the quantum schedule's

@@ -55,6 +55,7 @@ from repro.qcongest.setup import run_setup_broadcast
 from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.quantum.backend import ScheduleBackend
     from repro.runner.batch import BatchRunner
 
 #: Evaluation variants.
@@ -244,7 +245,7 @@ def quantum_exact_diameter(
     leader: Optional[NodeId] = None,
     budget_constant: float = 4.0,
     runner: Optional["BatchRunner"] = None,
-    backend: Optional[str] = None,
+    backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumDiameterResult:
     """Compute the diameter with the quantum algorithm of Theorem 1.
 
@@ -273,9 +274,8 @@ def quantum_exact_diameter(
         oracle mode the independent branch evaluations are dispatched
         through its process pool with results identical to a serial run.
     backend:
-        Quantum schedule backend (:mod:`repro.quantum.backend`):
-        ``"sampling"``, ``"batched"``, a backend instance, or ``None``
-        for the backend of ``network.config``.  Backends return identical results for a
+        Quantum schedule backend (:mod:`repro.quantum.backend`); ``None``
+        is the batched backend.  Backends return identical results for a
         fixed seed; only wall-clock differs.
 
     Returns

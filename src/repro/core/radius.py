@@ -52,6 +52,7 @@ from repro.qcongest.setup import run_setup_broadcast
 from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.quantum.backend import ScheduleBackend
     from repro.runner.batch import BatchRunner
 
 
@@ -205,7 +206,7 @@ def quantum_exact_radius(
     leader: Optional[NodeId] = None,
     budget_constant: float = 4.0,
     runner: Optional["BatchRunner"] = None,
-    backend: Optional[str] = None,
+    backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumRadiusResult:
     """Compute the exact radius with the Theorem-7 framework.
 

@@ -47,6 +47,7 @@ from repro.qcongest.setup import run_setup_broadcast
 from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.quantum.backend import ScheduleBackend
     from repro.runner.batch import BatchRunner
 
 
@@ -164,7 +165,7 @@ def quantum_source_eccentricity(
     seed: int = 0,
     budget_constant: float = 4.0,
     runner: Optional["BatchRunner"] = None,
-    backend: Optional[str] = None,
+    backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumSourceEccentricityResult:
     """Compute ``ecc(source)`` with the Theorem-7 framework.
 

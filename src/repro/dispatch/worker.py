@@ -7,8 +7,8 @@ and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
 (:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-execution configuration (engine, schedule backend, compute tier, fault
-model), parsed from the grid frame into the same task context local pool
+execution configuration (compute tier and fault model), parsed from
+the grid frame into the same task context local pool
 workers receive -- so a remote cell computes the byte-identical record a
 serial run would.
 

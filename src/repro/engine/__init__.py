@@ -1,13 +1,15 @@
-"""Pluggable execution engines for the CONGEST simulator.
+"""The execution engine of the CONGEST simulator.
 
 The simulation core is one round loop,
 :class:`repro.engine.engine.ExecutionEngine`, built from two components:
 
 * **Scheduler** (:mod:`repro.engine.scheduler`) -- which nodes run in each
-  round.  ``DenseScheduler`` reproduces the seed behaviour bit-for-bit;
-  ``SparseScheduler`` is event-driven and skips idle nodes entirely, which
-  turns Theta(n * rounds) scheduling work into Theta(activations) for the
-  BFS-wave algorithms at the heart of the paper.
+  round.  Every network runs the event-driven ``SparseScheduler``, which
+  skips idle nodes entirely and so turns Theta(n * rounds) scheduling work
+  into Theta(activations) for the BFS-wave algorithms at the heart of the
+  paper.  ``DenseScheduler`` runs every node every round -- the
+  synchronous CONGEST definition -- and survives only as the reference of
+  the differential tests and benchmarks.
 * **Transport** (:mod:`repro.engine.transport`) -- message validation,
   memoised size measurement, the bandwidth policy, the run's message
   accounting and, under a fault model, each message's fate.
@@ -18,39 +20,25 @@ attach to a network and see run boundaries, and per-message events only
 if they override ``on_message``.
 
 ``repro.congest.network.Network`` remains the public facade: it builds an
-engine at construction (``Network(graph, engine="sparse")``) and delegates
-``run`` to it.  The engine is one field of the network's
-:class:`repro.config.ExecutionConfig` (the CLI and benchmark ``--engine``
-flags select it).
+engine at construction and delegates ``run`` to it.  Tests select the
+reference with ``Network(graph, scheduler=DenseScheduler())``.
 """
 
-from repro.engine.engine import ExecutionEngine, build_engine
+from repro.engine.engine import ExecutionEngine
 from repro.engine.observers import (
     MetricsObserver,
     RunLogObserver,
     StitchedTrafficObserver,
     TrafficLogObserver,
 )
-from repro.engine.scheduler import (
-    SCHEDULERS,
-    DenseScheduler,
-    Scheduler,
-    SparseScheduler,
-    make_scheduler,
-)
+from repro.engine.scheduler import DenseScheduler, Scheduler, SparseScheduler
 from repro.engine.transport import Transport
-
-ENGINE_NAMES = tuple(sorted(SCHEDULERS))
 
 __all__ = [
     "ExecutionEngine",
-    "build_engine",
-    "ENGINE_NAMES",
     "Scheduler",
     "DenseScheduler",
     "SparseScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
     "Transport",
     "MetricsObserver",
     "TrafficLogObserver",

@@ -4,7 +4,8 @@
 ``Network.run``.  It composes two components:
 
 * a :class:`repro.engine.scheduler.Scheduler` decides *which* nodes run in
-  each round (dense = all, sparse = only nodes with messages or self-wakes);
+  each round (the production sparse policy: only nodes with messages,
+  self-wakes or a restart; the dense reference: all);
 * a :class:`repro.engine.transport.Transport` moves messages -- neighbour
   validation, memoised size measurement, bandwidth policy, message
   accounting, delivery.
@@ -20,26 +21,27 @@ only when they override ``on_message``.
 Faults are one branch of the same loop.  A network built with a non-null
 :class:`repro.faults.FaultModel` resolves a per-run
 :class:`repro.faults.FaultPlan`; the loop then merges delayed arrivals,
-counts churn, skips down nodes, pre-registers restart wakes and clamps
-the round cap to the model's ``timeout``, and the transport asks the plan
-for each message's fate.  The null model resolves no plan, so its runs
-are byte-identical to the fault-free simulator.
+counts churn, skips down nodes, hands the restart rounds to the
+scheduler and clamps the round cap to the model's ``timeout``, and the
+transport asks the plan for each message's fate.  The null model
+resolves no plan, so its runs are byte-identical to the fault-free
+simulator.
 
 Internally the engine represents inboxes *sparsely*: the inbox mapping of a
-round contains exactly the nodes that received at least one message, so the
-per-round cost is O(active + messages) rather than O(n) when paired with
-the sparse scheduler.
+round contains exactly the nodes that received at least one message, so
+with the sparse scheduler the per-round cost is O(active + messages)
+rather than O(n).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.congest.errors import RoundLimitExceededError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Inbox, NodeAlgorithm
 from repro.engine.observers import MetricsObserver, TrafficLogObserver
-from repro.engine.scheduler import Scheduler, make_scheduler
+from repro.engine.scheduler import Scheduler
 from repro.engine.transport import Transport
 from repro.graphs.graph import NodeId
 
@@ -57,9 +59,10 @@ class ExecutionEngine:
         Message delivery; built from the network's configuration when not
         given.  The transport's payload-size memo cache persists across the
         runs of one network.
-    observers:
-        Persistent extra observers notified on every top-level run of this
-        engine (in addition to the per-run traffic log).
+
+    :attr:`observers` holds the persistent observers
+    (:meth:`repro.congest.network.Network.add_observer`), notified on
+    every top-level run in addition to the per-run traffic log.
     """
 
     def __init__(
@@ -67,7 +70,6 @@ class ExecutionEngine:
         network: Any,
         scheduler: Scheduler,
         transport: Optional[Transport] = None,
-        observers: Sequence[MetricsObserver] = (),
     ) -> None:
         self.network = network
         self.scheduler = scheduler
@@ -76,18 +78,13 @@ class ExecutionEngine:
                 network.graph, network.bandwidth_bits, network.strict_bandwidth
             )
         self.transport = transport
-        self.observers: list = list(observers)
+        self.observers: List[MetricsObserver] = []
         self._run_depth = 0
         # Per-engine counter of fault-aware runs: each run of a faulty
         # network salts its fault stream with this index, so multi-phase
         # algorithms (one ``run`` per phase) draw fresh, reproducible
         # fault patterns per phase instead of replaying round-0 fates.
         self._fault_runs = 0
-
-    @property
-    def name(self) -> str:
-        """The registry name of the scheduling policy."""
-        return self.scheduler.name
 
     # ------------------------------------------------------------------
     def run(
@@ -99,11 +96,10 @@ class ExecutionEngine:
     ):
         """Run one distributed algorithm to completion.
 
-        Semantics match the seed ``Network.run`` exactly under the dense
-        scheduler; see :meth:`repro.congest.network.Network.run` for the
-        parameter documentation.  Re-entrant: a nested ``run`` on the same
-        network (e.g. a factory or callback simulating a sub-protocol) gets
-        its own scheduler instance so the outer run's state survives.
+        See :meth:`repro.congest.network.Network.run` for the parameter
+        documentation.  Re-entrant: a nested ``run`` on the same network
+        (e.g. a factory or callback simulating a sub-protocol) gets its own
+        scheduler instance so the outer run's state survives.
         """
         network = self.network
         if max_rounds is None:
@@ -116,7 +112,7 @@ class ExecutionEngine:
         if self._run_depth == 0:
             scheduler = self.scheduler
         else:
-            scheduler = make_scheduler(self.scheduler.name)
+            scheduler = type(self.scheduler)()
         self._run_depth += 1
         try:
             return self._run_loop(
@@ -186,7 +182,9 @@ class ExecutionEngine:
         cache_misses_before = transport.cache_misses
         cache_overflows_before = transport.cache_overflows
 
-        scheduler.begin_run(algorithms, indexed)
+        scheduler.begin_run(
+            algorithms, indexed, None if plan is None else plan.restart_round
+        )
         uses_wakes = scheduler.uses_wakes
 
         finished_state: Dict[NodeId, bool] = {}
@@ -204,14 +202,6 @@ class ExecutionEngine:
                     scheduler.request_wake(
                         node, 0 if request is None else max(0, request)
                     )
-        if plan is not None and uses_wakes:
-            # Restarted nodes must run at their restart round even with an
-            # empty inbox; registering the wakes up-front also keeps
-            # ``has_scheduled_wakes`` true through the outage, so the
-            # sparse termination logic cannot declare quiescence while a
-            # restart is still ahead.
-            for node, at in plan.restart_round.items():
-                scheduler.request_wake(node, at)
 
         for observer in observers:
             observer.on_run_start(network)
@@ -260,10 +250,9 @@ class ExecutionEngine:
                 if not inboxes and not has_scheduled_wakes() and not pending:
                     if unfinished == 0:
                         break
+                    # A restart still ahead may produce new work.
                     if plan is None or not plan.restarts_pending(round_number):
-                        scheduler.check_quiescent(
-                            round_number, unfinished, metrics.messages
-                        )
+                        scheduler.check_quiescent(max_rounds, metrics.messages)
             if round_number >= max_rounds:
                 raise RoundLimitExceededError.for_run(
                     max_rounds, round_number, metrics.messages
@@ -365,11 +354,3 @@ class ExecutionEngine:
             traffic=traffic_log.traffic if traffic_log is not None else None,
         )
 
-
-def build_engine(
-    name: str,
-    network: Any,
-    observers: Sequence[MetricsObserver] = (),
-) -> ExecutionEngine:
-    """Build the engine registered under ``name`` for ``network``."""
-    return ExecutionEngine(network, make_scheduler(name), observers=observers)

@@ -8,24 +8,27 @@ spends Theta(n * rounds) scheduler time where Theta(activations) suffices.
 
 Two policies ship:
 
-* :class:`DenseScheduler` -- the seed behaviour, bit-for-bit: every node
-  runs every round, wake requests are no-ops (a node that wants to act at a
+* :class:`SparseScheduler` -- the production policy, event-driven: after
+  round 0 (where every node runs, so initiators can start the algorithm)
+  a node runs only when its inbox is non-empty, when it explicitly asked
+  to be woken via the :meth:`repro.congest.node.NodeAlgorithm.wake_next_round`
+  / :meth:`~repro.congest.node.NodeAlgorithm.wake_at` API, or when it
+  restarts after a crash.  Idle nodes are never touched.
+* :class:`DenseScheduler` -- the reference, kept for the differential
+  tests and benchmarks (``Network(graph, scheduler=DenseScheduler())``):
+  every node runs every round, exactly the synchronous CONGEST
+  definition, and wake requests are no-ops (a node that wants to act at a
   given round can simply look at ``round_number``).
-* :class:`SparseScheduler` -- event-driven: after round 0 (where every node
-  runs, so initiators can start the algorithm) a node runs only when its
-  inbox is non-empty or it explicitly asked to be woken via the
-  :meth:`repro.congest.node.NodeAlgorithm.wake_next_round` /
-  :meth:`~repro.congest.node.NodeAlgorithm.wake_at` API.  Idle nodes are
-  never touched.
 
 The sparse policy requires algorithms to be *idle-quiescent*: a node whose
 ``on_round`` is called with an empty inbox and no pending self-wake must
 neither send messages nor change state.  All algorithms in this repository
 satisfy the contract (the pipelined multi-source BFS and the scheduled
-distance waves use self-wakes); an algorithm that deadlocks under the
-sparse policy -- unfinished nodes but no messages in flight and no wakes --
-fails fast with :class:`repro.congest.errors.RoundLimitExceededError`
-instead of silently spinning to the round cap.
+distance waves use self-wakes).  Under that contract the two policies
+record the same outcome, including for a run that stalls -- unfinished
+nodes but no message in flight, no wake and no restart ahead: the dense
+policy spins to the round cap, the sparse policy raises the same
+:class:`repro.congest.errors.RoundLimitExceededError` at once.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ class Scheduler:
     """Base class of the scheduling policies.
 
     A scheduler is owned by one engine and recycled across runs;
-    :meth:`begin_run` resets its per-run state.
+    :meth:`begin_run` resets its per-run state.  A nested run on the
+    same engine gets a fresh ``type(scheduler)()``.
     """
-
-    #: Registry name, also surfaced as ``Network.engine_name``.
-    name: str = "abstract"
 
     #: Whether the engine should drain self-wake requests after each
     #: ``on_round`` call.  Dense scheduling ignores wakes, so the engine
@@ -56,6 +57,7 @@ class Scheduler:
         self,
         algorithms: Mapping[NodeId, Any],
         indexed: Optional[IndexedGraph] = None,
+        restarts: Optional[Mapping[NodeId, int]] = None,
     ) -> None:
         """Reset per-run state; ``algorithms`` fixes the node universe.
 
@@ -65,7 +67,10 @@ class Scheduler:
         ``algorithms`` on every run.  The node universes are identical
         by construction (the engine builds ``algorithms`` from the same
         graph); ``indexed=None`` keeps the standalone behaviour for
-        direct scheduler use.
+        direct scheduler use.  ``restarts`` maps each node that restarts
+        after a crash to its restart round (the fault plan's
+        ``restart_round``; ``None``: no restarts); the node must run in
+        that round.
         """
         raise NotImplementedError
 
@@ -95,21 +100,17 @@ class Scheduler:
         """Whether any future self-wake is pending (termination input)."""
         return False
 
-    def check_quiescent(
-        self, round_number: int, unfinished: int, messages_sent: int
-    ) -> None:
-        """Called when no messages are in flight, no wakes are scheduled and
-        ``unfinished`` nodes have not finished.  Dense scheduling keeps
-        spinning (a node may act on a later ``round_number``); sparse
-        scheduling would never run another node, so it fails fast.
-        ``messages_sent`` is the run's message count so far, for the
-        abort's progress data."""
+    def check_quiescent(self, max_rounds: int, messages_sent: int) -> None:
+        """Called when no messages are in flight, no wakes are scheduled,
+        no restart is ahead and some node has not finished.  Dense
+        scheduling keeps spinning (a node may act on a later
+        ``round_number``) until the round cap ``max_rounds`` aborts the
+        run.  ``messages_sent`` is the run's message count so far."""
 
 
 class DenseScheduler(Scheduler):
-    """The seed policy: every node runs every round."""
+    """The reference policy: every node runs every round."""
 
-    name = "dense"
     uses_wakes = False
 
     def __init__(self) -> None:
@@ -119,6 +120,7 @@ class DenseScheduler(Scheduler):
         self,
         algorithms: Mapping[NodeId, Any],
         indexed: Optional[IndexedGraph] = None,
+        restarts: Optional[Mapping[NodeId, int]] = None,
     ) -> None:
         # The compiled view's frozen labels tuple spares the O(n) copy.
         self._nodes = indexed.labels if indexed is not None else list(algorithms)
@@ -136,24 +138,28 @@ class SparseScheduler(Scheduler):
     """Event-driven policy: only nodes with work to do run.
 
     A node is scheduled in round ``t > 0`` iff it received a message in
-    round ``t - 1`` or a self-wake was requested for ``t``.  Round 0 runs
-    every node (any node may be an initiator).  Scheduling is O(active)
-    per round; the active set is ordered by the node order of the graph so
-    that executions remain deterministic and match the dense policy.
+    round ``t - 1``, a self-wake was requested for ``t`` or it restarts
+    at ``t``.  Round 0 runs every node (any node may be an initiator).
+    Scheduling is O(active) per round; the active set is ordered by the
+    node order of the graph so that executions remain deterministic and
+    match the dense policy.  Restarts join the active set without
+    entering a wake bucket, so they never keep a finished network
+    running.
     """
 
-    name = "sparse"
     uses_wakes = True
 
     def __init__(self) -> None:
         self._nodes: Sequence[NodeId] = []
         self._order: Dict[NodeId, int] = {}
         self._wakes: Dict[int, Set[NodeId]] = {}
+        self._restarts: Dict[int, Set[NodeId]] = {}
 
     def begin_run(
         self,
         algorithms: Mapping[NodeId, Any],
         indexed: Optional[IndexedGraph] = None,
+        restarts: Optional[Mapping[NodeId, int]] = None,
     ) -> None:
         if indexed is not None:
             # Prebound CSR order: the frozen labels tuple and the
@@ -165,11 +171,18 @@ class SparseScheduler(Scheduler):
             self._nodes = list(algorithms)
             self._order = {node: index for index, node in enumerate(self._nodes)}
         self._wakes = {}
+        self._restarts = {}
+        for node, at in (restarts or {}).items():
+            self._restarts.setdefault(at, set()).add(node)
 
     def active_nodes(
         self, round_number: int, inboxes: Mapping[NodeId, Any]
     ) -> Sequence[NodeId]:
         woken = self._wakes.pop(round_number, None)
+        if self._restarts:
+            restarting = self._restarts.pop(round_number, None)
+            if restarting:
+                woken = restarting if not woken else woken | restarting
         if round_number == 0:
             return self._nodes
         if not woken:
@@ -194,34 +207,9 @@ class SparseScheduler(Scheduler):
     def has_scheduled_wakes(self) -> bool:
         return bool(self._wakes)
 
-    def check_quiescent(
-        self, round_number: int, unfinished: int, messages_sent: int
-    ) -> None:
-        raise RoundLimitExceededError(
-            f"round {round_number}: {unfinished} node(s) have not finished "
-            "but no message is in flight and no self-wake is scheduled; "
-            "under the sparse scheduler idle nodes are never re-run -- "
-            "timer-driven algorithms must call wake_next_round()/wake_at()",
-            rounds_completed=round_number,
-            messages_sent=messages_sent,
+    def check_quiescent(self, max_rounds: int, messages_sent: int) -> None:
+        # Nothing can run again, so raise now what the dense policy raises
+        # when its idle spin reaches the cap: the outcome, not the work.
+        raise RoundLimitExceededError.for_run(
+            max_rounds, max_rounds, messages_sent
         )
-
-
-#: The available scheduling policies, by registry name.
-SCHEDULERS = {
-    DenseScheduler.name: DenseScheduler,
-    SparseScheduler.name: SparseScheduler,
-}
-
-
-def validate_engine_name(name: str) -> str:
-    """Raise ``ValueError`` unless ``name`` is a registered engine."""
-    if name not in SCHEDULERS:
-        known = ", ".join(sorted(SCHEDULERS))
-        raise ValueError(f"unknown engine {name!r} (available: {known})")
-    return name
-
-
-def make_scheduler(name: str) -> Scheduler:
-    """Instantiate the scheduler registered under ``name``."""
-    return SCHEDULERS[validate_engine_name(name)]()

@@ -36,7 +36,7 @@ incrementally -- one CRC prefix per round and outbox, extended by
 precomputed per-target bytes -- which is an exact implementation of that
 text, because ``crc32(b, crc32(a)) == crc32(a + b)``.
 This makes faulty executions independent of *evaluation order* -- the
-dense and sparse engines consult the plan in different orders yet
+dense and sparse schedulers consult the plan in different orders yet
 produce identical executions -- and independent of
 ``PYTHONHASHSEED``.  The fault seed itself is derived from the network
 seed, the model's :attr:`FaultModel.seed` and a per-engine run counter,
@@ -204,8 +204,8 @@ class FaultModel:
 NULL_FAULT_MODEL = FaultModel()
 
 #: Named fault models, selectable wherever a model is accepted (the
-#: registry mirrors ``SCHEDULERS`` / ``TIER_NAMES``).  ``register_fault_model``
-#: adds entries at runtime.
+#: registry mirrors ``TIER_NAMES``).  ``register_fault_model`` adds
+#: entries at runtime.
 FAULT_MODELS: Dict[str, FaultModel] = {
     "none": NULL_FAULT_MODEL,
     # A mildly lossy network: ~2% of messages vanish.

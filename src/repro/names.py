@@ -1,28 +1,21 @@
 """The names the command line offers as choices, as plain tuples.
 
-Argument parsing needs the names of every registry (engines, schedule
-backends, compute tiers, dispatch backends, shard policies, export
-formats, graph families, sweep algorithms and quantum problems) but none
-of the code behind them.  Keeping the names here, in a module that
-imports nothing, lets ``repro export`` build the full parser without
-loading the simulator, and lets each command import only the layers its
-handler runs.
+Argument parsing needs the names of every registry (compute tiers,
+dispatch backends, shard policies, export formats, graph families, sweep
+algorithms and quantum problems) but none of the code behind them.
+Keeping the names here, in a module that imports nothing, lets ``repro
+export`` build the full parser without loading the simulator, and lets
+each command import only the layers its handler runs.
 
 Plain literal tuples are the single definition and their owners import
-them from here.  Tuples that mirror a definition built from code (engines,
-backends, tiers, sweep algorithms, quantum problems) are pinned to it by
+them from here.  Tuples that mirror a definition built from code (tiers,
+sweep algorithms, quantum problems) are pinned to it by
 ``tests/test_import_budget.py``.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
-
-#: :data:`repro.engine.SCHEDULERS`, sorted.
-ENGINE_NAMES: Tuple[str, ...] = ("dense", "sparse")
-
-#: :data:`repro.quantum.backend.SCHEDULE_BACKENDS`, sorted.
-BACKEND_NAMES: Tuple[str, ...] = ("batched", "sampling")
 
 #: Compute tiers (:mod:`repro.tier`).
 TIER_NAMES: Tuple[str, ...] = ("numpy", "stdlib")

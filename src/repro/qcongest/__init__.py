@@ -20,9 +20,9 @@ amplitude vector over branches.  The framework
 (:mod:`repro.qcongest.framework`) measures the CONGEST round cost of the
 Initialization / Setup / Evaluation procedures by actually running them on
 the simulator, simulates the amplitude-amplification schedule exactly
-(including its failure probability) through a pluggable schedule backend
-(:mod:`repro.quantum.backend` -- the sampling reference or the batched
-fast path, byte-identical), and reports total rounds, messages and
+(including its failure probability) through the batched schedule backend
+(:mod:`repro.quantum.backend`; the sampling backend is its byte-identical
+reference), and reports total rounds, messages and
 per-node memory.
 
 Concrete instantiations -- exact diameter (Theorem 1), the

@@ -10,11 +10,10 @@ procedures.  The framework
    **Evaluation** application by running the corresponding distributed
    procedures;
 3. simulates the quantum maximum-finding schedule *exactly* through a
-   pluggable :class:`repro.quantum.backend.ScheduleBackend` (the
-   ``"sampling"`` reference simulation or the ``"batched"`` precomputed
-   one -- both reproduce the amplitude-amplification measurement
-   statistics bit for bit), counting every Setup and Evaluation
-   application;
+   :class:`repro.quantum.backend.ScheduleBackend` (the batched backend
+   unless the caller passes its sampling reference -- both reproduce the
+   amplitude-amplification measurement statistics bit for bit), counting
+   every Setup and Evaluation application;
 4. converts the counts into total CONGEST rounds with the cost model of
    Theorem 7 (``T0 + #calls * T``) and reports per-node memory.
 
@@ -51,7 +50,6 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.congest.metrics import ExecutionMetrics
@@ -159,7 +157,7 @@ def run_distributed_quantum_optimization(
     rng: Optional[random.Random] = None,
     budget_constant: float = 4.0,
     runner: Optional["BatchRunner"] = None,
-    backend: Optional[Union[str, ScheduleBackend]] = None,
+    backend: Optional[ScheduleBackend] = None,
 ) -> DistributedOptimizationResult:
     """Run Theorem 7's distributed quantum optimization for ``problem``.
 
@@ -172,20 +170,13 @@ def run_distributed_quantum_optimization(
     problem declares ``supports_parallel_evaluation``; the result is
     identical to the serial run (see the module docstring).
 
-    ``backend`` selects the quantum schedule simulator
-    (:mod:`repro.quantum.backend`): ``"sampling"`` (the reference per-call
-    simulation), ``"batched"`` (precomputed rotation statistics), a
-    :class:`~repro.quantum.backend.ScheduleBackend` instance, or ``None``
-    for the backend of the problem's network configuration
-    (``problem.network.config``; the default configuration's when the
-    problem exposes no network).  Backends are proven byte-identical, so
-    the choice affects wall-clock only.
+    ``backend`` is the quantum schedule simulator
+    (:mod:`repro.quantum.backend`; ``None``: the batched backend).  The
+    differential tests pass the sampling reference here; backends are
+    proven byte-identical, so the choice affects wall-clock only.
     """
     rng = rng if rng is not None else random.Random(0)
     network = getattr(problem, "network", None)
-    config = getattr(network, "config", None)
-    if backend is None and config is not None:
-        backend = config.backend
     schedule_backend = resolve_schedule_backend(backend)
 
     # When the problem exposes the CONGEST network it simulates on, observe

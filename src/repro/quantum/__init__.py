@@ -20,14 +20,13 @@ provides those primitives in the *centralized* setting, with two faces:
   distributed layer can convert query counts into CONGEST rounds
   (:mod:`repro.quantum.cost_model`).
 
-Both faces are served through a pluggable **schedule backend**
-(:mod:`repro.quantum.backend`): the ``"sampling"`` backend is the
-per-call reference simulation, the ``"batched"`` backend precomputes the
-exact Grover rotation statistics over the whole search space and serves
-every amplification round from per-threshold tables.  The two are proven
-byte-identical for a fixed seed, so backend choice (CLI ``--backend``,
-the ``backend`` field of :class:`repro.config.ExecutionConfig`) trades
-nothing but wall-clock.
+Both faces are served through a **schedule backend**
+(:mod:`repro.quantum.backend`): every quantum run uses the batched
+backend, which precomputes the exact Grover rotation statistics over the
+whole search space and serves every amplification round from
+per-threshold tables; the sampling backend is the per-call reference
+simulation the differential tests hold it to.  The two are proven
+byte-identical for a fixed seed.
 
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
 provided for register-level unit checks such as the CNOT-copy operation of
@@ -45,13 +44,9 @@ from repro.quantum.amplitude_amplification import (
     theorem6_query_budget,
 )
 from repro.quantum.backend import (
-    BACKEND_NAMES,
-    SCHEDULE_BACKENDS,
     BatchedScheduleBackend,
     SamplingScheduleBackend,
     ScheduleBackend,
-    resolve_schedule_backend,
-    validate_backend_name,
 )
 from repro.quantum.cost_model import QuantumCostModel, QuantumResourceCount
 from repro.quantum.grover import GroverSearchResult, grover_search
@@ -75,10 +70,6 @@ __all__ = [
     "ScheduleBackend",
     "SamplingScheduleBackend",
     "BatchedScheduleBackend",
-    "SCHEDULE_BACKENDS",
-    "BACKEND_NAMES",
-    "resolve_schedule_backend",
-    "validate_backend_name",
     "grover_search",
     "GroverSearchResult",
     "find_maximum",

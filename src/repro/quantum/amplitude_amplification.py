@@ -23,9 +23,9 @@ This module provides:
   so the distributed layer can convert the count into CONGEST rounds.
 
 This sampling simulation doubles as the reference implementation of the
-``"sampling"`` schedule backend (:mod:`repro.quantum.backend`); the
-``"batched"`` backend replays the identical schedule from precomputed
-rotation statistics and must stay bit-compatible with the loop in
+sampling schedule backend (:mod:`repro.quantum.backend`); the batched
+backend of every quantum run replays the identical schedule from
+precomputed rotation statistics and must stay bit-compatible with the loop in
 :func:`amplitude_amplification_search` -- the differential suite enforces
 it, but edit the two together.
 """

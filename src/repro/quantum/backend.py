@@ -1,28 +1,29 @@
-"""Pluggable schedule backends for the quantum simulation layer.
+"""Schedule backends for the quantum simulation layer.
 
 The amplitude-amplification / maximum-finding schedule (Theorem 6 and
 Corollary 1) is the hot loop of every Theorem-7 run: the *measurement
 statistics* it produces are what the distributed layer converts into
 CONGEST rounds, so the simulation must be exact -- but *how* the exact
-statistics are computed is an implementation choice.  Mirroring the
-dense/sparse execution-engine split of the CONGEST simulator
-(:mod:`repro.engine`), this module makes that choice pluggable:
+statistics are computed is an implementation choice.  Two backends
+implement :class:`ScheduleBackend`:
 
-* ``"sampling"`` -- the reference backend.  Each amplification round
+* :class:`BatchedScheduleBackend` -- the production backend, used by
+  every quantum run.  It first evaluates the whole search space in one
+  vectorized pass (a single tight loop producing the value vector), then
+  serves every amplification round's Grover rotation statistics --
+  marked mass, conditioned sampling lists, attempt schedule -- from
+  per-threshold tables computed at most once per distinct threshold.
+  Because the maximum-finding schedule only raises its threshold on
+  success, almost every round is a table hit, turning the ``O(|X|)``
+  per-round scan into ``O(1)``.
+
+* :class:`SamplingScheduleBackend` -- the reference, kept for the
+  differential tests and benchmarks.  Each amplification round
   re-derives the marked probability mass by applying the Checking
   predicate to every element of the search space (one Python call per
   element per round), exactly as written in
   :func:`repro.quantum.maximum_finding.find_maximum` and
   :func:`repro.quantum.amplitude_amplification.amplitude_amplification_search`.
-
-* ``"batched"`` -- the fast backend.  It first evaluates the whole search
-  space in one vectorized pass (a single tight loop producing the value
-  vector), then serves every amplification round's Grover rotation
-  statistics -- marked mass, conditioned sampling lists, attempt schedule
-  -- from per-threshold tables computed at most once per distinct
-  threshold.  Because the maximum-finding schedule only raises its
-  threshold on success, almost every round is a table hit, turning the
-  ``O(|X|)`` per-round scan into ``O(1)``.
 
 **Byte-identical results.**  The batched backend consumes the supplied
 ``random.Random`` stream in exactly the same order as the sampling
@@ -34,21 +35,18 @@ item/weight lists), so for a fixed seed the two backends return
 and :class:`~repro.quantum.amplitude_amplification.AmplificationOutcome`
 objects -- values, call counts, measurements, everything.  The
 differential test-suite (``tests/test_quantum_backends.py``) proves this
-across every registered problem and graph family, the same way the
-dense/sparse engines are proven equal.
+across every registered problem and graph family.
 
-Backend selection follows the engine idiom: pass ``backend=`` (a name or
-a :class:`ScheduleBackend` instance) to the quantum entry points, or leave
-it ``None`` to use the ``backend`` field of the network's
-:class:`repro.config.ExecutionConfig` (the CLI ``--backend`` flag and the
-benchmark harnesses select it).
+The quantum entry points take ``backend=``: a :class:`ScheduleBackend`
+instance, or ``None`` for the batched backend
+(:func:`resolve_schedule_backend`).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.quantum.amplitude_amplification import (
     SCHEDULE_GROWTH,
@@ -78,11 +76,8 @@ class ScheduleBackend:
 
     Implementations must reproduce the reference measurement statistics
     exactly: same ``random.Random`` consumption, same floating-point
-    reductions, same results.  ``name`` identifies the backend in CLI
-    flags, benchmark reports and store provenance.
+    reductions, same results.
     """
-
-    name: str = "abstract"
 
     def run_search(
         self,
@@ -116,8 +111,6 @@ class SamplingScheduleBackend(ScheduleBackend):
     :func:`repro.quantum.amplitude_amplification.amplitude_amplification_search`
     unchanged; every amplification round rescans the search space.
     """
-
-    name = "sampling"
 
     def run_search(
         self,
@@ -296,8 +289,6 @@ class BatchedScheduleBackend(ScheduleBackend):
     operation; see the module docstring for the byte-identity contract.
     """
 
-    name = "batched"
-
     def run_search(
         self,
         amplitudes: Mapping[Item, float],
@@ -412,34 +403,18 @@ class BatchedScheduleBackend(ScheduleBackend):
         )
 
 
-#: The backend registry the CLI / benchmarks / framework draw from.
-SCHEDULE_BACKENDS: Dict[str, ScheduleBackend] = {
-    SamplingScheduleBackend.name: SamplingScheduleBackend(),
-    BatchedScheduleBackend.name: BatchedScheduleBackend(),
-}
-
-#: Stable name tuple for argparse ``choices``.
-BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(SCHEDULE_BACKENDS))
-
-def validate_backend_name(name: str) -> str:
-    """Return ``name`` if it is a registered backend, else raise."""
-    if name not in SCHEDULE_BACKENDS:
-        known = ", ".join(BACKEND_NAMES)
-        raise ValueError(f"unknown schedule backend {name!r} (available: {known})")
-    return name
-
-
 def resolve_schedule_backend(
-    backend: Optional[Union[str, ScheduleBackend]] = None,
+    backend: Optional[ScheduleBackend] = None,
 ) -> ScheduleBackend:
-    """Map a backend name / instance / ``None`` to a backend object.
+    """``backend``, or the batched backend when ``None``.
 
-    ``None`` selects the backend of :data:`repro.config.DEFAULT_CONFIG`.
+    Raises ``TypeError`` for anything but a :class:`ScheduleBackend`
+    instance: backends are not selected by name.
     """
     if backend is None:
-        from repro.config import resolve_config
-
-        return SCHEDULE_BACKENDS[resolve_config().backend]
-    if isinstance(backend, ScheduleBackend):
-        return backend
-    return SCHEDULE_BACKENDS[validate_backend_name(backend)]
+        return BatchedScheduleBackend()
+    if not isinstance(backend, ScheduleBackend):
+        raise TypeError(
+            f"backend must be a ScheduleBackend instance, got {backend!r}"
+        )
+    return backend

@@ -12,15 +12,15 @@ construction and a private result dataclass that drifted from
 :class:`repro.quantum.amplitude_amplification.AmplificationOutcome`; the
 module is now a pure re-export: amplitudes come from
 :func:`repro.quantum.maximum_finding.uniform_amplitudes`, the search runs
-through whichever :class:`~repro.quantum.backend.ScheduleBackend` the
-caller (or the default configuration) selects, and the result *is* an
+through the :class:`~repro.quantum.backend.ScheduleBackend` the caller
+passes (the batched backend by default), and the result *is* an
 ``AmplificationOutcome`` under its historical name.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Optional, Sequence, Union
+from typing import Callable, Hashable, Optional, Sequence
 
 from repro.quantum.amplitude_amplification import AmplificationOutcome
 from repro.quantum.backend import ScheduleBackend, resolve_schedule_backend
@@ -40,7 +40,7 @@ def grover_search(
     oracle: Callable[[Item], bool],
     rng: Optional[random.Random] = None,
     delta: float = 0.05,
-    backend: Optional[Union[str, ScheduleBackend]] = None,
+    backend: Optional[ScheduleBackend] = None,
 ) -> GroverSearchResult:
     """Search ``items`` for an element satisfying ``oracle``.
 
@@ -49,9 +49,9 @@ def grover_search(
     ``m`` marked items the expected number of oracle calls is
     ``O(sqrt(len(items) / m))``.
 
-    ``backend`` selects the schedule simulator (name, instance, or
-    ``None`` for the default configuration's); all backends return identical
-    results for a fixed ``rng`` seed.
+    ``backend`` is the schedule simulator (``None``: the batched
+    backend); all backends return identical results for a fixed ``rng``
+    seed.
     """
     if not items:
         raise ValueError("the item collection must be non-empty")

@@ -14,8 +14,8 @@ oracle.  The distributed layer (Theorem 7) multiplies those counts by the
 CONGEST round cost of the corresponding distributed procedures.
 
 :func:`find_maximum` is the **reference** schedule simulation -- the
-``"sampling"`` backend of :mod:`repro.quantum.backend` delegates here
-verbatim, and the ``"batched"`` backend is differentially tested to
+sampling backend of :mod:`repro.quantum.backend` delegates here
+verbatim, and the batched production backend is differentially tested to
 replicate its randomness consumption, float reductions and results bit
 for bit.  Treat any change to the loop below as a change to the backend
 contract: the batched implementation must be updated in lockstep.

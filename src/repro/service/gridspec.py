@@ -11,8 +11,8 @@ That identity is structural, not coincidental: both paths construct a
   algorithm-stream seeds,
 * family and size validation happens,
 * algorithm (or quantum problem) names resolve to registry kernels, and
-* the engine / schedule-backend / compute-tier / fault-model selections
-  become the :class:`repro.config.ExecutionConfig` handed to
+* the compute-tier / fault-model selections become the
+  :class:`repro.config.ExecutionConfig` handed to
   :func:`repro.analysis.sweep.run_sweep_grid`.
 
 A request is plain data (JSON round-trip via :meth:`GridRequest.to_dict`
@@ -41,6 +41,10 @@ from repro.runner import (
 
 #: The request fields that make up its :class:`repro.config.ExecutionConfig`.
 _CONFIG_FIELDS = tuple(item.name for item in fields(ExecutionConfig))
+
+#: Fields of older requests whose selections no longer exist (every run
+#: uses the sparse scheduler and the batched schedule backend).
+_RETIRED_FIELDS = ("engine", "backend")
 
 
 def _is_int(value: Any) -> bool:
@@ -103,8 +107,6 @@ class GridRequest:
     diameter: Optional[int] = None
     seed: int = 0
     jobs: int = 1
-    engine: Optional[str] = None
-    backend: Optional[str] = None
     tier: Optional[str] = None
     fault: Optional[FaultModel] = None
     dispatch: Optional[str] = None
@@ -207,8 +209,6 @@ class GridRequest:
             "diameter": self.diameter,
             "seed": self.seed,
             "jobs": self.jobs,
-            "engine": self.engine,
-            "backend": self.backend,
             "tier": self.tier,
             "dispatch": self.dispatch,
             "fault": None if self.fault is None else {
@@ -225,8 +225,14 @@ class GridRequest:
         payload cannot silently drop a selection (e.g. a typoed
         ``"tir"`` running on the wrong tier), on a sequence or integer
         field of the wrong type, and on any execution selection
-        :meth:`repro.config.ExecutionConfig.from_dict` rejects.
+        :meth:`repro.config.ExecutionConfig.from_dict` rejects.  The
+        ``engine`` and ``backend`` keys of requests written before those
+        selections were removed are dropped, so old ledger rows replay.
         """
+        data = {
+            key: value for key, value in data.items()
+            if key not in _RETIRED_FIELDS
+        }
         known = {item.name for item in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -263,8 +269,6 @@ class GridRequest:
             diameter=data.get("diameter"),
             seed=data.get("seed", 0),
             jobs=data.get("jobs", 1),
-            engine=data.get("engine"),
-            backend=data.get("backend"),
             tier=data.get("tier"),
             dispatch=data.get("dispatch"),
             fault=fault,

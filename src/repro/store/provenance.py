@@ -46,11 +46,10 @@ def collect_provenance(config=None) -> Dict[str, Any]:
     """Environment facts stamped on every run header.
 
     Records the *full* :class:`repro.config.ExecutionConfig` of the run
-    (``None``: :data:`repro.config.DEFAULT_CONFIG`) -- engine, quantum
-    schedule backend, compute tier and fault model -- not just the
-    engine: a sweep run under ``--backend batched``, ``--tier numpy`` or
-    ``--loss 0.05`` is not reproducible from a header that omits those
-    selections.  The fault model is stamped as its canonical description
+    (``None``: :data:`repro.config.DEFAULT_CONFIG`) -- compute tier and
+    fault model: a sweep run under ``--tier numpy`` or ``--loss 0.05`` is
+    not reproducible from a header that omits those selections.  The
+    fault model is stamped as its canonical description
     string (``"none"`` for the null model), which is exactly the token
     that distinguishes faulty task keys.
     """
@@ -60,8 +59,6 @@ def collect_provenance(config=None) -> Dict[str, Any]:
 
     config = resolve_config(config)
     return {
-        "engine": config.engine,
-        "schedule_backend": config.backend,
         "tier": config.tier,
         "fault_model": config.fault.describe(),
         "git": git_describe(),

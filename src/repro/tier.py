@@ -13,9 +13,11 @@ The repository keeps two implementations of its hot numerical paths:
 
 The CONGEST round loop (:mod:`repro.engine`) is the same on both tiers.
 
-The tier is one field of :class:`repro.config.ExecutionConfig`: the CLI
-``--tier`` flag selects it, networks carry it (``network.config.tier``)
-and the dispatch points receive it explicitly, falling back to
+The tier is one of the two fields of
+:class:`repro.config.ExecutionConfig` (the other is the fault model) and
+the only implementation choice left there: the CLI ``--tier`` flag
+selects it, networks carry it (``network.config.tier``) and the dispatch
+points receive it explicitly, falling back to
 :data:`repro.config.DEFAULT_CONFIG` where a caller passes none.  Dispatch
 points treat the tier as a *performance* choice only: every tier returns
 byte-identical values, dict orders and exceptions, so switching it can

@@ -73,6 +73,29 @@ def small_graph(request) -> Graph:
 
 
 @pytest.fixture
+def reference_paths(monkeypatch):
+    """A switch to the reference paths for the rest of the test.
+
+    Calling the returned function makes every network built afterwards
+    run the dense scheduler and every quantum schedule the sampling
+    backend: the references the production sparse scheduler and batched
+    backend are held to.
+    """
+    import repro.engine
+    import repro.quantum.backend as backend
+
+    def install() -> None:
+        monkeypatch.setattr(
+            repro.engine, "SparseScheduler", repro.engine.DenseScheduler
+        )
+        monkeypatch.setattr(
+            backend, "BatchedScheduleBackend", backend.SamplingScheduleBackend
+        )
+
+    return install
+
+
+@pytest.fixture
 def network_factory():
     """Factory building a CONGEST network with a deterministic seed."""
 

@@ -4,14 +4,14 @@ The fixture freezes what the CONGEST round loop produces on a small test
 matrix, so a rewrite of the engine can be checked for byte-identity
 against the code that wrote the fixture:
 
-* {dense, sparse} engines x {null, loss+delay, crash+restart, churn}
+* {dense, sparse} schedulers x {null, loss+delay, crash+restart, churn}
   fault models x {BFS tree, multi-source BFS, resilient 2-approximation,
   classical exact diameter} on a clique chain and a cycle.  Each case
   records the algorithm's result (every field, including every
   ``ExecutionMetrics`` field) -- or the error it raised -- and the
   sha256 of the ``record_traffic`` logs of all its ``Network.run`` calls;
 * the error type and message of the strict-bandwidth, non-neighbour,
-  round-cap and sparse-quiescence aborts;
+  round-cap and quiescence aborts;
 * a nested run under a persistent ``StitchedTrafficObserver``;
 * fixed-length (``exact_rounds``) runs that end while crashes and
   restarts are still ahead, which pins where the fault counters stop.
@@ -38,11 +38,12 @@ from repro.algorithms.resilient import run_resilient_two_approximation
 from repro.congest.errors import CongestSimulationError
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
-from repro.engine import StitchedTrafficObserver
+from repro.engine import DenseScheduler, SparseScheduler, StitchedTrafficObserver
 from repro.faults import FaultModel
 from repro.graphs import generators
 
-ENGINES = ("dense", "sparse")
+#: The dense reference and the production sparse scheduler, by key prefix.
+ENGINES = {"dense": DenseScheduler, "sparse": SparseScheduler}
 
 FAULT_MODELS = {
     "null": FaultModel(),
@@ -208,7 +209,10 @@ def collect():
                 graph = make_graph()
                 for algo_name, algorithm in ALGORITHMS.items():
                     def build(graph=graph, engine=engine, model=model):
-                        return Network(graph, seed=7, engine=engine, fault_model=model)
+                        return Network(
+                            graph, seed=7, scheduler=ENGINES[engine](),
+                            fault_model=model,
+                        )
 
                     key = f"{engine}/{model_name}/{graph_name}/{algo_name}"
                     cases[key] = _outcome(build, algorithm)
@@ -218,7 +222,8 @@ def collect():
         for model_name, model in FAULT_MODELS.items():
             for abort_name, (cls, kwargs) in ABORTS.items():
                 network = Network(
-                    generators.path_graph(4), seed=7, engine=engine, fault_model=model
+                    generators.path_graph(4), seed=7, scheduler=ENGINES[engine](),
+                fault_model=model,
                 )
                 try:
                     network.run(_factory(cls), **kwargs)
@@ -232,7 +237,8 @@ def collect():
     for engine in ENGINES:
         for model_name, model in FAULT_MODELS.items():
             network = Network(
-                generators.path_graph(3), seed=7, engine=engine, fault_model=model
+                generators.path_graph(3), seed=7, scheduler=ENGINES[engine](),
+                fault_model=model,
             )
             stitched = StitchedTrafficObserver()
             network.add_observer(stitched)
@@ -253,7 +259,8 @@ def collect():
     for engine in ENGINES:
         for model_name, model in heavy.items():
             network = Network(
-                generators.cycle_graph(8), seed=7, engine=engine, fault_model=model
+                generators.cycle_graph(8), seed=7, scheduler=ENGINES[engine](),
+                fault_model=model,
             )
             result = network.run(
                 _factory(_NeverFinishes), exact_rounds=4, record_traffic=True

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.config`: the one execution configuration.
 
-A grid's engine, schedule backend, compute tier and fault model travel as
-one frozen :class:`ExecutionConfig` -- through the task context, the
+A grid's compute tier and fault model travel as one frozen
+:class:`ExecutionConfig` -- through the task context, the
 remote-dispatch frame and the run header.  These tests pin its parser
 (every malformed input is a ``ValueError``), its JSON round trip and the
 call-time resolution of :data:`repro.config.DEFAULT_CONFIG`.
@@ -20,7 +20,7 @@ from repro.config import ExecutionConfig, resolve_config
 from repro.congest.network import Network
 from repro.faults import FAULT_MODELS, NULL_FAULT_MODEL, FaultModel
 from repro.graphs import generators
-from repro.names import BACKEND_NAMES, ENGINE_NAMES, TIER_NAMES
+from repro.names import TIER_NAMES
 
 LOSSY = FaultModel(loss=0.1, delay=0.05, max_delay=2, timeout=256, seed=4)
 
@@ -28,26 +28,19 @@ LOSSY = FaultModel(loss=0.1, delay=0.05, max_delay=2, timeout=256, seed=4)
 class TestExecutionConfig:
     def test_defaults_are_the_reference_selections(self):
         config = ExecutionConfig()
-        assert (config.engine, config.backend, config.tier) == (
-            "dense", "sampling", "stdlib",
-        )
+        assert config.tier == "stdlib"
         assert config.fault is NULL_FAULT_MODEL
 
-    def test_exactly_four_fields(self):
-        assert list(ExecutionConfig().to_dict()) == [
-            "engine", "backend", "tier", "fault",
-        ]
+    def test_exactly_two_fields(self):
+        assert list(ExecutionConfig().to_dict()) == ["tier", "fault"]
 
     def test_frozen_and_picklable(self):
-        config = ExecutionConfig(engine="sparse", fault=LOSSY)
+        config = ExecutionConfig(fault=LOSSY)
         with pytest.raises(AttributeError):
-            config.engine = "dense"
+            config.tier = "numpy"
         assert pickle.loads(pickle.dumps(config)) == config
 
-    @pytest.mark.parametrize(
-        "field, noun", [("engine", "engine"), ("backend", "schedule backend"),
-                        ("tier", "compute tier")],
-    )
+    @pytest.mark.parametrize("field, noun", [("tier", "compute tier")])
     def test_unknown_names_rejected(self, field, noun):
         with pytest.raises(ValueError, match=f"unknown {noun} 'bogus'"):
             ExecutionConfig(**{field: "bogus"})
@@ -61,7 +54,7 @@ class TestExecutionConfig:
 class TestSerialization:
     @pytest.mark.parametrize("config", [
         ExecutionConfig(),
-        ExecutionConfig(engine="sparse", backend="batched", fault=LOSSY),
+        ExecutionConfig(tier="stdlib", fault=LOSSY),
         ExecutionConfig(fault=FaultModel(timeout=9)),
     ])
     def test_round_trip(self, config):
@@ -73,7 +66,7 @@ class TestSerialization:
     def test_absent_and_none_keys_take_defaults(self):
         assert ExecutionConfig.from_dict({}) == ExecutionConfig()
         assert ExecutionConfig.from_dict(
-            {"engine": None, "fault": None}
+            {"tier": None, "fault": None}
         ) == ExecutionConfig()
 
     def test_fault_values_keep_their_type(self):
@@ -90,7 +83,7 @@ class TestSerialization:
         ({"fault": {"max_delay": 1.5}}, "must be an integer"),
         ({"fault": {"loss": 2.0}}, r"must be in \[0, 1\]"),
         ({"fault": [0.1]}, "must be an object"),
-        ({"engine": 3}, "must be a string"),
+        ({"tier": 3}, "must be a string"),
         ({"tier": "cupy"}, "unknown compute tier"),
         ({"tir": "numpy"}, "unknown execution config fields"),
     ])
@@ -100,14 +93,14 @@ class TestSerialization:
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="must be an object"):
-            ExecutionConfig.from_dict(["engine"])
+            ExecutionConfig.from_dict(["tier"])
 
 
 #: JSON values, nested a little, plus the names the parser knows so
 #: hypothesis also reaches the valid configurations.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from(ENGINE_NAMES + BACKEND_NAMES + TIER_NAMES + ("",)),
+    | st.sampled_from(TIER_NAMES + ("",)),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8,
@@ -123,12 +116,10 @@ _FAULT = st.dictionaries(
     max_size=4,
 ) | _JSON
 _CONFIG_DICTS = st.dictionaries(
-    st.sampled_from(["engine", "backend", "tier", "fault", "other"]),
+    st.sampled_from(["tier", "fault", "engine", "other"]),
     _JSON,
     max_size=4,
 ) | st.fixed_dictionaries({}, optional={
-    "engine": st.sampled_from(ENGINE_NAMES) | _JSON,
-    "backend": st.sampled_from(BACKEND_NAMES) | _JSON,
     "tier": st.sampled_from(TIER_NAMES) | _JSON,
     "fault": _FAULT,
 })
@@ -149,24 +140,21 @@ class TestParserProperty:
 class TestResolution:
     def test_none_resolves_to_the_default_at_call_time(self, monkeypatch):
         assert resolve_config() is repro.config.DEFAULT_CONFIG
-        sparse = ExecutionConfig(engine="sparse")
-        monkeypatch.setattr(repro.config, "DEFAULT_CONFIG", sparse)
-        assert resolve_config() is sparse
-        assert Network(generators.path_graph(3)).config is sparse
+        lossy = ExecutionConfig(fault=LOSSY)
+        monkeypatch.setattr(repro.config, "DEFAULT_CONFIG", lossy)
+        assert resolve_config() is lossy
+        assert Network(generators.path_graph(3)).config is lossy
 
     def test_overrides_skip_none(self):
-        config = ExecutionConfig(engine="sparse", fault=LOSSY)
-        assert resolve_config(config, engine=None, tier=None) is config
-        assert resolve_config(config, backend="batched") == ExecutionConfig(
-            engine="sparse", backend="batched", fault=LOSSY
+        config = ExecutionConfig(fault=LOSSY)
+        assert resolve_config(config, fault=None, tier=None) is config
+        assert resolve_config(config, fault="lossy") == ExecutionConfig(
+            fault=FAULT_MODELS["lossy"]
         )
 
     def test_network_overrides_apply_to_its_config(self):
-        base = ExecutionConfig(backend="batched")
+        base = ExecutionConfig(fault=LOSSY)
         network = Network(
-            generators.path_graph(3), engine="sparse", fault_model="lossy",
-            config=base,
+            generators.path_graph(3), fault_model="lossy", config=base
         )
-        assert network.config == ExecutionConfig(
-            engine="sparse", backend="batched", fault=FAULT_MODELS["lossy"]
-        )
+        assert network.config == ExecutionConfig(fault=FAULT_MODELS["lossy"])

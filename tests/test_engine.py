@@ -1,7 +1,7 @@
-"""Unit tests for the pluggable execution-engine subsystem.
+"""Unit tests for the execution-engine subsystem.
 
-Covers engine selection, the failure paths of ``Network.run`` under *both*
-schedulers (strict bandwidth, round limit, protocol violations), the
+Covers the scheduler seam, the failure paths of ``Network.run`` under
+*both* schedulers (strict bandwidth, round limit, protocol violations), the
 self-wake API that keeps timer-driven algorithms correct under the sparse
 scheduler, the transport's payload-size memo cache, and observers
 (traffic logs, stitched multi-phase recording, run logs, opt-in
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.config
 from repro.algorithms.bfs import run_bfs_tree
 from repro.config import ExecutionConfig
 from repro.congest.errors import (
@@ -24,7 +23,6 @@ from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.engine import (
-    ENGINE_NAMES,
     DenseScheduler,
     MetricsObserver,
     RunLogObserver,
@@ -32,13 +30,18 @@ from repro.engine import (
     StitchedTrafficObserver,
     Transport,
     TrafficLogObserver,
-    make_scheduler,
 )
 from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.service import GridRequest, execute_grid_request, fault_model_from_flags
 
-ENGINES = list(ENGINE_NAMES)
+#: The production sparse policy and the dense reference, by test id.
+SCHEDULER_CLASSES = {"dense": DenseScheduler, "sparse": SparseScheduler}
+ENGINES = sorted(SCHEDULER_CLASSES)
+
+
+def _network(graph, engine, **kwargs):
+    return Network(graph, scheduler=SCHEDULER_CLASSES[engine](), **kwargs)
 
 
 def _factory(cls, *extra):
@@ -132,60 +135,65 @@ class _QueueDrainer(NodeAlgorithm):
 
 
 class TestEngineSelection:
-    def test_default_engine_is_dense(self):
+    def test_default_scheduler_is_sparse(self):
         network = Network(generators.path_graph(3))
-        assert network.engine_name == "dense"
+        assert type(network.engine.scheduler) is SparseScheduler
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_engine(self, engine):
-        network = Network(generators.path_graph(3), engine=engine)
-        assert network.engine_name == engine
-        assert network.engine.scheduler.name == engine
+        scheduler = SCHEDULER_CLASSES[engine]()
+        network = Network(generators.path_graph(3), scheduler=scheduler)
+        assert network.engine.scheduler is scheduler
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Network(generators.path_graph(3), engine="warp")
+        with pytest.raises(TypeError, match="Scheduler instance"):
+            Network(generators.path_graph(3), scheduler="sparse")
 
     def test_vector_engine_rejected_everywhere(self, capsys):
         from repro.cli import main
 
-        assert ENGINE_NAMES == ("dense", "sparse")
-        with pytest.raises(ValueError, match=r"available: dense, sparse"):
+        with pytest.raises(TypeError):
             Network(generators.path_graph(3), engine="vector")
-        request = GridRequest(
-            families=("cycle",), sizes=(8,), algorithms=("two_approx",),
-            engine="vector",
-        )
-        with pytest.raises(ValueError, match=r"available: dense, sparse"):
-            request.validate()
+        with pytest.raises(TypeError):
+            GridRequest(
+                families=("cycle",), sizes=(8,), algorithms=("two_approx",),
+                engine="vector",
+            )
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--families", "cycle", "--sizes", "8",
                   "--algorithms", "two_approx", "--engine", "vector"])
         assert excinfo.value.code == 2
-        assert "'dense', 'sparse'" in capsys.readouterr().err
-
-    def test_unknown_default_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExecutionConfig(engine="warp")
-
-    def test_default_engine_toggle(self, monkeypatch):
-        # The default configuration supplies the engine of networks built
-        # without one; an explicit config or engine= overrides it.
-        monkeypatch.setattr(
-            repro.config, "DEFAULT_CONFIG", ExecutionConfig(engine="sparse")
-        )
-        assert Network(generators.path_graph(3)).engine_name == "sparse"
-        dense = ExecutionConfig(engine="dense")
-        assert Network(generators.path_graph(3), config=dense).engine_name == "dense"
-        network = Network(generators.path_graph(3), engine="dense")
-        assert network.engine_name == "dense"
-        assert network.config == dense
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_make_scheduler(self):
-        assert isinstance(make_scheduler("dense"), DenseScheduler)
-        assert isinstance(make_scheduler("sparse"), SparseScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler("warp")
+        """A nested run gets a fresh scheduler of the outer run's type."""
+        for base in SCHEDULER_CLASSES.values():
+            begun = []
+
+            class _Recording(base):
+                def begin_run(self, *args, **kwargs):
+                    begun.append(self)
+                    super().begin_run(*args, **kwargs)
+
+            class _Nesting(NodeAlgorithm):
+                def on_round(self, round_number, inbox):
+                    self.finished = True
+                    if self.node_id == 0 and round_number == 0:
+                        network.run(_factory(_TwoPhasePing))
+                    return {}
+
+            network = Network(generators.path_graph(3), scheduler=_Recording())
+            network.run(_factory(_Nesting))
+            outer, inner = begun
+            assert outer is network.engine.scheduler
+            assert type(inner) is _Recording and inner is not outer
+
+    def test_unknown_default_rejected(self):
+        """No configuration selects an engine any more."""
+        with pytest.raises(TypeError):
+            ExecutionConfig(engine="sparse")
+        with pytest.raises(ValueError, match="unknown execution config"):
+            ExecutionConfig.from_dict({"engine": "sparse"})
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -193,39 +201,39 @@ class TestFailurePaths:
     """The seed's failure modes must survive the refactor, on both engines."""
 
     def test_strict_bandwidth_raises(self, engine):
-        network = Network(
-            generators.path_graph(3), strict_bandwidth=True, engine=engine
+        network = _network(
+            generators.path_graph(3), engine, strict_bandwidth=True
         )
         with pytest.raises(BandwidthExceededError, match="budget"):
             network.run(_factory(_Chatterbox))
 
     def test_non_strict_counts_violations(self, engine):
-        network = Network(
-            generators.path_graph(3), strict_bandwidth=False, engine=engine
+        network = _network(
+            generators.path_graph(3), engine, strict_bandwidth=False
         )
         result = network.run(_factory(_Chatterbox))
         assert result.metrics.bandwidth_violations >= 1
         assert result.metrics.max_edge_bits_per_round > network.bandwidth_bits
 
     def test_protocol_error_on_non_neighbour(self, engine):
-        network = Network(generators.path_graph(3), engine=engine)
+        network = _network(generators.path_graph(3), engine)
         with pytest.raises(ProtocolError, match="non-neighbour"):
             network.run(_factory(_BadSender))
 
     def test_round_limit_exceeded(self, engine):
-        network = Network(generators.path_graph(3), engine=engine)
+        network = _network(generators.path_graph(3), engine)
         with pytest.raises(RoundLimitExceededError):
             network.run(_factory(_NeverFinishes), max_rounds=5)
 
     def test_exact_rounds_mode(self, engine):
-        network = Network(generators.path_graph(3), engine=engine)
+        network = _network(generators.path_graph(3), engine)
         result = network.run(_factory(_NeverFinishes), exact_rounds=4)
         assert result.rounds == 4
 
     def test_bandwidth_policy_mutation_after_construction(self, engine):
         """The seed loop read the policy live each run; the engine must too."""
-        network = Network(
-            generators.path_graph(3), strict_bandwidth=True, engine=engine
+        network = _network(
+            generators.path_graph(3), engine, strict_bandwidth=True
         )
         network.strict_bandwidth = False
         result = network.run(_factory(_Chatterbox))
@@ -237,7 +245,7 @@ class TestFailurePaths:
         assert clean.metrics.bandwidth_limit_bits == 10 ** 6
 
     def test_traffic_recording(self, engine):
-        network = Network(generators.path_graph(4), engine=engine)
+        network = _network(generators.path_graph(4), engine)
         result = network.run(_factory(_NeverFinishes), exact_rounds=3)
         assert result.traffic is None
         recorded = network.run(
@@ -253,7 +261,7 @@ class TestSelfWakes:
     def test_timer_fires_under_both_engines(self):
         outcomes = {}
         for engine in ENGINES:
-            network = Network(generators.path_graph(3), engine=engine)
+            network = _network(generators.path_graph(3), engine)
             result = network.run(_factory(_TimerNode))
             outcomes[engine] = (result.results, result.rounds)
         assert outcomes["dense"] == outcomes["sparse"]
@@ -264,20 +272,44 @@ class TestSelfWakes:
     def test_queue_drains_under_both_engines(self):
         outcomes = {}
         for engine in ENGINES:
-            network = Network(generators.path_graph(2), engine=engine)
+            network = _network(generators.path_graph(2), engine)
             result = network.run(_factory(_QueueDrainer))
             outcomes[engine] = (result.results[1], result.metrics.messages)
         assert outcomes["dense"] == outcomes["sparse"]
         assert outcomes["sparse"][0] == [1, 2, 3]
 
+    @staticmethod
+    def _stall(engine, algorithm, max_rounds):
+        """Run ``algorithm`` to its abort; return the error and how many
+        ``on_round`` calls it took."""
+        calls = []
+
+        class _Counted(algorithm):
+            def on_round(self, round_number, inbox):
+                calls.append(round_number)
+                return super().on_round(round_number, inbox)
+
+        network = _network(generators.path_graph(3), engine)
+        with pytest.raises(RoundLimitExceededError) as excinfo:
+            network.run(_factory(_Counted), max_rounds=max_rounds)
+        return excinfo.value, len(calls)
+
     def test_sparse_deadlock_fails_fast(self):
-        network = Network(generators.path_graph(3), engine="sparse")
-        with pytest.raises(RoundLimitExceededError, match="wake_next_round"):
-            network.run(_factory(_SilentlyStuck), max_rounds=10_000)
+        """A stalled sparse run raises the dense round-cap abort at once."""
+        error, calls = self._stall("sparse", _SilentlyStuck, 10_000)
+        assert str(error) == (
+            "algorithm did not terminate within 10000 rounds "
+            "(10000 round(s) completed, 0 message(s) sent)"
+        )
+        assert calls == 3  # round 0 only; the dense spin makes 30000
+        dense, dense_calls = self._stall("dense", _SilentlyStuck, 100)
+        sparse, _ = self._stall("sparse", _SilentlyStuck, 100)
+        assert str(sparse) == str(dense)
+        assert dense_calls == 300
 
     def test_sparse_deadlock_reports_progress(self):
-        """The quiescence abort carries the rounds and messages so far,
-        like the round-cap abort, without changing its message."""
+        """The stall abort carries the same progress data as the dense
+        round-cap abort: the cap as rounds completed, the messages sent."""
 
         class _PingThenStall(NodeAlgorithm):
             def on_round(self, round_number, inbox):
@@ -285,18 +317,22 @@ class TestSelfWakes:
                     return self.send_to(1, ("p",))
                 return {}
 
-        network = Network(generators.path_graph(3), engine="sparse")
-        with pytest.raises(RoundLimitExceededError) as excinfo:
-            network.run(_factory(_PingThenStall), max_rounds=10_000)
-        error = excinfo.value
-        assert str(error).startswith("round 2: 3 node(s) have not finished")
-        assert error.rounds_completed == 2
-        assert error.messages_sent == 1
+        error, calls = self._stall("sparse", _PingThenStall, 10_000)
+        assert calls == 4  # round 0, then node 1's delivery in round 1
+        dense, _ = self._stall("dense", _PingThenStall, 10_000)
+        for outcome in (error, dense):
+            assert str(outcome) == (
+                "algorithm did not terminate within 10000 rounds "
+                "(10000 round(s) completed, 1 message(s) sent)"
+            )
+            assert outcome.rounds_completed == 10_000
+            assert outcome.max_rounds == 10_000
+            assert outcome.messages_sent == 1
 
     def test_sparse_deadlock_rounds_reach_sweep_records(self):
         request = GridRequest(
             families=("cycle",), sizes=(24,), algorithms=("two_approx",),
-            seed=3, engine="sparse",
+            seed=3,
             fault=fault_model_from_flags(
                 loss=0.05, crash=0.1, down_rounds=6, timeout=256
             ),
@@ -304,12 +340,28 @@ class TestSelfWakes:
         (record,) = execute_grid_request(request)
         assert not record.success
         assert record.failure_reason.startswith(
-            "RoundLimitExceededError: round 23: 19 node(s) have not finished"
+            "RoundLimitExceededError: algorithm did not terminate within "
+            "256 rounds (256 round(s) completed"
         )
-        assert record.rounds == 23
+        assert record.rounds == 256
+
+    def test_pending_restarts_do_not_keep_a_finished_run_alive(self):
+        """A restart still ahead is not a wake: once every node has
+        finished and nothing is in flight, both schedulers stop."""
+
+        class _DoneAtOnce(NodeAlgorithm):
+            def on_round(self, round_number, inbox):
+                self.finished = True
+                return {}
+
+        model = FaultModel(crash=1.0, crash_window=4, down_rounds=100)
+        for engine in ENGINES:
+            network = _network(generators.path_graph(4), engine, fault_model=model)
+            metrics = network.run(_factory(_DoneAtOnce)).metrics
+            assert (metrics.rounds, metrics.node_restarts) == (1, 0), engine
 
     def test_dense_spins_to_round_limit(self):
-        network = Network(generators.path_graph(3), engine="dense")
+        network = Network(generators.path_graph(3), scheduler=DenseScheduler())
         with pytest.raises(RoundLimitExceededError, match="did not terminate"):
             network.run(_factory(_SilentlyStuck), max_rounds=17)
 
@@ -332,7 +384,7 @@ class TestSelfWakes:
                 self.wake_at(round_number + 2)
                 return {}
 
-        network = Network(generators.path_graph(2), engine="dense")
+        network = Network(generators.path_graph(2), scheduler=DenseScheduler())
         holder = {}
 
         def factory(node, net):
@@ -374,7 +426,7 @@ class TestSelfWakes:
             def result(self):
                 return (self.inner_messages, getattr(self, "fired", False))
 
-        network = Network(generators.path_graph(3), engine="sparse")
+        network = Network(generators.path_graph(3))
         result = network.run(
             lambda node, net: _NestedCaller(
                 node, net.graph.neighbors(node), net.num_nodes,
@@ -468,7 +520,7 @@ class TestTransportMemoCache:
 
 class TestCacheMetricsReporting:
     def test_run_metrics_carry_cache_stats(self):
-        network = Network(generators.path_graph(30), engine="sparse")
+        network = Network(generators.path_graph(30))
         tree = run_bfs_tree(network, 0)
         metrics = tree.metrics
         assert metrics.size_cache_misses > 0
@@ -480,7 +532,7 @@ class TestCacheMetricsReporting:
         assert metrics.size_cache_overflows == 0
 
     def test_second_run_on_same_network_is_all_hits(self):
-        network = Network(generators.path_graph(20), engine="sparse")
+        network = Network(generators.path_graph(20))
         run_bfs_tree(network, 0)
         metrics = run_bfs_tree(network, 0).metrics
         assert metrics.size_cache_misses == 0
@@ -613,8 +665,8 @@ class TestObservers:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_faulty_traffic_logs_dropped_messages_as_sent(self, engine):
-        network = Network(
-            generators.path_graph(4), engine=engine,
+        network = _network(
+            generators.path_graph(4), engine,
             fault_model=FaultModel(loss=1.0, timeout=64),
         )
         result = network.run(

@@ -1,8 +1,9 @@
-"""Differential tests: the sparse engine must be observationally
-identical to the dense engine.
+"""Differential tests: the sparse scheduler must be observationally
+identical to the dense reference.
 
-The dense scheduler reproduces the seed simulator bit-for-bit; the sparse
-scheduler skips idle nodes.  For the paper's (idle-quiescent,
+The dense scheduler runs every node every round -- the synchronous
+CONGEST definition; the sparse scheduler, which every network runs,
+skips idle nodes.  For the paper's (idle-quiescent,
 self-waking) algorithms both must therefore agree on *everything*
 measurable: per-node results, rounds, messages, total bits, the per-edge
 maximum, the memory high-water mark, bandwidth violations and abort
@@ -12,21 +13,43 @@ active set is ordered like the dense node order.
 Workloads, per the engine-refactor acceptance criteria: single-source BFS,
 pipelined multi-source BFS and the Figure-2 Evaluation procedure, on random
 graphs (plus structured families), with the composed classical
-exact-diameter algorithm as an end-to-end stress.
+exact-diameter algorithm as an end-to-end stress.  A property test adds
+random fault models (loss, delay, crashes with and without restarts,
+churn, timeouts), under which the two must also raise the same aborts.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs import _BFSNode, run_bfs_tree
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.algorithms.evaluation import run_evaluation_procedure
 from repro.algorithms.multi_source_bfs import run_multi_source_bfs
-from repro.congest.errors import BandwidthExceededError, ProtocolError
+from repro.algorithms.resilient import run_resilient_bfs
+from repro.congest.errors import (
+    BandwidthExceededError,
+    CongestSimulationError,
+    ProtocolError,
+)
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
+from repro.engine import DenseScheduler, SparseScheduler
+from repro.faults import FaultModel
 from repro.graphs import generators
+
+#: The dense reference and the production sparse scheduler, by name.
+SCHEDULER_CLASSES = {"dense": DenseScheduler, "sparse": SparseScheduler}
+
+
+def _dense(graph, **kwargs):
+    return Network(graph, scheduler=DenseScheduler(), **kwargs)
+
+
+def _sparse(graph, **kwargs):
+    return Network(graph, scheduler=SparseScheduler(), **kwargs)
 
 
 def _metric_tuple(metrics):
@@ -82,8 +105,8 @@ class _NonNeighbourSender(NodeAlgorithm):
 class TestSchedulerDifferential:
     def test_bfs_identical(self, diff_graph):
         root = diff_graph.nodes()[0]
-        dense = run_bfs_tree(Network(diff_graph, engine="dense"), root)
-        sparse = run_bfs_tree(Network(diff_graph, engine="sparse"), root)
+        dense = run_bfs_tree(_dense(diff_graph), root)
+        sparse = run_bfs_tree(_sparse(diff_graph), root)
         assert dense.parent == sparse.parent
         assert dense.distance == sparse.distance
         assert dense.children == sparse.children
@@ -91,15 +114,15 @@ class TestSchedulerDifferential:
 
     def test_multi_source_bfs_identical(self, diff_graph):
         sources = diff_graph.nodes()[:: max(1, diff_graph.num_nodes // 5)][:5]
-        dense = run_multi_source_bfs(Network(diff_graph, engine="dense"), sources)
-        sparse = run_multi_source_bfs(Network(diff_graph, engine="sparse"), sources)
+        dense = run_multi_source_bfs(_dense(diff_graph), sources)
+        sparse = run_multi_source_bfs(_sparse(diff_graph), sources)
         assert dense.distances == sparse.distances
         assert _metric_tuple(dense.metrics) == _metric_tuple(sparse.metrics)
 
     def test_evaluation_procedure_identical(self, diff_graph):
         root = diff_graph.nodes()[0]
-        dense_net = Network(diff_graph, engine="dense")
-        sparse_net = Network(diff_graph, engine="sparse")
+        dense_net = _dense(diff_graph)
+        sparse_net = _sparse(diff_graph)
         dense_tree = run_bfs_tree(dense_net, root)
         sparse_tree = run_bfs_tree(sparse_net, root)
         d = max(1, dense_tree.depth)
@@ -113,8 +136,8 @@ class TestSchedulerDifferential:
     def test_traffic_logs_identical(self, diff_graph):
         """Even the per-message traffic log matches, entry for entry."""
         root = diff_graph.nodes()[0]
-        dense_net = Network(diff_graph, engine="dense")
-        sparse_net = Network(diff_graph, engine="sparse")
+        dense_net = _dense(diff_graph)
+        sparse_net = _sparse(diff_graph)
 
         def bfs_factory(node, net):
             return _BFSNode(
@@ -131,8 +154,8 @@ class TestSchedulerDifferential:
         scheduled waves, convergecast) agrees across engines."""
         for seed in (1, 5):
             graph = generators.random_connected_gnp(24, p=0.15, seed=seed)
-            dense = run_classical_exact_diameter(Network(graph, engine="dense"))
-            sparse = run_classical_exact_diameter(Network(graph, engine="sparse"))
+            dense = run_classical_exact_diameter(_dense(graph))
+            sparse = run_classical_exact_diameter(_sparse(graph))
             assert dense.diameter == sparse.diameter == graph.diameter()
             assert _metric_tuple(dense.metrics) == _metric_tuple(sparse.metrics)
 
@@ -144,7 +167,8 @@ class TestSchedulerDifferential:
         snapshots = {}
         for engine in ("dense", "sparse"):
             network = Network(
-                chain, bandwidth_bits=8, strict_bandwidth=False, engine=engine
+                chain, bandwidth_bits=8, strict_bandwidth=False,
+                scheduler=SCHEDULER_CLASSES[engine](),
             )
             execution = network.run(factory)
             snapshots[engine] = _metric_tuple(execution.metrics)
@@ -158,7 +182,9 @@ class TestSchedulerDifferential:
         )
         messages = {}
         for engine in ("dense", "sparse"):
-            network = Network(chain, bandwidth_bits=8, engine=engine)
+            network = Network(
+                chain, bandwidth_bits=8, scheduler=SCHEDULER_CLASSES[engine]()
+            )
             with pytest.raises(BandwidthExceededError) as error:
                 network.run(factory)
             messages[engine] = str(error.value)
@@ -172,8 +198,71 @@ class TestSchedulerDifferential:
         )
         messages = {}
         for engine in ("dense", "sparse"):
-            network = Network(path, engine=engine)
+            network = Network(path, scheduler=SCHEDULER_CLASSES[engine]())
             with pytest.raises(ProtocolError) as error:
                 network.run(factory)
             messages[engine] = str(error.value)
         assert messages["dense"] == messages["sparse"]
+
+
+#: Small topologies for the fault property: a tree, a cycle, cliques.
+_FAULT_GRAPHS = {
+    "random_tree_10": lambda: generators.random_tree(10, seed=4),
+    "cycle_12": lambda: generators.family_for_sweep("cycle", 12, seed=3),
+    "clique_chain_16": lambda: generators.family_for_sweep("clique_chain", 16, seed=3),
+}
+
+_PROBABILITIES = st.sampled_from([0.0, 0.05, 0.2])
+
+#: The fault-tolerant workloads: a BFS tree, the pipelined multi-source
+#: BFS (self-wakes) and the retrying BFS flood (timer wakes).
+_FAULT_WORKLOADS = {
+    "bfs": lambda network, nodes: run_bfs_tree(network, nodes[0]),
+    "msbfs": lambda network, nodes: run_multi_source_bfs(network, nodes[::4]),
+    "resilient_bfs": lambda network, nodes: run_resilient_bfs(network, nodes[0]),
+}
+
+
+def _faulty_outcome(workload, graph, model, scheduler):
+    """The workload's result, or its error's type, message and progress."""
+    network = Network(graph, seed=5, scheduler=scheduler, fault_model=model)
+    try:
+        return _FAULT_WORKLOADS[workload](network, graph.nodes())
+    except (CongestSimulationError, RuntimeError) as error:
+        return (
+            type(error), str(error),
+            getattr(error, "rounds_completed", None),
+            getattr(error, "max_rounds", None),
+        )
+
+
+class TestFaultyDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph_name=st.sampled_from(sorted(_FAULT_GRAPHS)),
+        workload=st.sampled_from(sorted(_FAULT_WORKLOADS)),
+        loss=_PROBABILITIES,
+        delay=_PROBABILITIES,
+        max_delay=st.sampled_from([1, 3]),
+        crash=_PROBABILITIES,
+        crash_window=st.sampled_from([4, 16]),
+        down_rounds=st.sampled_from([0, 1, 4, 1000]),
+        churn=st.sampled_from([0.0, 0.01, 0.05]),
+        timeout=st.sampled_from([None, 30, 256]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_faulty_runs_identical(
+        self, graph_name, workload, loss, delay, max_delay, crash,
+        crash_window, down_rounds, churn, timeout, seed,
+    ):
+        """Equal results and metrics under both schedulers, or the same
+        abort: exception type, message, rounds completed and round cap."""
+        graph = _FAULT_GRAPHS[graph_name]()
+        model = FaultModel(
+            loss=loss, delay=delay, max_delay=max_delay, crash=crash,
+            crash_window=crash_window, down_rounds=down_rounds, churn=churn,
+            timeout=timeout, seed=seed,
+        )
+        dense = _faulty_outcome(workload, graph, model, DenseScheduler())
+        sparse = _faulty_outcome(workload, graph, model, SparseScheduler())
+        assert sparse == dense

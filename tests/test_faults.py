@@ -9,8 +9,8 @@ aware task keys, provenance stamping, serial == parallel).
 The headline guarantees are differential:
 
 * the **null model is byte-identical** to the fault-free simulator on
-  every engine and compute tier (same values, rounds, metrics);
-* faulty executions are **identical across engines** for wake-driven
+  both schedulers and every compute tier (same values, rounds, metrics);
+* faulty executions are **identical across schedulers** for wake-driven
   algorithms and reproducible across processes and ``PYTHONHASHSEED``
   values (fault decisions are stateless CRC hashes, not RNG draws).
 """
@@ -43,6 +43,7 @@ from repro.congest.errors import (
 )
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
+from repro.engine import DenseScheduler, SparseScheduler
 from repro.faults import (
     FAULT_MODELS,
     NULL_FAULT_MODEL,
@@ -57,7 +58,9 @@ from repro.graphs.graph import Graph
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, collect_provenance, record_from_dict, record_to_dict
 
-ENGINES = ("dense", "sparse")
+#: The dense reference and the production sparse scheduler, by test id.
+SCHEDULER_CLASSES = {"dense": DenseScheduler, "sparse": SparseScheduler}
+ENGINES = tuple(SCHEDULER_CLASSES)
 
 #: The bench-calibrated loss scenario: at 10% loss the single-shot
 #: 2-approximation reliably times out on this graph while the retrying
@@ -370,7 +373,7 @@ def test_faulty_network_rejects_non_neighbour(engine, target):
     sender = type("Sender", (_NonNeighbourSender,), {"target": target})
     network = Network(
         generators.path_graph(3),
-        engine=engine,
+        scheduler=SCHEDULER_CLASSES[engine](),
         fault_model=FaultModel(
             loss=0.3, delay=0.3, max_delay=3, crash=0.3, churn=0.3, timeout=64
         ),
@@ -407,13 +410,19 @@ class TestNullModelIdentity:
     def test_null_model_byte_identical_per_engine(self, engine):
         graph = _graph()
         clean = run_classical_two_approximation(
-            Network(graph, seed=3, engine=engine)
+            Network(graph, seed=3, scheduler=SCHEDULER_CLASSES[engine]())
         )
         null = run_classical_two_approximation(
-            Network(graph, seed=3, engine=engine, fault_model=FaultModel())
+            Network(
+                graph, seed=3, scheduler=SCHEDULER_CLASSES[engine](),
+                fault_model=FaultModel(),
+            )
         )
         named = run_classical_two_approximation(
-            Network(graph, seed=3, engine=engine, fault_model="none")
+            Network(
+                graph, seed=3, scheduler=SCHEDULER_CLASSES[engine](),
+                fault_model="none",
+            )
         )
         for faulty in (null, named):
             assert faulty.estimate == clean.estimate
@@ -450,7 +459,7 @@ class TestLossFaults:
         network = Network(
             graph,
             seed=1,
-            engine="dense",
+            scheduler=DenseScheduler(),
             fault_model=FaultModel(loss=1.0, timeout=32),
         )
         with pytest.raises(RoundLimitExceededError) as excinfo:
@@ -509,7 +518,10 @@ class TestDelayFaults:
         outcomes = []
         for engine in ENGINES:
             result = run_resilient_bfs(
-                Network(graph, seed=2, engine=engine, fault_model=self.DELAYED),
+                Network(
+                    graph, seed=2, scheduler=SCHEDULER_CLASSES[engine](),
+                    fault_model=self.DELAYED,
+                ),
                 _root(graph),
             )
             outcomes.append(
@@ -644,7 +656,7 @@ class TestSweepIntegration:
 
 
 #: A faulty end-to-end scenario executed in subprocesses: a lossy
-#: resilient 2-approximation on every engine plus a faulty sweep grid.
+#: resilient 2-approximation on both schedulers plus a faulty sweep grid.
 #: All fault decisions are CRC hashes, so the JSON must be verbatim-
 #: identical across ``PYTHONHASHSEED`` values.
 _HASHSEED_SCRIPT = r"""
@@ -658,15 +670,16 @@ from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.config import ExecutionConfig
+from repro.engine import DenseScheduler, SparseScheduler
 from repro.runner import GraphSpec, resolve_algorithms
 
 model = FaultModel(loss=0.1, delay=0.1, max_delay=2, timeout=256)
 graph = generators.family_for_sweep("clique_chain", 20, seed=3)
 
 runs = {}
-for engine in ("dense", "sparse"):
+for engine, scheduler in (("dense", DenseScheduler), ("sparse", SparseScheduler)):
     result = run_resilient_two_approximation(
-        Network(graph, seed=7, engine=engine, fault_model=model)
+        Network(graph, seed=7, scheduler=scheduler(), fault_model=model)
     )
     metrics = result.metrics
     runs[engine] = [
@@ -714,7 +727,7 @@ def test_faulty_runs_identical_across_hash_seeds():
     first = run("1")
     second = run("4242")
     assert first["hash_randomised"] == second["hash_randomised"] == 1
-    # The engines must agree inside each subprocess as well.
+    # The schedulers must agree inside each subprocess as well.
     assert first["runs"]["dense"] == first["runs"]["sparse"]
     for key in first:
         if key == "hash_randomised":

@@ -57,10 +57,6 @@ class TestValidation:
             _request(kind="banana").validate()
 
     def test_unknown_selections(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            _request(engine="warp").validate()
-        with pytest.raises(ValueError, match="unknown schedule backend"):
-            _request(backend="warp").validate()
         with pytest.raises(ValueError, match="unknown compute tier"):
             _request(tier="warp").validate()
 
@@ -106,7 +102,7 @@ class TestRoundTrip:
     def test_plain_round_trip(self):
         request = _request(
             families=("cycle", "path"), sizes=(10, 12), seed=3, jobs=2,
-            engine="sparse", backend="batched", tier="stdlib",
+            tier="stdlib",
         )
         assert GridRequest.from_dict(request.to_dict()) == request
 
@@ -126,6 +122,16 @@ class TestRoundTrip:
         data = _request().to_dict()
         del data["dispatch"]
         assert GridRequest.from_dict(data).dispatch is None
+
+    @pytest.mark.parametrize("retired", [
+        {"engine": None, "backend": None},
+        {"engine": "dense", "backend": "sampling"},
+        {"engine": "sparse", "backend": "batched"},
+    ])
+    def test_retired_selections_dropped(self, retired):
+        request = _request(seed=3)
+        data = dict(request.to_dict(), **retired)
+        assert GridRequest.from_dict(data) == request
 
     def test_unknown_field_rejected(self):
         data = _request().to_dict()
@@ -180,7 +186,7 @@ class TestExecution:
         import repro.config
 
         before = repro.config.DEFAULT_CONFIG
-        execute_grid_request(_request(engine="sparse", tier="stdlib"))
+        execute_grid_request(_request(tier="stdlib", fault=FaultModel(loss=0.1)))
         assert repro.config.DEFAULT_CONFIG is before
 
 
@@ -210,8 +216,8 @@ class TestFlagInventories:
     """Regression for the historical drift between the grid commands.
 
     Before the shared builder, ``sweep`` and ``quantum`` each maintained
-    a hand-copied flag list (and ``quantum`` had already drifted: no
-    ``--engine``, divergent help text).  The three grid commands must
+    a hand-copied flag list (and ``quantum`` had already drifted: a
+    missing flag, divergent help text).  The three grid commands must
     expose identical flag inventories modulo their documented deltas.
     """
 
@@ -247,6 +253,6 @@ class TestFlagInventories:
         # shared inventory (fault flags feed the single `fault` field)
         sweep, _, _ = map(_flags, _grid_subparsers())
         for flag in ("--families", "--sizes", "--diameter", "--seed",
-                     "--jobs", "--engine", "--backend", "--tier",
+                     "--jobs", "--tier",
                      "--loss", "--crash", "--fault-seed"):
             assert flag in sweep

@@ -128,6 +128,7 @@ from repro.core import quantum_exact_diameter, quantum_exact_radius
 from repro.config import ExecutionConfig
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs.graph import Graph
+from repro.quantum.backend import BatchedScheduleBackend, SamplingScheduleBackend
 from repro.runner import GraphSpec, resolve_algorithms
 
 graph = Graph()
@@ -137,12 +138,13 @@ graph.add_edge(("ring", 0), ("chord", "x"))
 graph.add_edge(("chord", "x"), ("ring", 5))
 
 runs = {}
-for backend in ("sampling", "batched"):
+for name, backend in (("sampling", SamplingScheduleBackend()),
+                      ("batched", BatchedScheduleBackend())):
     result = quantum_exact_diameter(
         Network(graph, seed=2, bandwidth_bits=160), oracle_mode="reference",
         seed=7, backend=backend
     )
-    runs[backend] = [
+    runs[name] = [
         result.diameter, result.rounds, repr(result.leader),
         result.counts.setup_calls, result.counts.evaluation_calls,
         result.counts.measurements,
@@ -155,7 +157,7 @@ radius = quantum_exact_radius(
 problems = {}
 for name, info in sorted(QUANTUM_PROBLEMS.items()):
     run = info.solve(Network(graph, seed=1, bandwidth_bits=160),
-                     oracle_mode="reference", seed=5, backend="batched")
+                     oracle_mode="reference", seed=5)
     problems[name] = [run.value, run.rounds, run.counts.evaluation_calls]
 
 records = run_sweep_grid(

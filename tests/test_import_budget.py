@@ -181,16 +181,6 @@ class TestLazyPackageNames:
 class TestNameTuplesMatchRegistries:
     """The parser's choices are the registries' names."""
 
-    def test_engines(self):
-        from repro.engine import ENGINE_NAMES, SCHEDULERS
-
-        assert names.ENGINE_NAMES == tuple(sorted(SCHEDULERS)) == ENGINE_NAMES
-
-    def test_backends(self):
-        from repro.quantum.backend import BACKEND_NAMES, SCHEDULE_BACKENDS
-
-        assert names.BACKEND_NAMES == tuple(sorted(SCHEDULE_BACKENDS)) == BACKEND_NAMES
-
     def test_tiers(self):
         from repro.tier import TIER_NAMES, TIER_NUMPY, TIER_STDLIB
 

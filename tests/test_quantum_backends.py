@@ -5,7 +5,9 @@ sampling simulation for a fixed seed -- same values, same Setup /
 Evaluation / measurement counts, same conditioned samples -- across every
 registered problem, graph family and execution path (including the
 BatchRunner parallel branch evaluation).  These tests mirror the
-dense==sparse engine differential suite of PR 1.
+dense==sparse scheduler differential suite.  Every quantum run uses the
+batched backend; the sampling backend is reachable only as an instance
+passed to ``backend=``.
 """
 
 from __future__ import annotations
@@ -17,18 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.config
 from repro.config import ExecutionConfig
 from repro.congest.network import Network
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
 from repro.quantum.backend import (
-    BACKEND_NAMES,
-    SCHEDULE_BACKENDS,
     BatchedScheduleBackend,
     SamplingScheduleBackend,
     resolve_schedule_backend,
-    validate_backend_name,
 )
 from repro.quantum.grover import grover_search
 from repro.quantum.maximum_finding import find_maximum, uniform_amplitudes
@@ -42,8 +40,11 @@ settings.register_profile(
 )
 settings.load_profile("repro-backends")
 
-SAMPLING = SCHEDULE_BACKENDS["sampling"]
-BATCHED = SCHEDULE_BACKENDS["batched"]
+SAMPLING = SamplingScheduleBackend()
+BATCHED = BatchedScheduleBackend()
+
+#: The two backends by name, for the paired runs below.
+BACKENDS = {"sampling": SAMPLING, "batched": BATCHED}
 
 #: The graph families the sweep layer exercises, at differential sizes.
 FAMILY_GRAPHS = [
@@ -56,27 +57,19 @@ FAMILY_GRAPHS = [
 
 
 class TestBackendRegistry:
-    def test_names_and_instances(self):
-        assert BACKEND_NAMES == ("batched", "sampling")
-        assert isinstance(SAMPLING, SamplingScheduleBackend)
-        assert isinstance(BATCHED, BatchedScheduleBackend)
-
     def test_resolution(self):
-        assert (
-            resolve_schedule_backend(None).name
-            == repro.config.DEFAULT_CONFIG.backend
-        )
-        assert resolve_schedule_backend("batched") is BATCHED
-        assert resolve_schedule_backend(BATCHED) is BATCHED
-        with pytest.raises(ValueError):
-            resolve_schedule_backend("bogus")
-        with pytest.raises(ValueError):
-            validate_backend_name("")
+        assert type(resolve_schedule_backend(None)) is BatchedScheduleBackend
+        assert resolve_schedule_backend(SAMPLING) is SAMPLING
+        for name in ("batched", "sampling"):
+            with pytest.raises(TypeError, match="ScheduleBackend instance"):
+                resolve_schedule_backend(name)
 
     def test_unknown_default_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule backend"):
-            ExecutionConfig(backend="bogus")
-        assert ExecutionConfig().backend == "sampling"
+        """No configuration selects a backend any more."""
+        with pytest.raises(TypeError):
+            ExecutionConfig(backend="sampling")
+        with pytest.raises(ValueError, match="unknown execution config"):
+            ExecutionConfig.from_dict({"backend": "sampling"})
 
 
 class TestMaximumFindingDifferential:
@@ -213,7 +206,7 @@ class TestSearchDifferential:
                     items, lambda x: x % 13 == 4,
                     rng=random.Random(seed), backend=backend,
                 )
-                for backend in ("sampling", "batched")
+                for backend in (SAMPLING, BATCHED)
             ]
             assert outcomes[0] == outcomes[1]
 
@@ -225,7 +218,7 @@ class TestSearchDifferential:
                     items, lambda x: False,
                     rng=random.Random(seed), backend=backend,
                 )
-                for backend in ("sampling", "batched")
+                for backend in (SAMPLING, BATCHED)
             ]
             assert outcomes[0] == outcomes[1]
             assert outcomes[0].found is None
@@ -280,8 +273,8 @@ class TestProblemsDifferential:
     def test_registered_problem_identical(self, problem, family, graph):
         info = QUANTUM_PROBLEMS[problem]
         runs = {}
-        for backend in ("sampling", "batched"):
-            runs[backend] = info.solve(
+        for name, backend in BACKENDS.items():
+            runs[name] = info.solve(
                 Network(graph, seed=2),
                 oracle_mode="reference",
                 seed=5,
@@ -299,11 +292,11 @@ class TestProblemsDifferential:
         graph = generators.clique_chain(3, 3)
         info = QUANTUM_PROBLEMS[problem]
         runs = {
-            backend: info.solve(
+            name: info.solve(
                 Network(graph, seed=1), oracle_mode="congest",
                 seed=3, backend=backend,
             )
-            for backend in ("sampling", "batched")
+            for name, backend in BACKENDS.items()
         }
         assert runs["sampling"].value == runs["batched"].value
         assert runs["sampling"].rounds == runs["batched"].rounds
@@ -320,8 +313,8 @@ class TestProblemsDifferential:
         graph = generators.clique_chain(3, 3)
         runner = BatchRunner(jobs=2)
         results = {}
-        for backend in ("sampling", "batched"):
-            results[backend] = quantum_exact_diameter(
+        for name, backend in BACKENDS.items():
+            results[name] = quantum_exact_diameter(
                 Network(graph, seed=4), oracle_mode="congest",
                 seed=6, runner=runner, backend=backend,
             )
@@ -338,7 +331,9 @@ class TestProblemsDifferential:
             == batched.optimization.simulated_rounds
         )
 
-    def test_parallel_sweep_records_identical_across_backends(self):
+    def test_parallel_sweep_records_identical_across_backends(
+        self, reference_paths
+    ):
         """run_sweep_grid over quantum kernels: serial sampling == parallel
         batched, record for record (the strongest cross-layer identity)."""
         from repro.analysis.sweep import run_sweep_grid
@@ -351,12 +346,7 @@ class TestProblemsDifferential:
         algorithms = resolve_algorithms(
             ["quantum_exact", "quantum_radius", "quantum_source_ecc"]
         )
-        serial = run_sweep_grid(
-            specs, algorithms, jobs=1, base_seed=7,
-            config=ExecutionConfig(backend="sampling"),
-        )
-        parallel = run_sweep_grid(
-            specs, algorithms, jobs=2, base_seed=7,
-            config=ExecutionConfig(backend="batched"),
-        )
+        parallel = run_sweep_grid(specs, algorithms, jobs=2, base_seed=7)
+        reference_paths()
+        serial = run_sweep_grid(specs, algorithms, jobs=1, base_seed=7)
         assert serial == parallel

@@ -303,7 +303,7 @@ class TestQuantumCLI:
     def test_quantum_run_all_problems(self, capsys):
         exit_code = main(
             ["quantum", "--families", "clique_chain", "--sizes", "16",
-             "--seed", "1", "--backend", "batched"]
+             "--seed", "1"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
@@ -315,17 +315,21 @@ class TestQuantumCLI:
         ):
             assert name in output
 
-    def test_quantum_backends_produce_identical_stores(self, capsys, tmp_path):
-        """The CI round-trip in miniature: a batched run and a sampling
-        run persist byte-identical record sets."""
+    def test_quantum_backends_produce_identical_stores(
+        self, capsys, tmp_path, reference_paths
+    ):
+        """A run as shipped (batched) and a run on the sampling reference
+        persist byte-identical record sets."""
         from repro.store import render_records
 
         args = ["quantum", "--families", "cycle", "--sizes", "12",
                 "--seed", "2", "--problems", "radius,source_ecc"]
         stores = {}
-        for backend in ("sampling", "batched"):
+        for backend in ("batched", "sampling"):
+            if backend == "sampling":
+                reference_paths()
             path = tmp_path / f"{backend}.jsonl"
-            assert main(args + ["--backend", backend, "--out", str(path)]) == 0
+            assert main(args + ["--out", str(path)]) == 0
             stores[backend] = render_records(
                 ExperimentStore(path).load_records(), "jsonl"
             )
@@ -357,14 +361,14 @@ class TestQuantumCLI:
         assert "--resume requires --out" in capsys.readouterr().err
 
     def test_quantum_backend_default_restored(self):
-        """The CLI backend selection must not leak into later in-process
-        callers (the tests share one interpreter)."""
+        """A CLI run must not leave its configuration behind for later
+        in-process callers (the tests share one interpreter)."""
         import repro.config
 
         before = repro.config.DEFAULT_CONFIG
         assert main(
             ["quantum", "--families", "cycle", "--sizes", "8",
-             "--problems", "source_ecc", "--backend", "batched"]
+             "--problems", "source_ecc", "--tier", "stdlib"]
         ) == 0
         assert repro.config.DEFAULT_CONFIG is before
 
@@ -372,7 +376,7 @@ class TestQuantumCLI:
         exit_code = main(
             ["sweep", "--families", "cycle", "--sizes", "12",
              "--algorithms", "quantum_radius,quantum_source_ecc",
-             "--seed", "4", "--backend", "batched"]
+             "--seed", "4"]
         )
         output = capsys.readouterr().out
         assert exit_code == 0

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.faults import FaultModel
 from repro.service import (
     ExperimentService,
     GridRequest,
@@ -160,6 +161,19 @@ class TestAPIBasics:
         assert (info.value.status, info.value.code) == (400, "invalid_request")
         assert "fault field" in info.value.message
 
+    @pytest.mark.parametrize("retired", [
+        {"engine": None, "backend": None},
+        {"engine": "dense"},
+        {"backend": "sampling"},
+    ])
+    def test_submit_with_retired_selection_keys_201(self, idle, retired):
+        # Clients written while requests carried ``engine``/``backend``
+        # keep submitting: the keys are dropped, not rejected.
+        client, _ = idle
+        payload = dict(_request().to_dict(), **retired)
+        body = json.dumps({"tenant": "alice", "request": payload}).encode("utf-8")
+        assert _raw_post(client.base_url, body, str(len(body))) == 201
+
     def test_submit_bad_tenant_400(self, idle):
         client, _ = idle
         with pytest.raises(ServiceClientError) as info:
@@ -255,17 +269,19 @@ class TestExecution:
         assert client.results(job_id, format="jsonl") == _local_export(request)
 
     def test_jobs_with_different_selections_isolated(self, live):
-        # two concurrent jobs with *different* engine/backend selections:
+        # two concurrent jobs with *different* tier/fault selections:
         # each grid carries its own selections, which must stay apart,
-        # and both exports must still match plain local runs (selections
-        # change wall-clock, never bytes).
+        # and both exports must still match plain local runs.
         client, _ = live
-        a = client.submit("alice", _request(engine="sparse"))["job_id"]
-        b = client.submit("bob", _request(backend="batched"))["job_id"]
+        lossy = _request(fault=FaultModel(loss=0.05, seed=3))
+        plain = _request(tier="stdlib")
+        a = client.submit("alice", lossy)["job_id"]
+        b = client.submit("bob", plain)["job_id"]
         assert client.watch(a, poll=0.05, timeout=60)["state"] == "done"
         assert client.watch(b, poll=0.05, timeout=60)["state"] == "done"
-        assert client.results(a) == _local_export(_request(engine="sparse"))
-        assert client.results(b) == _local_export(_request(backend="batched"))
+        assert client.results(a) == _local_export(lossy)
+        assert client.results(b) == _local_export(plain)
+        assert client.results(a) != client.results(b)
 
     def test_fault_injected_job_completes(self, live):
         client, _ = live

@@ -138,6 +138,25 @@ class TestLedgerReplay:
                 handle.write(json.dumps(entry) + "\n")
         assert ledger.replay()["job-000001"].state == "queued"
 
+    @pytest.mark.parametrize("retired", [
+        {"engine": None, "backend": None},
+        {"engine": "dense", "backend": None},
+    ])
+    def test_rows_with_retired_selections_replay(self, tmp_path, retired):
+        """Job rows written while requests carried ``engine`` and
+        ``backend`` replay as the same job instead of being skipped."""
+        path = tmp_path / "jobs.jsonl"
+        ledger = JobLedger(path)
+        ledger.append_job(_record())
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["request"] = dict(entry["request"], **retired)
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        ledger.append_state("job-000001", "running", done=0)
+        replayed = ledger.replay()
+        assert set(replayed) == {"job-000001"}
+        assert replayed["job-000001"].request == _request()
+        assert replayed["job-000001"].state == "running"
+
     def test_old_worker_pid_key_ignored(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         ledger = JobLedger(path)

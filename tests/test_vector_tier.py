@@ -335,9 +335,7 @@ class TestTierThreading:
             ["classical_exact", "two_approx_retry", "quantum_radius"]
         )
         fault = FaultModel(loss=0.05, timeout=256, seed=2)
-        config = ExecutionConfig(
-            engine="sparse", backend="batched", tier="numpy", fault=fault
-        )
+        config = ExecutionConfig(tier="numpy", fault=fault)
         serial = run_sweep_grid(specs, algorithms, base_seed=5, config=config)
         store = ExperimentStore(tmp_path / "spawned.jsonl")
         spawned = run_sweep_grid(
@@ -350,10 +348,9 @@ class TestTierThreading:
         fault_free = run_sweep_grid(specs, algorithms, base_seed=5)
         assert fault_free != serial
         header = store.latest_header()
-        assert (
-            header["engine"], header["schedule_backend"], header["tier"],
-            header["fault_model"],
-        ) == ("sparse", "batched", "numpy", fault.describe())
+        assert (header["tier"], header["fault_model"]) == (
+            "numpy", fault.describe()
+        )
 
 
 # ----------------------------------------------------------------------
