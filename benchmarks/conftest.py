@@ -4,20 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-import repro.config
-from repro.names import TIER_NAMES
-
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--tier",
-        default=None,
-        choices=TIER_NAMES,
-        help=(
-            "compute tier for the graph oracles: 'stdlib' (seed behaviour) "
-            "or 'numpy' (vectorized bitset kernels; byte-identical results)"
-        ),
-    )
     parser.addoption(
         "--jobs",
         type=int,
@@ -37,26 +25,6 @@ def pytest_addoption(parser):
             "store (appended across tests; see repro.store)"
         ),
     )
-
-
-@pytest.fixture(autouse=True)
-def _execution_config(request):
-    """Honour ``--tier`` by replacing the default config.
-
-    The benchmarks build their networks deep inside workload helpers, so
-    the selection rides on :data:`repro.config.DEFAULT_CONFIG` (which
-    every network built without an explicit configuration resolves)
-    rather than a parameter threaded through every call; the previous
-    default is restored after each test.
-    """
-    previous = repro.config.DEFAULT_CONFIG
-    repro.config.DEFAULT_CONFIG = repro.config.resolve_config(
-        previous, tier=request.config.getoption("--tier")
-    )
-    try:
-        yield
-    finally:
-        repro.config.DEFAULT_CONFIG = previous
 
 
 @pytest.fixture

@@ -25,9 +25,9 @@ The library contains, from the ground up:
   loss/delay, fail-pause node crash/restart and edge churn layered over
   the engine, with retry/backoff counterparts of the building blocks in
   :mod:`repro.algorithms.resilient`.
-* the execution configuration (:mod:`repro.config`): engine, quantum
-  schedule backend, compute tier and fault model as one explicit value
-  passed from the CLI flags down to every network a grid builds.
+* the execution configuration (:mod:`repro.config`): the fault model as
+  one explicit value passed from the CLI flags down to every network a
+  grid builds.
 
 Quick start::
 

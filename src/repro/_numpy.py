@@ -1,19 +1,18 @@
 """Guarded numpy import shared by every numpy-dependent subsystem.
 
 numpy is a *declared but optional* dependency (the ``repro[numpy]``
-extra in ``pyproject.toml``): the stdlib compute tier, the CONGEST
-simulator and the quantum schedule backends never touch it, while the
-``numpy`` compute tier (:mod:`repro.tier`, :mod:`repro.graphs.vector`)
-and the curve-fitting helpers
-(:mod:`repro.analysis.fitting`) require it.  Those subsystems import
-numpy through :func:`require_numpy` so a missing install fails with one
-actionable message naming the extra instead of a bare
+extra in ``pyproject.toml``): the CONGEST simulator and the quantum
+schedule backends never touch it.  The graph oracles use it when it is
+installed and the graph is in the band where the vectorized kernels of
+:mod:`repro.graphs.vector` win (:func:`numpy_or_none`), and run their
+stdlib kernels otherwise.  The state-vector simulator and the
+curve-fitting helpers (:mod:`repro.analysis.fitting`) require it; they
+import numpy through :func:`require_numpy` so a missing install fails
+with one actionable message naming the extra instead of a bare
 ``ModuleNotFoundError`` deep inside a kernel.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 #: Name of the optional-dependency extra declared in ``pyproject.toml``.
 NUMPY_EXTRA = "numpy"
@@ -29,8 +28,7 @@ def missing_numpy_message(feature: str) -> str:
         f"{feature} requires numpy, which is not installed; "
         f"install the {NUMPY_EXTRA!r} extra "
         f"(pip install 'repro[{NUMPY_EXTRA}]') or {NUMPY_REQUIREMENT} "
-        "directly, or keep using the pure-stdlib tier (--tier stdlib, "
-        "the default)"
+        "directly"
     )
 
 
@@ -56,8 +54,3 @@ def require_numpy(feature: str = "this feature"):
         raise ImportError(missing_numpy_message(feature)) from exc
     return numpy
 
-
-def numpy_version_or_none() -> Optional[str]:
-    """numpy's version string for provenance records, or ``None``."""
-    module = numpy_or_none()
-    return None if module is None else getattr(module, "__version__", "unknown")

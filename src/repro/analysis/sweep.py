@@ -50,14 +50,13 @@ exact algorithms).  Sweeps of pure approximation algorithms leave
 guarantees are validated opportunistically.
 
 Execution configuration: the grid's :class:`repro.config.ExecutionConfig`
-(compute tier and fault model) travels in the task
-context, so every cell -- serial, pooled or remote -- builds its networks
-and runs its oracles under the same selections.  When its fault model is
-non-null (the ``repro sweep --loss/--crash/--churn`` flags) the networks
-the kernels build inject message loss, delays, crashes and churn.  Under
-faults, non-convergence is an *expected outcome*, not a bug: simulator
-aborts (round/timeout limits, quiescence stalls) and unreached-node
-errors are captured into the record as ``success=False`` with a
+(its fault model) travels in the task context, so every cell -- serial,
+pooled or remote -- builds its networks under the same fault model.  When
+it is non-null (the ``repro sweep --loss/--crash/--churn`` flags) the
+networks the kernels build inject message loss, delays, crashes and
+churn.  Under faults, non-convergence is an *expected outcome*, not a
+bug: simulator aborts (round/timeout limits, quiescence stalls) and
+unreached-node errors are captured into the record as ``success=False`` with a
 ``failure_reason`` instead of aborting the whole sweep.  Task keys and
 grid signatures incorporate the fault model's description, so faulty and
 fault-free sweeps never alias in a store.
@@ -253,7 +252,7 @@ def _sweep_one_grid_cell(
         # Some algorithm of this sweep needs the oracle, so every record
         # of the spec carries it; the per-process cache makes this one
         # computation per spec per worker.
-        true_diameter = graph_diameter_cached(spec, config.tier)
+        true_diameter = graph_diameter_cached(spec)
     if success:
         correct, extra = _check_value(
             _guarantee_of(algorithm),

@@ -39,7 +39,8 @@ interoperable -- same task keys, same seed streams)::
 
 Start-up: building the parser imports only :mod:`repro.names`; each
 command handler imports the layers it runs, so ``repro export`` never
-loads the simulator and a stdlib-tier sweep never loads numpy.
+loads the simulator and a sweep never loads numpy unless a graph oracle
+runs in the vector band.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from repro.names import (
     SHARD_POLICIES,
     SWEEP_ALGORITHM_NAMES,
     SWEEP_FAMILIES,
-    TIER_NAMES,
 )
 
 if TYPE_CHECKING:
@@ -78,18 +78,6 @@ def _build_graph(args: argparse.Namespace):
             args.nodes, args.diameter, seed=args.seed
         )
     return generators.family_for_sweep(args.family, args.nodes, seed=args.seed)
-
-
-def _execution_config(args: argparse.Namespace):
-    """The execution configuration selected by ``--tier``.
-
-    An unset flag keeps :data:`repro.config.DEFAULT_CONFIG`.  Results are
-    independent of the tier (byte-identical), so the flag only affects
-    wall-clock.
-    """
-    from repro.config import resolve_config
-
-    return resolve_config(None, tier=args.tier)
 
 
 def _quantum_seeds(seed: int):
@@ -114,13 +102,12 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
     from repro.congest import Network
     from repro.core import quantum_exact_diameter
 
-    config = _execution_config(args)
     graph = _build_graph(args)
-    truth = graph.compile().diameter(config.tier)
+    truth = graph.compile().diameter()
     rows = []
 
     classical = run_classical_exact_diameter(
-        Network(graph, seed=args.seed, config=config)
+        Network(graph, seed=args.seed)
     )
     rows.append(
         ["classical exact [PRT12/HW12]", classical.diameter, classical.rounds]
@@ -128,7 +115,7 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
 
     network_seed, schedule_seed = _quantum_seeds(args.seed)
     quantum = quantum_exact_diameter(
-        Network(graph, seed=network_seed, config=config),
+        Network(graph, seed=network_seed),
         oracle_mode=args.oracle_mode, seed=schedule_seed,
     )
     rows.append(["quantum exact (Theorem 1)", quantum.diameter, quantum.rounds])
@@ -147,17 +134,16 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     from repro.congest import Network
     from repro.core import quantum_three_halves_diameter
 
-    config = _execution_config(args)
     graph = _build_graph(args)
-    truth = graph.compile().diameter(config.tier)
+    truth = graph.compile().diameter()
     rows = []
 
     two = run_classical_two_approximation(
-        Network(graph, seed=args.seed, config=config)
+        Network(graph, seed=args.seed)
     )
     rows.append(["2-approximation", two.estimate, two.rounds])
     classical = run_hprw_three_halves_approximation(
-        Network(graph, seed=args.seed, config=config), seed=args.seed
+        Network(graph, seed=args.seed), seed=args.seed
     )
     rows.append(
         ["classical 3/2-approx [HPRW14]", classical.estimate, classical.rounds]
@@ -165,7 +151,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     if args.quantum:
         network_seed, schedule_seed = _quantum_seeds(args.seed)
         quantum = quantum_three_halves_diameter(
-            Network(graph, seed=network_seed, config=config),
+            Network(graph, seed=network_seed),
             oracle_mode=args.oracle_mode, seed=schedule_seed,
         )
         rows.append(
@@ -210,7 +196,6 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
         diameter=args.diameter,
         seed=args.seed,
         jobs=args.jobs,
-        tier=args.tier,
         dispatch=args.dispatch,
         fault=fault_model_from_flags(
             loss=args.loss,
@@ -838,13 +823,6 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
         ),
     )
     sub.add_argument(
-        "--tier", default=None, choices=TIER_NAMES,
-        help=(
-            "compute tier for the correctness-gate oracles (results are "
-            "tier-independent; default: stdlib)"
-        ),
-    )
-    sub.add_argument(
         "--dispatch", default=None, choices=DISPATCH_NAMES,
         help=(
             "where grid cells execute: 'inprocess' (serial), "
@@ -1017,14 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--oracle-mode", default="reference", choices=("reference", "congest"),
             help="how quantum branch values are evaluated (default: reference)",
-        )
-        sub.add_argument(
-            "--tier", default=None, choices=TIER_NAMES,
-            help=(
-                "compute tier for the graph oracles: 'stdlib' (reference) "
-                "or 'numpy' (vectorized bitset kernels; byte-identical "
-                "results, default: stdlib)"
-            ),
         )
 
     diameter_parser = subparsers.add_parser(

@@ -104,8 +104,7 @@ class Network:
     config:
         The :class:`repro.config.ExecutionConfig` of this network's runs
         (``None``: :data:`repro.config.DEFAULT_CONFIG`).  The resolved
-        configuration, ``fault_model`` applied, is :attr:`config`; the
-        reference oracles read its compute tier.
+        configuration, ``fault_model`` applied, is :attr:`config`.
     """
 
     def __init__(

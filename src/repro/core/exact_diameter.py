@@ -215,9 +215,7 @@ class ExactDiameterProblem(DistributedSearchProblem):
     def _eccentricities(self) -> Dict[NodeId, int]:
         if self._reference_eccentricities is None:
             indexed = self.network.graph.compile()
-            self._reference_eccentricities = indexed.all_eccentricities(
-                self.network.config.tier
-            )
+            self._reference_eccentricities = indexed.all_eccentricities()
         return self._reference_eccentricities
 
     def _representative_cost(self) -> ExecutionMetrics:

@@ -200,7 +200,12 @@ class RemoteDispatch:
                     index = int(frame["index"])
                     if index < next_index or index in buffered:
                         continue  # duplicate completion: first write wins
-                    buffered[index] = record_from_dict(frame["record"])
+                    try:
+                        buffered[index] = record_from_dict(frame["record"])
+                    except (TypeError, ValueError) as error:
+                        raise DispatchError(
+                            f"malformed record for cell {index}: {error}"
+                        ) from None
                     while next_index in buffered:
                         yield buffered.pop(next_index)
                         next_index += 1

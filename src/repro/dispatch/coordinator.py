@@ -5,7 +5,7 @@ One coordinator serves two kinds of peers over the same listening socket
 
 * **workers** (``repro worker join HOST:PORT``) open a connection, send a
   ``register`` frame (carrying a ``capabilities`` report: cpu count,
-  numpy-tier availability, a micro-benchmark throughput score) and then
+  numpy availability, a micro-benchmark throughput score) and then
   wait for work, sending ``heartbeat`` frames while idle.  The
   coordinator answers with a ``grid`` description frame (once per worker
   per grid) followed by ``shard`` frames naming the task indices to run;
@@ -575,31 +575,38 @@ class DispatchCoordinator:
     def _on_heartbeat(self, frame: Dict[str, Any]) -> None:
         """Liveness plus cost-model calibration from completed-cell times."""
         timings = frame.get("timings")
-        if not timings:
+        if timings is None:
             return
+        if not isinstance(timings, list):
+            raise FrameError("heartbeat 'timings' must be a list")
         from repro.dispatch.cost import guarantee_of
 
         with self._lock:
             for item in timings:
                 try:
                     algorithm = str(item["algorithm"])
-                    num_nodes = int(item["num_nodes"])
-                    seconds = float(item["seconds"])
-                except (KeyError, TypeError, ValueError):
+                    self._cost_model.observe(
+                        algorithm,
+                        int(item["num_nodes"]),
+                        float(item["seconds"]),
+                        guarantee_of(algorithm, kind=str(item.get("kind", "sweep"))),
+                    )
+                except (KeyError, TypeError, ValueError, OverflowError):
                     continue
-                self._cost_model.observe(
-                    algorithm,
-                    num_nodes,
-                    seconds,
-                    guarantee_of(algorithm, kind=str(item.get("kind", "sweep"))),
-                )
 
     def _on_cell(self, worker: _WorkerState, frame: Dict[str, Any]) -> None:
         with self._lock:
             grid = self._grids.get(str(frame.get("grid")))
             if grid is None or grid.finished:
                 return  # stale result from an aborted/finished grid
-            index = int(frame["index"])
+            index = frame.get("index")
+            if (
+                not isinstance(index, int) or isinstance(index, bool)
+                or not 0 <= index < grid.total
+            ):
+                raise FrameError(f"cell index {index!r} is not a cell of the grid")
+            if not isinstance(frame.get("record"), dict):
+                raise FrameError(f"cell {index} carries no record object")
             for state in self._workers.values():
                 shard = state.shard
                 if shard is not None and shard.grid_id == grid.grid_id:
@@ -643,11 +650,17 @@ class DispatchCoordinator:
             self._schedule_locked()
 
     def _on_shard_failed(self, worker: _WorkerState, frame: Dict[str, Any]) -> None:
+        """A worker's kernel raised: fail the grid of the shard it holds.
+
+        A report naming any other shard is ignored -- one worker cannot
+        fail a grid it is not computing.
+        """
         with self._lock:
             shard = worker.shard
-            if shard is not None and shard.shard_id == frame.get("shard"):
-                worker.shard = None
-            grid = self._grids.get(str(frame.get("grid")))
+            if shard is None or shard.shard_id != frame.get("shard"):
+                return
+            worker.shard = None
+            grid = self._grids.get(shard.grid_id)
             if grid is not None:
                 self._fail_grid(
                     grid,

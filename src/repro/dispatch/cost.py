@@ -37,6 +37,7 @@ grid and calibration state is byte-identical across processes and
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Cost-exponent priors by correctness guarantee: how a cell's wall time
@@ -122,9 +123,14 @@ class CostModel:
         seconds: float,
         guarantee: Optional[str] = None,
     ) -> None:
-        """Record one completed cell's wall time."""
+        """Record one completed cell's wall time.
+
+        Negative and non-finite times (a heartbeat is outside input, and
+        JSON admits ``NaN`` and ``Infinity``) are ignored: one of them
+        would poison every later estimate.
+        """
         seconds = float(seconds)
-        if seconds < 0.0:
+        if not math.isfinite(seconds) or seconds < 0.0:
             return
         prior = static_cell_cost(num_nodes, guarantee)
         entry = self._per_algorithm.setdefault(str(algorithm), [0.0, 0.0])

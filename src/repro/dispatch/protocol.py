@@ -109,9 +109,10 @@ class FramedSocket:
         """Receive one frame; ``None`` on clean EOF at a frame boundary.
 
         Raises :class:`FrameError` on truncation, an oversized or
-        negative length prefix, or a payload that is not a JSON object --
-        all signs the peer is not speaking this protocol (or died
-        mid-send), in which case the connection is unusable.
+        negative length prefix, or a payload that is not a JSON object
+        (undecodable, nested too deep or with an oversized integer
+        included) -- all signs the peer is not speaking this protocol (or
+        died mid-send), in which case the connection is unusable.
         """
         header = _recv_exactly(self.sock, _LENGTH.size)
         if header is None:
@@ -126,7 +127,7 @@ class FramedSocket:
             raise FrameError("peer closed the connection between header and payload")
         try:
             frame = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
             raise FrameError(f"undecodable frame payload: {error}") from None
         if not isinstance(frame, dict):
             raise FrameError(

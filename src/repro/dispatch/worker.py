@@ -2,15 +2,14 @@
 
 ``repro worker join HOST:PORT --shard-dir DIR`` runs this loop: connect
 to a :class:`repro.dispatch.coordinator.DispatchCoordinator`, register
-(reporting a ``capabilities`` probe: cpu count, numpy-tier availability
+(reporting a ``capabilities`` probe: cpu count, numpy availability
 and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
 (:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-execution configuration (compute tier and fault model), parsed from
-the grid frame into the same task context local pool
-workers receive -- so a remote cell computes the byte-identical record a
-serial run would.
+execution configuration (its fault model), parsed from the grid frame
+into the same task context local pool workers receive -- so a remote
+cell computes the byte-identical record a serial run would.
 
 Every completed cell is appended to the worker's **own** JSONL store
 shard (``DIR/shard-<signature>-<worker_id>.jsonl``) under the store's

@@ -203,9 +203,8 @@ class FaultModel:
 #: The null model: no faults, the behaviour of the seed simulator.
 NULL_FAULT_MODEL = FaultModel()
 
-#: Named fault models, selectable wherever a model is accepted (the
-#: registry mirrors ``TIER_NAMES``).  ``register_fault_model`` adds
-#: entries at runtime.
+#: Named fault models, selectable wherever a model is accepted.
+#: ``register_fault_model`` adds entries at runtime.
 FAULT_MODELS: Dict[str, FaultModel] = {
     "none": NULL_FAULT_MODEL,
     # A mildly lossy network: ~2% of messages vanish.

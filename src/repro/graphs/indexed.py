@@ -30,8 +30,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro._numpy import numpy_or_none
 from repro.graphs.graph import Graph, GraphError, NodeId
-from repro.tier import active_numpy
 
 
 class IndexedGraph:
@@ -324,6 +324,18 @@ class IndexedGraph:
     #: comfortably cache/memory-resident; larger graphs use pruning.
     _BITPARALLEL_MAX_NODES = 32768
 
+    #: Below this double-sweep diameter bound the stdlib big-int bitset is
+    #: already near memory bandwidth (its cost is ``O(D * m * n/64)`` word
+    #: ops and tiny diameters mean few levels), so the oracle keeps it;
+    #: from this bound upward the batched Takes-Kosters kernel of
+    #: :mod:`repro.graphs.vector` wins even when the call also pays the
+    #: first ``import numpy`` of a fresh interpreter.  Measured on clique
+    #: chains, oracle plus import, medians on a 2-core Xeon with CPython
+    #: 3.11 and numpy 2.4: n=1152 (bound 65) 175 ms with numpy vs 121 ms
+    #: without, n=1376 (bound 73) 172 vs 229 ms, n=2048 (bound 89) 215 vs
+    #: 542 ms.
+    VECTOR_MIN_BOUND = 72
+
     def _double_sweep(self) -> int:
         """A diameter lower bound from two stamped BFS sweeps.
 
@@ -515,16 +527,14 @@ class IndexedGraph:
             candidates = remaining
         return ecc
 
-    def _eccentricities_indexed(self, tier: Optional[str] = None) -> List[int]:
+    def _eccentricities_indexed(self) -> List[int]:
         """Index-ordered eccentricities, computed once and cached.
 
-        Strategy dispatch is tier-aware: under the ``numpy`` compute
-        ``tier`` (:mod:`repro.tier`; ``None`` is the default
-        configuration's tier) the moderate-diameter band of the
-        bitset regime goes to the batched Takes-Kosters kernel of
-        :mod:`repro.graphs.vector` (see :meth:`_all_ecc_vector_dispatch`);
-        every strategy is exact, so the tier can never change the
-        result -- only how fast it is computed.
+        The strategy follows the graph: the double-sweep bound and ``n``
+        pick among the stdlib strategies, and the vector band (see
+        :meth:`_all_ecc_vector`) runs the numpy kernel when numpy is
+        installed.  Every strategy is exact, so the choice never changes
+        the result -- only how fast it is computed.
         """
         cached = self._ecc_cache
         if cached is not None:
@@ -536,10 +546,7 @@ class IndexedGraph:
             result = self._all_ecc_plain()
         else:
             diameter_bound = self._double_sweep()
-            result = None
-            np = active_numpy(tier)
-            if np is not None:
-                result = self._all_ecc_vector_dispatch(np, diameter_bound)
+            result = self._all_ecc_vector(diameter_bound)
             if result is None:
                 if (
                     n <= self._BITPARALLEL_MAX_NODES
@@ -551,10 +558,8 @@ class IndexedGraph:
         self._ecc_cache = result
         return result
 
-    def _all_ecc_vector_dispatch(
-        self, np, diameter_bound: int
-    ) -> Optional[List[int]]:
-        """numpy-tier strategy selection; ``None`` defers to stdlib.
+    def _all_ecc_vector(self, diameter_bound: int) -> Optional[List[int]]:
+        """The numpy kernel's answer in its band; ``None`` defers to stdlib.
 
         The vector kernel (batched 64-source Takes-Kosters over the CSR
         arrays, :mod:`repro.graphs.vector`) takes over exactly where the
@@ -575,22 +580,28 @@ class IndexedGraph:
 
         Tiny diameters stay on the big-int bitset (already near memory
         bandwidth) and the high-diameter regime stays on Takes-Kosters
-        pruning; the tier only ever changes execution speed.
+        pruning.  The band is checked first, so a graph outside it never
+        imports numpy (nor :mod:`repro.graphs.vector`); inside it, a
+        missing numpy also defers to stdlib.
         """
+        n = len(self.labels)
+        small = n <= self._BITPARALLEL_MAX_NODES
+        if diameter_bound * 8 > n or (
+            small and diameter_bound < self.VECTOR_MIN_BOUND
+        ):
+            return None
+        np = numpy_or_none()
+        if np is None:
+            return None
         from repro.graphs import vector
 
-        n = len(self.labels)
-        if diameter_bound * 8 > n:
-            return None
-        if n > self._BITPARALLEL_MAX_NODES:
-            return vector.all_eccentricities_vector(self, np)
-        if diameter_bound >= vector.VECTOR_MIN_BOUND:
+        if small:
             return vector.all_eccentricities_vector(
                 self, np, fallback=self._all_ecc_bitparallel
             )
-        return None
+        return vector.all_eccentricities_vector(self, np)
 
-    def all_eccentricities(self, tier: Optional[str] = None) -> Dict[NodeId, int]:
+    def all_eccentricities(self) -> Dict[NodeId, int]:
         """Eccentricity of every node (insertion order), CSR fast path.
 
         Raises :class:`~repro.graphs.graph.GraphError` on a disconnected
@@ -598,26 +609,25 @@ class IndexedGraph:
         :meth:`Graph.all_eccentricities`; this is the headline oracle of
         ``BENCH_graphcore.json``.  The result is computed once per view
         (the view is frozen, so caching is safe) and returned as a fresh
-        dict per call.  ``tier`` selects the compute tier of the first
-        computation (see :meth:`_eccentricities_indexed`).
+        dict per call.
         """
-        eccentricities = self._eccentricities_indexed(tier)
+        eccentricities = self._eccentricities_indexed()
         labels = self.labels
         return {labels[i]: eccentricities[i] for i in range(len(labels))}
 
-    def diameter(self, tier: Optional[str] = None) -> int:
+    def diameter(self) -> int:
         """Exact diameter; :class:`~repro.graphs.graph.GraphError` on the
         empty graph and on disconnected graphs."""
         if not self.labels:
             raise GraphError("diameter is undefined on the empty graph")
-        return max(self._eccentricities_indexed(tier))
+        return max(self._eccentricities_indexed())
 
-    def radius(self, tier: Optional[str] = None) -> int:
+    def radius(self) -> int:
         """Exact radius; :class:`~repro.graphs.graph.GraphError` on the
         empty graph and on disconnected graphs."""
         if not self.labels:
             raise GraphError("radius is undefined on the empty graph")
-        return min(self._eccentricities_indexed(tier))
+        return min(self._eccentricities_indexed())
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the empty graph is connected)."""

@@ -1,7 +1,8 @@
-"""Vectorized (numpy-tier) graph kernels over the CSR arrays.
+"""Vectorized (numpy) graph kernels over the CSR arrays.
 
-This module is the ``numpy`` compute tier's implementation of the
-all-pairs BFS oracles (:mod:`repro.tier`): batched multi-source BFS and
+This module is the numpy implementation of the all-pairs BFS oracles,
+which :meth:`repro.graphs.indexed.IndexedGraph.all_eccentricities` runs
+in its vector band when numpy is installed: batched multi-source BFS and
 all-eccentricities kernels that operate directly on the ``offsets`` /
 ``targets`` CSR arrays of :class:`repro.graphs.indexed.IndexedGraph`,
 64 sources at a time, with one uint64 *reach word* per node -- bit ``j``
@@ -15,7 +16,7 @@ per-edge Python interpreter cost the stdlib kernels pay.
 Why not a straight translation of ``_all_ecc_bitparallel``?  CPython
 big-int ``|=`` already runs near memory bandwidth, so a numpy rewrite of
 the same n-wide bitset algorithm is *slower* (the gather materialises an
-``m x n/64``-word intermediate per level).  The vector tier instead runs
+``m x n/64``-word intermediate per level).  The vector kernel instead runs
 **batched Takes-Kosters**: exact 64-source BFS blocks (cheap in numpy)
 drive the classical eccentricity bound updates
 ``max(d, ecc_u - d) <= ecc_v <= ecc_u + d`` for *all* nodes at once, so
@@ -36,9 +37,9 @@ degenerate into a brute-force block sweep.
 All kernels are exact and raise
 :class:`repro.graphs.graph.GraphError` on disconnected inputs, so the
 dispatching oracle (:meth:`IndexedGraph._eccentricities_indexed`)
-returns byte-identical values, dict orders and exceptions on every tier;
-``tests/test_vector_tier.py`` proves this differentially across the
-generator families.
+returns byte-identical values, dict orders and exceptions with and
+without numpy; ``tests/test_vector_tier.py`` proves this differentially
+across the generator families.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ from repro.graphs.graph import GraphError
 
 #: Sources per multi-source BFS block: one bit of a uint64 reach word each.
 BLOCK_SOURCES = 64
-
-#: Below this double-sweep diameter bound the stdlib big-int bitset is
-#: already near memory bandwidth (its cost is ``O(D * m * n/64)`` word
-#: ops and tiny diameters mean few levels), so the tier dispatcher keeps
-#: it; from this bound upward the batched Takes-Kosters kernel wins.
-VECTOR_MIN_BOUND = 48
 
 #: After this many post-landmark blocks the pruning loop checks its
 #: resolution rate (like ``IndexedGraph._PRUNE_PATIENCE``): if bound
@@ -225,7 +220,7 @@ def all_eccentricities_vector(
     np=None,
     fallback: Optional[Callable[[], List[int]]] = None,
 ) -> List[int]:
-    """Exact all-eccentricities via batched Takes-Kosters (numpy tier).
+    """Exact all-eccentricities via batched Takes-Kosters (numpy).
 
     Returns the index-ordered eccentricity list -- plain Python ints,
     value-identical to ``_all_ecc_plain`` / ``_all_ecc_bitparallel`` /
@@ -233,7 +228,7 @@ def all_eccentricities_vector(
     :class:`~repro.graphs.graph.GraphError` on disconnected graphs.
 
     ``fallback`` is invoked (and its result returned verbatim) when the
-    bound updates stop resolving nodes; the tier dispatcher passes the
+    bound updates stop resolving nodes; the dispatching oracle passes the
     stdlib strategy it would otherwise have run.  Without a fallback the
     block loop simply runs to completion -- every block resolves its own
     sources, so the worst case is a brute-force 64-wide BFS sweep.

@@ -1,24 +1,21 @@
 """The names the command line offers as choices, as plain tuples.
 
-Argument parsing needs the names of every registry (compute tiers,
-dispatch backends, shard policies, export formats, graph families, sweep
-algorithms and quantum problems) but none of the code behind them.
+Argument parsing needs the names of every registry (dispatch backends,
+shard policies, export formats, graph families, sweep algorithms and
+quantum problems) but none of the code behind them.
 Keeping the names here, in a module that imports nothing, lets ``repro
 export`` build the full parser without loading the simulator, and lets
 each command import only the layers its handler runs.
 
 Plain literal tuples are the single definition and their owners import
-them from here.  Tuples that mirror a definition built from code (tiers,
-sweep algorithms, quantum problems) are pinned to it by
+them from here.  Tuples that mirror a definition built from code (sweep
+algorithms, quantum problems) are pinned to it by
 ``tests/test_import_budget.py``.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
-
-#: Compute tiers (:mod:`repro.tier`).
-TIER_NAMES: Tuple[str, ...] = ("numpy", "stdlib")
 
 #: Dispatch backends (:func:`repro.dispatch.backend.resolve_dispatch`).
 DISPATCH_NAMES: Tuple[str, ...] = ("inprocess", "multiprocessing", "remote")

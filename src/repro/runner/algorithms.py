@@ -174,9 +174,9 @@ def quantum_problem_kernel(
     Earlier revisions passed the raw seed to both, correlating leader
     election tie-breaks with the schedule's measurement draws (the same
     aliasing fixed for the sweep's graph-vs-algorithm seed split).
-    The schedule runs on the batched backend; the oracle's compute tier
-    is that of ``config``, which travels with the grid's task context, so
-    a ``--tier`` selection reaches parallel sweeps too.
+    The schedule runs on the batched backend; ``config`` travels with
+    the grid's task context, so parallel sweeps run under the same fault
+    model.
     """
     from repro.congest.network import Network
     from repro.core.problems import resolve_quantum_problem

@@ -92,18 +92,18 @@ def build_indexed_cached(spec: GraphSpec) -> IndexedGraph:
     return build_graph_cached(spec).compile()
 
 
-def graph_diameter_cached(spec: GraphSpec, tier: Optional[str] = None) -> int:
+def graph_diameter_cached(spec: GraphSpec) -> int:
     """The true diameter of ``spec``'s graph, memoised in this process.
 
-    Computed on the compiled view (CSR fast path) under the compute
-    ``tier`` (see :meth:`repro.graphs.indexed.IndexedGraph.diameter`),
-    not the adjacency-map reference oracle.
+    Computed on the compiled view (CSR fast path, see
+    :meth:`repro.graphs.indexed.IndexedGraph.diameter`), not the
+    adjacency-map reference oracle.
     """
     diameter = _DIAMETER_CACHE.get(spec)
     if diameter is None:
         if len(_DIAMETER_CACHE) >= _CACHE_LIMIT:
             _DIAMETER_CACHE.clear()
-        diameter = _DIAMETER_CACHE[spec] = build_indexed_cached(spec).diameter(tier)
+        diameter = _DIAMETER_CACHE[spec] = build_indexed_cached(spec).diameter()
     return diameter
 
 

@@ -1,8 +1,7 @@
 """The HTTP JSON API of the experiment service (stdlib only).
 
-Built on :class:`http.server.ThreadingHTTPServer` -- like the numpy
-compute tier, the service adds **no hard dependencies**; everything is
-standard library.  Routes::
+Built on :class:`http.server.ThreadingHTTPServer` -- the service adds
+**no hard dependencies**; everything is standard library.  Routes::
 
     GET  /health                      liveness + job counts
     GET  /capacity                    total/used/available worker slots,

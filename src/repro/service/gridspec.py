@@ -11,7 +11,7 @@ That identity is structural, not coincidental: both paths construct a
   algorithm-stream seeds,
 * family and size validation happens,
 * algorithm (or quantum problem) names resolve to registry kernels, and
-* the compute-tier / fault-model selections become the
+* the fault-model selection becomes the
   :class:`repro.config.ExecutionConfig` handed to
   :func:`repro.analysis.sweep.run_sweep_grid`.
 
@@ -39,12 +39,10 @@ from repro.runner import (
     task_seed,
 )
 
-#: The request fields that make up its :class:`repro.config.ExecutionConfig`.
-_CONFIG_FIELDS = tuple(item.name for item in fields(ExecutionConfig))
-
 #: Fields of older requests whose selections no longer exist (every run
-#: uses the sparse scheduler and the batched schedule backend).
-_RETIRED_FIELDS = ("engine", "backend")
+#: uses the sparse scheduler and the batched schedule backend, and the
+#: graph oracles pick their own kernel).
+_RETIRED_FIELDS = ("engine", "backend", "tier")
 
 
 def _is_int(value: Any) -> bool:
@@ -107,7 +105,6 @@ class GridRequest:
     diameter: Optional[int] = None
     seed: int = 0
     jobs: int = 1
-    tier: Optional[str] = None
     fault: Optional[FaultModel] = None
     dispatch: Optional[str] = None
 
@@ -153,7 +150,7 @@ class GridRequest:
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
-        ExecutionConfig.from_dict(self._config_fields())
+        ExecutionConfig.from_dict({"fault": self.fault})
         if self.dispatch is not None and self.dispatch not in DISPATCH_NAMES:
             raise ValueError(
                 f"unknown dispatch backend {self.dispatch!r} (available: "
@@ -162,13 +159,10 @@ class GridRequest:
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------
-    def _config_fields(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
-
     def config(self) -> ExecutionConfig:
-        """The execution configuration: this request's selections over
-        :data:`repro.config.DEFAULT_CONFIG` (``None`` fields keep it)."""
-        return resolve_config(None, **self._config_fields())
+        """The execution configuration: this request's fault model over
+        :data:`repro.config.DEFAULT_CONFIG` (``None`` keeps it)."""
+        return resolve_config(None, fault=self.fault)
 
     def graph_seed(self) -> int:
         """The graph-construction seed stream derived from ``seed``."""
@@ -209,7 +203,6 @@ class GridRequest:
             "diameter": self.diameter,
             "seed": self.seed,
             "jobs": self.jobs,
-            "tier": self.tier,
             "dispatch": self.dispatch,
             "fault": None if self.fault is None else {
                 item.name: getattr(self.fault, item.name)
@@ -223,11 +216,12 @@ class GridRequest:
 
         Raises ``ValueError`` on unknown fields so a malformed API
         payload cannot silently drop a selection (e.g. a typoed
-        ``"tir"`` running on the wrong tier), on a sequence or integer
-        field of the wrong type, and on any execution selection
+        ``"faults"`` running without faults), on a sequence or integer
+        field of the wrong type, and on any fault model
         :meth:`repro.config.ExecutionConfig.from_dict` rejects.  The
-        ``engine`` and ``backend`` keys of requests written before those
-        selections were removed are dropped, so old ledger rows replay.
+        ``engine``, ``backend`` and ``tier`` keys of requests written
+        before those selections were removed are dropped, so old ledger
+        rows replay.
         """
         data = {
             key: value for key, value in data.items()
@@ -240,9 +234,7 @@ class GridRequest:
                 f"unknown grid request fields {sorted(unknown)} "
                 f"(allowed: {sorted(known)})"
             )
-        config = ExecutionConfig.from_dict(
-            {name: data.get(name) for name in _CONFIG_FIELDS}
-        )
+        config = ExecutionConfig.from_dict({"fault": data.get("fault")})
         fault = None if data.get("fault") is None else config.fault
         for name, kind in (("families", str), ("sizes", int),
                            ("algorithms", str)):
@@ -269,7 +261,6 @@ class GridRequest:
             diameter=data.get("diameter"),
             seed=data.get("seed", 0),
             jobs=data.get("jobs", 1),
-            tier=data.get("tier"),
             dispatch=data.get("dispatch"),
             fault=fault,
         )

@@ -6,7 +6,7 @@ sweep lost everything.  :mod:`repro.store` makes sweeps durable:
 
 * :class:`ExperimentStore` (:mod:`repro.store.jsonl`) -- an append-only
   JSONL file holding every :class:`repro.store.records.SweepRecord` plus
-  run provenance (grid signature, specs, seeds, tier, worker count,
+  run provenance (grid signature, specs, seeds, fault model, worker count,
   git describe, wall time).  Records are flushed as they complete, so an
   interrupted run keeps everything it finished.
 * checkpoint/resume -- :func:`repro.analysis.sweep.run_sweep_grid` takes

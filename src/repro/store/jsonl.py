@@ -85,20 +85,19 @@ def iter_jsonl_entries(path: str) -> Iterator[Dict[str, Any]]:
 
     The shared reader of the experiment store and the service job ledger.
     Append-only writers can only corrupt the final line (cut short by a
-    kill); unparseable lines are dropped so a consumer recomputes the
-    lost entry instead of crashing on it.  Non-object lines are skipped
-    for the same reason.
+    kill); unparseable lines -- garbage bytes anywhere in the file
+    included -- are dropped so a consumer recomputes the lost entry
+    instead of crashing on it.  Each line is decoded on its own, so one
+    torn multi-byte character costs only its line.  Non-object lines are
+    skipped for the same reason.
     """
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
+                entry = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
                 continue
             if isinstance(entry, dict):
                 yield entry
@@ -321,14 +320,18 @@ class ExperimentStore:
                 continue
             if kind != "record":
                 continue
-            key = entry["key"]
-            if key in table:
+            key = entry.get("key")
+            index = entry.get("index")
+            if (
+                not isinstance(key, str) or key in table
+                or not isinstance(index, int) or isinstance(index, bool)
+            ):
                 continue
             try:
                 record = record_from_dict(entry["record"])
             except (KeyError, TypeError, ValueError):
                 continue
-            table[key] = (int(entry["index"]), record)
+            table[key] = (index, record)
         return header, table
 
     def load_records(self) -> List[SweepRecord]:

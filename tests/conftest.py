@@ -77,11 +77,13 @@ def reference_paths(monkeypatch):
     """A switch to the reference paths for the rest of the test.
 
     Calling the returned function makes every network built afterwards
-    run the dense scheduler and every quantum schedule the sampling
-    backend: the references the production sparse scheduler and batched
-    backend are held to.
+    run the dense scheduler, every quantum schedule the sampling backend
+    and every graph oracle computed afterwards its stdlib kernels (as if
+    numpy were not installed): the references the production sparse
+    scheduler, batched backend and vector kernel are held to.
     """
     import repro.engine
+    import repro.graphs.indexed as indexed
     import repro.quantum.backend as backend
 
     def install() -> None:
@@ -91,6 +93,7 @@ def reference_paths(monkeypatch):
         monkeypatch.setattr(
             backend, "BatchedScheduleBackend", backend.SamplingScheduleBackend
         )
+        monkeypatch.setattr(indexed, "numpy_or_none", lambda: None)
 
     return install
 

@@ -218,43 +218,6 @@ class TestStoreCommands:
         assert "no records" in capsys.readouterr().err
 
 
-class TestTierFlag:
-    def test_tier_option_parsed(self):
-        args = build_parser().parse_args(["diameter", "--tier", "numpy"])
-        assert args.tier == "numpy"
-        args = build_parser().parse_args(["sweep", "--tier", "stdlib"])
-        assert args.tier == "stdlib"
-        args = build_parser().parse_args(["quantum", "--tier", "numpy"])
-        assert args.tier == "numpy"
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["diameter", "--tier", "cupy"])
-
-    def test_diameter_output_identical_across_tiers(self, capsys):
-        pytest.importorskip("numpy")
-        import repro.config
-
-        command = ["diameter", "--family", "clique_chain", "--nodes", "12",
-                   "--seed", "1"]
-        default_before = repro.config.DEFAULT_CONFIG
-        assert main(command) == 0
-        stdlib_output = capsys.readouterr().out
-        assert main(command + ["--tier", "numpy"]) == 0
-        assert capsys.readouterr().out == stdlib_output
-        # the flag must not leak into the default configuration
-        assert repro.config.DEFAULT_CONFIG is default_before
-
-    def test_sweep_output_identical_across_tiers(self, capsys):
-        pytest.importorskip("numpy")
-        command = ["sweep", "--families", "clique_chain", "--sizes", "10,12",
-                   "--algorithms", "classical_exact", "--seed", "3"]
-        assert main(command) == 0
-        stdlib_output = capsys.readouterr().out
-        assert main(command + ["--tier", "numpy"]) == 0
-        assert capsys.readouterr().out == stdlib_output
-
-
 #: A stub harness: fast, deterministic, controlled via an env variable.
 _STUB_HARNESS = """\
 import os

@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.config`: the one execution configuration.
 
-A grid's compute tier and fault model travel as one frozen
-:class:`ExecutionConfig` -- through the task context, the
+A grid's fault model travels as one frozen :class:`ExecutionConfig` --
+through the task context, the
 remote-dispatch frame and the run header.  These tests pin its parser
 (every malformed input is a ``ValueError``), its JSON round trip and the
 call-time resolution of :data:`repro.config.DEFAULT_CONFIG`.
@@ -20,30 +20,22 @@ from repro.config import ExecutionConfig, resolve_config
 from repro.congest.network import Network
 from repro.faults import FAULT_MODELS, NULL_FAULT_MODEL, FaultModel
 from repro.graphs import generators
-from repro.names import TIER_NAMES
 
 LOSSY = FaultModel(loss=0.1, delay=0.05, max_delay=2, timeout=256, seed=4)
 
 
 class TestExecutionConfig:
     def test_defaults_are_the_reference_selections(self):
-        config = ExecutionConfig()
-        assert config.tier == "stdlib"
-        assert config.fault is NULL_FAULT_MODEL
+        assert ExecutionConfig().fault is NULL_FAULT_MODEL
 
-    def test_exactly_two_fields(self):
-        assert list(ExecutionConfig().to_dict()) == ["tier", "fault"]
+    def test_exactly_one_field(self):
+        assert list(ExecutionConfig().to_dict()) == ["fault"]
 
     def test_frozen_and_picklable(self):
         config = ExecutionConfig(fault=LOSSY)
         with pytest.raises(AttributeError):
-            config.tier = "numpy"
+            config.fault = NULL_FAULT_MODEL
         assert pickle.loads(pickle.dumps(config)) == config
-
-    @pytest.mark.parametrize("field, noun", [("tier", "compute tier")])
-    def test_unknown_names_rejected(self, field, noun):
-        with pytest.raises(ValueError, match=f"unknown {noun} 'bogus'"):
-            ExecutionConfig(**{field: "bogus"})
 
     def test_fault_registry_names_resolve(self):
         assert ExecutionConfig(fault="lossy").fault == FAULT_MODELS["lossy"]
@@ -54,7 +46,7 @@ class TestExecutionConfig:
 class TestSerialization:
     @pytest.mark.parametrize("config", [
         ExecutionConfig(),
-        ExecutionConfig(tier="stdlib", fault=LOSSY),
+        ExecutionConfig(fault=LOSSY),
         ExecutionConfig(fault=FaultModel(timeout=9)),
     ])
     def test_round_trip(self, config):
@@ -65,9 +57,15 @@ class TestSerialization:
 
     def test_absent_and_none_keys_take_defaults(self):
         assert ExecutionConfig.from_dict({}) == ExecutionConfig()
+        assert ExecutionConfig.from_dict({"fault": None}) == ExecutionConfig()
+
+    @pytest.mark.parametrize("tier", [None, "stdlib", "numpy", 3, "cupy"])
+    def test_retired_tier_key_is_ignored(self, tier):
+        """Configurations written while the oracle kernel was a user
+        selection carry a ``tier``; they still parse."""
         assert ExecutionConfig.from_dict(
-            {"tier": None, "fault": None}
-        ) == ExecutionConfig()
+            {"tier": tier, "fault": LOSSY}
+        ) == ExecutionConfig(fault=LOSSY)
 
     def test_fault_values_keep_their_type(self):
         # The fault description (and so every task key) is built from the
@@ -83,8 +81,8 @@ class TestSerialization:
         ({"fault": {"max_delay": 1.5}}, "must be an integer"),
         ({"fault": {"loss": 2.0}}, r"must be in \[0, 1\]"),
         ({"fault": [0.1]}, "must be an object"),
-        ({"tier": 3}, "must be a string"),
-        ({"tier": "cupy"}, "unknown compute tier"),
+        ({"fault": {"timeout": "5"}}, "must be an integer"),
+        ({"fault": "lossy"}, "must be an object"),
         ({"tir": "numpy"}, "unknown execution config fields"),
     ])
     def test_malformed_input_is_a_value_error(self, data, message):
@@ -93,14 +91,13 @@ class TestSerialization:
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="must be an object"):
-            ExecutionConfig.from_dict(["tier"])
+            ExecutionConfig.from_dict(["fault"])
 
 
-#: JSON values, nested a little, plus the names the parser knows so
-#: hypothesis also reaches the valid configurations.
+#: JSON values, nested a little, plus the retired tier names.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
-    | st.sampled_from(TIER_NAMES + ("",)),
+    | st.sampled_from(("stdlib", "numpy", "")),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=8,
@@ -120,7 +117,7 @@ _CONFIG_DICTS = st.dictionaries(
     _JSON,
     max_size=4,
 ) | st.fixed_dictionaries({}, optional={
-    "tier": st.sampled_from(TIER_NAMES) | _JSON,
+    "tier": _JSON,
     "fault": _FAULT,
 })
 
@@ -147,7 +144,7 @@ class TestResolution:
 
     def test_overrides_skip_none(self):
         config = ExecutionConfig(fault=LOSSY)
-        assert resolve_config(config, fault=None, tier=None) is config
+        assert resolve_config(config, fault=None) is config
         assert resolve_config(config, fault="lossy") == ExecutionConfig(
             fault=FAULT_MODELS["lossy"]
         )

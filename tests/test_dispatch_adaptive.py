@@ -127,6 +127,16 @@ class TestCostModelCalibration:
         model.observe("a", 16, -1.0)
         assert model.observation_count() == 0
 
+    def test_non_finite_observations_ignored(self):
+        # A heartbeat is JSON, which admits NaN and Infinity; one such
+        # timing used to turn every later estimate into NaN.
+        model = CostModel()
+        prior = model.estimate("classical_exact", 96, guarantee="exact")
+        for seconds in (float("nan"), float("inf"), float("-inf")):
+            model.observe("classical_exact", 96, seconds, guarantee="exact")
+        assert model.observation_count() == 0
+        assert model.estimate("classical_exact", 96, guarantee="exact") == prior
+
     def test_estimates_independent_of_observation_order(self):
         observations = [
             ("two_approx", nodes, seconds, "two_approx")

@@ -1,0 +1,298 @@
+"""The dispatch layer against untrusted peers.
+
+Every byte a coordinator reads comes from another process: a frame may be
+truncated, oversized, not JSON, or a well-formed frame whose fields are
+nonsense.  These tests pin what such input may do -- a frame reader
+returns a frame, ``None`` or raises :class:`FrameError`; a registered
+worker that breaks the protocol is dropped and its lease requeued -- and
+what it may not: fail, corrupt or hang another client's grid, or kill a
+coordinator thread.
+
+The fake worker registers on a static coordinator before the grid
+arrives, so it is leased the grid's only shard (``g1s1`` of grid
+``g1``).  It sends its frames and hangs up; a real worker then joins and
+finishes the requeued shard, and the grid must match a serial run.
+"""
+
+from __future__ import annotations
+
+import json
+import socket
+import struct
+import threading
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.sweep import run_sweep_grid
+from repro.config import ExecutionConfig
+from repro.dispatch import (
+    DispatchCoordinator,
+    DispatchError,
+    FrameError,
+    FramedSocket,
+    MAX_FRAME_BYTES,
+    RemoteDispatch,
+)
+from repro.dispatch.worker import run_worker
+from repro.runner import GraphSpec, resolve_algorithms
+from repro.store import render_records
+
+SPECS = (GraphSpec("cycle", 8, seed=1), GraphSpec("path", 6, seed=1))
+TABLE = resolve_algorithms(["two_approx"])
+TOTAL = len(SPECS) * len(TABLE)
+SERIAL = render_records(run_sweep_grid(SPECS, TABLE, base_seed=3), "jsonl")
+
+
+def _raw_frame(frame) -> bytes:
+    """A length-prefixed frame, encoded leniently (``NaN`` allowed) --
+    what a non-conforming peer may put on the wire."""
+    payload = json.dumps(frame).encode("utf-8")
+    return struct.pack(">I", len(payload)) + payload
+
+
+def _fake_worker(address, frames, leased):
+    """Register, take the lease, send ``frames`` raw, then hang up."""
+    conn = FramedSocket(socket.create_connection(address, timeout=30))
+    try:
+        conn.send({"type": "register", "worker": "fake", "capabilities": {}})
+        while True:
+            frame = conn.recv()
+            if frame is None or frame.get("type") == "shard":
+                break
+        leased.set()
+        for frame in frames:
+            conn.sock.sendall(_raw_frame(frame))
+    except OSError:
+        pass  # dropped mid-send: the coordinator hung up first
+    finally:
+        conn.close()
+
+
+def _run_past_fake_worker(frames, tmp_path):
+    """Run the grid with a fake worker holding its lease first.
+
+    Returns the client's export, or the exception it raised, and the
+    exceptions that escaped coordinator threads.
+    """
+    escaped = []
+    previous_hook = threading.excepthook
+    threading.excepthook = lambda args: escaped.append(args.exc_value)
+    coordinator = DispatchCoordinator(shard_policy="static", shard_size=64)
+    coordinator.start()
+    leased = threading.Event()
+    fake = threading.Thread(
+        target=_fake_worker, args=(coordinator.address, frames, leased),
+        daemon=True,
+    )
+    real = threading.Thread(
+        target=run_worker,
+        args=(*coordinator.address, str(tmp_path / "shards")),
+        kwargs=dict(worker_id="real", once=True, connect_wait=15.0,
+                    heartbeat_interval=0.5),
+        daemon=True,
+    )
+    outcome = {}
+
+    def client():
+        try:
+            outcome["export"] = render_records(run_sweep_grid(
+                SPECS, TABLE, base_seed=3,
+                dispatch=RemoteDispatch(coordinator=coordinator),
+            ), "jsonl")
+        except Exception as error:  # reported to the test thread
+            outcome["error"] = error
+
+    grid = threading.Thread(target=client, daemon=True)
+    try:
+        fake.start()
+        coordinator.wait_for_workers(1, timeout=30.0)
+        grid.start()
+        assert leased.wait(30.0), "the fake worker was never leased a shard"
+        fake.join(timeout=30.0)
+        deadline = time.monotonic() + 30.0
+        while coordinator.worker_count():
+            assert time.monotonic() < deadline, "the fake worker was never dropped"
+            time.sleep(0.01)
+        real.start()
+        coordinator.wait_for_workers(1, timeout=30.0)
+        grid.join(timeout=60.0)
+        assert not grid.is_alive(), "the grid never finished"
+    finally:
+        started = time.perf_counter()
+        coordinator.stop()
+        stop_seconds = time.perf_counter() - started
+        real.join(timeout=15.0)
+        threading.excepthook = previous_hook
+    assert stop_seconds < 2.0
+    assert not real.is_alive()
+    return outcome.get("export", outcome.get("error")), escaped
+
+
+class TestMalformedWorkerFrames:
+    @pytest.mark.parametrize("frames", [
+        # Cells beyond the grid used to count towards its completion.
+        [{"type": "cell", "grid": "g1", "index": index, "record": {}}
+         for index in range(1000, 1004)],
+        [{"type": "cell", "grid": "g1", "index": -1, "record": {}}],
+        # A null record used to reach the client as a TypeError.
+        [{"type": "cell", "grid": "g1", "index": 0, "record": None}],
+        # A missing or non-integer index raised in the reader thread.
+        [{"type": "cell", "grid": "g1", "record": {}}],
+        [{"type": "cell", "grid": "g1", "index": "0", "record": {}}],
+        [{"type": "cell", "grid": "g1", "index": True, "record": {}}],
+        # So did heartbeat timings that are not a list.
+        [{"type": "heartbeat", "timings": 7}],
+        # A failure report for a shard this worker does not hold used to
+        # fail the grid.
+        [{"type": "shard_failed", "grid": "g1", "shard": "g1s9",
+          "message": "not mine"}],
+        [{"type": "shard_failed", "grid": "g1", "message": "no shard"}],
+    ], ids=["beyond-total", "negative", "null-record", "no-index",
+            "string-index", "bool-index", "timings-not-a-list",
+            "foreign-shard-failed", "shardless-failed"])
+    def test_grid_unaffected(self, frames, tmp_path):
+        result, escaped = _run_past_fake_worker(frames, tmp_path)
+        assert escaped == []
+        assert result == SERIAL
+
+    def test_unparseable_record_is_a_dispatch_error(self, tmp_path):
+        frames = [{"type": "cell", "grid": "g1", "index": 0,
+                   "record": {"family": 5}}]
+        result, escaped = _run_past_fake_worker(frames, tmp_path)
+        assert escaped == []
+        assert isinstance(result, DispatchError)
+        assert "malformed record for cell 0" in str(result)
+
+    def test_parent_grid_frame_with_a_tier_runs(self, tmp_path, monkeypatch):
+        """Coordinators that still ship ``"config": {"tier": ..., ...}``
+        reach workers that no longer know the field."""
+        to_dict = ExecutionConfig.to_dict
+        monkeypatch.setattr(
+            ExecutionConfig, "to_dict",
+            lambda self: {"tier": "stdlib", **to_dict(self)},
+        )
+        result, escaped = _run_past_fake_worker([], tmp_path)
+        assert escaped == []
+        assert result == SERIAL
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: arbitrary frames from a registered worker
+# ----------------------------------------------------------------------
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: Grid and shard names the coordinator really uses, so fuzzed frames
+#: reach live state -- minus the fake worker's own shard ``g1s1``, whose
+#: completion and failure it may legitimately report.
+_GRID = st.sampled_from(["g1", "g2"]) | _JSON
+_SHARD = st.sampled_from(["g1s2", "g2s1"]) | _JSON
+_BAD_INDEX = (
+    st.integers().filter(lambda index: not 0 <= index < TOTAL)
+    | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+)
+_NON_OBJECT = st.none() | st.booleans() | st.integers() | st.floats() | st.lists(_JSON)
+_TIMING = st.fixed_dictionaries({}, optional={
+    "algorithm": st.sampled_from(["two_approx", "classical_exact"]) | _JSON,
+    "num_nodes": st.integers(-5, 10**400) | _JSON,
+    "seconds": st.floats() | st.integers(-1, 10**400) | _JSON,
+    "kind": st.sampled_from(["sweep", "quantum"]) | _JSON,
+})
+_FRAMES = st.lists(st.one_of(
+    # A record is the worker's word, so a fuzzed cell pairs a valid
+    # index only with a value that is not a record object.
+    st.fixed_dictionaries({"type": st.just("cell")}, optional={
+        "grid": _GRID, "index": _BAD_INDEX, "record": _JSON, "key": _JSON,
+    }),
+    st.fixed_dictionaries({
+        "type": st.just("cell"), "grid": _GRID,
+        "index": st.integers(0, TOTAL - 1), "record": _NON_OBJECT,
+    }),
+    st.fixed_dictionaries({"type": st.just("heartbeat")}, optional={
+        "timings": st.lists(_TIMING | _JSON, max_size=4) | _JSON,
+    }),
+    st.fixed_dictionaries({"type": st.just("shard_done")}, optional={
+        "grid": _GRID, "shard": _SHARD,
+    }),
+    st.fixed_dictionaries({"type": st.just("shard_failed")}, optional={
+        "grid": _GRID, "shard": _SHARD, "message": _JSON,
+    }),
+    st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
+), max_size=6)
+
+
+class TestWorkerFrameFuzz:
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frames=_FRAMES)
+    def test_arbitrary_frames_leave_a_concurrent_grid_identical(
+        self, frames, tmp_path
+    ):
+        result, escaped = _run_past_fake_worker(frames, tmp_path)
+        assert escaped == []
+        assert result == SERIAL
+
+
+# ----------------------------------------------------------------------
+# Fuzzing: the frame reader on arbitrary byte streams
+# ----------------------------------------------------------------------
+def _prefixed(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+_STREAMS = st.one_of(
+    st.binary(max_size=512),
+    # A frame whose payload is arbitrary bytes.
+    st.binary(max_size=256).map(_prefixed),
+    # A prefix promising more than follows (truncation).
+    st.tuples(st.integers(1, 4096), st.binary(max_size=64)).map(
+        lambda item: struct.pack(">I", item[0] + len(item[1])) + item[1]
+    ),
+    # An oversized prefix.
+    st.integers(MAX_FRAME_BYTES + 1, 2**32 - 1).map(lambda n: struct.pack(">I", n)),
+    # Well-formed JSON that is not an object, or is nested absurdly deep.
+    _JSON.map(lambda value: _prefixed(json.dumps(value).encode())),
+    st.integers(1, 5000).map(lambda depth: _prefixed(b"[" * depth + b"]" * depth)),
+    st.lists(st.binary(max_size=64), max_size=4).map(b"".join),
+)
+
+
+class TestFrameReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=st.lists(_STREAMS, min_size=1, max_size=3).map(b"".join))
+    def test_recv_returns_a_frame_none_or_frame_error(self, stream):
+        left, right = socket.socketpair()
+        right.settimeout(5.0)  # a hang fails the test instead of stalling it
+        reader = FramedSocket(right)
+        try:
+            left.sendall(stream)
+            left.shutdown(socket.SHUT_WR)
+            for _ in range(len(stream) + 1):
+                try:
+                    frame = reader.recv()
+                except FrameError:
+                    break
+                if frame is None:
+                    break
+                assert isinstance(frame, dict)
+            else:
+                pytest.fail("recv never reached the end of the stream")
+        finally:
+            left.close()
+            reader.close()
+
+    def test_deeply_nested_payload_is_a_frame_error(self):
+        left, right = socket.socketpair()
+        depth = 100_000
+        left.sendall(_prefixed(b"[" * depth + b"]" * depth))
+        with pytest.raises(FrameError, match="undecodable"):
+            FramedSocket(right).recv()
+        left.close()
+        right.close()
+

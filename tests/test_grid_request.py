@@ -56,10 +56,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown grid kind"):
             _request(kind="banana").validate()
 
-    def test_unknown_selections(self):
-        with pytest.raises(ValueError, match="unknown compute tier"):
-            _request(tier="warp").validate()
-
     def test_empty_grid_axes(self):
         with pytest.raises(ValueError, match="at least one family"):
             _request(families=()).validate()
@@ -102,7 +98,6 @@ class TestRoundTrip:
     def test_plain_round_trip(self):
         request = _request(
             families=("cycle", "path"), sizes=(10, 12), seed=3, jobs=2,
-            tier="stdlib",
         )
         assert GridRequest.from_dict(request.to_dict()) == request
 
@@ -127,6 +122,10 @@ class TestRoundTrip:
         {"engine": None, "backend": None},
         {"engine": "dense", "backend": "sampling"},
         {"engine": "sparse", "backend": "batched"},
+        {"tier": None},
+        {"tier": "stdlib"},
+        {"tier": "numpy"},
+        {"engine": "dense", "backend": "sampling", "tier": "numpy"},
     ])
     def test_retired_selections_dropped(self, retired):
         request = _request(seed=3)
@@ -135,7 +134,7 @@ class TestRoundTrip:
 
     def test_unknown_field_rejected(self):
         data = _request().to_dict()
-        data["tir"] = "numpy"  # a typo must not silently drop a selection
+        data["faults"] = {"loss": 0.1}  # a typo must not silently drop faults
         with pytest.raises(ValueError, match="unknown grid request fields"):
             GridRequest.from_dict(data)
 
@@ -186,7 +185,7 @@ class TestExecution:
         import repro.config
 
         before = repro.config.DEFAULT_CONFIG
-        execute_grid_request(_request(tier="stdlib", fault=FaultModel(loss=0.1)))
+        execute_grid_request(_request(fault=FaultModel(loss=0.1)))
         assert repro.config.DEFAULT_CONFIG is before
 
 
@@ -253,6 +252,6 @@ class TestFlagInventories:
         # shared inventory (fault flags feed the single `fault` field)
         sweep, _, _ = map(_flags, _grid_subparsers())
         for flag in ("--families", "--sizes", "--diameter", "--seed",
-                     "--jobs", "--tier",
+                     "--jobs",
                      "--loss", "--crash", "--fault-seed"):
             assert flag in sweep

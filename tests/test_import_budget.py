@@ -45,8 +45,8 @@ EXPORT_FORBIDDEN = (
     "repro.service",
 )
 
-#: What a stdlib-tier local ``repro sweep`` / ``repro quantum`` must not
-#: import: numpy, the daemon, remote dispatch, the lower bounds, the fits.
+#: What a local ``repro sweep`` / ``repro quantum`` of graphs outside the
+#: oracles' vector band must not import: numpy, the daemon, remote dispatch, the lower bounds, the fits.
 GRID_FORBIDDEN = (
     "numpy",
     "http.server",
@@ -60,11 +60,10 @@ GRID_FORBIDDEN = (
 SWEEP_ARGS = [
     "sweep", "--families", "clique_chain,cycle", "--sizes", "16",
     "--algorithms", "classical_exact,two_approx", "--seed", "1",
-    "--tier", "stdlib",
 ]
 QUANTUM_ARGS = [
     "quantum", "--families", "cycle", "--sizes", "16",
-    "--problems", "exact_diameter,radius", "--seed", "1", "--tier", "stdlib",
+    "--problems", "exact_diameter,radius", "--seed", "1",
 ]
 
 
@@ -180,11 +179,6 @@ class TestLazyPackageNames:
 
 class TestNameTuplesMatchRegistries:
     """The parser's choices are the registries' names."""
-
-    def test_tiers(self):
-        from repro.tier import TIER_NAMES, TIER_NUMPY, TIER_STDLIB
-
-        assert names.TIER_NAMES == TIER_NAMES == (TIER_NUMPY, TIER_STDLIB)
 
     def test_dispatch_names(self):
         from repro.dispatch.backend import DISPATCH_NAMES, resolve_dispatch

@@ -368,7 +368,7 @@ class TestQuantumCLI:
         before = repro.config.DEFAULT_CONFIG
         assert main(
             ["quantum", "--families", "cycle", "--sizes", "8",
-             "--problems", "source_ecc", "--tier", "stdlib"]
+             "--problems", "source_ecc"]
         ) == 0
         assert repro.config.DEFAULT_CONFIG is before
 

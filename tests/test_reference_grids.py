@@ -1,9 +1,10 @@
 """Whole-grid differential: the production paths against their references.
 
-Every network runs the sparse scheduler and every quantum schedule the
-batched backend.  Their references -- the dense scheduler (every node,
-every round: the synchronous CONGEST definition) and the sampling
-backend -- survive only for tests.  Each grid below runs twice, as
+Every network runs the sparse scheduler, every quantum schedule the
+batched backend and every in-band graph oracle the numpy kernel when
+numpy is installed.  Their references -- the dense scheduler (every
+node, every round: the synchronous CONGEST definition), the sampling
+backend and the stdlib oracle kernels -- survive only for tests.  Each grid below runs twice, as
 shipped and with the ``reference_paths`` switch on, and the two
 canonical exports must be byte-identical.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.graphs.indexed as indexed
 from repro.congest.network import Network
 from repro.engine import DenseScheduler, SparseScheduler
 from repro.graphs import generators
@@ -91,6 +93,7 @@ def test_reference_switch_installs_the_references(reference_paths):
     reference_paths()
     assert type(Network(graph).engine.scheduler) is DenseScheduler
     assert type(resolve_schedule_backend()) is SamplingScheduleBackend
+    assert indexed.numpy_or_none() is None
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))

@@ -157,9 +157,9 @@ class TestRunSweep:
             def __init__(self, view):
                 self._view = view
 
-            def diameter(self, tier=None):
+            def diameter(self):
                 calls.append("csr")
-                return self._view.diameter(tier)
+                return self._view.diameter()
 
             def __getattr__(self, name):
                 return getattr(self._view, name)

@@ -165,10 +165,13 @@ class TestAPIBasics:
         {"engine": None, "backend": None},
         {"engine": "dense"},
         {"backend": "sampling"},
+        {"tier": None},
+        {"tier": "stdlib"},
+        {"tier": "numpy"},
     ])
     def test_submit_with_retired_selection_keys_201(self, idle, retired):
-        # Clients written while requests carried ``engine``/``backend``
-        # keep submitting: the keys are dropped, not rejected.
+        # Clients written while requests carried ``engine``/``backend``/
+        # ``tier`` keep submitting: the keys are dropped, not rejected.
         client, _ = idle
         payload = dict(_request().to_dict(), **retired)
         body = json.dumps({"tenant": "alice", "request": payload}).encode("utf-8")
@@ -269,12 +272,12 @@ class TestExecution:
         assert client.results(job_id, format="jsonl") == _local_export(request)
 
     def test_jobs_with_different_selections_isolated(self, live):
-        # two concurrent jobs with *different* tier/fault selections:
+        # two concurrent jobs with *different* fault selections:
         # each grid carries its own selections, which must stay apart,
         # and both exports must still match plain local runs.
         client, _ = live
         lossy = _request(fault=FaultModel(loss=0.05, seed=3))
-        plain = _request(tier="stdlib")
+        plain = _request()
         a = client.submit("alice", lossy)["job_id"]
         b = client.submit("bob", plain)["job_id"]
         assert client.watch(a, poll=0.05, timeout=60)["state"] == "done"

@@ -141,10 +141,13 @@ class TestLedgerReplay:
     @pytest.mark.parametrize("retired", [
         {"engine": None, "backend": None},
         {"engine": "dense", "backend": None},
+        {"tier": None},
+        {"tier": "stdlib"},
+        {"tier": "numpy"},
     ])
     def test_rows_with_retired_selections_replay(self, tmp_path, retired):
-        """Job rows written while requests carried ``engine`` and
-        ``backend`` replay as the same job instead of being skipped."""
+        """Job rows written while requests carried ``engine``, ``backend``
+        or ``tier`` replay as the same job instead of being skipped."""
         path = tmp_path / "jobs.jsonl"
         ledger = JobLedger(path)
         ledger.append_job(_record())
@@ -156,6 +159,17 @@ class TestLedgerReplay:
         assert set(replayed) == {"job-000001"}
         assert replayed["job-000001"].request == _request()
         assert replayed["job-000001"].state == "running"
+
+    def test_undecodable_line_skipped(self, tmp_path):
+        # A torn multi-byte character used to stop the whole replay (and
+        # with it the daemon's start) with a UnicodeDecodeError.
+        path = tmp_path / "jobs.jsonl"
+        ledger = JobLedger(path)
+        ledger.append_job(_record())
+        with open(path, "ab") as handle:
+            handle.write(b"\xff\xfe garbage \x80\n")
+        ledger.append_state("job-000001", "running", done=0)
+        assert ledger.replay()["job-000001"].state == "running"
 
     def test_old_worker_pid_key_ignored(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -18,6 +18,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sweep import SweepRecord, run_sweep_grid
 from repro.runner import GraphSpec, grid, resolve_algorithms
@@ -199,6 +201,29 @@ class TestExperimentStore:
                 resume=True,
             )
 
+    @pytest.mark.parametrize("garbage", [
+        b"\xff\xfe garbage \x80",
+        b'{"kind": "record", "record": {"family": 5}}',
+        b'{"kind": "record", "key": "z", "index": "x", "record": RECORD}',
+        b'{"kind": "record", "key": 7, "index": 0, "record": RECORD}',
+        b'{"kind": "record", "key": "z", "index": true, "record": RECORD}',
+        b"[" * 100_000,
+    ], ids=["non-utf8", "no-key", "string-index", "int-key", "bool-index",
+            "deep-nesting"])
+    def test_garbage_lines_mid_file_are_dropped(self, tmp_path, garbage):
+        """Unparseable lines anywhere are dropped (a resume recomputes
+        what they held); they used to crash the reader mid-file."""
+        records = _records_for_roundtrip()
+        record = canonical_json(record_to_dict(records[2])).encode()
+        path = tmp_path / "run.jsonl"
+        store = ExperimentStore(path)
+        store.append_record("a", 0, records[0])
+        with open(path, "ab") as handle:
+            handle.write(garbage.replace(b"RECORD", record) + b"\n")
+        store.append_record("b", 1, records[1])
+        assert store.load_records() == records[:2]
+        assert set(store.completed()) == {"a", "b"}
+
     def test_records_load_in_grid_order_not_append_order(self, tmp_path):
         store = ExperimentStore(tmp_path / "run.jsonl")
         records = _records_for_roundtrip()
@@ -266,13 +291,51 @@ class TestExperimentStore:
         assert header["algorithms"] == ["two_approx"]
         assert header["base_seed"] == 7
         assert header["jobs"] == 2
-        assert header["tier"] in ("numpy", "stdlib")
-        assert "engine" not in header and "schedule_backend" not in header
+        assert header["fault_model"] == "none"
+        for retired in ("engine", "schedule_backend", "tier"):
+            assert retired not in header
         assert header["specs"] == [
             {"family": "cycle", "num_nodes": 10, "diameter": None, "seed": 3}
         ]
         # git/python are environment-dependent but the keys must exist.
         assert "git" in header and "python" in header
+
+
+#: Lines inserted into a real store: raw bytes, and JSON objects shaped
+#: like store entries with arbitrary field values.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_GARBAGE_LINES = st.one_of(
+    st.binary(max_size=80),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["record", "row", "finish"]) | _JSON},
+        optional={"key": _JSON, "index": _JSON, "record": _JSON, "row": _JSON},
+    ).map(lambda entry: json.dumps(entry).encode()),
+).map(lambda line: line.replace(b"\n", b""))
+
+
+class TestStoreGarbageProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), _GARBAGE_LINES), max_size=6))
+    def test_inserted_lines_never_change_the_records(self, tmp_path_factory, junk):
+        path = tmp_path_factory.mktemp("store") / "run.jsonl"
+        store = ExperimentStore(path)
+        store.begin_sweep(
+            specs=[GraphSpec("cycle", 10, seed=3)], algorithms=["x"],
+            base_seed=7, signature="sig", jobs=1,
+        )
+        records = _records_for_roundtrip()
+        for index, record in enumerate(records):
+            store.append_record(f"key-{index}", index, record)
+        lines = path.read_bytes().splitlines()
+        for position, line in sorted(junk, key=lambda item: -item[0]):
+            lines.insert(position, line)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert store.load_records() == records
 
 
 class TestSweepGridPersistence:
@@ -354,6 +417,31 @@ class TestSweepGridPersistence:
         monkeypatch.setenv(_TRACE_ENV, str(trace))
         again = run_sweep_grid(
             specs, algorithms, base_seed=3, store=store, resume=True
+        )
+        assert again == first
+        assert not trace.exists()  # zero kernel invocations on resume
+
+    def test_store_with_a_tier_header_resumes_without_recompute(
+        self, tmp_path, monkeypatch
+    ):
+        """Headers written while the oracle kernel was a user selection
+        stamp a ``tier``; such stores resume like any other."""
+        trace = tmp_path / "trace.log"
+        specs = grid(["cycle"], [10, 12], seed=2)
+        algorithms = {"traced": _traced_estimate}
+        path = tmp_path / "run.jsonl"
+        first = run_sweep_grid(
+            specs, algorithms, base_seed=3, store=ExperimentStore(path)
+        )
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        assert header["kind"] == "run" and "tier" not in header
+        lines[0] = canonical_json({**header, "tier": "numpy"})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setenv(_TRACE_ENV, str(trace))
+        again = run_sweep_grid(
+            specs, algorithms, base_seed=3, store=ExperimentStore(path),
+            resume=True,
         )
         assert again == first
         assert not trace.exists()  # zero kernel invocations on resume

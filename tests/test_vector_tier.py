@@ -1,13 +1,15 @@
-"""Differential tests: the numpy compute tier vs the stdlib reference.
+"""Differential tests: the numpy oracle kernel vs the stdlib reference.
 
-The tier contract (:mod:`repro.tier`) is that switching the compute tier
-between ``stdlib`` and ``numpy`` can never change a result: the
-vectorized kernels (:mod:`repro.graphs.vector`) must return the same
-values, in the same (dict) order, and raise the same exceptions as the
-stdlib oracles -- on every generator family, on disconnected/singleton/
-empty inputs, and across ``PYTHONHASHSEED`` values.  Everything here is
-a comparison between the two tiers; none of the assertions encodes an
-expected value of its own beyond the graph oracles' ground truth.
+The graph oracles run the vectorized kernel (:mod:`repro.graphs.vector`)
+when the graph is in its band and numpy is installed, and the stdlib
+kernels otherwise.  The choice can never change a result: the vectorized
+kernels must return the same values, in the same (dict) order, and raise
+the same exceptions as the stdlib oracles -- on every generator family,
+on disconnected/singleton/empty inputs, and across ``PYTHONHASHSEED``
+values.  The stdlib side is reached through the ``reference_paths``
+switch (``tests/conftest.py``).  Everything here is a comparison between
+the two kernels; none of the assertions encodes an expected value of its
+own beyond the graph oracles' ground truth.
 """
 
 from __future__ import annotations
@@ -24,15 +26,20 @@ np = pytest.importorskip("numpy")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.config
-from repro import tier
-from repro._numpy import missing_numpy_message
+import repro.graphs.indexed
 from repro.analysis.sweep import run_sweep_grid
-from repro.config import ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig
 from repro.faults import FaultModel
 from repro.graphs import generators, vector
 from repro.graphs.graph import Graph, GraphError
-from repro.runner import BatchRunner, grid, resolve_algorithms
+from repro.graphs.indexed import IndexedGraph
+from repro.runner import (
+    BatchRunner,
+    SweepAlgorithmInfo,
+    clear_worker_caches,
+    grid,
+    resolve_algorithms,
+)
 from repro.store import ExperimentStore
 
 SRC = os.path.join(
@@ -47,12 +54,9 @@ settings.register_profile(
 )
 
 
-@pytest.fixture
-def numpy_tier(monkeypatch):
-    """Run the test body with the numpy tier as the default configuration's."""
-    monkeypatch.setattr(
-        repro.config, "DEFAULT_CONFIG", ExecutionConfig(tier=tier.TIER_NUMPY)
-    )
+#: The smallest sweep clique chain whose double-sweep bound (73) is in
+#: the vector band.
+IN_BAND_NODES = 1376
 
 
 def _stdlib_ecc_list(graph):
@@ -63,40 +67,24 @@ def _stdlib_ecc_list(graph):
 
 
 # ----------------------------------------------------------------------
-# Tier registry
+# Kernel selection
 # ----------------------------------------------------------------------
-class TestTierRegistry:
-    def test_names_and_validation(self):
-        assert set(tier.TIER_NAMES) == {"stdlib", "numpy"}
-        assert tier.validate_tier_name("stdlib") == "stdlib"
-        with pytest.raises(ValueError, match="unknown compute tier"):
-            tier.validate_tier_name("cupy")
+class TestKernelSelection:
+    def test_band_is_checked_before_numpy_is_looked_up(self, monkeypatch):
+        lookups = []
 
-    def test_resolve(self):
-        assert resolve_config().tier == repro.config.DEFAULT_CONFIG.tier
-        assert resolve_config(None, tier="numpy").tier == "numpy"
-        with pytest.raises(ValueError):
-            tier.active_numpy("bogus")
+        def lookup():
+            lookups.append(True)
+            return np
 
-    def test_active_numpy(self, numpy_tier):
-        assert tier.active_numpy() is np
-        assert tier.active_numpy("stdlib") is None
-
-    def test_active_numpy_stdlib_default(self, monkeypatch):
-        monkeypatch.setattr(repro.config, "DEFAULT_CONFIG", ExecutionConfig())
-        assert tier.active_numpy() is None
-
-    def test_missing_numpy_message_is_actionable(self):
-        message = missing_numpy_message("the widget")
-        assert "the widget" in message
-        assert "repro[numpy]" in message
-        assert "--tier stdlib" in message
-
-    def test_set_default_rejects_unknown(self):
-        before = repro.config.DEFAULT_CONFIG
-        with pytest.raises(ValueError, match="unknown compute tier"):
-            resolve_config(None, tier="bogus")
-        assert repro.config.DEFAULT_CONFIG is before
+        monkeypatch.setattr(repro.graphs.indexed, "numpy_or_none", lookup)
+        for family, n in (("clique_chain", 600), ("random_sparse", 600),
+                          ("tree", 600), ("cycle", 96)):
+            generators.family_for_sweep(family, n, seed=3).compile().diameter()
+        assert lookups == []
+        graph = generators.family_for_sweep("clique_chain", IN_BAND_NODES, seed=3)
+        graph.compile().diameter()
+        assert lookups == [True]
 
 
 # ----------------------------------------------------------------------
@@ -112,34 +100,33 @@ class TestKernelDifferential:
         assert all(isinstance(value, int) for value in got)
 
     @pytest.mark.parametrize("family", ["clique_chain", "random_sparse", "tree"])
-    def test_dispatch_byte_identical_across_tiers(self, family):
-        """The public oracle under ``--tier numpy`` vs ``--tier stdlib``:
-        same values, same dict order."""
-        stdlib_graph = generators.family_for_sweep(family, 600, seed=3)
-        numpy_graph = generators.family_for_sweep(family, 600, seed=3)
-        stdlib_eccs = stdlib_graph.compile().all_eccentricities("stdlib")
-        numpy_eccs = numpy_graph.compile().all_eccentricities("numpy")
+    def test_dispatch_byte_identical_across_tiers(self, family, reference_paths):
+        """The public oracle with numpy vs on the stdlib kernels: same
+        values, same dict order."""
+        graph = generators.family_for_sweep(family, IN_BAND_NODES, seed=3)
+        numpy_eccs = graph.compile().all_eccentricities()
+        reference_paths()
+        reference = generators.family_for_sweep(family, IN_BAND_NODES, seed=3)
+        stdlib_eccs = reference.compile().all_eccentricities()
         assert numpy_eccs == stdlib_eccs
         assert list(numpy_eccs) == list(stdlib_eccs)
 
     def test_vector_path_engages_on_clique_chain(self):
         """Guard against the dispatch silently never using the kernel:
-        the n=600 sweep clique chain is in the vectorized regime."""
-        graph = generators.family_for_sweep("clique_chain", 600, seed=3)
+        the n=1376 sweep clique chain is in the vectorized regime."""
+        graph = generators.family_for_sweep("clique_chain", IN_BAND_NODES, seed=3)
         indexed = graph.compile()
         bound = indexed._double_sweep()
-        assert bound >= vector.VECTOR_MIN_BOUND
+        assert bound >= IndexedGraph.VECTOR_MIN_BOUND
         assert bound * 8 <= graph.num_nodes
-        assert indexed._all_ecc_vector_dispatch(np, bound) is not None
+        assert indexed._all_ecc_vector(bound) is not None
 
-    def test_derived_oracles_match_across_tiers(self, numpy_tier):
-        graph = generators.family_for_sweep("clique_chain", 600, seed=7)
-        reference = generators.family_for_sweep("clique_chain", 600, seed=7)
-        expected = (
-            reference.compile().diameter("stdlib"),
-            reference.compile().radius("stdlib"),
-        )
-        assert (graph.compile().diameter(), graph.compile().radius()) == expected
+    def test_derived_oracles_match_across_tiers(self, reference_paths):
+        graph = generators.family_for_sweep("clique_chain", IN_BAND_NODES, seed=7)
+        got = (graph.compile().diameter(), graph.compile().radius())
+        reference_paths()
+        reference = generators.family_for_sweep("clique_chain", IN_BAND_NODES, seed=7)
+        assert got == (reference.compile().diameter(), reference.compile().radius())
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +191,14 @@ class TestEdgeCases:
             graph.add_edge(node, node + 1)
         return graph
 
-    def test_disconnected_same_exception_both_tiers(self):
-        stdlib_graph = self._disconnected_graph()
-        with pytest.raises(GraphError) as stdlib_error:
-            stdlib_graph.compile().all_eccentricities("stdlib")
+    def test_disconnected_same_exception_both_tiers(self, reference_paths):
         numpy_graph = self._disconnected_graph()
         with pytest.raises(GraphError) as numpy_error:
-            numpy_graph.compile().all_eccentricities("numpy")
+            numpy_graph.compile().all_eccentricities()
+        reference_paths()
+        stdlib_graph = self._disconnected_graph()
+        with pytest.raises(GraphError) as stdlib_error:
+            stdlib_graph.compile().all_eccentricities()
         assert str(numpy_error.value) == str(stdlib_error.value)
 
     def test_kernel_raises_on_disconnected(self):
@@ -218,12 +206,12 @@ class TestEdgeCases:
         with pytest.raises(GraphError, match="disconnected"):
             vector.all_eccentricities_vector(indexed)
 
-    def test_singleton(self, numpy_tier):
+    def test_singleton(self):
         graph = Graph(nodes=[42])
         assert graph.compile().all_eccentricities() == {42: 0}
         assert vector.all_eccentricities_vector(graph.compile()) == [0]
 
-    def test_empty(self, numpy_tier):
+    def test_empty(self):
         graph = Graph()
         assert graph.compile().all_eccentricities() == {}
         assert vector.all_eccentricities_vector(graph.compile()) == []
@@ -313,16 +301,24 @@ def _record_tuple(record):
     )
 
 
+def _oracle_only(graph, seed, config):
+    """A zero-round kernel: its records carry only the oracle diameter."""
+    return 0, None
+
+
 class TestTierThreading:
-    def test_sweep_records_identical_across_tiers(self):
-        specs = grid(["clique_chain", "random_sparse"], [24], seed=9)
-        algorithms = resolve_algorithms(["classical_exact", "two_approx"])
-        stdlib_records = run_sweep_grid(
-            specs, algorithms, base_seed=5, config=ExecutionConfig(tier="stdlib")
-        )
-        numpy_records = run_sweep_grid(
-            specs, algorithms, base_seed=5, config=ExecutionConfig(tier="numpy")
-        )
+    def test_sweep_records_identical_across_tiers(self, reference_paths):
+        specs = grid(["clique_chain", "random_sparse"], [IN_BAND_NODES], seed=9)
+        algorithms = {
+            "oracle": SweepAlgorithmInfo(_oracle_only, force_oracle=True)
+        }
+        clear_worker_caches()
+        numpy_records = run_sweep_grid(specs, algorithms, base_seed=5)
+        clear_worker_caches()
+        reference_paths()
+        stdlib_records = run_sweep_grid(specs, algorithms, base_seed=5)
+        clear_worker_caches()
+        assert numpy_records[0].diameter >= IndexedGraph.VECTOR_MIN_BOUND
         assert [_record_tuple(r) for r in stdlib_records] == [
             _record_tuple(r) for r in numpy_records
         ]
@@ -335,7 +331,7 @@ class TestTierThreading:
             ["classical_exact", "two_approx_retry", "quantum_radius"]
         )
         fault = FaultModel(loss=0.05, timeout=256, seed=2)
-        config = ExecutionConfig(tier="numpy", fault=fault)
+        config = ExecutionConfig(fault=fault)
         serial = run_sweep_grid(specs, algorithms, base_seed=5, config=config)
         store = ExperimentStore(tmp_path / "spawned.jsonl")
         spawned = run_sweep_grid(
@@ -347,10 +343,7 @@ class TestTierThreading:
         # to the null default could not have matched.
         fault_free = run_sweep_grid(specs, algorithms, base_seed=5)
         assert fault_free != serial
-        header = store.latest_header()
-        assert (header["tier"], header["fault_model"]) == (
-            "numpy", fault.describe()
-        )
+        assert store.latest_header()["fault_model"] == fault.describe()
 
 
 # ----------------------------------------------------------------------
@@ -360,15 +353,13 @@ _HASHSEED_SCRIPT = r"""
 import json
 import sys
 
-from repro.config import ExecutionConfig
 from repro.graphs.graph import Graph
-from repro.tier import active_numpy
 
 # A tuple-labelled clique chain big enough for the vectorized regime
-# (25 cliques of 24 nodes: n=600; distinct entry/exit bridge nodes per
-# clique keep the diameter ~2 hops per clique, inside [48, n/8]).
+# (40 cliques of 24 nodes: n=960; distinct entry/exit bridge nodes per
+# clique keep the diameter ~2 hops per clique, inside the vector band).
 graph = Graph()
-cliques = 25
+cliques = 40
 size = 24
 for c in range(cliques):
     members = [("clique", c, i) for i in range(size)]
@@ -378,12 +369,11 @@ for c in range(cliques):
     if c:
         graph.add_edge(("clique", c - 1, 1), ("clique", c, 0))
 
-config = ExecutionConfig(tier="numpy")
-assert active_numpy(config.tier) is not None
 indexed = graph.compile()
 bound = indexed._double_sweep()
-assert bound >= 48 and bound * 8 <= graph.num_nodes, bound
-eccs = indexed.all_eccentricities(config.tier)
+assert bound >= indexed.VECTOR_MIN_BOUND and bound * 8 <= graph.num_nodes, bound
+eccs = indexed.all_eccentricities()
+assert sys.modules["numpy"] is not None
 out = {
     "hash_randomised": sys.flags.hash_randomization,
     "eccentricities": [[repr(node), value] for node, value in eccs.items()],
