@@ -68,11 +68,9 @@ class _BFSNode(NodeAlgorithm):
 
         if self.node_id == self.root and round_number == 0:
             self.distance = 0
-            for neighbor in self.neighbors:
-                outbox[neighbor] = ("bfs", 0)
             self._broadcasted = True
             self.finished = True
-            return outbox
+            return self.broadcast(("bfs", 0))
 
         if self.distance is None:
             activators = [

@@ -131,9 +131,6 @@ class _WaveNode(NodeAlgorithm):
 
         if not outgoing:
             return {}
-        if len(outgoing) == 1 and not self.forward_all:
-            tag, delta = outgoing[0]
-            return self.broadcast(("w", tag, delta))
         if len(outgoing) == 1:
             tag, delta = outgoing[0]
             return self.broadcast(("w", tag, delta))

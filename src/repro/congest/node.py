@@ -195,8 +195,15 @@ class NodeAlgorithm:
     # Conveniences for subclasses
     # ------------------------------------------------------------------
     def broadcast(self, payload: Any) -> Outbox:
-        """An outbox that sends ``payload`` to every neighbour."""
-        return {neighbor: payload for neighbor in self.neighbors}
+        """An outbox that sends ``payload`` to every neighbour.
+
+        This is the transport's fast case: it measures the payload once
+        for the whole outbox instead of once per neighbour.  The outbox is
+        a plain dict and editing it is safe -- the transport recognises
+        the case by its contents (every neighbour, one payload object),
+        so an edited outbox is simply delivered message by message.
+        """
+        return dict.fromkeys(self.neighbors, payload)
 
     def send_to(self, neighbor: NodeId, payload: Any) -> Outbox:
         """An outbox that sends ``payload`` to a single neighbour."""

@@ -335,7 +335,9 @@ class ExecutionEngine:
                 1 for at in plan.restart_round.values() if at < round_number
             )
             metrics.churned_edge_rounds = churned_edge_rounds
-        # Each delivered message performed exactly one measurement, so the
+        # The transport charges each delivered message exactly one
+        # measurement (a whole-neighbourhood send measures its payload once
+        # and charges the other copies what measuring them would), so the
         # cache hits of this run are the messages that were not misses
         # (clamped: a nested run's misses land in this delta while its
         # messages do not).

@@ -24,6 +24,14 @@ outbox and its neighbour's next-round inbox:
   :class:`repro.congest.metrics.ExecutionMetrics`;
 * under a fault model, each message's fate (see :meth:`Transport.deliver`).
 
+Whole-neighbourhood sends.  Most of the paper's traffic is a node sending
+one O(log n)-bit value to every neighbour (BFS and distance waves,
+multi-source BFS, leader election).  When no per-message listener is
+attached and an outbox addresses exactly the sender's neighbours with one
+payload object, the delivery measures that payload once and accounts its
+copies in bulk; every other outbox goes message by message.  Both ways
+give the same metrics, errors, cache counters and inboxes.
+
 Memo cache.  Two tiers, tried hash-first:
 
 * the **value tier** keys scalars and flat tuples of scalars by the payload
@@ -44,14 +52,18 @@ payloads are measured without being cached (no eviction churn).
 Cache effectiveness is reported on the run's metrics without touching
 the hit path: ``measure`` counts only its (rare) misses and
 overflows, and the engine derives per-run hits as ``messages - misses``
-when stamping ``ExecutionMetrics`` -- every delivered message performs
-exactly one measurement, so the identity is exact for leaf runs (and
-clamped for re-entrant nested runs, whose misses land in the outer run's
-delta while their messages do not).
+when stamping ``ExecutionMetrics``.  Every delivered message is charged
+exactly one measurement -- performed, or for the copies of a
+whole-neighbourhood send, charged as the measurement of the copy would
+have come out -- so the identity is exact for leaf runs (and clamped for
+re-entrant nested runs, whose misses land in the outer run's delta while
+their messages do not).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import BandwidthExceededError, ProtocolError
@@ -251,24 +263,70 @@ class Transport:
         ``on_message`` hooks of the run's per-message observers) before
         the strict bandwidth check.
 
+        Whole-neighbourhood sends take a shortcut with the same outcome.
+        When no listener is attached and the outbox addresses exactly the
+        sender's neighbours with one payload object (what
+        :meth:`repro.congest.node.NodeAlgorithm.broadcast` returns, or
+        any outbox of that shape), the payload is measured once and its
+        copies are accounted in bulk; an oversized payload raises the
+        same strict error (naming the first target) or counts one
+        violation per copy.  The cache counters stay those of measuring
+        every copy: a hit means every copy hits; after a miss a second
+        copy is measured, and if it misses too (a full cache, or a
+        payload whose ``repr`` fails) each further copy is charged that
+        second miss again.  Every other outbox is checked, measured and
+        accounted message by message.
+
         ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
         under the null model.  A faulty network does not change what a
         node *sends* -- every message is accounted and observed whether
         or not it arrives -- so the fates are decided only after the
-        whole outbox has passed those checks, with one
-        :meth:`~repro.faults.FaultPlan.outbox_fates` call.  Each message
-        is then dropped if its edge is churned (down) or its fate is a
-        loss, or if its receiver is down at arrival (a delayed message
-        arriving while its receiver is down is lost too); a delayed
-        message is parked in ``pending`` (keyed by absolute arrival
-        round -- the engine merges it into the inboxes of that round)
-        instead of ``next_inboxes``.  The churn and crash checks are
-        bound only when the plan can churn or crash.
+        whole outbox has passed those checks (see :meth:`_route`).
         """
         neighbors = self._neighbor_sets.get(sender)
         budget = self.bandwidth_bits
         measure = self.measure
         next_inboxes_get = next_inboxes.get
+        count = len(outbox)
+        if (
+            not listeners
+            and neighbors is not None
+            and count == len(neighbors)
+            and count
+        ):
+            values = iter(outbox.values())
+            payload = next(values)
+            if all(map(is_, values, repeat(payload))) and outbox.keys() == neighbors:
+                misses = self.cache_misses
+                size = measure(payload)
+                if size > budget:
+                    if self.strict_bandwidth:
+                        raise BandwidthExceededError(
+                            f"round {round_number}: node {sender!r} sent "
+                            f"{size} bits to {next(iter(outbox))!r} "
+                            f"(budget {budget} bits)"
+                        )
+                    metrics.bandwidth_violations += count
+                if count > 1 and self.cache_misses != misses:
+                    self._charge_missed_copies(payload, count)
+                metrics.messages += count
+                metrics.total_bits += count * size
+                if size > metrics.max_edge_bits_per_round:
+                    metrics.max_edge_bits_per_round = size
+                if plan is None:
+                    for target in outbox:
+                        inbox = next_inboxes_get(target)
+                        if inbox is None:
+                            inbox = inbox_pool.pop() if inbox_pool else {}
+                            next_inboxes[target] = inbox
+                        inbox[sender] = payload
+                else:
+                    self._route(
+                        round_number, sender, outbox, next_inboxes, inbox_pool,
+                        metrics, plan, pending,
+                    )
+                return
+
         total = peak = violations = 0
         for target, payload in outbox.items():
             if neighbors is None or target not in neighbors:
@@ -297,15 +355,60 @@ class Transport:
                     inbox = inbox_pool.pop() if inbox_pool else {}
                     next_inboxes[target] = inbox
                 inbox[sender] = payload
-        metrics.messages += len(outbox)
+        metrics.messages += count
         metrics.total_bits += total
         if peak > metrics.max_edge_bits_per_round:
             metrics.max_edge_bits_per_round = peak
         if violations:
             metrics.bandwidth_violations += violations
-        if plan is None:
-            return
+        if plan is not None:
+            self._route(
+                round_number, sender, outbox, next_inboxes, inbox_pool,
+                metrics, plan, pending,
+            )
 
+    def _charge_missed_copies(self, payload: Any, count: int) -> None:
+        """Charge the cache counters for copies 2..``count`` of a payload
+        whose first measurement just missed, as measuring each would.
+
+        The second copy is measured: if it hits, the payload is cached
+        now and so is every later copy.  If it misses too, the payload
+        cannot be cached (a full cache, or a ``repr`` that fails), and
+        each of the other ``count - 2`` copies would repeat exactly that
+        miss.
+        """
+        misses = self.cache_misses
+        overflows = self.cache_overflows
+        self.measure(payload)
+        missed = self.cache_misses - misses
+        if missed:
+            rest = count - 2
+            self.cache_misses += rest * missed
+            self.cache_overflows += rest * (self.cache_overflows - overflows)
+
+    def _route(
+        self,
+        round_number: int,
+        sender: NodeId,
+        outbox: Dict[NodeId, Any],
+        next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
+        inbox_pool: List[Dict[NodeId, Any]],
+        metrics: ExecutionMetrics,
+        plan,
+        pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]],
+    ) -> None:
+        """Enqueue an accounted outbox under a fault plan.
+
+        The fates come from one :meth:`~repro.faults.FaultPlan.outbox_fates`
+        call.  Each message is then dropped if its edge is churned (down)
+        or its fate is a loss, or if its receiver is down at arrival (a
+        delayed message arriving while its receiver is down is lost too);
+        a delayed message is parked in ``pending`` (keyed by absolute
+        arrival round -- the engine merges it into the inboxes of that
+        round) instead of ``next_inboxes``.  The churn and crash checks
+        are bound only when the plan can churn or crash.
+        """
+        next_inboxes_get = next_inboxes.get
         edge_down = plan.edge_down if plan.model.churn > 0.0 else None
         node_down = plan.node_down if plan.crash_round else None
         fates = plan.outbox_fates(round_number, sender, outbox)
