@@ -163,10 +163,10 @@ def _remote_run(specs, algorithms, shard_dir, throttles=None, **coordinator_kw):
             coordinator.address, shard_dir, throttles=throttles
         )
         coordinator.wait_for_workers(WORKERS, timeout=60.0)
-        dispatch = RemoteDispatch(coordinator=coordinator, workers=WORKERS)
+        runner = RemoteDispatch(coordinator=coordinator, workers=WORKERS)
         start = time.perf_counter()
         records = run_sweep_grid(
-            specs, algorithms, base_seed=BASE_SEED, dispatch=dispatch,
+            specs, algorithms, base_seed=BASE_SEED, runner=runner,
         )
         seconds = time.perf_counter() - start
         stats = coordinator.stats()

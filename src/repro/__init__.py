@@ -24,10 +24,9 @@ The library contains, from the ground up:
 * deterministic fault injection (:mod:`repro.faults`): seeded message
   loss/delay, fail-pause node crash/restart and edge churn layered over
   the engine, with retry/backoff counterparts of the building blocks in
-  :mod:`repro.algorithms.resilient`.
-* the execution configuration (:mod:`repro.config`): the fault model as
-  one explicit value passed from the CLI flags down to every network a
-  grid builds.
+  :mod:`repro.algorithms.resilient`.  A grid's
+  :class:`repro.faults.FaultModel` is its one run setting, passed as
+  itself from the CLI flags down to every network the grid builds.
 
 Quick start::
 

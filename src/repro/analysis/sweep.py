@@ -10,11 +10,12 @@ records are deliberately plain so they can be printed, fitted
 Sweeps are batch workloads: every ``(graph, algorithm)`` cell is an
 independent, deterministic run.  The one entry point,
 :func:`run_sweep_grid`, takes :class:`repro.runner.spec.GraphSpec` recipes
-and a table of ``(graph, seed, config) -> (rounds, value)`` kernels (by
+and a table of ``(graph, seed, fault) -> (rounds, value)`` kernels (by
 default from :data:`repro.runner.algorithms.SWEEP_ALGORITHMS`) and
-executes on the :class:`repro.runner.batch.BatchRunner` -- ``jobs=1``
-(the default) runs serially in-process, ``jobs=N`` fans the cells out
-over a process pool, and :mod:`repro.dispatch` ships them to remote
+executes on the runner object the caller hands in -- the serial
+:class:`repro.runner.batch.BatchRunner` by default, a
+``BatchRunner(jobs=N)`` process pool, or a
+:class:`repro.dispatch.RemoteDispatch` that ships the cells to remote
 workers.  The task body is the same code everywhere and results are
 aggregated in task order, so the parallel record list is byte-identical
 (same order, same values) to the serial one.  Workers construct each
@@ -49,9 +50,9 @@ exact algorithms).  Sweeps of pure approximation algorithms leave
 :func:`sweep_table`); when the oracle is available anyway, approximation
 guarantees are validated opportunistically.
 
-Execution configuration: the grid's :class:`repro.config.ExecutionConfig`
-(its fault model) travels in the task context, so every cell -- serial,
-pooled or remote -- builds its networks under the same fault model.  When
+Fault model: the grid's :class:`repro.faults.FaultModel` travels in the
+task context, so every cell -- serial, pooled or remote -- builds its
+networks under the same fault model.  When
 it is non-null (the ``repro sweep --loss/--crash/--churn`` flags) the
 networks the kernels build inject message loss, delays, crashes and
 churn.  Under faults, non-convergence is an *expected outcome*, not a
@@ -76,9 +77,8 @@ import hashlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import ExecutionConfig, resolve_config
 from repro.congest.errors import CongestSimulationError
-from repro.faults import FaultModel
+from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.graphs.graph import Graph
 from repro.runner.algorithms import (
     EXACT,
@@ -191,7 +191,7 @@ def _check_value(
 
 
 def _run_cell(
-    kernel, graph: Graph, seed: int, config: ExecutionConfig
+    kernel, graph: Graph, seed: int, fault: FaultModel
 ) -> Tuple[int, float, bool, Optional[str]]:
     """Invoke one measurement kernel, degrading gracefully under faults.
 
@@ -204,11 +204,11 @@ def _run_cell(
     become failed records; the rounds completed before a round-limit
     abort are recovered from the enriched exception.
     """
-    if config.fault.is_null:
-        rounds, value = kernel(graph, seed, config)
+    if fault.is_null:
+        rounds, value = kernel(graph, seed, fault)
         return rounds, value, True, None
     try:
-        rounds, value = kernel(graph, seed, config)
+        rounds, value = kernel(graph, seed, fault)
     except (CongestSimulationError, RuntimeError) as error:
         rounds = getattr(error, "rounds_completed", None) or 0
         return rounds, -1.0, False, f"{type(error).__name__}: {error}"
@@ -232,21 +232,21 @@ def _grid_cell_cost(task: Tuple[GraphSpec, str]) -> float:
 
 
 def _sweep_one_grid_cell(
-    context: Tuple[Dict[str, Callable[..., Tuple[int, float]]], int, ExecutionConfig],
+    context: Tuple[Dict[str, Callable[..., Tuple[int, float]]], int, FaultModel],
     task: Tuple[GraphSpec, str],
 ) -> SweepRecord:
     """Run one ``(spec, algorithm)`` grid cell in this process.
 
-    ``context`` is ``(algorithms, base_seed, config)``.  The graph (and,
+    ``context`` is ``(algorithms, base_seed, fault)``.  The graph (and,
     when needed, its diameter oracle) comes from the per-process caches,
     so a chunk of cells sharing a spec constructs the graph once.
     """
-    algorithms, base_seed, config = context
+    algorithms, base_seed, fault = context
     spec, name = task
     graph = build_graph_cached(spec)
     seed = task_seed(base_seed, spec, name)
     algorithm = algorithms[name]
-    rounds, value, success, failure_reason = _run_cell(algorithm, graph, seed, config)
+    rounds, value, success, failure_reason = _run_cell(algorithm, graph, seed, fault)
     true_diameter: Optional[int] = None
     if _needs_oracle(algorithms):
         # Some algorithm of this sweep needs the oracle, so every record
@@ -323,20 +323,18 @@ def grid_signature(
 def run_sweep_grid(
     specs: Sequence[GraphSpec],
     algorithms: Dict[str, Callable[..., Tuple[int, float]]],
-    jobs: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
+    runner=None,
     base_seed: int = 0,
     store=None,
     resume: bool = False,
-    config: Optional[ExecutionConfig] = None,
+    fault: Optional[FaultModel] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    dispatch=None,
 ) -> List[SweepRecord]:
     """Sweep a ``specs x algorithms`` grid, one record per cell.
 
     ``algorithms`` maps names to kernels with the
-    ``(graph, seed, config) -> (rounds, value)`` signature of
+    ``(graph, seed, fault) -> (rounds, value)`` signature of
     :mod:`repro.runner.algorithms` (picklable when cells leave the
     process); wrap a kernel in
     :class:`repro.runner.algorithms.SweepAlgorithmInfo` to declare a
@@ -345,11 +343,18 @@ def run_sweep_grid(
     worker assignment or execution order.  Cells are submitted
     spec-major so chunk neighbours share the per-worker graph cache.
 
-    ``config`` is the :class:`repro.config.ExecutionConfig` every cell
-    runs under (``None``: :data:`repro.config.DEFAULT_CONFIG`).  It
-    travels in the task context, so pooled and remote cells stay
-    byte-identical to serial ones, and its fault model is part of every
-    task key.
+    ``runner`` decides where cells execute: any object offering the
+    :class:`repro.runner.batch.BatchRunner` mapping surface (``jobs`` /
+    ``map`` / ``imap`` with ordered results) -- a ``BatchRunner(jobs=N)``
+    pool or a :class:`repro.dispatch.RemoteDispatch`, say.  ``None`` is
+    the serial ``BatchRunner()``.  Aggregation, checkpoint appends and
+    progress accounting below are runner-agnostic, so every runner
+    inherits the byte-identical-to-serial guarantee.
+
+    ``fault`` is the :class:`repro.faults.FaultModel` every cell runs
+    under (``None``: the null model).  It travels in the task context,
+    so pooled and remote cells stay byte-identical to serial ones, and
+    it is part of every task key.
 
     ``store`` (a :class:`repro.store.ExperimentStore`) persists every
     record as it completes, together with a run-provenance header and a
@@ -363,15 +368,6 @@ def run_sweep_grid(
     say) cannot interleave appends to one shard -- the second raises
     :class:`repro.store.StoreLockError` naming the holder pid.
 
-    ``dispatch`` selects where cells execute: a backend name from
-    :data:`repro.dispatch.DISPATCH_NAMES` (``inprocess`` /
-    ``multiprocessing`` / ``remote``) or a pre-configured backend object
-    such as :class:`repro.dispatch.RemoteDispatch` -- anything offering
-    the BatchRunner mapping surface.  ``None`` (the default) keeps the
-    explicit ``runner`` / ``jobs`` behaviour.  Aggregation, checkpoint
-    appends and progress accounting below are backend-agnostic, so every
-    backend inherits the byte-identical-to-serial guarantee.
-
     ``progress`` / ``should_stop`` are the service layer's cooperative
     hooks, honoured on checkpointed (``store``) runs: after every
     completed cell ``progress(done, total)`` is called with durable
@@ -379,16 +375,10 @@ def run_sweep_grid(
     *between* task completions -- everything finished so far is already
     flushed, so a cancelled grid resumes exactly like an interrupted one.
     """
-    config = resolve_config(config)
-    if dispatch is not None:
-        # Local import: repro.dispatch imports this module for the task
-        # keys and cell body, so the dependency must stay one-way at
-        # import time.
-        from repro.dispatch.backend import resolve_dispatch
-
-        runner = resolve_dispatch(dispatch, jobs=jobs, runner=runner)
-    elif runner is None:
-        runner = BatchRunner(jobs=jobs)
+    if fault is None:
+        fault = NULL_FAULT_MODEL
+    if runner is None:
+        runner = BatchRunner()
     if (
         isinstance(runner, BatchRunner)
         and runner.cost_of is None
@@ -400,9 +390,8 @@ def run_sweep_grid(
         # chunk of cheap ones.  Estimation happens in-parent only, so
         # picklability is not a concern.
         runner.cost_of = _grid_cell_cost
-    fault = config.fault
     tasks = [(spec, name) for spec in specs for name in algorithms]
-    context = (algorithms, base_seed, config)
+    context = (algorithms, base_seed, fault)
     if store is None:
         return runner.map(_sweep_one_grid_cell, tasks, context=context)
 
@@ -416,7 +405,7 @@ def run_sweep_grid(
             signature=signature,
             jobs=runner.jobs,
             resume=resume,
-            config=config,
+            fault=fault,
         )
         keys = [sweep_task_key(spec, name, base_seed, fault) for spec, name in tasks]
         results: List[Optional[SweepRecord]] = [completed.get(key) for key in keys]

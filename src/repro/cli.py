@@ -57,7 +57,6 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.names import (
-    DISPATCH_NAMES,
     EXPORT_FORMATS,
     QUANTUM_PROBLEM_NAMES,
     SHARD_POLICIES,
@@ -196,7 +195,6 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
         diameter=args.diameter,
         seed=args.seed,
         jobs=args.jobs,
-        dispatch=args.dispatch,
         fault=fault_model_from_flags(
             loss=args.loss,
             delay=args.delay,
@@ -211,57 +209,66 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
     )
 
 
-@contextlib.contextmanager
-def _dispatch_backend(args: argparse.Namespace, request: GridRequest):
-    """The configured dispatch backend of a grid command, if any.
+#: The flags that configure an embedded dispatch coordinator, by argparse
+#: destination; each defaults to ``None`` so a given one is detectable.
+_EMBEDDED_COORDINATOR_FLAGS = (
+    "dispatch_port", "dispatch_wait", "shard_policy", "straggler_deadline",
+    "dispatch_stats",
+)
 
-    ``--dispatch remote`` needs a coordinator: ``--coordinator HOST:PORT``
-    joins an existing one (e.g. a ``repro serve`` daemon's), otherwise an
+
+@contextlib.contextmanager
+def _remote_runner(args: argparse.Namespace, request: GridRequest):
+    """The :class:`repro.dispatch.RemoteDispatch` of a grid command, or
+    ``None`` for a local run.
+
+    A grid runs remotely exactly when ``--coordinator`` or
+    ``--dispatch-workers`` is given.  ``--coordinator HOST:PORT`` joins an
+    existing coordinator (e.g. a ``repro serve`` daemon's); otherwise an
     embedded coordinator is started for the duration of the run -- its
     address is printed so workers can ``repro worker join`` it -- and the
     run waits for ``--dispatch-workers`` registrations before
-    dispatching.  Local backends need no
-    configuration and yield ``None`` (the request's name is enough).
+    dispatching.
     """
-    if request.dispatch != "remote":
+    if args.coordinator is None and args.dispatch_workers is None:
         yield None
         return
     from repro.dispatch import RemoteDispatch, parse_address
     from repro.dispatch.coordinator import DispatchCoordinator
 
+    workers = 1 if args.dispatch_workers is None else args.dispatch_workers
     if args.coordinator is not None:
         host, port = parse_address(args.coordinator)
         yield RemoteDispatch(
-            address=(host, port),
-            kind=request.kind,
-            workers=args.dispatch_workers,
+            address=(host, port), kind=request.kind, workers=workers
         )
         return
+    settings = {
+        "port": args.dispatch_port,
+        "shard_policy": args.shard_policy,
+        "straggler_deadline": args.straggler_deadline,
+    }
     coordinator = DispatchCoordinator(
-        port=args.dispatch_port,
-        shard_policy=getattr(args, "shard_policy", "adaptive"),
-        straggler_deadline=getattr(args, "straggler_deadline", 10.0),
+        **{key: value for key, value in settings.items() if value is not None}
     ).start()
     host, port = coordinator.address
     try:
         print(
             f"dispatch coordinator on {host}:{port}; waiting for "
-            f"{args.dispatch_workers} worker(s) "
+            f"{workers} worker(s) "
             f"(repro worker join {host}:{port} --shard-dir DIR)",
             file=sys.stderr,
             flush=True,
         )
         coordinator.wait_for_workers(
-            args.dispatch_workers, timeout=args.dispatch_wait
+            workers,
+            timeout=60.0 if args.dispatch_wait is None else args.dispatch_wait,
         )
         yield RemoteDispatch(
-            coordinator=coordinator,
-            kind=request.kind,
-            workers=args.dispatch_workers,
+            coordinator=coordinator, kind=request.kind, workers=workers
         )
-        stats_path = getattr(args, "dispatch_stats", None)
-        if stats_path is not None:
-            with open(stats_path, "w", encoding="utf-8") as handle:
+        if args.dispatch_stats is not None:
+            with open(args.dispatch_stats, "w", encoding="utf-8") as handle:
                 json.dump(coordinator.stats(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
     finally:
@@ -285,6 +292,16 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
     from repro.service.gridspec import execute_grid_request
     from repro.store import ExperimentStore, ExperimentStoreError, sweep_table
 
+    # Without an embedded coordinator these flags would configure nothing.
+    embedded = args.dispatch_workers is not None and args.coordinator is None
+    for dest in () if embedded else _EMBEDDED_COORDINATOR_FLAGS:
+        if getattr(args, dest) is not None:
+            print(
+                f"--{dest.replace('_', '-')} configures an embedded dispatch "
+                "coordinator: it needs --dispatch-workers N and no --coordinator",
+                file=sys.stderr,
+            )
+            return 2
     try:
         request = _grid_request_from_args(args, kind)
         request.validate()
@@ -293,9 +310,9 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
         return 2
     store = ExperimentStore(args.out) if args.out is not None else None
     try:
-        with _dispatch_backend(args, request) as dispatch:
+        with _remote_runner(args, request) as runner:
             records = execute_grid_request(
-                request, store=store, resume=args.resume, dispatch=dispatch
+                request, store=store, resume=args.resume, runner=runner
             )
     except (ExperimentStoreError, DispatchError, ValueError) as error:
         print(str(error), file=sys.stderr)
@@ -822,21 +839,14 @@ def add_grid_options(sub: argparse.ArgumentParser, sizes_default: str) -> None:
             "parallel output is byte-identical to serial"
         ),
     )
-    sub.add_argument(
-        "--dispatch", default=None, choices=DISPATCH_NAMES,
-        help=(
-            "where grid cells execute: 'inprocess' (serial), "
-            "'multiprocessing' (the local --jobs pool) or 'remote' "
-            "(shard over registered dispatch workers; results are "
-            "dispatch-independent, byte-identical to serial)"
-        ),
-    )
 
 
 def add_dispatch_options(sub: argparse.ArgumentParser) -> None:
     """Remote-dispatch *operational* flags of the local grid commands.
 
-    Only meaningful with ``--dispatch remote``; kept out of
+    ``--coordinator`` or ``--dispatch-workers`` makes the grid remote; the
+    other flags configure the embedded coordinator
+    (:data:`_EMBEDDED_COORDINATOR_FLAGS`).  Kept out of
     :func:`add_grid_options` because they configure *this process's*
     coordinator rather than the grid itself (``jobs submit`` requests
     inherit the daemon's coordinator instead).
@@ -849,25 +859,27 @@ def add_dispatch_options(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--dispatch-port", type=int, default=0, metavar="PORT",
+        "--dispatch-port", type=int, default=None, metavar="PORT",
         help=(
             "port of the embedded dispatch coordinator "
             "(default: 0, pick a free port; the address is printed)"
         ),
     )
     sub.add_argument(
-        "--dispatch-workers", type=int, default=1, metavar="N",
+        "--dispatch-workers", type=int, default=None, metavar="N",
         help=(
-            "wait for this many registered workers before dispatching "
-            "a remote grid (default: 1)"
+            "run the grid remotely on an embedded dispatch coordinator "
+            "(or the --coordinator one), waiting for this many "
+            "registered workers before dispatching (default with "
+            "--coordinator: 1)"
         ),
     )
     sub.add_argument(
-        "--dispatch-wait", type=float, default=60.0, metavar="SECONDS",
+        "--dispatch-wait", type=float, default=None, metavar="SECONDS",
         help="how long to wait for workers to register (default: 60)",
     )
     sub.add_argument(
-        "--shard-policy", choices=SHARD_POLICIES, default="adaptive",
+        "--shard-policy", choices=SHARD_POLICIES, default=None,
         help=(
             "embedded-coordinator shard scheduling: 'adaptive' (default; "
             "cost-model lease sizing, capability-weighted partitioning, "
@@ -877,7 +889,7 @@ def add_dispatch_options(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--straggler-deadline", type=float, default=10.0, metavar="SECONDS",
+        "--straggler-deadline", type=float, default=None, metavar="SECONDS",
         help=(
             "adaptive policy: how long an in-flight shard may run before "
             "idle workers speculatively re-execute its remainder "
@@ -1130,7 +1142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "until it shuts down",
         description=(
             "Join a dispatch coordinator (an embedded 'repro sweep "
-            "--dispatch remote' one, or a 'repro serve' daemon's).  "
+            "--dispatch-workers N' one, or a 'repro serve' daemon's).  "
             "Leased shards run the exact per-cell code of a local sweep; "
             "every completed cell is appended to this worker's own JSONL "
             "store shard under the advisory writer lock and streamed "

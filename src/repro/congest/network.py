@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import NodeAlgorithm
+from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.graphs.graph import Graph, NodeId
 
 #: Multiplier applied to ``ceil(log2(n+1))`` to obtain the default bandwidth.
@@ -96,15 +97,10 @@ class Network:
         :class:`repro.engine.SparseScheduler`.  Tests and benchmarks pass
         a :class:`repro.engine.DenseScheduler` as the reference.
     fault_model:
-        A :class:`repro.faults.FaultModel` (or registry name) injected
-        into every run of this network: seeded message loss/delay, node
-        crash/restart and edge churn.  ``None`` keeps the fault model of
-        ``config`` -- the null model unless changed, which is
-        byte-identical to the fault-free simulator.
-    config:
-        The :class:`repro.config.ExecutionConfig` of this network's runs
-        (``None``: :data:`repro.config.DEFAULT_CONFIG`).  The resolved
-        configuration, ``fault_model`` applied, is :attr:`config`.
+        The :class:`repro.faults.FaultModel` injected into every run of
+        this network (seeded message loss/delay, node crash/restart and
+        edge churn), kept as :attr:`fault_model`.  ``None`` is the null
+        model, byte-identical to the fault-free simulator.
     """
 
     def __init__(
@@ -115,7 +111,6 @@ class Network:
         seed: Optional[int] = None,
         scheduler=None,
         fault_model=None,
-        config=None,
     ) -> None:
         if graph.num_nodes == 0:
             raise ValueError("cannot build a network over an empty graph")
@@ -137,7 +132,6 @@ class Network:
 
         # Imported lazily: repro.engine depends on the sibling congest
         # modules, so a module-level import here would be circular.
-        from repro.config import resolve_config
         from repro.engine import ExecutionEngine, Scheduler, SparseScheduler
 
         if scheduler is None:
@@ -146,7 +140,13 @@ class Network:
             raise TypeError(
                 f"scheduler must be a Scheduler instance, got {scheduler!r}"
             )
-        self.config = resolve_config(config, fault=fault_model)
+        if fault_model is None:
+            fault_model = NULL_FAULT_MODEL
+        elif not isinstance(fault_model, FaultModel):
+            raise TypeError(
+                f"fault_model must be a FaultModel instance, got {fault_model!r}"
+            )
+        self.fault_model = fault_model
         self._engine = ExecutionEngine(self, scheduler)
 
     # ------------------------------------------------------------------

@@ -1,22 +1,18 @@
-"""Pluggable dispatch backends for sweep grids: local pools, remote shards.
+"""Remote dispatch for sweep grids: shard the cells over worker hosts.
 
-``repro.dispatch`` decides *where* the independent cells of a sweep grid
-execute, behind the one mapping surface
-(:class:`repro.runner.batch.BatchRunner`'s ``jobs``/``map``/``imap``)
-that :func:`repro.analysis.sweep.run_sweep_grid` aggregates from:
-
-* ``inprocess`` / ``multiprocessing`` -- the existing serial and
-  process-pool paths, now selectable by name
-  (:func:`resolve_dispatch`);
-* ``remote`` -- a stdlib-socket coordinator/worker pair
-  (:class:`DispatchCoordinator`, :mod:`repro.dispatch.worker`) speaking
-  length-prefixed JSON frames (:mod:`repro.dispatch.protocol`): workers
-  register (advertising cpu count, numpy availability and a
-  micro-benchmark score), lease contiguous shards of a grid's task
-  indices, append completed cells to their own JSONL store shard under
-  the advisory writer lock, and stream results back; dead workers
-  (missed heartbeats, dropped connections) have their unfinished shards
-  requeued, mirroring the job ledger's stale-lease recovery.
+:func:`repro.analysis.sweep.run_sweep_grid` runs its cells on whatever
+runner object the caller hands in, behind the one mapping surface
+(:class:`repro.runner.batch.BatchRunner`'s ``jobs``/``map``/``imap``).
+A ``BatchRunner`` keeps them local; :class:`RemoteDispatch` ships them
+to a stdlib-socket coordinator/worker pair (:class:`DispatchCoordinator`,
+:mod:`repro.dispatch.worker`) speaking length-prefixed JSON frames
+(:mod:`repro.dispatch.protocol`): workers register (advertising cpu
+count, numpy availability and a micro-benchmark score), lease contiguous
+shards of a grid's task indices, append completed cells to their own
+JSONL store shard under the advisory writer lock, and stream results
+back; dead workers (missed heartbeats, dropped connections) have their
+unfinished shards requeued, mirroring the job ledger's stale-lease
+recovery.
 
 Scheduling is adaptive by default (``shard_policy="adaptive"``; see
 :mod:`repro.dispatch.cost`): leases are cut factoring-style from a
@@ -38,19 +34,16 @@ order, and the offline shard merge
 (:func:`repro.store.merge.merge_shards`, ``repro merge``) reproduces the
 exact serial record list from the workers' shard files alone.
 
-CLI surface: ``repro sweep --dispatch {inprocess,multiprocessing,remote}
---shard-policy {static,adaptive} --straggler-deadline S
---dispatch-stats FILE``, ``repro worker join HOST:PORT [--supervise]``,
+CLI surface: ``repro sweep --dispatch-workers N`` (embed a coordinator;
+with ``--shard-policy {static,adaptive} --straggler-deadline S
+--dispatch-stats FILE``) or ``--coordinator HOST:PORT`` (join one),
+``repro worker join HOST:PORT [--supervise]``,
 ``repro merge [--stats]``; every ``repro serve`` daemon runs its jobs
 on its own coordinator, which ``repro worker join`` workers may join.
 """
 
 from repro._lazy import lazy_exports
-from repro.dispatch.backend import (
-    RemoteDispatch,
-    dispatch_signature,
-    resolve_dispatch,
-)
+from repro.dispatch.backend import RemoteDispatch, dispatch_signature
 from repro.dispatch.cost import CostModel, plan_chunks, static_cell_cost
 from repro.dispatch.protocol import (
     MAX_FRAME_BYTES,
@@ -59,10 +52,10 @@ from repro.dispatch.protocol import (
     FrameError,
     parse_address,
 )
-from repro.names import DISPATCH_NAMES, SHARD_POLICIES
+from repro.names import SHARD_POLICIES
 
-# The coordinator (sockets, threads) loads on first use, so a local sweep
-# that only resolves a dispatch name never starts to import it.
+# The coordinator (sockets, threads) loads on first use, so a client that
+# only joins a remote coordinator never starts to import it.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "DispatchCoordinator": "repro.dispatch.coordinator",
 })
@@ -74,7 +67,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 # from repro.dispatch.worker directly.
 
 __all__ = [
-    "DISPATCH_NAMES",
     "CostModel",
     "SHARD_POLICIES",
     "plan_chunks",
@@ -87,5 +79,4 @@ __all__ = [
     "RemoteDispatch",
     "dispatch_signature",
     "parse_address",
-    "resolve_dispatch",
 ]

@@ -1,24 +1,18 @@
-"""Dispatch backends: where a sweep grid's cells execute.
+"""Remote dispatch: ship a sweep grid's cells to workers on other hosts.
 
 :func:`repro.analysis.sweep.run_sweep_grid` aggregates results from
-whatever object offers the :class:`repro.runner.batch.BatchRunner`
-mapping surface (``jobs`` / ``map`` / ``imap`` with ordered results).
-This module names the three ways to provide one:
-
-* ``inprocess`` -- a ``BatchRunner(jobs=1)``: every cell runs serially in
-  the calling process.  The reference backend every other one is proven
-  byte-identical against.
-* ``multiprocessing`` -- a ``BatchRunner`` process pool on the local box
-  (the historical ``--jobs N`` path).
-* ``remote`` -- a :class:`RemoteDispatch`: cells are shipped as shards to
-  workers registered with a
-  :class:`repro.dispatch.coordinator.DispatchCoordinator`, possibly on
-  other hosts, and the results stream back over the socket.
+whatever runner object the caller hands in -- anything offering the
+:class:`repro.runner.batch.BatchRunner` mapping surface (``jobs`` /
+``map`` / ``imap`` with ordered results).  A ``BatchRunner`` runs the
+cells locally (serially, or over a process pool); a
+:class:`RemoteDispatch` ships them as shards to workers registered with
+a :class:`repro.dispatch.coordinator.DispatchCoordinator`, possibly on
+other hosts, and the results stream back over the socket.
 
 ``RemoteDispatch`` reorders out-of-order completions back into task
 order before yielding, so the consumer-side aggregation (checkpoint
 appends, progress, cancellation) is exactly the code path the local
-backends use -- byte-identical output is structural, not coincidental.
+runners use -- byte-identical output is structural, not coincidental.
 """
 
 from __future__ import annotations
@@ -28,8 +22,6 @@ import socket
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dispatch.protocol import DispatchError, FramedSocket
-from repro.names import DISPATCH_NAMES
-from repro.runner.batch import BatchRunner
 
 
 def dispatch_signature(keys: List[str]) -> str:
@@ -46,18 +38,18 @@ def dispatch_signature(keys: List[str]) -> str:
 
 
 class RemoteDispatch:
-    """A dispatch backend that ships grid cells to remote workers.
+    """A runner that ships grid cells to remote workers.
 
     Duck-types the ``BatchRunner`` mapping surface for grid-cell tasks:
     ``map``/``imap`` accept the ``(spec, name)`` task list and
-    ``(algorithms, base_seed, config)`` context of
+    ``(algorithms, base_seed, fault)`` context of
     :func:`repro.analysis.sweep._sweep_one_grid_cell` -- the one callable
     this backend understands, since workers rebuild the kernel table from
     registry *names* rather than unpickling callables.
 
     Construct with either ``coordinator`` (a started, in-process
     :class:`DispatchCoordinator` -- the embedded ``repro sweep
-    --dispatch remote`` path and every service daemon job) or
+    --dispatch-workers N`` path and every service daemon job) or
     ``address`` (join an existing coordinator, e.g. a daemon's).  Closing
     the stream (a cancelled or stopped sweep) closes the connection,
     which is how a client cancels its grid; :meth:`close` does the same
@@ -67,8 +59,6 @@ class RemoteDispatch:
     is the *requested* worker count, recorded as the run header's
     ``jobs`` value.
     """
-
-    name = "remote"
 
     def __init__(
         self,
@@ -125,7 +115,7 @@ class RemoteDispatch:
             raise DispatchError(
                 "remote dispatch only executes sweep grid cells "
                 f"(got {getattr(function, '__name__', function)!r}); use a "
-                "local dispatch backend for arbitrary callables"
+                "local BatchRunner for arbitrary callables"
             )
         tasks = list(tasks)
         if not tasks:
@@ -136,14 +126,17 @@ class RemoteDispatch:
     def _describe(self, tasks: List, context) -> dict:
         """The wire description of this batch of cells.
 
-        Carries the context's execution configuration -- exactly what
-        local pool workers receive -- so remote cells run under the same
-        selections on any worker host.
+        Carries the context's fault model -- exactly what local pool
+        workers receive -- so remote cells run under the same faults on
+        any worker host.  The frame keeps the ``"config": {"fault": ...}``
+        wrapper of earlier releases, so coordinators and workers of
+        either release interoperate.
         """
         from repro.analysis.sweep import sweep_task_key
+        from repro.faults import NULL_FAULT_MODEL
         from repro.store.records import spec_to_dict
 
-        algorithms, base_seed, config = context
+        algorithms, base_seed, fault = context
         names = list(algorithms)
         name_index = {name: position for position, name in enumerate(names)}
         specs: List = []
@@ -156,7 +149,7 @@ class RemoteDispatch:
                 position = spec_index[spec] = len(specs)
                 specs.append(spec)
             task_refs.append([position, name_index[name]])
-            keys.append(sweep_task_key(spec, name, base_seed, config.fault))
+            keys.append(sweep_task_key(spec, name, base_seed, fault))
         return {
             "kind": self.kind,
             "specs": [spec_to_dict(spec) for spec in specs],
@@ -164,7 +157,9 @@ class RemoteDispatch:
             "tasks": task_refs,
             "base_seed": int(base_seed),
             "signature": dispatch_signature(keys),
-            "config": config.to_dict(),
+            "config": {
+                "fault": None if fault == NULL_FAULT_MODEL else fault.to_dict(),
+            },
         }
 
     # -- the result stream ---------------------------------------------
@@ -225,41 +220,3 @@ class RemoteDispatch:
         finally:
             conn.close()
 
-
-def resolve_dispatch(
-    dispatch=None,
-    jobs: Optional[int] = None,
-    runner: Optional[BatchRunner] = None,
-):
-    """The runner object a ``dispatch`` selection denotes.
-
-    ``None`` keeps the caller's ``runner`` (or a fresh
-    ``BatchRunner(jobs=jobs)``); the backend *names* map as documented in
-    :data:`DISPATCH_NAMES`; any other object is assumed to already offer
-    the BatchRunner mapping surface (e.g. a configured
-    :class:`RemoteDispatch`) and is returned unchanged.
-
-    The bare name ``"remote"`` is refused: a remote backend needs a
-    coordinator (its address or an embedded instance), which only the
-    CLI / service layers can supply -- failing loudly here beats hanging
-    on a coordinator that was never started.
-    """
-    if dispatch is None:
-        return runner if runner is not None else BatchRunner(jobs=jobs)
-    if isinstance(dispatch, str):
-        if dispatch == "inprocess":
-            return BatchRunner(jobs=1)
-        if dispatch == "multiprocessing":
-            return runner if runner is not None else BatchRunner(jobs=jobs)
-        if dispatch == "remote":
-            raise DispatchError(
-                "dispatch backend 'remote' needs a coordinator: pass a "
-                "configured repro.dispatch.RemoteDispatch instance (the "
-                "CLI builds one from --dispatch-port/--coordinator, the "
-                "service daemon from its own coordinator)"
-            )
-        raise DispatchError(
-            f"unknown dispatch backend {dispatch!r} "
-            f"(available: {', '.join(DISPATCH_NAMES)})"
-        )
-    return dispatch

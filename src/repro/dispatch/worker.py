@@ -7,8 +7,8 @@ and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
 (:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-execution configuration (its fault model), parsed from the grid frame
-into the same task context local pool workers receive -- so a remote
+fault model, parsed from the grid frame into the same task context
+local pool workers receive -- so a remote
 cell computes the byte-identical record a serial run would.
 
 Every completed cell is appended to the worker's **own** JSONL store
@@ -155,14 +155,25 @@ class _GridContext:
     """A grid description resolved into executable objects, once."""
 
     def __init__(self, description: Dict[str, Any]) -> None:
-        from repro.config import ExecutionConfig
+        from repro.faults import NULL_FAULT_MODEL, FaultModel
         from repro.runner import (
             resolve_algorithms,
             sweep_algorithm_for_problem,
         )
         from repro.store.records import spec_from_dict
 
-        self.config = ExecutionConfig.from_dict(description["config"])
+        # ``{"fault": {...} | null}``; the ``tier`` key that coordinators
+        # shipped while the oracle kernel was a selection is ignored.
+        config = description["config"]
+        if not isinstance(config, dict):
+            raise ValueError("the grid config must be an object")
+        unknown = set(config) - {"fault", "tier"}
+        if unknown:
+            raise ValueError(f"unknown grid config fields {sorted(unknown)}")
+        fault = config.get("fault")
+        self.fault = (
+            NULL_FAULT_MODEL if fault is None else FaultModel.from_dict(fault)
+        )
         self.specs = [spec_from_dict(item) for item in description["specs"]]
         self.names = list(description["algorithms"])
         self.tasks = [tuple(item) for item in description["tasks"]]
@@ -272,7 +283,7 @@ def _execute_shard(
             signature=grid.signature,
             jobs=1,
             resume=store.exists(),
-            config=grid.config,
+            fault=grid.fault,
         )
         for index in indices:
             absorb(_poll_frames(conn))
@@ -280,12 +291,12 @@ def _execute_shard(
                 stats["trimmed"] += 1
                 continue
             spec, name = grid.cell(index)
-            key = sweep_task_key(spec, name, grid.base_seed, grid.config.fault)
+            key = sweep_task_key(spec, name, grid.base_seed, grid.fault)
             record = completed.get(key)
             if record is None:
                 cell_started = time.perf_counter()
                 record = _sweep_one_grid_cell(
-                    (grid.table, grid.base_seed, grid.config), (spec, name)
+                    (grid.table, grid.base_seed, grid.fault), (spec, name)
                 )
                 store.append_record(key, index, record)
                 if throttle:

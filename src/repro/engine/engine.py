@@ -165,7 +165,7 @@ class ExecutionEngine:
         # plan, which keeps it byte-identical to the fault-free simulator.
         plan = None
         has_crashes = has_churn = False
-        fault_model = network.config.fault
+        fault_model = network.fault_model
         if not fault_model.is_null:
             plan = fault_model.resolve(network._seed, indexed, self._fault_runs)
             self._fault_runs += 1

@@ -44,11 +44,11 @@ so it is isolated from the graph-construction and algorithm seed streams
 (faults never replay algorithm randomness) while multi-phase algorithms
 (one ``Network.run`` per phase) see fresh, reproducible draws per phase.
 
-The fault model is the ``fault`` field of
-:class:`repro.config.ExecutionConfig` (the null model unless changed):
-the CLI ``--loss/--crash/--churn`` flags select it, every network a grid
-builds carries it, and :func:`repro.store.provenance.collect_provenance`
-stamps it into run headers.  The null model is
+A grid's fault model is passed as itself: the CLI ``--loss/--crash/--churn``
+flags build one, every network a grid builds carries it
+(``Network(fault_model=...)``), remote dispatch ships it as
+:meth:`FaultModel.to_dict` and :func:`repro.store.provenance.collect_provenance`
+stamps its description into run headers.  The null model is
 guaranteed byte-identical to the fault-free path: the engine resolves a
 :class:`FaultPlan` -- and so takes its fault branches -- only when
 :attr:`FaultModel.is_null` is false.
@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.graphs.graph import NodeId
 from repro.graphs.indexed import IndexedGraph
@@ -92,6 +92,11 @@ def fault_stream_seed(network_seed: int, model_seed: int, run_index: int) -> int
     """
     text = f"fault-stream|{network_seed}|{model_seed}|{run_index}"
     return zlib.crc32(text.encode("utf-8"))
+
+
+#: The :class:`FaultModel` fields that are probabilities; the others are
+#: integers (``timeout`` may be ``None``).
+_PROBABILITY_FIELDS = ("loss", "delay", "crash", "churn")
 
 
 @dataclass(frozen=True)
@@ -143,12 +148,15 @@ class FaultModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("loss", "delay", "crash", "churn"):
+        for name in _PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"fault probability {name!r} must be in [0, 1], got {value!r}"
                 )
+            # Stored as float so equal models describe (and key) equally:
+            # ``loss=0`` and ``loss=0.0`` are one model.
+            object.__setattr__(self, name, float(value))
         if self.max_delay < 1:
             raise ValueError(f"max_delay must be >= 1, got {self.max_delay!r}")
         if self.crash_window < 1:
@@ -161,6 +169,36 @@ class FaultModel:
             )
         if self.timeout is not None and self.timeout < 1:
             raise ValueError(f"timeout must be >= 1, got {self.timeout!r}")
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Every field by name: the JSON form :meth:`from_dict` parses."""
+        return {item.name: getattr(self, item.name) for item in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "FaultModel":
+        """A model from its JSON fields (absent fields take defaults).
+
+        Every malformed input -- not an object, unknown fields, a
+        non-numeric probability, a non-integer count, an out-of-range
+        value -- raises ``ValueError``.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError("'fault' must be an object of FaultModel fields")
+        known = [item.name for item in fields(cls)]
+        unknown = set(data) - set(known)
+        if unknown:
+            raise ValueError(
+                f"unknown fault fields {sorted(unknown)} (allowed: {known})"
+            )
+        for name, value in data.items():
+            integral = name not in _PROBABILITY_FIELDS
+            allowed = (int,) if integral else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                if name == "timeout" and value is None:
+                    continue
+                kind = "an integer" if integral else "a number"
+                raise ValueError(f"fault field {name!r} must be {kind}, got {value!r}")
+        return cls(**data)
 
     @property
     def is_null(self) -> bool:
@@ -202,47 +240,6 @@ class FaultModel:
 
 #: The null model: no faults, the behaviour of the seed simulator.
 NULL_FAULT_MODEL = FaultModel()
-
-#: Named fault models, selectable wherever a model is accepted.
-#: ``register_fault_model`` adds entries at runtime.
-FAULT_MODELS: Dict[str, FaultModel] = {
-    "none": NULL_FAULT_MODEL,
-    # A mildly lossy network: ~2% of messages vanish.
-    "lossy": FaultModel(loss=0.02),
-    # Loss plus latency jitter: the shape of a congested WAN.
-    "flaky": FaultModel(loss=0.01, delay=0.1, max_delay=3),
-    # Fail-pause outages with recovery plus light churn.
-    "brownout": FaultModel(crash=0.2, crash_window=16, down_rounds=8, churn=0.01),
-}
-
-
-def register_fault_model(name: str, model: FaultModel) -> None:
-    """Register a named fault model (rejects overwriting a different one)."""
-    existing = FAULT_MODELS.get(name)
-    if existing is not None and existing != model:
-        raise ValueError(
-            f"fault model name {name!r} is already registered with a "
-            "different configuration"
-        )
-    FAULT_MODELS[name] = model
-
-
-def validate_fault_model(value) -> FaultModel:
-    """Coerce a model instance or registry name to a :class:`FaultModel`."""
-    if isinstance(value, FaultModel):
-        return value
-    if isinstance(value, str):
-        model = FAULT_MODELS.get(value)
-        if model is None:
-            known = ", ".join(sorted(FAULT_MODELS))
-            raise ValueError(
-                f"unknown fault model {value!r} (available: {known})"
-            )
-        return model
-    raise TypeError(
-        f"expected a FaultModel or registry name, got {type(value).__name__}"
-    )
-
 
 def _edge_key(u: NodeId, v: NodeId) -> Tuple[str, str]:
     """Canonical, hash-randomisation-free identity of an undirected edge."""

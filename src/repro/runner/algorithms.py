@@ -4,9 +4,9 @@ Grid cells are shipped to pool and remote workers, where lambdas and
 closures do not travel.  This module hosts the standard Table-1
 measurement kernels as module-level functions so that grid tasks can
 reference them by **name**; every kernel has the uniform signature
-``(graph, seed, config) -> (rounds, value)``, receives a deterministic
+``(graph, seed, fault) -> (rounds, value)``, receives a deterministic
 per-task seed from the batch layer and builds its networks under the
-grid's :class:`repro.config.ExecutionConfig`.
+grid's :class:`repro.faults.FaultModel`.
 
 Each registry entry is a :class:`SweepAlgorithmInfo` carrying an explicit
 correctness contract -- the sweep layer reads that metadata instead of
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
-    from repro.config import ExecutionConfig
+    from repro.faults import FaultModel
 
 SweepAlgorithm = Callable[..., Tuple[int, float]]
 
@@ -105,31 +105,31 @@ class SweepAlgorithmInfo:
 
 
 def classical_exact(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Classical exact diameter (the PRT12/HW12-style baseline)."""
     from repro.algorithms.diameter_exact import run_classical_exact_diameter
     from repro.congest.network import Network
 
-    network = Network(graph, seed=seed, config=config)
+    network = Network(graph, seed=seed, fault_model=fault)
     result = run_classical_exact_diameter(network)
     return result.rounds, float(result.diameter)
 
 
 def two_approx(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Classical 2-approximation (BFS from one node)."""
     from repro.algorithms.diameter_approx import run_classical_two_approximation
     from repro.congest.network import Network
 
-    network = Network(graph, seed=seed, config=config)
+    network = Network(graph, seed=seed, fault_model=fault)
     result = run_classical_two_approximation(network)
     return result.rounds, float(result.estimate)
 
 
 def two_approx_retry(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Fault-tolerant 2-approximation (retrying BFS flood with backoff).
 
@@ -143,19 +143,19 @@ def two_approx_retry(
     from repro.algorithms.resilient import run_resilient_two_approximation
     from repro.congest.network import Network
 
-    network = Network(graph, seed=seed, config=config)
+    network = Network(graph, seed=seed, fault_model=fault)
     result = run_resilient_two_approximation(network)
     return result.rounds, float(result.estimate)
 
 
 def hprw_three_halves(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Classical 3/2-approximation of [HPRW14]."""
     from repro.algorithms.diameter_approx import run_hprw_three_halves_approximation
     from repro.congest.network import Network
 
-    network = Network(graph, seed=seed, config=config)
+    network = Network(graph, seed=seed, fault_model=fault)
     result = run_hprw_three_halves_approximation(network, seed=seed)
     return result.rounds, float(result.estimate)
 
@@ -163,7 +163,7 @@ def hprw_three_halves(
 def quantum_problem_kernel(
     graph: Graph,
     seed: int,
-    config: Optional[ExecutionConfig] = None,
+    fault: Optional[FaultModel] = None,
     problem: str = "exact_diameter",
 ) -> Tuple[int, float]:
     """Run a registered quantum problem (reference oracle mode) as a sweep cell.
@@ -174,7 +174,7 @@ def quantum_problem_kernel(
     Earlier revisions passed the raw seed to both, correlating leader
     election tie-breaks with the schedule's measurement draws (the same
     aliasing fixed for the sweep's graph-vs-algorithm seed split).
-    The schedule runs on the batched backend; ``config`` travels with
+    The schedule runs on the batched backend; ``fault`` travels with
     the grid's task context, so parallel sweeps run under the same fault
     model.
     """
@@ -186,7 +186,7 @@ def quantum_problem_kernel(
     network_seed = task_seed(seed, "quantum-network-stream")
     schedule_seed = task_seed(seed, "quantum-schedule-stream")
     run = info.solve(
-        Network(graph, seed=network_seed, config=config),
+        Network(graph, seed=network_seed, fault_model=fault),
         oracle_mode="reference",
         seed=schedule_seed,
     )
@@ -194,31 +194,31 @@ def quantum_problem_kernel(
 
 
 def quantum_exact(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum exact diameter (Theorem 1), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, config, problem="exact_diameter")
+    return quantum_problem_kernel(graph, seed, fault, problem="exact_diameter")
 
 
 def quantum_three_halves(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum 3/2-approximation (Theorem 4), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, config, problem="three_halves")
+    return quantum_problem_kernel(graph, seed, fault, problem="three_halves")
 
 
 def quantum_radius(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum exact radius (Theorem-7 instantiation), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, config, problem="radius")
+    return quantum_problem_kernel(graph, seed, fault, problem="radius")
 
 
 def quantum_source_ecc(
-    graph: Graph, seed: int, config: Optional[ExecutionConfig] = None
+    graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum single-source eccentricity, reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, config, problem="source_ecc")
+    return quantum_problem_kernel(graph, seed, fault, problem="source_ecc")
 
 
 def _radius_oracle(graph: Graph) -> float:

@@ -15,7 +15,7 @@ output.  :class:`BatchRunner` guarantees that by construction:
   computes the same answer no matter which worker runs it;
 * the shared callable and context object are shipped to each worker **once**
   (via the pool initializer), not once per task; everything a task needs
-  -- including the grid's :class:`repro.config.ExecutionConfig` -- rides
+  -- including the grid's :class:`repro.faults.FaultModel` -- rides
   in that context, so workers depend on no inherited process state;
 * worker exceptions propagate to the caller (the pool is torn down and the
   failure re-raised as :class:`BatchTaskError` naming the failing task and
@@ -102,7 +102,7 @@ def _worker_initializer(function, context) -> None:
     """Install the shared task callable and context in a pool worker.
 
     Runs once per worker process, so the (potentially large) context --
-    an algorithm table with its execution configuration, a pickled search
+    an algorithm table with its fault model, a pickled search
     problem -- is transferred and deserialised once per worker instead of
     once per task.
     """

@@ -11,9 +11,14 @@ That identity is structural, not coincidental: both paths construct a
   algorithm-stream seeds,
 * family and size validation happens,
 * algorithm (or quantum problem) names resolve to registry kernels, and
-* the fault-model selection becomes the
-  :class:`repro.config.ExecutionConfig` handed to
+* the fault flags become the :class:`repro.faults.FaultModel` handed to
   :func:`repro.analysis.sweep.run_sweep_grid`.
+
+Where the cells run is not part of the request: the caller hands
+:func:`execute_grid_request` a runner object (the CLI a
+:class:`repro.dispatch.RemoteDispatch` when ``--coordinator`` or
+``--dispatch-workers`` is given, the daemon one bound to its own
+coordinator).
 
 A request is plain data (JSON round-trip via :meth:`GridRequest.to_dict`
 / :meth:`GridRequest.from_dict`), so it travels over the service HTTP
@@ -26,10 +31,8 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.sweep import run_sweep_grid
-from repro.config import ExecutionConfig, resolve_config
 from repro.faults import FaultModel
 from repro.graphs import generators
-from repro.names import DISPATCH_NAMES
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -40,9 +43,10 @@ from repro.runner import (
 )
 
 #: Fields of older requests whose selections no longer exist (every run
-#: uses the sparse scheduler and the batched schedule backend, and the
-#: graph oracles pick their own kernel).
-_RETIRED_FIELDS = ("engine", "backend", "tier")
+#: uses the sparse scheduler and the batched schedule backend, the graph
+#: oracles pick their own kernel, and the caller's runner decides where
+#: cells execute).
+_RETIRED_FIELDS = ("engine", "backend", "tier", "dispatch")
 
 
 def _is_int(value: Any) -> bool:
@@ -69,8 +73,8 @@ def fault_model_from_flags(
 ) -> Optional[FaultModel]:
     """The fault model selected by the ``--loss/--crash/...`` flag values.
 
-    Returns ``None`` (keep the default configuration's model) when no
-    flag asks for an actual fault: probabilities at zero and no fault timeout.
+    Returns ``None`` (the null model) when no flag asks for an actual
+    fault: probabilities at zero and no fault timeout.
     May raise ``ValueError`` for out-of-range values.
     """
     if not (loss or delay or crash or churn or timeout is not None):
@@ -106,7 +110,6 @@ class GridRequest:
     seed: int = 0
     jobs: int = 1
     fault: Optional[FaultModel] = None
-    dispatch: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Normalise sequences to tuples so requests hash/compare by value
@@ -150,20 +153,9 @@ class GridRequest:
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
-        ExecutionConfig.from_dict({"fault": self.fault})
-        if self.dispatch is not None and self.dispatch not in DISPATCH_NAMES:
-            raise ValueError(
-                f"unknown dispatch backend {self.dispatch!r} (available: "
-                + ", ".join(DISPATCH_NAMES) + ")"
-            )
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------
-    def config(self) -> ExecutionConfig:
-        """The execution configuration: this request's fault model over
-        :data:`repro.config.DEFAULT_CONFIG` (``None`` keeps it)."""
-        return resolve_config(None, fault=self.fault)
-
     def graph_seed(self) -> int:
         """The graph-construction seed stream derived from ``seed``."""
         return task_seed(self.seed, "sweep-graph-stream")
@@ -203,11 +195,7 @@ class GridRequest:
             "diameter": self.diameter,
             "seed": self.seed,
             "jobs": self.jobs,
-            "dispatch": self.dispatch,
-            "fault": None if self.fault is None else {
-                item.name: getattr(self.fault, item.name)
-                for item in fields(FaultModel)
-            },
+            "fault": None if self.fault is None else self.fault.to_dict(),
         }
 
     @classmethod
@@ -218,10 +206,10 @@ class GridRequest:
         payload cannot silently drop a selection (e.g. a typoed
         ``"faults"`` running without faults), on a sequence or integer
         field of the wrong type, and on any fault model
-        :meth:`repro.config.ExecutionConfig.from_dict` rejects.  The
-        ``engine``, ``backend`` and ``tier`` keys of requests written
-        before those selections were removed are dropped, so old ledger
-        rows replay.
+        :meth:`repro.faults.FaultModel.from_dict` rejects.  The
+        ``engine``, ``backend``, ``tier`` and ``dispatch`` keys of
+        requests written before those selections were removed are
+        dropped, so old ledger rows and ``POST /jobs`` bodies replay.
         """
         data = {
             key: value for key, value in data.items()
@@ -234,8 +222,9 @@ class GridRequest:
                 f"unknown grid request fields {sorted(unknown)} "
                 f"(allowed: {sorted(known)})"
             )
-        config = ExecutionConfig.from_dict({"fault": data.get("fault")})
-        fault = None if data.get("fault") is None else config.fault
+        fault = data.get("fault")
+        if fault is not None:
+            fault = FaultModel.from_dict(fault)
         for name, kind in (("families", str), ("sizes", int),
                            ("algorithms", str)):
             value = data.get(name, ())
@@ -261,7 +250,6 @@ class GridRequest:
             diameter=data.get("diameter"),
             seed=data.get("seed", 0),
             jobs=data.get("jobs", 1),
-            dispatch=data.get("dispatch"),
             fault=fault,
         )
 
@@ -272,33 +260,30 @@ def execute_grid_request(
     resume: bool = False,
     progress=None,
     should_stop=None,
-    dispatch=None,
+    runner=None,
 ) -> List:
     """Run a grid request: the one execution path of CLI and daemon.
 
-    Hands the request's execution configuration (:meth:`GridRequest.config`)
-    to :func:`repro.analysis.sweep.run_sweep_grid` and honours the
+    Hands the request's fault model to
+    :func:`repro.analysis.sweep.run_sweep_grid` and honours the
     checkpoint-store and cooperative progress/cancellation hooks.  The
     records -- and therefore the canonical export -- depend only on the
     request, never on who executed it.
 
-    ``dispatch`` overrides the request's dispatch selection with a
-    *configured* backend object -- the CLI and the service daemon pass a
-    :class:`repro.dispatch.RemoteDispatch` bound to their coordinator
-    here, since the bare name ``"remote"`` carries no address.  ``None``
-    falls back to ``request.dispatch`` (and a plain ``"remote"`` request
-    with no configured backend fails loudly in
-    :func:`repro.dispatch.resolve_dispatch`).
+    ``runner`` is where the cells run: any object with the
+    :class:`repro.runner.BatchRunner` mapping surface -- the CLI and the
+    service daemon pass a :class:`repro.dispatch.RemoteDispatch` bound
+    to their coordinator.  ``None`` is a local ``BatchRunner`` with the
+    request's ``jobs`` (serial at the default ``jobs=1``).
     """
     return run_sweep_grid(
         request.specs(),
         request.algorithm_table(),
-        runner=BatchRunner(jobs=request.jobs),
+        runner=BatchRunner(jobs=request.jobs) if runner is None else runner,
         base_seed=request.base_seed(),
         store=store,
         resume=resume,
-        config=request.config(),
+        fault=request.fault,
         progress=progress,
         should_stop=should_stop,
-        dispatch=request.dispatch if dispatch is None else dispatch,
     )

@@ -269,7 +269,7 @@ class ExperimentService:
                 record.request,
                 store=record.store(self.data_dir),
                 resume=True,
-                dispatch=run.dispatch,
+                runner=run.dispatch,
                 progress=progress,
                 should_stop=lambda: (
                     record.cancel_requested or self._stop.is_set()

@@ -356,14 +356,14 @@ class ExperimentStore:
         signature: str,
         jobs: int,
         resume: bool = False,
-        config=None,
+        fault=None,
     ) -> Dict[str, SweepRecord]:
         """Open a run attempt; return the already-completed cells.
 
         A non-empty store can only be continued with ``resume=True``, and
         only when its grid signature matches -- resuming a store written
         for a different grid would silently mix incompatible records.
-        The header stamps the run's execution ``config`` (see
+        The header stamps the run's ``fault`` model (see
         :func:`repro.store.provenance.collect_provenance`) and this
         store's ``run_context``.
         """
@@ -390,7 +390,7 @@ class ExperimentStore:
                 "base_seed": base_seed,
                 "jobs": jobs,
                 "resume": bool(resume),
-                **collect_provenance(config),
+                **collect_provenance(fault),
                 **self.run_context,
             }
         )

@@ -2,8 +2,8 @@
 
 Every sweep written to an :class:`repro.store.ExperimentStore` starts
 with a header line recording *how* the records were produced: the grid
-(specs, algorithms, base seed), the execution configuration (fault
-model, worker count) and the environment (git describe, Python version).  A
+(specs, algorithms, base seed), how it ran (fault model, worker count)
+and the environment (git describe, Python version).  A
 record set without provenance is unreproducible; a record set with it
 can be re-run, extended or audited months later.
 """
@@ -42,23 +42,17 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
     return result.stdout.strip() or None
 
 
-def collect_provenance(config=None) -> Dict[str, Any]:
+def collect_provenance(fault=None) -> Dict[str, Any]:
     """Environment facts stamped on every run header.
 
-    Records the :class:`repro.config.ExecutionConfig` of the run
-    (``None``: :data:`repro.config.DEFAULT_CONFIG`): a sweep run under
-    ``--loss 0.05`` is not reproducible from a header that omits it.
-    The fault model is stamped as its canonical description string
-    (``"none"`` for the null model), which is exactly the token that
-    distinguishes faulty task keys.
+    Records the run's :class:`repro.faults.FaultModel` (``None``: the
+    null model): a sweep run under ``--loss 0.05`` is not reproducible
+    from a header that omits it.  The fault model is stamped as its
+    canonical description string (``"none"`` for the null model), which
+    is exactly the token that distinguishes faulty task keys.
     """
-    # Imported on use: the configuration pulls in the fault layer, which
-    # store readers such as ``repro export`` never need.
-    from repro.config import resolve_config
-
-    config = resolve_config(config)
     return {
-        "fault_model": config.fault.describe(),
+        "fault_model": "none" if fault is None else fault.describe(),
         "git": git_describe(),
         "python": platform.python_version(),
     }

@@ -136,9 +136,8 @@ class TestCommands:
         captured = {}
 
         def fake_run_sweep_grid(specs, algorithms, runner=None, base_seed=0,
-                                store=None, resume=False, config=None,
-                                progress=None, should_stop=None,
-                                dispatch=None):
+                                store=None, resume=False, fault=None,
+                                progress=None, should_stop=None):
             captured["graph_seed"] = specs[0].seed
             captured["base_seed"] = base_seed
             return []

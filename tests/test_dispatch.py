@@ -5,7 +5,7 @@ execution must be **byte-identical** to serial execution -- for the
 streamed records, for the per-worker shard stores after merging, and
 regardless of worker deaths, reconnects or completion order.  Around
 that sit the protocol-level contracts (framing, EOF, oversize refusal)
-and the backend-resolution rules of ``--dispatch``.
+and the runner object that decides where cells run.
 
 Thread workers are used for fault-free grids (cheap, deterministic);
 grids that mutate process defaults (fault models) and the worker-death
@@ -27,9 +27,7 @@ import pytest
 
 import repro
 from repro.analysis.sweep import SweepCancelled, run_sweep_grid
-from repro.config import ExecutionConfig
 from repro.dispatch import (
-    DISPATCH_NAMES,
     DispatchCoordinator,
     DispatchError,
     FrameError,
@@ -38,7 +36,6 @@ from repro.dispatch import (
     RemoteDispatch,
     dispatch_signature,
     parse_address,
-    resolve_dispatch,
 )
 from repro.dispatch.worker import (
     default_worker_id,
@@ -46,7 +43,7 @@ from repro.dispatch.worker import (
     shard_store_path,
     validate_worker_id,
 )
-from repro.faults import FaultModel
+from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, merge_shards, render_records
 
@@ -129,35 +126,40 @@ class TestProtocol:
                 parse_address(bad)
 
 
+class _CountingRunner(BatchRunner):
+    """A serial runner that counts the cells it is handed."""
+
+    def __init__(self):
+        super().__init__(jobs=1)
+        self.cells = 0
+
+    def imap(self, function, tasks, context=None):
+        tasks = list(tasks)
+        self.cells += len(tasks)
+        return super().imap(function, tasks, context=context)
+
+
 class TestBackendResolution:
-    def test_none_keeps_runner_or_builds_one(self):
-        runner = BatchRunner(jobs=1)
-        assert resolve_dispatch(None, runner=runner) is runner
-        built = resolve_dispatch(None, jobs=2)
-        assert isinstance(built, BatchRunner) and built.jobs == 2
+    def test_none_keeps_runner_or_builds_one(self, tmp_path):
+        specs, table = _grid(sizes=(10,))
+        store = ExperimentStore(str(tmp_path / "serial.jsonl"))
+        serial = run_sweep_grid(specs, table, base_seed=7, store=store)
+        assert store.latest_header()["jobs"] == 1
+        store = ExperimentStore(str(tmp_path / "pool.jsonl"))
+        pooled = run_sweep_grid(
+            specs, table, base_seed=7, store=store, runner=BatchRunner(jobs=2)
+        )
+        assert store.latest_header()["jobs"] == 2
+        assert pooled == serial
 
-    def test_inprocess_is_serial(self):
-        backend = resolve_dispatch("inprocess", jobs=8)
-        assert isinstance(backend, BatchRunner) and backend.jobs == 1
-
-    def test_multiprocessing_uses_jobs(self):
-        backend = resolve_dispatch("multiprocessing", jobs=3)
-        assert isinstance(backend, BatchRunner) and backend.jobs == 3
-
-    def test_bare_remote_refused(self):
-        with pytest.raises(DispatchError, match="needs a coordinator"):
-            resolve_dispatch("remote")
-
-    def test_unknown_name_refused(self):
-        with pytest.raises(DispatchError, match="unknown dispatch backend"):
-            resolve_dispatch("carrier-pigeon")
-
-    def test_configured_object_passes_through(self):
-        backend = RemoteDispatch(address=("127.0.0.1", 1))
-        assert resolve_dispatch(backend) is backend
-
-    def test_names_are_the_cli_choices(self):
-        assert DISPATCH_NAMES == ("inprocess", "multiprocessing", "remote")
+    def test_configured_object_passes_through(self, tmp_path):
+        specs, table = _grid(sizes=(10,))
+        runner = _CountingRunner()
+        records = run_sweep_grid(
+            specs, table, base_seed=7, runner=runner,
+            store=ExperimentStore(str(tmp_path / "run.jsonl")),
+        )
+        assert runner.cells == len(records) == len(specs) * len(table)
 
     def test_signature_depends_on_keys(self):
         first = dispatch_signature(["a", "b"])
@@ -191,6 +193,29 @@ class TestRemoteDispatchMisuse:
         from repro.analysis.sweep import _sweep_one_grid_cell
 
         assert backend.map(_sweep_one_grid_cell, [], context=({}, 0)) == []
+
+
+class TestGridFrame:
+    """The grid frame keeps the ``"config": {"fault": ...}`` bytes of
+    earlier releases, so coordinators and workers of either release
+    interoperate."""
+
+    def _config(self, fault):
+        specs, table = _grid(sizes=(10,))
+        tasks = [(spec, name) for spec in specs for name in table]
+        backend = RemoteDispatch(address=("127.0.0.1", 1))
+        return backend._describe(tasks, (table, 3, fault))["config"]
+
+    def test_null_fault_ships_as_none(self):
+        assert self._config(NULL_FAULT_MODEL) == {"fault": None}
+
+    def test_fault_ships_every_field(self):
+        fault = FaultModel(loss=0.05, crash=0.1, timeout=256, seed=3)
+        assert self._config(fault) == {"fault": {
+            "loss": 0.05, "delay": 0.0, "max_delay": 1, "crash": 0.1,
+            "crash_window": 32, "down_rounds": 0, "churn": 0.0,
+            "timeout": 256, "seed": 3,
+        }}
 
 
 class TestCoordinator:
@@ -290,7 +315,7 @@ def _run_remote(specs, table, base_seed, shard_dir, workers=2,
             coordinator.wait_for_workers(workers, timeout=30.0)
         records = run_sweep_grid(
             specs, table, base_seed=base_seed,
-            dispatch=RemoteDispatch(coordinator=coordinator, workers=workers),
+            runner=RemoteDispatch(coordinator=coordinator, workers=workers),
         )
     finally:
         coordinator.stop()
@@ -345,7 +370,7 @@ class TestRemoteEndToEnd:
                 run_sweep_grid(
                     specs, table, base_seed=3,
                     store=ExperimentStore(str(tmp_path / "run.jsonl")),
-                    dispatch=RemoteDispatch(coordinator=coordinator),
+                    runner=RemoteDispatch(coordinator=coordinator),
                     progress=lambda count, total: done.append(count),
                     should_stop=lambda: done[-1] >= 1,
                 )
@@ -366,15 +391,7 @@ class TestRemoteEndToEnd:
         backend = RemoteDispatch(address=("127.0.0.1", 1),
                                  connect_timeout=0.5)
         with pytest.raises(DispatchError, match="could not reach"):
-            run_sweep_grid(specs, table, base_seed=5, dispatch=backend)
-
-    def test_dispatch_names_resolve_identically(self):
-        specs, table = _grid(sizes=(10,))
-        serial = run_sweep_grid(specs, table, base_seed=7)
-        for name in ("inprocess", "multiprocessing"):
-            assert run_sweep_grid(
-                specs, table, base_seed=7, dispatch=name
-            ) == serial
+            run_sweep_grid(specs, table, base_seed=5, runner=backend)
 
 
 def _spawn_worker(address, shard_dir, name, heartbeat=0.5):
@@ -391,12 +408,11 @@ def _spawn_worker(address, shard_dir, name, heartbeat=0.5):
 class TestSubprocessWorkers:
     def test_fault_grid_byte_identical(self, tmp_path):
         """Fault-injected grids survive the trip: the fault model rides
-        the grid description's execution config to the worker."""
+        the grid description's ``config`` to the worker."""
         specs, _ = _grid(sizes=(10,))
         table = resolve_algorithms(["two_approx_retry"])
         fault = FaultModel(loss=0.05, crash=0.1, timeout=256, seed=3)
-        config = ExecutionConfig(fault=fault)
-        serial = run_sweep_grid(specs, table, base_seed=9, config=config)
+        serial = run_sweep_grid(specs, table, base_seed=9, fault=fault)
 
         coordinator = DispatchCoordinator(worker_timeout=20.0)
         coordinator.start()
@@ -404,8 +420,8 @@ class TestSubprocessWorkers:
         try:
             coordinator.wait_for_workers(1, timeout=30.0)
             remote = run_sweep_grid(
-                specs, table, base_seed=9, config=config,
-                dispatch=RemoteDispatch(coordinator=coordinator),
+                specs, table, base_seed=9, fault=fault,
+                runner=RemoteDispatch(coordinator=coordinator),
             )
         finally:
             coordinator.stop()
@@ -437,7 +453,7 @@ class TestSubprocessWorkers:
             try:
                 outcome["records"] = run_sweep_grid(
                     specs, table, base_seed=11,
-                    dispatch=RemoteDispatch(coordinator=coordinator),
+                    runner=RemoteDispatch(coordinator=coordinator),
                 )
             except Exception as error:  # surfaced in the main thread
                 outcome["error"] = error

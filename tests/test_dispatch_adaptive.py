@@ -47,7 +47,7 @@ from repro.dispatch.cost import (
 )
 from repro.dispatch.worker import probe_capabilities, run_worker
 from repro.runner import GraphSpec, resolve_algorithms
-from repro.store import merge_shards, render_records, shard_stats
+from repro.store import ExperimentStore, merge_shards, render_records, shard_stats
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -317,7 +317,7 @@ class TestForcedStealing:
             coordinator.wait_for_workers(2, timeout=30.0)
             remote = run_sweep_grid(
                 specs, table, base_seed=11,
-                dispatch=RemoteDispatch(coordinator=coordinator, workers=2),
+                runner=RemoteDispatch(coordinator=coordinator, workers=2),
             )
             stats = coordinator.stats()
         finally:
@@ -357,7 +357,7 @@ class TestSpeculativeDuplicates:
             try:
                 outcome["records"] = run_sweep_grid(
                     specs, table, base_seed=7,
-                    dispatch=RemoteDispatch(coordinator=coordinator),
+                    runner=RemoteDispatch(coordinator=coordinator),
                 )
             except Exception as error:
                 outcome["error"] = error
@@ -440,7 +440,7 @@ class TestMidStealWorkerDeath:
             try:
                 outcome["records"] = run_sweep_grid(
                     specs, table, base_seed=13,
-                    dispatch=RemoteDispatch(coordinator=coordinator),
+                    runner=RemoteDispatch(coordinator=coordinator),
                 )
             except Exception as error:
                 outcome["error"] = error
@@ -516,7 +516,7 @@ class TestSupervisedWorker:
             first.wait_for_workers(1, timeout=30.0)
             records = run_sweep_grid(
                 specs, table, base_seed=5,
-                dispatch=RemoteDispatch(coordinator=first),
+                runner=RemoteDispatch(coordinator=first),
             )
             assert _canon(records) == _canon(serial)
             first.stop()
@@ -527,7 +527,7 @@ class TestSupervisedWorker:
             second.wait_for_workers(1, timeout=30.0)
             again = run_sweep_grid(
                 specs, table, base_seed=5,
-                dispatch=RemoteDispatch(coordinator=second),
+                runner=RemoteDispatch(coordinator=second),
             )
             assert _canon(again) == _canon(serial)
         finally:
@@ -565,7 +565,7 @@ class TestMergeStatsCli:
             coordinator.wait_for_workers(2, timeout=30.0)
             run_sweep_grid(
                 specs, table, base_seed=3,
-                dispatch=RemoteDispatch(coordinator=coordinator, workers=2),
+                runner=RemoteDispatch(coordinator=coordinator, workers=2),
             )
         finally:
             coordinator.stop()
@@ -602,7 +602,7 @@ class TestMergeStatsCli:
             coordinator.wait_for_workers(1, timeout=30.0)
             run_sweep_grid(
                 specs, table, base_seed=9,
-                dispatch=RemoteDispatch(coordinator=coordinator),
+                runner=RemoteDispatch(coordinator=coordinator),
             )
         finally:
             coordinator.stop()
@@ -628,9 +628,14 @@ class TestCliSurface:
         parser = build_parser()
         args = parser.parse_args(["sweep", "--families", "cycle",
                                   "--sizes", "10"])
-        assert args.shard_policy == "adaptive"
-        assert args.straggler_deadline == pytest.approx(10.0)
+        # Absent flags stay None (so a misplaced one is detectable) and
+        # the embedded coordinator supplies the defaults.
+        assert args.shard_policy is None
+        assert args.straggler_deadline is None
         assert args.dispatch_stats is None
+        coordinator = DispatchCoordinator()
+        assert coordinator.shard_policy == "adaptive"
+        assert coordinator.straggler_deadline == pytest.approx(10.0)
         args = parser.parse_args([
             "sweep", "--families", "cycle", "--sizes", "10",
             "--shard-policy", "static", "--straggler-deadline", "3",
@@ -638,6 +643,106 @@ class TestCliSurface:
         ])
         assert args.shard_policy == "static"
         assert SHARD_POLICIES == ("static", "adaptive")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dispatch-stats", "stats.json"),
+        ("--dispatch-wait", "5"),
+        ("--dispatch-port", "8799"),
+        ("--shard-policy", "static"),
+        ("--straggler-deadline", "3"),
+    ])
+    @pytest.mark.parametrize("placement", [[], ["--coordinator", "127.0.0.1:1"]],
+                             ids=["local", "coordinator"])
+    def test_embedded_coordinator_flags_need_one(
+        self, flag, value, placement, capsys, tmp_path
+    ):
+        """These flags configure an embedded coordinator; without one
+        (a local run, or ``--coordinator``) they used to be dropped
+        silently."""
+        stats = tmp_path / "stats.json"
+        value = str(stats) if flag == "--dispatch-stats" else value
+        code = main([
+            "sweep", "--families", "cycle", "--sizes", "12",
+            "--algorithms", "two_approx", flag, value, *placement,
+            "--out", str(tmp_path / "run.jsonl"),
+        ])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not stats.exists()
+        assert not (tmp_path / "run.jsonl").exists()
+
+    SWEEP = ["sweep", "--families", "cycle,path", "--sizes", "10,12",
+             "--algorithms", "two_approx,classical_exact", "--seed", "4"]
+
+    def _export(self, path):
+        return render_records(ExperimentStore(str(path)).load_records(), "jsonl")
+
+    def test_dispatch_workers_embeds_a_coordinator(
+        self, tmp_path, monkeypatch
+    ):
+        """``--dispatch-workers N`` alone makes the grid remote: the
+        embedded coordinator waits for a worker, and the export equals a
+        local run's."""
+        wait = DispatchCoordinator.wait_for_workers
+        joined = []
+
+        def wait_for_a_joining_worker(coordinator, count, timeout=60.0):
+            worker = threading.Thread(
+                target=run_worker,
+                args=(*coordinator.address, str(tmp_path / "shards")),
+                kwargs=dict(worker_id="cli", once=True, connect_wait=15.0,
+                            heartbeat_interval=0.5),
+                daemon=True,
+            )
+            worker.start()
+            joined.append(worker)
+            return wait(coordinator, count, timeout)
+
+        monkeypatch.setattr(
+            DispatchCoordinator, "wait_for_workers", wait_for_a_joining_worker
+        )
+        assert main([*self.SWEEP, "--out", str(tmp_path / "local.jsonl")]) == 0
+        assert joined == []
+        stats = tmp_path / "stats.json"
+        assert main([
+            *self.SWEEP, "--out", str(tmp_path / "remote.jsonl"),
+            "--dispatch-workers", "1", "--shard-policy", "static",
+            "--dispatch-stats", str(stats),
+        ]) == 0
+        (worker,) = joined
+        worker.join(timeout=15.0)
+        assert not worker.is_alive()
+        assert self._export(tmp_path / "remote.jsonl") == self._export(
+            tmp_path / "local.jsonl"
+        )
+        assert json.loads(stats.read_text())["policy"] == "static"
+
+    def test_coordinator_joins_an_existing_one(self, tmp_path):
+        coordinator = DispatchCoordinator().start()
+        worker = threading.Thread(
+            target=run_worker,
+            args=(*coordinator.address, str(tmp_path / "shards")),
+            kwargs=dict(worker_id="joined", once=True, connect_wait=15.0,
+                        heartbeat_interval=0.5),
+            daemon=True,
+        )
+        try:
+            worker.start()
+            coordinator.wait_for_workers(1, timeout=30.0)
+            host, port = coordinator.address
+            assert main([
+                *self.SWEEP, "--out", str(tmp_path / "remote.jsonl"),
+                "--coordinator", f"{host}:{port}",
+            ]) == 0
+            assert coordinator.stats()["registered_workers"] == 1
+        finally:
+            coordinator.stop()
+            worker.join(timeout=15.0)
+        assert main([*self.SWEEP, "--out", str(tmp_path / "local.jsonl")]) == 0
+        assert self._export(tmp_path / "remote.jsonl") == self._export(
+            tmp_path / "local.jsonl"
+        )
+        assert os.listdir(tmp_path / "shards")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown shard policy"):

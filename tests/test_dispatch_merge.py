@@ -72,7 +72,7 @@ def shard_fixture(tmp_path_factory):
         coordinator.wait_for_workers(2, timeout=30.0)
         remote = run_sweep_grid(
             specs, table, base_seed=BASE_SEED,
-            dispatch=RemoteDispatch(coordinator=coordinator, workers=2),
+            runner=RemoteDispatch(coordinator=coordinator, workers=2),
         )
     finally:
         coordinator.stop()
@@ -209,7 +209,7 @@ class TestMergeEdgeCases:
             coordinator.wait_for_workers(1, timeout=30.0)
             run_sweep_grid(
                 specs, table, base_seed=BASE_SEED + 1,
-                dispatch=RemoteDispatch(coordinator=coordinator),
+                runner=RemoteDispatch(coordinator=coordinator),
             )
         finally:
             coordinator.stop()

@@ -27,7 +27,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import run_sweep_grid
-from repro.config import ExecutionConfig
 from repro.dispatch import (
     DispatchCoordinator,
     DispatchError,
@@ -37,8 +36,9 @@ from repro.dispatch import (
     RemoteDispatch,
 )
 from repro.dispatch.worker import run_worker
+from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.runner import GraphSpec, resolve_algorithms
-from repro.store import render_records
+from repro.store import record_from_dict, render_records
 
 SPECS = (GraphSpec("cycle", 8, seed=1), GraphSpec("path", 6, seed=1))
 TABLE = resolve_algorithms(["two_approx"])
@@ -100,7 +100,7 @@ def _run_past_fake_worker(frames, tmp_path):
         try:
             outcome["export"] = render_records(run_sweep_grid(
                 SPECS, TABLE, base_seed=3,
-                dispatch=RemoteDispatch(coordinator=coordinator),
+                runner=RemoteDispatch(coordinator=coordinator),
             ), "jsonl")
         except Exception as error:  # reported to the test thread
             outcome["error"] = error
@@ -166,17 +166,86 @@ class TestMalformedWorkerFrames:
         assert isinstance(result, DispatchError)
         assert "malformed record for cell 0" in str(result)
 
-    def test_parent_grid_frame_with_a_tier_runs(self, tmp_path, monkeypatch):
+    def test_parent_grid_frame_with_a_tier_runs(self, tmp_path):
         """Coordinators that still ship ``"config": {"tier": ..., ...}``
         reach workers that no longer know the field."""
-        to_dict = ExecutionConfig.to_dict
-        monkeypatch.setattr(
-            ExecutionConfig, "to_dict",
-            lambda self: {"tier": "stdlib", **to_dict(self)},
+        fault = FaultModel(loss=0.1, delay=0.1, timeout=256, seed=2)
+        faulty, null = _run_raw_grids([
+            (fault, {"tier": "stdlib", "fault": fault.to_dict()}),
+            (NULL_FAULT_MODEL, {"fault": None}),
+        ], tmp_path)
+        assert faulty == render_records(
+            run_sweep_grid(SPECS, TABLE, base_seed=3, fault=fault), "jsonl"
         )
-        result, escaped = _run_past_fake_worker([], tmp_path)
-        assert escaped == []
-        assert result == SERIAL
+        assert null == SERIAL
+
+    def test_unknown_config_key_fails_only_its_grid(self, tmp_path):
+        bogus, null = _run_raw_grids([
+            (NULL_FAULT_MODEL, {"bogus": 1}),
+            (NULL_FAULT_MODEL, {"fault": None}),
+        ], tmp_path)
+        assert bogus["type"] == "error"
+        assert null == SERIAL
+
+
+def _raw_grid_client(address, fault, config, outcomes, slot):
+    """Submit the test grid under ``fault`` with its frame's ``config``
+    replaced by ``config``; store the export or the error frame."""
+    tasks = [(spec, name) for spec in SPECS for name in TABLE]
+    description = RemoteDispatch(address=address)._describe(
+        tasks, (TABLE, 3, fault)
+    )
+    description["config"] = config
+    conn = FramedSocket(socket.create_connection(address, timeout=60))
+    try:
+        conn.send({"type": "grid", "description": description})
+        records = {}
+        while len(records) < len(tasks):
+            frame = conn.recv()
+            if frame is None or frame.get("type") == "error":
+                outcomes[slot] = frame
+                return
+            if frame.get("type") == "cell":
+                records[frame["index"]] = record_from_dict(frame["record"])
+        outcomes[slot] = render_records(
+            [records[index] for index in sorted(records)], "jsonl"
+        )
+    finally:
+        conn.close()
+
+
+def _run_raw_grids(grids, tmp_path):
+    """Run hand-built grid frames concurrently on one real worker."""
+    coordinator = DispatchCoordinator(shard_policy="static", shard_size=64)
+    coordinator.start()
+    worker = threading.Thread(
+        target=run_worker,
+        args=(*coordinator.address, str(tmp_path / "shards")),
+        kwargs=dict(worker_id="real", once=True, connect_wait=15.0,
+                    heartbeat_interval=0.5),
+        daemon=True,
+    )
+    outcomes = [None] * len(grids)
+    clients = [
+        threading.Thread(
+            target=_raw_grid_client,
+            args=(coordinator.address, fault, config, outcomes, slot),
+            daemon=True,
+        )
+        for slot, (fault, config) in enumerate(grids)
+    ]
+    try:
+        worker.start()
+        coordinator.wait_for_workers(1, timeout=30.0)
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=60.0)
+            assert not client.is_alive(), "a grid never finished"
+    finally:
+        coordinator.stop()
+        worker.join(timeout=15.0)
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.bfs import run_bfs_tree
-from repro.config import ExecutionConfig
 from repro.congest.errors import (
     BandwidthExceededError,
     ProtocolError,
@@ -189,11 +188,11 @@ class TestEngineSelection:
             assert type(inner) is _Recording and inner is not outer
 
     def test_unknown_default_rejected(self):
-        """No configuration selects an engine any more."""
+        """No parameter selects an engine any more."""
         with pytest.raises(TypeError):
-            ExecutionConfig(engine="sparse")
-        with pytest.raises(ValueError, match="unknown execution config"):
-            ExecutionConfig.from_dict({"engine": "sparse"})
+            Network(generators.path_graph(3), engine="sparse")
+        with pytest.raises(TypeError, match="Scheduler instance"):
+            Network(generators.path_graph(3), scheduler="sparse")
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,6 +1,6 @@
 """Tests of the deterministic fault-injection layer (:mod:`repro.faults`).
 
-Covers the model/registry surface, the stateless per-event decision
+Covers the model surface and its JSON parser, the stateless per-event decision
 hashes, the engine's fault-aware loop (loss, delay, crash/restart,
 churn), the retry helpers and the resilient BFS built on them, and the
 sweep/store integration (``success``/``failure_reason`` records, fault-
@@ -23,11 +23,12 @@ import subprocess
 import sys
 import zlib
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.config
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_approx import run_classical_two_approximation
 from repro.algorithms.resilient import (
@@ -35,7 +36,6 @@ from repro.algorithms.resilient import (
     run_resilient_two_approximation,
 )
 from repro.analysis.sweep import run_sweep_grid, sweep_task_key
-from repro.config import ExecutionConfig
 from repro.congest.errors import (
     CongestSimulationError,
     ProtocolError,
@@ -45,17 +45,14 @@ from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.engine import DenseScheduler, SparseScheduler
 from repro.faults import (
-    FAULT_MODELS,
     NULL_FAULT_MODEL,
     FaultModel,
     FaultPlan,
     fault_stream_seed,
-    register_fault_model,
-    validate_fault_model,
 )
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.runner import GraphSpec, resolve_algorithms
+from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, collect_provenance, record_from_dict, record_to_dict
 
 #: The dense reference and the production sparse scheduler, by test id.
@@ -66,10 +63,6 @@ ENGINES = tuple(SCHEDULER_CLASSES)
 #: 2-approximation reliably times out on this graph while the retrying
 #: variant still lands inside the approximation bound.
 LOSSY = FaultModel(loss=0.1, timeout=256)
-
-
-#: The execution configuration of the faulty grids below.
-LOSSY_CONFIG = ExecutionConfig(fault=LOSSY)
 
 
 def _graph(nodes=18, family="clique_chain"):
@@ -115,33 +108,101 @@ class TestFaultModel:
         # Stable across instances: describe is a pure function of fields.
         assert a.describe() == FaultModel(loss=0.1).describe()
 
-    def test_registry_lookup(self):
-        assert validate_fault_model("lossy") is FAULT_MODELS["lossy"]
-        assert validate_fault_model(LOSSY) is LOSSY
-        with pytest.raises(ValueError, match="lossy"):
-            validate_fault_model("no-such-model")
-        with pytest.raises(TypeError):
-            validate_fault_model(3)
+    def test_default_model_toggle(self):
+        # A network built without a fault model runs the null model; a
+        # model is passed as itself, never by name.
+        assert Network(_graph()).fault_model is NULL_FAULT_MODEL
+        assert Network(_graph(), fault_model=LOSSY).fault_model is LOSSY
+        with pytest.raises(TypeError, match="FaultModel instance"):
+            Network(_graph(), fault_model="none")
 
-    def test_register_rejects_conflicting_redefinition(self):
-        register_fault_model("lossy", FAULT_MODELS["lossy"])  # idempotent
-        with pytest.raises(ValueError, match="already registered"):
-            register_fault_model("lossy", FaultModel(loss=0.5))
+    def test_frozen_and_picklable(self):
+        with pytest.raises(AttributeError):
+            LOSSY.loss = 0.0
+        assert pickle.loads(pickle.dumps(LOSSY)) == LOSSY
+
+    def test_equal_models_describe_equally(self):
+        # Probabilities are stored as float, so an integer and a float
+        # spelling of one model share task keys.
+        assert FaultModel(loss=0, delay=1) == FaultModel(loss=0.0, delay=1.0)
+        assert FaultModel(loss=0, delay=1).describe() == FaultModel(
+            loss=0.0, delay=1.0
+        ).describe()
+        assert FaultModel(loss=0).is_null
+        assert type(FaultModel(churn=1).churn) is float
+
+
+class TestFromDict:
+    """:meth:`FaultModel.from_dict`, the one parser of the JSON form a
+    fault model takes in ``POST /jobs`` bodies, ledger rows and dispatch
+    frames: every malformed input is a ``ValueError``."""
+
+    MODEL = FaultModel(loss=0.1, delay=0.05, max_delay=2, timeout=256, seed=4)
+
+    @pytest.mark.parametrize("model", [
+        NULL_FAULT_MODEL, MODEL, FaultModel(timeout=9),
+    ], ids=["null", "lossy", "timeout"])
+    def test_round_trip(self, model):
+        assert FaultModel.from_dict(model.to_dict()) == model
+
+    def test_absent_fields_take_defaults(self):
+        assert FaultModel.from_dict({}) == NULL_FAULT_MODEL
+        assert FaultModel.from_dict({"timeout": None}) == NULL_FAULT_MODEL
+
+    def test_fault_values_keep_their_type(self):
+        # An integer probability is stored as a float, so it describes
+        # (and keys) exactly like the float a CLI flag produces.
+        model = FaultModel.from_dict({"loss": 1, "timeout": 5})
+        assert model == FaultModel(loss=1.0, timeout=5)
+        assert "loss=1.0," in model.describe()
+        assert "timeout=5," in model.describe()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"bogus": 1}, "unknown fault fields"),
+        ({"loss": "abc"}, "must be a number"),
+        ({"loss": True}, "must be a number"),
+        ({"max_delay": 1.5}, "must be an integer"),
+        ({"loss": 2.0}, r"must be in \[0, 1\]"),
+        ([0.1], "must be an object"),
+        ({"timeout": "5"}, "must be an integer"),
+        ("lossy", "must be an object"),
+        (None, "must be an object"),
+    ])
+    def test_malformed_input_is_a_value_error(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            FaultModel.from_dict(data)
+
+
+#: JSON values, nested a little.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(("stdlib", "numpy", "")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_FAULT_KEYS = st.sampled_from(
+    ["loss", "delay", "max_delay", "crash", "crash_window", "down_rounds",
+     "churn", "timeout", "seed", "bogus"]
+)
+_FAULT_DICTS = st.dictionaries(
+    _FAULT_KEYS,
+    st.none() | st.booleans() | st.integers(-2, 300)
+    | st.floats(-0.5, 1.5) | st.floats() | st.text(max_size=3),
+    max_size=4,
+) | _JSON
+
+
+class TestFromDictProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_FAULT_DICTS)
+    def test_from_dict_returns_a_model_or_raises_value_error(self, data):
         try:
-            register_fault_model("test-model", FaultModel(churn=0.25))
-            assert validate_fault_model("test-model") == FaultModel(churn=0.25)
-        finally:
-            FAULT_MODELS.pop("test-model", None)
-
-    def test_default_model_toggle(self, monkeypatch):
-        # Networks built without a fault model take the default
-        # configuration's; names resolve through the registry.
-        monkeypatch.setattr(
-            repro.config, "DEFAULT_CONFIG", ExecutionConfig(fault="lossy")
-        )
-        assert Network(_graph()).config.fault == FAULT_MODELS["lossy"]
-        assert Network(_graph(), fault_model="none").config.fault.is_null
-        assert ExecutionConfig(fault="none").fault is NULL_FAULT_MODEL
+            model = FaultModel.from_dict(data)
+        except ValueError:
+            return
+        assert isinstance(model, FaultModel)
+        assert FaultModel.from_dict(model.to_dict()) == model
 
 
 class TestFaultPlan:
@@ -418,13 +479,13 @@ class TestNullModelIdentity:
                 fault_model=FaultModel(),
             )
         )
-        named = run_classical_two_approximation(
+        default = run_classical_two_approximation(
             Network(
                 graph, seed=3, scheduler=SCHEDULER_CLASSES[engine](),
-                fault_model="none",
+                fault_model=None,
             )
         )
-        for faulty in (null, named):
+        for faulty in (null, default):
             assert faulty.estimate == clean.estimate
             assert faulty.metrics == clean.metrics
 
@@ -587,7 +648,7 @@ class TestSweepIntegration:
 
     def test_failed_cells_become_failure_records(self):
         records = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, config=LOSSY_CONFIG
+            self.SPECS, self._algorithms(), base_seed=0, fault=LOSSY
         )
         by_name = {record.algorithm: record for record in records}
         failed = by_name["two_approx"]
@@ -599,15 +660,14 @@ class TestSweepIntegration:
         assert survived.success
         assert survived.failure_reason is None
         assert survived.value > 0
-        # The grid leaves the default configuration alone.
-        assert repro.config.DEFAULT_CONFIG.fault.is_null
 
     def test_faulty_grid_serial_equals_parallel(self):
         serial = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, config=LOSSY_CONFIG
+            self.SPECS, self._algorithms(), base_seed=0, fault=LOSSY
         )
         parallel = run_sweep_grid(
-            self.SPECS, self._algorithms(), base_seed=0, jobs=2, config=LOSSY_CONFIG
+            self.SPECS, self._algorithms(), base_seed=0,
+            runner=BatchRunner(jobs=2), fault=LOSSY,
         )
         assert serial == parallel
 
@@ -627,7 +687,7 @@ class TestSweepIntegration:
             self._algorithms(),
             base_seed=0,
             store=store,
-            config=LOSSY_CONFIG,
+            fault=LOSSY,
         )
         assert store.load_records() == records
         header = store.latest_header()
@@ -647,11 +707,8 @@ class TestSweepIntegration:
 
     def test_provenance_stamps_fault_model(self):
         assert collect_provenance()["fault_model"] == "none"
-        lossy = ExecutionConfig(fault="lossy")
-        assert (
-            collect_provenance(lossy)["fault_model"]
-            == FAULT_MODELS["lossy"].describe()
-        )
+        assert collect_provenance(NULL_FAULT_MODEL)["fault_model"] == "none"
+        assert collect_provenance(LOSSY)["fault_model"] == LOSSY.describe()
 
 
 #: A faulty end-to-end scenario executed in subprocesses: a lossy
@@ -668,9 +725,8 @@ from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.config import ExecutionConfig
 from repro.engine import DenseScheduler, SparseScheduler
-from repro.runner import GraphSpec, resolve_algorithms
+from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
 
 model = FaultModel(loss=0.1, delay=0.1, max_delay=2, timeout=256)
 graph = generators.family_for_sweep("clique_chain", 20, seed=3)
@@ -690,7 +746,7 @@ records = run_sweep_grid(
     (GraphSpec(family="clique_chain", num_nodes=24, seed=3),),
     resolve_algorithms(["two_approx", "two_approx_retry"]),
     base_seed=0,
-    config=ExecutionConfig(fault=FaultModel(loss=0.1, timeout=256)),
+    fault=FaultModel(loss=0.1, timeout=256),
 )
 
 out = {

@@ -16,11 +16,14 @@ import argparse
 
 import pytest
 
-from repro.analysis.sweep import run_sweep_grid
-from repro.cli import build_parser
+from repro.analysis.sweep import grid_signature, run_sweep_grid
+from repro.cli import _grid_request_from_args, build_parser
+from repro.congest.network import Network
 from repro.faults import FaultModel
-from repro.runner import task_seed
+from repro.graphs import generators
+from repro.runner import BatchRunner, task_seed
 from repro.service import GridRequest, execute_grid_request, fault_model_from_flags
+from repro.store import ExperimentStore
 
 
 def _request(**overrides) -> GridRequest:
@@ -73,10 +76,9 @@ class TestValidation:
             _request(families=("controlled",), diameter="x").validate()
 
     def test_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="unknown dispatch backend"):
-            _request(dispatch="carrier-pigeon").validate()
-        for name in ("inprocess", "multiprocessing", "remote"):
-            _request(dispatch=name).validate()
+        # Where cells run is the caller's runner, not a request field.
+        with pytest.raises(TypeError, match="dispatch"):
+            _request(dispatch="remote")
 
 
 class TestSeedStreams:
@@ -109,14 +111,13 @@ class TestRoundTrip:
         assert clone == request
 
     def test_dispatch_round_trip(self):
-        request = _request(dispatch="remote")
-        clone = GridRequest.from_dict(request.to_dict())
-        assert clone.dispatch == "remote"
-        assert clone == request
-        # absent key (a pre-dispatch payload) defaults to None
-        data = _request().to_dict()
-        del data["dispatch"]
-        assert GridRequest.from_dict(data).dispatch is None
+        """Payloads written while requests named a dispatch backend
+        replay as the same request; new payloads carry no such key."""
+        request = _request(jobs=2)
+        assert "dispatch" not in request.to_dict()
+        for dispatch in (None, "inprocess", "multiprocessing", "remote"):
+            data = dict(request.to_dict(), dispatch=dispatch)
+            assert GridRequest.from_dict(data) == request
 
     @pytest.mark.parametrize("retired", [
         {"engine": None, "backend": None},
@@ -126,6 +127,7 @@ class TestRoundTrip:
         {"tier": "stdlib"},
         {"tier": "numpy"},
         {"engine": "dense", "backend": "sampling", "tier": "numpy"},
+        {"dispatch": "remote", "tier": "stdlib"},
     ])
     def test_retired_selections_dropped(self, retired):
         request = _request(seed=3)
@@ -170,7 +172,55 @@ class TestFaultModelFromFlags:
         assert model is not None and model.timeout == 128
 
 
+class TestIntegerFaultValues:
+    """An API body may spell a probability as an integer; the CLI always
+    passes floats.  Both spellings are one model and one grid."""
+
+    HTTP = {"families": ["cycle"], "sizes": [10], "algorithms": ["two_approx"],
+            "seed": 2, "fault": {"loss": 0, "delay": 0.1}}
+    ARGV = ["sweep", "--families", "cycle", "--sizes", "10",
+            "--algorithms", "two_approx", "--seed", "2",
+            "--loss", "0", "--delay", "0.1"]
+
+    def _requests(self):
+        http = GridRequest.from_dict(self.HTTP)
+        cli = _grid_request_from_args(build_parser().parse_args(self.ARGV), "sweep")
+        return http, cli
+
+    def test_equal_signatures(self):
+        http, cli = self._requests()
+        assert http == cli
+        assert grid_signature(
+            http.specs(), http.algorithms, http.base_seed(), http.fault
+        ) == grid_signature(
+            cli.specs(), cli.algorithms, cli.base_seed(), cli.fault
+        )
+
+    def test_cli_resumes_an_api_store(self, tmp_path):
+        http, cli = self._requests()
+        store = ExperimentStore(tmp_path / "run.jsonl")
+        first = execute_grid_request(http, store=store)
+        assert execute_grid_request(cli, store=store, resume=True) == first
+        assert store.latest_header()["resume"] is True
+
+
 class TestExecution:
+    def test_runner_none_runs_the_request_jobs(self, monkeypatch):
+        """``runner=None`` is a local BatchRunner with the request's
+        ``jobs``; any other runner object passes through."""
+        import repro.service.gridspec as gridspec
+
+        seen = []
+        monkeypatch.setattr(
+            gridspec, "run_sweep_grid",
+            lambda *args, runner, **kwargs: seen.append(runner) or [],
+        )
+        execute_grid_request(_request(jobs=3))
+        assert type(seen[-1]) is BatchRunner and seen[-1].jobs == 3
+        runner = BatchRunner(jobs=2)
+        execute_grid_request(_request(), runner=runner)
+        assert seen[-1] is runner
+
     def test_execute_matches_direct_run(self):
         request = _request(families=("cycle", "path"), sizes=(10, 12), seed=3)
         records = execute_grid_request(request)
@@ -182,11 +232,10 @@ class TestExecution:
         assert records == direct
 
     def test_process_defaults_restored(self):
-        import repro.config
-
-        before = repro.config.DEFAULT_CONFIG
+        """A faulty request leaves nothing behind: a network built
+        afterwards runs the null model."""
         execute_grid_request(_request(fault=FaultModel(loss=0.1)))
-        assert repro.config.DEFAULT_CONFIG is before
+        assert Network(generators.path_graph(3)).fault_model.is_null
 
 
 def _grid_subparsers():
@@ -221,8 +270,7 @@ class TestFlagInventories:
     """
 
     #: The dispatch *connection* flags live only on the locally-executing
-    #: grid commands: a submitted job talks to the daemon's coordinator,
-    #: so ``jobs submit`` carries just the shared ``--dispatch`` name.
+    #: grid commands: a submitted job runs on the daemon's coordinator.
     DISPATCH_CONNECTION = {
         "--coordinator", "--dispatch-port", "--dispatch-workers",
         "--dispatch-wait", "--shard-policy", "--straggler-deadline",

@@ -32,7 +32,6 @@ import sys
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.analysis.sweep import run_sweep_grid
-from repro.config import ExecutionConfig
 from repro.congest.network import Network
 from repro.graphs.graph import Graph
 from repro.runner import GraphSpec
@@ -49,14 +48,13 @@ class WheelSpec(GraphSpec):
     def build(self):
         return graph
 
-def exact_kernel(g, seed, config):
-    result = run_classical_exact_diameter(Network(g, seed=3, config=config))
+def exact_kernel(g, seed, fault):
+    result = run_classical_exact_diameter(Network(g, seed=3, fault_model=fault))
     return result.rounds, float(result.diameter)
 
 records = run_sweep_grid(
     [WheelSpec(family="tuple-wheel", num_nodes=graph.num_nodes)],
     {"classical_exact": SweepAlgorithmInfo(exact_kernel, guarantee=EXACT)},
-    config=ExecutionConfig(),
 )
 
 tree = run_bfs_tree(Network(graph, seed=3), ("hub", "center"))
@@ -125,7 +123,6 @@ import sys
 from repro.analysis.sweep import run_sweep_grid
 from repro.congest.network import Network
 from repro.core import quantum_exact_diameter, quantum_exact_radius
-from repro.config import ExecutionConfig
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs.graph import Graph
 from repro.quantum.backend import BatchedScheduleBackend, SamplingScheduleBackend
@@ -164,7 +161,6 @@ records = run_sweep_grid(
     (GraphSpec(family="clique_chain", num_nodes=12, seed=4),),
     resolve_algorithms(["quantum_exact", "quantum_radius", "quantum_source_ecc"]),
     base_seed=9,
-    config=ExecutionConfig(),
 )
 
 out = {

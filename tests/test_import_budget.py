@@ -180,14 +180,6 @@ class TestLazyPackageNames:
 class TestNameTuplesMatchRegistries:
     """The parser's choices are the registries' names."""
 
-    def test_dispatch_names(self):
-        from repro.dispatch.backend import DISPATCH_NAMES, resolve_dispatch
-
-        assert names.DISPATCH_NAMES is DISPATCH_NAMES
-        for name in DISPATCH_NAMES:
-            if name != "remote":  # needs a coordinator
-                assert resolve_dispatch(name) is not None
-
     def test_shard_policies(self):
         from repro.dispatch.coordinator import SHARD_POLICIES, DispatchCoordinator
 

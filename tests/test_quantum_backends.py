@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ExecutionConfig
 from repro.congest.network import Network
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
@@ -65,11 +64,9 @@ class TestBackendRegistry:
                 resolve_schedule_backend(name)
 
     def test_unknown_default_rejected(self):
-        """No configuration selects a backend any more."""
+        """No network parameter selects a backend any more."""
         with pytest.raises(TypeError):
-            ExecutionConfig(backend="sampling")
-        with pytest.raises(ValueError, match="unknown execution config"):
-            ExecutionConfig.from_dict({"backend": "sampling"})
+            Network(generators.path_graph(3), backend="sampling")
 
 
 class TestMaximumFindingDifferential:
@@ -346,7 +343,11 @@ class TestProblemsDifferential:
         algorithms = resolve_algorithms(
             ["quantum_exact", "quantum_radius", "quantum_source_ecc"]
         )
-        parallel = run_sweep_grid(specs, algorithms, jobs=2, base_seed=7)
+        parallel = run_sweep_grid(
+            specs, algorithms, runner=BatchRunner(jobs=2), base_seed=7
+        )
         reference_paths()
-        serial = run_sweep_grid(specs, algorithms, jobs=1, base_seed=7)
+        serial = run_sweep_grid(
+            specs, algorithms, runner=BatchRunner(jobs=1), base_seed=7
+        )
         assert serial == parallel

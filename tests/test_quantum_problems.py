@@ -242,7 +242,7 @@ class TestSweepIntegration:
         assert all(record.correct is True for record in records)
 
     def test_custom_oracle_failure_recorded(self):
-        def wrong_radius(graph, seed, config):
+        def wrong_radius(graph, seed, fault):
             return 1, float(graph.num_nodes + 5)
 
         table = {
@@ -361,16 +361,14 @@ class TestQuantumCLI:
         assert "--resume requires --out" in capsys.readouterr().err
 
     def test_quantum_backend_default_restored(self):
-        """A CLI run must not leave its configuration behind for later
-        in-process callers (the tests share one interpreter)."""
-        import repro.config
-
-        before = repro.config.DEFAULT_CONFIG
+        """A faulty CLI run leaves nothing behind for later in-process
+        callers (the tests share one interpreter): a network built
+        afterwards runs the null model."""
         assert main(
             ["quantum", "--families", "cycle", "--sizes", "8",
-             "--problems", "source_ecc"]
+             "--problems", "source_ecc", "--loss", "0.1"]
         ) == 0
-        assert repro.config.DEFAULT_CONFIG is before
+        assert Network(generators.path_graph(3)).fault_model.is_null
 
     def test_sweep_accepts_quantum_problem_algorithms(self, capsys):
         exit_code = main(

@@ -47,7 +47,7 @@ def _fail_on_three(task):
     return task
 
 
-def _oracle_kernel(graph, seed, config):
+def _oracle_kernel(graph, seed, fault):
     return graph.num_nodes, float(graph.diameter())
 
 
@@ -56,7 +56,7 @@ def _oracle_kernel(graph, seed, config):
 _oracle = SweepAlgorithmInfo(_oracle_kernel, guarantee=EXACT)
 
 
-def _estimate(graph, seed, config):
+def _estimate(graph, seed, fault):
     return 2, 1.0
 
 
@@ -202,8 +202,8 @@ class TestRunSweep:
     def test_serial_and_parallel_records_identical(self):
         specs = [GraphSpec("cycle", 10), GraphSpec("path", 8), GraphSpec("star", 9)]
         algorithms = {"oracle": _oracle, "estimate": _estimate}
-        serial = run_sweep_grid(specs, algorithms, jobs=1)
-        parallel = run_sweep_grid(specs, algorithms, jobs=2)
+        serial = run_sweep_grid(specs, algorithms, runner=BatchRunner(jobs=1))
+        parallel = run_sweep_grid(specs, algorithms, runner=BatchRunner(jobs=2))
         assert serial == parallel
 
     def test_sweep_table_renders_missing_diameter_as_dash(self):
@@ -216,8 +216,12 @@ class TestRunSweepGrid:
     def test_grid_serial_equals_parallel(self):
         specs = grid(["cycle", "path"], [10, 14])
         algorithms = resolve_algorithms(["classical_exact", "two_approx"])
-        serial = run_sweep_grid(specs, algorithms, jobs=1, base_seed=3)
-        parallel = run_sweep_grid(specs, algorithms, jobs=2, base_seed=3)
+        serial = run_sweep_grid(
+            specs, algorithms, runner=BatchRunner(jobs=1), base_seed=3
+        )
+        parallel = run_sweep_grid(
+            specs, algorithms, runner=BatchRunner(jobs=2), base_seed=3
+        )
         assert serial == parallel
         assert len(serial) == len(specs) * len(algorithms)
         # Records come back cell-ordered: spec-major, algorithm-minor.

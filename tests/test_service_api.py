@@ -168,10 +168,14 @@ class TestAPIBasics:
         {"tier": None},
         {"tier": "stdlib"},
         {"tier": "numpy"},
+        {"dispatch": None},
+        {"dispatch": "inprocess"},
+        {"dispatch": "remote"},
     ])
     def test_submit_with_retired_selection_keys_201(self, idle, retired):
         # Clients written while requests carried ``engine``/``backend``/
-        # ``tier`` keep submitting: the keys are dropped, not rejected.
+        # ``tier``/``dispatch`` keep submitting: the keys are dropped, not
+        # rejected.
         client, _ = idle
         payload = dict(_request().to_dict(), **retired)
         body = json.dumps({"tenant": "alice", "request": payload}).encode("utf-8")
@@ -471,15 +475,14 @@ class TestRemoteDispatchJobs:
             body, _ = _fetch_metrics(client)
             assert "repro_service_dispatch_workers 1" in body
 
-            request = _request(dispatch="remote")
+            request = _request()
             job_id = client.submit("alice", request)["job_id"]
             status = client.watch(job_id, poll=0.05, timeout=120)
             assert status["state"] == "done"
             # the export matches a local *serial* run of the same grid
-            # (dispatch changes where cells run, never the bytes)
-            local = _request()
+            # (the runner changes where cells run, never the bytes)
             assert client.results(job_id, format="jsonl") == \
-                _local_export(local)
+                _local_export(request)
         finally:
             server.shutdown()
             server.server_close()

@@ -144,10 +144,14 @@ class TestLedgerReplay:
         {"tier": None},
         {"tier": "stdlib"},
         {"tier": "numpy"},
+        {"dispatch": None},
+        {"dispatch": "multiprocessing"},
+        {"dispatch": "remote"},
     ])
     def test_rows_with_retired_selections_replay(self, tmp_path, retired):
-        """Job rows written while requests carried ``engine``, ``backend``
-        or ``tier`` replay as the same job instead of being skipped."""
+        """Job rows written while requests carried ``engine``, ``backend``,
+        ``tier`` or ``dispatch`` replay as the same job instead of being
+        skipped."""
         path = tmp_path / "jobs.jsonl"
         ledger = JobLedger(path)
         ledger.append_job(_record())

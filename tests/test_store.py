@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import SweepRecord, run_sweep_grid
-from repro.runner import GraphSpec, grid, resolve_algorithms
+from repro.runner import BatchRunner, GraphSpec, grid, resolve_algorithms
 from repro.store import (
     ExperimentStore,
     ExperimentStoreError,
@@ -43,7 +43,7 @@ _TRACE_ENV = "REPRO_TEST_STORE_TRACE"
 _EXPLODE_ENV = "REPRO_TEST_STORE_EXPLODE"
 
 
-def _traced_estimate(graph, seed, config):
+def _traced_estimate(graph, seed, fault):
     """A cheap sweep kernel that logs invocations and can be detonated.
 
     Module-level (hence picklable), deterministic in ``(graph, seed)``:
@@ -455,7 +455,8 @@ class TestSweepGridPersistence:
             run_sweep_grid(specs, algorithms, base_seed=3, store=store)
         monkeypatch.delenv(_EXPLODE_ENV)
         resumed = run_sweep_grid(
-            specs, algorithms, base_seed=3, store=store, resume=True, jobs=2
+            specs, algorithms, base_seed=3, store=store, resume=True,
+            runner=BatchRunner(jobs=2),
         )
         fresh = run_sweep_grid(specs, algorithms, base_seed=3)
         assert resumed == fresh

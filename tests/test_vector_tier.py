@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 import repro.graphs.indexed
 from repro.analysis.sweep import run_sweep_grid
-from repro.config import ExecutionConfig
 from repro.faults import FaultModel
 from repro.graphs import generators, vector
 from repro.graphs.graph import Graph, GraphError
@@ -301,7 +300,7 @@ def _record_tuple(record):
     )
 
 
-def _oracle_only(graph, seed, config):
+def _oracle_only(graph, seed, fault):
     """A zero-round kernel: its records carry only the oracle diameter."""
     return 0, None
 
@@ -324,18 +323,17 @@ class TestTierThreading:
         ]
 
     def test_spawned_workers_receive_config_with_context(self, tmp_path):
-        """Spawned pool workers inherit no parent state: every selection
-        of the grid's config must arrive in the task context."""
+        """Spawned pool workers inherit no parent state: the grid's fault
+        model must arrive in the task context."""
         specs = grid(["clique_chain", "cycle"], [16], seed=9)
         algorithms = resolve_algorithms(
             ["classical_exact", "two_approx_retry", "quantum_radius"]
         )
         fault = FaultModel(loss=0.05, timeout=256, seed=2)
-        config = ExecutionConfig(fault=fault)
-        serial = run_sweep_grid(specs, algorithms, base_seed=5, config=config)
+        serial = run_sweep_grid(specs, algorithms, base_seed=5, fault=fault)
         store = ExperimentStore(tmp_path / "spawned.jsonl")
         spawned = run_sweep_grid(
-            specs, algorithms, base_seed=5, config=config, store=store,
+            specs, algorithms, base_seed=5, fault=fault, store=store,
             runner=BatchRunner(jobs=2, start_method="spawn"),
         )
         assert spawned == serial
