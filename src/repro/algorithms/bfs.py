@@ -118,7 +118,7 @@ def run_bfs_tree(network: Network, root: NodeId) -> BFSTreeResult:
 
     execution = network.run(
         lambda node, net: _BFSNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node), root
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node), root
         )
     )
     parent = {node: data["parent"] for node, data in execution.results.items()}

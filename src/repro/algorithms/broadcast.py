@@ -139,7 +139,7 @@ def run_tree_broadcast(
     """
     execution = network.run(
         lambda node, net: _TreeBroadcastNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node),
             tree, root_value,
         )
     )
@@ -158,7 +158,7 @@ def _run_aggregate(
         raise ValueError(f"no local value provided for nodes {missing[:3]!r}...")
     execution = network.run(
         lambda node, net: _TreeAggregateNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node),
             tree, values[node], mode,
         )
     )

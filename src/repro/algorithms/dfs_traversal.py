@@ -182,7 +182,7 @@ def _run_tour(
 ) -> EulerTourResult:
     execution = network.run(
         lambda node, net: _EulerTourNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node),
             tree, start, budget, member,
         ),
         max_rounds=budget + 4,
@@ -255,16 +255,26 @@ def sequential_euler_tour(
 
     ``window=None`` performs the full tour (``2 (m - 1)`` steps over the
     ``m`` member nodes); otherwise only ``window`` steps are performed.
+
+    With ``members=None`` the walk reads ``tree.children`` itself (never
+    mutating it), so a short window costs its ``window`` steps rather than
+    a rebuild of the whole child table; only a member-restricted tour
+    builds its own filtered table.
     """
-    member = _membership(tree, members)
-    if not member(start):
-        raise ValueError(f"start node {start!r} is not a member of the subtree")
-    children: Dict[NodeId, Tuple[NodeId, ...]] = {
-        node: tuple(child for child in tree.children_of(node) if member(child))
-        for node in tree.parent
-        if member(node)
-    }
-    member_count = len(children)
+    children: Dict[NodeId, Tuple[NodeId, ...]]
+    if members is None:
+        children = tree.children
+        member_count = len(tree.parent)
+    else:
+        member = _membership(tree, members)
+        if not member(start):
+            raise ValueError(f"start node {start!r} is not a member of the subtree")
+        children = {
+            node: tuple(child for child in tree.children_of(node) if member(child))
+            for node in tree.parent
+            if member(node)
+        }
+        member_count = len(children)
     budget = 2 * (member_count - 1) if member_count > 1 else 0
     if window is not None:
         if window < 0:

@@ -44,6 +44,7 @@ class _MaxIdFloodingNode(NodeAlgorithm):
     def __init__(self, node_id, neighbors, num_nodes, rng) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
         self.best: NodeId = node_id
+        self._best_key = identifier_key(node_id)
         # The node is always "reactively finished": the execution stops when
         # the flooding stabilises (no more improvements anywhere).
         self.finished = True
@@ -52,8 +53,9 @@ class _MaxIdFloodingNode(NodeAlgorithm):
         improved = round_number == 0
         for _, payload in inbox.items():
             candidate = tuple(payload)[0] if isinstance(payload, list) else payload
-            if identifier_key(candidate) > identifier_key(self.best):
-                self.best = candidate
+            key = identifier_key(candidate)
+            if key > self._best_key:
+                self.best, self._best_key = candidate, key
                 improved = True
         if improved:
             return self.broadcast(self.best)
@@ -71,7 +73,7 @@ def run_leader_election(network: Network) -> LeaderElectionResult:
     """
     execution = network.run(
         lambda node, net: _MaxIdFloodingNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node)
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node)
         )
     )
     leaders = set(map(identifier_key, execution.results.values()))

@@ -114,7 +114,7 @@ def run_multi_source_bfs(
 
     execution = network.run(
         lambda node, net: _MultiSourceBFSNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node),
             node in source_set,
         )
     )

@@ -140,7 +140,7 @@ def run_resilient_bfs(
             node,
             net.neighbors(node),
             net.num_nodes,
-            net.node_rng(node),
+            net.node_seed(node),
             root,
             max_retries,
         )

@@ -186,7 +186,7 @@ def run_distance_waves(
 
     execution = network.run(
         lambda node, net: _WaveNode(
-            node, net.neighbors(node), net.num_nodes, net.node_rng(node),
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node),
             schedule.get(node), duration, forward_all,
         ),
         exact_rounds=duration,

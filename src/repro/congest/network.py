@@ -182,15 +182,22 @@ class Network:
         """
         return self.graph.compile().neighbors(node)
 
-    def node_rng(self, node: NodeId) -> random.Random:
-        """Deterministic per-node random generator.
+    def node_seed(self, node: NodeId) -> int:
+        """Deterministic per-node seed: a CRC of the network seed and the
+        node identifier.
 
-        Seeded from a CRC of the network seed and the node identifier so
-        that executions are reproducible across processes (Python's built-in
-        ``hash`` of strings is randomised per process).
+        A CRC rather than Python's built-in ``hash`` (randomised per
+        process for strings), so executions are reproducible across
+        processes.  Algorithm factories pass this seed as the node's
+        ``rng`` argument; :class:`repro.congest.node.NodeAlgorithm` seeds
+        its generator from it on first use only.
         """
-        digest = zlib.crc32(f"{self._seed}|{node!r}".encode("utf-8"))
-        return random.Random(digest)
+        return zlib.crc32(f"{self._seed}|{node!r}".encode("utf-8"))
+
+    def node_rng(self, node: NodeId) -> random.Random:
+        """Deterministic per-node random generator, seeded with
+        :meth:`node_seed`: the stream a node's ``self.rng`` draws."""
+        return random.Random(self.node_seed(node))
 
     def default_max_rounds(self) -> int:
         """A generous round cap used when the caller does not provide one."""

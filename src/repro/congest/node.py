@@ -32,7 +32,7 @@ no-ops, so calling them is always safe.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.graphs.graph import NodeId
 
@@ -55,8 +55,11 @@ class NodeAlgorithm:
     num_nodes:
         The number ``n`` of nodes in the network, known to every node.
     rng:
-        A node-local pseudo-random generator (seeded deterministically by the
-        network so executions are reproducible).
+        The node-local pseudo-random generator, or the integer seed of one.
+        Network factories pass :meth:`repro.congest.network.Network.node_seed`,
+        so executions are reproducible; ``None`` means seed 0.  A seed is
+        turned into a ``random.Random`` on the first read of :attr:`rng`,
+        so a node that never draws never pays for seeding a generator.
     """
 
     def __init__(
@@ -64,14 +67,26 @@ class NodeAlgorithm:
         node_id: NodeId,
         neighbors: Sequence[NodeId],
         num_nodes: int,
-        rng: Optional[random.Random] = None,
+        rng: Union[random.Random, int, None] = None,
     ) -> None:
         self.node_id = node_id
         self.neighbors: List[NodeId] = list(neighbors)
         self.num_nodes = num_nodes
-        self.rng = rng if rng is not None else random.Random(0)
+        self._rng = 0 if rng is None else rng
         self.finished = False
         self._wake_requests: List[Optional[int]] = []
+
+    @property
+    def rng(self) -> random.Random:
+        """The node-local generator, seeded on first access."""
+        rng = self._rng
+        if isinstance(rng, int):
+            rng = self._rng = random.Random(rng)
+        return rng
+
+    @rng.setter
+    def rng(self, value: Union[random.Random, int]) -> None:
+        self._rng = value
 
     # ------------------------------------------------------------------
     # Hooks implemented by concrete algorithms

@@ -90,7 +90,7 @@ def task_seed(base_seed: int, *components: Any) -> int:
     """A deterministic per-task seed derived from the task's identity.
 
     Uses a CRC of the stringified components (like
-    :meth:`repro.congest.network.Network.node_rng`) so that the seed is
+    :meth:`repro.congest.network.Network.node_seed`) so that the seed is
     stable across processes and Python's per-process string-hash
     randomisation, and independent of the order in which tasks execute.
     """
