@@ -9,6 +9,14 @@ each node forwards, every round, the smallest-distance pair it has not
 forwarded yet -- brings this down to ``O(|S| + D)`` rounds, which is what
 makes the ``O~(sqrt(n) + D)`` baseline possible.
 
+Each node keeps its not-yet-forwarded pairs in a heap of
+``(distance, rank, source)``, where ``rank`` is the source's position in
+``repr`` order -- the identifier tie-break.  An entry is pushed whenever
+``d(v, s)`` improves and discarded lazily when it reaches the top stale
+(its source already forwarded, or its distance since improved), so
+choosing the next pair costs ``O(log |S|)`` per improvement instead of a
+scan of every pending source each round.
+
 Unlike the Figure-2 waves (which only track a running maximum in ``O(log n)``
 bits), this primitive stores one distance per source and therefore uses
 ``O(|S| log n)`` bits of memory per node.  The paper explicitly notes that
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
@@ -52,43 +61,65 @@ class MultiSourceBFSResult:
 
 
 class _MultiSourceBFSNode(NodeAlgorithm):
-    """Per-node state machine of the pipelined multi-source BFS."""
+    """Per-node state machine of the pipelined multi-source BFS.
+
+    ``rank`` maps every source to its position in ``repr`` order (one dict
+    shared by all nodes), so the heap orders pending pairs exactly as the
+    ``(distance, repr(source))`` key of the forwarding rule.
+    """
 
     def __init__(
-        self, node_id, neighbors, num_nodes, rng, is_source: bool
+        self, node_id, neighbors, num_nodes, rng, is_source: bool,
+        rank: Dict[NodeId, int],
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
         self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._rank = rank
         self.known: Dict[NodeId, int] = {}
         self.pending: Set[NodeId] = set()
+        #: ``(distance, rank, source)`` per improvement of ``known``; an
+        #: entry whose source is no longer pending, or whose distance is
+        #: no longer ``known[source]``, is stale and dropped when it
+        #: surfaces.
+        self._queue: List[Tuple[int, int, NodeId]] = []
         if is_source:
             self.known[node_id] = 0
             self.pending.add(node_id)
+            self._queue.append((0, rank[node_id], node_id))
         # Reactive termination: the run stops when no queue has anything to
         # forward anywhere in the network.
         self.finished = True
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
-        for _, payload in inbox.items():
+        known = self.known
+        pending = self.pending
+        queue = self._queue
+        rank = self._rank
+        for payload in inbox.values():
             if not (isinstance(payload, tuple) and payload and payload[0] == "m"):
                 continue
             source, distance = payload[1], payload[2]
             source = tuple(source) if isinstance(source, list) else source
             candidate = distance + 1
-            if source not in self.known or candidate < self.known[source]:
-                self.known[source] = candidate
-                self.pending.add(source)
+            current = known.get(source)
+            if current is None or candidate < current:
+                known[source] = candidate
+                pending.add(source)
+                heappush(queue, (candidate, rank[source], source))
 
-        if not self.pending:
+        if not pending:
             return {}
         # Forward the smallest-distance pending pair (ties by identifier).
-        chosen = min(self.pending, key=lambda src: (self.known[src], repr(src)))
-        self.pending.discard(chosen)
-        if self.pending:
+        while True:
+            distance, _, chosen = heappop(queue)
+            if chosen in pending and known[chosen] == distance:
+                break
+        pending.discard(chosen)
+        if pending:
             # The queue is not drained: ask the (sparse) scheduler to run us
             # again next round even if no new message arrives.
             self.wake_next_round()
-        return self.broadcast(("m", chosen, self.known[chosen]))
+        return self.broadcast(("m", chosen, distance))
 
     def result(self):
         return dict(self.known)
@@ -112,10 +143,12 @@ def run_multi_source_bfs(
         if not network.graph.has_node(source):
             raise ValueError(f"source {source!r} is not a node of the network")
 
+    ordered = tuple(sorted(source_set, key=repr))
+    rank = {source: index for index, source in enumerate(ordered)}
     execution = network.run(
         lambda node, net: _MultiSourceBFSNode(
             node, net.neighbors(node), net.num_nodes, net.node_seed(node),
-            node in source_set,
+            node in source_set, rank,
         )
     )
     distances: Dict[NodeId, Dict[NodeId, int]] = execution.results
@@ -131,7 +164,7 @@ def run_multi_source_bfs(
         )
     execution.metrics.record_phase("multi_source_bfs", execution.metrics.rounds)
     return MultiSourceBFSResult(
-        sources=tuple(sorted(source_set, key=repr)),
+        sources=ordered,
         distances=distances,
         metrics=execution.metrics,
     )

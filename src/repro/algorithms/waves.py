@@ -19,6 +19,11 @@ Figure-2 filtering rule:
 * the kept message ``(tag, delta)`` sets ``t_v = tag``,
   ``d_v = max(d_v, delta + 1)`` and is re-broadcast as ``(tag, delta + 1)``.
 
+A node applies the rule in one pass over its inbox: the largest fresh
+``(tag, delta)`` so far lives in two locals (a later equal pair does not
+replace an earlier one, as with ``max``), so a round costs constant work
+per received message and builds no list of fresh messages.
+
 At the end of the (fixed, globally known) duration, ``d_v`` equals
 ``max_u d(u, v)`` over all sources ``u``, so a final convergecast of
 ``max_v d_v`` yields ``max_u ecc(u)`` -- the quantity ``f(u0)`` that the
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
@@ -97,44 +102,60 @@ class _WaveNode(NodeAlgorithm):
         if round_number == self.duration - 1:
             self.finished = True
 
-        outgoing: List[Tuple[int, int]] = []
-
         # Step 2(2): a source starts its own wave at its scheduled round.
-        if self.schedule is not None and round_number == self.schedule.start_round:
-            self.last_tag = max(self.last_tag, self.schedule.tag)
-            outgoing.append((self.schedule.tag, 0))
+        last_tag = self.last_tag
+        schedule = self.schedule
+        started = schedule is not None and round_number == schedule.start_round
+        if started and schedule.tag > last_tag:
+            last_tag = self.last_tag = schedule.tag
 
-        # Step 3(a)/(b): filter incoming messages.
-        fresh: List[Tuple[int, int]] = []
-        for _, payload in inbox.items():
-            if isinstance(payload, tuple) and payload and payload[0] == "w":
+        # Step 3(a)/(b): one pass filters the inbox.  In schedule-correct
+        # executions all fresh messages are identical (Lemma 4); the
+        # locals keep the largest fresh ``(tag, delta)`` -- the first of
+        # equals, as ``max`` would -- for determinism.  The forward-all
+        # ablation collects every fresh message instead.
+        fresh: Optional[List[Tuple[int, int]]] = [] if self.forward_all else None
+        best_tag = best_delta = None
+        for payload in inbox.values():
+            if isinstance(payload, tuple):
+                if not (payload and payload[0] == "w"):
+                    continue
                 _, tag, delta = payload
-                if tag > self.last_tag:
-                    fresh.append((tag, delta))
+                if tag > last_tag:
+                    if fresh is not None:
+                        fresh.append((tag, delta))
+                    elif best_tag is None or tag > best_tag or (
+                        tag == best_tag and delta > best_delta
+                    ):
+                        best_tag, best_delta = tag, delta
             elif isinstance(payload, list):
                 for item in payload:
                     tag, delta = item[1], item[2]
-                    if tag > self.last_tag:
-                        fresh.append((tag, delta))
+                    if tag > last_tag:
+                        if fresh is not None:
+                            fresh.append((tag, delta))
+                        elif best_tag is None or tag > best_tag or (
+                            tag == best_tag and delta > best_delta
+                        ):
+                            best_tag, best_delta = tag, delta
 
-        if fresh:
-            if self.forward_all:
-                kept = sorted(set(fresh))
-            else:
-                # In schedule-correct executions all fresh messages are
-                # identical (Lemma 4); keep the largest for determinism.
-                kept = [max(fresh)]
-            for tag, delta in kept:
-                self.last_tag = max(self.last_tag, tag)
-                self.max_distance = max(self.max_distance, delta + 1)
-                outgoing.append((tag, delta + 1))
-
-        if not outgoing:
+        if best_tag is not None:
+            kept: Sequence[Tuple[int, int]] = ((best_tag, best_delta),)
+        elif fresh:
+            kept = sorted(set(fresh))
+        elif started:
+            return self.broadcast(("w", schedule.tag, 0))
+        else:
             return {}
-        if len(outgoing) == 1:
-            tag, delta = outgoing[0]
-            return self.broadcast(("w", tag, delta))
-        return self.broadcast([("w", tag, delta) for tag, delta in outgoing])
+        outgoing = [("w", schedule.tag, 0)] if started else []
+        for tag, delta in kept:
+            if tag > self.last_tag:
+                self.last_tag = tag
+            delta += 1
+            if delta > self.max_distance:
+                self.max_distance = delta
+            outgoing.append(("w", tag, delta))
+        return self.broadcast(outgoing[0] if len(outgoing) == 1 else outgoing)
 
     def result(self):
         return self.max_distance

@@ -129,6 +129,9 @@ class Network:
         self.bandwidth_bits = bandwidth_bits
         self.strict_bandwidth = strict_bandwidth
         self._seed = seed if seed is not None else 0
+        #: :meth:`node_seed` per node; ``_seed`` is fixed here, so a
+        #: memoised value never goes stale.
+        self._node_seeds: Dict[NodeId, int] = {}
 
         # Imported lazily: repro.engine depends on the sibling congest
         # modules, so a module-level import here would be circular.
@@ -190,9 +193,15 @@ class Network:
         process for strings), so executions are reproducible across
         processes.  Algorithm factories pass this seed as the node's
         ``rng`` argument; :class:`repro.congest.node.NodeAlgorithm` seeds
-        its generator from it on first use only.
+        its generator from it on first use only.  Memoised per node, so
+        the repeated runs of a network derive each seed once.
         """
-        return zlib.crc32(f"{self._seed}|{node!r}".encode("utf-8"))
+        seed = self._node_seeds.get(node)
+        if seed is None:
+            seed = self._node_seeds[node] = zlib.crc32(
+                f"{self._seed}|{node!r}".encode("utf-8")
+            )
+        return seed
 
     def node_rng(self, node: NodeId) -> random.Random:
         """Deterministic per-node random generator, seeded with

@@ -40,7 +40,9 @@ Memo cache.  Two tiers, tried hash-first:
   ``2.0`` and ``True`` collide, yet cost 2, 64 and 1 bits), each entry
   stores a *type signature* (the element classes) that is verified with
   identity checks on every hit; a signature mismatch falls through to a
-  fresh measurement, so the tier is exact by construction;
+  fresh measurement, so the tier is exact by construction.  A miss is
+  measured in its signature pass: one loop over a flat tuple yields both
+  the signature and the size (by the rules of ``message_size_bits``);
 * the **repr tier** is the original ``(type, repr(payload))`` key, used for
   everything else: nested containers, unhashable payloads (lists, dicts,
   sets) and exotic types.  Payloads whose ``repr`` fails are measured
@@ -83,25 +85,41 @@ _SCALAR_CLASSES = frozenset((int, bool, float, str, type(None)))
 
 
 def _value_signature(payload: Any):
-    """The type signature for the value tier, or ``None`` if ineligible.
+    """The value tier's ``(type signature, size in bits)`` of ``payload``,
+    or ``None`` if it is ineligible.
 
     Scalars sign as their class; flat tuples of scalars sign as the tuple
     of their element classes.  Nested containers are ineligible (their
     signature would not see inside, so ``(("a", 2),)`` and ``(("a", 2.0),)``
     could conflate) and fall back to the repr tier.
+
+    A tuple is sized in the same pass that signs it, by the rules of
+    :func:`repro.congest.message.message_size_bits` (the definition,
+    which sizes scalars here): 2 bits of framing per element plus the
+    bit length and sign of an int, 8 bits per character of a str (at
+    least 1), 64 for a float and 1 for a bool or ``None``.
     """
     cls = payload.__class__
     if cls is tuple:
         signature = []
         append = signature.append
+        size = 0
         for item in payload:
             item_cls = item.__class__
-            if item_cls not in _SCALAR_CLASSES:
+            if item_cls is str:
+                size += 2 + (8 * len(item) or 1)
+            elif item_cls is int:
+                size += 2 + (item.bit_length() + (item < 0) if item else 1)
+            elif item_cls is float:
+                size += 66
+            elif item_cls is bool or item is None:
+                size += 3
+            else:
                 return None
             append(item_cls)
-        return tuple(signature)
+        return tuple(signature), size or 1
     if cls in _SCALAR_CLASSES:
-        return cls
+        return cls, message_size_bits(payload)
     return None
 
 
@@ -190,19 +208,18 @@ class Transport:
                 # payload (e.g. ``(2,)`` probing an entry for ``(2.0,)``).
                 # Fall through, re-measure and retake the slot.
         if hashable:
-            signature = _value_signature(payload)
-            if signature is not None:
-                size = message_size_bits(payload)
+            measured = _value_signature(payload)
+            if measured is not None:
                 self.cache_misses += 1
                 if (
                     hit is not None  # overwriting an existing slot
                     or len(value_cache) + len(self._size_cache)
                     < self.size_cache_limit
                 ):
-                    value_cache[payload] = (signature, size)
+                    value_cache[payload] = measured
                 else:
                     self.cache_overflows += 1
-                return size
+                return measured[1]
 
         # Repr tier: nested containers, unhashable and exotic payloads.
         try:

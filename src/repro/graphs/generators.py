@@ -305,7 +305,7 @@ def random_regular_graph(n: int, degree: int, seed: Optional[int] = None) -> Gra
     # as n grows); the attempt cap turns pathological parameters into a
     # clear error instead of a hang.
     for _ in range(1000):
-        rng.shuffle(stubs)
+        _shuffle(stubs, rng)
         edges = set()
         simple = True
         for index in range(0, len(stubs), 2):
@@ -416,6 +416,25 @@ def family_for_sweep(
     if kind == "tree":
         return random_tree(n, seed=seed)
     raise ValueError(f"unknown graph family {kind!r}")
+
+
+def _shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)`` inlined: the same permutation and RNG state.
+
+    ``random.Random.shuffle`` is a Fisher-Yates pass that draws each swap
+    index through ``_randbelow``: ``n.bit_length()`` random bits, redrawn
+    while ``>= n``.  Drawing those bits here directly consumes exactly the
+    same ``getrandbits`` stream without the per-index method call, which
+    halves the cost of the rejection loop in :func:`random_regular_graph`.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 def _require_positive(value: int) -> None:

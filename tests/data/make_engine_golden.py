@@ -6,7 +6,8 @@ against the code that wrote the fixture:
 
 * {dense, sparse} schedulers x {null, loss+delay, crash+restart, churn}
   fault models x {BFS tree, multi-source BFS, resilient 2-approximation,
-  classical exact diameter} on a clique chain and a cycle.  Each case
+  classical exact diameter, [HPRW14] 3/2-approximation, forward-all
+  distance waves} on a clique chain and a cycle.  Each case
   records the algorithm's result (every field, including every
   ``ExecutionMetrics`` field) -- or the error it raised -- and the
   sha256 of the ``record_traffic`` logs of all its ``Network.run`` calls;
@@ -32,9 +33,11 @@ import json
 import sys
 
 from repro.algorithms.bfs import run_bfs_tree
+from repro.algorithms.diameter_approx import run_hprw_three_halves_approximation
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.algorithms.multi_source_bfs import run_multi_source_bfs
 from repro.algorithms.resilient import run_resilient_two_approximation
+from repro.algorithms.waves import WaveScheduleEntry, run_distance_waves
 from repro.congest.errors import CongestSimulationError
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
@@ -64,6 +67,18 @@ def _root(graph):
     return min(graph.nodes(), key=repr)
 
 
+def _forward_all_waves(network):
+    """The forward-all ablation on a staggered schedule: colliding waves
+    are forwarded together as list payloads, over budget but counted."""
+    network.strict_bandwidth = False
+    nodes = sorted(network.graph.nodes(), key=repr)
+    schedule = {
+        node: WaveScheduleEntry(start_round=index % 4, tag=index)
+        for index, node in enumerate(nodes)
+    }
+    return run_distance_waves(network, schedule, 2 * len(nodes) + 4, forward_all=True)
+
+
 ALGORITHMS = {
     "bfs_tree": lambda network: run_bfs_tree(network, _root(network.graph)),
     "multi_source_bfs": lambda network: run_multi_source_bfs(
@@ -71,6 +86,10 @@ ALGORITHMS = {
     ),
     "resilient_two_approx": run_resilient_two_approximation,
     "classical_exact_diameter": run_classical_exact_diameter,
+    "hprw_three_halves": lambda network: run_hprw_three_halves_approximation(
+        network, seed=5
+    ),
+    "forward_all_waves": _forward_all_waves,
 }
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 
 class TestBasicFamilies:
@@ -155,6 +158,29 @@ class TestRandomRegular:
         assert large <= 2 * small
         assert large <= 12  # ~log2(128) + slack, nowhere near 128 / 2
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 5, 8, 9, 64, 65, 383, 1536])
+    def test_inlined_shuffle_matches_random_shuffle(self, length):
+        # Same permutation and same generator state afterwards, so every
+        # later draw of a build (the next rejection attempt) matches too.
+        for seed in range(60):
+            expected, actual = list(range(length)), list(range(length))
+            reference, inlined = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                reference.shuffle(expected)
+                generators._shuffle(actual, inlined)
+                assert actual == expected
+            assert inlined.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "n, degree", [(12, 3), (20, 3), (48, 4), (96, 4), (192, 4), (31, 4)]
+    )
+    def test_graphs_match_the_random_shuffle_generator(self, n, degree):
+        for seed in (0, 1, 2, 7, 123, 2**40):
+            built = generators.random_regular_graph(n, degree, seed=seed)
+            reference = _random_shuffle_regular_graph(n, degree, seed)
+            assert list(built.nodes()) == list(reference.nodes())
+            assert list(built.edges()) == list(reference.edges())
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             generators.random_regular_graph(9, 3)  # odd n * degree
@@ -162,6 +188,30 @@ class TestRandomRegular:
             generators.random_regular_graph(4, 4)  # degree >= n
         with pytest.raises(ValueError):
             generators.random_regular_graph(4, 0)
+
+
+def _random_shuffle_regular_graph(n, degree, seed):
+    """The configuration-model sampler drawn with ``random.Random.shuffle``:
+    the reference the inlined shuffle must reproduce edge for edge."""
+    rng = random.Random(seed)
+    stubs = [node for node in range(n) for _ in range(degree)]
+    for _ in range(1000):
+        rng.shuffle(stubs)
+        edges = set()
+        simple = True
+        for index in range(0, len(stubs), 2):
+            u, v = stubs[index], stubs[index + 1]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                simple = False
+                break
+            edges.add((min(u, v), max(u, v)))
+        if not simple:
+            continue
+        graph = Graph(nodes=range(n))
+        graph.add_edges_from(edges)
+        if graph.is_connected():
+            return graph
+    raise AssertionError("reference sampler gave up")
 
 
 class TestPreferentialAttachment:

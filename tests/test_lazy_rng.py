@@ -10,6 +10,7 @@ no generator, while a node that does draw sees exactly the stream of
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.graphs.graph import Graph
 
 
 @pytest.fixture
@@ -95,6 +97,29 @@ class TestSeededOnFirstUse:
             assert len(draws) >= _Drawer.ACTIVE_ROUNDS
             reference = network.node_rng(node)
             assert draws == [reference.random() for _ in draws]
+
+
+class TestNodeSeedMemo:
+    @pytest.mark.parametrize("seed", [None, 0, 11, -3, 2**40])
+    def test_memoised_seeds_equal_fresh_crcs(self, seed):
+        graph = Graph(nodes=["b", ("a", 1), 7, "a"])
+        graph.add_edge("b", ("a", 1))
+        graph.add_edge(("a", 1), 7)
+        graph.add_edge(7, "a")
+        network = Network(graph, seed=seed)
+        base = 0 if seed is None else seed
+        for _ in range(2):
+            for node in graph.nodes():
+                fresh = zlib.crc32(f"{base}|{node!r}".encode("utf-8"))
+                assert network.node_seed(node) == fresh
+                assert network.node_rng(node).random() == random.Random(fresh).random()
+
+    def test_a_run_reuses_the_memo(self, monkeypatch):
+        network = Network(generators.cycle_graph(6), seed=4)
+        expected = {node: network.node_seed(node) for node in range(6)}
+        monkeypatch.setattr(zlib, "crc32", None)  # a recomputation would fail
+        assert {node: network.node_seed(node) for node in range(6)} == expected
+        run_leader_election(network)
 
 
 class TestExplicitGenerators:
