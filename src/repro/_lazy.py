@@ -2,8 +2,8 @@
 
 A package ``__init__`` that imported every submodule would make each
 ``import repro.<package>`` pay for numpy, sockets or the HTTP server even
-when the caller needs none of them.  Instead, ``__init__`` imports its
-light submodules and lists the heavy names here::
+when the caller needs none of them.  Instead, ``__init__`` lists each
+public name with the module that defines it::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
         "StateVector": "repro.quantum.state",
@@ -11,6 +11,8 @@ light submodules and lists the heavy names here::
 
 ``from repro.quantum import StateVector`` then imports
 :mod:`repro.quantum.state` at that moment (PEP 562 module ``__getattr__``).
+A name that maps to the package's own submodule of that name (``"generators":
+"repro.graphs.generators"``) resolves to the submodule itself.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ def lazy_exports(
         module = exports.get(name)
         if module is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(module), name)
+        value = importlib.import_module(module)
+        if module != f"{package}.{name}":
+            value = getattr(value, name)
         namespace[name] = value
         return value
 

@@ -12,38 +12,39 @@ Every public ``run_*`` helper takes a :class:`repro.congest.network.Network`
 and returns a small result object carrying both the computed values and the
 :class:`repro.congest.metrics.ExecutionMetrics` of the execution, so callers
 can compose phases and account for total round complexity.
+
+Every name loads its module on first use, so a command that runs one
+algorithm does not import the others.
 """
 
-from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
-from repro.algorithms.broadcast import (
-    run_tree_aggregate_max,
-    run_tree_aggregate_sum,
-    run_tree_broadcast,
-)
-from repro.algorithms.dfs_traversal import (
-    EulerTourResult,
-    run_full_euler_tour,
-    run_windowed_euler_tour,
-)
-from repro.algorithms.diameter_approx import (
-    ApproxDiameterResult,
-    run_classical_two_approximation,
-    run_hprw_three_halves_approximation,
-)
-from repro.algorithms.diameter_exact import (
-    ExactDiameterResult,
-    run_classical_exact_diameter,
-)
-from repro.algorithms.eccentricity import run_eccentricity
-from repro.algorithms.evaluation import EvaluationResult, run_evaluation_procedure
-from repro.algorithms.leader_election import LeaderElectionResult, run_leader_election
-from repro.algorithms.multi_source_bfs import run_multi_source_bfs
-from repro.algorithms.resilient import (
-    ResilientBFSResult,
-    run_resilient_bfs,
-    run_resilient_two_approximation,
-)
-from repro.algorithms.waves import WaveScheduleEntry, run_distance_waves
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BFSTreeResult": "repro.algorithms.bfs",
+    "run_bfs_tree": "repro.algorithms.bfs",
+    "run_tree_aggregate_max": "repro.algorithms.broadcast",
+    "run_tree_aggregate_sum": "repro.algorithms.broadcast",
+    "run_tree_broadcast": "repro.algorithms.broadcast",
+    "EulerTourResult": "repro.algorithms.dfs_traversal",
+    "run_full_euler_tour": "repro.algorithms.dfs_traversal",
+    "run_windowed_euler_tour": "repro.algorithms.dfs_traversal",
+    "ApproxDiameterResult": "repro.algorithms.diameter_approx",
+    "run_classical_two_approximation": "repro.algorithms.diameter_approx",
+    "run_hprw_three_halves_approximation": "repro.algorithms.diameter_approx",
+    "ExactDiameterResult": "repro.algorithms.diameter_exact",
+    "run_classical_exact_diameter": "repro.algorithms.diameter_exact",
+    "run_eccentricity": "repro.algorithms.eccentricity",
+    "EvaluationResult": "repro.algorithms.evaluation",
+    "run_evaluation_procedure": "repro.algorithms.evaluation",
+    "LeaderElectionResult": "repro.algorithms.leader_election",
+    "run_leader_election": "repro.algorithms.leader_election",
+    "run_multi_source_bfs": "repro.algorithms.multi_source_bfs",
+    "ResilientBFSResult": "repro.algorithms.resilient",
+    "run_resilient_bfs": "repro.algorithms.resilient",
+    "run_resilient_two_approximation": "repro.algorithms.resilient",
+    "WaveScheduleEntry": "repro.algorithms.waves",
+    "run_distance_waves": "repro.algorithms.waves",
+})
 
 __all__ = [
     "run_bfs_tree",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
@@ -59,7 +59,7 @@ class _BFSNode(NodeAlgorithm):
         self._broadcasted = False
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
-        outbox: Outbox = {}
+        outbox: Dict[NodeId, Any] = {}
 
         # Record children notifications from any round.
         for sender, payload in inbox.items():

@@ -176,10 +176,11 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
     byte-identical to a local run.  Raises ``ValueError`` with
     CLI-grade messages (reported as usage errors, exit 2).
     """
-    from repro.core.problems import quantum_problem_names
     from repro.service.gridspec import GridRequest, fault_model_from_flags
 
     if kind == "quantum":
+        from repro.core.problems import quantum_problem_names
+
         algorithms = (
             list(quantum_problem_names())
             if args.problems == "all"
@@ -217,6 +218,11 @@ _EMBEDDED_COORDINATOR_FLAGS = (
 )
 
 
+def _runs_remotely(args: argparse.Namespace) -> bool:
+    """Whether a grid command runs its cells through remote dispatch."""
+    return args.coordinator is not None or args.dispatch_workers is not None
+
+
 @contextlib.contextmanager
 def _remote_runner(args: argparse.Namespace, request: GridRequest):
     """The :class:`repro.dispatch.RemoteDispatch` of a grid command, or
@@ -230,7 +236,7 @@ def _remote_runner(args: argparse.Namespace, request: GridRequest):
     run waits for ``--dispatch-workers`` registrations before
     dispatching.
     """
-    if args.coordinator is None and args.dispatch_workers is None:
+    if not _runs_remotely(args):
         yield None
         return
     from repro.dispatch import RemoteDispatch, parse_address
@@ -288,9 +294,16 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
     if args.resume and args.out is None:
         print("--resume requires --out (the store file to continue)", file=sys.stderr)
         return 2
-    from repro.dispatch.protocol import DispatchError
     from repro.service.gridspec import execute_grid_request
     from repro.store import ExperimentStore, ExperimentStoreError, sweep_table
+
+    reported = (ExperimentStoreError, ValueError)
+    if _runs_remotely(args):
+        # Only remote dispatch raises it; a local run never imports the
+        # protocol (and with it ``socket``).
+        from repro.dispatch.protocol import DispatchError
+
+        reported += (DispatchError,)
 
     # Without an embedded coordinator these flags would configure nothing.
     embedded = args.dispatch_workers is not None and args.coordinator is None
@@ -314,7 +327,7 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
             records = execute_grid_request(
                 request, store=store, resume=args.resume, runner=runner
             )
-    except (ExperimentStoreError, DispatchError, ValueError) as error:
+    except reported as error:
         print(str(error), file=sys.stderr)
         return 2
     print(sweep_table(records))

@@ -18,18 +18,24 @@ The simulator enforces exactly that interface:
 * :class:`repro.congest.metrics.ExecutionMetrics` aggregates rounds,
   messages, bits and per-node memory so the benchmark harnesses can compare
   measured round counts against the paper's formulas.
+
+Every name loads its module on first use: importing one submodule (say
+:mod:`repro.congest.node`) does not load the network and its engine.
 """
 
-from repro.congest.errors import (
-    BandwidthExceededError,
-    CongestSimulationError,
-    ProtocolError,
-    RoundLimitExceededError,
-)
-from repro.congest.message import message_size_bits
-from repro.congest.metrics import ExecutionMetrics
-from repro.congest.network import ExecutionResult, Network
-from repro.congest.node import NodeAlgorithm
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BandwidthExceededError": "repro.congest.errors",
+    "CongestSimulationError": "repro.congest.errors",
+    "ProtocolError": "repro.congest.errors",
+    "RoundLimitExceededError": "repro.congest.errors",
+    "message_size_bits": "repro.congest.message",
+    "ExecutionMetrics": "repro.congest.metrics",
+    "ExecutionResult": "repro.congest.network",
+    "Network": "repro.congest.network",
+    "NodeAlgorithm": "repro.congest.node",
+})
 
 __all__ = [
     "Network",

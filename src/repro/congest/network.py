@@ -181,7 +181,9 @@ class Network:
         Algorithm factories should use this instead of
         ``network.graph.neighbors(node)``: the tuple is prebound on the
         CSR view (no per-call list copy) and stays valid for the
-        network's lifetime -- the topology of a network is static.
+        network's lifetime -- the topology of a network is static.  It
+        is also the tuple the transport recognises, by identity, as the
+        targets of a node's :meth:`~repro.congest.node.NodeAlgorithm.broadcast`.
         """
         return self.graph.compile().neighbors(node)
 

@@ -32,12 +32,60 @@ no-ops, so calling them is always safe.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Union
+from collections import abc
+from itertools import repeat
+from typing import (
+    Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.graphs.graph import NodeId
 
-Outbox = Dict[NodeId, Any]
+Outbox = Mapping[NodeId, Any]
 Inbox = Dict[NodeId, Any]
+
+
+class Broadcast(abc.Mapping):
+    """A read-only outbox that sends one ``payload`` to every node of
+    ``targets``, in ``targets`` order.
+
+    What :meth:`NodeAlgorithm.broadcast` returns.  Construction is O(1):
+    ``targets`` is kept as given (the node's own neighbour tuple), not
+    copied into a dict.  It reads like the equivalent
+    ``dict.fromkeys(targets, payload)`` -- iteration, ``len``, lookups,
+    ``items()`` and ``values()`` (one-shot iterators here) -- and
+    compares equal to it.  The transport delivers it in bulk when
+    ``targets`` is the network's own neighbour tuple of the sender (see
+    :meth:`repro.engine.transport.Transport.deliver`); any other
+    ``Broadcast`` goes message by message like a dict.  ``targets`` must
+    not repeat a node.  To edit an outbox, copy it first:
+    ``dict(outbox)``.
+    """
+
+    __slots__ = ("targets", "payload")
+
+    def __init__(self, targets: Tuple[NodeId, ...], payload: Any) -> None:
+        self.targets = targets
+        self.payload = payload
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.targets)
+
+    def __getitem__(self, target: NodeId) -> Any:
+        if target in self.targets:
+            return self.payload
+        raise KeyError(target)
+
+    def values(self) -> Iterator[Any]:  # type: ignore[override]
+        return repeat(self.payload, len(self.targets))
+
+    def items(self) -> Iterator[Tuple[NodeId, Any]]:  # type: ignore[override]
+        return zip(self.targets, repeat(self.payload))
+
+    def __repr__(self) -> str:
+        return f"Broadcast({self.targets!r}, {self.payload!r})"
 
 
 class NodeAlgorithm:
@@ -51,7 +99,12 @@ class NodeAlgorithm:
     node_id:
         This node's identifier.
     neighbors:
-        Identifiers of adjacent nodes (the node's local view of the graph).
+        Identifiers of adjacent nodes (the node's local view of the graph),
+        kept as :attr:`neighbors`, a tuple.  Network factories pass the
+        network's own cached tuple (:meth:`repro.congest.network.Network.neighbors`),
+        which is kept as is -- that identity is what lets the transport
+        deliver :meth:`broadcast` outboxes in bulk; any other sequence is
+        copied into a tuple.
     num_nodes:
         The number ``n`` of nodes in the network, known to every node.
     rng:
@@ -70,7 +123,9 @@ class NodeAlgorithm:
         rng: Union[random.Random, int, None] = None,
     ) -> None:
         self.node_id = node_id
-        self.neighbors: List[NodeId] = list(neighbors)
+        self.neighbors: Tuple[NodeId, ...] = (
+            neighbors if neighbors.__class__ is tuple else tuple(neighbors)
+        )
         self.num_nodes = num_nodes
         self._rng = 0 if rng is None else rng
         self.finished = False
@@ -212,13 +267,16 @@ class NodeAlgorithm:
     def broadcast(self, payload: Any) -> Outbox:
         """An outbox that sends ``payload`` to every neighbour.
 
-        This is the transport's fast case: it measures the payload once
-        for the whole outbox instead of once per neighbour.  The outbox is
-        a plain dict and editing it is safe -- the transport recognises
-        the case by its contents (every neighbour, one payload object),
-        so an edited outbox is simply delivered message by message.
+        Returns a read-only :class:`Broadcast` over :attr:`neighbors` (an
+        empty dict for a node without neighbours, so ``if outbox:`` still
+        means "sends something").  This is the transport's fast case:
+        when the neighbour tuple is the network's own, the payload is
+        measured once for the whole outbox and the copies are accounted
+        in bulk.  To send something else to some neighbours, build a
+        dict (``dict(self.broadcast(payload))`` is one to edit).
         """
-        return dict.fromkeys(self.neighbors, payload)
+        neighbors = self.neighbors
+        return Broadcast(neighbors, payload) if neighbors else {}
 
     def send_to(self, neighbor: NodeId, payload: Any) -> Outbox:
         """An outbox that sends ``payload`` to a single neighbour."""

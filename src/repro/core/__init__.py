@@ -16,36 +16,36 @@
 * :mod:`repro.core.complexity` -- the round-complexity formulas of every
   entry of Table 1, used by the benchmark harnesses for the
   paper-versus-measured comparison.
+
+Every name loads its module on first use: reading the problem registry
+(:mod:`repro.core.problems`) does not import the quantum algorithms, and a
+classical sweep imports none of this package.
 """
 
-from repro.core.approx_diameter import (
-    QuantumApproxDiameterResult,
-    quantum_three_halves_diameter,
-)
-from repro.core.complexity import Table1Row, table1_rows
-from repro.core.coverage import (
-    coverage_probability,
-    empirical_optimum_mass,
-    popt_lower_bound,
-    window_set,
-)
-from repro.core.exact_diameter import (
-    QuantumDiameterResult,
-    quantum_exact_diameter,
-)
-from repro.core.problems import (
-    QUANTUM_PROBLEMS,
-    QuantumProblemInfo,
-    QuantumProblemRun,
-    quantum_problem_names,
-    register_quantum_problem,
-    resolve_quantum_problem,
-)
-from repro.core.radius import QuantumRadiusResult, quantum_exact_radius
-from repro.core.source_ecc import (
-    QuantumSourceEccentricityResult,
-    quantum_source_eccentricity,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "QuantumApproxDiameterResult": "repro.core.approx_diameter",
+    "quantum_three_halves_diameter": "repro.core.approx_diameter",
+    "Table1Row": "repro.core.complexity",
+    "table1_rows": "repro.core.complexity",
+    "coverage_probability": "repro.core.coverage",
+    "empirical_optimum_mass": "repro.core.coverage",
+    "popt_lower_bound": "repro.core.coverage",
+    "window_set": "repro.core.coverage",
+    "QuantumDiameterResult": "repro.core.exact_diameter",
+    "quantum_exact_diameter": "repro.core.exact_diameter",
+    "QUANTUM_PROBLEMS": "repro.core.problems",
+    "QuantumProblemInfo": "repro.core.problems",
+    "QuantumProblemRun": "repro.core.problems",
+    "quantum_problem_names": "repro.core.problems",
+    "register_quantum_problem": "repro.core.problems",
+    "resolve_quantum_problem": "repro.core.problems",
+    "QuantumRadiusResult": "repro.core.radius",
+    "quantum_exact_radius": "repro.core.radius",
+    "QuantumSourceEccentricityResult": "repro.core.source_ecc",
+    "quantum_source_eccentricity": "repro.core.source_ecc",
+})
 
 __all__ = [
     "quantum_exact_diameter",

@@ -41,12 +41,15 @@ this registry (``quantum_<name>`` entries in ``SWEEP_ALGORITHMS``), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.congest.network import Network
-from repro.graphs.graph import Graph
-from repro.qcongest.framework import DistributedOptimizationResult
-from repro.quantum.cost_model import QuantumResourceCount
+if TYPE_CHECKING:
+    # Annotations only: reading the registry (``repro quantum --list``)
+    # loads neither the simulator nor the quantum framework.
+    from repro.congest.network import Network
+    from repro.graphs.graph import Graph
+    from repro.qcongest.framework import DistributedOptimizationResult
+    from repro.quantum.cost_model import QuantumResourceCount
 
 #: Guarantee names understood by the sweep layer (mirrored from
 #: :mod:`repro.runner.algorithms`; duplicated literals to avoid an import

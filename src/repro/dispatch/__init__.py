@@ -43,20 +43,23 @@ on its own coordinator, which ``repro worker join`` workers may join.
 """
 
 from repro._lazy import lazy_exports
-from repro.dispatch.backend import RemoteDispatch, dispatch_signature
-from repro.dispatch.cost import CostModel, plan_chunks, static_cell_cost
-from repro.dispatch.protocol import (
-    MAX_FRAME_BYTES,
-    DispatchError,
-    FramedSocket,
-    FrameError,
-    parse_address,
-)
-from repro.names import SHARD_POLICIES
 
-# The coordinator (sockets, threads) loads on first use, so a client that
-# only joins a remote coordinator never starts to import it.
+# Every name loads its module on first use: the coordinator (sockets,
+# threads) is not imported by a client that only joins a remote one, and
+# the sockets of the protocol are not imported by a run that only plans
+# chunks with the cost model.
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "RemoteDispatch": "repro.dispatch.backend",
+    "dispatch_signature": "repro.dispatch.backend",
+    "CostModel": "repro.dispatch.cost",
+    "plan_chunks": "repro.dispatch.cost",
+    "static_cell_cost": "repro.dispatch.cost",
+    "MAX_FRAME_BYTES": "repro.dispatch.protocol",
+    "DispatchError": "repro.dispatch.protocol",
+    "FramedSocket": "repro.dispatch.protocol",
+    "FrameError": "repro.dispatch.protocol",
+    "parse_address": "repro.dispatch.protocol",
+    "SHARD_POLICIES": "repro.names",
     "DispatchCoordinator": "repro.dispatch.coordinator",
 })
 

@@ -22,17 +22,23 @@ if they override ``on_message``.
 ``repro.congest.network.Network`` remains the public facade: it builds an
 engine at construction and delegates ``run`` to it.  Tests select the
 reference with ``Network(graph, scheduler=DenseScheduler())``.
+
+Every name loads its module on first use.
 """
 
-from repro.engine.engine import ExecutionEngine
-from repro.engine.observers import (
-    MetricsObserver,
-    RunLogObserver,
-    StitchedTrafficObserver,
-    TrafficLogObserver,
-)
-from repro.engine.scheduler import DenseScheduler, Scheduler, SparseScheduler
-from repro.engine.transport import Transport
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ExecutionEngine": "repro.engine.engine",
+    "MetricsObserver": "repro.engine.observers",
+    "RunLogObserver": "repro.engine.observers",
+    "StitchedTrafficObserver": "repro.engine.observers",
+    "TrafficLogObserver": "repro.engine.observers",
+    "DenseScheduler": "repro.engine.scheduler",
+    "Scheduler": "repro.engine.scheduler",
+    "SparseScheduler": "repro.engine.scheduler",
+    "Transport": "repro.engine.transport",
+})
 
 __all__ = [
     "ExecutionEngine",

@@ -26,11 +26,16 @@ outbox and its neighbour's next-round inbox:
 
 Whole-neighbourhood sends.  Most of the paper's traffic is a node sending
 one O(log n)-bit value to every neighbour (BFS and distance waves,
-multi-source BFS, leader election).  When no per-message listener is
-attached and an outbox addresses exactly the sender's neighbours with one
-payload object, the delivery measures that payload once and accounts its
-copies in bulk; every other outbox goes message by message.  Both ways
-give the same metrics, errors, cache counters and inboxes.
+multi-source BFS, leader election).  Such a send is one object, a
+:class:`repro.congest.node.Broadcast` from
+:meth:`repro.congest.node.NodeAlgorithm.broadcast`, whose targets are the
+network's own neighbour tuple of the sender.  When no per-message
+listener is attached, one identity check on that tuple stands for the
+neighbour check, the payload is measured once and its copies are
+accounted in bulk.  Every other outbox -- plain dicts, a ``Broadcast``
+over any other targets, everything under a listener -- goes message by
+message.  Both ways give the same metrics, errors, cache counters and
+inboxes, and under a fault plan the same fates in the same order.
 
 Memo cache.  Two tiers, tried hash-first:
 
@@ -56,21 +61,20 @@ the hit path: ``measure`` counts only its (rare) misses and
 overflows, and the engine derives per-run hits as ``messages - misses``
 when stamping ``ExecutionMetrics``.  Every delivered message is charged
 exactly one measurement -- performed, or for the copies of a
-whole-neighbourhood send, charged as the measurement of the copy would
-have come out -- so the identity is exact for leaf runs (and clamped for
-re-entrant nested runs, whose misses land in the outer run's delta while
-their messages do not).
+whole-neighbourhood send, charged by the miss path as measuring the copy
+would have come out (``measure(payload, copies)``) -- so the identity is
+exact for leaf runs (and clamped for re-entrant nested runs, whose misses
+land in the outer run's delta while their messages do not).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import is_
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
 from repro.congest.metrics import ExecutionMetrics
+from repro.congest.node import Broadcast
 from repro.graphs.graph import Graph, NodeId
 from repro.graphs.indexed import IndexedGraph
 
@@ -163,6 +167,10 @@ class Transport:
         #: between runs are honoured.
         self._indexed: Optional[IndexedGraph] = None
         self._neighbor_sets: Dict[NodeId, Any] = {}
+        #: Per-node neighbour tuples, the ones the network's algorithm
+        #: factories hand to the nodes: a node's ``Broadcast`` over its
+        #: own tuple is recognised by identity.
+        self._neighbor_tuples: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self.bind_topology(graph.compile())
         # Cache-effectiveness counters, cumulative across the network's
         # runs; the engine stamps per-run deltas into the run's metrics.
@@ -174,20 +182,30 @@ class Transport:
 
     # ------------------------------------------------------------------
     def bind_topology(self, indexed: IndexedGraph) -> None:
-        """(Re)bind the per-node neighbour sets from a compiled view.
+        """(Re)bind the per-node neighbour sets and tuples from a compiled
+        view.
 
         Called by the engine at the start of every run with
         ``graph.compile()``: on an unmutated graph the compiled view is
         the same cached object and the rebind is a no-op identity check;
-        after a mutation a fresh view arrives and the frozensets are
-        rebuilt (and cached on the view, shared with other transports).
+        after a mutation a fresh view arrives and the frozensets and
+        tuples are rebuilt (and cached on the view, shared with other
+        transports and with the network's algorithm factories).
         """
         if indexed is not self._indexed:
             self._indexed = indexed
             self._neighbor_sets = indexed.neighbor_sets()
+            self._neighbor_tuples = indexed.neighbor_tuples()
 
-    def measure(self, payload: Any) -> int:
-        """Size of ``payload`` in bits, memoised across the network's runs."""
+    def measure(self, payload: Any, copies: int = 1) -> int:
+        """Size of ``payload`` in bits, memoised across the network's runs.
+
+        ``copies`` charges the cache counters as measuring that many
+        copies of the payload one after another would: a hit is a hit for
+        every copy, a miss that caches the payload is one miss (the later
+        copies would hit), and a miss that cannot cache it (a full cache,
+        or a ``repr`` that fails) is repeated by every copy.
+        """
         # Value tier: hash the payload itself -- no repr on the hot path.
         value_cache = self._value_cache
         try:
@@ -210,32 +228,38 @@ class Transport:
         if hashable:
             measured = _value_signature(payload)
             if measured is not None:
-                self.cache_misses += 1
                 if (
                     hit is not None  # overwriting an existing slot
                     or len(value_cache) + len(self._size_cache)
                     < self.size_cache_limit
                 ):
                     value_cache[payload] = measured
+                    self.cache_misses += 1
                 else:
-                    self.cache_overflows += 1
+                    self.cache_misses += copies
+                    self.cache_overflows += copies
                 return measured[1]
 
         # Repr tier: nested containers, unhashable and exotic payloads.
         try:
             key = (payload.__class__, repr(payload))
         except Exception:
+            # The first copy's miss counts even if measuring it raises,
+            # as it does when copies are measured one by one.
             self.cache_misses += 1
-            return message_size_bits(payload)
+            size = message_size_bits(payload)
+            self.cache_misses += copies - 1
+            return size
         cache = self._size_cache
         size = cache.get(key)
         if size is None:
             size = message_size_bits(payload)
-            self.cache_misses += 1
             if len(cache) + len(self._value_cache) < self.size_cache_limit:
                 cache[key] = size
+                self.cache_misses += 1
             else:
-                self.cache_overflows += 1
+                self.cache_misses += copies
+                self.cache_overflows += copies
         return size
 
     @property
@@ -261,7 +285,7 @@ class Transport:
         self,
         round_number: int,
         sender: NodeId,
-        outbox: Dict[NodeId, Any],
+        outbox: Mapping[NodeId, Any],
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
         inbox_pool: List[Dict[NodeId, Any]],
         metrics: ExecutionMetrics,
@@ -280,19 +304,18 @@ class Transport:
         ``on_message`` hooks of the run's per-message observers) before
         the strict bandwidth check.
 
-        Whole-neighbourhood sends take a shortcut with the same outcome.
-        When no listener is attached and the outbox addresses exactly the
-        sender's neighbours with one payload object (what
-        :meth:`repro.congest.node.NodeAlgorithm.broadcast` returns, or
-        any outbox of that shape), the payload is measured once and its
-        copies are accounted in bulk; an oversized payload raises the
+        A :class:`repro.congest.node.Broadcast` whose ``targets`` is the
+        network's own neighbour tuple of ``sender`` (what
+        :meth:`repro.congest.node.NodeAlgorithm.broadcast` returns) takes
+        a shortcut with the same outcome when no listener is attached:
+        one identity check stands for the neighbour check, the payload is
+        measured once, charging the cache counters for every copy (see
+        :meth:`measure`), and the copies are accounted in bulk and
+        enqueued in ``targets`` order.  An oversized payload raises the
         same strict error (naming the first target) or counts one
-        violation per copy.  The cache counters stay those of measuring
-        every copy: a hit means every copy hits; after a miss a second
-        copy is measured, and if it misses too (a full cache, or a
-        payload whose ``repr`` fails) each further copy is charged that
-        second miss again.  Every other outbox is checked, measured and
-        accounted message by message.
+        violation per copy.  Every other outbox -- a dict, a
+        ``Broadcast`` over other targets, any outbox under a listener --
+        is checked, measured and accounted message by message.
 
         ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
         under the null model.  A faulty network does not change what a
@@ -300,38 +323,28 @@ class Transport:
         or not it arrives -- so the fates are decided only after the
         whole outbox has passed those checks (see :meth:`_route`).
         """
-        neighbors = self._neighbor_sets.get(sender)
         budget = self.bandwidth_bits
-        measure = self.measure
         next_inboxes_get = next_inboxes.get
-        count = len(outbox)
-        if (
-            not listeners
-            and neighbors is not None
-            and count == len(neighbors)
-            and count
-        ):
-            values = iter(outbox.values())
-            payload = next(values)
-            if all(map(is_, values, repeat(payload))) and outbox.keys() == neighbors:
-                misses = self.cache_misses
-                size = measure(payload)
+        if outbox.__class__ is Broadcast and not listeners:
+            targets = outbox.targets
+            if targets is self._neighbor_tuples.get(sender) and targets:
+                payload = outbox.payload
+                count = len(targets)
+                size = self.measure(payload, count)
                 if size > budget:
                     if self.strict_bandwidth:
                         raise BandwidthExceededError(
                             f"round {round_number}: node {sender!r} sent "
-                            f"{size} bits to {next(iter(outbox))!r} "
+                            f"{size} bits to {targets[0]!r} "
                             f"(budget {budget} bits)"
                         )
                     metrics.bandwidth_violations += count
-                if count > 1 and self.cache_misses != misses:
-                    self._charge_missed_copies(payload, count)
                 metrics.messages += count
                 metrics.total_bits += count * size
                 if size > metrics.max_edge_bits_per_round:
                     metrics.max_edge_bits_per_round = size
                 if plan is None:
-                    for target in outbox:
+                    for target in targets:
                         inbox = next_inboxes_get(target)
                         if inbox is None:
                             inbox = inbox_pool.pop() if inbox_pool else {}
@@ -344,6 +357,9 @@ class Transport:
                     )
                 return
 
+        neighbors = self._neighbor_sets.get(sender)
+        measure = self.measure
+        count = len(outbox)
         total = peak = violations = 0
         for target, payload in outbox.items():
             if neighbors is None or target not in neighbors:
@@ -384,30 +400,11 @@ class Transport:
                 metrics, plan, pending,
             )
 
-    def _charge_missed_copies(self, payload: Any, count: int) -> None:
-        """Charge the cache counters for copies 2..``count`` of a payload
-        whose first measurement just missed, as measuring each would.
-
-        The second copy is measured: if it hits, the payload is cached
-        now and so is every later copy.  If it misses too, the payload
-        cannot be cached (a full cache, or a ``repr`` that fails), and
-        each of the other ``count - 2`` copies would repeat exactly that
-        miss.
-        """
-        misses = self.cache_misses
-        overflows = self.cache_overflows
-        self.measure(payload)
-        missed = self.cache_misses - misses
-        if missed:
-            rest = count - 2
-            self.cache_misses += rest * missed
-            self.cache_overflows += rest * (self.cache_overflows - overflows)
-
     def _route(
         self,
         round_number: int,
         sender: NodeId,
-        outbox: Dict[NodeId, Any],
+        outbox: Mapping[NodeId, Any],
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
         inbox_pool: List[Dict[NodeId, Any]],
         metrics: ExecutionMetrics,

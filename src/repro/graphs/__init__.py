@@ -17,14 +17,22 @@ about *static network topologies*:
 * :mod:`repro.graphs.gadgets_hw12`, :mod:`repro.graphs.gadgets_achk`,
   :mod:`repro.graphs.gadgets_path` -- the graph constructions used by the
   paper's lower bounds (Theorems 8 and 9, and Section 6.2).
+
+Every name loads its module on first use, so building a family graph
+does not import the lower-bound gadgets.
 """
 
-from repro.graphs.graph import Graph, GraphError
-from repro.graphs.indexed import IndexedGraph
-from repro.graphs import generators
-from repro.graphs.gadgets_hw12 import HW12Gadget
-from repro.graphs.gadgets_achk import ACHKGadget
-from repro.graphs.gadgets_path import PathSubdividedGadget
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Graph": "repro.graphs.graph",
+    "GraphError": "repro.graphs.graph",
+    "IndexedGraph": "repro.graphs.indexed",
+    "generators": "repro.graphs.generators",
+    "HW12Gadget": "repro.graphs.gadgets_hw12",
+    "ACHKGadget": "repro.graphs.gadgets_achk",
+    "PathSubdividedGadget": "repro.graphs.gadgets_path",
+})
 
 __all__ = [
     "Graph",

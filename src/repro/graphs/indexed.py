@@ -175,6 +175,16 @@ class IndexedGraph:
         The engine's algorithm factories use this instead of
         :meth:`Graph.neighbors`, which builds a fresh list per call.
         """
+        return self.neighbor_tuples()[label]
+
+    def neighbor_tuples(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Per-label neighbour-label tuples, cached: the very tuples
+        :meth:`neighbors` returns.
+
+        The transport binds this table to recognise a node's
+        :class:`repro.congest.node.Broadcast` by the identity of its
+        targets.
+        """
         table = self._label_neighbors
         if table is None:
             labels = self.labels
@@ -183,7 +193,7 @@ class IndexedGraph:
                 for label, row in zip(labels, self.neighbor_slices())
             }
             self._label_neighbors = table
-        return table[label]
+        return table
 
     def neighbor_sets(self) -> Dict[NodeId, FrozenSet[NodeId]]:
         """Per-label neighbour frozensets, cached.

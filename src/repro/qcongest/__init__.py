@@ -29,15 +29,19 @@ Concrete instantiations -- exact diameter (Theorem 1), the
 3/2-approximation (Theorem 4), exact radius and single-source
 eccentricity -- live in :mod:`repro.core` and are registered as named,
 picklable problems in :mod:`repro.core.problems`.
+
+Every name loads its module on first use.
 """
 
-from repro.qcongest.branch_state import DistributedSuperposition
-from repro.qcongest.framework import (
-    DistributedOptimizationResult,
-    DistributedSearchProblem,
-    run_distributed_quantum_optimization,
-)
-from repro.qcongest.setup import run_setup_broadcast
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DistributedSuperposition": "repro.qcongest.branch_state",
+    "DistributedOptimizationResult": "repro.qcongest.framework",
+    "DistributedSearchProblem": "repro.qcongest.framework",
+    "run_distributed_quantum_optimization": "repro.qcongest.framework",
+    "run_setup_broadcast": "repro.qcongest.setup",
+})
 
 __all__ = [
     "DistributedSuperposition",

@@ -31,32 +31,30 @@ byte-identical for a fixed seed.
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
 provided for register-level unit checks such as the CNOT-copy operation of
 Section 2 (``|u>|v> -> |u>|u xor v>``), which is how the Setup procedure
-broadcasts the search register over the network.  It needs numpy and loads
-on first use of :class:`StateVector` or :func:`cnot_copy_register`.
+broadcasts the search register over the network.  It needs numpy.
+
+Every name loads its module on first use, so the schedule backends do not
+import the numpy :class:`StateVector`.
 """
 
 from repro._lazy import lazy_exports
-from repro.quantum.amplitude_amplification import (
-    AmplificationOutcome,
-    amplitude_amplification_search,
-    grover_success_probability,
-    optimal_grover_iterations,
-    theorem6_query_budget,
-)
-from repro.quantum.backend import (
-    BatchedScheduleBackend,
-    SamplingScheduleBackend,
-    ScheduleBackend,
-)
-from repro.quantum.cost_model import QuantumCostModel, QuantumResourceCount
-from repro.quantum.grover import GroverSearchResult, grover_search
-from repro.quantum.maximum_finding import (
-    MaximumFindingResult,
-    find_maximum,
-    uniform_amplitudes,
-)
 
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "AmplificationOutcome": "repro.quantum.amplitude_amplification",
+    "amplitude_amplification_search": "repro.quantum.amplitude_amplification",
+    "grover_success_probability": "repro.quantum.amplitude_amplification",
+    "optimal_grover_iterations": "repro.quantum.amplitude_amplification",
+    "theorem6_query_budget": "repro.quantum.amplitude_amplification",
+    "BatchedScheduleBackend": "repro.quantum.backend",
+    "SamplingScheduleBackend": "repro.quantum.backend",
+    "ScheduleBackend": "repro.quantum.backend",
+    "QuantumCostModel": "repro.quantum.cost_model",
+    "QuantumResourceCount": "repro.quantum.cost_model",
+    "GroverSearchResult": "repro.quantum.grover",
+    "grover_search": "repro.quantum.grover",
+    "MaximumFindingResult": "repro.quantum.maximum_finding",
+    "find_maximum": "repro.quantum.maximum_finding",
+    "uniform_amplitudes": "repro.quantum.maximum_finding",
     "StateVector": "repro.quantum.state",
     "cnot_copy_register": "repro.quantum.state",
 })

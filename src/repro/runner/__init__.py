@@ -19,33 +19,35 @@ package provides the machinery:
 Consumers: :func:`repro.analysis.sweep.run_sweep_grid`, the CLI ``sweep --jobs``
 command, the benchmark harnesses (``--jobs``) and the qcongest framework's
 parallel branch evaluation.
+
+Every name loads its module on first use, and :mod:`repro.runner.batch`
+imports ``multiprocessing`` only when it builds a pool, so a serial grid
+never loads it.
 """
 
-from repro.runner.algorithms import (
-    EXACT,
-    GUARANTEES,
-    QUANTUM_SWEEP_NAMES,
-    SWEEP_ALGORITHMS,
-    THREE_HALVES,
-    TWO_APPROX,
-    SweepAlgorithmInfo,
-    quantum_problem_kernel,
-    resolve_algorithms,
-    sweep_algorithm_for_problem,
-)
-from repro.runner.batch import (
-    BatchRunner,
-    BatchTaskError,
-    resolve_jobs,
-    task_seed,
-)
-from repro.runner.spec import (
-    GraphSpec,
-    build_graph_cached,
-    clear_worker_caches,
-    graph_diameter_cached,
-    grid,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EXACT": "repro.runner.algorithms",
+    "GUARANTEES": "repro.runner.algorithms",
+    "QUANTUM_SWEEP_NAMES": "repro.runner.algorithms",
+    "SWEEP_ALGORITHMS": "repro.runner.algorithms",
+    "THREE_HALVES": "repro.runner.algorithms",
+    "TWO_APPROX": "repro.runner.algorithms",
+    "SweepAlgorithmInfo": "repro.runner.algorithms",
+    "quantum_problem_kernel": "repro.runner.algorithms",
+    "resolve_algorithms": "repro.runner.algorithms",
+    "sweep_algorithm_for_problem": "repro.runner.algorithms",
+    "BatchRunner": "repro.runner.batch",
+    "BatchTaskError": "repro.runner.batch",
+    "resolve_jobs": "repro.runner.batch",
+    "task_seed": "repro.runner.batch",
+    "GraphSpec": "repro.runner.spec",
+    "build_graph_cached": "repro.runner.spec",
+    "clear_worker_caches": "repro.runner.spec",
+    "graph_diameter_cached": "repro.runner.spec",
+    "grid": "repro.runner.spec",
+})
 
 __all__ = [
     "BatchRunner",

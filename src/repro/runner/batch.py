@@ -30,7 +30,6 @@ serial/parallel equality is structural rather than coincidental.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import zlib
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
@@ -257,6 +256,9 @@ class BatchRunner:
         return self._imap_parallel(function, tasks, context)
 
     def _imap_parallel(self, function, tasks: Sequence, context) -> Iterator:
+        # Imported here: a serial batch never pays for multiprocessing.
+        import multiprocessing
+
         workers = min(self.jobs, len(tasks))
         mp_context = multiprocessing.get_context(self.start_method)
         pool = mp_context.Pool(

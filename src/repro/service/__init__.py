@@ -26,31 +26,30 @@ The daemon's coordinator leases cells to the local worker processes
 each running job brings and to any ``repro worker join`` workers
 registered with it.
 
-The daemon, its HTTP face and the client load on first use of
-:class:`ExperimentService`, :func:`serve_api` or :class:`ServiceClient`,
-so a local grid command that only needs :class:`GridRequest` does not
-import ``http.server``, ``urllib`` or the dispatch coordinator.
+Every name loads its module on first use, so a local grid command that
+only needs :class:`GridRequest` imports neither the job ledger, the
+quotas and the metrics page nor the daemon, its HTTP face and the client
+(``http.server``, ``urllib``, the dispatch coordinator).
 """
 
 from repro._lazy import lazy_exports
-from repro.service.gridspec import (
-    GRID_KINDS,
-    GridRequest,
-    execute_grid_request,
-    fault_model_from_flags,
-)
-from repro.service.jobs import (
-    ACTIVE_STATES,
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobError,
-    JobLedger,
-    JobRecord,
-)
-from repro.service.metrics import METRICS_CONTENT_TYPE, render_metrics
-from repro.service.quota import QuotaExceeded, QuotaPolicy, capacity_report
 
 __getattr__, __dir__ = lazy_exports(__name__, {
+    "GRID_KINDS": "repro.service.gridspec",
+    "GridRequest": "repro.service.gridspec",
+    "execute_grid_request": "repro.service.gridspec",
+    "fault_model_from_flags": "repro.service.gridspec",
+    "ACTIVE_STATES": "repro.service.jobs",
+    "JOB_STATES": "repro.service.jobs",
+    "TERMINAL_STATES": "repro.service.jobs",
+    "JobError": "repro.service.jobs",
+    "JobLedger": "repro.service.jobs",
+    "JobRecord": "repro.service.jobs",
+    "METRICS_CONTENT_TYPE": "repro.service.metrics",
+    "render_metrics": "repro.service.metrics",
+    "QuotaExceeded": "repro.service.quota",
+    "QuotaPolicy": "repro.service.quota",
+    "capacity_report": "repro.service.quota",
     "ExperimentService": "repro.service.queue",
     "serve_api": "repro.service.api",
     "ServiceClient": "repro.service.client",

@@ -23,37 +23,40 @@ sweep lost everything.  :mod:`repro.store` makes sweeps durable:
 CLI surface: ``repro sweep --out run.jsonl [--resume]``,
 ``repro export --store run.jsonl --format csv`` and
 ``repro merge SHARD... --out merged.jsonl``.
+
+Every name loads its module on first use: writing a sweep's store does
+not import the shard merger.
 """
 
-from repro.store.export import (
-    EXPORT_FORMATS,
-    export_records,
-    render_csv,
-    render_json,
-    render_jsonl,
-    render_records,
-    sweep_table,
-)
-from repro.store.jsonl import (
-    SCHEMA_VERSION,
-    ExperimentStore,
-    ExperimentStoreError,
-    StoreLockError,
-    StoreWriterLock,
-    append_jsonl_line,
-    iter_jsonl_entries,
-)
-from repro.store.merge import merge_shards, shard_stats
-from repro.store.provenance import collect_provenance, git_describe
-from repro.store.records import (
-    RECORD_FIELDS,
-    SweepRecord,
-    canonical_json,
-    record_from_dict,
-    record_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "EXPORT_FORMATS": "repro.store.export",
+    "export_records": "repro.store.export",
+    "render_csv": "repro.store.export",
+    "render_json": "repro.store.export",
+    "render_jsonl": "repro.store.export",
+    "render_records": "repro.store.export",
+    "sweep_table": "repro.store.export",
+    "SCHEMA_VERSION": "repro.store.jsonl",
+    "ExperimentStore": "repro.store.jsonl",
+    "ExperimentStoreError": "repro.store.jsonl",
+    "StoreLockError": "repro.store.jsonl",
+    "StoreWriterLock": "repro.store.jsonl",
+    "append_jsonl_line": "repro.store.jsonl",
+    "iter_jsonl_entries": "repro.store.jsonl",
+    "merge_shards": "repro.store.merge",
+    "shard_stats": "repro.store.merge",
+    "collect_provenance": "repro.store.provenance",
+    "git_describe": "repro.store.provenance",
+    "RECORD_FIELDS": "repro.store.records",
+    "SweepRecord": "repro.store.records",
+    "canonical_json": "repro.store.records",
+    "record_from_dict": "repro.store.records",
+    "record_to_dict": "repro.store.records",
+    "spec_from_dict": "repro.store.records",
+    "spec_to_dict": "repro.store.records",
+})
 
 __all__ = [
     "ExperimentStore",

@@ -57,6 +57,42 @@ GRID_FORBIDDEN = (
     "repro.analysis.fitting",
 )
 
+#: What a local ``repro sweep`` / ``repro quantum`` must not import
+#: either: the dispatch package (and its sockets), the job ledger, the
+#: shard merger and the process pool of a parallel run.
+GRID_LOCAL_FORBIDDEN = (
+    "socket",
+    "multiprocessing",
+    "repro.dispatch",
+    "repro.service.jobs",
+    "repro.store.merge",
+)
+
+#: What a classical ``repro sweep`` must not import: the quantum layers.
+SWEEP_FORBIDDEN = ("repro.core", "repro.quantum", "repro.qcongest")
+
+#: What ``repro quantum --list`` must not import: it prints the problem
+#: registry, so it loads no simulator, quantum layer, grid, store or
+#: dispatch.
+LIST_FORBIDDEN = (
+    "numpy",
+    "socket",
+    "multiprocessing",
+    "http.server",
+    "repro.algorithms",
+    "repro.analysis.sweep",
+    "repro.congest",
+    "repro.dispatch",
+    "repro.engine",
+    "repro.graphs",
+    "repro.lowerbounds",
+    "repro.qcongest",
+    "repro.quantum",
+    "repro.runner",
+    "repro.service",
+    "repro.store",
+)
+
 SWEEP_ARGS = [
     "sweep", "--families", "clique_chain,cycle", "--sizes", "16",
     "--algorithms", "classical_exact,two_approx", "--seed", "1",
@@ -115,6 +151,20 @@ class TestImportBudget:
         modules = _probe(tmp_path, QUANTUM_ARGS)
         assert _loaded(modules, GRID_FORBIDDEN) == []
         assert "repro.quantum.backend" in modules
+        assert _loaded(modules, GRID_LOCAL_FORBIDDEN) == []
+
+    def test_local_sweep_loads_no_dispatch_ledger_merger_or_pool(self, sweep_store):
+        _, modules = sweep_store
+        assert _loaded(modules, GRID_LOCAL_FORBIDDEN) == []
+
+    def test_classical_sweep_loads_no_quantum_layer(self, sweep_store):
+        _, modules = sweep_store
+        assert _loaded(modules, SWEEP_FORBIDDEN) == []
+
+    def test_quantum_list_loads_only_the_problem_registry(self, tmp_path):
+        modules = _probe(tmp_path, ["quantum", "--list"])
+        assert _loaded(modules, LIST_FORBIDDEN) == []
+        assert "repro.core.problems" in modules
 
     def test_bare_package_import_loads_no_subpackage(self, tmp_path):
         code = "import json, sys, repro; print(json.dumps(sorted(sys.modules)))"
@@ -156,7 +206,9 @@ class TestLazyPackageNames:
         import importlib
 
         for package in ("repro.analysis", "repro.dispatch", "repro.quantum",
-                        "repro.service", "repro.store"):
+                        "repro.service", "repro.store", "repro.algorithms",
+                        "repro.congest", "repro.core", "repro.engine",
+                        "repro.graphs", "repro.qcongest", "repro.runner"):
             module = importlib.import_module(package)
             for name in module.__all__:
                 assert getattr(module, name) is not None, (package, name)

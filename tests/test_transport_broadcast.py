@@ -1,14 +1,16 @@
-"""The transport's whole-neighbourhood branch against its per-message loop.
+"""A ``Broadcast`` outbox against its ``dict`` delivered message by message.
 
-``Transport.deliver`` measures a payload once when an outbox sends one
-payload object to exactly the sender's neighbours and no per-message
-listener is attached.  Passing a no-op listener forces the per-message
-loop on the same outbox, so every test below delivers the outbox both
-ways and compares everything observable: the raised error, every
-``ExecutionMetrics`` field (cache diagnostics included), the cache
-counters and the filled inboxes.  The engine-level tests do the same
-through ``Network.run`` with a no-op ``on_message`` observer, under a
-loss+delay fault model too.
+``NodeAlgorithm.broadcast`` returns a :class:`repro.congest.node.Broadcast`
+over the node's neighbour tuple.  ``Transport.deliver`` takes it in bulk
+when that tuple is the network's own (an identity check) and no
+per-message listener is attached: the payload is measured once and its
+copies are accounted together.  A plain dict always goes message by
+message.  So every test below delivers a ``Broadcast`` and its
+``dict(...)`` on fresh transports and compares everything observable: the
+raised error, every ``ExecutionMetrics`` field (cache diagnostics
+included), the cache counters, the filled inboxes in order and, under a
+fault plan, the parked delayed messages and the order the fates were
+drawn in.  The engine-level tests do the same through ``Network.run``.
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.congest.node import NodeAlgorithm
+from repro.congest.node import Broadcast, NodeAlgorithm
 from repro.engine import MetricsObserver, Transport
-from repro.faults import FaultModel
-from repro.graphs import generators
-
-
-def _noop_listener(*event):
-    pass
+from repro.faults import FaultModel, FaultPlan
+from repro.graphs import Graph, generators
 
 
 class _Unrepresentable(tuple):
@@ -40,13 +38,30 @@ class _Unrepresentable(tuple):
         raise RuntimeError("no repr")
 
 
-def _deliver(graph, sender, outbox, per_message, prefill=(), **transport_args):
+class _RecordingPlan(FaultPlan):
+    """A fault plan that records the targets of every ``outbox_fates`` call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.drawn = []
+
+    def outbox_fates(self, round_number, sender, targets):
+        targets = list(targets)
+        self.drawn.append((round_number, sender, targets))
+        return super().outbox_fates(round_number, sender, targets)
+
+
+def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
+             round_number=0, **transport_args):
     """Deliver ``outbox`` on a fresh transport; return what it left behind.
 
-    ``prefill`` payloads are measured first (to fill the cache).  The
-    outcome holds the error (type and text) or ``None``, every metrics
-    field, the cache counters, the number of ``measure`` calls the
-    delivery made, and the filled inboxes.
+    ``prefill`` payloads are measured first (to fill the cache).  With
+    ``listen`` a listener records every message; with ``fault_model`` the
+    delivery runs under a fresh plan of it.  The outcome holds the error
+    (type and text) or ``None``, every metrics field, the cache counters,
+    the ``measure`` calls the delivery made, the filled inboxes (as
+    ordered item lists, in creation order), the listener's events, the
+    parked delayed messages and the fate draws.
     """
     args = {"bandwidth_bits": 64, "strict_bandwidth": True, **transport_args}
     transport = Transport(graph, **args)
@@ -55,16 +70,24 @@ def _deliver(graph, sender, outbox, per_message, prefill=(), **transport_args):
     measured = []
     measure = transport.measure
 
-    def counting_measure(payload):
-        measured.append(payload)
-        return measure(payload)
+    def counting_measure(payload, copies=1):
+        measured.append((payload, copies))
+        return measure(payload, copies)
 
     transport.measure = counting_measure
+    events = []
+    listeners = [lambda *event: events.append(event)] if listen else []
+    plan = pending = None
+    if fault_model is not None:
+        plan = _RecordingPlan(fault_model, 11, graph.compile())
+        pending = {}
     metrics = ExecutionMetrics()
     next_inboxes = {}
-    listeners = (_noop_listener,) if per_message else ()
     try:
-        transport.deliver(0, sender, outbox, next_inboxes, [], metrics, listeners)
+        transport.deliver(
+            round_number, sender, outbox, next_inboxes, [], metrics, listeners,
+            plan, pending,
+        )
     except Exception as error:  # compared below, type and text
         outcome_error = (type(error), str(error))
     else:
@@ -73,99 +96,119 @@ def _deliver(graph, sender, outbox, per_message, prefill=(), **transport_args):
         "error": outcome_error,
         "metrics": dataclasses.asdict(metrics),
         "cache": transport.cache_stats(),
-        "measured": len(measured),
-        "inboxes": {target: dict(inbox) for target, inbox in next_inboxes.items()},
+        "measured": measured,
+        "inboxes": [(target, list(inbox.items())) for target, inbox in next_inboxes.items()],
+        "events": events,
+        "pending": pending,
+        "drawn": None if plan is None else plan.drawn,
     }
 
 
 def _both_ways(graph, sender, outbox, **kwargs):
-    """The outcomes of the as-is and the forced per-message delivery."""
-    fast = _deliver(graph, sender, outbox, per_message=False, **kwargs)
-    loop = _deliver(graph, sender, outbox, per_message=True, **kwargs)
-    assert loop["measured"] == len(outbox) or loop["error"] is not None
-    fast_measured = fast.pop("measured")
-    loop.pop("measured")
-    assert fast == loop
-    return fast, fast_measured
+    """The outcomes of delivering ``outbox`` and ``dict(outbox)``.
+
+    Everything but the ``measure`` calls must agree; the calls of the
+    ``Broadcast`` delivery are returned with the outcome.
+    """
+    assert isinstance(outbox, Broadcast)
+    as_is = _deliver(graph, sender, outbox, **kwargs)
+    per_message = _deliver(graph, sender, dict(outbox), **kwargs)
+    assert [copies for _, copies in per_message["measured"]] == [1] * len(
+        per_message["measured"]
+    )
+    measured = as_is.pop("measured")
+    per_message.pop("measured")
+    assert as_is == per_message
+    return as_is, measured
+
+
+def _own(graph, node):
+    """A ``Broadcast`` target tuple the transport takes in bulk."""
+    return graph.compile().neighbors(node)
 
 
 HUB = 0
 #: Node 0 of a 6-node star: five neighbours.
 STAR = generators.star_graph(6)
-LEAVES = sorted(STAR.neighbors(HUB))
+LEAVES = _own(STAR, HUB)
+
+
+class TestBroadcastMapping:
+    def test_reads_and_compares_like_its_dict(self):
+        outbox = Broadcast(LEAVES, ("bfs", 1))
+        expected = dict.fromkeys(LEAVES, ("bfs", 1))
+        assert outbox == expected and expected == outbox
+        assert not (outbox != expected)
+        assert outbox == Broadcast(tuple(LEAVES), ("bfs", 1))
+        assert outbox != dict.fromkeys(LEAVES, ("bfs", 2))
+        assert outbox != dict.fromkeys(LEAVES[1:], ("bfs", 1))
+        assert outbox != list(LEAVES)
+        assert list(outbox) == list(LEAVES)
+        assert list(outbox.keys()) == list(LEAVES)
+        assert list(outbox.items()) == list(expected.items())
+        assert list(outbox.values()) == list(expected.values())
+        assert len(outbox) == len(LEAVES) and bool(outbox)
+        assert outbox[LEAVES[0]] == ("bfs", 1) and LEAVES[0] in outbox
+        assert HUB not in outbox and outbox.get(HUB) is None
+        with pytest.raises(KeyError):
+            outbox[HUB]  # noqa: B018
+
+    def test_is_read_only_and_slotted(self):
+        outbox = Broadcast(LEAVES, 1)
+        assert outbox.targets is LEAVES
+        with pytest.raises(TypeError):
+            outbox[LEAVES[0]] = 2
+        with pytest.raises(AttributeError):
+            outbox.extra = 1
+        with pytest.raises(TypeError):
+            hash(outbox)
+
+    def test_node_keeps_the_factory_tuple(self):
+        node = NodeAlgorithm(HUB, LEAVES, 6)
+        assert node.neighbors is LEAVES
+        outbox = node.broadcast(("bfs", 0))
+        assert isinstance(outbox, Broadcast) and outbox.targets is LEAVES
+        listed = NodeAlgorithm(HUB, list(LEAVES), 6)
+        assert listed.neighbors == LEAVES and isinstance(listed.neighbors, tuple)
+
+    def test_node_without_neighbours_broadcasts_an_empty_dict(self):
+        outbox = NodeAlgorithm(0, (), 1).broadcast(("bfs", 0))
+        assert outbox == {} and type(outbox) is dict
 
 
 class TestTransportBranch:
     def test_broadcast_is_measured_once(self):
         payload = ("bfs", 3)
-        outbox = dict.fromkeys(LEAVES, payload)
-        # A cold cache measures a second copy (it hits, so the rest would).
-        outcome, measured = _both_ways(STAR, HUB, outbox)
-        assert measured == 2
-        _, measured = _both_ways(STAR, HUB, outbox, prefill=[payload])
-        assert measured == 1
+        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload))
+        assert measured == [(payload, len(LEAVES))]
+        _, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), prefill=[payload])
+        assert measured == [(payload, len(LEAVES))]
         metrics = outcome["metrics"]
         assert metrics["messages"] == len(LEAVES)
         assert metrics["total_bits"] == len(LEAVES) * message_size_bits(payload)
         assert metrics["max_edge_bits_per_round"] == message_size_bits(payload)
-        assert outcome["inboxes"] == {leaf: {HUB: payload} for leaf in LEAVES}
+        assert outcome["inboxes"] == [(leaf, [(HUB, payload)]) for leaf in LEAVES]
         assert outcome["cache"]["misses"] == 1
 
-    @pytest.mark.parametrize(
-        "shared, replacement",
-        [(2, 2.0), (2.0, 2), (1, True), (True, 1), (int("1000"), int("1000"))],
-        ids=["int-float", "float-int", "int-bool", "bool-int", "equal-int"],
-    )
-    def test_an_equal_value_of_another_object_goes_per_message(
-        self, shared, replacement
-    ):
-        # 2, 2.0 and True cost 2, 64 and 1 bits although 2 == 2.0 and
-        # 1 == True; the last case is an equal int of the same type that
-        # is a different object.
-        assert replacement == shared and replacement is not shared
-        outbox = dict.fromkeys(LEAVES, shared)
-        outbox[LEAVES[2]] = replacement
-        outcome, measured = _both_ways(STAR, HUB, outbox)
-        assert measured == len(LEAVES)
-        assert outcome["metrics"]["total_bits"] == (
-            (len(LEAVES) - 1) * message_size_bits(shared)
-            + message_size_bits(replacement)
-        )
-
-    def test_degree_length_outbox_with_a_non_neighbour_raises(self):
-        cycle = generators.cycle_graph(6)
-        neighbours = sorted(cycle.neighbors(0))
-        outbox = dict.fromkeys([neighbours[0], 3], ("w", 1, 1))
-        assert len(outbox) == len(neighbours)
-        outcome, _ = _both_ways(cycle, 0, outbox)
-        assert outcome["error"] == (
-            ProtocolError, "node 0 tried to send to non-neighbour 3"
-        )
-
-    def test_partial_outbox_goes_per_message(self):
-        outbox = dict.fromkeys(LEAVES[:-1], ("bfs", 1))
-        _, measured = _both_ways(STAR, HUB, outbox)
-        assert measured == len(outbox)
-
     def test_oversized_broadcast_raises_naming_the_first_target(self):
-        outbox = dict.fromkeys(LEAVES, "x" * 20)
-        outcome, measured = _both_ways(STAR, HUB, outbox)
-        assert measured == 1
+        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, "x" * 20))
+        assert len(measured) == 1
         error_type, text = outcome["error"]
         assert error_type is BandwidthExceededError
         assert f"to {LEAVES[0]!r}" in text
         assert outcome["metrics"]["messages"] == 0
-        assert outcome["inboxes"] == {}
+        assert outcome["inboxes"] == []
 
     def test_oversized_broadcast_counts_one_violation_per_copy(self):
-        outbox = dict.fromkeys(LEAVES, "x" * 20)
-        outcome, _ = _both_ways(STAR, HUB, outbox, strict_bandwidth=False)
+        outcome, _ = _both_ways(
+            STAR, HUB, Broadcast(LEAVES, "x" * 20), strict_bandwidth=False
+        )
         assert outcome["error"] is None
         assert outcome["metrics"]["bandwidth_violations"] == len(LEAVES)
         assert outcome["metrics"]["max_edge_bits_per_round"] == 160
 
     def test_unsupported_payload_raises_the_same_error(self):
-        outcome, _ = _both_ways(STAR, HUB, dict.fromkeys(LEAVES, object()))
+        outcome, _ = _both_ways(STAR, HUB, Broadcast(LEAVES, object()))
         assert outcome["error"][0] is TypeError
 
     @pytest.mark.parametrize(
@@ -175,8 +218,10 @@ class TestTransportBranch:
             ([1, (2, "x")], {"size_cache_limit": 0}, 5, 5),
             (("bfs", 1), {"size_cache_limit": 1, "prefill": [("other",)]}, 6, 5),
             ([1, 2], {"size_cache_limit": 1, "prefill": [("other",)]}, 6, 5),
+            (("bfs", 1), {"size_cache_limit": 1}, 1, 0),
             (_Unrepresentable((1, 2)), {}, 5, 0),
             (("bfs", 1), {"prefill": [("bfs", 1)]}, 1, 0),
+            ((2,), {"prefill": [(2.0,)]}, 2, 0),
             ([1, 2], {}, 1, 0),
         ],
         ids=[
@@ -184,23 +229,114 @@ class TestTransportBranch:
             "no-cache-repr-tier",
             "full-cache-value-tier",
             "full-cache-repr-tier",
+            "last-free-slot",
             "failing-repr",
             "warm-cache",
+            "signature-mismatch",
             "cold-cache-repr-tier",
         ],
     )
     def test_cache_counters_match_per_message_measurement(
         self, payload, kwargs, misses, overflows
     ):
-        outcome, _ = _both_ways(STAR, HUB, dict.fromkeys(LEAVES, payload), **kwargs)
+        outcome, _ = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), **kwargs)
         assert outcome["error"] is None
         assert outcome["cache"]["misses"] == misses
         assert outcome["cache"]["overflows"] == overflows
 
     def test_degree_one_sender(self):
-        outcome, measured = _both_ways(STAR, LEAVES[0], {HUB: ("ch",)})
-        assert measured == 1
-        assert outcome["inboxes"] == {HUB: {LEAVES[0]: ("ch",)}}
+        sender = LEAVES[0]
+        outcome, measured = _both_ways(STAR, sender, Broadcast(_own(STAR, sender), ("ch",)))
+        assert measured == [(("ch",), 1)]
+        assert outcome["inboxes"] == [(HUB, [(sender, ("ch",))])]
+
+    def test_equal_foreign_targets_go_per_message(self):
+        foreign = tuple(list(LEAVES))
+        assert foreign == LEAVES and foreign is not LEAVES
+        outcome, measured = _both_ways(STAR, HUB, Broadcast(foreign, ("bfs", 2)))
+        assert measured == [(("bfs", 2), 1)] * len(LEAVES)
+        assert outcome["metrics"]["messages"] == len(LEAVES)
+
+    @pytest.mark.parametrize("targets", [
+        pytest.param(lambda own: (own[0], 3), id="foreign-with-non-neighbour"),
+        pytest.param(lambda own: (*own, 3), id="foreign-superset"),
+        pytest.param(lambda own: (3,), id="foreign-non-neighbour-only"),
+    ])
+    def test_non_neighbour_target_raises_the_same_protocol_error(self, targets):
+        cycle = generators.cycle_graph(6)
+        outbox = Broadcast(targets(_own(cycle, 0)), ("w", 1, 1))
+        outcome, _ = _both_ways(cycle, 0, outbox)
+        assert outcome["error"] == (
+            ProtocolError, "node 0 tried to send to non-neighbour 3"
+        )
+
+    def test_own_targets_of_another_sender_raise_the_same_protocol_error(self):
+        # A node's own tuple sent from its neighbour: the identity check is
+        # per sender, so the hub's leaves sent by a leaf are foreign.
+        outcome, _ = _both_ways(STAR, LEAVES[0], Broadcast(LEAVES, ("bfs", 1)))
+        assert outcome["error"] == (
+            ProtocolError,
+            f"node {LEAVES[0]!r} tried to send to non-neighbour {LEAVES[0]!r}",
+        )
+
+    def test_an_attached_listener_sees_every_copy(self):
+        payload = ("w", 4, 1)
+        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), listen=True)
+        size = message_size_bits(payload)
+        assert outcome["events"] == [
+            (0, HUB, leaf, payload, size, False) for leaf in LEAVES
+        ]
+        assert measured == [(payload, 1)] * len(LEAVES)
+
+    def test_an_attached_listener_sees_the_copies_before_the_strict_error(self):
+        outcome, _ = _both_ways(
+            STAR, HUB, Broadcast(LEAVES, "x" * 20), listen=True
+        )
+        assert outcome["error"][0] is BandwidthExceededError
+        assert outcome["events"] == [(0, HUB, LEAVES[0], "x" * 20, 160, True)]
+
+    @pytest.mark.parametrize("round_number", range(6))
+    def test_fault_plan_draws_the_same_fates_in_the_same_order(self, round_number):
+        graph = generators.complete_graph(12)
+        sender = 3
+        model = FaultModel(loss=0.3, delay=0.3, max_delay=3)
+        outcome, _ = _both_ways(
+            graph, sender, Broadcast(_own(graph, sender), ("t", round_number)),
+            fault_model=model, round_number=round_number,
+        )
+        assert outcome["drawn"] == [(round_number, sender, list(_own(graph, sender)))]
+        delivered = len(outcome["inboxes"])
+        parked = sum(len(bucket) for bucket in outcome["pending"].values())
+        metrics = outcome["metrics"]
+        assert metrics["messages"] == 11
+        assert delivered + parked + metrics["dropped_messages"] == 11
+        assert parked == metrics["delayed_messages"]
+
+    def test_fault_plan_sees_every_fate_kind(self):
+        graph = generators.complete_graph(12)
+        model = FaultModel(loss=0.3, delay=0.3, max_delay=3)
+        dropped = delayed = delivered = 0
+        for round_number in range(6):
+            outcome, _ = _both_ways(
+                graph, 3, Broadcast(_own(graph, 3), 1),
+                fault_model=model, round_number=round_number,
+            )
+            dropped += outcome["metrics"]["dropped_messages"]
+            delayed += outcome["metrics"]["delayed_messages"]
+            delivered += len(outcome["inboxes"])
+        assert dropped and delayed and delivered
+
+    def test_sender_without_neighbours_sends_nothing(self):
+        lonely = Graph(nodes=[0])
+        own = _own(lonely, 0)
+        assert own == ()
+        for payload, kwargs in [(("bfs", 0), {}), ("x" * 20, {})]:
+            outcome, measured = _both_ways(lonely, 0, Broadcast(own, payload), **kwargs)
+            assert measured == []
+            assert outcome["error"] is None
+            assert outcome["cache"]["misses"] == 0
+            assert outcome["metrics"] == dataclasses.asdict(ExecutionMetrics())
+            assert outcome["inboxes"] == []
 
 
 # ----------------------------------------------------------------------
@@ -210,12 +346,14 @@ class _Flood(NodeAlgorithm):
     """Each node that runs broadcasts a round-stamped token until round six
     and keeps every inbox it sees; one node also sends a partial outbox.
     A node counts as finished after every round, so a node that hears
-    nothing (all its messages lost) stops."""
+    nothing (all its messages lost) stops.  With ``as_dict`` every
+    broadcast is sent as its dict."""
 
     ROUNDS = 6
 
-    def __init__(self, node_id, neighbors, num_nodes, rng=None):
-        super().__init__(node_id, neighbors, num_nodes, rng)
+    def __init__(self, node_id, neighbors, num_nodes, as_dict):
+        super().__init__(node_id, neighbors, num_nodes)
+        self.as_dict = as_dict
         self.seen = []
 
     def on_round(self, round_number, inbox):
@@ -225,7 +363,8 @@ class _Flood(NodeAlgorithm):
             return {}
         if self.node_id == 0 and round_number % 2:
             return {self.neighbors[0]: ("p", round_number)}
-        return self.broadcast(("t", self.node_id % 3, round_number))
+        outbox = self.broadcast(("t", self.node_id % 3, round_number))
+        return dict(outbox) if self.as_dict else outbox
 
     def result(self):
         return self.seen
@@ -241,40 +380,67 @@ class _NoopMessageObserver(MetricsObserver):
         self.messages += 1
 
 
-def _flood_network(fault_model):
-    graph = generators.family_for_sweep("clique_chain", 16, seed=3)
+def _flood_network(graph, fault_model):
     return Network(graph, seed=5, fault_model=fault_model)
 
 
-def _flood(network, record_traffic=False):
+def _flood(network, as_dict=False, record_traffic=False):
     return network.run(
-        lambda node, net: _Flood(node, net.graph.neighbors(node), net.num_nodes),
+        lambda node, net: _Flood(node, net.neighbors(node), net.num_nodes, as_dict),
         max_rounds=50,
         record_traffic=record_traffic,
     )
 
 
+def _bulk_measures(monkeypatch):
+    """Record the ``copies`` of every ``Transport.measure`` call above 1."""
+    bulk = []
+    measure = Transport.measure
+
+    def recording(self, payload, copies=1):
+        if copies > 1:
+            bulk.append(copies)
+        return measure(self, payload, copies)
+
+    monkeypatch.setattr(Transport, "measure", recording)
+    return bulk
+
+
+CHAIN = generators.family_for_sweep("clique_chain", 16, seed=3)
 LOSS_DELAY = FaultModel(loss=0.15, delay=0.25, max_delay=3, timeout=50)
 
 
 class TestThroughTheEngine:
     @pytest.mark.parametrize("fault_model", [None, LOSS_DELAY], ids=["null", "loss_delay"])
-    def test_inboxes_and_metrics_match_the_per_message_loop(self, fault_model):
-        fast = _flood(_flood_network(fault_model))
-        forced_network = _flood_network(fault_model)
-        observer = _NoopMessageObserver()
-        forced_network.add_observer(observer)
-        forced = _flood(forced_network)
-        assert fast.results == forced.results
-        assert dataclasses.asdict(fast.metrics) == dataclasses.asdict(forced.metrics)
-        assert observer.messages == fast.metrics.messages
+    def test_broadcasts_match_their_dicts(self, fault_model, monkeypatch):
+        bulk = _bulk_measures(monkeypatch)
+        as_is = _flood(_flood_network(CHAIN, fault_model))
+        assert bulk  # the bulk way was taken
+        del bulk[:]
+        as_dicts = _flood(_flood_network(CHAIN, fault_model), as_dict=True)
+        assert bulk == []
+        assert as_is.results == as_dicts.results
+        assert dataclasses.asdict(as_is.metrics) == dataclasses.asdict(as_dicts.metrics)
         if fault_model is not None:
-            assert fast.metrics.dropped_messages > 0
-            assert fast.metrics.delayed_messages > 0
+            assert as_is.metrics.dropped_messages > 0
+            assert as_is.metrics.delayed_messages > 0
+
+    @pytest.mark.parametrize("fault_model", [None, LOSS_DELAY], ids=["null", "loss_delay"])
+    def test_an_observer_sees_every_broadcast_copy(self, fault_model, monkeypatch):
+        bulk = _bulk_measures(monkeypatch)
+        plain = _flood(_flood_network(CHAIN, fault_model))
+        observed_network = _flood_network(CHAIN, fault_model)
+        observer = _NoopMessageObserver()
+        observed_network.add_observer(observer)
+        del bulk[:]
+        observed = _flood(observed_network)
+        assert bulk == []
+        assert observer.messages == plain.metrics.messages
+        assert plain.results == observed.results
+        assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(observed.metrics)
 
     def test_record_traffic_sees_every_message(self):
-        result = _flood(_flood_network(None), record_traffic=True)
-        graph = generators.family_for_sweep("clique_chain", 16, seed=3)
+        result = _flood(_flood_network(CHAIN, None), record_traffic=True)
         assert len(result.traffic) == result.metrics.messages
         first_round = {
             (sender, receiver) for round_number, sender, receiver, _ in result.traffic
@@ -282,9 +448,19 @@ class TestThroughTheEngine:
         }
         assert first_round == {
             (node, neighbour)
-            for node in graph.nodes()
-            for neighbour in graph.neighbors(node)
+            for node in CHAIN.nodes()
+            for neighbour in CHAIN.neighbors(node)
         }
+
+    def test_a_single_node_network_rounds_are_unchanged(self):
+        lonely = Graph(nodes=[7])
+        results = [
+            _flood(_flood_network(lonely, None), as_dict=as_dict)
+            for as_dict in (False, True)
+        ]
+        assert results[0].metrics.messages == 0
+        assert results[0].metrics.rounds == results[1].metrics.rounds == 1
+        assert results[0].results == results[1].results
 
     def test_paper_algorithms_match_the_per_message_loop(self):
         graph = generators.family_for_sweep("clique_chain", 24, seed=1)
