@@ -23,8 +23,9 @@ This harness measures:
 * an **end-to-end** `quantum_exact_diameter` run per backend (reference
   oracle mode), asserting field-for-field result identity;
 * a **registered-problem sweep**: every problem in
-  :data:`repro.core.problems.QUANTUM_PROBLEMS` runs on the batched
-  backend and must reproduce its sequential ground-truth oracle.
+  :data:`repro.core.problems.QUANTUM_PROBLEMS` runs through its
+  :mod:`repro.core` entry point on the batched backend and must
+  reproduce its sequential ground truth.
 
 Results land in ``BENCH_quantum.json`` next to the repository root.
 
@@ -47,6 +48,7 @@ import random
 import time
 
 from repro.congest.network import Network
+from repro.core.approx_diameter import quantum_three_halves_diameter
 from repro.core.exact_diameter import (
     ORACLE_REFERENCE,
     VARIANT_SIMPLE,
@@ -55,16 +57,27 @@ from repro.core.exact_diameter import (
     quantum_exact_diameter,
 )
 from repro.core.problems import QUANTUM_PROBLEMS
+from repro.core.radius import quantum_exact_radius
+from repro.core.source_ecc import quantum_source_eccentricity
 from repro.graphs import generators
 from repro.quantum.backend import (
     BatchedScheduleBackend,
     SamplingScheduleBackend,
 )
+from repro.runner.algorithms import SWEEP_ALGORITHMS
 
 #: The sampling reference and the batched production backend, by name.
 BACKENDS = {
     "sampling": SamplingScheduleBackend(),
     "batched": BatchedScheduleBackend(),
+}
+
+#: Each problem's :mod:`repro.core` entry point and its answer field.
+ENTRY_POINTS = {
+    "exact_diameter": (quantum_exact_diameter, "diameter"),
+    "three_halves": (quantum_three_halves_diameter, "estimate"),
+    "radius": (quantum_exact_radius, "radius"),
+    "source_ecc": (quantum_source_eccentricity, "eccentricity"),
 }
 
 #: Node count of the headline schedule workload (the issue bar: n >= 500).
@@ -196,21 +209,26 @@ def _bench_problems(nodes: int) -> dict:
     graph = generators.family_for_sweep("clique_chain", nodes, seed=9)
     rows = {}
     for name, info in sorted(QUANTUM_PROBLEMS.items()):
+        entry, field = ENTRY_POINTS[name]
         start = time.perf_counter()
-        run = info.solve(
+        run = entry(
             Network(graph, seed=1),
             oracle_mode=ORACLE_REFERENCE,
             seed=3,
         )
         seconds = time.perf_counter() - start
-        truth = info.oracle(graph)
-        if info.guarantee == "exact" and run.value != truth:
+        value = float(getattr(run, field))
+        # The sweep entry's own ground truth, else the diameter.
+        truth = SWEEP_ALGORITHMS[info.sweep_name].check_target(graph)
+        if truth is None:
+            truth = float(graph.compile().diameter())
+        if info.guarantee == "exact" and value != truth:
             raise AssertionError(
-                f"problem {name!r} returned {run.value}, oracle says {truth}"
+                f"problem {name!r} returned {value}, oracle says {truth}"
             )
         rows[name] = {
             "theorem": info.theorem,
-            "value": run.value,
+            "value": value,
             "oracle": truth,
             "rounds": run.rounds,
             "evaluation_calls": run.counts.evaluation_calls,

@@ -219,16 +219,12 @@ def _grid_cell_cost(task: Tuple[GraphSpec, str]) -> float:
     """The cost model's static prior for one grid cell (chunk planning).
 
     Resolves the algorithm's correctness guarantee through the sweep
-    registry, falling back to the quantum problem registry (quantum
-    grids submit problem names), then to the neutral exponent.
+    registry (unknown names get the neutral exponent).
     """
     from repro.dispatch.cost import guarantee_of, static_cell_cost
 
     spec, name = task
-    guarantee = guarantee_of(name)
-    if guarantee is None:
-        guarantee = guarantee_of(name, kind="quantum")
-    return static_cell_cost(spec.num_nodes, guarantee)
+    return static_cell_cost(spec.num_nodes, guarantee_of(name))
 
 
 def _sweep_one_grid_cell(

@@ -79,27 +79,12 @@ def _build_graph(args: argparse.Namespace):
     return generators.family_for_sweep(args.family, args.nodes, seed=args.seed)
 
 
-def _quantum_seeds(seed: int):
-    """Independent network / schedule seed streams for a quantum run.
-
-    One user-facing ``--seed`` must not feed the graph construction, the
-    CONGEST node randomness *and* the quantum measurement randomness with
-    the same raw value (the streams would replay each other); mirror the
-    sweep command's graph-vs-algorithm split.
-    """
-    from repro.runner import task_seed
-
-    return (
-        task_seed(seed, "quantum-network-stream"),
-        task_seed(seed, "quantum-schedule-stream"),
-    )
-
-
 def _cmd_diameter(args: argparse.Namespace) -> int:
     from repro.algorithms import run_classical_exact_diameter
     from repro.analysis.tables import render_table
     from repro.congest import Network
     from repro.core import quantum_exact_diameter
+    from repro.runner.algorithms import quantum_seeds
 
     graph = _build_graph(args)
     truth = graph.compile().diameter()
@@ -112,7 +97,7 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
         ["classical exact [PRT12/HW12]", classical.diameter, classical.rounds]
     )
 
-    network_seed, schedule_seed = _quantum_seeds(args.seed)
+    network_seed, schedule_seed = quantum_seeds(args.seed)
     quantum = quantum_exact_diameter(
         Network(graph, seed=network_seed),
         oracle_mode=args.oracle_mode, seed=schedule_seed,
@@ -132,6 +117,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
     from repro.congest import Network
     from repro.core import quantum_three_halves_diameter
+    from repro.runner.algorithms import quantum_seeds
 
     graph = _build_graph(args)
     truth = graph.compile().diameter()
@@ -148,7 +134,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
         ["classical 3/2-approx [HPRW14]", classical.estimate, classical.rounds]
     )
     if args.quantum:
-        network_seed, schedule_seed = _quantum_seeds(args.seed)
+        network_seed, schedule_seed = quantum_seeds(args.seed)
         quantum = quantum_three_halves_diameter(
             Network(graph, seed=network_seed),
             oracle_mode=args.oracle_mode, seed=schedule_seed,
@@ -224,7 +210,7 @@ def _runs_remotely(args: argparse.Namespace) -> bool:
 
 
 @contextlib.contextmanager
-def _remote_runner(args: argparse.Namespace, request: GridRequest):
+def _remote_runner(args: argparse.Namespace):
     """The :class:`repro.dispatch.RemoteDispatch` of a grid command, or
     ``None`` for a local run.
 
@@ -245,9 +231,7 @@ def _remote_runner(args: argparse.Namespace, request: GridRequest):
     workers = 1 if args.dispatch_workers is None else args.dispatch_workers
     if args.coordinator is not None:
         host, port = parse_address(args.coordinator)
-        yield RemoteDispatch(
-            address=(host, port), kind=request.kind, workers=workers
-        )
+        yield RemoteDispatch(address=(host, port), workers=workers)
         return
     settings = {
         "port": args.dispatch_port,
@@ -270,9 +254,7 @@ def _remote_runner(args: argparse.Namespace, request: GridRequest):
             workers,
             timeout=60.0 if args.dispatch_wait is None else args.dispatch_wait,
         )
-        yield RemoteDispatch(
-            coordinator=coordinator, kind=request.kind, workers=workers
-        )
+        yield RemoteDispatch(coordinator=coordinator, workers=workers)
         if args.dispatch_stats is not None:
             with open(args.dispatch_stats, "w", encoding="utf-8") as handle:
                 json.dump(coordinator.stats(), handle, indent=2, sort_keys=True)
@@ -323,7 +305,7 @@ def _run_grid_command(args: argparse.Namespace, kind: str) -> int:
         return 2
     store = ExperimentStore(args.out) if args.out is not None else None
     try:
-        with _remote_runner(args, request) as runner:
+        with _remote_runner(args) as runner:
             records = execute_grid_request(
                 request, store=store, resume=args.resume, runner=runner
             )

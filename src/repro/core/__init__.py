@@ -10,14 +10,13 @@
 * :mod:`repro.core.radius` -- quantum exact radius (Theorem 7 pointed at
   a minimum) and :mod:`repro.core.source_ecc` -- quantum single-source
   eccentricity, the framework's calibration workload;
-* :mod:`repro.core.problems` -- the quantum problem registry: named,
-  picklable Theorem-7 workloads the sweep/store/CLI layers consume like
-  classical algorithms;
+* :mod:`repro.core.problems` -- the Theorem-7 problems ``repro quantum``
+  offers, as plain data (name, sweep name, theorem, guarantee);
 * :mod:`repro.core.complexity` -- the round-complexity formulas of every
   entry of Table 1, used by the benchmark harnesses for the
   paper-versus-measured comparison.
 
-Every name loads its module on first use: reading the problem registry
+Every name loads its module on first use: reading the problem table
 (:mod:`repro.core.problems`) does not import the quantum algorithms, and a
 classical sweep imports none of this package.
 """
@@ -37,9 +36,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "quantum_exact_diameter": "repro.core.exact_diameter",
     "QUANTUM_PROBLEMS": "repro.core.problems",
     "QuantumProblemInfo": "repro.core.problems",
-    "QuantumProblemRun": "repro.core.problems",
     "quantum_problem_names": "repro.core.problems",
-    "register_quantum_problem": "repro.core.problems",
     "resolve_quantum_problem": "repro.core.problems",
     "QuantumRadiusResult": "repro.core.radius",
     "quantum_exact_radius": "repro.core.radius",
@@ -58,8 +55,6 @@ __all__ = [
     "QuantumSourceEccentricityResult",
     "QUANTUM_PROBLEMS",
     "QuantumProblemInfo",
-    "QuantumProblemRun",
-    "register_quantum_problem",
     "resolve_quantum_problem",
     "quantum_problem_names",
     "window_set",

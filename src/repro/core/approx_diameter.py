@@ -47,7 +47,6 @@ from repro.core.exact_diameter import ORACLE_CONGEST, ORACLE_REFERENCE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.runner.batch import BatchRunner
 
 
 @dataclass
@@ -87,9 +86,6 @@ class BallEccentricityProblem(DistributedSearchProblem):
         self._setup_cost: Optional[ExecutionMetrics] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
         self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
-        # See ExactDiameterProblem: only end-to-end simulation evaluates
-        # branches independently; the reference oracle shares hidden state.
-        self.supports_parallel_evaluation = oracle_mode == ORACLE_CONGEST
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -182,19 +178,15 @@ def quantum_three_halves_diameter(
     delta: float = 0.1,
     seed: int = 0,
     budget_constant: float = 4.0,
-    runner: Optional["BatchRunner"] = None,
     backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumApproxDiameterResult:
     """Compute a 3/2-approximation of the diameter (Theorem 4 / Figure 3).
 
     When ``s`` is not given it is set to the balancing value
-    ``Theta(n^{2/3} / d^{1/3})`` with ``d = ecc(leader)``.  ``runner``
-    optionally dispatches the quantum phase's independent branch
-    evaluations through a process pool in ``"congest"`` oracle mode; the
-    result is identical to a serial run.  ``backend`` is the quantum
-    schedule simulator (see :mod:`repro.quantum.backend`; ``None`` is the
-    batched backend, and all backends return identical results for a
-    fixed seed).
+    ``Theta(n^{2/3} / d^{1/3})`` with ``d = ecc(leader)``.  ``backend``
+    is the quantum schedule simulator (see :mod:`repro.quantum.backend`;
+    ``None`` is the batched backend, and all backends return identical
+    results for a fixed seed).
 
     The user-facing ``seed`` feeds two *independent* streams: the
     [HPRW14] preparation's sampling randomness and the quantum schedule's
@@ -230,7 +222,7 @@ def quantum_three_halves_diameter(
     problem = BallEccentricityProblem(network, preparation, oracle_mode=oracle_mode)
     optimization = run_distributed_quantum_optimization(
         problem, delta=delta, rng=rng, budget_constant=budget_constant,
-        runner=runner, backend=backend,
+        backend=backend,
     )
     metrics = metrics.merged(optimization.metrics)
 

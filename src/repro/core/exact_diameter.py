@@ -56,7 +56,6 @@ from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.runner.batch import BatchRunner
 
 #: Evaluation variants.
 VARIANT_SIMPLE = "simple"
@@ -114,11 +113,6 @@ class ExactDiameterProblem(DistributedSearchProblem):
         self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
         self._setup_cost: Optional[ExecutionMetrics] = None
-        # End-to-end simulation evaluates every branch independently on the
-        # CONGEST simulator, so branches may run in pool workers; the
-        # reference oracle amortises one representative run over all
-        # branches, which per-worker copies would re-pay and mis-count.
-        self.supports_parallel_evaluation = oracle_mode == ORACLE_CONGEST
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -242,7 +236,6 @@ def quantum_exact_diameter(
     seed: int = 0,
     leader: Optional[NodeId] = None,
     budget_constant: float = 4.0,
-    runner: Optional["BatchRunner"] = None,
     backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumDiameterResult:
     """Compute the diameter with the quantum algorithm of Theorem 1.
@@ -267,10 +260,6 @@ def quantum_exact_diameter(
         Optionally skip leader election and use this node.
     budget_constant:
         Hidden constant of the amplitude-amplification budget.
-    runner:
-        Optional :class:`repro.runner.batch.BatchRunner`; in ``"congest"``
-        oracle mode the independent branch evaluations are dispatched
-        through its process pool with results identical to a serial run.
     backend:
         Quantum schedule backend (:mod:`repro.quantum.backend`); ``None``
         is the batched backend.  Backends return identical results for a
@@ -292,7 +281,6 @@ def quantum_exact_diameter(
         delta=delta,
         rng=random.Random(seed),
         budget_constant=budget_constant,
-        runner=runner,
         backend=backend,
     )
     return QuantumDiameterResult(

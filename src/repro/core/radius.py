@@ -53,7 +53,6 @@ from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.runner.batch import BatchRunner
 
 
 @dataclass
@@ -101,10 +100,6 @@ class ExactRadiusProblem(DistributedSearchProblem):
         self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
         self._setup_cost: Optional[ExecutionMetrics] = None
-        # Mirrors ExactDiameterProblem: only end-to-end simulation evaluates
-        # branches independently; the reference oracle amortises one
-        # representative run over all branches.
-        self.supports_parallel_evaluation = oracle_mode == ORACLE_CONGEST
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -203,7 +198,6 @@ def quantum_exact_radius(
     seed: int = 0,
     leader: Optional[NodeId] = None,
     budget_constant: float = 4.0,
-    runner: Optional["BatchRunner"] = None,
     backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumRadiusResult:
     """Compute the exact radius with the Theorem-7 framework.
@@ -223,7 +217,6 @@ def quantum_exact_radius(
         delta=delta,
         rng=random.Random(seed),
         budget_constant=budget_constant,
-        runner=runner,
         backend=backend,
     )
     return QuantumRadiusResult(

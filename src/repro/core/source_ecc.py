@@ -48,7 +48,6 @@ from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.runner.batch import BatchRunner
 
 
 @dataclass
@@ -87,10 +86,6 @@ class SourceEccentricityProblem(DistributedSearchProblem):
         self.tree: Optional[BFSTreeResult] = None
         self._setup_cost: Optional[ExecutionMetrics] = None
         self._reference_cost: Optional[ExecutionMetrics] = None
-        # Every congest-mode evaluation is an independent convergecast of
-        # state fixed at initialization; reference mode shares the
-        # representative-cost cache.
-        self.supports_parallel_evaluation = oracle_mode == ORACLE_CONGEST
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -164,7 +159,6 @@ def quantum_source_eccentricity(
     delta: float = 0.1,
     seed: int = 0,
     budget_constant: float = 4.0,
-    runner: Optional["BatchRunner"] = None,
     backend: Optional["ScheduleBackend"] = None,
 ) -> QuantumSourceEccentricityResult:
     """Compute ``ecc(source)`` with the Theorem-7 framework.
@@ -185,7 +179,6 @@ def quantum_source_eccentricity(
         delta=delta,
         rng=random.Random(seed),
         budget_constant=budget_constant,
-        runner=runner,
         backend=backend,
     )
     return QuantumSourceEccentricityResult(

@@ -53,18 +53,17 @@ class RemoteDispatch:
     ``address`` (join an existing coordinator, e.g. a daemon's).  Closing
     the stream (a cancelled or stopped sweep) closes the connection,
     which is how a client cancels its grid; :meth:`close` does the same
-    from another thread.  ``kind`` selects how
-    algorithm names resolve on workers (``"sweep"`` registry vs
-    ``"quantum"`` problems), mirroring ``GridRequest.kind``.  ``workers``
-    is the *requested* worker count, recorded as the run header's
-    ``jobs`` value.
+    from another thread.  The cells name sweep algorithms only (a
+    quantum grid's problems were resolved to their sweep names by the
+    request), so the frame carries no grid kind.  ``workers`` is the
+    *requested* worker count, recorded as the run header's ``jobs``
+    value.
     """
 
     def __init__(
         self,
         address: Optional[Tuple[str, int]] = None,
         coordinator=None,
-        kind: str = "sweep",
         workers: int = 1,
         connect_timeout: float = 10.0,
     ) -> None:
@@ -72,11 +71,8 @@ class RemoteDispatch:
             raise ValueError(
                 "RemoteDispatch needs exactly one of address= or coordinator="
             )
-        if kind not in ("sweep", "quantum"):
-            raise ValueError(f"unknown grid kind {kind!r}")
         self._address = address
         self._coordinator = coordinator
-        self.kind = kind
         self.jobs = max(1, int(workers))
         self.connect_timeout = connect_timeout
         self._conn: Optional[FramedSocket] = None
@@ -151,7 +147,6 @@ class RemoteDispatch:
             task_refs.append([position, name_index[name]])
             keys.append(sweep_task_key(spec, name, base_seed, fault))
         return {
-            "kind": self.kind,
             "specs": [spec_to_dict(spec) for spec in specs],
             "algorithms": names,
             "tasks": task_refs,

@@ -589,7 +589,7 @@ class DispatchCoordinator:
                         algorithm,
                         int(item["num_nodes"]),
                         float(item["seconds"]),
-                        guarantee_of(algorithm, kind=str(item.get("kind", "sweep"))),
+                        guarantee_of(algorithm),
                     )
                 except (KeyError, TypeError, ValueError, OverflowError):
                     continue

@@ -61,21 +61,14 @@ FACTOR = 2.0
 _MIN_NODES = 2
 
 
-def guarantee_of(name: str, kind: str = "sweep") -> Optional[str]:
-    """The correctness guarantee of a registered algorithm or problem.
+def guarantee_of(name: str) -> Optional[str]:
+    """The correctness guarantee of a registered sweep algorithm.
 
-    Looks the name up in the sweep-algorithm registry (or the quantum
-    problem registry for ``kind="quantum"``); unknown names return
-    ``None`` rather than raising -- the cost model is advisory, and a
-    coordinator must keep scheduling grids whose kernels it cannot
-    resolve locally.
+    Unknown names return ``None`` rather than raising -- the cost model
+    is advisory, and a coordinator must keep scheduling grids whose
+    kernels it cannot resolve locally.
     """
     try:
-        if kind == "quantum":
-            from repro.core.problems import QUANTUM_PROBLEMS
-
-            info = QUANTUM_PROBLEMS.get(name)
-            return info.guarantee if info is not None else None
         from repro.runner.algorithms import SWEEP_ALGORITHMS
 
         info = SWEEP_ALGORITHMS.get(name)
@@ -175,10 +168,9 @@ class CostModel:
         the registries (best-effort) and returns one estimate per task,
         in task order.
         """
-        kind = str(description.get("kind", "sweep"))
         specs = list(description.get("specs", ()))
         names = list(description.get("algorithms", ()))
-        guarantees = [guarantee_of(name, kind=kind) for name in names]
+        guarantees = [guarantee_of(name) for name in names]
         costs: List[float] = []
         for spec_index, name_index in description.get("tasks", ()):
             spec = specs[int(spec_index)]

@@ -156,10 +156,7 @@ class _GridContext:
 
     def __init__(self, description: Dict[str, Any]) -> None:
         from repro.faults import NULL_FAULT_MODEL, FaultModel
-        from repro.runner import (
-            resolve_algorithms,
-            sweep_algorithm_for_problem,
-        )
+        from repro.runner import resolve_algorithms
         from repro.store.records import spec_from_dict
 
         # ``{"fault": {...} | null}``; the ``tier`` key that coordinators
@@ -179,13 +176,9 @@ class _GridContext:
         self.tasks = [tuple(item) for item in description["tasks"]]
         self.base_seed = int(description["base_seed"])
         self.signature = str(description["signature"])
-        self.kind = str(description.get("kind", "sweep"))
-        if self.kind == "quantum":
-            self.table = dict(
-                sweep_algorithm_for_problem(problem) for problem in self.names
-            )
-        else:
-            self.table = resolve_algorithms(self.names)
+        # Cells name sweep algorithms only; the ``kind`` key older
+        # clients sent with a grid is ignored.
+        self.table = resolve_algorithms(self.names)
 
     def cell(self, index: int):
         """The ``(spec, name)`` task of one grid index."""
@@ -200,13 +193,11 @@ class _Telemetry:
         self._lock = threading.Lock()
         self._items: List[Dict[str, Any]] = []
 
-    def record(self, algorithm: str, num_nodes: int, kind: str,
-               seconds: float) -> None:
+    def record(self, algorithm: str, num_nodes: int, seconds: float) -> None:
         with self._lock:
             self._items.append({
                 "algorithm": algorithm,
                 "num_nodes": num_nodes,
-                "kind": kind,
                 "seconds": round(seconds, 9),
             })
 
@@ -302,10 +293,7 @@ def _execute_shard(
                 if throttle:
                     time.sleep(throttle)
                 telemetry.record(
-                    name,
-                    spec.num_nodes,
-                    grid.kind,
-                    time.perf_counter() - cell_started,
+                    name, spec.num_nodes, time.perf_counter() - cell_started
                 )
                 fresh += 1
             else:

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.congest.errors import RoundLimitExceededError
 from repro.congest.metrics import ExecutionMetrics
-from repro.congest.node import Inbox, NodeAlgorithm
+from repro.congest.node import Broadcast, Inbox, NodeAlgorithm
 from repro.engine.observers import MetricsObserver, TrafficLogObserver
 from repro.engine.scheduler import Scheduler
 from repro.engine.transport import Transport
@@ -283,7 +283,9 @@ class ExecutionEngine:
                 if inbox is None:
                     inbox = inbox_pool.pop() if inbox_pool else {}
                 outbox = algorithm.on_round(round_number, inbox)
-                if outbox:
+                # A broadcast is tested by its targets tuple: its own
+                # truth test is a Python-level ``__len__`` call.
+                if outbox.targets if outbox.__class__ is Broadcast else outbox:
                     any_message = True
                     deliver(
                         round_number, node, outbox, next_inboxes, inbox_pool,

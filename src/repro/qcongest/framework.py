@@ -19,47 +19,21 @@ procedures.  The framework
 
 Concrete problems (exact diameter, Theorem 1; 3/2-approximation, Theorem 4)
 implement the small :class:`DistributedSearchProblem` interface in
-:mod:`repro.core`.
-
-Parallel branch evaluation.  The quantum schedule queries branch values
-``f(x)`` adaptively, but the very first amplitude-amplification round
-computes the marked mass over the *entire* search space, so every branch
-gets evaluated exactly once regardless -- and the evaluations are
-independent CONGEST runs.  When a :class:`repro.runner.batch.BatchRunner`
-is supplied (and the problem declares
-``supports_parallel_evaluation = True``), the framework pre-computes all
-branch evaluations through the pool and then serves the schedule's
-``value_of`` queries from the pre-computed table **in query order**, so
-every reported quantity -- values, per-call cost, distinct evaluations,
-simulated run/round counts -- is identical to the serial execution.
-Problems whose evaluation shares hidden state across calls (e.g. the
-reference-oracle modes, which amortise one representative run over all
-branches) must leave the flag unset.
+:mod:`repro.core`.  Branch values are evaluated serially, in the order the
+schedule queries them; a grid's parallelism is across its cells.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.congest.metrics import ExecutionMetrics
 from repro.engine import RunLogObserver
 from repro.quantum.backend import ScheduleBackend, resolve_schedule_backend
 from repro.quantum.cost_model import QuantumCostModel, QuantumResourceCount
 from repro.quantum.maximum_finding import MaximumFindingResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runner.batch import BatchRunner
 
 Item = Hashable
 
@@ -71,12 +45,6 @@ class DistributedSearchProblem:
     Initialization, the search space and Setup amplitudes, the Setup cost
     and the Evaluation procedure (value + cost).
     """
-
-    #: Whether :meth:`evaluate` calls are independent -- deterministic given
-    #: the post-initialization problem state, with no hidden caching shared
-    #: across calls -- so they may be dispatched to pool workers.  Problems
-    #: opt in after initialization (see the module docstring).
-    supports_parallel_evaluation: bool = False
 
     def initialization(self) -> ExecutionMetrics:
         """Run the classical Initialization phase; return its metrics."""
@@ -131,32 +99,11 @@ class DistributedOptimizationResult:
         return self.metrics.rounds
 
 
-def _evaluate_branch(problem: DistributedSearchProblem, item: Item):
-    """Evaluate one branch in a pool worker, counting its simulator runs.
-
-    Returns ``(value, metrics, runs, rounds, messages)`` so the parent can
-    replay the run-log accounting for branches the schedule actually
-    queries, keeping the parallel result identical to the serial one.
-    """
-    run_log = RunLogObserver()
-    network = getattr(problem, "network", None)
-    observed = network is not None and hasattr(network, "add_observer")
-    if observed:
-        network.add_observer(run_log)
-    try:
-        value, metrics = problem.evaluate(item)
-    finally:
-        if observed:
-            network.remove_observer(run_log)
-    return value, metrics, run_log.runs, run_log.rounds, run_log.messages
-
-
 def run_distributed_quantum_optimization(
     problem: DistributedSearchProblem,
     delta: float = 0.1,
     rng: Optional[random.Random] = None,
     budget_constant: float = 4.0,
-    runner: Optional["BatchRunner"] = None,
     backend: Optional[ScheduleBackend] = None,
 ) -> DistributedOptimizationResult:
     """Run Theorem 7's distributed quantum optimization for ``problem``.
@@ -164,11 +111,6 @@ def run_distributed_quantum_optimization(
     ``delta`` is the per-run failure probability target; the returned value
     is the maximum of ``f`` with probability at least ``1 - delta`` (up to
     the constants of the amplitude-amplification schedule).
-
-    ``runner`` optionally parallelises the independent branch evaluations
-    over a :class:`repro.runner.batch.BatchRunner` process pool when the
-    problem declares ``supports_parallel_evaluation``; the result is
-    identical to the serial run (see the module docstring).
 
     ``backend`` is the quantum schedule simulator
     (:mod:`repro.quantum.backend`; ``None``: the batched backend).  The
@@ -196,40 +138,13 @@ def run_distributed_quantum_optimization(
             raise ValueError("the search space must be non-empty")
         setup_metrics = problem.setup_cost()
 
-        # Pre-compute the independent branch evaluations through the pool.
-        # The schedule's first amplitude-amplification round touches every
-        # branch anyway, so this is the same work, done cores-wide; the
-        # accounting below is replayed lazily in query order so that every
-        # reported quantity matches the serial execution exactly.
-        precomputed: Optional[Dict[Item, tuple]] = None
-        if (
-            runner is not None
-            and runner.jobs > 1
-            and len(amplitudes) > 1  # map() falls back in-process for a
-            # single task, which would run on the observed parent network
-            # and then double-count when the replay below adds the deltas
-            and getattr(problem, "supports_parallel_evaluation", False)
-        ):
-            items = list(amplitudes)
-            precomputed = dict(
-                zip(items, runner.map(_evaluate_branch, items, context=problem))
-            )
-
         evaluation_cost: Dict[str, ExecutionMetrics] = {}
         value_cache: Dict[Item, float] = {}
 
         def value_of(item: Item) -> float:
             if item in value_cache:
                 return value_cache[item]
-            branch = None if precomputed is None else precomputed.get(item)
-            if branch is not None:
-                value, metrics, runs, rounds, messages = branch
-                if observed:
-                    run_log.runs += runs
-                    run_log.rounds += rounds
-                    run_log.messages += messages
-            else:
-                value, metrics = problem.evaluate(item)
+            value, metrics = problem.evaluate(item)
             value_cache[item] = value
             current = evaluation_cost.get("max")
             if current is None or metrics.rounds > current.rounds:

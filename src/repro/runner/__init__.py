@@ -17,8 +17,7 @@ package provides the machinery:
   (hence picklable) measurement kernels referenced by name from grid tasks.
 
 Consumers: :func:`repro.analysis.sweep.run_sweep_grid`, the CLI ``sweep --jobs``
-command, the benchmark harnesses (``--jobs``) and the qcongest framework's
-parallel branch evaluation.
+command and the benchmark harnesses (``--jobs``).
 
 Every name loads its module on first use, and :mod:`repro.runner.batch`
 imports ``multiprocessing`` only when it builds a pool, so a serial grid
@@ -30,14 +29,11 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "EXACT": "repro.runner.algorithms",
     "GUARANTEES": "repro.runner.algorithms",
-    "QUANTUM_SWEEP_NAMES": "repro.runner.algorithms",
     "SWEEP_ALGORITHMS": "repro.runner.algorithms",
     "THREE_HALVES": "repro.runner.algorithms",
     "TWO_APPROX": "repro.runner.algorithms",
     "SweepAlgorithmInfo": "repro.runner.algorithms",
-    "quantum_problem_kernel": "repro.runner.algorithms",
     "resolve_algorithms": "repro.runner.algorithms",
-    "sweep_algorithm_for_problem": "repro.runner.algorithms",
     "BatchRunner": "repro.runner.batch",
     "BatchTaskError": "repro.runner.batch",
     "resolve_jobs": "repro.runner.batch",
@@ -61,9 +57,6 @@ __all__ = [
     "clear_worker_caches",
     "SWEEP_ALGORITHMS",
     "SweepAlgorithmInfo",
-    "quantum_problem_kernel",
-    "QUANTUM_SWEEP_NAMES",
-    "sweep_algorithm_for_problem",
     "EXACT",
     "TWO_APPROX",
     "THREE_HALVES",

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
+    from repro.congest.network import Network
     from repro.faults import FaultModel
 
 SweepAlgorithm = Callable[..., Tuple[int, float]]
@@ -160,86 +161,105 @@ def hprw_three_halves(
     return result.rounds, float(result.estimate)
 
 
-def quantum_problem_kernel(
-    graph: Graph,
-    seed: int,
-    fault: Optional[FaultModel] = None,
-    problem: str = "exact_diameter",
-) -> Tuple[int, float]:
-    """Run a registered quantum problem (reference oracle mode) as a sweep cell.
+def quantum_seeds(seed: int) -> Tuple[int, int]:
+    """The independent ``(network, schedule)`` seeds of one quantum run.
 
-    The per-cell ``seed`` feeds two *independent* streams -- the CONGEST
-    network's node randomness and the quantum schedule's measurement
-    randomness -- derived with :func:`repro.runner.batch.task_seed`.
-    Earlier revisions passed the raw seed to both, correlating leader
-    election tie-breaks with the schedule's measurement draws (the same
-    aliasing fixed for the sweep's graph-vs-algorithm seed split).
-    The schedule runs on the batched backend; ``fault`` travels with
-    the grid's task context, so parallel sweeps run under the same fault
-    model.
+    One seed must not feed both the CONGEST network's node randomness and
+    the quantum schedule's measurement randomness: with the raw value in
+    both, leader election tie-breaks would replay the schedule's
+    measurement draws.  Both streams derive from ``seed`` with
+    :func:`repro.runner.batch.task_seed`; the sweep kernels below and the
+    ``diameter``/``approx`` commands share this split.
     """
-    from repro.congest.network import Network
-    from repro.core.problems import resolve_quantum_problem
     from repro.runner.batch import task_seed
 
-    info = resolve_quantum_problem(problem)
-    network_seed = task_seed(seed, "quantum-network-stream")
-    schedule_seed = task_seed(seed, "quantum-schedule-stream")
-    run = info.solve(
-        Network(graph, seed=network_seed, fault_model=fault),
-        oracle_mode="reference",
-        seed=schedule_seed,
+    return (
+        task_seed(seed, "quantum-network-stream"),
+        task_seed(seed, "quantum-schedule-stream"),
     )
-    return run.rounds, run.value
+
+
+def _quantum_network(
+    graph: Graph, seed: int, fault: Optional[FaultModel]
+) -> Tuple[Network, int]:
+    """The network of one quantum sweep cell, and its schedule seed.
+
+    The network runs under the grid's fault model; the schedule runs on
+    the batched backend in reference oracle mode.
+    """
+    from repro.congest.network import Network
+
+    network_seed, schedule_seed = quantum_seeds(seed)
+    return Network(graph, seed=network_seed, fault_model=fault), schedule_seed
 
 
 def quantum_exact(
     graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum exact diameter (Theorem 1), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, fault, problem="exact_diameter")
+    from repro.core.exact_diameter import quantum_exact_diameter
+
+    network, schedule_seed = _quantum_network(graph, seed, fault)
+    result = quantum_exact_diameter(
+        network, oracle_mode="reference", seed=schedule_seed
+    )
+    return result.rounds, float(result.diameter)
 
 
 def quantum_three_halves(
     graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum 3/2-approximation (Theorem 4), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, fault, problem="three_halves")
+    from repro.core.approx_diameter import quantum_three_halves_diameter
+
+    network, schedule_seed = _quantum_network(graph, seed, fault)
+    result = quantum_three_halves_diameter(
+        network, oracle_mode="reference", seed=schedule_seed
+    )
+    return result.rounds, float(result.estimate)
 
 
 def quantum_radius(
     graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum exact radius (Theorem-7 instantiation), reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, fault, problem="radius")
+    from repro.core.radius import quantum_exact_radius
+
+    network, schedule_seed = _quantum_network(graph, seed, fault)
+    result = quantum_exact_radius(
+        network, oracle_mode="reference", seed=schedule_seed
+    )
+    return result.rounds, float(result.radius)
 
 
 def quantum_source_ecc(
     graph: Graph, seed: int, fault: Optional[FaultModel] = None
 ) -> Tuple[int, float]:
     """Quantum single-source eccentricity, reference oracle mode."""
-    return quantum_problem_kernel(graph, seed, fault, problem="source_ecc")
+    from repro.core.source_ecc import quantum_source_eccentricity
+
+    network, schedule_seed = _quantum_network(graph, seed, fault)
+    result = quantum_source_eccentricity(
+        network, oracle_mode="reference", seed=schedule_seed
+    )
+    return result.rounds, float(result.eccentricity)
 
 
-def _radius_oracle(graph: Graph) -> float:
-    """Ground truth for ``quantum_radius`` (compiled CSR view)."""
-    from repro.core.problems import radius_oracle
-
-    return radius_oracle(graph)
+def radius_oracle(graph: Graph) -> float:
+    """Ground truth for ``quantum_radius``: the radius (compiled CSR view)."""
+    return float(graph.compile().radius())
 
 
-def _source_ecc_oracle(graph: Graph) -> float:
-    """Ground truth for ``quantum_source_ecc`` (compiled CSR view)."""
-    from repro.core.problems import source_eccentricity_oracle
-
-    return source_eccentricity_oracle(graph)
+def source_eccentricity_oracle(graph: Graph) -> float:
+    """Ground truth for ``quantum_source_ecc``: ``ecc`` of the graph's
+    first node, the default source (compiled CSR view)."""
+    return float(graph.compile().eccentricity(graph.nodes()[0]))
 
 
 #: The registry the CLI ``sweep`` command and the batched grids draw from.
 #: Values carry the correctness metadata the sweep layer keys off.  The
-#: ``quantum_*`` entries are shims over the problem registry of
-#: :mod:`repro.core.problems` (``repro quantum`` enumerates the same
-#: problems directly).
+#: ``quantum_*`` entries run the Theorem-7 problems of
+#: :mod:`repro.core.problems` (``repro quantum`` names them by problem).
 SWEEP_ALGORITHMS: Dict[str, SweepAlgorithmInfo] = {
     "classical_exact": SweepAlgorithmInfo(classical_exact, guarantee=EXACT),
     "two_approx": SweepAlgorithmInfo(two_approx, guarantee=TWO_APPROX),
@@ -252,60 +272,12 @@ SWEEP_ALGORITHMS: Dict[str, SweepAlgorithmInfo] = {
         quantum_three_halves, guarantee=THREE_HALVES
     ),
     "quantum_radius": SweepAlgorithmInfo(
-        quantum_radius, guarantee=EXACT, oracle=_radius_oracle
+        quantum_radius, guarantee=EXACT, oracle=radius_oracle
     ),
     "quantum_source_ecc": SweepAlgorithmInfo(
-        quantum_source_ecc, guarantee=EXACT, oracle=_source_ecc_oracle
+        quantum_source_ecc, guarantee=EXACT, oracle=source_eccentricity_oracle
     ),
 }
-
-#: Problem-registry name -> sweep-registry name.  ``repro quantum`` uses
-#: this to run registered problems through ``run_sweep_grid`` under the
-#: same algorithm names as ``repro sweep``, so stores, exports and resume
-#: are interoperable between the two commands.
-QUANTUM_SWEEP_NAMES: Dict[str, str] = {
-    "exact_diameter": "quantum_exact",
-    "three_halves": "quantum_three_halves",
-    "radius": "quantum_radius",
-    "source_ecc": "quantum_source_ecc",
-}
-
-
-def sweep_algorithm_for_problem(problem: str) -> Tuple[str, SweepAlgorithmInfo]:
-    """The sweep-registry ``(name, entry)`` for a registered quantum problem.
-
-    The four built-in problems map to their fixed
-    :data:`SWEEP_ALGORITHMS` entries (:data:`QUANTUM_SWEEP_NAMES`).
-    Problems registered at runtime via
-    :func:`repro.core.problems.register_quantum_problem` get an
-    on-the-fly entry named ``quantum_<problem>`` whose kernel is a
-    picklable :func:`functools.partial` of
-    :func:`quantum_problem_kernel`, carrying the problem's own guarantee
-    and ground-truth oracle.  A runtime problem whose derived name would
-    shadow an existing sweep algorithm is rejected: silently returning
-    the unrelated built-in entry would run the wrong kernel and validate
-    against the wrong oracle.
-    """
-    import functools
-
-    from repro.core.problems import resolve_quantum_problem
-
-    problem_info = resolve_quantum_problem(problem)
-    canonical = QUANTUM_SWEEP_NAMES.get(problem)
-    if canonical is not None:
-        return canonical, SWEEP_ALGORITHMS[canonical]
-    sweep_name = f"quantum_{problem}"
-    if sweep_name in SWEEP_ALGORITHMS:
-        raise ValueError(
-            f"quantum problem {problem!r} derives sweep name {sweep_name!r}, "
-            "which already names a different sweep algorithm; register the "
-            "problem under a non-colliding name"
-        )
-    return sweep_name, SweepAlgorithmInfo(
-        functools.partial(quantum_problem_kernel, problem=problem),
-        guarantee=problem_info.guarantee,
-        oracle=problem_info.oracle,
-    )
 
 
 def resolve_algorithms(names) -> Dict[str, SweepAlgorithmInfo]:

@@ -10,7 +10,8 @@ That identity is structural, not coincidental: both paths construct a
 * the user-facing ``--seed`` splits into the independent graph-stream /
   algorithm-stream seeds,
 * family and size validation happens,
-* algorithm (or quantum problem) names resolve to registry kernels, and
+* algorithm names resolve to registry kernels (a quantum problem name
+  first to its sweep name; no other place resolves one), and
 * the fault flags become the :class:`repro.faults.FaultModel` handed to
   :func:`repro.analysis.sweep.run_sweep_grid`.
 
@@ -38,7 +39,6 @@ from repro.runner import (
     GraphSpec,
     grid,
     resolve_algorithms,
-    sweep_algorithm_for_problem,
     task_seed,
 )
 
@@ -56,7 +56,8 @@ def _is_int(value: Any) -> bool:
 
 #: How the algorithm names of a request resolve: ``sweep`` looks them up
 #: in :data:`repro.runner.SWEEP_ALGORITHMS`, ``quantum`` treats them as
-#: registered quantum problem names (the ``repro quantum`` command).
+#: quantum problem names (the ``repro quantum`` command) and maps each to
+#: its sweep name in :meth:`GridRequest.algorithm_table`.
 GRID_KINDS = ("sweep", "quantum")
 
 
@@ -172,13 +173,19 @@ class GridRequest:
         )
 
     def algorithm_table(self) -> Dict[str, Any]:
-        """Resolved ``name -> kernel`` table for this request's kind."""
+        """Resolved ``sweep name -> kernel`` table for this request.
+
+        The one place a quantum problem name resolves: a ``quantum``
+        request's problems become their sweep names here, so everything
+        below the request -- the sweep layer, records, remote dispatch
+        and workers -- sees a plain sweep grid.
+        """
+        names = self.algorithms
         if self.kind == "quantum":
-            return dict(
-                sweep_algorithm_for_problem(problem)
-                for problem in self.algorithms
-            )
-        return resolve_algorithms(list(self.algorithms))
+            from repro.core.problems import resolve_quantum_problem
+
+            names = [resolve_quantum_problem(name).sweep_name for name in names]
+        return resolve_algorithms(names)
 
     def total_cells(self) -> int:
         """Number of ``(spec, algorithm)`` cells the grid produces."""

@@ -250,7 +250,6 @@ class ExperimentService:
                 run = self._running[job_id] = _JobRun(
                     RemoteDispatch(
                         coordinator=self.coordinator,
-                        kind=record.request.kind,
                         workers=resolve_jobs(record.request.jobs),
                     ),
                     os.path.join(self.data_dir, ".dispatch", job_id),

@@ -14,6 +14,7 @@ path use real subprocess workers, as the CLI would.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -27,6 +28,7 @@ import pytest
 
 import repro
 from repro.analysis.sweep import SweepCancelled, run_sweep_grid
+from repro.cli import main
 from repro.dispatch import (
     DispatchCoordinator,
     DispatchError,
@@ -38,6 +40,7 @@ from repro.dispatch import (
     parse_address,
 )
 from repro.dispatch.worker import (
+    _GridContext,
     default_worker_id,
     run_worker,
     shard_store_path,
@@ -45,6 +48,7 @@ from repro.dispatch.worker import (
 )
 from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
+from repro.service.gridspec import GridRequest, execute_grid_request
 from repro.store import ExperimentStore, merge_shards, render_records
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -178,10 +182,6 @@ class TestRemoteDispatchMisuse:
                 coordinator=DispatchCoordinator(),
             )
 
-    def test_unknown_kind_refused(self):
-        with pytest.raises(ValueError, match="unknown grid kind"):
-            RemoteDispatch(address=("127.0.0.1", 1), kind="banana")
-
     def test_arbitrary_callables_refused(self):
         backend = RemoteDispatch(address=("127.0.0.1", 1))
         with pytest.raises(DispatchError, match="only executes sweep grid"):
@@ -286,9 +286,10 @@ class TestWorkerIds:
         assert path == os.path.join("dir", "shard-abcd-w1.jsonl")
 
 
-def _run_remote(specs, table, base_seed, shard_dir, workers=2,
-                shard_size=None, start_delay=0.0):
-    """A full remote round-trip with in-thread workers; returns records."""
+@contextlib.contextmanager
+def _remote_coordinator(shard_dir, workers=2, shard_size=None, start_delay=0.0):
+    """A started coordinator with ``workers`` in-thread workers; stops it
+    and joins the workers on exit."""
     coordinator = DispatchCoordinator(shard_size=shard_size)
     coordinator.start()
     host, port = coordinator.address
@@ -313,16 +314,24 @@ def _run_remote(specs, table, base_seed, shard_dir, workers=2,
             for thread in threads:
                 thread.start()
             coordinator.wait_for_workers(workers, timeout=30.0)
-        records = run_sweep_grid(
-            specs, table, base_seed=base_seed,
-            runner=RemoteDispatch(coordinator=coordinator, workers=workers),
-        )
+        yield coordinator
     finally:
         coordinator.stop()
     for thread in threads:
         thread.join(timeout=15.0)
         assert not thread.is_alive(), "worker thread failed to exit"
-    return records
+
+
+def _run_remote(specs, table, base_seed, shard_dir, workers=2,
+                shard_size=None, start_delay=0.0):
+    """A full remote round-trip with in-thread workers; returns records."""
+    with _remote_coordinator(
+        shard_dir, workers, shard_size, start_delay
+    ) as coordinator:
+        return run_sweep_grid(
+            specs, table, base_seed=base_seed,
+            runner=RemoteDispatch(coordinator=coordinator, workers=workers),
+        )
 
 
 class TestRemoteEndToEnd:
@@ -392,6 +401,99 @@ class TestRemoteEndToEnd:
                                  connect_timeout=0.5)
         with pytest.raises(DispatchError, match="could not reach"):
             run_sweep_grid(specs, table, base_seed=5, runner=backend)
+
+
+#: A ``repro quantum`` grid: problem names, resolved by the request.
+QUANTUM_REQUEST = GridRequest(
+    families=("cycle", "clique_chain"), sizes=(8, 12),
+    algorithms=("exact_diameter", "radius"), kind="quantum", seed=3,
+)
+
+
+class TestQuantumGrids:
+    """A quantum request's problems resolve to their sweep names once, in
+    the request; below it a quantum grid is a sweep grid, so remote
+    workers run it byte-identical to the local run."""
+
+    def _description(self, request):
+        table = request.algorithm_table()
+        tasks = [(spec, name) for spec in request.specs() for name in table]
+        backend = RemoteDispatch(address=("127.0.0.1", 1))
+        return backend._describe(
+            tasks, (table, request.base_seed(), NULL_FAULT_MODEL)
+        )
+
+    def test_request_through_remote_dispatch(self, tmp_path):
+        local = execute_grid_request(QUANTUM_REQUEST)
+        with _remote_coordinator(
+            str(tmp_path / "shards"), workers=2, shard_size=2
+        ) as coordinator:
+            remote = execute_grid_request(
+                QUANTUM_REQUEST,
+                runner=RemoteDispatch(coordinator=coordinator, workers=2),
+            )
+        assert remote == local
+        for fmt in ("csv", "jsonl"):
+            assert render_records(remote, fmt) == render_records(local, fmt)
+        assert {record.algorithm for record in remote} == {
+            "quantum_exact", "quantum_radius",
+        }
+
+    def test_cli_quantum_over_two_workers(self, tmp_path, monkeypatch):
+        """``repro quantum --dispatch-workers 2`` streams and stores the
+        local run's export."""
+        wait = DispatchCoordinator.wait_for_workers
+        joined = []
+
+        def wait_for_joining_workers(coordinator, count, timeout=60.0):
+            for index in range(count):
+                worker = threading.Thread(
+                    target=run_worker,
+                    args=(*coordinator.address, str(tmp_path / "shards")),
+                    kwargs=dict(worker_id=f"q{index + 1}", once=True,
+                                connect_wait=15.0, heartbeat_interval=0.5),
+                    daemon=True,
+                )
+                worker.start()
+                joined.append(worker)
+            return wait(coordinator, count, timeout)
+
+        monkeypatch.setattr(
+            DispatchCoordinator, "wait_for_workers", wait_for_joining_workers
+        )
+        args = ["quantum", "--families", "cycle,clique_chain",
+                "--sizes", "8,12", "--problems", "exact_diameter,radius",
+                "--seed", "3"]
+        assert main([*args, "--out", str(tmp_path / "local.jsonl")]) == 0
+        assert main([
+            *args, "--out", str(tmp_path / "remote.jsonl"),
+            "--dispatch-workers", "2",
+        ]) == 0
+        for worker in joined:
+            worker.join(timeout=15.0)
+            assert not worker.is_alive()
+        assert len(joined) == 2
+        exports = [
+            render_records(
+                ExperimentStore(str(tmp_path / name)).load_records(), "csv"
+            )
+            for name in ("local.jsonl", "remote.jsonl")
+        ]
+        assert exports[0] == exports[1]
+
+    def test_frames_carry_no_grid_kind(self):
+        description = self._description(QUANTUM_REQUEST)
+        assert "kind" not in description
+        assert description["algorithms"] == ["quantum_exact", "quantum_radius"]
+
+    def test_worker_ignores_a_grid_kind(self):
+        """A frame that still carries ``"kind": "quantum"`` (as clients
+        sent it while workers resolved problem names) names sweep
+        algorithms all the same."""
+        description = self._description(QUANTUM_REQUEST)
+        for kind in ("quantum", "sweep", "banana"):
+            context = _GridContext({**description, "kind": kind})
+            assert list(context.table) == ["quantum_exact", "quantum_radius"]
 
 
 def _spawn_worker(address, shard_dir, name, heartbeat=0.5):

@@ -91,7 +91,22 @@ class TestCostPriors:
         assert guarantee_of("classical_exact") == "exact"
         assert guarantee_of("two_approx") == "two_approx"
         assert guarantee_of("not-an-algorithm") is None
-        assert guarantee_of("not-a-problem", kind="quantum") is None
+
+    def test_quantum_grid_costs_use_the_exact_prior(self):
+        """A quantum grid ships sweep names, so its cells get their
+        kernels' ``exact`` prior -- also from a frame that still carries
+        the ``"kind": "quantum"`` key clients used to send."""
+        description = {
+            "kind": "quantum",
+            "specs": [{"family": "cycle", "num_nodes": n, "seed": 1}
+                      for n in (12, 20)],
+            "algorithms": ["quantum_exact", "quantum_radius"],
+            "tasks": [[s, a] for s in range(2) for a in range(2)],
+        }
+        expected = [static_cell_cost(n, "exact") for n in (12, 12, 20, 20)]
+        assert CostModel().grid_costs(description) == expected
+        del description["kind"]
+        assert CostModel().grid_costs(description) == expected
 
 
 class TestCostModelCalibration:

@@ -122,8 +122,12 @@ import sys
 
 from repro.analysis.sweep import run_sweep_grid
 from repro.congest.network import Network
-from repro.core import quantum_exact_diameter, quantum_exact_radius
-from repro.core.problems import QUANTUM_PROBLEMS
+from repro.core import (
+    quantum_exact_diameter,
+    quantum_exact_radius,
+    quantum_source_eccentricity,
+    quantum_three_halves_diameter,
+)
 from repro.graphs.graph import Graph
 from repro.quantum.backend import BatchedScheduleBackend, SamplingScheduleBackend
 from repro.runner import GraphSpec, resolve_algorithms
@@ -152,10 +156,16 @@ radius = quantum_exact_radius(
 )
 
 problems = {}
-for name, info in sorted(QUANTUM_PROBLEMS.items()):
-    run = info.solve(Network(graph, seed=1, bandwidth_bits=160),
-                     oracle_mode="reference", seed=5)
-    problems[name] = [run.value, run.rounds, run.counts.evaluation_calls]
+for name, entry, field in (
+    ("exact_diameter", quantum_exact_diameter, "diameter"),
+    ("radius", quantum_exact_radius, "radius"),
+    ("source_ecc", quantum_source_eccentricity, "eccentricity"),
+    ("three_halves", quantum_three_halves_diameter, "estimate"),
+):
+    run = entry(Network(graph, seed=1, bandwidth_bits=160),
+                oracle_mode="reference", seed=5)
+    problems[name] = [float(getattr(run, field)), run.rounds,
+                      run.counts.evaluation_calls]
 
 records = run_sweep_grid(
     (GraphSpec(family="clique_chain", num_nodes=12, seed=4),),

@@ -3,8 +3,8 @@
 The batched backend's contract is *byte identity* with the reference
 sampling simulation for a fixed seed -- same values, same Setup /
 Evaluation / measurement counts, same conditioned samples -- across every
-registered problem, graph family and execution path (including the
-BatchRunner parallel branch evaluation).  These tests mirror the
+Theorem-7 problem, graph family and execution path (including a parallel
+sweep grid).  These tests mirror the
 dense==sparse scheduler differential suite.  Every quantum run uses the
 batched backend; the sampling backend is reachable only as an instance
 passed to ``backend=``.
@@ -20,6 +20,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.congest.network import Network
+from repro.core import (
+    quantum_exact_diameter,
+    quantum_exact_radius,
+    quantum_source_eccentricity,
+    quantum_three_halves_diameter,
+)
 from repro.core.problems import QUANTUM_PROBLEMS
 from repro.graphs import generators
 from repro.quantum.backend import (
@@ -44,6 +50,22 @@ BATCHED = BatchedScheduleBackend()
 
 #: The two backends by name, for the paired runs below.
 BACKENDS = {"sampling": SAMPLING, "batched": BATCHED}
+
+#: Each problem's :mod:`repro.core` entry point and its answer field.
+ENTRY_POINTS = {
+    "exact_diameter": (quantum_exact_diameter, "diameter"),
+    "three_halves": (quantum_three_halves_diameter, "estimate"),
+    "radius": (quantum_exact_radius, "radius"),
+    "source_ecc": (quantum_source_eccentricity, "eccentricity"),
+}
+
+
+def _solve(problem, network, **options):
+    """Run ``problem`` through its entry point; return ``(answer, result)``."""
+    entry, field = ENTRY_POINTS[problem]
+    result = entry(network, **options)
+    return getattr(result, field), result
+
 
 #: The graph families the sweep layer exercises, at differential sizes.
 FAMILY_GRAPHS = [
@@ -268,17 +290,17 @@ class TestProblemsDifferential:
     @pytest.mark.parametrize("family,graph", FAMILY_GRAPHS, ids=[f for f, _ in FAMILY_GRAPHS])
     @pytest.mark.parametrize("problem", sorted(QUANTUM_PROBLEMS))
     def test_registered_problem_identical(self, problem, family, graph):
-        info = QUANTUM_PROBLEMS[problem]
-        runs = {}
+        answers, runs = {}, {}
         for name, backend in BACKENDS.items():
-            runs[name] = info.solve(
+            answers[name], runs[name] = _solve(
+                problem,
                 Network(graph, seed=2),
                 oracle_mode="reference",
                 seed=5,
                 backend=backend,
             )
         sampling, batched = runs["sampling"], runs["batched"]
-        assert sampling.value == batched.value
+        assert answers["sampling"] == answers["batched"]
         assert sampling.rounds == batched.rounds
         assert sampling.counts == batched.counts
         assert _optimization_fields(sampling) == _optimization_fields(batched)
@@ -287,45 +309,18 @@ class TestProblemsDifferential:
     def test_congest_oracle_identical(self, problem):
         """Identity also holds under end-to-end CONGEST evaluation."""
         graph = generators.clique_chain(3, 3)
-        info = QUANTUM_PROBLEMS[problem]
-        runs = {
-            name: info.solve(
-                Network(graph, seed=1), oracle_mode="congest",
+        answers, runs = {}, {}
+        for name, backend in BACKENDS.items():
+            answers[name], runs[name] = _solve(
+                problem, Network(graph, seed=1), oracle_mode="congest",
                 seed=3, backend=backend,
             )
-            for name, backend in BACKENDS.items()
-        }
-        assert runs["sampling"].value == runs["batched"].value
+        assert answers["sampling"] == answers["batched"]
         assert runs["sampling"].rounds == runs["batched"].rounds
         assert runs["sampling"].counts == runs["batched"].counts
         assert (
             _optimization_fields(runs["sampling"])
             == _optimization_fields(runs["batched"])
-        )
-
-    def test_parallel_branch_evaluation_identical(self):
-        """The BatchRunner congest path is backend-independent too."""
-        from repro.core.exact_diameter import quantum_exact_diameter
-
-        graph = generators.clique_chain(3, 3)
-        runner = BatchRunner(jobs=2)
-        results = {}
-        for name, backend in BACKENDS.items():
-            results[name] = quantum_exact_diameter(
-                Network(graph, seed=4), oracle_mode="congest",
-                seed=6, runner=runner, backend=backend,
-            )
-        sampling, batched = results["sampling"], results["batched"]
-        assert sampling.diameter == batched.diameter
-        assert sampling.rounds == batched.rounds
-        assert sampling.counts == batched.counts
-        assert (
-            sampling.optimization.simulated_runs
-            == batched.optimization.simulated_runs
-        )
-        assert (
-            sampling.optimization.simulated_rounds
-            == batched.optimization.simulated_rounds
         )
 
     def test_parallel_sweep_records_identical_across_backends(

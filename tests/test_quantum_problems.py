@@ -1,4 +1,4 @@
-"""Tests for the new Theorem-7 problems, the problem registry and their
+"""Tests for the new Theorem-7 problems, the problem table and their
 sweep/store/CLI integration."""
 
 from __future__ import annotations
@@ -12,32 +12,33 @@ from repro.cli import main
 from repro.congest.network import Network
 from repro.core import (
     QUANTUM_PROBLEMS,
-    QuantumProblemInfo,
+    quantum_exact_diameter,
     quantum_exact_radius,
     quantum_problem_names,
     quantum_source_eccentricity,
-    register_quantum_problem,
+    quantum_three_halves_diameter,
     resolve_quantum_problem,
-)
-from repro.core.problems import (
-    diameter_oracle,
-    radius_oracle,
-    solve_radius,
-    source_eccentricity_oracle,
 )
 from repro.core.radius import ExactRadiusProblem
 from repro.core.source_ecc import SourceEccentricityProblem
 from repro.graphs import generators
 from repro.runner import (
     EXACT,
-    QUANTUM_SWEEP_NAMES,
     SWEEP_ALGORITHMS,
     GraphSpec,
     SweepAlgorithmInfo,
     resolve_algorithms,
-    sweep_algorithm_for_problem,
 )
+from repro.runner.algorithms import radius_oracle, source_eccentricity_oracle
 from repro.store import ExperimentStore
+
+#: Each problem's :mod:`repro.core` entry point.
+ENTRY_POINTS = {
+    "exact_diameter": quantum_exact_diameter,
+    "three_halves": quantum_three_halves_diameter,
+    "radius": quantum_exact_radius,
+    "source_ecc": quantum_source_eccentricity,
+}
 
 
 class TestQuantumRadius:
@@ -142,17 +143,16 @@ class TestQuantumSourceEccentricity:
 
 class TestProblemRegistry:
     def test_four_problems_registered(self):
-        assert set(quantum_problem_names()) >= {
+        assert quantum_problem_names() == (
             "exact_diameter",
-            "three_halves",
             "radius",
             "source_ecc",
-        }
+            "three_halves",
+        )
         for name in quantum_problem_names():
             info = resolve_quantum_problem(name)
             assert info.name == name
-            assert callable(info.solve)
-            assert callable(info.oracle)
+            assert info.sweep_name in SWEEP_ALGORITHMS
 
     def test_unknown_problem_rejected(self):
         with pytest.raises(ValueError, match="unknown quantum problem"):
@@ -160,71 +160,28 @@ class TestProblemRegistry:
 
     def test_oracles_use_compiled_view(self):
         graph = generators.clique_chain(3, 4)
-        assert diameter_oracle(graph) == float(graph.compile().diameter())
         assert radius_oracle(graph) == float(graph.compile().radius())
         assert source_eccentricity_oracle(graph) == float(
             graph.compile().eccentricity(graph.nodes()[0])
         )
 
-    def test_solve_wrappers_report_uniform_summary(self):
+    def test_entry_points_report_rounds_counts_and_optimization(self):
         graph = generators.clique_chain(3, 3)
         for name in quantum_problem_names():
-            info = QUANTUM_PROBLEMS[name]
-            run = info.solve(
+            result = ENTRY_POINTS[name](
                 Network(graph, seed=1), oracle_mode="reference", seed=2
             )
-            assert run.problem == name
-            assert run.rounds > 0
-            assert run.counts.evaluation_calls >= 1
-            assert run.optimization is not None
+            assert result.rounds > 0
+            assert result.counts.evaluation_calls >= 1
+            assert result.optimization is not None
 
     def test_sweep_mapping_covers_registry(self):
-        for problem, sweep_name in QUANTUM_SWEEP_NAMES.items():
-            assert problem in QUANTUM_PROBLEMS
-            assert sweep_name in SWEEP_ALGORITHMS
-            name, info = sweep_algorithm_for_problem(problem)
-            assert name == sweep_name
-            assert info is SWEEP_ALGORITHMS[sweep_name]
-
-    def test_colliding_runtime_problem_name_rejected(self):
-        """A runtime problem whose derived sweep name shadows a built-in
-        entry must be refused, not silently mapped to the wrong kernel."""
-        info = QuantumProblemInfo(
-            name="exact",  # derives "quantum_exact" -- the Theorem-1 entry
-            theorem="Theorem 7",
-            description="collides with the built-in exact-diameter kernel",
-            solve=solve_radius,
-            oracle=radius_oracle,
-            guarantee=EXACT,
-        )
-        register_quantum_problem(info)
-        try:
-            with pytest.raises(ValueError, match="already names"):
-                sweep_algorithm_for_problem("exact")
-        finally:
-            del QUANTUM_PROBLEMS["exact"]
-
-    def test_runtime_registered_problem_gets_sweep_entry(self):
-        info = QuantumProblemInfo(
-            name="radius_alias",
-            theorem="Theorem 7",
-            description="runtime-registered alias of the radius problem",
-            solve=solve_radius,
-            oracle=radius_oracle,
-            guarantee=EXACT,
-        )
-        register_quantum_problem(info)
-        try:
-            name, entry = sweep_algorithm_for_problem("radius_alias")
-            assert name == "quantum_radius_alias"
-            assert entry.guarantee == EXACT
-            assert entry.oracle is radius_oracle
-            graph = generators.cycle_graph(10)
-            rounds, value = entry(graph, 3)
-            assert rounds > 0
-            assert value == radius_oracle(graph)
-        finally:
-            del QUANTUM_PROBLEMS["radius_alias"]
+        """Each problem names its own sweep entry, whose contract is the
+        one ``repro quantum --list`` prints."""
+        sweep_names = [info.sweep_name for info in QUANTUM_PROBLEMS.values()]
+        assert len(set(sweep_names)) == len(sweep_names)
+        for info in QUANTUM_PROBLEMS.values():
+            assert SWEEP_ALGORITHMS[info.sweep_name].guarantee == info.guarantee
 
 
 class TestSweepIntegration:

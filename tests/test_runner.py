@@ -11,8 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweep import SweepRecord, run_sweep_grid, sweep_table
-from repro.congest.network import Network
-from repro.core.exact_diameter import quantum_exact_diameter
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.runner import (
@@ -252,59 +250,3 @@ class TestRunSweepGrid:
         with pytest.raises(ValueError, match="unknown sweep algorithm"):
             resolve_algorithms(["nope"])
         assert set(resolve_algorithms(SWEEP_ALGORITHMS)) == set(SWEEP_ALGORITHMS)
-
-
-class TestParallelQuantumEvaluation:
-    def test_congest_oracle_parallel_equals_serial(self):
-        graph = generators.clique_chain(3, 3)
-        serial = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="congest", seed=4
-        )
-        parallel = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="congest", seed=4,
-            runner=BatchRunner(jobs=2),
-        )
-        assert serial.diameter == parallel.diameter
-        assert serial.counts == parallel.counts
-        assert serial.metrics == parallel.metrics
-        assert (
-            serial.optimization.simulated_runs
-            == parallel.optimization.simulated_runs
-        )
-        assert (
-            serial.optimization.distinct_evaluations
-            == parallel.optimization.distinct_evaluations
-        )
-
-    def test_single_item_search_space_not_double_counted(self):
-        # BatchRunner.map runs a single task in-process, where the parent
-        # observer already sees the runs; the framework must not replay
-        # the deltas on top (would double-count simulated_runs).
-        graph = generators.path_graph(1)
-        serial = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="congest", seed=4
-        )
-        parallel = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="congest", seed=4,
-            runner=BatchRunner(jobs=2),
-        )
-        assert (
-            serial.optimization.simulated_runs
-            == parallel.optimization.simulated_runs
-        )
-        assert (
-            serial.optimization.simulated_rounds
-            == parallel.optimization.simulated_rounds
-        )
-
-    def test_reference_oracle_ignores_runner(self):
-        graph = generators.clique_chain(3, 3)
-        serial = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="reference", seed=4
-        )
-        parallel = quantum_exact_diameter(
-            Network(graph, seed=1), oracle_mode="reference", seed=4,
-            runner=BatchRunner(jobs=2),
-        )
-        assert serial.diameter == parallel.diameter
-        assert serial.metrics == parallel.metrics

@@ -275,6 +275,22 @@ class TestExecution:
         assert status["progress"] == {"done": 8, "total": 8}
         assert client.results(job_id, format="jsonl") == _local_export(request)
 
+    def test_quantum_job_byte_identical_to_local_run(self, live):
+        """A ``"kind": "quantum"`` job runs its problems' sweep kernels on
+        the daemon's dispatch workers, exactly as ``repro quantum`` runs
+        them locally."""
+        client, _ = live
+        request = GridRequest.from_dict({
+            "kind": "quantum", "families": ["cycle", "clique_chain"],
+            "sizes": [8, 12], "algorithms": ["exact_diameter", "radius"],
+            "seed": 3,
+        })
+        job_id = client.submit("alice", request)["job_id"]
+        status = client.watch(job_id, poll=0.05, timeout=60)
+        assert status["state"] == "done", status
+        assert status["progress"] == {"done": 8, "total": 8}
+        assert client.results(job_id, format="jsonl") == _local_export(request)
+
     def test_jobs_with_different_selections_isolated(self, live):
         # two concurrent jobs with *different* fault selections:
         # each grid carries its own selections, which must stay apart,

@@ -27,6 +27,7 @@ from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Broadcast, NodeAlgorithm
 from repro.engine import MetricsObserver, Transport
+from repro.engine.scheduler import DenseScheduler
 from repro.faults import FaultModel, FaultPlan
 from repro.graphs import Graph, generators
 
@@ -380,6 +381,28 @@ class _NoopMessageObserver(MetricsObserver):
         self.messages += 1
 
 
+class _EmptyBroadcaster(NodeAlgorithm):
+    """Wakes itself for ``ROUNDS`` rounds and then finishes; every round it
+    sends a hand-built empty ``Broadcast`` (``broadcast()`` never returns
+    one) or, with ``as_dict``, an empty dict -- both send nothing."""
+
+    ROUNDS = 4
+
+    def __init__(self, node_id, neighbors, num_nodes, as_dict):
+        super().__init__(node_id, neighbors, num_nodes)
+        self.as_dict = as_dict
+
+    def on_round(self, round_number, inbox):
+        if round_number + 1 < self.ROUNDS:
+            self.wake_next_round()
+        else:
+            self.finished = True
+        return {} if self.as_dict else Broadcast((), ("t", round_number))
+
+    def result(self):
+        return self.finished
+
+
 def _flood_network(graph, fault_model):
     return Network(graph, seed=5, fault_model=fault_model)
 
@@ -461,6 +484,34 @@ class TestThroughTheEngine:
         assert results[0].metrics.messages == 0
         assert results[0].metrics.rounds == results[1].metrics.rounds == 1
         assert results[0].results == results[1].results
+
+    @pytest.mark.parametrize("scheduler", [None, DenseScheduler], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("graph", [Graph(nodes=[7]), CHAIN], ids=["lonely", "chain"])
+    def test_an_empty_broadcast_sends_nothing(self, graph, scheduler):
+        """An empty ``Broadcast`` counts as no message, like an empty dict:
+        the same rounds and metrics, and nothing measured -- the empty
+        tuple is also an isolated node's own neighbour tuple."""
+        outcomes = []
+        for as_dict in (False, True):
+            network = Network(
+                graph, seed=5,
+                **({} if scheduler is None else {"scheduler": scheduler()}),
+            )
+            outcomes.append(network.run(
+                lambda node, net: _EmptyBroadcaster(
+                    node, net.neighbors(node), net.num_nodes, as_dict
+                ),
+                max_rounds=50,
+            ))
+        empty_broadcasts, empty_dicts = outcomes
+        assert empty_broadcasts.metrics.rounds == _EmptyBroadcaster.ROUNDS
+        assert empty_broadcasts.metrics.rounds == empty_dicts.metrics.rounds
+        assert empty_broadcasts.metrics.messages == 0
+        assert empty_broadcasts.results == empty_dicts.results
+        assert (
+            dataclasses.asdict(empty_broadcasts.metrics)
+            == dataclasses.asdict(empty_dicts.metrics)
+        )
 
     def test_paper_algorithms_match_the_per_message_loop(self):
         graph = generators.family_for_sweep("clique_chain", 24, seed=1)
