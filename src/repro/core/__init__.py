@@ -16,6 +16,15 @@
   entry of Table 1, used by the benchmark harnesses for the
   paper-versus-measured comparison.
 
+The four quantum problem modules each hold one
+:class:`repro.qcongest.framework.DistributedSearchProblem` subclass, which
+supplies only the problem's Initialization, its Evaluation (run on the
+simulator, and as a reference value plus one representative run) and,
+where ``1/n`` is not it, its ``P_opt`` bound.  The oracle modes, Setup
+cost, amplitudes, register size and the shared result fields
+(:class:`repro.qcongest.framework.QuantumProblemResult`) live in the
+framework, written once.
+
 Every name loads its module on first use: reading the problem table
 (:mod:`repro.core.problems`) does not import the quantum algorithms, and a
 classical sweep imports none of this package.

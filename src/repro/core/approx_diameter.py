@@ -35,37 +35,28 @@ from repro.congest.network import Network
 from repro.core.coverage import popt_lower_bound, window_set
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
-    DistributedOptimizationResult,
+    ORACLE_CONGEST,
     DistributedSearchProblem,
+    QuantumProblemResult,
+    as_network,
     run_distributed_quantum_optimization,
 )
-from repro.qcongest.setup import run_setup_broadcast
-from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 from repro.runner.batch import task_seed
-
-from repro.core.exact_diameter import ORACLE_CONGEST, ORACLE_REFERENCE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
 
 
 @dataclass
-class QuantumApproxDiameterResult:
-    """Outcome of the quantum 3/2-approximation (Theorem 4)."""
+class QuantumApproxDiameterResult(QuantumProblemResult):
+    """Outcome of the quantum 3/2-approximation (Theorem 4); its
+    ``rounds`` count the preparation and the quantum phase."""
 
     estimate: int
     ball_size: int
     s_parameter: int
     w: NodeId
-    counts: QuantumResourceCount
-    metrics: ExecutionMetrics
     preparation: HPRWPreparationResult
-    optimization: DistributedOptimizationResult
-
-    @property
-    def rounds(self) -> int:
-        """Total CONGEST rounds used (preparation + quantum phase)."""
-        return self.metrics.rounds
 
 
 class BallEccentricityProblem(DistributedSearchProblem):
@@ -77,15 +68,11 @@ class BallEccentricityProblem(DistributedSearchProblem):
         preparation: HPRWPreparationResult,
         oracle_mode: str = ORACLE_CONGEST,
     ) -> None:
-        if oracle_mode not in (ORACLE_CONGEST, ORACLE_REFERENCE):
-            raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-        self.network = network
+        super().__init__(network, oracle_mode)
         self.preparation = preparation
-        self.oracle_mode = oracle_mode
+        # Setup and the windows run over BFS(w), rooted at w.
+        self.tree = preparation.w_tree
         self.window_parameter = max(1, preparation.d_w)
-        self._setup_cost: Optional[ExecutionMetrics] = None
-        self._reference_cost: Optional[ExecutionMetrics] = None
-        self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -98,65 +85,36 @@ class BallEccentricityProblem(DistributedSearchProblem):
         return sorted(self.preparation.ball, key=repr)
 
     def setup_amplitudes(self) -> Dict[NodeId, float]:
+        # ``math.sqrt``, not the base class's ``** 0.5``: the two differ
+        # in the last bit for some ball sizes (the first is 5,579).
         ball = self.search_space()
         weight = 1.0 / math.sqrt(len(ball))
         return {node: weight for node in ball}
 
-    def setup_cost(self) -> ExecutionMetrics:
-        if self._setup_cost is None:
-            metrics, _ = run_setup_broadcast(
-                self.network, self.preparation.w_tree, self.preparation.w
-            )
-            self._setup_cost = metrics
-        return self._setup_cost
-
     # ------------------------------------------------------------------
-    def evaluate(self, item: NodeId) -> Tuple[float, ExecutionMetrics]:
-        if self.oracle_mode == ORACLE_CONGEST:
-            evaluation = run_evaluation_procedure(
-                self.network,
-                self.preparation.w_tree,
-                self.window_parameter,
-                item,
-                members=self.preparation.ball,
-            )
-            return float(evaluation.value), evaluation.metrics
-        eccentricities = self._eccentricities()
-        window = window_set(
-            self.preparation.w_tree,
-            item,
-            2 * self.window_parameter,
+    def congest_evaluation(self, u0: NodeId) -> Tuple[float, ExecutionMetrics]:
+        evaluation = run_evaluation_procedure(
+            self.network, self.tree, self.window_parameter, u0,
             members=self.preparation.ball,
         )
-        value = float(max(eccentricities[node] for node in window))
-        return value, self._representative_cost()
+        return float(evaluation.value), evaluation.metrics
+
+    def reference_value(self, u0: NodeId) -> float:
+        eccentricities = self.all_eccentricities()
+        window = window_set(
+            self.tree, u0, 2 * self.window_parameter,
+            members=self.preparation.ball,
+        )
+        return float(max(eccentricities[node] for node in window))
+
+    def representative_evaluation(self) -> ExecutionMetrics:
+        return run_evaluation_procedure(
+            self.network, self.tree, self.window_parameter, self.tree.root,
+            members=self.preparation.ball,
+        ).metrics
 
     def optimum_mass_lower_bound(self) -> float:
         return popt_lower_bound(len(self.preparation.ball), self.window_parameter)
-
-    def internal_register_bits(self) -> int:
-        return leader_memory_bits(
-            self.network.num_nodes, self.optimum_mass_lower_bound()
-        )
-
-    # ------------------------------------------------------------------
-    def _eccentricities(self) -> Dict[NodeId, int]:
-        if self._reference_eccentricities is None:
-            indexed = self.network.graph.compile()
-            self._reference_eccentricities = indexed.all_eccentricities()
-        return self._reference_eccentricities
-
-    def _representative_cost(self) -> ExecutionMetrics:
-        if self._reference_cost is None:
-            sample = run_evaluation_procedure(
-                self.network,
-                self.preparation.w_tree,
-                self.window_parameter,
-                self.preparation.w,
-                members=self.preparation.ball,
-            )
-            self._reference_cost = sample.metrics
-        return self._reference_cost
 
 
 def default_s_parameter(n: int, d: int) -> int:
@@ -195,8 +153,7 @@ def quantum_three_halves_diameter(
     sampling draws verbatim (the same aliasing the sweep layer fixed for
     its ``--seed`` in the graph-vs-algorithm split).
     """
-    if isinstance(network, Graph):
-        network = Network(network)
+    network = as_network(network)
     rng = random.Random(task_seed(seed, "theorem4-schedule-stream"))
     preparation_seed = task_seed(seed, "theorem4-preparation-stream")
     n = network.num_nodes

@@ -35,24 +35,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max, run_tree_broadcast
 from repro.algorithms.eccentricity import run_eccentricity
 from repro.algorithms.evaluation import run_evaluation_procedure
-from repro.algorithms.leader_election import run_leader_election
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.core.coverage import popt_lower_bound, window_set
 from repro.graphs.graph import Graph, NodeId
-from repro.qcongest.framework import (
-    DistributedOptimizationResult,
+from repro.qcongest.framework import (  # the oracle modes, re-exported
+    ORACLE_CONGEST,
+    ORACLE_REFERENCE,
     DistributedSearchProblem,
+    QuantumProblemResult,
     run_distributed_quantum_optimization,
 )
-from repro.qcongest.setup import run_setup_broadcast
-from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
@@ -61,32 +59,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 VARIANT_SIMPLE = "simple"
 VARIANT_WINDOWED = "windowed"
 
-#: Oracle modes.
-ORACLE_CONGEST = "congest"
-ORACLE_REFERENCE = "reference"
-
 
 @dataclass
-class QuantumDiameterResult:
+class QuantumDiameterResult(QuantumProblemResult):
     """Outcome of the quantum exact-diameter algorithm."""
 
     diameter: int
     leader: NodeId
     window_parameter: int
     variant: str
-    counts: QuantumResourceCount
-    metrics: ExecutionMetrics
-    optimization: DistributedOptimizationResult
-
-    @property
-    def rounds(self) -> int:
-        """Total CONGEST rounds used."""
-        return self.metrics.rounds
-
-    @property
-    def memory_bits_per_node(self) -> int:
-        """Maximum per-node (qu)bit memory observed / modelled."""
-        return self.metrics.max_node_memory_bits
 
 
 class ExactDiameterProblem(DistributedSearchProblem):
@@ -94,40 +75,23 @@ class ExactDiameterProblem(DistributedSearchProblem):
 
     def __init__(
         self,
-        network: Network,
+        network: Union[Network, Graph],
         variant: str = VARIANT_WINDOWED,
         oracle_mode: str = ORACLE_CONGEST,
         leader: Optional[NodeId] = None,
     ) -> None:
         if variant not in (VARIANT_SIMPLE, VARIANT_WINDOWED):
             raise ValueError(f"unknown variant {variant!r}")
-        if oracle_mode not in (ORACLE_CONGEST, ORACLE_REFERENCE):
-            raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-        self.network = network
+        super().__init__(network, oracle_mode)
         self.variant = variant
-        self.oracle_mode = oracle_mode
         self._given_leader = leader
         self.leader: Optional[NodeId] = None
-        self.tree: Optional[BFSTreeResult] = None
         self.window_parameter: int = 0
-        self._reference_eccentricities: Optional[Dict[NodeId, int]] = None
-        self._reference_cost: Optional[ExecutionMetrics] = None
-        self._setup_cost: Optional[ExecutionMetrics] = None
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
         """Leader election, ``BFS(leader)``, ``d = ecc(leader)``, broadcast of ``d``."""
-        metrics = ExecutionMetrics()
-        if self._given_leader is None:
-            election = run_leader_election(self.network)
-            self.leader = election.leader
-            metrics = metrics.merged(election.metrics)
-        else:
-            self.leader = self._given_leader
-
-        self.tree = run_bfs_tree(self.network, self.leader)
-        metrics = metrics.merged(self.tree.metrics)
-
+        metrics = self.leader_tree(self._given_leader)
         eccentricity = run_tree_aggregate_max(
             self.network, self.tree, self.tree.distance
         )
@@ -142,90 +106,48 @@ class ExactDiameterProblem(DistributedSearchProblem):
         return metrics
 
     # ------------------------------------------------------------------
-    def search_space(self) -> List[NodeId]:
-        return list(self.network.graph.nodes())
-
-    def setup_amplitudes(self) -> Dict[NodeId, float]:
-        nodes = self.search_space()
-        weight = 1.0 / (len(nodes) ** 0.5)
-        return {node: weight for node in nodes}
-
-    def setup_cost(self) -> ExecutionMetrics:
-        if self._setup_cost is None:
-            metrics, _ = run_setup_broadcast(self.network, self.tree, self.tree.root)
-            self._setup_cost = metrics
-        return self._setup_cost
-
-    # ------------------------------------------------------------------
-    def evaluate(self, item: NodeId) -> Tuple[float, ExecutionMetrics]:
-        if self.tree is None:
-            raise RuntimeError("initialization must run before evaluation")
+    def congest_evaluation(self, u0: NodeId) -> Tuple[float, ExecutionMetrics]:
         if self.variant == VARIANT_SIMPLE:
-            return self._evaluate_simple(item)
-        return self._evaluate_windowed(item)
-
-    def _evaluate_simple(self, u0: NodeId) -> Tuple[float, ExecutionMetrics]:
-        if self.oracle_mode == ORACLE_CONGEST:
             eccentricity = run_eccentricity(self.network, u0)
-            metrics = eccentricity.metrics
-            # Routing the result back to the leader costs at most the depth
-            # of BFS(leader); we charge it by one extra convergecast.
-            report = run_tree_aggregate_max(
-                self.network, self.tree,
-                {
-                    node: (eccentricity.eccentricity if node == u0 else 0)
-                    for node in self.network.graph.nodes()
-                },
-            )
-            metrics = metrics.merged(report.metrics)
-            return float(eccentricity.eccentricity), metrics
-        value = float(self._eccentricities()[u0])
-        return value, self._representative_cost()
+            report = self._report(eccentricity.eccentricity, u0)
+            return float(eccentricity.eccentricity), eccentricity.metrics.merged(report)
+        evaluation = run_evaluation_procedure(
+            self.network, self.tree, self.window_parameter, u0
+        )
+        return float(evaluation.value), evaluation.metrics
 
-    def _evaluate_windowed(self, u0: NodeId) -> Tuple[float, ExecutionMetrics]:
-        if self.oracle_mode == ORACLE_CONGEST:
-            evaluation = run_evaluation_procedure(
-                self.network, self.tree, self.window_parameter, u0
-            )
-            return float(evaluation.value), evaluation.metrics
-        eccentricities = self._eccentricities()
+    def reference_value(self, u0: NodeId) -> float:
+        eccentricities = self.all_eccentricities()
+        if self.variant == VARIANT_SIMPLE:
+            return float(eccentricities[u0])
         window = window_set(self.tree, u0, 2 * self.window_parameter)
-        value = float(max(eccentricities[node] for node in window))
-        return value, self._representative_cost()
+        return float(max(eccentricities[node] for node in window))
+
+    def representative_evaluation(self) -> ExecutionMetrics:
+        """The Evaluation procedure from the tree's root (its schedule is
+        fixed and input-independent); the simple variant's includes the
+        convergecast its congest path charges."""
+        root = self.tree.root
+        if self.variant == VARIANT_SIMPLE:
+            sample = run_eccentricity(self.network, root)
+            return sample.metrics.merged(self._report(0, root))
+        return run_evaluation_procedure(
+            self.network, self.tree, self.window_parameter, root
+        ).metrics
+
+    def _report(self, value: int, u0: NodeId) -> ExecutionMetrics:
+        """Route ``value`` from ``u0`` back to the leader: the depth of
+        ``BFS(leader)`` bounds it, charged as one convergecast."""
+        return run_tree_aggregate_max(
+            self.network, self.tree,
+            {node: (value if node == u0 else 0) for node in self.network.graph.nodes()},
+        ).metrics
 
     # ------------------------------------------------------------------
     def optimum_mass_lower_bound(self) -> float:
-        n = self.network.num_nodes
         if self.variant == VARIANT_SIMPLE:
-            return 1.0 / n
-        return popt_lower_bound(n, self.window_parameter)
-
-    def internal_register_bits(self) -> int:
-        return leader_memory_bits(
-            self.network.num_nodes, self.optimum_mass_lower_bound()
-        )
-
-    # ------------------------------------------------------------------
-    def _eccentricities(self) -> Dict[NodeId, int]:
-        if self._reference_eccentricities is None:
-            indexed = self.network.graph.compile()
-            self._reference_eccentricities = indexed.all_eccentricities()
-        return self._reference_eccentricities
-
-    def _representative_cost(self) -> ExecutionMetrics:
-        """One real CONGEST run of the Evaluation procedure, reused as the
-        per-call cost in reference-oracle mode (the procedure has a fixed,
-        input-independent schedule)."""
-        if self._reference_cost is None:
-            if self.variant == VARIANT_SIMPLE:
-                sample = run_eccentricity(self.network, self.tree.root)
-                self._reference_cost = sample.metrics
-            else:
-                sample = run_evaluation_procedure(
-                    self.network, self.tree, self.window_parameter, self.tree.root
-                )
-                self._reference_cost = sample.metrics
-        return self._reference_cost
+            return super().optimum_mass_lower_bound()
+        return popt_lower_bound(self.network.num_nodes, self.window_parameter)
 
 
 def quantum_exact_diameter(
@@ -271,8 +193,6 @@ def quantum_exact_diameter(
         The computed diameter (correct with probability ``>= 1 - delta`` up
         to schedule constants), total round count and resource counts.
     """
-    if isinstance(network, Graph):
-        network = Network(network)
     problem = ExactDiameterProblem(
         network, variant=variant, oracle_mode=oracle_mode, leader=leader
     )

@@ -30,62 +30,50 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
+from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.core.exact_diameter import ORACLE_CONGEST, ORACLE_REFERENCE
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
-    DistributedOptimizationResult,
+    ORACLE_CONGEST,
     DistributedSearchProblem,
+    QuantumProblemResult,
     run_distributed_quantum_optimization,
 )
-from repro.qcongest.setup import run_setup_broadcast
-from repro.quantum.cost_model import QuantumResourceCount, leader_memory_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
 
 
 @dataclass
-class QuantumSourceEccentricityResult:
+class QuantumSourceEccentricityResult(QuantumProblemResult):
     """Outcome of the quantum single-source eccentricity computation."""
 
     eccentricity: int
     source: NodeId
     farthest: NodeId
-    counts: QuantumResourceCount
-    metrics: ExecutionMetrics
-    optimization: DistributedOptimizationResult
-
-    @property
-    def rounds(self) -> int:
-        """Total CONGEST rounds used."""
-        return self.metrics.rounds
 
 
 class SourceEccentricityProblem(DistributedSearchProblem):
-    """Theorem-7 instantiation of ``f(v) = dist(source, v)``."""
+    """Theorem-7 instantiation of ``f(v) = dist(source, v)``.
+
+    Some node realises ``ecc(source)``, so the default ``P_opt >= 1/n``
+    holds.
+    """
 
     def __init__(
         self,
-        network: Network,
+        network: Union[Network, Graph],
         source: Optional[NodeId] = None,
         oracle_mode: str = ORACLE_CONGEST,
     ) -> None:
-        if oracle_mode not in (ORACLE_CONGEST, ORACLE_REFERENCE):
-            raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-        self.network = network
-        self.oracle_mode = oracle_mode
+        super().__init__(network, oracle_mode)
         self.source: NodeId = (
-            source if source is not None else network.graph.nodes()[0]
+            source if source is not None else self.network.graph.nodes()[0]
         )
-        self.tree: Optional[BFSTreeResult] = None
-        self._setup_cost: Optional[ExecutionMetrics] = None
-        self._reference_cost: Optional[ExecutionMetrics] = None
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -96,60 +84,28 @@ class SourceEccentricityProblem(DistributedSearchProblem):
         return metrics
 
     # ------------------------------------------------------------------
-    def search_space(self) -> List[NodeId]:
-        return list(self.network.graph.nodes())
-
-    def setup_amplitudes(self) -> Dict[NodeId, float]:
-        nodes = self.search_space()
-        weight = 1.0 / (len(nodes) ** 0.5)
-        return {node: weight for node in nodes}
-
-    def setup_cost(self) -> ExecutionMetrics:
-        if self._setup_cost is None:
-            metrics, _ = run_setup_broadcast(self.network, self.tree, self.source)
-            self._setup_cost = metrics
-        return self._setup_cost
-
-    # ------------------------------------------------------------------
-    def evaluate(self, v: NodeId) -> Tuple[float, ExecutionMetrics]:
-        if self.tree is None:
-            raise RuntimeError("initialization must run before evaluation")
-        if self.oracle_mode == ORACLE_CONGEST:
-            # Node v already knows dist(s, v); report it to the source by
-            # convergecast over BFS(s) (every other node contributes the
-            # neutral 0 <= any distance).
-            report = run_tree_aggregate_max(
-                self.network, self.tree,
-                {
-                    node: (self.tree.distance[v] if node == v else 0)
-                    for node in self.network.graph.nodes()
-                },
-            )
-            return float(report.value), report.metrics
-        return float(self.tree.distance[v]), self._representative_cost()
-
-    # ------------------------------------------------------------------
-    def optimum_mass_lower_bound(self) -> float:
-        # Some node realises ecc(s), so the maximisers carry >= 1/n of the
-        # uniform Setup mass.
-        return 1.0 / self.network.num_nodes
-
-    def internal_register_bits(self) -> int:
-        return leader_memory_bits(
-            self.network.num_nodes, self.optimum_mass_lower_bound()
+    def congest_evaluation(self, v: NodeId) -> Tuple[float, ExecutionMetrics]:
+        # Node v already knows dist(s, v); report it to the source by
+        # convergecast over BFS(s) (every other node contributes the
+        # neutral 0 <= any distance).
+        report = run_tree_aggregate_max(
+            self.network, self.tree,
+            {
+                node: (self.tree.distance[v] if node == v else 0)
+                for node in self.network.graph.nodes()
+            },
         )
+        return float(report.value), report.metrics
 
-    # ------------------------------------------------------------------
-    def _representative_cost(self) -> ExecutionMetrics:
-        """One real convergecast, reused as the per-call cost in
-        reference-oracle mode (the schedule is input-independent)."""
-        if self._reference_cost is None:
-            sample = run_tree_aggregate_max(
-                self.network, self.tree,
-                {node: 0 for node in self.network.graph.nodes()},
-            )
-            self._reference_cost = sample.metrics
-        return self._reference_cost
+    def reference_value(self, v: NodeId) -> float:
+        return float(self.tree.distance[v])
+
+    def representative_evaluation(self) -> ExecutionMetrics:
+        """One convergecast (its schedule is input-independent)."""
+        return run_tree_aggregate_max(
+            self.network, self.tree,
+            {node: 0 for node in self.network.graph.nodes()},
+        ).metrics
 
 
 def quantum_source_eccentricity(
@@ -169,8 +125,6 @@ def quantum_source_eccentricity(
     is correct with probability at least ``1 - delta`` up to schedule
     constants.
     """
-    if isinstance(network, Graph):
-        network = Network(network)
     problem = SourceEccentricityProblem(
         network, source=source, oracle_mode=oracle_mode
     )

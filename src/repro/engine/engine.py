@@ -276,7 +276,6 @@ class ExecutionEngine:
                 churned_edge_rounds += len(plan.churned_edges(round_number))
 
             next_inboxes: Dict[NodeId, Inbox] = {}
-            any_message = False
             inboxes_get = inboxes.get
             for node, algorithm in items:
                 inbox = inboxes_get(node)
@@ -286,7 +285,6 @@ class ExecutionEngine:
                 # A broadcast is tested by its targets tuple: its own
                 # truth test is a Python-level ``__len__`` call.
                 if outbox.targets if outbox.__class__ is Broadcast else outbox:
-                    any_message = True
                     deliver(
                         round_number, node, outbox, next_inboxes, inbox_pool,
                         metrics, listeners, plan, pending,
@@ -320,10 +318,6 @@ class ExecutionEngine:
 
             round_number += 1
             inboxes = next_inboxes
-
-            if exact_rounds is None and not any_message:
-                if unfinished == 0 and not has_scheduled_wakes() and not pending:
-                    break
 
         metrics.rounds = round_number
         metrics.max_node_memory_bits = peak_memory

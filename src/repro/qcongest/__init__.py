@@ -27,8 +27,12 @@ per-node memory.
 
 Concrete instantiations -- exact diameter (Theorem 1), the
 3/2-approximation (Theorem 4), exact radius and single-source
-eccentricity -- live in :mod:`repro.core` and are registered as named,
-picklable problems in :mod:`repro.core.problems`.
+eccentricity -- live in :mod:`repro.core` and are listed by name in
+:mod:`repro.core.problems`.  Each subclasses
+:class:`repro.qcongest.framework.DistributedSearchProblem` and supplies
+only its Initialization, its Evaluation (a congest run and a reference
+value) and, where ``1/n`` is not it, its ``P_opt`` bound; the base class
+provides the oracle modes, the Setup cost and the rest.
 
 Every name loads its module on first use.
 """
@@ -39,6 +43,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "DistributedSuperposition": "repro.qcongest.branch_state",
     "DistributedOptimizationResult": "repro.qcongest.framework",
     "DistributedSearchProblem": "repro.qcongest.framework",
+    "ORACLE_CONGEST": "repro.qcongest.framework",
+    "ORACLE_REFERENCE": "repro.qcongest.framework",
+    "QuantumProblemResult": "repro.qcongest.framework",
     "run_distributed_quantum_optimization": "repro.qcongest.framework",
     "run_setup_broadcast": "repro.qcongest.setup",
 })
@@ -47,6 +54,9 @@ __all__ = [
     "DistributedSuperposition",
     "DistributedSearchProblem",
     "DistributedOptimizationResult",
+    "ORACLE_CONGEST",
+    "ORACLE_REFERENCE",
+    "QuantumProblemResult",
     "run_distributed_quantum_optimization",
     "run_setup_broadcast",
 ]

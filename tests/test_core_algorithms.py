@@ -78,16 +78,28 @@ class TestCoverageLemma:
 
 class TestQuantumExactDiameter:
     def test_reference_and_congest_oracles_agree(self, network_factory):
-        graph = generators.clique_chain(3, 4)
-        congest = quantum_exact_diameter(
-            network_factory(graph), oracle_mode="congest", seed=9
-        )
-        reference = quantum_exact_diameter(
-            network_factory(graph), oracle_mode="reference", seed=9
-        )
-        assert congest.diameter == reference.diameter
-        assert congest.rounds == reference.rounds
-        assert congest.counts.evaluation_calls == reference.counts.evaluation_calls
+        # The simple variant's reference cost includes the convergecast
+        # that its congest Evaluation charges (on a cycle every BFS costs
+        # the same, so the per-call rounds must match exactly).
+        for variant, graph in (
+            ("windowed", generators.clique_chain(3, 4)),
+            ("simple", generators.cycle_graph(16)),
+        ):
+            congest = quantum_exact_diameter(
+                network_factory(graph), variant=variant, oracle_mode="congest", seed=9
+            )
+            reference = quantum_exact_diameter(
+                network_factory(graph), variant=variant, oracle_mode="reference", seed=9
+            )
+            assert congest.diameter == reference.diameter, variant
+            assert (
+                congest.optimization.evaluation_rounds_per_call
+                == reference.optimization.evaluation_rounds_per_call
+            ), variant
+            assert congest.rounds == reference.rounds, variant
+            assert (
+                congest.counts.evaluation_calls == reference.counts.evaluation_calls
+            ), variant
 
     def test_correct_on_small_graphs(self, small_graph):
         result = quantum_exact_diameter(small_graph, oracle_mode="reference", seed=2)

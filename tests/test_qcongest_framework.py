@@ -15,6 +15,7 @@ from repro.qcongest.framework import (
     DistributedSearchProblem,
     run_distributed_quantum_optimization,
 )
+from repro.quantum.cost_model import leader_memory_bits
 from repro.qcongest.setup import run_setup_broadcast
 from repro.algorithms.bfs import run_bfs_tree
 from repro.quantum.amplitude_amplification import grover_success_probability
@@ -179,3 +180,82 @@ class TestDistributedOptimization:
             )
             hits += result.best_value == 9
         assert hits >= 11
+
+
+class _DepthProblem(DistributedSearchProblem):
+    """Only the hooks a problem supplies: ``f(v) = dist(0, v)``; the
+    base class provides everything else."""
+
+    def __init__(self, network, oracle_mode="congest"):
+        super().__init__(network, oracle_mode)
+        self.representative_runs = 0
+
+    def initialization(self):
+        self.tree = run_bfs_tree(self.network, 0)
+        return self.tree.metrics
+
+    def congest_evaluation(self, item):
+        return float(self.tree.distance[item]), ExecutionMetrics(rounds=7)
+
+    def reference_value(self, item):
+        return float(self.tree.distance[item])
+
+    def representative_evaluation(self):
+        self.representative_runs += 1
+        return ExecutionMetrics(rounds=self.representative_runs)
+
+
+class TestDistributedSearchProblemDefaults:
+    def test_oracle_mode_checked_and_graph_wrapped(self):
+        graph = generators.path_graph(5)
+        with pytest.raises(ValueError, match="unknown oracle mode"):
+            _DepthProblem(graph, oracle_mode="bogus")
+        problem = _DepthProblem(graph)
+        assert isinstance(problem.network, Network)
+        assert problem.network.graph is graph
+
+    def test_evaluate_needs_initialization(self):
+        problem = _DepthProblem(generators.path_graph(5))
+        with pytest.raises(RuntimeError, match="initialization must run"):
+            problem.evaluate(3)
+
+    def test_modes_share_values_and_reference_cost_is_memoised(self):
+        graph = generators.path_graph(6)
+        congest = _DepthProblem(graph)
+        reference = _DepthProblem(graph, oracle_mode="reference")
+        congest.initialization()
+        reference.initialization()
+        for node in graph.nodes():
+            value, metrics = congest.evaluate(node)
+            assert metrics.rounds == 7
+            reference_value, reference_metrics = reference.evaluate(node)
+            assert reference_value == value == node
+            assert reference_metrics.rounds == 1
+        assert reference.representative_runs == 1
+
+    def test_uniform_setup_popt_and_register(self):
+        graph = generators.cycle_graph(9)
+        problem = _DepthProblem(graph)
+        problem.initialization()
+        amplitudes = problem.setup_amplitudes()
+        assert list(amplitudes) == graph.nodes()
+        assert set(amplitudes.values()) == {1.0 / 9 ** 0.5}
+        assert problem.optimum_mass_lower_bound() == 1.0 / 9
+        assert problem.internal_register_bits() == leader_memory_bits(9, 1.0 / 9)
+        setup = problem.setup_cost()
+        assert setup is problem.setup_cost()
+        assert setup.rounds == run_setup_broadcast(
+            problem.network, problem.tree, 0
+        )[0].rounds
+        assert problem.all_eccentricities() == graph.compile().all_eccentricities()
+
+    def test_leader_tree_elects_unless_given(self):
+        network = Network(generators.path_graph(7))
+        given = _DepthProblem(network)
+        metrics = given.leader_tree(3)
+        assert given.leader == given.tree.root == 3
+        assert metrics.rounds == given.tree.metrics.rounds
+        elected = _DepthProblem(network)
+        elected_metrics = elected.leader_tree(None)
+        assert elected.tree.root == elected.leader
+        assert elected_metrics.rounds > elected.tree.metrics.rounds
