@@ -17,7 +17,8 @@ root so later PRs can track the perf trajectory (sibling of
   ``(type, repr(payload))`` memo keying and per-message ``has_edge``
   delivery versus the current hash-first value-tier cache and prebound
   neighbour sets.  The "before" path is replicated faithfully by
-  :class:`LegacyTransport` below and injected into the same engine.
+  :class:`LegacyTransport` below and assigned as the network's
+  ``transport``.
 
 Run standalone::
 
@@ -42,7 +43,6 @@ from repro.algorithms.multi_source_bfs import run_multi_source_bfs
 from repro.analysis.sweep import run_sweep_grid
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
-from repro.engine.engine import ExecutionEngine
 from repro.engine.scheduler import DenseScheduler
 from repro.engine.transport import Transport
 from repro.graphs import generators
@@ -140,11 +140,8 @@ class LegacyTransport(Transport):
 
 def _network_with_transport(graph, transport_cls):
     network = Network(graph, scheduler=DenseScheduler())
-    transport = transport_cls(
+    network.transport = transport_cls(
         network.graph, network.bandwidth_bits, network.strict_bandwidth
-    )
-    network._engine = ExecutionEngine(
-        network, DenseScheduler(), transport=transport
     )
     return network
 

@@ -5,7 +5,7 @@ A package ``__init__`` that imported every submodule would make each
 when the caller needs none of them.  Instead, ``__init__`` lists each
 public name with the module that defines it::
 
-    __getattr__, __dir__ = lazy_exports(__name__, {
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "StateVector": "repro.quantum.state",
     })
 
@@ -24,12 +24,13 @@ from typing import Any, Callable, List, Mapping, Tuple
 
 def lazy_exports(
     package: str, exports: Mapping[str, str]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """The ``(__getattr__, __dir__)`` pair of a package with lazy ``exports``.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """``(__getattr__, __dir__, __all__)`` of a package with lazy ``exports``.
 
-    ``exports`` maps each public name to the module that defines it.  The
-    first access imports that module and caches the value in the package
-    namespace, so later accesses are plain attribute lookups.
+    ``exports`` maps each public name to the module that defines it, and
+    its keys, in order, are the package's ``__all__``.  The first access
+    imports that module and caches the value in the package namespace, so
+    later accesses are plain attribute lookups.
     """
     namespace = sys.modules[package].__dict__
 
@@ -46,4 +47,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(exports))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(exports)

@@ -19,7 +19,7 @@ algorithm does not import the others.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BFSTreeResult": "repro.algorithms.bfs",
     "run_bfs_tree": "repro.algorithms.bfs",
     "run_tree_aggregate_max": "repro.algorithms.broadcast",
@@ -45,30 +45,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "WaveScheduleEntry": "repro.algorithms.waves",
     "run_distance_waves": "repro.algorithms.waves",
 })
-
-__all__ = [
-    "run_bfs_tree",
-    "BFSTreeResult",
-    "run_tree_broadcast",
-    "run_tree_aggregate_max",
-    "run_tree_aggregate_sum",
-    "run_full_euler_tour",
-    "run_windowed_euler_tour",
-    "EulerTourResult",
-    "run_eccentricity",
-    "run_leader_election",
-    "LeaderElectionResult",
-    "run_multi_source_bfs",
-    "run_distance_waves",
-    "WaveScheduleEntry",
-    "run_evaluation_procedure",
-    "EvaluationResult",
-    "run_classical_exact_diameter",
-    "ExactDiameterResult",
-    "run_classical_two_approximation",
-    "run_hprw_three_halves_approximation",
-    "ApproxDiameterResult",
-    "run_resilient_bfs",
-    "run_resilient_two_approximation",
-    "ResilientBFSResult",
-]

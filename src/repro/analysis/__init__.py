@@ -12,7 +12,7 @@ machinery (the simulator).
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "SweepRecord": "repro.analysis.sweep",
     "grid_signature": "repro.analysis.sweep",
     "run_sweep_grid": "repro.analysis.sweep",
@@ -24,16 +24,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "geometric_mean_ratio": "repro.analysis.fitting",
     "render_table": "repro.analysis.tables",
 })
-
-__all__ = [
-    "fit_power_law",
-    "fit_power_law_two_predictors",
-    "crossover_point",
-    "geometric_mean_ratio",
-    "SweepRecord",
-    "run_sweep_grid",
-    "sweep_table",
-    "sweep_task_key",
-    "grid_signature",
-    "render_table",
-]

@@ -375,11 +375,7 @@ def run_sweep_grid(
         fault = NULL_FAULT_MODEL
     if runner is None:
         runner = BatchRunner()
-    if (
-        isinstance(runner, BatchRunner)
-        and runner.cost_of is None
-        and runner.chunk_size is None
-    ):
+    if isinstance(runner, BatchRunner) and runner.cost_of is None:
         # Default the local pool's chunk plan to the dispatch cost
         # model's static per-cell prior: expensive large-n exact cells
         # end up in small tail chunks instead of padding a fixed-size

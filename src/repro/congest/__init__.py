@@ -20,12 +20,12 @@ The simulator enforces exactly that interface:
   measured round counts against the paper's formulas.
 
 Every name loads its module on first use: importing one submodule (say
-:mod:`repro.congest.node`) does not load the network and its engine.
+:mod:`repro.congest.node`) does not load the network and its round loop.
 """
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "BandwidthExceededError": "repro.congest.errors",
     "CongestSimulationError": "repro.congest.errors",
     "ProtocolError": "repro.congest.errors",
@@ -36,15 +36,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "Network": "repro.congest.network",
     "NodeAlgorithm": "repro.congest.node",
 })
-
-__all__ = [
-    "Network",
-    "NodeAlgorithm",
-    "ExecutionResult",
-    "ExecutionMetrics",
-    "message_size_bits",
-    "CongestSimulationError",
-    "BandwidthExceededError",
-    "RoundLimitExceededError",
-    "ProtocolError",
-]

@@ -153,7 +153,7 @@ class NodeAlgorithm:
         to the payload it sent in the previous round (absent if it sent
         nothing).  Return a mapping ``{neighbour: payload}`` or ``None``.
 
-        The inbox mapping is owned by the engine and recycled across
+        The inbox mapping is owned by the network and recycled across
         rounds, so it is only valid for the duration of this call: an
         algorithm that needs the contents later must copy them
         (``dict(inbox)``), and must never place the inbox object itself
@@ -214,7 +214,7 @@ class NodeAlgorithm:
         self._wake_requests.append(int(round_number))
 
     def consume_wake_requests(self) -> List[Optional[int]]:
-        """Drain and return pending wake requests (called by the engine).
+        """Drain and return pending wake requests (called by the round loop).
 
         Entries are ``None`` for :meth:`wake_next_round` or an absolute
         round number for :meth:`wake_at`.

@@ -32,7 +32,7 @@ classical sweep imports none of this package.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "QuantumApproxDiameterResult": "repro.core.approx_diameter",
     "quantum_three_halves_diameter": "repro.core.approx_diameter",
     "Table1Row": "repro.core.complexity",
@@ -52,24 +52,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "QuantumSourceEccentricityResult": "repro.core.source_ecc",
     "quantum_source_eccentricity": "repro.core.source_ecc",
 })
-
-__all__ = [
-    "quantum_exact_diameter",
-    "QuantumDiameterResult",
-    "quantum_three_halves_diameter",
-    "QuantumApproxDiameterResult",
-    "quantum_exact_radius",
-    "QuantumRadiusResult",
-    "quantum_source_eccentricity",
-    "QuantumSourceEccentricityResult",
-    "QUANTUM_PROBLEMS",
-    "QuantumProblemInfo",
-    "resolve_quantum_problem",
-    "quantum_problem_names",
-    "window_set",
-    "coverage_probability",
-    "popt_lower_bound",
-    "empirical_optimum_mass",
-    "table1_rows",
-    "Table1Row",
-]

@@ -48,7 +48,7 @@ from repro._lazy import lazy_exports
 # threads) is not imported by a client that only joins a remote one, and
 # the sockets of the protocol are not imported by a run that only plans
 # chunks with the cost model.
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RemoteDispatch": "repro.dispatch.backend",
     "dispatch_signature": "repro.dispatch.backend",
     "CostModel": "repro.dispatch.cost",
@@ -68,18 +68,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 # from the package __init__ would shadow the runpy execution (the
 # "found in sys.modules" RuntimeWarning).  Import run_worker & friends
 # from repro.dispatch.worker directly.
-
-__all__ = [
-    "CostModel",
-    "SHARD_POLICIES",
-    "plan_chunks",
-    "static_cell_cost",
-    "DispatchCoordinator",
-    "DispatchError",
-    "FrameError",
-    "FramedSocket",
-    "MAX_FRAME_BYTES",
-    "RemoteDispatch",
-    "dispatch_signature",
-    "parse_address",
-]

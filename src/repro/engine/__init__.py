@@ -1,7 +1,7 @@
-"""The execution engine of the CONGEST simulator.
+"""The components of the CONGEST round loop.
 
-The simulation core is one round loop,
-:class:`repro.engine.engine.ExecutionEngine`, built from two components:
+The round loop itself is :meth:`repro.congest.network.Network.run`; a
+network holds one of each component below:
 
 * **Scheduler** (:mod:`repro.engine.scheduler`) -- which nodes run in each
   round.  Every network runs the event-driven ``SparseScheduler``, which
@@ -19,17 +19,15 @@ Core accounting happens inline in the loop.  **Observers**
 attach to a network and see run boundaries, and per-message events only
 if they override ``on_message``.
 
-``repro.congest.network.Network`` remains the public facade: it builds an
-engine at construction and delegates ``run`` to it.  Tests select the
-reference with ``Network(graph, scheduler=DenseScheduler())``.
+Tests select the reference with
+``Network(graph, scheduler=DenseScheduler())``.
 
 Every name loads its module on first use.
 """
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "ExecutionEngine": "repro.engine.engine",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "MetricsObserver": "repro.engine.observers",
     "RunLogObserver": "repro.engine.observers",
     "StitchedTrafficObserver": "repro.engine.observers",
@@ -39,15 +37,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "SparseScheduler": "repro.engine.scheduler",
     "Transport": "repro.engine.transport",
 })
-
-__all__ = [
-    "ExecutionEngine",
-    "Scheduler",
-    "DenseScheduler",
-    "SparseScheduler",
-    "Transport",
-    "MetricsObserver",
-    "TrafficLogObserver",
-    "StitchedTrafficObserver",
-    "RunLogObserver",
-]

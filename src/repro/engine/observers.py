@@ -1,8 +1,8 @@
 """Observers of a CONGEST execution.
 
-The engine (:mod:`repro.engine.engine`) does its core accounting --
-rounds, messages, bits, bandwidth violations, per-node memory, fault
-counters -- inline in the round loop.  Observers are the opt-in seam for
+The round loop (:meth:`repro.congest.network.Network.run`) does its
+core accounting -- rounds, messages, bits, bandwidth violations,
+per-node memory, fault counters -- inline.  Observers are the opt-in seam for
 everything else: they see the start and end of every top-level run, and
 an observer that overrides :meth:`MetricsObserver.on_message` also sees
 every message.  The per-message traffic log that the Theorem-10
@@ -25,9 +25,9 @@ class MetricsObserver:
     """Base class for execution observers.
 
     All hooks default to no-ops so observers only override what they need.
-    Per-message calls are opt-in: the engine calls :meth:`on_message` only
-    on observers whose class overrides it, so an observer that only needs
-    run boundaries costs nothing per message.
+    Per-message calls are opt-in: the round loop calls :meth:`on_message`
+    only on observers whose class overrides it, so an observer that only
+    needs run boundaries costs nothing per message.
     """
 
     def on_run_start(self, network: Any) -> None:

@@ -43,9 +43,9 @@ from repro.graphs.indexed import IndexedGraph
 class Scheduler:
     """Base class of the scheduling policies.
 
-    A scheduler is owned by one engine and recycled across runs;
+    A scheduler is owned by one network and recycled across runs;
     :meth:`begin_run` resets its per-run state.  A nested run on the
-    same engine gets a fresh ``type(scheduler)()``.
+    same network gets a fresh ``type(scheduler)()``.
     """
 
     #: Whether the engine should drain self-wake requests after each

@@ -39,7 +39,7 @@ This makes faulty executions independent of *evaluation order* -- the
 dense and sparse schedulers consult the plan in different orders yet
 produce identical executions -- and independent of
 ``PYTHONHASHSEED``.  The fault seed itself is derived from the network
-seed, the model's :attr:`FaultModel.seed` and a per-engine run counter,
+seed, the model's :attr:`FaultModel.seed` and a per-network run counter,
 so it is isolated from the graph-construction and algorithm seed streams
 (faults never replay algorithm randomness) while multi-phase algorithms
 (one ``Network.run`` per phase) see fresh, reproducible draws per phase.

@@ -24,7 +24,7 @@ does not import the lower-bound gadgets.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Graph": "repro.graphs.graph",
     "GraphError": "repro.graphs.graph",
     "IndexedGraph": "repro.graphs.indexed",
@@ -33,13 +33,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "ACHKGadget": "repro.graphs.gadgets_achk",
     "PathSubdividedGadget": "repro.graphs.gadgets_path",
 })
-
-__all__ = [
-    "Graph",
-    "GraphError",
-    "IndexedGraph",
-    "generators",
-    "HW12Gadget",
-    "ACHKGadget",
-    "PathSubdividedGadget",
-]

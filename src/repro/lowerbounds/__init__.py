@@ -25,54 +25,32 @@ This subpackage implements the machinery concretely:
   ``O(r (bw + s))`` qubits;
 * :mod:`repro.lowerbounds.bounds` -- numeric evaluation of the implied
   round lower bounds.
+
+Every name loads its module on first use, so a command that runs one
+reduction does not import the others.
 """
 
-from repro.lowerbounds.bounds import (
-    theorem2_lower_bound,
-    theorem3_lower_bound,
-    theorem5_communication_lower_bound,
-    theorem10_lower_bound,
-)
-from repro.lowerbounds.congest_to_two_party import (
-    TwoPartyReductionOutcome,
-    simulate_congest_algorithm_as_two_party_protocol,
-)
-from repro.lowerbounds.disjointness import (
-    disjointness,
-    random_disjoint_instance,
-    random_instance,
-    random_intersecting_instance,
-)
-from repro.lowerbounds.reductions import (
-    DisjointnessReduction,
-    achk_reduction,
-    hw12_reduction,
-    verify_reduction_on_instance,
-)
-from repro.lowerbounds.simulation import (
-    PathNetworkProtocol,
-    PathSimulationResult,
-    simulate_path_protocol_as_two_party,
-)
-from repro.lowerbounds.two_party import TwoPartyTranscript
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "disjointness",
-    "random_instance",
-    "random_disjoint_instance",
-    "random_intersecting_instance",
-    "DisjointnessReduction",
-    "hw12_reduction",
-    "achk_reduction",
-    "verify_reduction_on_instance",
-    "TwoPartyTranscript",
-    "simulate_congest_algorithm_as_two_party_protocol",
-    "TwoPartyReductionOutcome",
-    "PathNetworkProtocol",
-    "PathSimulationResult",
-    "simulate_path_protocol_as_two_party",
-    "theorem2_lower_bound",
-    "theorem3_lower_bound",
-    "theorem5_communication_lower_bound",
-    "theorem10_lower_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "theorem2_lower_bound": "repro.lowerbounds.bounds",
+    "theorem3_lower_bound": "repro.lowerbounds.bounds",
+    "theorem5_communication_lower_bound": "repro.lowerbounds.bounds",
+    "theorem10_lower_bound": "repro.lowerbounds.bounds",
+    "TwoPartyReductionOutcome": "repro.lowerbounds.congest_to_two_party",
+    "simulate_congest_algorithm_as_two_party_protocol": (
+        "repro.lowerbounds.congest_to_two_party"
+    ),
+    "disjointness": "repro.lowerbounds.disjointness",
+    "random_disjoint_instance": "repro.lowerbounds.disjointness",
+    "random_instance": "repro.lowerbounds.disjointness",
+    "random_intersecting_instance": "repro.lowerbounds.disjointness",
+    "DisjointnessReduction": "repro.lowerbounds.reductions",
+    "achk_reduction": "repro.lowerbounds.reductions",
+    "hw12_reduction": "repro.lowerbounds.reductions",
+    "verify_reduction_on_instance": "repro.lowerbounds.reductions",
+    "PathNetworkProtocol": "repro.lowerbounds.simulation",
+    "PathSimulationResult": "repro.lowerbounds.simulation",
+    "simulate_path_protocol_as_two_party": "repro.lowerbounds.simulation",
+    "TwoPartyTranscript": "repro.lowerbounds.two_party",
+})

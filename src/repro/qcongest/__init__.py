@@ -39,7 +39,7 @@ Every name loads its module on first use.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "DistributedSuperposition": "repro.qcongest.branch_state",
     "DistributedOptimizationResult": "repro.qcongest.framework",
     "DistributedSearchProblem": "repro.qcongest.framework",
@@ -49,14 +49,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "run_distributed_quantum_optimization": "repro.qcongest.framework",
     "run_setup_broadcast": "repro.qcongest.setup",
 })
-
-__all__ = [
-    "DistributedSuperposition",
-    "DistributedSearchProblem",
-    "DistributedOptimizationResult",
-    "ORACLE_CONGEST",
-    "ORACLE_REFERENCE",
-    "QuantumProblemResult",
-    "run_distributed_quantum_optimization",
-    "run_setup_broadcast",
-]

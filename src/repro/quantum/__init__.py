@@ -39,7 +39,7 @@ import the numpy :class:`StateVector`.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AmplificationOutcome": "repro.quantum.amplitude_amplification",
     "amplitude_amplification_search": "repro.quantum.amplitude_amplification",
     "grover_success_probability": "repro.quantum.amplitude_amplification",
@@ -58,23 +58,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "StateVector": "repro.quantum.state",
     "cnot_copy_register": "repro.quantum.state",
 })
-
-__all__ = [
-    "grover_success_probability",
-    "optimal_grover_iterations",
-    "theorem6_query_budget",
-    "amplitude_amplification_search",
-    "AmplificationOutcome",
-    "ScheduleBackend",
-    "SamplingScheduleBackend",
-    "BatchedScheduleBackend",
-    "grover_search",
-    "GroverSearchResult",
-    "find_maximum",
-    "uniform_amplitudes",
-    "MaximumFindingResult",
-    "QuantumCostModel",
-    "QuantumResourceCount",
-    "StateVector",
-    "cnot_copy_register",
-]

@@ -26,7 +26,7 @@ never loads it.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "EXACT": "repro.runner.algorithms",
     "GUARANTEES": "repro.runner.algorithms",
     "SWEEP_ALGORITHMS": "repro.runner.algorithms",
@@ -44,22 +44,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "graph_diameter_cached": "repro.runner.spec",
     "grid": "repro.runner.spec",
 })
-
-__all__ = [
-    "BatchRunner",
-    "BatchTaskError",
-    "resolve_jobs",
-    "task_seed",
-    "GraphSpec",
-    "grid",
-    "build_graph_cached",
-    "graph_diameter_cached",
-    "clear_worker_caches",
-    "SWEEP_ALGORITHMS",
-    "SweepAlgorithmInfo",
-    "EXACT",
-    "TWO_APPROX",
-    "THREE_HALVES",
-    "GUARANTEES",
-    "resolve_algorithms",
-]

@@ -147,28 +147,27 @@ class BatchRunner:
     jobs:
         Number of worker processes (see :func:`resolve_jobs`; ``None``/``1``
         run serially in-process, ``0`` means one worker per CPU).
-    chunk_size:
-        Number of tasks handed to a worker per dispatch.  The default
-        (``None``) uses the factoring planner shared with the dispatch
-        coordinator (:func:`repro.dispatch.cost.plan_chunks`): chunk
-        *cost* shrinks as the work drains, so chunks are large at the
-        head (amortising IPC) and small at the tail (a straggler holds
-        at most a few cells), capped at 32 cells.  An explicit integer
-        restores fixed-size chunking.  Chunks preserve task order, so
-        tasks sharing a per-worker cache key (e.g. the same
-        :class:`repro.runner.spec.GraphSpec`) should be submitted
-        consecutively.
     start_method:
         ``multiprocessing`` start method (``None`` uses the platform
         default, ``fork`` on Linux).
     cost_of:
-        Optional per-task cost estimator feeding the default chunk plan
-        (uniform costs otherwise).  Called in the *parent* process only,
-        so it need not be picklable; sweep grids pass the dispatch cost
-        model's static per-cell prior here.
+        Optional per-task cost estimator feeding the chunk plan (uniform
+        costs otherwise).  Called in the *parent* process only, so it
+        need not be picklable; sweep grids pass the dispatch cost model's
+        static per-cell prior here.
 
     Notes
     -----
+    Tasks reach the workers in chunks planned by the factoring planner
+    shared with the dispatch coordinator
+    (:func:`repro.dispatch.cost.plan_chunks`): chunk *cost* shrinks as
+    the work drains, so chunks are large at the head (amortising IPC) and
+    small at the tail (a straggler holds at most a few cells), capped at
+    :attr:`MAX_CHUNK_CELLS` cells.  Chunks preserve task order, so tasks
+    sharing a per-worker cache key (e.g. the same
+    :class:`repro.runner.spec.GraphSpec`) should be submitted
+    consecutively.
+
     The mapped callable, the context and every task must be picklable when
     ``jobs > 1`` (module-level functions and plain dataclasses are; lambdas
     are not).  Results are returned in task order; a worker exception
@@ -182,19 +181,15 @@ class BatchRunner:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
         cost_of: Optional[Callable[[Any], float]] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
         self.start_method = start_method
         self.cost_of = cost_of
 
     def _chunks(self, tasks: Sequence, workers: int) -> List[List]:
-        """The variable-size chunk plan for one batch (default chunking).
+        """The variable-size chunk plan for one batch.
 
         Deterministic in the task list and cost estimates -- no wall
         clocks, no dict iteration -- so the plan (and therefore the
@@ -267,17 +262,11 @@ class BatchRunner:
             initargs=(function, context),
         )
         try:
-            if self.chunk_size is not None:
-                for result in pool.imap(
-                    _invoke_task, tasks, chunksize=self.chunk_size
-                ):
+            for chunk in pool.imap(
+                _invoke_chunk, self._chunks(tasks, workers), chunksize=1
+            ):
+                for result in chunk:
                     yield result
-            else:
-                for chunk in pool.imap(
-                    _invoke_chunk, self._chunks(tasks, workers), chunksize=1
-                ):
-                    for result in chunk:
-                        yield result
             pool.close()
         except BaseException:
             pool.terminate()

@@ -34,7 +34,7 @@ quotas and the metrics page nor the daemon, its HTTP face and the client
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "GRID_KINDS": "repro.service.gridspec",
     "GridRequest": "repro.service.gridspec",
     "execute_grid_request": "repro.service.gridspec",
@@ -55,25 +55,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "ServiceClient": "repro.service.client",
     "ServiceClientError": "repro.service.client",
 })
-
-__all__ = [
-    "GRID_KINDS",
-    "GridRequest",
-    "execute_grid_request",
-    "fault_model_from_flags",
-    "JOB_STATES",
-    "ACTIVE_STATES",
-    "TERMINAL_STATES",
-    "JobError",
-    "JobLedger",
-    "JobRecord",
-    "ExperimentService",
-    "METRICS_CONTENT_TYPE",
-    "render_metrics",
-    "QuotaPolicy",
-    "QuotaExceeded",
-    "capacity_report",
-    "serve_api",
-    "ServiceClient",
-    "ServiceClientError",
-]

@@ -30,7 +30,7 @@ not import the shard merger.
 
 from repro._lazy import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "EXPORT_FORMATS": "repro.store.export",
     "export_records": "repro.store.export",
     "render_csv": "repro.store.export",
@@ -57,31 +57,3 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "spec_from_dict": "repro.store.records",
     "spec_to_dict": "repro.store.records",
 })
-
-__all__ = [
-    "ExperimentStore",
-    "ExperimentStoreError",
-    "StoreLockError",
-    "StoreWriterLock",
-    "append_jsonl_line",
-    "iter_jsonl_entries",
-    "merge_shards",
-    "shard_stats",
-    "SCHEMA_VERSION",
-    "EXPORT_FORMATS",
-    "export_records",
-    "render_records",
-    "render_csv",
-    "render_json",
-    "render_jsonl",
-    "sweep_table",
-    "collect_provenance",
-    "git_describe",
-    "RECORD_FIELDS",
-    "SweepRecord",
-    "canonical_json",
-    "record_to_dict",
-    "record_from_dict",
-    "spec_to_dict",
-    "spec_from_dict",
-]

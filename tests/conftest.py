@@ -82,14 +82,13 @@ def reference_paths(monkeypatch):
     numpy were not installed): the references the production sparse
     scheduler, batched backend and vector kernel are held to.
     """
-    import repro.engine
+    import repro.congest.network as network
     import repro.graphs.indexed as indexed
     import repro.quantum.backend as backend
+    from repro.engine import DenseScheduler
 
     def install() -> None:
-        monkeypatch.setattr(
-            repro.engine, "SparseScheduler", repro.engine.DenseScheduler
-        )
+        monkeypatch.setattr(network, "SparseScheduler", DenseScheduler)
         monkeypatch.setattr(
             backend, "BatchedScheduleBackend", backend.SamplingScheduleBackend
         )

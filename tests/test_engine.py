@@ -136,13 +136,13 @@ class _QueueDrainer(NodeAlgorithm):
 class TestEngineSelection:
     def test_default_scheduler_is_sparse(self):
         network = Network(generators.path_graph(3))
-        assert type(network.engine.scheduler) is SparseScheduler
+        assert type(network.scheduler) is SparseScheduler
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_engine(self, engine):
         scheduler = SCHEDULER_CLASSES[engine]()
         network = Network(generators.path_graph(3), scheduler=scheduler)
-        assert network.engine.scheduler is scheduler
+        assert network.scheduler is scheduler
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(TypeError, match="Scheduler instance"):
@@ -184,7 +184,7 @@ class TestEngineSelection:
             network = Network(generators.path_graph(3), scheduler=_Recording())
             network.run(_factory(_Nesting))
             outer, inner = begun
-            assert outer is network.engine.scheduler
+            assert outer is network.scheduler
             assert type(inner) is _Recording and inner is not outer
 
     def test_unknown_default_rejected(self):

@@ -208,7 +208,8 @@ class TestLazyPackageNames:
         for package in ("repro.analysis", "repro.dispatch", "repro.quantum",
                         "repro.service", "repro.store", "repro.algorithms",
                         "repro.congest", "repro.core", "repro.engine",
-                        "repro.graphs", "repro.qcongest", "repro.runner"):
+                        "repro.graphs", "repro.lowerbounds", "repro.qcongest",
+                        "repro.runner"):
             module = importlib.import_module(package)
             for name in module.__all__:
                 assert getattr(module, name) is not None, (package, name)

@@ -88,10 +88,10 @@ def _export(request: GridRequest) -> str:
 
 def test_reference_switch_installs_the_references(reference_paths):
     graph = generators.path_graph(3)
-    assert type(Network(graph).engine.scheduler) is SparseScheduler
+    assert type(Network(graph).scheduler) is SparseScheduler
     assert type(resolve_schedule_backend()) is BatchedScheduleBackend
     reference_paths()
-    assert type(Network(graph).engine.scheduler) is DenseScheduler
+    assert type(Network(graph).scheduler) is DenseScheduler
     assert type(resolve_schedule_backend()) is SamplingScheduleBackend
     assert indexed.numpy_or_none() is None
 

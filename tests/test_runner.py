@@ -96,10 +96,6 @@ class TestBatchRunner:
         assert resolve_jobs(0) >= 1
         assert resolve_jobs(-1) >= 1
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(jobs=2, chunk_size=0)
-
     def test_task_seed_deterministic_and_distinct(self):
         a = task_seed(7, GraphSpec("cycle", 12), "classical_exact")
         b = task_seed(7, GraphSpec("cycle", 12), "classical_exact")
