@@ -1,14 +1,15 @@
 """Micro-benchmark: sampling vs batched quantum schedule backends.
 
-The quantum schedule engine (:mod:`repro.quantum.backend`) exists because
-the amplitude-amplification / maximum-finding schedule is the hot loop of
-every Theorem-7 run: the reference ``"sampling"`` backend rescans the
-whole search space once per amplification round, while the ``"batched"``
-backend precomputes the exact Grover rotation statistics (marked masses,
-success probabilities, conditioned sampling lists) and serves every round
-from per-threshold tables -- with **byte-identical** results for a fixed
-seed (the identity is asserted inside every workload here, and proven
-more broadly by ``tests/test_quantum_backends.py``).
+The maximum-finding schedule (:func:`repro.quantum.maximum_finding.
+find_maximum`) is the hot loop of every Theorem-7 run.  It is one loop
+with two sources of each round's marked statistics
+(:mod:`repro.quantum.backend`): the reference ``"sampling"`` backend
+rescans the whole search space once per amplification round, while the
+``"batched"`` backend serves every round's marked mass, success
+probabilities and conditioned sampling lists from per-threshold tables --
+with **byte-identical** results for a fixed seed (the identity is
+asserted inside every workload here, and proven more broadly by
+``tests/test_quantum_backends.py``).
 
 This harness measures:
 
@@ -64,6 +65,7 @@ from repro.quantum.backend import (
     BatchedScheduleBackend,
     SamplingScheduleBackend,
 )
+from repro.quantum.maximum_finding import find_maximum
 from repro.runner.algorithms import SWEEP_ALGORITHMS
 
 #: The sampling reference and the batched production backend, by name.
@@ -136,12 +138,13 @@ def _bench_schedule(nodes: int, variant: str, seeds: int) -> dict:
         for name, backend in BACKENDS.items():
             start = time.perf_counter()
             results[name] = [
-                backend.run_maximum_finding(
+                find_maximum(
                     amplitudes,
                     values.__getitem__,
                     eps=eps,
                     delta=0.1,
                     rng=random.Random(seed),
+                    backend=backend,
                 )
                 for seed in range(seeds)
             ]

@@ -87,7 +87,7 @@ from repro.runner.algorithms import (
     SweepAlgorithmInfo,
 )
 from repro.runner.batch import BatchRunner, task_seed
-from repro.runner.spec import GraphSpec, build_graph_cached, graph_diameter_cached
+from repro.runner.spec import GraphSpec, build_graph_cached
 # Defined in the store, which imports no simulator layer; re-exported for
 # the callers that import them from the sweep module.
 from repro.store.export import sweep_table
@@ -246,9 +246,10 @@ def _sweep_one_grid_cell(
     true_diameter: Optional[int] = None
     if _needs_oracle(algorithms):
         # Some algorithm of this sweep needs the oracle, so every record
-        # of the spec carries it; the per-process cache makes this one
-        # computation per spec per worker.
-        true_diameter = graph_diameter_cached(spec)
+        # of the spec carries it; the cached graph's compiled view
+        # memoises its eccentricities, so this is one computation per
+        # spec per worker.
+        true_diameter = graph.compile().diameter()
     if success:
         correct, extra = _check_value(
             _guarantee_of(algorithm),

@@ -2,8 +2,10 @@
 
 The benchmark harnesses fit measured round counts against these functional
 forms (ignoring polylogarithmic factors and constants, exactly as the
-paper's ``O~`` / ``Omega~`` notation does) and EXPERIMENTS.md records the
-comparison.  Each function documents the theorem or citation it comes from.
+paper's ``O~`` / ``Omega~`` notation does), and :func:`table1_rows` lays
+them out as Table 1.  Each function documents the theorem or citation it
+comes from.  The two-party lower bounds behind the quantum rows live in
+:mod:`repro.lowerbounds.bounds`.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ def quantum_exact_upper(n: int, diameter: int) -> float:
     return math.sqrt(n * max(1, diameter))
 
 
-def quantum_exact_upper_simple(n: int, diameter: int) -> float:
-    """The simpler Section-3.1 algorithm: ``O~(sqrt(n) * D)`` rounds."""
-    _check(n, diameter)
-    return math.sqrt(n) * max(1, diameter)
-
-
 def classical_approx_upper(n: int, diameter: int) -> float:
     """Classical 3/2-approximation: ``O~(sqrt(n) + D)`` rounds [LP13, HPRW14]."""
     _check(n, diameter)
@@ -51,12 +47,6 @@ def quantum_approx_upper(n: int, diameter: int) -> float:
     """Quantum 3/2-approximation: ``O~((n D)^(1/3) + D)`` rounds (Theorem 4)."""
     _check(n, diameter)
     return (n * max(1, diameter)) ** (1.0 / 3.0) + diameter
-
-
-def trivial_two_approx_upper(n: int, diameter: int) -> float:
-    """Trivial 2-approximation: ``O(D)`` rounds (eccentricity of one node)."""
-    _check(n, diameter)
-    return float(max(1, diameter))
 
 
 # ----------------------------------------------------------------------
@@ -88,37 +78,6 @@ def classical_approx_lower(n: int, diameter: int = 0) -> float:
     [HW12, ACHK16, BK17]."""
     _check(n, diameter)
     return float(n)
-
-
-def bgk_disjointness_lower(k: int, messages: int) -> float:
-    """Theorem 5 ([BGK+15]): the ``r``-message quantum communication
-    complexity of ``DISJ_k`` is ``Omega~(k / r + r)`` qubits."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if messages < 1:
-        raise ValueError(f"messages must be >= 1, got {messages}")
-    return k / messages + messages
-
-
-def theorem10_round_lower(k: int, b: int) -> float:
-    """Theorem 10: a ``(b, k, d1, d2)``-reduction implies an
-    ``Omega~(sqrt(k) / b)`` quantum round lower bound.
-
-    (Balancing ``r * b = k / r + r`` gives ``r = Theta(sqrt(k / b))`` up to
-    log factors; with ``b = Theta(n)`` and ``k = Theta(n^2)`` as in
-    Theorem 8 this is ``Omega~(sqrt(n))``.)
-    """
-    if k < 1 or b < 1:
-        raise ValueError("k and b must be >= 1")
-    return math.sqrt(k / b)
-
-
-def theorem3_round_lower(n: int, d: int, b: int, memory_qubits: int) -> float:
-    """The bound derived in the proof of Theorem 3:
-    ``r = Omega~(sqrt(k d / (b + s)))`` with ``k = Theta(n)``."""
-    if n < 1 or d < 1 or b < 1 or memory_qubits < 0:
-        raise ValueError("parameters must be positive")
-    return math.sqrt(n * d / (b + max(1, memory_qubits)))
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,11 @@ data assignment per branch
 amplitude vector over branches.  The framework
 (:mod:`repro.qcongest.framework`) measures the CONGEST round cost of the
 Initialization / Setup / Evaluation procedures by actually running them on
-the simulator, simulates the amplitude-amplification schedule exactly
-(including its failure probability) through the batched schedule backend
-(:mod:`repro.quantum.backend`; the sampling backend is its byte-identical
-reference), and reports total rounds, messages and
+the simulator, simulates the maximum-finding schedule exactly (including
+its failure probability) with :func:`repro.quantum.maximum_finding.find_maximum`,
+whose rounds take their marked statistics from the batched schedule
+backend (:mod:`repro.quantum.backend`; the sampling backend is its
+byte-identical reference), and reports total rounds, messages and
 per-node memory.
 
 Concrete instantiations -- exact diameter (Theorem 1), the

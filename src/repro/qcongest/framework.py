@@ -9,11 +9,10 @@ procedures.  :func:`run_distributed_quantum_optimization`
 2. measures the round cost of one **Setup** application and of one
    **Evaluation** application by running the corresponding distributed
    procedures;
-3. simulates the quantum maximum-finding schedule *exactly* through a
-   :class:`repro.quantum.backend.ScheduleBackend` (the batched backend
-   unless the caller passes its sampling reference -- both reproduce the
-   amplitude-amplification measurement statistics bit for bit), counting
-   every Setup and Evaluation application;
+3. simulates the quantum maximum-finding schedule *exactly* with
+   :func:`repro.quantum.maximum_finding.find_maximum`, counting every
+   Setup and Evaluation application (``backend=`` picks where its rounds
+   get their marked statistics; both sources are bit-identical);
 4. converts the counts into total CONGEST rounds with the cost model of
    Theorem 7 (``T0 + #calls * T``) and reports per-node memory.
 
@@ -59,7 +58,7 @@ from repro.quantum.cost_model import (
     QuantumResourceCount,
     leader_memory_bits,
 )
-from repro.quantum.maximum_finding import MaximumFindingResult
+from repro.quantum.maximum_finding import find_maximum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.bfs import BFSTreeResult
@@ -239,14 +238,15 @@ def run_distributed_quantum_optimization(
     is the maximum of ``f`` with probability at least ``1 - delta`` (up to
     the constants of the amplitude-amplification schedule).
 
-    ``backend`` is the quantum schedule simulator
+    ``backend`` is the schedule backend of :func:`find_maximum`
     (:mod:`repro.quantum.backend`; ``None``: the batched backend).  The
     differential tests pass the sampling reference here; backends are
     proven byte-identical, so the choice affects wall-clock only.
     """
     rng = rng if rng is not None else random.Random(0)
     network = getattr(problem, "network", None)
-    schedule_backend = resolve_schedule_backend(backend)
+    # Reject a bad backend before Initialization runs.
+    backend = resolve_schedule_backend(backend)
 
     # When the problem exposes the CONGEST network it simulates on, observe
     # every run it performs during the optimization with a run-log
@@ -265,33 +265,29 @@ def run_distributed_quantum_optimization(
             raise ValueError("the search space must be non-empty")
         setup_metrics = problem.setup_cost()
 
-        evaluation_cost: Dict[str, ExecutionMetrics] = {}
-        value_cache: Dict[Item, float] = {}
+        # find_maximum evaluates each item once, so this holds one cost
+        # per distinct item.
+        evaluation_costs: List[ExecutionMetrics] = []
 
         def value_of(item: Item) -> float:
-            if item in value_cache:
-                return value_cache[item]
             value, metrics = problem.evaluate(item)
-            value_cache[item] = value
-            current = evaluation_cost.get("max")
-            if current is None or metrics.rounds > current.rounds:
-                evaluation_cost["max"] = metrics
+            evaluation_costs.append(metrics)
             return value
 
-        eps = problem.optimum_mass_lower_bound()
-        outcome: MaximumFindingResult = schedule_backend.run_maximum_finding(
+        outcome = find_maximum(
             amplitudes,
             value_of=value_of,
-            eps=eps,
+            eps=problem.optimum_mass_lower_bound(),
             delta=delta,
             rng=rng,
             budget_constant=budget_constant,
+            backend=backend,
         )
     finally:
         if observed:
             network.remove_observer(run_log)
 
-    per_evaluation = evaluation_cost.get("max", ExecutionMetrics())
+    per_evaluation = max(evaluation_costs, key=lambda metrics: metrics.rounds)
     cost_model = QuantumCostModel(
         initialization=initialization_metrics,
         setup=setup_metrics,
@@ -313,7 +309,7 @@ def run_distributed_quantum_optimization(
         initialization_rounds=initialization_metrics.rounds,
         setup_rounds_per_call=setup_metrics.rounds,
         evaluation_rounds_per_call=per_evaluation.rounds,
-        distinct_evaluations=len(value_cache),
+        distinct_evaluations=len(evaluation_costs),
         simulated_runs=run_log.runs,
         simulated_rounds=run_log.rounds,
     )

@@ -20,12 +20,14 @@ provides those primitives in the *centralized* setting, with two faces:
   distributed layer can convert query counts into CONGEST rounds
   (:mod:`repro.quantum.cost_model`).
 
-Both faces are served through a **schedule backend**
-(:mod:`repro.quantum.backend`): every quantum run uses the batched
-backend, which precomputes the exact Grover rotation statistics over the
-whole search space and serves every amplification round from
-per-threshold tables; the sampling backend is the per-call reference
-simulation the differential tests hold it to.  The two are proven
+The maximum-finding loop (:func:`repro.quantum.maximum_finding.find_maximum`)
+and the amplitude-amplification attempt loop each of its rounds runs are
+written once.  A **schedule backend** (:mod:`repro.quantum.backend`)
+supplies only each round's marked statistics -- the marked mass and a
+conditioned draw: every quantum run uses the batched backend, which
+serves them from per-threshold tables computed once over the search
+space; the sampling backend, the reference the differential tests hold
+it to, rescans the search space every round.  The two are proven
 byte-identical for a fixed seed.
 
 A small dense state-vector simulator (:mod:`repro.quantum.state`) is also
@@ -41,6 +43,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "AmplificationOutcome": "repro.quantum.amplitude_amplification",
+    "amplification_attempts": "repro.quantum.amplitude_amplification",
     "amplitude_amplification_search": "repro.quantum.amplitude_amplification",
     "grover_success_probability": "repro.quantum.amplitude_amplification",
     "optimal_grover_iterations": "repro.quantum.amplitude_amplification",

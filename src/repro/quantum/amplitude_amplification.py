@@ -16,18 +16,17 @@ This module provides:
   number of ``Setup`` / ``Checking`` applications sufficient to decide
   whether ``M`` is empty with failure probability ``delta`` under the
   promise ``P_M = 0`` or ``P_M >= eps``;
-* an exact *sampling* simulation (:func:`amplitude_amplification_search`)
-  following the standard exponential-search schedule ([BBHT98]-style) for
-  an unknown ``P_M``: it reproduces the measurement statistics exactly
-  (success and failure included) while counting every oracle application,
-  so the distributed layer can convert the count into CONGEST rounds.
-
-This sampling simulation doubles as the reference implementation of the
-sampling schedule backend (:mod:`repro.quantum.backend`); the batched
-backend of every quantum run replays the identical schedule from
-precomputed rotation statistics and must stay bit-compatible with the loop in
-:func:`amplitude_amplification_search` -- the differential suite enforces
-it, but edit the two together.
+* the exponential-search attempt loop for an unknown ``P_M``
+  ([BBHT98]-style, :func:`amplification_attempts`), written once: it
+  reproduces the measurement statistics exactly (success and failure
+  included) while counting every oracle application, so the distributed
+  layer can convert the count into CONGEST rounds.  It takes the marked
+  mass and a draw of a marked item from its caller;
+* :func:`amplitude_amplification_search`, one search that computes both
+  by scanning the amplitude map with the Checking predicate.  The
+  sampling schedule backend (:mod:`repro.quantum.backend`) runs it for
+  every round of maximum finding; the batched backend feeds the same
+  attempt loop from precomputed tables.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Mapping, Optional
 
 Item = Hashable
 
@@ -137,8 +136,34 @@ def amplitude_amplification_search(
     marked_mass = sum(
         weight ** 2 for item, weight in amplitudes.items() if is_marked(item)
     )
-    budget = theorem6_query_budget(eps, delta, constant=budget_constant)
+    return amplification_attempts(
+        marked_mass,
+        lambda: _sample_marked(amplitudes, is_marked, rng),
+        rng,
+        eps,
+        theorem6_query_budget(eps, delta, constant=budget_constant),
+    )
 
+
+def amplification_attempts(
+    marked_mass: float,
+    draw_marked: Callable[[], Item],
+    rng: random.Random,
+    eps: float,
+    budget: int,
+    success_probability: Callable[[float, int], float] = grover_success_probability,
+) -> AmplificationOutcome:
+    """The exponential-search attempt loop of Theorem 6 ([BBHT98]-style).
+
+    Each attempt draws an iteration count below the growing schedule
+    bound, charges its Setup and oracle applications, and measures: with
+    probability ``success_probability(marked_mass, iterations)`` the
+    measurement is marked and ``draw_marked()`` picks the item.  The loop
+    gives up once ``budget`` oracle calls are spent.  ``marked_mass`` is
+    clamped at 1.0, so float noise in a summed mass cannot leave the
+    rotation's domain when every item is marked.
+    """
+    marked_mass = min(marked_mass, 1.0)
     setup_calls = 0
     oracle_calls = 0
     measurements = 0
@@ -154,15 +179,14 @@ def amplitude_amplification_search(
         oracle_calls += max(1, iterations)
         measurements += 1
 
-        success_probability = (
-            grover_success_probability(marked_mass, iterations)
+        probability = (
+            success_probability(marked_mass, iterations)
             if marked_mass > 0.0
             else 0.0
         )
-        if rng.random() < success_probability:
-            found = _sample_conditioned(amplitudes, is_marked, True, rng)
+        if rng.random() < probability:
             return AmplificationOutcome(
-                found=found,
+                found=draw_marked(),
                 setup_calls=setup_calls,
                 oracle_calls=oracle_calls,
                 measurements=measurements,
@@ -180,24 +204,19 @@ def amplitude_amplification_search(
     )
 
 
-def _sample_conditioned(
+def _sample_marked(
     amplitudes: Mapping[Item, float],
     is_marked: Callable[[Item], bool],
-    marked: bool,
     rng: random.Random,
 ) -> Item:
-    """Sample an item from the initial distribution conditioned on markedness.
+    """Sample a marked item from the initial distribution.
 
     After the Grover rotation the conditional distribution *within* the
-    marked (resp. unmarked) subspace is unchanged, so conditioning the
-    original Born distribution is exact.
+    marked subspace is unchanged, so conditioning the original Born
+    distribution is exact.
     """
-    items = [item for item in amplitudes if is_marked(item) == marked]
-    weights = [amplitudes[item] ** 2 for item in items]
-    total = sum(weights)
-    if total <= 0.0:
-        raise ValueError("cannot sample from an empty subspace")
-    return rng.choices(items, weights=weights)[0]
+    items = [item for item in amplitudes if is_marked(item)]
+    return rng.choices(items, weights=[amplitudes[item] ** 2 for item in items])[0]
 
 
 def _check_normalised(amplitudes: Mapping[Item, float]) -> None:

@@ -10,9 +10,10 @@ those counts into round counts, message counts and per-node memory
 estimates, which is what the benchmark harnesses report next to the paper's
 formulas.
 
-The counts arrive from whichever schedule backend ran the simulation
-(:mod:`repro.quantum.backend`); since backends are byte-identical, the
-cost model is backend-agnostic by construction.
+The counts come from the one maximum-finding loop
+(:func:`repro.quantum.maximum_finding.find_maximum`); its two sources of
+marked statistics (:mod:`repro.quantum.backend`) are byte-identical, so
+the counts do not depend on which one ran.
 """
 
 from __future__ import annotations

@@ -1,20 +1,11 @@
 """Grover search over an explicit item collection.
 
-A thin convenience layer over the schedule-backend API
-(:mod:`repro.quantum.backend`) for the common case of a uniform
-superposition over a finite collection and a boolean oracle.  It exists
-mostly for the unit tests and the quickstart example; the distributed
-algorithms use the maximum-finding routine of
-:mod:`repro.quantum.maximum_finding` directly.
-
-Earlier revisions carried their own copy of the uniform-amplitude
-construction and a private result dataclass that drifted from
-:class:`repro.quantum.amplitude_amplification.AmplificationOutcome`; the
-module is now a pure re-export: amplitudes come from
-:func:`repro.quantum.maximum_finding.uniform_amplitudes`, the search runs
-through the :class:`~repro.quantum.backend.ScheduleBackend` the caller
-passes (the batched backend by default), and the result *is* an
-``AmplificationOutcome`` under its historical name.
+A thin convenience layer over
+:func:`repro.quantum.amplitude_amplification.amplitude_amplification_search`
+for the common case of a uniform superposition over a finite collection
+and a boolean oracle.  It exists mostly for the unit tests and the
+quickstart example; the distributed algorithms use the maximum-finding
+routine of :mod:`repro.quantum.maximum_finding` directly.
 """
 
 from __future__ import annotations
@@ -22,8 +13,10 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable, Optional, Sequence
 
-from repro.quantum.amplitude_amplification import AmplificationOutcome
-from repro.quantum.backend import ScheduleBackend, resolve_schedule_backend
+from repro.quantum.amplitude_amplification import (
+    AmplificationOutcome,
+    amplitude_amplification_search,
+)
 from repro.quantum.maximum_finding import uniform_amplitudes
 
 Item = Hashable
@@ -40,7 +33,6 @@ def grover_search(
     oracle: Callable[[Item], bool],
     rng: Optional[random.Random] = None,
     delta: float = 0.05,
-    backend: Optional[ScheduleBackend] = None,
 ) -> GroverSearchResult:
     """Search ``items`` for an element satisfying ``oracle``.
 
@@ -48,15 +40,11 @@ def grover_search(
     Theorem 6 is ``eps = 1 / len(items)`` (a single marked item).  With
     ``m`` marked items the expected number of oracle calls is
     ``O(sqrt(len(items) / m))``.
-
-    ``backend`` is the schedule simulator (``None``: the batched
-    backend); all backends return identical results for a fixed ``rng``
-    seed.
     """
     if not items:
         raise ValueError("the item collection must be non-empty")
     rng = rng if rng is not None else random.Random(0)
-    return resolve_schedule_backend(backend).run_search(
+    return amplitude_amplification_search(
         uniform_amplitudes(items),
         is_marked=oracle,
         rng=rng,

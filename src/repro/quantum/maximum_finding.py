@@ -7,18 +7,16 @@ beating the current best ``a``, replace ``a`` on success, and halve the
 assumed marked mass ``eps'`` on failure; abort once the total resources
 exceed the worst-case budget and output the current best.
 
-The implementation simulates the procedure *exactly* (the measurement
-statistics of every amplitude-amplification attempt follow the true Grover
-rotation), and counts every application of ``Setup`` and of the ``Evaluation``
-oracle.  The distributed layer (Theorem 7) multiplies those counts by the
-CONGEST round cost of the corresponding distributed procedures.
-
-:func:`find_maximum` is the **reference** schedule simulation -- the
-sampling backend of :mod:`repro.quantum.backend` delegates here
-verbatim, and the batched production backend is differentially tested to
-replicate its randomness consumption, float reductions and results bit
-for bit.  Treat any change to the loop below as a change to the backend
-contract: the batched implementation must be updated in lockstep.
+:func:`find_maximum` is that loop, written once.  It simulates the
+procedure *exactly* (the measurement statistics of every
+amplitude-amplification attempt follow the true Grover rotation) and
+counts every application of ``Setup`` and of the ``Evaluation`` oracle;
+the distributed layer (Theorem 7) multiplies those counts by the CONGEST
+round cost of the corresponding distributed procedures.  Each round runs
+the Theorem-6 attempt loop of :mod:`repro.quantum.amplitude_amplification`
+on marked statistics supplied by a schedule backend
+(:mod:`repro.quantum.backend`): precomputed tables by default, a fresh
+scan of the search space with the sampling reference.
 """
 
 from __future__ import annotations
@@ -26,12 +24,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Optional
 
-from repro.quantum.amplitude_amplification import (
-    amplitude_amplification_search,
-    theorem6_query_budget,
-)
+from repro.quantum.amplitude_amplification import theorem6_query_budget
+from repro.quantum.backend import ScheduleBackend, resolve_schedule_backend
 
 Item = Hashable
 
@@ -47,10 +43,6 @@ class MaximumFindingResult:
     measurements: int
     rounds_of_amplification: int
 
-    def is_maximum(self, true_maximum: float) -> bool:
-        """Whether the returned value equals the given true maximum."""
-        return self.best_value == true_maximum
-
 
 def find_maximum(
     amplitudes: Mapping[Item, float],
@@ -59,6 +51,7 @@ def find_maximum(
     delta: float = 0.1,
     rng: Optional[random.Random] = None,
     budget_constant: float = 4.0,
+    backend: Optional[ScheduleBackend] = None,
 ) -> MaximumFindingResult:
     """Maximise ``value_of`` over the support of ``amplitudes``.
 
@@ -81,35 +74,42 @@ def find_maximum(
         Randomness source for the simulated measurements.
     budget_constant:
         Hidden constant of the O-notation in Theorem 6 / Corollary 1.
+    backend:
+        The :class:`~repro.quantum.backend.ScheduleBackend` supplying each
+        round's marked statistics (``None``: the batched backend).  Every
+        backend returns the identical result for a fixed ``rng`` seed.
 
     Returns
     -------
     MaximumFindingResult
         The best element found and exact Setup / Evaluation call counts.
     """
+    schedule = resolve_schedule_backend(backend)
     if not amplitudes:
         raise ValueError("the amplitude map must be non-empty")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     rng = rng if rng is not None else random.Random(0)
 
-    cache: Dict[Item, float] = {}
-
-    def cached_value(item: Item) -> float:
-        if item not in cache:
-            cache[item] = value_of(item)
-        return cache[item]
-
-    # Start from a sample of the Setup distribution (one Setup application
-    # and one Evaluation to learn its value).
     items = list(amplitudes)
     weights = [amplitudes[item] ** 2 for item in items]
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"amplitudes must be normalised (got total mass {total})")
+    if min(amplitudes.values()) < 0:
+        raise ValueError("amplitudes must be non-negative reals")
+
+    # Start from a sample of the Setup distribution (one Setup application
+    # and one Evaluation to learn its value).  ``values`` memoises
+    # ``value_of``; the backend evaluates the remaining items into it.
     best_item = rng.choices(items, weights=weights)[0]
-    best_value = cached_value(best_item)
+    values: Dict[Item, float] = {best_item: value_of(best_item)}
+    best_value = values[best_item]
     setup_calls = 1
     evaluation_calls = 1
     measurements = 1
     amplification_rounds = 0
+    amplify = schedule.amplifier(amplitudes, items, weights, values, value_of)
 
     # Overall resource cap, as in the proof of Corollary 1: abort and output
     # the current maximum once too many resources have been used.
@@ -119,16 +119,8 @@ def find_maximum(
 
     eps_prime = 0.5
     while evaluation_calls < overall_budget:
-        def beats_best(item: Item) -> bool:
-            return cached_value(item) > best_value
-
-        outcome = amplitude_amplification_search(
-            amplitudes,
-            is_marked=beats_best,
-            rng=rng,
-            eps=max(eps_prime, eps),
-            delta=delta,
-            budget_constant=budget_constant,
+        outcome = amplify(
+            best_value, rng, max(eps_prime, eps), delta, budget_constant
         )
         setup_calls += outcome.setup_calls
         evaluation_calls += outcome.oracle_calls
@@ -137,7 +129,7 @@ def find_maximum(
 
         if outcome.found is not None:
             best_item = outcome.found
-            best_value = cached_value(best_item)
+            best_value = values[best_item]
             # One extra Evaluation to read out the new value.
             evaluation_calls += 1
         else:
@@ -162,11 +154,3 @@ def uniform_amplitudes(items) -> Dict[Item, float]:
         raise ValueError("need at least one item")
     weight = 1.0 / math.sqrt(len(items))
     return {item: weight for item in items}
-
-
-def expected_evaluation_calls(eps: float, delta: float = 0.1, constant: float = 4.0) -> int:
-    """The worst-case Evaluation budget of Corollary 1: ``O(sqrt(log(1/delta)/eps))``.
-
-    Used by the analytic cost model and by the benchmark fits.
-    """
-    return 4 * theorem6_query_budget(eps, delta, constant=constant)

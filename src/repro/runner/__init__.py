@@ -10,9 +10,9 @@ package provides the machinery:
   propagation and **ordered** result aggregation, so parallel output is
   byte-identical to serial output;
 * :class:`GraphSpec` (:mod:`repro.runner.spec`) -- a picklable recipe for a
-  benchmark graph, with per-worker construction and diameter-oracle caches
-  so a grid builds each ``(family, n, D)`` graph once per worker, not once
-  per algorithm;
+  benchmark graph, with a per-worker construction cache so a grid builds
+  (and runs the diameter oracle on) each ``(family, n, D)`` graph once per
+  worker, not once per algorithm;
 * :data:`SWEEP_ALGORITHMS` (:mod:`repro.runner.algorithms`) -- module-level
   (hence picklable) measurement kernels referenced by name from grid tasks.
 
@@ -41,6 +41,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "GraphSpec": "repro.runner.spec",
     "build_graph_cached": "repro.runner.spec",
     "clear_worker_caches": "repro.runner.spec",
-    "graph_diameter_cached": "repro.runner.spec",
     "grid": "repro.runner.spec",
 })

@@ -8,10 +8,11 @@ construct the graph itself.  Construction is memoised **per worker** in
 ``(family, n, D)`` point, and consecutive tasks of a chunk share the spec,
 so each worker builds every graph it touches once rather than once per
 algorithm.  The sequential diameter oracle (the most expensive part of a
-sweep record's provenance) is memoised alongside, and runs on the graph's
-compiled CSR view (:func:`build_indexed_cached`): the view is cached on
-the graph instance, so every oracle call and approximation-bound check a
-worker performs against one spec shares a single compilation.
+sweep record's provenance) needs no cache of its own: it runs on the
+graph's compiled CSR view, which is cached on the graph instance and
+memoises its eccentricities, so every oracle call and
+approximation-bound check a worker performs against one spec shares a
+single compilation and a single eccentricity computation.
 
 Construction is deterministic given the spec, so per-worker caching cannot
 change results -- it only removes repeated work.
@@ -24,14 +25,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.graphs import generators
 from repro.graphs.graph import Graph
-from repro.graphs.indexed import IndexedGraph
 
-#: Per-process construction caches, keyed by spec.  Bounded so that a
+#: Per-process construction cache, keyed by spec.  Bounded so that a
 #: long-lived process sweeping many grids cannot grow without limit; the
 #: bound is generous relative to any single grid, so within one batch the
 #: cache behaves as a plain memo.
 _GRAPH_CACHE: Dict["GraphSpec", Graph] = {}
-_DIAMETER_CACHE: Dict["GraphSpec", int] = {}
 _CACHE_LIMIT = 128
 
 
@@ -80,37 +79,9 @@ def build_graph_cached(spec: GraphSpec) -> Graph:
     return graph
 
 
-def build_indexed_cached(spec: GraphSpec) -> IndexedGraph:
-    """The compiled CSR view of ``spec``'s graph, memoised in this process.
-
-    Piggybacks on :func:`build_graph_cached`: the view is cached *on the
-    graph instance* (see :meth:`repro.graphs.graph.Graph.compile`), so as
-    long as the graph stays in the per-worker cache its compilation is
-    shared by every consumer -- the diameter oracle below, the sweep's
-    approximation-bound checks, and any algorithm kernel that compiles.
-    """
-    return build_graph_cached(spec).compile()
-
-
-def graph_diameter_cached(spec: GraphSpec) -> int:
-    """The true diameter of ``spec``'s graph, memoised in this process.
-
-    Computed on the compiled view (CSR fast path, see
-    :meth:`repro.graphs.indexed.IndexedGraph.diameter`), not the
-    adjacency-map reference oracle.
-    """
-    diameter = _DIAMETER_CACHE.get(spec)
-    if diameter is None:
-        if len(_DIAMETER_CACHE) >= _CACHE_LIMIT:
-            _DIAMETER_CACHE.clear()
-        diameter = _DIAMETER_CACHE[spec] = build_indexed_cached(spec).diameter()
-    return diameter
-
-
 def clear_worker_caches() -> None:
-    """Drop the per-process construction caches (used by tests)."""
+    """Drop the per-process construction cache (used by tests)."""
     _GRAPH_CACHE.clear()
-    _DIAMETER_CACHE.clear()
 
 
 def grid(

@@ -18,8 +18,10 @@ a serial single-process run of the same grid would have written, because:
   hash randomisation and completion timing.
 
 The merge **refuses** to mix shards whose headers disagree on the grid
-signature or the base seed stream: a shard from a different grid (or a
-different ``--seed``) would otherwise silently corrupt the output.
+signature, the base seed stream or the fault model: a shard from a
+different grid (or a different ``--seed`` or ``--loss``) would otherwise
+silently corrupt the output.  The merged run header carries the shards'
+fault model.
 Empty or missing shard files are tolerated (a worker that registered but
 was never leased a shard writes nothing), as are truncated final lines
 (a killed worker's interrupted append), because shards go through the
@@ -70,8 +72,8 @@ def merge_shards(
     results (e.g. for progress inspection mid-run).
 
     Raises :class:`ExperimentStoreError` when the shards disagree on the
-    grid signature or base seed, when a shard has records but no header,
-    or when every shard is empty.
+    grid signature, base seed or fault model, when a shard has records
+    but no header, or when every shard is empty.
     """
     if not shard_paths:
         raise ExperimentStoreError("no shard paths given to merge")
@@ -204,21 +206,18 @@ def shard_stats(shard_paths: Sequence[str]) -> Dict[str, Any]:
 def _validate_headers(headers: List[Tuple[str, Dict[str, Any]]]) -> None:
     """Refuse shards whose run headers describe different grids."""
     first_path, first = headers[0]
-    signature = first.get("signature")
-    base_seed = first.get("base_seed")
     for path, header in headers[1:]:
-        if header.get("signature") != signature:
-            raise ExperimentStoreError(
-                f"shard {path!r} holds a different grid (signature "
-                f"{header.get('signature')} != {signature} of "
-                f"{first_path!r}); refusing to mix"
-            )
-        if header.get("base_seed") != base_seed:
-            raise ExperimentStoreError(
-                f"shard {path!r} used a different seed stream (base_seed "
-                f"{header.get('base_seed')} != {base_seed} of "
-                f"{first_path!r}); refusing to mix"
-            )
+        for field, what in (
+            ("signature", "holds a different grid"),
+            ("base_seed", "used a different seed stream"),
+            ("fault_model", "ran under a different fault model"),
+        ):
+            if header.get(field) != first.get(field):
+                raise ExperimentStoreError(
+                    f"shard {path!r} {what} ({field} {header.get(field)} "
+                    f"!= {first.get(field)} of {first_path!r}); refusing "
+                    "to mix"
+                )
 
 
 def _write_merged(
@@ -263,6 +262,7 @@ def _write_merged(
             ],
             **provenance,
             **collect_provenance(),
+            "fault_model": first.get("fault_model", "none"),
         })
         by_index = sorted(
             ((index, key, record) for key, (index, record) in merged.items()),

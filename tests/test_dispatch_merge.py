@@ -27,6 +27,7 @@ from repro.cli import main as cli_main
 from repro.dispatch import DispatchCoordinator, RemoteDispatch
 from repro.dispatch.worker import run_worker
 from repro.runner import GraphSpec, resolve_algorithms
+from repro.service import fault_model_from_flags
 from repro.store import (
     ExperimentStore,
     ExperimentStoreError,
@@ -219,6 +220,38 @@ class TestMergeEdgeCases:
         )
         with pytest.raises(ExperimentStoreError, match="different grid"):
             merge_shards(shard_fixture["shards"] + foreign)
+
+
+class TestMergeFaultModel:
+    def test_merged_header_keeps_the_fault_model(self, tmp_path):
+        """A merge of shards computed under a fault model stamps that
+        model on the merged run header, not the null model."""
+        specs, table = _grid()
+        fault = fault_model_from_flags(loss=0.1)
+        shard = str(tmp_path / "shard-lossy-w1.jsonl")
+        run_sweep_grid(specs, table, base_seed=BASE_SEED,
+                       store=ExperimentStore(shard), fault=fault)
+        out = str(tmp_path / "merged.jsonl")
+        merge_shards([shard], out_path=out)
+        header = ExperimentStore(out).latest_header()
+        assert header["fault_model"] == fault.describe()
+        assert header["fault_model"] == \
+            ExperimentStore(shard).latest_header()["fault_model"]
+
+    def test_mismatched_fault_model_refused(self, shard_fixture, tmp_path):
+        relabelled = tmp_path / "shard-relabelled-w9.jsonl"
+        with open(shard_fixture["shards"][1], encoding="utf-8") as handle:
+            entries = [json.loads(line) for line in handle]
+        for entry in entries:
+            if entry.get("kind") == "run":
+                entry["fault_model"] = fault_model_from_flags(
+                    loss=0.1
+                ).describe()
+        relabelled.write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries)
+        )
+        with pytest.raises(ExperimentStoreError, match="fault model"):
+            merge_shards([shard_fixture["shards"][0], str(relabelled)])
 
 
 class TestHashSeedIndependence:
