@@ -14,15 +14,18 @@ next to the repository root (sibling of ``BENCH_runner.json``):
   1-2 cores) the gate is instead an overhead cap -- remote may not cost
   more than ``OVERHEAD_CAP``x serial, because the cells dominate and the
   per-cell frames are tiny.
-* **Straggler scenario** -- the adaptive scheduler's reason to exist:
-  the same grid with one worker artificially slowed via the
+* **Straggler scenario** -- the scheduler's reason to cut leases at
+  lease time: the same grid with one worker artificially slowed via the
   ``REPRO_DISPATCH_THROTTLE`` env hook (an *unexpected* straggler -- its
-  advertised capabilities look normal), run once under
-  ``shard_policy="static"`` and once under ``"adaptive"``.  Adaptive
-  work stealing trims the straggler's lease down to its in-flight cell,
-  so the tail shrinks from a whole static shard to one cell; the gate is
-  adaptive >= ``STRAGGLER_GATE``x over static on >= 4-core boxes, and at
-  least one steal/speculative lease everywhere.
+  advertised capabilities look normal).  Work stealing trims the
+  straggler's lease down to its in-flight cell, so the tail shrinks from
+  a whole equal slice to one cell.  The comparison is a bound, not a
+  second run: any one-shot equal split hands the straggler ``cells //
+  WORKERS`` cells, each followed by a ``STRAGGLER_THROTTLE`` sleep, so
+  it takes at least ``static_bound_seconds = STRAGGLER_THROTTLE * (cells
+  // WORKERS)``.  The gate is bound / measured >= ``STRAGGLER_GATE`` on
+  >= 4-core boxes, and at least one steal/speculative lease
+  everywhere.
 * **Merge fidelity** -- asserted everywhere, *including* under stealing:
   the streamed remote records, and the offline
   :func:`repro.store.merge.merge_shards` of the workers' shard stores,
@@ -77,8 +80,9 @@ OVERHEAD_CAP = 3.0
 #: concurrent appends to distinct shard stores, and the merge.
 WORKERS = 2
 
-#: Adaptive must beat static by at least this factor on the straggler
-#: grid (gated on >= 4 cores, recorded everywhere).
+#: The straggler grid must finish at least this factor under the least
+#: time of a one-shot equal split (gated on >= 4 cores, recorded
+#: everywhere).
 STRAGGLER_GATE = 1.4
 
 # Cell weight matters: the dispatch setup cost (connect, describe,
@@ -91,8 +95,8 @@ GRID_ALGORITHMS = ("classical_exact", "two_approx")
 BASE_SEED = 11
 
 # The straggler grid: many cheap cells, so one throttled worker's
-# per-cell sleep dominates and the scheduling policy is what decides
-# the tail.  (Cheap compute keeps the scenario fast on tiny CI boxes.)
+# per-cell sleep dominates and the scheduler is what decides the tail.
+# (Cheap compute keeps the scenario fast on tiny CI boxes.)
 # The straggler deadline is deliberately *shorter than one throttled
 # cell*: whenever the fast worker idles while the straggler computes,
 # either a steal (>= 2 cells remaining in the straggler's lease) or a
@@ -192,28 +196,22 @@ def _merged_canon(shard_dir, work_dir, tag):
 
 
 def _straggler_scenario(work_dir: dict, smoke: bool) -> dict:
-    """Static vs adaptive policy with one throttled worker."""
+    """The straggler grid against the least time of an equal split."""
     sizes = STRAGGLER_SIZES[: 8 if smoke else len(STRAGGLER_SIZES)]
     specs = _grid_specs(sizes, families=STRAGGLER_FAMILIES)
     algorithms = resolve_algorithms(list(STRAGGLER_ALGORITHMS))
     serial_records = run_sweep_grid(specs, algorithms, base_seed=BASE_SEED)
     serial_canon = render_records(serial_records, "jsonl")
-    throttles = [STRAGGLER_THROTTLE, None]
 
-    # True one-shot partitioning: each worker receives an equal slice up
-    # front (explicit shard_size forces it), so the straggler's whole
-    # slice waits on its throttle -- the baseline the adaptive scheduler
-    # is built to beat.
+    # A one-shot equal split gives the throttled worker cells // WORKERS
+    # cells, and it sleeps STRAGGLER_THROTTLE after each of them.
     cells = len(specs) * len(algorithms)
-    static_dir = os.path.join(work_dir, "straggler-static")
-    static_records, static_seconds, _ = _remote_run(
-        specs, algorithms, static_dir, throttles=throttles,
-        shard_policy="static", shard_size=-(-cells // WORKERS),
-    )
+    static_bound = STRAGGLER_THROTTLE * (cells // WORKERS)
     adaptive_dir = os.path.join(work_dir, "straggler-adaptive")
     adaptive_records, adaptive_seconds, stats = _remote_run(
-        specs, algorithms, adaptive_dir, throttles=throttles,
-        shard_policy="adaptive", straggler_deadline=STRAGGLER_DEADLINE,
+        specs, algorithms, adaptive_dir,
+        throttles=[STRAGGLER_THROTTLE, None],
+        straggler_deadline=STRAGGLER_DEADLINE,
     )
     merged_canon, _, shards = _merged_canon(
         adaptive_dir, work_dir, "straggler"
@@ -222,17 +220,15 @@ def _straggler_scenario(work_dir: dict, smoke: bool) -> dict:
         "cells": cells,
         "throttle": STRAGGLER_THROTTLE,
         "straggler_deadline": STRAGGLER_DEADLINE,
-        "static_seconds": round(static_seconds, 4),
+        "static_bound_seconds": round(static_bound, 4),
         "adaptive_seconds": round(adaptive_seconds, 4),
-        "speedup": round(static_seconds / max(adaptive_seconds, 1e-9), 3),
+        "speedup": round(static_bound / max(adaptive_seconds, 1e-9), 3),
         "gate": STRAGGLER_GATE,
         "steals": stats["steals"],
         "speculative_leases": stats["speculative_leases"],
         "trims_sent": stats["trims_sent"],
         "duplicate_cells": stats["duplicate_cells"],
         "shards": shards,
-        "static_identical":
-            render_records(static_records, "jsonl") == serial_canon,
         "adaptive_identical":
             render_records(adaptive_records, "jsonl") == serial_canon,
         "merge_identical": merged_canon == serial_canon,
@@ -315,14 +311,14 @@ def test_dispatch_identical_and_bounded():
     """Acceptance gates for the remote dispatch backend.
 
     Byte-identical streaming and merge are asserted everywhere --
-    including the straggler scenario, whose adaptive run must survive
-    forced work stealing with identical output.  The >= 1.8x two-worker
-    scaling gate and the >= ``STRAGGLER_GATE`` adaptive-over-static gate
-    apply only where scaling is physically possible (>= 4 cores: two
-    busy workers plus coordinator and client); smaller boxes get the
-    overhead cap instead.  The adaptive scheduler must intervene (steal
-    or speculate) on every box -- the throttled worker sleeps most of
-    its wall time, so an idle second worker always appears.
+    including the straggler scenario, whose run must survive forced work
+    stealing with identical output.  The >= 1.8x two-worker scaling gate
+    and the >= ``STRAGGLER_GATE`` gate of the straggler grid against the
+    equal-split bound apply only where scaling is physically possible
+    (>= 4 cores: two busy workers plus coordinator and client); smaller
+    boxes get the overhead cap instead.  The scheduler must intervene
+    (steal or speculate) on every box -- the throttled worker sleeps
+    most of its wall time, so an idle second worker always appears.
     """
     report = run_benchmark(smoke=True)
     write_report(report)
@@ -331,7 +327,6 @@ def test_dispatch_identical_and_bounded():
     assert report["merged_store_identical"], report
     assert report["shards"] >= 1, report
     straggler = report["straggler"]
-    assert straggler["static_identical"], report
     assert straggler["adaptive_identical"], report
     assert straggler["merge_identical"], report
     assert straggler["steals"] + straggler["speculative_leases"] >= 1, report

@@ -216,10 +216,13 @@ def _run_cell(
 
 
 def _grid_cell_cost(task: Tuple[GraphSpec, str]) -> float:
-    """The cost model's static prior for one grid cell (chunk planning).
+    """The cost model's static prior for one grid cell.
 
-    Resolves the algorithm's correctness guarantee through the sweep
-    registry (unknown names get the neutral exponent).
+    A pool's chunk plan reads it as ``_sweep_one_grid_cell.cost_of``:
+    expensive large-n exact cells end up in small tail chunks instead of
+    padding a fixed-size chunk of cheap ones.  Resolves the algorithm's
+    correctness guarantee through the sweep registry (unknown names get
+    the neutral exponent).
     """
     from repro.dispatch.cost import guarantee_of, static_cell_cost
 
@@ -270,6 +273,9 @@ def _sweep_one_grid_cell(
         success=success,
         failure_reason=failure_reason,
     )
+
+
+_sweep_one_grid_cell.cost_of = _grid_cell_cost
 
 
 def sweep_task_key(
@@ -376,13 +382,6 @@ def run_sweep_grid(
         fault = NULL_FAULT_MODEL
     if runner is None:
         runner = BatchRunner()
-    if isinstance(runner, BatchRunner) and runner.cost_of is None:
-        # Default the local pool's chunk plan to the dispatch cost
-        # model's static per-cell prior: expensive large-n exact cells
-        # end up in small tail chunks instead of padding a fixed-size
-        # chunk of cheap ones.  Estimation happens in-parent only, so
-        # picklability is not a concern.
-        runner.cost_of = _grid_cell_cost
     tasks = [(spec, name) for spec in specs for name in algorithms]
     context = (algorithms, base_seed, fault)
     if store is None:

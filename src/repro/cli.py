@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.names import (
     EXPORT_FORMATS,
     QUANTUM_PROBLEM_NAMES,
-    SHARD_POLICIES,
     SWEEP_ALGORITHM_NAMES,
     SWEEP_FAMILIES,
 )
@@ -199,8 +198,7 @@ def _grid_request_from_args(args: argparse.Namespace, kind: str) -> GridRequest:
 #: The flags that configure an embedded dispatch coordinator, by argparse
 #: destination; each defaults to ``None`` so a given one is detectable.
 _EMBEDDED_COORDINATOR_FLAGS = (
-    "dispatch_port", "dispatch_wait", "shard_policy", "straggler_deadline",
-    "dispatch_stats",
+    "dispatch_port", "dispatch_wait", "straggler_deadline", "dispatch_stats",
 )
 
 
@@ -235,7 +233,6 @@ def _remote_runner(args: argparse.Namespace):
         return
     settings = {
         "port": args.dispatch_port,
-        "shard_policy": args.shard_policy,
         "straggler_deadline": args.straggler_deadline,
     }
     coordinator = DispatchCoordinator(
@@ -874,21 +871,10 @@ def add_dispatch_options(sub: argparse.ArgumentParser) -> None:
         help="how long to wait for workers to register (default: 60)",
     )
     sub.add_argument(
-        "--shard-policy", choices=SHARD_POLICIES, default=None,
-        help=(
-            "embedded-coordinator shard scheduling: 'adaptive' (default; "
-            "cost-model lease sizing, capability-weighted partitioning, "
-            "work stealing and speculative straggler re-execution -- "
-            "output stays byte-identical to serial) or 'static' (the "
-            "fixed one-shot partitioner)"
-        ),
-    )
-    sub.add_argument(
         "--straggler-deadline", type=float, default=None, metavar="SECONDS",
         help=(
-            "adaptive policy: how long an in-flight shard may run before "
-            "idle workers speculatively re-execute its remainder "
-            "(default: 10)"
+            "how long an in-flight shard may run before idle workers "
+            "speculatively re-execute its remainder (default: 10)"
         ),
     )
     sub.add_argument(

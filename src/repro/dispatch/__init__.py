@@ -14,16 +14,15 @@ back; dead workers (missed heartbeats, dropped connections) have their
 unfinished shards requeued, mirroring the job ledger's stale-lease
 recovery.
 
-Scheduling is adaptive by default (``shard_policy="adaptive"``; see
-:mod:`repro.dispatch.cost`): leases are cut factoring-style from a
-per-cell cost model -- guarantee-based power-law priors calibrated
-online from cell timings piggybacked on heartbeats -- and weighted by
-each worker's capability score, so shards shrink toward the tail and
-faster machines get bigger slices.  When the queue drains, idle workers
-*steal* the costliest in-flight remainder (``trim`` frames tell the
-victim what to skip), and shards that outlive the straggler deadline
-are speculatively re-leased, first copy to finish wins.  ``static``
-restores the one-shot fixed-size partitioner.
+Leases are cut when a worker asks for one (see
+:mod:`repro.dispatch.cost`), factoring-style from a per-cell cost model
+-- guarantee-based power-law priors calibrated online from cell timings
+piggybacked on heartbeats -- and weighted by each worker's capability
+score, so shards shrink toward the tail and faster machines get bigger
+slices.  When the pending cells run out, idle workers *steal* the
+costliest in-flight remainder (``trim`` frames tell the victim what to
+skip), and shards that outlive the straggler deadline are speculatively
+re-leased, first copy to finish wins.
 
 Because every cell's record is a pure function of its task key (spec,
 algorithm, derived seed, fault model), remote execution preserves the
@@ -35,11 +34,11 @@ order, and the offline shard merge
 exact serial record list from the workers' shard files alone.
 
 CLI surface: ``repro sweep --dispatch-workers N`` (embed a coordinator;
-with ``--shard-policy {static,adaptive} --straggler-deadline S
---dispatch-stats FILE``) or ``--coordinator HOST:PORT`` (join one),
-``repro worker join HOST:PORT [--supervise]``,
-``repro merge [--stats]``; every ``repro serve`` daemon runs its jobs
-on its own coordinator, which ``repro worker join`` workers may join.
+with ``--straggler-deadline S --dispatch-stats FILE``) or
+``--coordinator HOST:PORT`` (join one), ``repro worker join HOST:PORT
+[--supervise]``, ``repro merge [--stats]``; every ``repro serve``
+daemon runs its jobs on its own coordinator, which ``repro worker
+join`` workers may join.
 """
 
 from repro._lazy import lazy_exports
@@ -59,7 +58,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "FramedSocket": "repro.dispatch.protocol",
     "FrameError": "repro.dispatch.protocol",
     "parse_address": "repro.dispatch.protocol",
-    "SHARD_POLICIES": "repro.names",
     "DispatchCoordinator": "repro.dispatch.coordinator",
 })
 

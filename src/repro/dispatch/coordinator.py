@@ -17,26 +17,23 @@ One coordinator serves two kinds of peers over the same listening socket
   ``repro sweep`` or a service daemon job) send a single ``grid`` frame
   describing the cells to run and then receive the completed ``cell``
   frames -- in completion order, dedup'd -- until ``grid_done``.  A
-  client cancels its grid by closing the connection: the grid's queued
-  shards are dropped and its leaseholders are trimmed.
+  description the cost model cannot price is answered with an ``error``
+  frame instead.  A client cancels its grid by closing the connection:
+  the grid's unleased cells are dropped and its leaseholders trimmed.
 
-Two scheduling policies exist (``shard_policy``):
-
-* ``"static"`` -- the PR-9 behaviour: the grid is sliced once into equal
-  contiguous shards at admission and the queue drains to whichever
-  worker frees up first.  The control arm of the dispatch benchmark.
-* ``"adaptive"`` (default) -- shards are cut **at lease time** from the
-  grid's remaining index range, sized by the per-cell cost model
-  (:mod:`repro.dispatch.cost`) and weighted by the leasing worker's
-  capability score: a fast worker takes a larger slice of the remaining
-  *cost*, and every cut takes ``remaining / (factor * fleet)`` so shards
-  shrink toward the tail (factoring / guided self-scheduling).  When the
-  work drains and a live worker idles, the coordinator **steals**: the
-  largest in-flight remainder is split, the tail half re-leased to the
-  idle worker, and the victim told to skip the stolen cells (a ``trim``
-  frame, honoured between cells).  Past ``straggler_deadline`` seconds
-  it also **speculates**: an unfinished shard's remainder is re-leased
-  *as a copy* to an idle worker and both race.
+Shards are cut **at lease time** from the grid's pending index range,
+sized by the per-cell cost model (:mod:`repro.dispatch.cost`) and
+weighted by the leasing worker's capability score: a fast worker takes a
+larger slice of the remaining *cost*, and every cut takes ``remaining /
+(factor * fleet)`` so shards shrink toward the tail (factoring / guided
+self-scheduling).  When the work drains and a live worker idles, the
+coordinator **steals**: the largest in-flight remainder is split, the
+tail half re-leased to the idle worker, and the victim told to skip the
+stolen cells (a ``trim`` frame, honoured between cells).  Past
+``straggler_deadline`` seconds it also **speculates**: an unfinished
+shard's remainder is re-leased *as a copy* to an idle worker and both
+race.  Every cut -- lease, steal split -- is one
+:func:`repro.dispatch.cost.take_cost_prefix` call.
 
 Stealing and speculation never threaten correctness: every cell is
 deterministic in its task key (:func:`repro.analysis.sweep.sweep_task_key`),
@@ -46,8 +43,7 @@ forwards only the first completion and the shard-store merge
 first-complete-wins, so the final output is byte-identical to a serial
 run no matter how the race went.  A worker that disappears -- EOF,
 connection reset, or no heartbeat within ``worker_timeout`` -- has the
-unfinished remainder of its shard requeued at the *front* of the queue,
-exactly as in PR 9.
+unfinished remainder of its shard requeued at the *front* of the queue.
 
 All coordinator state lives behind one lock; worker/client connection
 reader threads mutate it through the ``_on_*`` handlers, and a ticker
@@ -60,6 +56,7 @@ their result loop), so sends cannot wedge the coordinator.
 from __future__ import annotations
 
 import collections
+import math
 import socket
 import threading
 import time
@@ -67,11 +64,11 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.dispatch.cost import FACTOR, CostModel, take_cost_prefix
 from repro.dispatch.protocol import DispatchError, FramedSocket, FrameError
-from repro.names import SHARD_POLICIES
 
-#: Ceiling on one shard's cell count.  Mirrors BatchRunner's chunk cap:
-#: large enough to amortise per-shard framing, small enough that a dead
-#: worker forfeits little work and load stays balanced.
+#: Ceiling on one shard's cell count: large enough to amortise per-shard
+#: framing, small enough that a dead worker forfeits little work and
+#: load stays balanced.  Set on its own; BatchRunner's local chunk cap
+#: (``MAX_CHUNK_CELLS``) is 32.
 MAX_SHARD_CELLS = 16
 
 #: Capability weights below this floor are clamped: a worker that
@@ -132,30 +129,28 @@ class _GridState:
 
     def __init__(
         self, grid_id: str, description: Dict[str, Any],
-        total: int, client: FramedSocket,
+        costs: List[float], client: FramedSocket,
     ) -> None:
         self.grid_id = grid_id
         self.description = description
-        self.total = total
+        #: Per-task-index cost estimates, one per cell.
+        self.costs = costs
+        self.total = len(costs)
         self.client = client
         self.completed: set = set()
         self.shard_counter = 0
         self.finished = False
-        #: Unleased task indices, in grid order (adaptive policy only;
-        #: static grids are pre-partitioned into the queue at admission).
-        self.pending: List[int] = []
-        #: Per-task-index cost estimates (adaptive policy only).
-        self.costs: List[float] = []
+        #: Unleased task indices, in grid order.
+        self.pending: List[int] = list(range(self.total))
 
 
 class DispatchCoordinator:
     """Register workers, lease grid shards to them, forward results.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
-    :meth:`start`.  ``shard_policy`` selects static pre-partitioning or
-    adaptive cost-model scheduling (see the module docstring); an
-    explicit ``shard_size`` forces fixed-size static slicing regardless
-    of policy (the historical knob, kept for tests and benchmarks).
+    :meth:`start`.  An explicit ``shard_size`` fixes every lease at that
+    many cells instead of sizing it by cost (tests use it to pin the
+    shard layout).
     ``straggler_deadline`` is how long an in-flight shard may run before
     idle workers are allowed to speculatively re-execute its remainder.
     ``worker_timeout`` is the heartbeat deadline after which a silent
@@ -168,16 +163,10 @@ class DispatchCoordinator:
         port: int = 0,
         shard_size: Optional[int] = None,
         worker_timeout: float = 30.0,
-        shard_policy: str = "adaptive",
         straggler_deadline: float = 10.0,
     ) -> None:
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if shard_policy not in SHARD_POLICIES:
-            raise ValueError(
-                f"unknown shard policy {shard_policy!r} "
-                f"(available: {', '.join(SHARD_POLICIES)})"
-            )
         if straggler_deadline <= 0:
             raise ValueError(
                 f"straggler_deadline must be > 0, got {straggler_deadline}"
@@ -186,7 +175,6 @@ class DispatchCoordinator:
         self.port = port
         self.shard_size = shard_size
         self.worker_timeout = worker_timeout
-        self.shard_policy = shard_policy
         self.straggler_deadline = straggler_deadline
         self._lock = threading.Lock()
         self._workers_changed = threading.Condition(self._lock)
@@ -225,14 +213,13 @@ class DispatchCoordinator:
         )
         thread.start()
         self._threads.append(thread)
-        if self.shard_policy == "adaptive":
-            # Straggler deadlines must fire even when no frames arrive:
-            # a ticker re-runs scheduling on a fraction of the deadline.
-            ticker = threading.Thread(
-                target=self._ticker_loop, name="dispatch-ticker", daemon=True
-            )
-            ticker.start()
-            self._threads.append(ticker)
+        # Straggler deadlines must fire even when no frames arrive: a
+        # ticker re-runs scheduling on a fraction of the deadline.
+        ticker = threading.Thread(
+            target=self._ticker_loop, name="dispatch-ticker", daemon=True
+        )
+        ticker.start()
+        self._threads.append(ticker)
         return self
 
     def stop(self) -> None:
@@ -304,7 +291,6 @@ class DispatchCoordinator:
             )
             return {
                 **dict(self._counters),
-                "policy": self.shard_policy,
                 "straggler_deadline": self.straggler_deadline,
                 "registered_workers": len(workers),
                 "idle_workers": sum(1 for item in workers if item["idle"]),
@@ -463,23 +449,30 @@ class DispatchCoordinator:
     def _admit_grid(
         self, conn: FramedSocket, submit: Dict[str, Any]
     ) -> Optional[_GridState]:
+        """Register a client's grid, or answer an ``error`` frame.
+
+        The description must be one the cost model can price (see
+        :meth:`repro.dispatch.cost.CostModel.grid_costs`); anything else
+        is refused here, before it can reach a lease or a worker.
+        """
         description = submit.get("description")
-        tasks = description.get("tasks") if isinstance(description, dict) else None
-        if not isinstance(tasks, list):
-            try:
-                conn.send({
-                    "type": "error",
-                    "message": "grid frame must carry a description with tasks",
-                })
-            except OSError:
-                pass
-            return None
         with self._lock:
             if not self._running:
                 return None
+            try:
+                costs = self._cost_model.grid_costs(description)
+            except ValueError as error:
+                try:
+                    conn.send({
+                        "type": "error",
+                        "message": f"malformed grid description: {error}",
+                    })
+                except OSError:
+                    pass
+                return None
             self._grid_counter += 1
             grid_id = f"g{self._grid_counter}"
-            grid = _GridState(grid_id, description, len(tasks), conn)
+            grid = _GridState(grid_id, description, costs, conn)
             self._grids[grid_id] = grid
             if grid.total == 0:
                 grid.finished = True
@@ -488,37 +481,8 @@ class DispatchCoordinator:
                 except OSError:
                     pass
                 return grid
-            if self._adaptive_for(grid):
-                # Lease-time cutting: keep the whole index range pending
-                # and size each shard when a worker asks for it.
-                grid.costs = self._cost_model.grid_costs(description)
-                grid.pending = list(range(grid.total))
-            else:
-                for shard in self._partition_locked(grid):
-                    self._queue.append(shard)
             self._schedule_locked()
         return grid
-
-    def _adaptive_for(self, grid: _GridState) -> bool:
-        """Whether this grid schedules adaptively.
-
-        An explicit ``shard_size`` always forces fixed static slices
-        (the historical knob); otherwise the policy decides.
-        """
-        return self.shard_policy == "adaptive" and self.shard_size is None
-
-    def _partition_locked(self, grid: _GridState) -> List[_Shard]:
-        """Slice a grid's task indices into contiguous static lease units."""
-        size = self.shard_size
-        if size is None:
-            workers = max(1, len(self._workers))
-            size = min(MAX_SHARD_CELLS, max(1, -(-grid.total // (4 * workers))))
-        shards = []
-        for start in range(0, grid.total, size):
-            shards.append(self._new_shard_locked(
-                grid, list(range(start, min(start + size, grid.total)))
-            ))
-        return shards
 
     def _new_shard_locked(
         self, grid: _GridState, indices: List[int], speculative: bool = False
@@ -673,9 +637,9 @@ class DispatchCoordinator:
         """Lease work to every idle worker (caller holds the lock).
 
         Source order: requeued shards first (orphans of dead workers),
-        then fresh cuts from grids with pending cells, then -- adaptive
-        policy only -- steals from the largest in-flight remainder, then
-        speculative re-leases of shards past the straggler deadline.
+        then fresh cuts from grids with pending cells, then steals from
+        the largest in-flight remainder, then speculative re-leases of
+        shards past the straggler deadline.
         """
         if not self._running:
             return
@@ -712,8 +676,6 @@ class DispatchCoordinator:
             if grid.finished or not grid.pending:
                 continue
             return self._cut_shard_locked(grid, worker)
-        if self.shard_policy != "adaptive":
-            return None
         # 3. Steal: split the largest in-flight remainder.
         shard = self._steal_locked(worker)
         if shard is not None:
@@ -727,26 +689,22 @@ class DispatchCoordinator:
         """Cut the next lease off a grid's pending range, sized for
         ``worker``: its capability-weight share of the remaining cost,
         divided by the factoring divisor so shards shrink toward the
-        tail, floored at one cell and capped at :data:`MAX_SHARD_CELLS`.
+        tail, floored at one cell and capped at :data:`MAX_SHARD_CELLS`
+        -- or, with a fixed ``shard_size``, exactly that many cells.
         """
-        if not grid.costs:
-            # Degenerate description (no resolvable costs): equal slices.
-            size = min(
-                MAX_SHARD_CELLS,
-                max(1, -(-len(grid.pending) // (4 * max(1, len(self._workers))))),
+        if self.shard_size is None:
+            total_weight = sum(
+                state.weight for state in self._workers.values() if state.alive
             )
-            taken, grid.pending = grid.pending[:size], grid.pending[size:]
-            return self._new_shard_locked(grid, taken)
-        total_weight = sum(
-            state.weight for state in self._workers.values() if state.alive
+            share = worker.weight / total_weight if total_weight > 0 else 1.0
+            remaining_cost = sum(grid.costs[index] for index in grid.pending)
+            budget = remaining_cost * share / FACTOR
+            max_cells = MAX_SHARD_CELLS
+        else:
+            budget, max_cells = math.inf, self.shard_size
+        taken, grid.pending = take_cost_prefix(
+            grid.pending, grid.costs, budget, max_cells=max_cells
         )
-        share = worker.weight / total_weight if total_weight > 0 else 1.0
-        remaining_cost = sum(grid.costs[index] for index in grid.pending)
-        budget = remaining_cost * share / FACTOR
-        taken, rest = take_cost_prefix(
-            grid.pending, grid.costs, budget, max_cells=MAX_SHARD_CELLS
-        )
-        grid.pending = rest
         return self._new_shard_locked(grid, taken)
 
     def _in_flight_locked(self) -> List[Tuple[_WorkerState, _Shard, _GridState]]:
@@ -762,9 +720,7 @@ class DispatchCoordinator:
         return triples
 
     def _remaining_cost(self, shard: _Shard, grid: _GridState) -> float:
-        if grid.costs:
-            return sum(grid.costs[index] for index in shard.remaining)
-        return float(len(shard.remaining))
+        return sum(grid.costs[index] for index in shard.remaining)
 
     def _steal_locked(self, thief: _WorkerState) -> Optional[_Shard]:
         """Split the costliest in-flight remainder; the thief takes the
@@ -787,18 +743,12 @@ class DispatchCoordinator:
                               item[1].shard_id),
         )
         remaining = sorted(shard.remaining)
+        # Half the remaining cost off the tail; the victim keeps at least
+        # its current cell.
         half = self._remaining_cost(shard, grid) / 2.0
-        stolen: List[int] = []
-        spent = 0.0
-        for index in reversed(remaining):
-            if stolen and spent >= half:
-                break
-            if len(stolen) >= len(remaining) - 1:
-                break  # the victim keeps at least its current cell
-            stolen.append(index)
-            spent += grid.costs[index] if grid.costs else 1.0
-        if not stolen:
-            return None
+        stolen, _ = take_cost_prefix(
+            remaining[::-1], grid.costs, half, max_cells=len(remaining) - 1
+        )
         stolen.sort()
         shard.remaining.difference_update(stolen)
         shard.indices = [

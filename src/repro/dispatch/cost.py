@@ -1,12 +1,12 @@
-"""Per-cell cost model and shard planning for adaptive dispatch.
+"""Per-cell cost model and the one cost-prefix cut every schedule uses.
 
-The static one-shot partitioner of PR 9 sliced a grid into equal
-contiguous shards, so one slow worker -- or one expensive cell (a
-large-``n`` exact-diameter oracle dominates the Theorem-1/Theorem-7
-sweeps this reproduction runs) -- pinned the whole sweep to the
-straggler's wall clock.  This module supplies the two ingredients the
-adaptive scheduler (:class:`repro.dispatch.coordinator.DispatchCoordinator`
-with ``shard_policy="adaptive"``) replaces it with:
+Equal slices of a grid pin the whole sweep to the slowest slice: one
+slow worker -- or one expensive cell (a large-``n`` exact-diameter
+oracle dominates the Theorem-1/Theorem-7 sweeps this reproduction runs)
+-- holds everything else up.  This module supplies what the dispatch
+coordinator (:class:`repro.dispatch.coordinator.DispatchCoordinator`)
+and the local pool (:class:`repro.runner.batch.BatchRunner`) size their
+work with instead:
 
 * :class:`CostModel` -- a per-cell wall-time estimate.  The *static*
   prior is a power law in the cell's node count whose exponent depends
@@ -20,14 +20,18 @@ with ``shard_policy="adaptive"``) replaces it with:
   -- the scale is a ratio of sums, so the estimate after a set of
   observations does not depend on the order they arrived in (up to
   float-addition rounding, which never changes a shard plan cut).
+* :func:`take_cost_prefix` -- the one cut rule: the head of an index
+  list worth a cost budget, at least one and at most ``max_cells``
+  cells.  Every coordinator lease and steal split is one call.
 * :func:`plan_chunks` -- a factoring (guided-self-scheduling-style)
-  chunk plan over a cost sequence: each cut takes ``remaining /
-  (factor * workers)`` worth of *cost* off the head, so chunks are large
-  at the head (amortising per-chunk overhead while plenty of work
-  remains) and small at the tail (bounding how much a straggler can
-  hold).  The same planner drives both the coordinator's lease sizing
-  and :class:`repro.runner.batch.BatchRunner`'s local chunk plan, so
-  ``--jobs`` sweeps get the shrinking-tail behaviour too.
+  chunk plan over a cost sequence, made of repeated
+  :func:`take_cost_prefix` cuts: each takes ``remaining / (factor *
+  workers)`` worth of *cost* off the head, so chunks are large at the
+  head (amortising per-chunk overhead while plenty of work remains) and
+  small at the tail (bounding how much a straggler can hold).  It is
+  :class:`repro.runner.batch.BatchRunner`'s local chunk plan, so
+  ``--jobs`` sweeps get the same shrinking tail as the coordinator's
+  leases.
 
 Everything here is deterministic in its inputs: no wall clocks, no
 randomness, no dict-iteration dependence -- the shard plan for a given
@@ -38,7 +42,7 @@ grid and calibration state is byte-identical across processes and
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Cost-exponent priors by correctness guarantee: how a cell's wall time
 #: scales with its node count.  ``exact`` schedules touch every node's
@@ -155,10 +159,7 @@ class CostModel:
         scale = self._scale(str(algorithm))
         return prior if scale is None else prior * scale
 
-    def grid_costs(
-        self,
-        description: Mapping[str, Any],
-    ) -> List[float]:
+    def grid_costs(self, description: Any) -> List[float]:
         """Per-task-index cost estimates for one dispatched grid.
 
         ``description`` is the wire grid description of
@@ -167,18 +168,43 @@ class CostModel:
         name_index]`` pairs.  Resolves each algorithm's guarantee through
         the registries (best-effort) and returns one estimate per task,
         in task order.
+
+        Raises :class:`ValueError` for a description it cannot price:
+        not an object, without the three lists, with a task that is not
+        a pair of in-range integer indices, or with a spec that is not
+        an object or whose ``num_nodes`` gives no finite prior.
         """
-        specs = list(description.get("specs", ()))
-        names = list(description.get("algorithms", ()))
+        if not isinstance(description, dict):
+            raise ValueError("the description must be an object")
+        specs, names, tasks = (
+            description.get(key) for key in ("specs", "algorithms", "tasks")
+        )
+        if not all(isinstance(item, list) for item in (specs, names, tasks)):
+            raise ValueError("specs, algorithms and tasks must be lists")
         guarantees = [guarantee_of(name) for name in names]
         costs: List[float] = []
-        for spec_index, name_index in description.get("tasks", ()):
-            spec = specs[int(spec_index)]
-            nodes = int(spec.get("num_nodes", _MIN_NODES))
-            name = names[int(name_index)]
-            costs.append(
-                self.estimate(name, nodes, guarantees[int(name_index)])
-            )
+        for task in tasks:
+            if not (
+                isinstance(task, list) and len(task) == 2
+                and all(type(index) is int for index in task)
+                and 0 <= task[0] < len(specs) and 0 <= task[1] < len(names)
+            ):
+                raise ValueError(
+                    f"task {task!r} is not a [spec, algorithm] index pair"
+                )
+            spec_index, name_index = task
+            spec = specs[spec_index]
+            if not isinstance(spec, dict):
+                raise ValueError(f"spec {spec_index} is not an object")
+            try:
+                nodes = int(spec.get("num_nodes", _MIN_NODES))
+                costs.append(self.estimate(
+                    names[name_index], nodes, guarantees[name_index]
+                ))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"spec {spec_index} has no priceable num_nodes"
+                ) from None
         return costs
 
 
@@ -214,37 +240,28 @@ def plan_chunks(
 ) -> List[int]:
     """A factoring chunk plan over a cost sequence: list of chunk lengths.
 
-    Walks the costs front to back, cutting each chunk to cover
-    ``remaining_cost / (factor * workers)`` -- so chunk *cost* halves as
-    the work drains: large chunks while there is plenty left (amortising
-    per-chunk overhead), single cells at the tail (a straggler holds at
-    most one expensive cell hostage).  Every chunk has at least one cell
-    and, with ``max_cells``, at most that many.  ``sum(plan) ==
-    len(costs)`` always.
+    Walks the costs front to back, cutting each chunk with
+    :func:`take_cost_prefix` to cover ``remaining_cost / (factor *
+    workers)`` -- so chunk *cost* halves as the work drains: large chunks
+    while there is plenty left (amortising per-chunk overhead), single
+    cells at the tail (a straggler holds at most one expensive cell
+    hostage).  Every chunk has at least one cell and, with
+    ``max_cells``, at most that many.  ``sum(plan) == len(costs)``
+    always.
 
-    Deterministic in its inputs; used by both the dispatch coordinator's
-    adaptive lease sizing and the local
-    :class:`repro.runner.batch.BatchRunner` chunk plan.
+    Deterministic in its inputs; :class:`repro.runner.batch.BatchRunner`'s
+    local chunk plan.
     """
-    total = len(costs)
-    if total == 0:
-        return []
     workers = max(1, int(workers))
+    remaining = list(range(len(costs)))
     remaining_cost = float(sum(costs))
     plan: List[int] = []
-    position = 0
-    while position < total:
-        budget = remaining_cost / (factor * workers)
-        taken = 0
-        spent = 0.0
-        while position + taken < total:
-            if taken and spent >= budget:
-                break
-            if max_cells is not None and taken >= max_cells:
-                break
-            spent += costs[position + taken]
-            taken += 1
-        plan.append(taken)
-        position += taken
+    while remaining:
+        taken, remaining = take_cost_prefix(
+            remaining, costs, remaining_cost / (factor * workers),
+            max_cells=max_cells,
+        )
+        plan.append(len(taken))
+        spent = sum(costs[index] for index in taken)
         remaining_cost = max(0.0, remaining_cost - spent)
     return plan

@@ -1,8 +1,8 @@
 """The names the command line offers as choices, as plain tuples.
 
-Argument parsing needs the names of every registry (shard policies,
-export formats, graph families, sweep algorithms and quantum problems)
-but none of the code behind them.
+Argument parsing needs the names of every registry (export formats,
+graph families, sweep algorithms and quantum problems) but none of the
+code behind them.
 Keeping the names here, in a module that imports nothing, lets ``repro
 export`` build the full parser without loading the simulator, and lets
 each command import only the layers its handler runs.
@@ -16,9 +16,6 @@ algorithms, quantum problems) are pinned to it by
 from __future__ import annotations
 
 from typing import Tuple
-
-#: Shard policies of :class:`repro.dispatch.coordinator.DispatchCoordinator`.
-SHARD_POLICIES: Tuple[str, ...] = ("static", "adaptive")
 
 #: Store export formats (:func:`repro.store.export.render_records`).
 EXPORT_FORMATS: Tuple[str, ...] = ("csv", "json", "jsonl")

@@ -150,11 +150,6 @@ class BatchRunner:
     start_method:
         ``multiprocessing`` start method (``None`` uses the platform
         default, ``fork`` on Linux).
-    cost_of:
-        Optional per-task cost estimator feeding the chunk plan (uniform
-        costs otherwise).  Called in the *parent* process only, so it
-        need not be picklable; sweep grids pass the dispatch cost model's
-        static per-cell prior here.
 
     Notes
     -----
@@ -163,7 +158,11 @@ class BatchRunner:
     (:func:`repro.dispatch.cost.plan_chunks`): chunk *cost* shrinks as
     the work drains, so chunks are large at the head (amortising IPC) and
     small at the tail (a straggler holds at most a few cells), capped at
-    :attr:`MAX_CHUNK_CELLS` cells.  Chunks preserve task order, so tasks
+    :attr:`MAX_CHUNK_CELLS` cells.  A mapped callable prices its own
+    tasks through an optional ``cost_of`` attribute (a per-task cost
+    estimator, called in the parent only; uniform costs otherwise) --
+    the sweep grid's cell body carries the dispatch cost model's static
+    per-cell prior there.  Chunks preserve task order, so tasks
     sharing a per-worker cache key (e.g. the same
     :class:`repro.runner.spec.GraphSpec`) should be submitted
     consecutively.
@@ -182,13 +181,14 @@ class BatchRunner:
         self,
         jobs: Optional[int] = None,
         start_method: Optional[str] = None,
-        cost_of: Optional[Callable[[Any], float]] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.start_method = start_method
-        self.cost_of = cost_of
 
-    def _chunks(self, tasks: Sequence, workers: int) -> List[List]:
+    def _chunks(
+        self, tasks: Sequence, workers: int,
+        cost_of: Optional[Callable[[Any], float]],
+    ) -> List[List]:
         """The variable-size chunk plan for one batch.
 
         Deterministic in the task list and cost estimates -- no wall
@@ -201,10 +201,10 @@ class BatchRunner:
         # import time.
         from repro.dispatch.cost import plan_chunks
 
-        if self.cost_of is None:
+        if cost_of is None:
             costs: List[float] = [1.0] * len(tasks)
         else:
-            costs = [float(self.cost_of(task)) for task in tasks]
+            costs = [float(cost_of(task)) for task in tasks]
         plan = plan_chunks(costs, workers, max_cells=self.MAX_CHUNK_CELLS)
         chunks: List[List] = []
         position = 0
@@ -262,9 +262,10 @@ class BatchRunner:
             initargs=(function, context),
         )
         try:
-            for chunk in pool.imap(
-                _invoke_chunk, self._chunks(tasks, workers), chunksize=1
-            ):
+            chunks = self._chunks(
+                tasks, workers, getattr(function, "cost_of", None)
+            )
+            for chunk in pool.imap(_invoke_chunk, chunks, chunksize=1):
                 for result in chunk:
                     yield result
             pool.close()

@@ -232,13 +232,16 @@ class TestCoordinator:
         with pytest.raises(ValueError):
             DispatchCoordinator(shard_size=0)
 
-    @pytest.mark.parametrize("policy", ["static", "adaptive"])
-    def test_stop_is_prompt_and_joins_its_threads(self, policy):
+    def test_stop_is_prompt_and_joins_its_threads(self):
         # Regression: close() on the listening socket did not wake the
         # blocked accept(), so stop() waited out a 5 s join timeout and
-        # left the accept thread running.
+        # left the accept thread running.  The ticker must go too.
         before = set(threading.enumerate())
-        coordinator = DispatchCoordinator(shard_policy=policy).start()
+        coordinator = DispatchCoordinator().start()
+        assert {"dispatch-accept", "dispatch-ticker"} <= {
+            thread.name for thread in threading.enumerate()
+            if thread not in before
+        }
         started = time.perf_counter()
         coordinator.stop()
         assert time.perf_counter() - started < 0.5

@@ -1,10 +1,10 @@
-"""Tests for the adaptive work-stealing scheduler (``repro.dispatch``).
+"""Tests for the work-stealing scheduler (``repro.dispatch``).
 
-The static partitioner's byte-identity guarantee was easy: one shard
-per worker, no re-execution.  The adaptive scheduler re-executes cells
-on purpose -- work stealing trims a straggler's lease, speculative
-re-execution races a second copy of an overdue shard, supervised
-workers replay their shard stores after a coordinator restart -- so the
+Byte-identity would be easy if every cell ran once: one shard per
+worker, no re-execution.  The scheduler re-executes cells on purpose --
+work stealing trims a straggler's lease, speculative re-execution races
+a second copy of an overdue shard, supervised workers replay their
+shard stores after a coordinator restart -- so the
 load-bearing property here is that **byte-identity survives every one
 of those paths**: the streamed records, the shard stores, and the
 offline merge must all render exactly the serial export, with the
@@ -32,11 +32,8 @@ import pytest
 import repro
 from repro.analysis.sweep import run_sweep_grid
 from repro.cli import main
-from repro.dispatch import (
-    DispatchCoordinator,
-    RemoteDispatch,
-    SHARD_POLICIES,
-)
+from repro.dispatch import DispatchCoordinator, RemoteDispatch
+from repro.dispatch.coordinator import _GridState, _WorkerState
 from repro.dispatch.cost import (
     FACTOR,
     CostModel,
@@ -216,6 +213,75 @@ class TestShardPlanning:
         assert plan[0] == 1  # the oracle cell alone exceeds the budget
 
 
+#: Fixed cost lists for the cut tables below.
+CUT_COSTS = {
+    "uniform": [1.0] * 10,
+    "heavy_head": [100.0] + [1.0] * 10,
+    "heavy_tail": [1.0] * 9 + [50.0],
+    "ramp": [float(i) for i in range(1, 13)],
+    "mixed": [0.5, 3.0, 0.25, 8.0, 1.0, 1.0, 2.0, 0.125, 6.0],
+}
+
+
+class _SentFrames:
+    """A connection stand-in that keeps what is sent on it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send(self, frame):
+        self.frames.append(frame)
+
+
+class TestCutTables:
+    """Plans and steal splits pinned to the outputs of the loops that
+    :func:`take_cost_prefix` replaced."""
+
+    @pytest.mark.parametrize("name, workers, max_cells, plan", [
+        ("uniform", 1, None, [5, 3, 1, 1]),
+        ("uniform", 3, 4, [2, 2, 1, 1, 1, 1, 1, 1]),
+        ("heavy_head", 1, 4, [1, 4, 3, 2, 1]),
+        ("heavy_head", 2, None, [1, 3, 2, 2, 1, 1, 1]),
+        ("heavy_tail", 1, None, [10]),
+        ("heavy_tail", 2, 4, [4, 4, 2]),
+        ("ramp", 1, None, [9, 2, 1]),
+        ("ramp", 2, 4, [4, 3, 2, 1, 1, 1]),
+        ("ramp", 3, None, [5, 2, 2, 1, 1, 1]),
+        ("mixed", 1, 4, [4, 4, 1]),
+        ("mixed", 1, None, [4, 5]),
+        ("mixed", 3, None, [3, 1, 2, 1, 2]),
+    ])
+    def test_plan_chunks(self, name, workers, max_cells, plan):
+        costs = CUT_COSTS[name]
+        assert plan_chunks(costs, workers, max_cells=max_cells) == plan
+
+    @pytest.mark.parametrize("name, remaining, stolen", [
+        ("uniform", range(10), [5, 6, 7, 8, 9]),
+        ("uniform", range(1, 10, 2), [5, 7, 9]),
+        ("heavy_head", range(11), [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+        ("heavy_head", range(1, 11, 2), [5, 7, 9]),
+        ("heavy_tail", range(10), [9]),
+        ("ramp", range(12), [8, 9, 10, 11]),
+        ("ramp", range(1, 12, 2), [9, 11]),
+        ("mixed", range(9), [3, 4, 5, 6, 7, 8]),
+        ("mixed", range(1, 9, 2), [3, 5, 7]),
+        ("mixed", [0, 1], [1]),
+    ])
+    def test_steal_split(self, name, remaining, stolen):
+        coordinator = DispatchCoordinator()
+        grid = _GridState("g1", {}, CUT_COSTS[name], client=None)
+        coordinator._grids["g1"] = grid
+        victim = _WorkerState("victim", _SentFrames())
+        victim.shard = coordinator._new_shard_locked(grid, list(remaining))
+        coordinator._workers[id(victim)] = victim
+        shard = coordinator._steal_locked(_WorkerState("thief", _SentFrames()))
+        assert shard.indices == stolen
+        assert sorted(victim.shard.remaining) == sorted(
+            set(remaining) - set(stolen)
+        )
+        assert victim.conn.frames[-1]["indices"] == stolen
+
+
 class TestPlanHashSeedInvariance:
     """The shard plan must not depend on interpreter hash randomisation.
 
@@ -319,9 +385,7 @@ class TestForcedStealing:
         serial = run_sweep_grid(specs, table, base_seed=11)
         shard_dir = tmp_path / "shards"
 
-        coordinator = DispatchCoordinator(
-            shard_policy="adaptive", straggler_deadline=0.15,
-        )
+        coordinator = DispatchCoordinator(straggler_deadline=0.15)
         coordinator.start()
         threads = [
             _start_worker_thread(coordinator.address, shard_dir, "slow",
@@ -362,9 +426,7 @@ class TestSpeculativeDuplicates:
         serial = run_sweep_grid(specs, table, base_seed=7)
         shard_dir = tmp_path / "shards"
 
-        coordinator = DispatchCoordinator(
-            shard_policy="adaptive", straggler_deadline=0.1,
-        )
+        coordinator = DispatchCoordinator(straggler_deadline=0.1)
         coordinator.start()
         outcome = {}
 
@@ -442,9 +504,7 @@ class TestMidStealWorkerDeath:
         serial = run_sweep_grid(specs, table, base_seed=13)
         shard_dir = tmp_path / "shards"
 
-        coordinator = DispatchCoordinator(
-            shard_policy="adaptive", straggler_deadline=30.0,
-        )
+        coordinator = DispatchCoordinator(straggler_deadline=30.0)
         coordinator.start()
         victim = _spawn_worker_process(
             coordinator.address, shard_dir, "victim", throttle=0.4
@@ -570,7 +630,7 @@ class TestMergeStatsCli:
         serial = run_sweep_grid(specs, table, base_seed=3)
         shard_dir = tmp_path / "shards"
 
-        coordinator = DispatchCoordinator(shard_policy="adaptive")
+        coordinator = DispatchCoordinator()
         coordinator.start()
         threads = [
             _start_worker_thread(coordinator.address, shard_dir, "w1"),
@@ -637,7 +697,7 @@ class TestMergeStatsCli:
 
 
 class TestCliSurface:
-    def test_shard_policy_flags(self):
+    def test_scheduling_flags(self):
         from repro.cli import build_parser
 
         parser = build_parser()
@@ -645,25 +705,21 @@ class TestCliSurface:
                                   "--sizes", "10"])
         # Absent flags stay None (so a misplaced one is detectable) and
         # the embedded coordinator supplies the defaults.
-        assert args.shard_policy is None
         assert args.straggler_deadline is None
         assert args.dispatch_stats is None
         coordinator = DispatchCoordinator()
-        assert coordinator.shard_policy == "adaptive"
         assert coordinator.straggler_deadline == pytest.approx(10.0)
         args = parser.parse_args([
             "sweep", "--families", "cycle", "--sizes", "10",
-            "--shard-policy", "static", "--straggler-deadline", "3",
-            "--dispatch-stats", "stats.json",
+            "--straggler-deadline", "3", "--dispatch-stats", "stats.json",
         ])
-        assert args.shard_policy == "static"
-        assert SHARD_POLICIES == ("static", "adaptive")
+        assert args.straggler_deadline == pytest.approx(3.0)
+        assert args.dispatch_stats == "stats.json"
 
     @pytest.mark.parametrize("flag, value", [
         ("--dispatch-stats", "stats.json"),
         ("--dispatch-wait", "5"),
         ("--dispatch-port", "8799"),
-        ("--shard-policy", "static"),
         ("--straggler-deadline", "3"),
     ])
     @pytest.mark.parametrize("placement", [[], ["--coordinator", "127.0.0.1:1"]],
@@ -721,8 +777,7 @@ class TestCliSurface:
         stats = tmp_path / "stats.json"
         assert main([
             *self.SWEEP, "--out", str(tmp_path / "remote.jsonl"),
-            "--dispatch-workers", "1", "--shard-policy", "static",
-            "--dispatch-stats", str(stats),
+            "--dispatch-workers", "1", "--dispatch-stats", str(stats),
         ]) == 0
         (worker,) = joined
         worker.join(timeout=15.0)
@@ -730,7 +785,7 @@ class TestCliSurface:
         assert self._export(tmp_path / "remote.jsonl") == self._export(
             tmp_path / "local.jsonl"
         )
-        assert json.loads(stats.read_text())["policy"] == "static"
+        assert json.loads(stats.read_text())["cells"] == 8
 
     def test_coordinator_joins_an_existing_one(self, tmp_path):
         coordinator = DispatchCoordinator().start()
@@ -759,8 +814,6 @@ class TestCliSurface:
         )
         assert os.listdir(tmp_path / "shards")
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard policy"):
-            DispatchCoordinator(shard_policy="banana")
+    def test_invalid_straggler_deadline_rejected(self):
         with pytest.raises(ValueError, match="straggler_deadline"):
             DispatchCoordinator(straggler_deadline=0.0)

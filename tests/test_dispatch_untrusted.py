@@ -8,10 +8,11 @@ worker that breaks the protocol is dropped and its lease requeued -- and
 what it may not: fail, corrupt or hang another client's grid, or kill a
 coordinator thread.
 
-The fake worker registers on a static coordinator before the grid
-arrives, so it is leased the grid's only shard (``g1s1`` of grid
-``g1``).  It sends its frames and hangs up; a real worker then joins and
-finishes the requeued shard, and the grid must match a serial run.
+The fake worker registers before the grid arrives, on a coordinator
+whose leases are 64 cells, so it is leased the grid's only shard
+(``g1s1`` of grid ``g1``).  It sends its frames and hangs up; a real
+worker then joins and finishes the requeued shard, and the grid must
+match a serial run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import tempfile
 import threading
 import time
 
@@ -80,7 +82,7 @@ def _run_past_fake_worker(frames, tmp_path):
     escaped = []
     previous_hook = threading.excepthook
     threading.excepthook = lambda args: escaped.append(args.exc_value)
-    coordinator = DispatchCoordinator(shard_policy="static", shard_size=64)
+    coordinator = DispatchCoordinator(shard_size=64)
     coordinator.start()
     leased = threading.Event()
     fake = threading.Thread(
@@ -216,7 +218,7 @@ def _raw_grid_client(address, fault, config, outcomes, slot):
 
 def _run_raw_grids(grids, tmp_path):
     """Run hand-built grid frames concurrently on one real worker."""
-    coordinator = DispatchCoordinator(shard_policy="static", shard_size=64)
+    coordinator = DispatchCoordinator(shard_size=64)
     coordinator.start()
     worker = threading.Thread(
         target=run_worker,
@@ -306,6 +308,130 @@ class TestWorkerFrameFuzz:
         result, escaped = _run_past_fake_worker(frames, tmp_path)
         assert escaped == []
         assert result == SERIAL
+
+
+# ----------------------------------------------------------------------
+# Grid descriptions from an untrusted client
+# ----------------------------------------------------------------------
+_DESCRIPTION = RemoteDispatch(address=("127.0.0.1", 1))._describe(
+    [(spec, name) for spec in SPECS for name in TABLE],
+    (TABLE, 3, NULL_FAULT_MODEL),
+)
+
+
+def _submit_description(description, shard_dir):
+    """Submit ``description`` to a coordinator with one real worker.
+
+    Returns what the client got -- its records or the
+    :class:`DispatchError` it raised -- the exceptions that escaped any
+    thread, and the grids the coordinator still holds once the client is
+    gone.
+    """
+    escaped = []
+    previous_hook = threading.excepthook
+    threading.excepthook = lambda args: escaped.append(args.exc_value)
+    coordinator = DispatchCoordinator()
+    coordinator.start()
+    worker = threading.Thread(
+        target=run_worker, args=(*coordinator.address, shard_dir),
+        kwargs=dict(worker_id="real", once=True, connect_wait=15.0,
+                    heartbeat_interval=0.5),
+        daemon=True,
+    )
+    runner = RemoteDispatch(coordinator=coordinator)
+    tasks = description.get("tasks") if isinstance(description, dict) else None
+    total = len(tasks) if isinstance(tasks, list) else 1
+    outcome = {}
+
+    def client():
+        try:
+            outcome["result"] = list(runner._stream(description, total))
+        except DispatchError as error:
+            outcome["result"] = error
+
+    grid = threading.Thread(target=client, daemon=True)
+    try:
+        worker.start()
+        coordinator.wait_for_workers(1, timeout=30.0)
+        grid.start()
+        grid.join(timeout=15.0)
+        hung = grid.is_alive()
+        runner.close()
+        deadline = time.monotonic() + 10.0
+        while coordinator._grids and time.monotonic() < deadline:
+            time.sleep(0.01)
+        left = list(coordinator._grids)
+    finally:
+        coordinator.stop()
+        worker.join(timeout=15.0)
+        threading.excepthook = previous_hook
+    assert not hung, "the client never heard back"
+    return outcome["result"], escaped, left
+
+
+class TestMalformedGridDescriptions:
+    @pytest.mark.parametrize("override", [
+        {"specs": [], "tasks": [[5, 0]]},
+        {"tasks": [[0, 7]]},
+        {"tasks": [["x", 0]]},
+        {"specs": [{"family": "cycle", "num_nodes": 10**400, "seed": 1}],
+         "tasks": [[0, 0]]},
+        {"specs": ["cycle"], "tasks": [[0, 0]]},
+    ], ids=["no-specs", "name-out-of-range", "string-index", "huge-nodes",
+            "string-spec"])
+    def test_refused_with_an_error(self, override, tmp_path):
+        result, escaped, left = _submit_description(
+            {**_DESCRIPTION, **override}, str(tmp_path)
+        )
+        assert escaped == []
+        assert left == []
+        assert isinstance(result, DispatchError)
+        assert "malformed grid description" in str(result)
+
+    def test_well_formed_description_runs(self, tmp_path):
+        result, escaped, left = _submit_description(
+            _DESCRIPTION, str(tmp_path)
+        )
+        assert escaped == [] and left == []
+        assert render_records(result, "jsonl") == SERIAL
+
+
+#: Node counts a worker builds in no time, or that no float prior holds.
+_NUM_NODES = (
+    st.integers(-2, 12) | st.integers(10**309, 10**500)
+    | st.sampled_from([None, True, "x", "", 2.5, float("nan"), float("inf"),
+                       [], {}])
+)
+_SPEC = st.fixed_dictionaries(
+    {"family": st.sampled_from(["cycle", "path"]) | _JSON,
+     "seed": st.integers(0, 3)},
+    optional={"num_nodes": _NUM_NODES},
+) | _JSON
+_DESCRIPTIONS = st.fixed_dictionaries({}, optional={
+    "specs": st.lists(_SPEC, max_size=3) | _JSON,
+    "algorithms": st.lists(
+        st.sampled_from(["two_approx", "classical_exact", "nope"]) | _JSON,
+        max_size=3,
+    ) | _JSON,
+    "tasks": st.lists(
+        st.lists(st.integers(-1, 3), min_size=2, max_size=2) | _JSON,
+        max_size=4,
+    ) | _JSON,
+}).map(lambda override: {**_DESCRIPTION, **override}) | _JSON
+
+
+class TestGridDescriptionFuzz:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(description=_DESCRIPTIONS)
+    def test_client_gets_records_or_an_error(self, description, tmp_path):
+        result, escaped, left = _submit_description(
+            description, tempfile.mkdtemp(dir=tmp_path)
+        )
+        assert escaped == []
+        assert left == []
+        if not isinstance(result, DispatchError):
+            assert len(result) == len(description["tasks"])
 
 
 # ----------------------------------------------------------------------

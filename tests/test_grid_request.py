@@ -273,8 +273,7 @@ class TestFlagInventories:
     #: grid commands: a submitted job runs on the daemon's coordinator.
     DISPATCH_CONNECTION = {
         "--coordinator", "--dispatch-port", "--dispatch-workers",
-        "--dispatch-wait", "--shard-policy", "--straggler-deadline",
-        "--dispatch-stats",
+        "--dispatch-wait", "--straggler-deadline", "--dispatch-stats",
     }
 
     SWEEP_ONLY = {"--algorithms", "--out", "--resume"} | DISPATCH_CONNECTION

@@ -233,13 +233,6 @@ class TestLazyPackageNames:
 class TestNameTuplesMatchRegistries:
     """The parser's choices are the registries' names."""
 
-    def test_shard_policies(self):
-        from repro.dispatch.coordinator import SHARD_POLICIES, DispatchCoordinator
-
-        assert names.SHARD_POLICIES is SHARD_POLICIES
-        for policy in SHARD_POLICIES:
-            assert DispatchCoordinator(shard_policy=policy).shard_policy == policy
-
     def test_export_formats(self):
         from repro.store.export import EXPORT_FORMATS, render_records
 

@@ -223,6 +223,16 @@ class TestRunSweepGrid:
         # Records come back cell-ordered: spec-major, algorithm-minor.
         assert [r.family for r in serial[:2]] == ["cycle[10]", "cycle[10]"]
 
+    def test_grid_leaves_the_callers_runner_reusable(self):
+        # The grid's cost prior prices (spec, name) cells; a runner that
+        # kept it could not plan chunks for any other task list.
+        runner = BatchRunner(jobs=2)
+        run_sweep_grid(
+            grid(["cycle"], [10, 12]), resolve_algorithms(["two_approx"]),
+            runner=runner,
+        )
+        assert runner.map(_square, range(8)) == [0, 1, 4, 9, 16, 25, 36, 49]
+
     def test_exact_cells_are_checked_against_oracle(self):
         records = run_sweep_grid(
             grid(["cycle"], [12]), resolve_algorithms(["classical_exact"])
