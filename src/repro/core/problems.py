@@ -27,12 +27,10 @@ reads only this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class QuantumProblemInfo:
+class QuantumProblemInfo(NamedTuple):
     """One Theorem-7 problem: its names, paper coordinates and contract."""
 
     name: str

@@ -44,6 +44,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.names import MAX_GRID_NODES
+
 #: Cost-exponent priors by correctness guarantee: how a cell's wall time
 #: scales with its node count.  ``exact`` schedules touch every node's
 #: BFS (~n * m, m ~ n on the sparse sweep families); the approximation
@@ -123,11 +125,15 @@ class CostModel:
         """Record one completed cell's wall time.
 
         Negative and non-finite times (a heartbeat is outside input, and
-        JSON admits ``NaN`` and ``Infinity``) are ignored: one of them
-        would poison every later estimate.
+        JSON admits ``NaN`` and ``Infinity``) are ignored, and so are node
+        counts below 1 or above :data:`repro.names.MAX_GRID_NODES`, which
+        no admitted cell has: one of them would poison every later
+        estimate.
         """
         seconds = float(seconds)
         if not math.isfinite(seconds) or seconds < 0.0:
+            return
+        if not 1 <= num_nodes <= MAX_GRID_NODES:
             return
         prior = static_cell_cost(num_nodes, guarantee)
         entry = self._per_algorithm.setdefault(str(algorithm), [0.0, 0.0])
@@ -172,7 +178,8 @@ class CostModel:
         Raises :class:`ValueError` for a description it cannot price:
         not an object, without the three lists, with a task that is not
         a pair of in-range integer indices, or with a spec that is not
-        an object or whose ``num_nodes`` gives no finite prior.
+        an object or whose ``num_nodes`` is not an integer from 1 to
+        :data:`repro.names.MAX_GRID_NODES`.
         """
         if not isinstance(description, dict):
             raise ValueError("the description must be an object")
@@ -198,13 +205,18 @@ class CostModel:
                 raise ValueError(f"spec {spec_index} is not an object")
             try:
                 nodes = int(spec.get("num_nodes", _MIN_NODES))
-                costs.append(self.estimate(
-                    names[name_index], nodes, guarantees[name_index]
-                ))
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"spec {spec_index} has no priceable num_nodes"
                 ) from None
+            if not 1 <= nodes <= MAX_GRID_NODES:
+                raise ValueError(
+                    f"spec {spec_index} asks for {nodes} nodes "
+                    f"(1 to {MAX_GRID_NODES})"
+                )
+            costs.append(self.estimate(
+                names[name_index], nodes, guarantees[name_index]
+            ))
         return costs
 
 

@@ -2,7 +2,8 @@
 
 Argument parsing needs the names of every registry (export formats,
 graph families, sweep algorithms and quantum problems) but none of the
-code behind them.
+code behind them.  The one limit every admission point shares (the
+largest grid graph) lives here for the same reason.
 Keeping the names here, in a module that imports nothing, lets ``repro
 export`` build the full parser without loading the simulator, and lets
 each command import only the layers its handler runs.
@@ -55,3 +56,11 @@ QUANTUM_PROBLEM_NAMES: Tuple[str, ...] = (
     "source_ecc",
     "three_halves",
 )
+
+#: The largest node count a grid cell may ask for.  ``GridRequest.validate``
+#: (the CLI and ``POST /jobs``) and ``CostModel.grid_costs`` (remote
+#: dispatch admission) both refuse sizes outside ``1..MAX_GRID_NODES``,
+#: and ``CostModel.observe`` ignores timings that claim one, so no client
+#: can lease a worker a graph it cannot build or skew the cost model with
+#: an impossible cell.
+MAX_GRID_NODES = 2**20

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.analysis.sweep import run_sweep_grid
 from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.names import MAX_GRID_NODES
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -154,6 +155,8 @@ class GridRequest:
         for size in self.sizes:
             if size < 1:
                 raise ValueError(f"sizes must be >= 1, got {size}")
+            if size > MAX_GRID_NODES:
+                raise ValueError(f"sizes must be <= {MAX_GRID_NODES}, got {size}")
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import platform
 import re
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -154,6 +153,11 @@ class StoreWriterLock:
             time.sleep(self.poll)
 
     def _try_acquire(self) -> bool:
+        # Imported here, not at module level, so a store reader never
+        # loads it; and before the lock file exists, so the import does not
+        # widen the window in which the file is still empty.
+        import platform
+
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except OSError as error:
@@ -176,6 +180,8 @@ class StoreWriterLock:
 
     def _is_stale(self, holder: Dict[str, Any]) -> bool:
         """Whether the holder is provably dead (same host, no such pid)."""
+        import platform
+
         if holder.get("host") != platform.node():
             return False
         pid = holder.get("pid")

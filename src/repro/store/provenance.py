@@ -6,12 +6,13 @@ with a header line recording *how* the records were produced: the grid
 and the environment (git describe, Python version).  A
 record set without provenance is unreproducible; a record set with it
 can be re-run, extended or audited months later.
+
+:mod:`platform` and :mod:`subprocess` are imported only when a header is
+stamped, so reading a store does not load them.
 """
 
 from __future__ import annotations
 
-import platform
-import subprocess
 from typing import Any, Dict, Optional
 
 #: Keys the experiment service may stamp onto run headers (an
@@ -27,6 +28,8 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
     deployed environments and never raises -- provenance should describe
     the run, not break it.
     """
+    import subprocess
+
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -51,6 +54,8 @@ def collect_provenance(fault=None) -> Dict[str, Any]:
     canonical description string (``"none"`` for the null model), which
     is exactly the token that distinguishes faulty task keys.
     """
+    import platform
+
     return {
         "fault_model": "none" if fault is None else fault.describe(),
         "git": git_describe(),

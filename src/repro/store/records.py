@@ -15,14 +15,32 @@ This module is a leaf: it imports no simulator layer, so reading a store
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 if TYPE_CHECKING:
     from repro.runner.spec import GraphSpec
 
 
-@dataclass
+#: The full field set of a serialized record; kept explicit so loading an
+#: object with missing or unknown fields fails loudly instead of silently
+#: dropping data.
+RECORD_FIELDS = (
+    "family",
+    "algorithm",
+    "num_nodes",
+    "diameter",
+    "rounds",
+    "value",
+    "correct",
+    "extra",
+    "success",
+    "failure_reason",
+)
+
+_field_values = attrgetter(*RECORD_FIELDS)
+
+
 class SweepRecord:
     """One measurement: an algorithm run on one graph.
 
@@ -41,35 +59,52 @@ class SweepRecord:
     unreached-node error) is captured into ``failure_reason`` instead of
     propagating.  Failed cells carry ``value=-1.0``, ``correct=None``
     and the rounds completed before the abort.
+
+    A plain slotted class rather than a dataclass, so that reading a
+    store (``repro export``) does not import :mod:`dataclasses` and,
+    through it, :mod:`inspect`.  It behaves as the dataclass did: the
+    same constructor (each record gets its own ``extra`` dict), value
+    equality, a field-by-field ``repr`` and no hash.
     """
 
-    family: str
-    algorithm: str
-    num_nodes: int
-    diameter: Optional[int]
-    rounds: int
-    value: float
-    correct: Optional[bool] = None
-    extra: Dict[str, float] = field(default_factory=dict)
-    success: bool = True
-    failure_reason: Optional[str] = None
+    __slots__ = RECORD_FIELDS
 
+    def __init__(
+        self,
+        family: str,
+        algorithm: str,
+        num_nodes: int,
+        diameter: Optional[int],
+        rounds: int,
+        value: float,
+        correct: Optional[bool] = None,
+        extra: Optional[Dict[str, float]] = None,
+        success: bool = True,
+        failure_reason: Optional[str] = None,
+    ) -> None:
+        self.family = family
+        self.algorithm = algorithm
+        self.num_nodes = num_nodes
+        self.diameter = diameter
+        self.rounds = rounds
+        self.value = value
+        self.correct = correct
+        self.extra = {} if extra is None else extra
+        self.success = success
+        self.failure_reason = failure_reason
 
-#: The full field set of a serialized record; kept explicit so loading an
-#: object with missing or unknown fields fails loudly instead of silently
-#: dropping data.
-RECORD_FIELDS = (
-    "family",
-    "algorithm",
-    "num_nodes",
-    "diameter",
-    "rounds",
-    "value",
-    "correct",
-    "extra",
-    "success",
-    "failure_reason",
-)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(RECORD_FIELDS, _field_values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
 
 #: Fields that may be absent when loading: stores written before the
 #: fault-injection layer predate them and every such record succeeded.

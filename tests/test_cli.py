@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
@@ -29,6 +32,76 @@ class TestParser:
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["diameter", "--family", "bogus"])
+
+
+def _subcommands(parser):
+    """``{name: sub-parser}`` of ``parser``'s sub-commands (``{}``: none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _every_command_argv():
+    """Each command of the full parser, and each nested one, as an argv."""
+    argvs = []
+    for name, sub in _subcommands(build_parser()).items():
+        argvs.append([name])
+        argvs.extend([name, nested] for nested in _subcommands(sub))
+    return argvs
+
+
+def _parse_output(parser, argv):
+    """What ``parser.parse_args(argv)`` prints, and how it exits."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            parser.parse_args(argv)
+            status = None
+        except SystemExit as stop:
+            status = stop.code
+    return stdout.getvalue(), stderr.getvalue(), status
+
+
+class TestOneCommandParser:
+    """``main`` builds only the sub-parser of the command it runs; nothing
+    a user sees may differ from the full parser's."""
+
+    def test_the_command_table_is_the_full_parsers_command_list(self):
+        assert list(cli._COMMANDS) == list(_subcommands(build_parser()))
+
+    def test_only_the_named_command_is_built(self):
+        assert list(_subcommands(build_parser("export"))) == ["export"]
+
+    @pytest.mark.parametrize("argv", _every_command_argv(), ids=" ".join)
+    def test_help_prints_the_same_bytes(self, argv):
+        full = _parse_output(build_parser(), argv + ["--help"])
+        one = _parse_output(build_parser(argv[0]), argv + ["--help"])
+        assert full[2] == 0 and full[0].startswith("usage: repro " + " ".join(argv))
+        assert one == full
+
+    @pytest.mark.parametrize("argv", [
+        ["export"],
+        ["export", "--store", "run.jsonl", "surplus"],
+        ["export", "--store", "run.jsonl", "--format", "xml"],
+        ["diameter", "--family", "bogus"],
+        ["jobs"],
+        ["jobs", "bogus"],
+        ["worker", "join"],
+        ["table1"],
+    ])
+    def test_usage_errors_print_the_same_bytes(self, argv):
+        full = _parse_output(build_parser(), argv)
+        assert full[2] == 2 and full[1].startswith("usage: repro")
+        assert _parse_output(build_parser(argv[0]), argv) == full
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        listing = capsys.readouterr().out
+        for name in cli._COMMANDS:
+            assert f"    {name}" in listing
 
 
 class TestCommands:

@@ -43,6 +43,7 @@ from repro.dispatch.cost import (
     take_cost_prefix,
 )
 from repro.dispatch.worker import probe_capabilities, run_worker
+from repro.names import MAX_GRID_NODES
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, merge_shards, render_records, shard_stats
 
@@ -138,6 +139,37 @@ class TestCostModelCalibration:
         model = CostModel()
         model.observe("a", 16, -1.0)
         assert model.observation_count() == 0
+
+    def test_impossible_node_counts_ignored(self):
+        # One timing claiming a huge cell used to rescale every algorithm
+        # without observations of its own through the all-algorithm ratio.
+        fresh = CostModel().estimate("classical_exact", 50, guarantee="exact")
+        for nodes in (10**200, MAX_GRID_NODES + 1, 0, -3):
+            model = CostModel()
+            model.observe("two_approx", nodes, 1.0, guarantee="two_approx")
+            assert model.observation_count() == 0
+            assert model.estimate("classical_exact", 50, guarantee="exact") == fresh
+
+    def test_impossible_heartbeat_timing_ignored(self):
+        coordinator = DispatchCoordinator()
+        coordinator._on_heartbeat({"timings": [
+            {"algorithm": "two_approx", "num_nodes": 10**200, "seconds": 1.0},
+        ]})
+        assert coordinator._cost_model.estimate(
+            "classical_exact", 50, guarantee="exact"
+        ) == CostModel().estimate("classical_exact", 50, guarantee="exact")
+
+    def test_grid_costs_refuse_sizes_outside_the_grid_range(self):
+        description = {
+            "specs": [{"family": "cycle", "num_nodes": MAX_GRID_NODES, "seed": 1}],
+            "algorithms": ["two_approx"],
+            "tasks": [[0, 0]],
+        }
+        assert len(CostModel().grid_costs(description)) == 1
+        for nodes in (MAX_GRID_NODES + 1, 10**200, 0):
+            description["specs"][0]["num_nodes"] = nodes
+            with pytest.raises(ValueError, match="asks for"):
+                CostModel().grid_costs(description)
 
     def test_non_finite_observations_ignored(self):
         # A heartbeat is JSON, which admits NaN and Infinity; one such

@@ -21,6 +21,7 @@ from repro.cli import _grid_request_from_args, build_parser
 from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
+from repro.names import MAX_GRID_NODES
 from repro.runner import BatchRunner, task_seed
 from repro.service import GridRequest, execute_grid_request, fault_model_from_flags
 from repro.store import ExperimentStore
@@ -70,6 +71,12 @@ class TestValidation:
     def test_nonpositive_size(self):
         with pytest.raises(ValueError, match="sizes must be >= 1"):
             _request(sizes=(0,)).validate()
+
+    def test_size_above_the_node_ceiling(self):
+        _request(sizes=(MAX_GRID_NODES,)).validate()
+        for size in (MAX_GRID_NODES + 1, 10**200):
+            with pytest.raises(ValueError, match="sizes must be <= "):
+                _request(sizes=(size,)).validate()
 
     def test_non_integer_diameter(self):
         with pytest.raises(ValueError, match="diameter must be an integer"):

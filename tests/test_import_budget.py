@@ -3,12 +3,16 @@
 Every ``repro`` command is a fresh interpreter, so whatever it imports is
 paid on every run.  These tests run commands in subprocesses and assert
 on ``sys.modules`` membership afterwards -- not on timings, so they
-cannot flake on a loaded host.  They also pin the plain name tuples the
-parser is built from (:mod:`repro.names`) to the registries they mirror.
+cannot flake on a loaded host.  Only modules beyond those a bare
+``python -c "import sys, json"`` loads count, so what the host's
+``site`` start-up imports (a ``.pth`` hook, say) cannot fail a budget.
+They also pin the plain name tuples the parser is built from
+(:mod:`repro.names`) to the registries they mirror.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -31,8 +35,14 @@ with open(sys.argv[1], "w") as handle:
     json.dump({"status": status, "modules": sorted(sys.modules)}, handle)
 """
 
+#: Standard-library modules that only writing or running needs: the
+#: dataclass machinery (and the :mod:`inspect` it pulls in), and the
+#: :mod:`platform` / :mod:`subprocess` that stamp run headers and lock
+#: files.
+WRITE_ONLY_STDLIB = ("dataclasses", "inspect", "platform", "subprocess")
+
 #: What ``repro export`` must not import: it reads a JSONL file.
-EXPORT_FORBIDDEN = (
+EXPORT_FORBIDDEN = WRITE_ONLY_STDLIB + (
     "numpy",
     "socket",
     "http.server",
@@ -74,7 +84,7 @@ SWEEP_FORBIDDEN = ("repro.core", "repro.quantum", "repro.qcongest")
 #: What ``repro quantum --list`` must not import: it prints the problem
 #: registry, so it loads no simulator, quantum layer, grid, store or
 #: dispatch.
-LIST_FORBIDDEN = (
+LIST_FORBIDDEN = WRITE_ONLY_STDLIB + (
     "numpy",
     "socket",
     "multiprocessing",
@@ -103,8 +113,20 @@ QUANTUM_ARGS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _bare_modules():
+    """The modules a bare ``python -c "import sys, json"`` loads here."""
+    completed = subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=SRC_ROOT),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return frozenset(json.loads(completed.stdout))
+
+
 def _probe(tmp_path, argv):
-    """Run one command in a fresh interpreter; return its loaded modules."""
+    """Run one command in a fresh interpreter; return the modules it loaded
+    beyond a bare interpreter's."""
     out = tmp_path / "probe.json"
     env = dict(os.environ, PYTHONPATH=SRC_ROOT)
     completed = subprocess.run(
@@ -114,7 +136,7 @@ def _probe(tmp_path, argv):
     assert completed.returncode == 0, completed.stderr
     result = json.loads(out.read_text())
     assert result["status"] == 0, completed.stderr
-    return set(result["modules"])
+    return set(result["modules"]) - _bare_modules()
 
 
 def _loaded(modules, forbidden):
@@ -137,7 +159,7 @@ def sweep_store(tmp_path_factory):
 class TestImportBudget:
     def test_export_loads_no_simulator_layer(self, sweep_store, tmp_path):
         store, _ = sweep_store
-        for fmt in ("csv", "table"):
+        for fmt in ("table",) + names.EXPORT_FORMATS:
             modules = _probe(tmp_path, ["export", "--store", str(store), "--format", fmt])
             assert _loaded(modules, EXPORT_FORBIDDEN) == []
             assert "repro.store" in modules

@@ -152,6 +152,14 @@ class TestAPIBasics:
         assert info.value.status == 400
         assert "unknown family" in info.value.message
 
+    def test_submit_size_above_the_node_ceiling_400(self, idle):
+        client, _ = idle
+        payload = dict(_request().to_dict(), sizes=[10**200])
+        with pytest.raises(ServiceClientError) as info:
+            client._json("POST", "/jobs", {"tenant": "alice", "request": payload})
+        assert (info.value.status, info.value.code) == (400, "invalid_request")
+        assert "sizes must be <= " in info.value.message
+
     @pytest.mark.parametrize("fault", [{"bogus": 1}, {"loss": "abc"}])
     def test_submit_malformed_fault_400(self, idle, fault):
         client, _ = idle

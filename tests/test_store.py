@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from repro.runner import BatchRunner, GraphSpec, grid, resolve_algorithms
 from repro.store import (
     ExperimentStore,
     ExperimentStoreError,
+    StoreWriterLock,
     canonical_json,
     record_from_dict,
     record_to_dict,
@@ -114,6 +117,48 @@ class TestRecordRoundTrip:
             GraphSpec("controlled", 16, diameter=4, seed=9),
         ):
             assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+def _echo(record):
+    """Return the record (pickled into a pool worker and back)."""
+    return record
+
+
+class TestSweepRecordBehaviour:
+    """The slotted record keeps the constructor, equality, ``repr`` and
+    pickling it had as a dataclass."""
+
+    def test_equality_is_by_value_and_records_are_unhashable(self):
+        first, second, third = _records_for_roundtrip()
+        assert first == SweepRecord(*record_to_dict(first).values())
+        assert first != second and second != third
+        assert first != tuple(record_to_dict(first).values())
+        with pytest.raises(TypeError):
+            hash(first)
+
+    def test_repr_names_every_field_in_order(self):
+        assert repr(_records_for_roundtrip()[2]) == (
+            "SweepRecord(family='path[6]', algorithm='broken', num_nodes=6, "
+            "diameter=5, rounds=12, value=3.5, correct=False, "
+            "extra={'nonintegral_value': 3.5, 'oracle_diameter': 5.0}, "
+            "success=True, failure_reason=None)"
+        )
+
+    def test_defaults_and_a_fresh_extra_per_record(self):
+        one = SweepRecord("cycle", "two_approx", 8, None, 4, 4.0)
+        other = SweepRecord(family="cycle", algorithm="two_approx",
+                            num_nodes=8, diameter=None, rounds=4, value=4.0)
+        assert one == other
+        assert (one.correct, one.extra, one.success, one.failure_reason) == (
+            None, {}, True, None
+        )
+        one.extra["seen"] = 1.0
+        assert other.extra == {}
+
+    def test_pickles_through_a_process_pool(self):
+        records = _records_for_roundtrip()
+        assert [pickle.loads(pickle.dumps(r)) for r in records] == records
+        assert BatchRunner(jobs=2).map(_echo, records) == records
 
 
 class TestExportFormats:
@@ -316,6 +361,34 @@ _GARBAGE_LINES = st.one_of(
         optional={"key": _JSON, "index": _JSON, "record": _JSON, "row": _JSON},
     ).map(lambda entry: json.dumps(entry).encode()),
 ).map(lambda line: line.replace(b"\n", b""))
+
+
+class TestStampedProvenance:
+    """Run headers and writer locks keep their bytes."""
+
+    def test_run_header_bytes(self, tmp_path):
+        store = ExperimentStore(tmp_path / "run.jsonl")
+        store.begin_sweep([GraphSpec("cycle", 8)], ["two_approx"], 3, "sig", 1)
+        with open(store.path, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        del header["git"]  # the working tree's describe, whatever it is
+        assert canonical_json(header) == (
+            '{"algorithms":["two_approx"],"base_seed":3,"fault_model":"none",'
+            '"jobs":1,"kind":"run","python":"' + platform.python_version()
+            + '","resume":false,"schema":1,"signature":"sig","specs":'
+            '[{"diameter":null,"family":"cycle","num_nodes":8,"seed":0}]}'
+        )
+
+    def test_writer_lock_bytes(self, tmp_path):
+        lock = StoreWriterLock(str(tmp_path / "run.jsonl")).acquire()
+        try:
+            with open(lock.lock_path, encoding="utf-8") as handle:
+                content = handle.read()
+        finally:
+            lock.release()
+        assert content == canonical_json(
+            {"pid": os.getpid(), "host": platform.node()}
+        )
 
 
 class TestStoreGarbageProperty:
