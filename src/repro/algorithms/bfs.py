@@ -17,24 +17,33 @@ primitives used throughout the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class BFSTreeResult:
+class BFSTreeResult(Record):
     """Outcome of the distributed BFS-tree construction."""
 
-    root: NodeId
-    parent: Dict[NodeId, Optional[NodeId]]
-    distance: Dict[NodeId, int]
-    children: Dict[NodeId, Tuple[NodeId, ...]]
-    metrics: ExecutionMetrics
+    __slots__ = ("root", "parent", "distance", "children", "metrics")
+
+    def __init__(
+        self,
+        root: NodeId,
+        parent: Dict[NodeId, Optional[NodeId]],
+        distance: Dict[NodeId, int],
+        children: Dict[NodeId, Tuple[NodeId, ...]],
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.root = root
+        self.parent = parent
+        self.distance = distance
+        self.children = children
+        self.metrics = metrics
 
     @property
     def depth(self) -> int:

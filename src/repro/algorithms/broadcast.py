@@ -20,9 +20,9 @@ for rebuilding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -31,21 +31,30 @@ from repro.graphs.graph import NodeId
 from repro.algorithms.bfs import BFSTreeResult
 
 
-@dataclass
-class AggregateResult:
+class AggregateResult(Record):
     """Outcome of a convergecast: the aggregate seen at the root."""
 
-    value: Any
-    witness: Optional[NodeId]
-    metrics: ExecutionMetrics
+    __slots__ = ("value", "witness", "metrics")
+
+    def __init__(
+        self,
+        value: Any,
+        witness: Optional[NodeId],
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.value = value
+        self.witness = witness
+        self.metrics = metrics
 
 
-@dataclass
-class BroadcastResult:
+class BroadcastResult(Record):
     """Outcome of a tree broadcast: the value received at every node."""
 
-    values: Dict[NodeId, Any]
-    metrics: ExecutionMetrics
+    __slots__ = ("values", "metrics")
+
+    def __init__(self, values: Dict[NodeId, Any], metrics: ExecutionMetrics) -> None:
+        self.values = values
+        self.metrics = metrics
 
 
 class _TreeBroadcastNode(NodeAlgorithm):

@@ -30,9 +30,9 @@ children are simply skipped by the local rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
@@ -40,8 +40,7 @@ from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class EulerTourResult:
+class EulerTourResult(Record):
     """Outcome of a (possibly windowed) Euler-tour traversal.
 
     ``visit_time`` maps each node reached by a *top-down* move (plus the
@@ -52,10 +51,19 @@ class EulerTourResult:
     keys is the set ``S(u0)`` of Definition 2.
     """
 
-    start: NodeId
-    steps: int
-    visit_time: Dict[NodeId, int]
-    metrics: ExecutionMetrics
+    __slots__ = ("start", "steps", "visit_time", "metrics")
+
+    def __init__(
+        self,
+        start: NodeId,
+        steps: int,
+        visit_time: Dict[NodeId, int],
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.start = start
+        self.steps = steps
+        self.visit_time = visit_time
+        self.metrics = metrics
 
     @property
     def visited(self) -> Set[NodeId]:
@@ -209,7 +217,7 @@ def run_full_euler_tour(
     takes ``2 * (m - 1)`` token steps for ``m`` member nodes, hence
     ``O(m)`` rounds.
     """
-    member = _membership(tree, members)
+    member = subtree_membership(tree, members)
     count = sum(1 for node in network.graph.nodes() if member(node))
     budget = max(0, 2 * (count - 1))
     return _run_tour(network, tree, tree.root, budget, member)
@@ -230,7 +238,7 @@ def run_windowed_euler_tour(
     """
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    member = _membership(tree, members)
+    member = subtree_membership(tree, members)
     if not member(start):
         raise ValueError(f"start node {start!r} is not a member of the subtree")
     count = sum(1 for node in network.graph.nodes() if member(node))
@@ -250,8 +258,10 @@ def sequential_euler_tour(
 
     Reproduces exactly the numbering that the distributed token traversal
     computes -- same child ordering, same wrap-around rule -- but without
-    running the CONGEST simulation.  Used by the test-suite as an oracle and
-    by the quantum framework's fast "reference" evaluation mode.
+    running the CONGEST simulation.  This step-by-step walk is the oracle:
+    the test-suite holds the distributed traversal and
+    :func:`repro.core.coverage.window_maxima` (which serves the quantum
+    framework's "reference" evaluation mode) equal to it.
 
     ``window=None`` performs the full tour (``2 (m - 1)`` steps over the
     ``m`` member nodes); otherwise only ``window`` steps are performed.
@@ -266,7 +276,7 @@ def sequential_euler_tour(
         children = tree.children
         member_count = len(tree.parent)
     else:
-        member = _membership(tree, members)
+        member = subtree_membership(tree, members)
         if not member(start):
             raise ValueError(f"start node {start!r} is not a member of the subtree")
         children = {
@@ -319,9 +329,12 @@ def _up_target(
     return None
 
 
-def _membership(
+def subtree_membership(
     tree: BFSTreeResult, members: Optional[Set[NodeId]]
 ) -> Callable[[NodeId], bool]:
+    """The membership test of the subtree ``members`` (every node when
+    ``None``); raises ``ValueError`` unless ``members`` contains the root
+    and is closed under taking parents."""
     if members is None:
         return lambda node: True
     member_set = set(members)

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
 from repro.algorithms.broadcast import (
     run_tree_aggregate_max,
@@ -45,13 +45,20 @@ from repro.congest.network import Network
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class ApproxDiameterResult:
+class ApproxDiameterResult(Record):
     """Outcome of a diameter-approximation algorithm."""
 
-    estimate: int
-    approximation_factor: float
-    metrics: ExecutionMetrics
+    __slots__ = ("estimate", "approximation_factor", "metrics")
+
+    def __init__(
+        self,
+        estimate: int,
+        approximation_factor: float,
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.estimate = estimate
+        self.approximation_factor = approximation_factor
+        self.metrics = metrics
 
     @property
     def rounds(self) -> int:
@@ -59,19 +66,42 @@ class ApproxDiameterResult:
         return self.metrics.rounds
 
 
-@dataclass
-class HPRWPreparationResult:
+class HPRWPreparationResult(Record):
     """Outcome of Steps 1-3 of Figure 3 (shared classical preparation)."""
 
-    sampled_set: Set[NodeId]
-    w: NodeId
-    w_tree: BFSTreeResult
-    d_w: int
-    ball: Set[NodeId]
-    ball_radius: int
-    max_ecc_over_samples: int
-    metrics: ExecutionMetrics
-    aborted: bool = False
+    __slots__ = (
+        "sampled_set",
+        "w",
+        "w_tree",
+        "d_w",
+        "ball",
+        "ball_radius",
+        "max_ecc_over_samples",
+        "metrics",
+        "aborted",
+    )
+
+    def __init__(
+        self,
+        sampled_set: Set[NodeId],
+        w: NodeId,
+        w_tree: BFSTreeResult,
+        d_w: int,
+        ball: Set[NodeId],
+        ball_radius: int,
+        max_ecc_over_samples: int,
+        metrics: ExecutionMetrics,
+        aborted: bool = False,
+    ) -> None:
+        self.sampled_set = sampled_set
+        self.w = w
+        self.w_tree = w_tree
+        self.d_w = d_w
+        self.ball = ball
+        self.ball_radius = ball_radius
+        self.max_ecc_over_samples = max_ecc_over_samples
+        self.metrics = metrics
+        self.aborted = aborted
 
 
 #: Size of the hash space used for trimming the boundary layer of the ball.

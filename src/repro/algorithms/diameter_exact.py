@@ -16,9 +16,9 @@ Euler tour takes ``2 (n - 1)`` rounds, the wave phase takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.algorithms.dfs_traversal import run_full_euler_tour
@@ -29,13 +29,20 @@ from repro.congest.network import Network
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class ExactDiameterResult:
+class ExactDiameterResult(Record):
     """Outcome of the classical exact-diameter computation."""
 
-    diameter: int
-    leader: NodeId
-    metrics: ExecutionMetrics
+    __slots__ = ("diameter", "leader", "metrics")
+
+    def __init__(
+        self,
+        diameter: int,
+        leader: NodeId,
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.diameter = diameter
+        self.leader = leader
+        self.metrics = metrics
 
     @property
     def rounds(self) -> int:

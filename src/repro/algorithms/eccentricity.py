@@ -10,9 +10,9 @@ convergecast the maximum distance back up the tree.  Both phases take
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.congest.metrics import ExecutionMetrics
@@ -20,14 +20,22 @@ from repro.congest.network import Network
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class EccentricityResult:
+class EccentricityResult(Record):
     """Outcome of the distributed eccentricity computation."""
 
-    node: NodeId
-    eccentricity: int
-    tree: BFSTreeResult
-    metrics: ExecutionMetrics
+    __slots__ = ("node", "eccentricity", "tree", "metrics")
+
+    def __init__(
+        self,
+        node: NodeId,
+        eccentricity: int,
+        tree: BFSTreeResult,
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.node = node
+        self.eccentricity = eccentricity
+        self.tree = tree
+        self.metrics = metrics
 
 
 def run_eccentricity(

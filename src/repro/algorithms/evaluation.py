@@ -34,9 +34,9 @@ implements the Evaluation procedure of Theorem 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
+from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult
 from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.algorithms.dfs_traversal import run_windowed_euler_tour
@@ -46,14 +46,22 @@ from repro.congest.network import Network
 from repro.graphs.graph import NodeId
 
 
-@dataclass
-class EvaluationResult:
+class EvaluationResult(Record):
     """Outcome of one run of the Figure-2 Evaluation procedure."""
 
-    u0: NodeId
-    value: int
-    window_nodes: Set[NodeId]
-    metrics: ExecutionMetrics
+    __slots__ = ("u0", "value", "window_nodes", "metrics")
+
+    def __init__(
+        self,
+        u0: NodeId,
+        value: int,
+        window_nodes: Set[NodeId],
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.u0 = u0
+        self.value = value
+        self.window_nodes = window_nodes
+        self.metrics = metrics
 
 
 def run_evaluation_procedure(

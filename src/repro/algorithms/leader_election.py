@@ -16,9 +16,9 @@ are comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
@@ -30,12 +30,14 @@ def identifier_key(node: NodeId) -> str:
     return repr(node)
 
 
-@dataclass
-class LeaderElectionResult:
+class LeaderElectionResult(Record):
     """Outcome of leader election."""
 
-    leader: NodeId
-    metrics: ExecutionMetrics
+    __slots__ = ("leader", "metrics")
+
+    def __init__(self, leader: NodeId, metrics: ExecutionMetrics) -> None:
+        self.leader = leader
+        self.metrics = metrics
 
 
 class _MaxIdFloodingNode(NodeAlgorithm):

@@ -30,9 +30,9 @@ network is reliable), costing a constant factor in messages and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro._record import Record
 from repro.algorithms.diameter_approx import ApproxDiameterResult
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
@@ -46,14 +46,22 @@ from repro.graphs.graph import NodeId
 DEFAULT_MAX_RETRIES = 4
 
 
-@dataclass
-class ResilientBFSResult:
+class ResilientBFSResult(Record):
     """Outcome of the retrying BFS flood."""
 
-    root: NodeId
-    distance: Dict[NodeId, Optional[int]]
-    reached: int
-    metrics: ExecutionMetrics
+    __slots__ = ("root", "distance", "reached", "metrics")
+
+    def __init__(
+        self,
+        root: NodeId,
+        distance: Dict[NodeId, Optional[int]],
+        reached: int,
+        metrics: ExecutionMetrics,
+    ) -> None:
+        self.root = root
+        self.distance = distance
+        self.reached = reached
+        self.metrics = metrics
 
     @property
     def complete(self) -> bool:

@@ -44,29 +44,30 @@ paper's scheduling (Section "Design choices" of DESIGN.md):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
 
 
-@dataclass(frozen=True)
-class WaveScheduleEntry:
+class WaveScheduleEntry(NamedTuple):
     """Start round and tag of one wave source."""
 
     start_round: int
     tag: int
 
 
-@dataclass
-class WaveResult:
+class WaveResult(Record):
     """Outcome of the wave phase: the per-node maxima ``d_v``."""
 
-    max_distance: Dict[NodeId, int]
-    metrics: ExecutionMetrics
+    __slots__ = ("max_distance", "metrics")
+
+    def __init__(self, max_distance: Dict[NodeId, int], metrics: ExecutionMetrics) -> None:
+        self.max_distance = max_distance
+        self.metrics = metrics
 
     @property
     def overall_max(self) -> int:

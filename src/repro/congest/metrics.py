@@ -31,35 +31,83 @@ quantum optimization loop, ...) sum their phases with :meth:`ExecutionMetrics.me
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Optional
 
+from repro._record import Record
 
-@dataclass
-class ExecutionMetrics:
-    """Aggregated cost of one (phase of a) distributed execution."""
 
-    rounds: int = 0
-    messages: int = 0
-    total_bits: int = 0
-    max_edge_bits_per_round: int = 0
-    bandwidth_limit_bits: Optional[int] = None
-    bandwidth_violations: int = 0
-    max_node_memory_bits: int = 0
-    # Fault-layer degradation counters (zero under the null fault model).
-    dropped_messages: int = 0
-    delayed_messages: int = 0
-    node_crashes: int = 0
-    node_restarts: int = 0
-    churned_edge_rounds: int = 0
-    # Cache-effectiveness diagnostics.  Excluded from equality: they
-    # describe *how* the simulation executed (cold vs warm memo cache,
-    # serial vs pool-worker layout), not *what* it computed, so two
-    # semantically identical runs may legitimately differ here.
-    size_cache_hits: int = field(default=0, compare=False)
-    size_cache_misses: int = field(default=0, compare=False)
-    size_cache_overflows: int = field(default=0, compare=False)
-    phase_rounds: Dict[str, int] = field(default_factory=dict)
+class ExecutionMetrics(Record):
+    """Aggregated cost of one (phase of a) distributed execution.
+
+    Equality compares every field except the three ``size_cache_*``
+    diagnostics: they describe *how* the simulation executed (cold vs
+    warm memo cache, serial vs pool-worker layout), not *what* it
+    computed, so two semantically identical runs may legitimately differ
+    there.
+    """
+
+    __slots__ = (
+        "rounds",
+        "messages",
+        "total_bits",
+        "max_edge_bits_per_round",
+        "bandwidth_limit_bits",
+        "bandwidth_violations",
+        "max_node_memory_bits",
+        # Fault-layer degradation counters (zero under the null fault model).
+        "dropped_messages",
+        "delayed_messages",
+        "node_crashes",
+        "node_restarts",
+        "churned_edge_rounds",
+        # Cache-effectiveness diagnostics, excluded from equality.
+        "size_cache_hits",
+        "size_cache_misses",
+        "size_cache_overflows",
+        "phase_rounds",
+    )
+
+    def __init__(
+        self,
+        rounds: int = 0,
+        messages: int = 0,
+        total_bits: int = 0,
+        max_edge_bits_per_round: int = 0,
+        bandwidth_limit_bits: Optional[int] = None,
+        bandwidth_violations: int = 0,
+        max_node_memory_bits: int = 0,
+        dropped_messages: int = 0,
+        delayed_messages: int = 0,
+        node_crashes: int = 0,
+        node_restarts: int = 0,
+        churned_edge_rounds: int = 0,
+        size_cache_hits: int = 0,
+        size_cache_misses: int = 0,
+        size_cache_overflows: int = 0,
+        phase_rounds: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.rounds = rounds
+        self.messages = messages
+        self.total_bits = total_bits
+        self.max_edge_bits_per_round = max_edge_bits_per_round
+        self.bandwidth_limit_bits = bandwidth_limit_bits
+        self.bandwidth_violations = bandwidth_violations
+        self.max_node_memory_bits = max_node_memory_bits
+        self.dropped_messages = dropped_messages
+        self.delayed_messages = delayed_messages
+        self.node_crashes = node_crashes
+        self.node_restarts = node_restarts
+        self.churned_edge_rounds = churned_edge_rounds
+        self.size_cache_hits = size_cache_hits
+        self.size_cache_misses = size_cache_misses
+        self.size_cache_overflows = size_cache_overflows
+        self.phase_rounds = {} if phase_rounds is None else phase_rounds
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _compared(self) == _compared(other)
 
     def record_phase(self, name: str, rounds: int) -> None:
         """Remember how many rounds a named phase contributed."""
@@ -136,6 +184,12 @@ class ExecutionMetrics:
         for item in metrics:
             result = result.merged(item)
         return result
+
+
+#: The fields equality compares: all but the ``size_cache_*`` diagnostics.
+_compared = attrgetter(*(
+    name for name in ExecutionMetrics._fields if not name.startswith("size_cache_")
+))
 
 
 def _merge_limits(a: Optional[int], b: Optional[int]) -> Optional[int]:

@@ -56,9 +56,9 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro._record import Record
 from repro.congest.errors import RoundLimitExceededError
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Broadcast, Inbox, NodeAlgorithm
@@ -86,13 +86,20 @@ DEFAULT_MAX_ROUND_FACTOR = 64
 AlgorithmFactory = Callable[[NodeId, "Network"], NodeAlgorithm]
 
 
-@dataclass
-class ExecutionResult:
+class ExecutionResult(Record):
     """Outcome of running one distributed algorithm to completion."""
 
-    results: Dict[NodeId, Any]
-    metrics: ExecutionMetrics
-    traffic: Optional[list] = None
+    __slots__ = ("results", "metrics", "traffic")
+
+    def __init__(
+        self,
+        results: Dict[NodeId, Any],
+        metrics: ExecutionMetrics,
+        traffic: Optional[list] = None,
+    ) -> None:
+        self.results = results
+        self.metrics = metrics
+        self.traffic = traffic
 
     @property
     def rounds(self) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.algorithms.diameter_approx import (
@@ -32,10 +31,11 @@ from repro.algorithms.evaluation import run_evaluation_procedure
 from repro.algorithms.leader_election import run_leader_election
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.core.coverage import popt_lower_bound, window_set
+from repro.core.coverage import popt_lower_bound, window_maxima
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
+    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     as_network,
@@ -45,18 +45,32 @@ from repro.runner.batch import task_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
+    from repro.quantum.cost_model import QuantumResourceCount
 
 
-@dataclass
 class QuantumApproxDiameterResult(QuantumProblemResult):
     """Outcome of the quantum 3/2-approximation (Theorem 4); its
     ``rounds`` count the preparation and the quantum phase."""
 
-    estimate: int
-    ball_size: int
-    s_parameter: int
-    w: NodeId
-    preparation: HPRWPreparationResult
+    __slots__ = ("estimate", "ball_size", "s_parameter", "w", "preparation")
+
+    def __init__(
+        self,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        optimization: DistributedOptimizationResult,
+        estimate: int,
+        ball_size: int,
+        s_parameter: int,
+        w: NodeId,
+        preparation: HPRWPreparationResult,
+    ) -> None:
+        super().__init__(counts, metrics, optimization)
+        self.estimate = estimate
+        self.ball_size = ball_size
+        self.s_parameter = s_parameter
+        self.w = w
+        self.preparation = preparation
 
 
 class BallEccentricityProblem(DistributedSearchProblem):
@@ -73,6 +87,7 @@ class BallEccentricityProblem(DistributedSearchProblem):
         # Setup and the windows run over BFS(w), rooted at w.
         self.tree = preparation.w_tree
         self.window_parameter = max(1, preparation.d_w)
+        self._window_maxima: Optional[Dict[NodeId, int]] = None
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -100,12 +115,12 @@ class BallEccentricityProblem(DistributedSearchProblem):
         return float(evaluation.value), evaluation.metrics
 
     def reference_value(self, u0: NodeId) -> float:
-        eccentricities = self.all_eccentricities()
-        window = window_set(
-            self.tree, u0, 2 * self.window_parameter,
-            members=self.preparation.ball,
-        )
-        return float(max(eccentricities[node] for node in window))
+        if self._window_maxima is None:
+            self._window_maxima = window_maxima(
+                self.tree, 2 * self.window_parameter, self.all_eccentricities(),
+                members=self.preparation.ball,
+            )
+        return float(self._window_maxima[u0])
 
     def representative_evaluation(self) -> ExecutionMetrics:
         return run_evaluation_procedure(

@@ -10,17 +10,19 @@ eccentricity ``D``, the mass ``P_opt`` of maximisers of ``f`` is at least
 ``sqrt(n d)``-round) bound of Theorem 1.
 
 This module computes the window sets exactly (via the same sequential Euler
-tour the distributed traversal follows) and provides the empirical
-counterparts of the Lemma-1 bound used by the tests and the ablation
-benchmark.
+tour the distributed traversal follows), every ``f(u)`` at once from one
+walk of that tour (:func:`window_maxima`, the reference oracle of the
+windowed quantum problems), and the empirical counterparts of the Lemma-1
+bound used by the tests and the ablation benchmark.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from collections import deque
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.algorithms.bfs import BFSTreeResult
-from repro.algorithms.dfs_traversal import sequential_euler_tour
+from repro.algorithms.dfs_traversal import sequential_euler_tour, subtree_membership
 from repro.graphs.graph import Graph, NodeId
 
 
@@ -33,8 +35,70 @@ def window_set(
     """The set ``S(u0)`` of Definition 2: the window of the DFS traversal.
 
     ``window`` is the number of traversal steps (``2 d`` in the paper).
+    One step-by-step walk per call: this is the oracle that
+    :func:`window_maxima` is tested against, and what the coverage
+    helpers below enumerate.
     """
     return set(sequential_euler_tour(tree, u0, window=window, members=members))
+
+
+def window_maxima(
+    tree: BFSTreeResult,
+    window: int,
+    values: Mapping[NodeId, Any],
+    members: Optional[Set[NodeId]] = None,
+) -> Dict[NodeId, Any]:
+    """``max(values[v] for v in window_set(tree, u, window, members))`` for
+    every member ``u``, from one walk of the Euler tour.
+
+    The tour is cyclic and memoryless, so the walk of ``window`` steps from
+    ``u`` continues the full tour from the step that first enters ``u``:
+    ``S(u)`` is every member entered within ``min(window, 2 (m - 1))``
+    steps after ``u`` (the root is entered at step 0, and again when the
+    tour wraps from its last child).  A monotone-deque sliding maximum over
+    the entry sequence, doubled for the wrap, gives all ``m`` values in
+    ``O(m)``.
+    """
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    member = subtree_membership(tree, members)
+    children = tree.children
+    order: List[NodeId] = [tree.root]
+    entered: List[int] = [0]
+    step = 0
+    pending = [iter(children[tree.root])]
+    while pending:
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+            step += 1  # back up to the parent (one step too many at the root)
+        elif member(child):
+            step += 1
+            order.append(child)
+            entered.append(step)
+            pending.append(iter(children[child]))
+    length = step - 1  # 2 (m - 1) steps for m members
+    reach = min(window, length)
+    # The entry sequence twice over: the second lap enters every member
+    # ``length`` steps later.
+    lap_times = entered + [time + length for time in entered]
+    lap_values = [values[node] for node in order] * 2
+    # Indices into the doubled sequence whose values are non-increasing:
+    # the front is the maximum of the current window.
+    best: deque = deque()
+    maxima: Dict[NodeId, Any] = {}
+    end = 0
+    for index, node in enumerate(order):
+        last = entered[index] + reach
+        while end < len(lap_times) and lap_times[end] <= last:
+            while best and lap_values[best[-1]] <= lap_values[end]:
+                best.pop()
+            best.append(end)
+            end += 1
+        while best[0] < index:
+            best.popleft()
+        maxima[node] = lap_values[best[0]]
+    return maxima
 
 
 def coverage_probability(

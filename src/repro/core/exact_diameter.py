@@ -26,27 +26,28 @@ Two oracle modes control how branch values ``f(u0)`` are obtained:
 * ``"congest"`` runs the Figure-2 Evaluation procedure on the simulator for
   every distinct ``u0`` the schedule touches (slow but end-to-end);
 * ``"reference"`` computes the same values from the sequential distance
-  oracle (after verifying the window sets with the same Euler tour), and
-  measures the per-call cost from one representative CONGEST run.  The two
+  oracle and one walk of the same Euler tour (every ``f(u0)`` at once,
+  :func:`repro.core.coverage.window_maxima`), and measures the per-call
+  cost from one representative CONGEST run.  The two
   modes return identical values; the test-suite checks this.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.algorithms.broadcast import run_tree_aggregate_max, run_tree_broadcast
 from repro.algorithms.eccentricity import run_eccentricity
 from repro.algorithms.evaluation import run_evaluation_procedure
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
-from repro.core.coverage import popt_lower_bound, window_set
+from repro.core.coverage import popt_lower_bound, window_maxima
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (  # the oracle modes, re-exported
     ORACLE_CONGEST,
     ORACLE_REFERENCE,
+    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -54,20 +55,33 @@ from repro.qcongest.framework import (  # the oracle modes, re-exported
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
+    from repro.quantum.cost_model import QuantumResourceCount
 
 #: Evaluation variants.
 VARIANT_SIMPLE = "simple"
 VARIANT_WINDOWED = "windowed"
 
 
-@dataclass
 class QuantumDiameterResult(QuantumProblemResult):
     """Outcome of the quantum exact-diameter algorithm."""
 
-    diameter: int
-    leader: NodeId
-    window_parameter: int
-    variant: str
+    __slots__ = ("diameter", "leader", "window_parameter", "variant")
+
+    def __init__(
+        self,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        optimization: DistributedOptimizationResult,
+        diameter: int,
+        leader: NodeId,
+        window_parameter: int,
+        variant: str,
+    ) -> None:
+        super().__init__(counts, metrics, optimization)
+        self.diameter = diameter
+        self.leader = leader
+        self.window_parameter = window_parameter
+        self.variant = variant
 
 
 class ExactDiameterProblem(DistributedSearchProblem):
@@ -87,6 +101,7 @@ class ExactDiameterProblem(DistributedSearchProblem):
         self._given_leader = leader
         self.leader: Optional[NodeId] = None
         self.window_parameter: int = 0
+        self._window_maxima: Optional[Dict[NodeId, int]] = None
 
     # ------------------------------------------------------------------
     def initialization(self) -> ExecutionMetrics:
@@ -120,8 +135,11 @@ class ExactDiameterProblem(DistributedSearchProblem):
         eccentricities = self.all_eccentricities()
         if self.variant == VARIANT_SIMPLE:
             return float(eccentricities[u0])
-        window = window_set(self.tree, u0, 2 * self.window_parameter)
-        return float(max(eccentricities[node] for node in window))
+        if self._window_maxima is None:
+            self._window_maxima = window_maxima(
+                self.tree, 2 * self.window_parameter, eccentricities
+            )
+        return float(self._window_maxima[u0])
 
     def representative_evaluation(self) -> ExecutionMetrics:
         """The Evaluation procedure from the tree's root (its schedule is

@@ -32,7 +32,6 @@ the correctness gate is :meth:`repro.graphs.indexed.IndexedGraph.radius`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.algorithms.broadcast import run_tree_aggregate_max, run_tree_broadcast
@@ -42,6 +41,7 @@ from repro.congest.network import Network
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
+    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -49,15 +49,27 @@ from repro.qcongest.framework import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
+    from repro.quantum.cost_model import QuantumResourceCount
 
 
-@dataclass
 class QuantumRadiusResult(QuantumProblemResult):
     """Outcome of the quantum exact-radius algorithm."""
 
-    radius: int
-    center: NodeId
-    leader: NodeId
+    __slots__ = ("radius", "center", "leader")
+
+    def __init__(
+        self,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        optimization: DistributedOptimizationResult,
+        radius: int,
+        center: NodeId,
+        leader: NodeId,
+    ) -> None:
+        super().__init__(counts, metrics, optimization)
+        self.radius = radius
+        self.center = center
+        self.leader = leader
 
 
 class ExactRadiusProblem(DistributedSearchProblem):

@@ -29,7 +29,6 @@ sweep/store/CLI plumbing on a second exact guarantee besides diameter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.algorithms.bfs import run_bfs_tree
@@ -39,6 +38,7 @@ from repro.congest.network import Network
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
+    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -46,15 +46,27 @@ from repro.qcongest.framework import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
+    from repro.quantum.cost_model import QuantumResourceCount
 
 
-@dataclass
 class QuantumSourceEccentricityResult(QuantumProblemResult):
     """Outcome of the quantum single-source eccentricity computation."""
 
-    eccentricity: int
-    source: NodeId
-    farthest: NodeId
+    __slots__ = ("eccentricity", "source", "farthest")
+
+    def __init__(
+        self,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        optimization: DistributedOptimizationResult,
+        eccentricity: int,
+        source: NodeId,
+        farthest: NodeId,
+    ) -> None:
+        super().__init__(counts, metrics, optimization)
+        self.eccentricity = eccentricity
+        self.source = source
+        self.farthest = farthest
 
 
 class SourceEccentricityProblem(DistributedSearchProblem):

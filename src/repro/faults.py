@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, fields
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
+from repro._record import FrozenRecord
 from repro.graphs.graph import NodeId
 from repro.graphs.indexed import IndexedGraph
 
@@ -99,8 +99,7 @@ def fault_stream_seed(network_seed: int, model_seed: int, run_index: int) -> int
 _PROBABILITY_FIELDS = ("loss", "delay", "crash", "churn")
 
 
-@dataclass(frozen=True)
-class FaultModel:
+class FaultModel(FrozenRecord):
     """A declarative description of the faults to inject.
 
     All probabilities are per-event and independent; see the module
@@ -137,42 +136,53 @@ class FaultModel:
         same graphs and seeds can draw different fault patterns.
     """
 
-    loss: float = 0.0
-    delay: float = 0.0
-    max_delay: int = 1
-    crash: float = 0.0
-    crash_window: int = 32
-    down_rounds: int = 0
-    churn: float = 0.0
-    timeout: Optional[int] = None
-    seed: int = 0
+    __slots__ = (
+        "loss",
+        "delay",
+        "max_delay",
+        "crash",
+        "crash_window",
+        "down_rounds",
+        "churn",
+        "timeout",
+        "seed",
+    )
 
-    def __post_init__(self) -> None:
-        for name in _PROBABILITY_FIELDS:
-            value = getattr(self, name)
+    def __init__(
+        self,
+        loss: float = 0.0,
+        delay: float = 0.0,
+        max_delay: int = 1,
+        crash: float = 0.0,
+        crash_window: int = 32,
+        down_rounds: int = 0,
+        churn: float = 0.0,
+        timeout: Optional[int] = None,
+        seed: int = 0,
+    ) -> None:
+        for name, value in zip(_PROBABILITY_FIELDS, (loss, delay, crash, churn)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(
                     f"fault probability {name!r} must be in [0, 1], got {value!r}"
                 )
-            # Stored as float so equal models describe (and key) equally:
-            # ``loss=0`` and ``loss=0.0`` are one model.
-            object.__setattr__(self, name, float(value))
-        if self.max_delay < 1:
-            raise ValueError(f"max_delay must be >= 1, got {self.max_delay!r}")
-        if self.crash_window < 1:
-            raise ValueError(
-                f"crash_window must be >= 1, got {self.crash_window!r}"
-            )
-        if self.down_rounds < 0:
-            raise ValueError(
-                f"down_rounds must be >= 0, got {self.down_rounds!r}"
-            )
-        if self.timeout is not None and self.timeout < 1:
-            raise ValueError(f"timeout must be >= 1, got {self.timeout!r}")
+        if max_delay < 1:
+            raise ValueError(f"max_delay must be >= 1, got {max_delay!r}")
+        if crash_window < 1:
+            raise ValueError(f"crash_window must be >= 1, got {crash_window!r}")
+        if down_rounds < 0:
+            raise ValueError(f"down_rounds must be >= 0, got {down_rounds!r}")
+        if timeout is not None and timeout < 1:
+            raise ValueError(f"timeout must be >= 1, got {timeout!r}")
+        # Probabilities are stored as float so equal models describe (and
+        # key) equally: ``loss=0`` and ``loss=0.0`` are one model.
+        self._store(
+            float(loss), float(delay), max_delay, float(crash), crash_window,
+            down_rounds, float(churn), timeout, seed,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """Every field by name: the JSON form :meth:`from_dict` parses."""
-        return {item.name: getattr(self, item.name) for item in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
     @classmethod
     def from_dict(cls, data: Any) -> "FaultModel":
@@ -184,7 +194,7 @@ class FaultModel:
         """
         if not isinstance(data, Mapping):
             raise ValueError("'fault' must be an object of FaultModel fields")
-        known = [item.name for item in fields(cls)]
+        known = list(cls._fields)
         unknown = set(data) - set(known)
         if unknown:
             raise ValueError(
@@ -224,7 +234,7 @@ class FaultModel:
         """
         if self.is_null:
             return "none"
-        parts = [f"{item.name}={getattr(self, item.name)!r}" for item in fields(self)]
+        parts = [f"{name}={getattr(self, name)!r}" for name in self._fields]
         return ",".join(parts)
 
     def resolve(

@@ -42,9 +42,9 @@ them; a grid's parallelism is across its cells.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple, Union
 
+from repro._record import Record
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.leader_election import run_leader_election
 from repro.congest.metrics import ExecutionMetrics
@@ -177,23 +177,48 @@ class DistributedSearchProblem:
         return metrics.merged(self.tree.metrics)
 
 
-@dataclass
-class DistributedOptimizationResult:
+class DistributedOptimizationResult(Record):
     """Outcome of one distributed quantum optimization run."""
 
-    best_item: Item
-    best_value: float
-    counts: QuantumResourceCount
-    metrics: ExecutionMetrics
-    initialization_rounds: int
-    setup_rounds_per_call: int
-    evaluation_rounds_per_call: int
-    distinct_evaluations: int
-    #: CONGEST executions actually simulated during the optimization (as
-    #: opposed to the *modelled* rounds of ``metrics``), observed via a
-    #: run-log observer when the problem exposes its network.
-    simulated_runs: int = 0
-    simulated_rounds: int = 0
+    __slots__ = (
+        "best_item",
+        "best_value",
+        "counts",
+        "metrics",
+        "initialization_rounds",
+        "setup_rounds_per_call",
+        "evaluation_rounds_per_call",
+        "distinct_evaluations",
+        "simulated_runs",
+        "simulated_rounds",
+    )
+
+    def __init__(
+        self,
+        best_item: Item,
+        best_value: float,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        initialization_rounds: int,
+        setup_rounds_per_call: int,
+        evaluation_rounds_per_call: int,
+        distinct_evaluations: int,
+        simulated_runs: int = 0,
+        simulated_rounds: int = 0,
+    ) -> None:
+        self.best_item = best_item
+        self.best_value = best_value
+        self.counts = counts
+        self.metrics = metrics
+        self.initialization_rounds = initialization_rounds
+        self.setup_rounds_per_call = setup_rounds_per_call
+        self.evaluation_rounds_per_call = evaluation_rounds_per_call
+        self.distinct_evaluations = distinct_evaluations
+        #: CONGEST executions actually simulated during the optimization (as
+        #: opposed to the *modelled* rounds of ``metrics``), observed via a
+        #: run-log observer when the problem exposes its network.
+        self.simulated_runs = simulated_runs
+        self.simulated_rounds = simulated_rounds
 
     @property
     def rounds(self) -> int:
@@ -201,8 +226,7 @@ class DistributedOptimizationResult:
         return self.metrics.rounds
 
 
-@dataclass
-class QuantumProblemResult:
+class QuantumProblemResult(Record):
     """What every problem's result holds: resource counts, the total
     metrics and the optimization outcome they came from.
 
@@ -210,9 +234,17 @@ class QuantumProblemResult:
     built by keyword.
     """
 
-    counts: QuantumResourceCount
-    metrics: ExecutionMetrics
-    optimization: DistributedOptimizationResult
+    __slots__ = ("counts", "metrics", "optimization")
+
+    def __init__(
+        self,
+        counts: QuantumResourceCount,
+        metrics: ExecutionMetrics,
+        optimization: DistributedOptimizationResult,
+    ) -> None:
+        self.counts = counts
+        self.metrics = metrics
+        self.optimization = optimization
 
     @property
     def rounds(self) -> int:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional
+
+from repro._record import Record
 
 Item = Hashable
 
@@ -85,14 +86,22 @@ def theorem6_query_budget(eps: float, delta: float, constant: float = 4.0) -> in
     return max(1, math.ceil(constant * math.sqrt(math.log(1.0 / delta) / eps)))
 
 
-@dataclass
-class AmplificationOutcome:
+class AmplificationOutcome(Record):
     """Result of one amplitude-amplification search."""
 
-    found: Optional[Item]
-    setup_calls: int
-    oracle_calls: int
-    measurements: int
+    __slots__ = ("found", "setup_calls", "oracle_calls", "measurements")
+
+    def __init__(
+        self,
+        found: Optional[Item],
+        setup_calls: int,
+        oracle_calls: int,
+        measurements: int,
+    ) -> None:
+        self.found = found
+        self.setup_calls = setup_calls
+        self.oracle_calls = oracle_calls
+        self.measurements = measurements
 
     @property
     def succeeded(self) -> bool:

@@ -19,19 +19,26 @@ the counts do not depend on which one ran.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
 
 
-@dataclass
-class QuantumResourceCount:
+class QuantumResourceCount(Record):
     """Raw resource counts of one distributed quantum optimization run."""
 
-    setup_calls: int = 0
-    evaluation_calls: int = 0
-    measurements: int = 0
+    __slots__ = ("setup_calls", "evaluation_calls", "measurements")
+
+    def __init__(
+        self,
+        setup_calls: int = 0,
+        evaluation_calls: int = 0,
+        measurements: int = 0,
+    ) -> None:
+        self.setup_calls = setup_calls
+        self.evaluation_calls = evaluation_calls
+        self.measurements = measurements
 
     def merged(self, other: "QuantumResourceCount") -> "QuantumResourceCount":
         """Sum two resource counts (sequential composition)."""
@@ -42,8 +49,7 @@ class QuantumResourceCount:
         )
 
 
-@dataclass
-class QuantumCostModel:
+class QuantumCostModel(Record):
     """Per-operation CONGEST costs of a distributed quantum optimization.
 
     ``initialization`` is charged once; ``setup`` and ``evaluation`` are
@@ -52,10 +58,19 @@ class QuantumCostModel:
     inverses).
     """
 
-    initialization: ExecutionMetrics
-    setup: ExecutionMetrics
-    evaluation: ExecutionMetrics
-    internal_register_bits: int = 0
+    __slots__ = ("initialization", "setup", "evaluation", "internal_register_bits")
+
+    def __init__(
+        self,
+        initialization: ExecutionMetrics,
+        setup: ExecutionMetrics,
+        evaluation: ExecutionMetrics,
+        internal_register_bits: int = 0,
+    ) -> None:
+        self.initialization = initialization
+        self.setup = setup
+        self.evaluation = evaluation
+        self.internal_register_bits = internal_register_bits
 
     def total_metrics(self, counts: QuantumResourceCount) -> ExecutionMetrics:
         """Total execution metrics implied by the given call counts."""

@@ -23,7 +23,7 @@ Item = Hashable
 
 #: The historical result type of :func:`grover_search`.  A Grover search
 #: *is* one amplitude-amplification search, so the result type is the
-#: same dataclass (``found`` / ``setup_calls`` / ``oracle_calls`` /
+#: same record (``found`` / ``setup_calls`` / ``oracle_calls`` /
 #: ``measurements`` / ``succeeded``); the alias keeps the public name.
 GroverSearchResult = AmplificationOutcome
 

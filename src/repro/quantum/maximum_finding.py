@@ -23,25 +23,42 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
+from repro._record import Record
 from repro.quantum.amplitude_amplification import theorem6_query_budget
 from repro.quantum.backend import ScheduleBackend, resolve_schedule_backend
 
 Item = Hashable
 
 
-@dataclass
-class MaximumFindingResult:
+class MaximumFindingResult(Record):
     """Result of one run of the quantum maximum-finding procedure."""
 
-    best_item: Item
-    best_value: float
-    setup_calls: int
-    evaluation_calls: int
-    measurements: int
-    rounds_of_amplification: int
+    __slots__ = (
+        "best_item",
+        "best_value",
+        "setup_calls",
+        "evaluation_calls",
+        "measurements",
+        "rounds_of_amplification",
+    )
+
+    def __init__(
+        self,
+        best_item: Item,
+        best_value: float,
+        setup_calls: int,
+        evaluation_calls: int,
+        measurements: int,
+        rounds_of_amplification: int,
+    ) -> None:
+        self.best_item = best_item
+        self.best_value = best_value
+        self.setup_calls = setup_calls
+        self.evaluation_calls = evaluation_calls
+        self.measurements = measurements
+        self.rounds_of_amplification = rounds_of_amplification
 
 
 def find_maximum(

@@ -33,9 +33,9 @@ sweep already paid for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+from repro._record import FrozenRecord
 from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:
@@ -52,8 +52,7 @@ THREE_HALVES = "three_halves"
 GUARANTEES = (EXACT, TWO_APPROX, THREE_HALVES)
 
 
-@dataclass(frozen=True)
-class SweepAlgorithmInfo:
+class SweepAlgorithmInfo(FrozenRecord):
     """A measurement kernel plus its explicit correctness contract.
 
     ``guarantee`` is one of :data:`GUARANTEES` or ``None`` (no check).
@@ -75,17 +74,19 @@ class SweepAlgorithmInfo:
     that treats registry values as plain callables keeps working.
     """
 
-    kernel: SweepAlgorithm
-    guarantee: Optional[str] = None
-    force_oracle: Optional[bool] = None
-    oracle: Optional[Callable[[Graph], float]] = None
+    __slots__ = ("kernel", "guarantee", "force_oracle", "oracle")
 
-    def __post_init__(self) -> None:
-        if self.guarantee is not None and self.guarantee not in GUARANTEES:
+    def __init__(
+        self,
+        kernel: SweepAlgorithm,
+        guarantee: Optional[str] = None,
+        force_oracle: Optional[bool] = None,
+        oracle: Optional[Callable[[Graph], float]] = None,
+    ) -> None:
+        if guarantee is not None and guarantee not in GUARANTEES:
             known = ", ".join(GUARANTEES)
-            raise ValueError(
-                f"unknown guarantee {self.guarantee!r} (available: {known})"
-            )
+            raise ValueError(f"unknown guarantee {guarantee!r} (available: {known})")
+        self._store(kernel, guarantee, force_oracle, oracle)
 
     @property
     def needs_oracle(self) -> bool:

@@ -168,7 +168,7 @@ class BatchRunner:
     consecutively.
 
     The mapped callable, the context and every task must be picklable when
-    ``jobs > 1`` (module-level functions and plain dataclasses are; lambdas
+    ``jobs > 1`` (module-level functions and plain records are; lambdas
     are not).  Results are returned in task order; a worker exception
     aborts the batch and re-raises in the caller as
     :class:`BatchTaskError` naming the failing task.

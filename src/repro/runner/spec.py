@@ -20,8 +20,7 @@ change results -- it only removes repeated work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.graphs import generators
 from repro.graphs.graph import Graph
@@ -34,14 +33,15 @@ _GRAPH_CACHE: Dict["GraphSpec", Graph] = {}
 _CACHE_LIMIT = 128
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     """A deterministic recipe for one benchmark graph.
 
     ``family`` is one of :data:`repro.graphs.generators.SWEEP_FAMILIES` or
     ``"controlled"`` (which honours ``diameter`` via
     :func:`repro.graphs.generators.diameter_controlled_graph`, like the
-    CLI's ``--family controlled``).
+    CLI's ``--family controlled``).  Its ``repr`` is part of every cell's
+    seed (:func:`repro.runner.batch.task_seed`), so the field names and
+    their order are fixed.
     """
 
     family: str

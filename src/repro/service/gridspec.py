@@ -28,9 +28,9 @@ API and sits in the job ledger unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro._record import FrozenRecord
 from repro.analysis.sweep import run_sweep_grid
 from repro.faults import FaultModel
 from repro.graphs import generators
@@ -94,8 +94,7 @@ def fault_model_from_flags(
     )
 
 
-@dataclass(frozen=True)
-class GridRequest:
+class GridRequest(FrozenRecord):
     """A complete, serializable description of one grid run.
 
     ``seed`` is the *user-facing* seed (the CLI ``--seed``); the derived
@@ -104,21 +103,34 @@ class GridRequest:
     round-tripped through JSON cannot drift from a locally parsed one.
     """
 
-    families: Tuple[str, ...]
-    sizes: Tuple[int, ...]
-    algorithms: Tuple[str, ...]
-    kind: str = "sweep"
-    diameter: Optional[int] = None
-    seed: int = 0
-    jobs: int = 1
-    fault: Optional[FaultModel] = None
+    __slots__ = (
+        "families",
+        "sizes",
+        "algorithms",
+        "kind",
+        "diameter",
+        "seed",
+        "jobs",
+        "fault",
+    )
 
-    def __post_init__(self) -> None:
-        # Normalise sequences to tuples so requests hash/compare by value
+    def __init__(
+        self,
+        families: Sequence[str],
+        sizes: Sequence[int],
+        algorithms: Sequence[str],
+        kind: str = "sweep",
+        diameter: Optional[int] = None,
+        seed: int = 0,
+        jobs: int = 1,
+        fault: Optional[FaultModel] = None,
+    ) -> None:
+        # Sequences are stored as tuples so requests hash/compare by value
         # regardless of whether they came from argparse or JSON.
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "sizes", tuple(int(size) for size in self.sizes))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        self._store(
+            tuple(families), tuple(int(size) for size in sizes),
+            tuple(algorithms), kind, diameter, seed, jobs, fault,
+        )
 
     # -- validation ----------------------------------------------------
     def validate(self) -> None:
@@ -225,7 +237,7 @@ class GridRequest:
             key: value for key, value in data.items()
             if key not in _RETIRED_FIELDS
         }
-        known = {item.name for item in fields(cls)}
+        known = set(cls._fields)
         unknown = set(data) - known
         if unknown:
             raise ValueError(

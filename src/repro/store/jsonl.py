@@ -153,11 +153,6 @@ class StoreWriterLock:
             time.sleep(self.poll)
 
     def _try_acquire(self) -> bool:
-        # Imported here, not at module level, so a store reader never
-        # loads it; and before the lock file exists, so the import does not
-        # widen the window in which the file is still empty.
-        import platform
-
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except OSError as error:
@@ -166,7 +161,7 @@ class StoreWriterLock:
             raise
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(
-                canonical_json({"pid": os.getpid(), "host": platform.node()})
+                canonical_json({"pid": os.getpid(), "host": os.uname().nodename})
             )
         return True
 
@@ -180,9 +175,7 @@ class StoreWriterLock:
 
     def _is_stale(self, holder: Dict[str, Any]) -> bool:
         """Whether the holder is provably dead (same host, no such pid)."""
-        import platform
-
-        if holder.get("host") != platform.node():
+        if holder.get("host") != os.uname().nodename:
             return False
         pid = holder.get("pid")
         if not isinstance(pid, int) or pid <= 0:

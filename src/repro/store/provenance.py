@@ -7,12 +7,16 @@ and the environment (git describe, Python version).  A
 record set without provenance is unreproducible; a record set with it
 can be re-run, extended or audited months later.
 
-:mod:`platform` and :mod:`subprocess` are imported only when a header is
-stamped, so reading a store does not load them.
+:mod:`subprocess` is imported only when a header is stamped, so reading a
+store does not load it; the Python version comes from :data:`sys.version`
+(the string :func:`platform.python_version` returns), so no command loads
+:mod:`platform`.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from typing import Any, Dict, Optional
 
 #: Keys the experiment service may stamp onto run headers (an
@@ -21,10 +25,18 @@ from typing import Any, Dict, Optional
 RUN_CONTEXT_KEYS = ("tenant", "job_id")
 
 
-def git_describe(cwd: Optional[str] = None) -> Optional[str]:
-    """``git describe --always --dirty`` of the working tree, or ``None``.
+#: The directory of the ``repro`` package: the tree whose code ran.
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    Failure (no git binary, not a repository, timeout) is expected in
+
+def git_describe(cwd: Optional[str] = None) -> Optional[str]:
+    """``git describe --always --dirty`` of the tree holding the code that
+    ran (``cwd``, by default the ``repro`` package's directory), or
+    ``None``.
+
+    The caller's working directory plays no part: a sweep started inside
+    another repository must not stamp that repository's commit.  Failure
+    (no git binary, code not in a repository, timeout) is expected in
     deployed environments and never raises -- provenance should describe
     the run, not break it.
     """
@@ -33,7 +45,7 @@ def git_describe(cwd: Optional[str] = None) -> Optional[str]:
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=cwd,
+            cwd=PACKAGE_DIR if cwd is None else cwd,
             capture_output=True,
             text=True,
             timeout=10,
@@ -54,10 +66,8 @@ def collect_provenance(fault=None) -> Dict[str, Any]:
     canonical description string (``"none"`` for the null model), which
     is exactly the token that distinguishes faulty task keys.
     """
-    import platform
-
     return {
         "fault_model": "none" if fault is None else fault.describe(),
         "git": git_describe(),
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
     }

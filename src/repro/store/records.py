@@ -15,8 +15,9 @@ This module is a leaf: it imports no simulator layer, so reading a store
 from __future__ import annotations
 
 import json
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+
+from repro._record import Record
 
 if TYPE_CHECKING:
     from repro.runner.spec import GraphSpec
@@ -38,10 +39,8 @@ RECORD_FIELDS = (
     "failure_reason",
 )
 
-_field_values = attrgetter(*RECORD_FIELDS)
 
-
-class SweepRecord:
+class SweepRecord(Record):
     """One measurement: an algorithm run on one graph.
 
     ``diameter`` is the true diameter from the sequential oracle when the
@@ -60,11 +59,12 @@ class SweepRecord:
     propagating.  Failed cells carry ``value=-1.0``, ``correct=None``
     and the rounds completed before the abort.
 
-    A plain slotted class rather than a dataclass, so that reading a
-    store (``repro export``) does not import :mod:`dataclasses` and,
-    through it, :mod:`inspect`.  It behaves as the dataclass did: the
-    same constructor (each record gets its own ``extra`` dict), value
-    equality, a field-by-field ``repr`` and no hash.
+    A plain slotted :class:`repro._record.Record` rather than a
+    dataclass, so that reading a store (``repro export``) does not import
+    :mod:`dataclasses` and, through it, :mod:`inspect`.  It behaves as the
+    dataclass did: the same constructor (each record gets its own
+    ``extra`` dict), value equality, a field-by-field ``repr`` and no
+    hash.
     """
 
     __slots__ = RECORD_FIELDS
@@ -92,18 +92,6 @@ class SweepRecord:
         self.extra = {} if extra is None else extra
         self.success = success
         self.failure_reason = failure_reason
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _field_values(self) == _field_values(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}"
-            for name, value in zip(RECORD_FIELDS, _field_values(self))
-        )
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 #: Fields that may be absent when loading: stores written before the

@@ -27,7 +27,6 @@ output with the committed fixture.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -95,11 +94,9 @@ ALGORITHMS = {
 
 def canonical(value):
     """A JSON-ready form of ``value`` that keeps every field and order."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: canonical(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
+    fields = getattr(type(value), "_fields", None)  # a record or a named tuple
+    if fields is not None:
+        return {name: canonical(getattr(value, name)) for name in fields}
     if isinstance(value, dict):
         return [[repr(key), canonical(item)] for key, item in value.items()]
     if isinstance(value, (list, tuple)):

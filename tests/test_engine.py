@@ -626,14 +626,14 @@ class TestObservers:
     def test_observers_do_not_change_metrics(self):
         """Attaching a run log or a traffic log leaves every metric field
         (cache diagnostics included) exactly as in an unobserved run."""
-        from dataclasses import asdict
+        from repro._record import as_dict
 
         graph = generators.clique_chain(3, 4)
         plain = run_bfs_tree(Network(graph), 0).metrics
         for observer in (RunLogObserver(), TrafficLogObserver()):
             network = Network(graph)
             network.add_observer(observer)
-            assert asdict(run_bfs_tree(network, 0).metrics) == asdict(plain)
+            assert as_dict(run_bfs_tree(network, 0).metrics) == as_dict(plain)
         assert observer.traffic and len(observer.traffic) == plain.messages
 
     def test_per_message_calls_are_opt_in(self, monkeypatch):

@@ -35,10 +35,9 @@ with open(sys.argv[1], "w") as handle:
     json.dump({"status": status, "modules": sorted(sys.modules)}, handle)
 """
 
-#: Standard-library modules that only writing or running needs: the
-#: dataclass machinery (and the :mod:`inspect` it pulls in), and the
-#: :mod:`platform` / :mod:`subprocess` that stamp run headers and lock
-#: files.
+#: Standard-library modules a store reader has no use for: the dataclass
+#: machinery (and the :mod:`inspect` it pulls in), :mod:`platform`, and
+#: the :mod:`subprocess` that stamps ``git describe`` on run headers.
 WRITE_ONLY_STDLIB = ("dataclasses", "inspect", "platform", "subprocess")
 
 #: What ``repro export`` must not import: it reads a JSONL file.
@@ -77,6 +76,13 @@ GRID_LOCAL_FORBIDDEN = (
     "repro.service.jobs",
     "repro.store.merge",
 )
+
+#: What a ``repro sweep --out`` / ``repro quantum`` must not import of the
+#: write-only modules: its result types are plain slotted classes, and run
+#: headers and writer locks take the Python version and host name from
+#: :mod:`sys` and :mod:`os`.  :mod:`subprocess` stays: ``git describe``
+#: stamps the header.
+GRID_STDLIB_FORBIDDEN = ("dataclasses", "inspect", "platform")
 
 #: What a classical ``repro sweep`` must not import: the quantum layers.
 SWEEP_FORBIDDEN = ("repro.core", "repro.quantum", "repro.qcongest")
@@ -174,6 +180,12 @@ class TestImportBudget:
         assert _loaded(modules, GRID_FORBIDDEN) == []
         assert "repro.quantum.backend" in modules
         assert _loaded(modules, GRID_LOCAL_FORBIDDEN) == []
+        assert _loaded(modules, GRID_STDLIB_FORBIDDEN) == []
+
+    def test_sweep_with_store_loads_no_dataclasses_or_platform(self, sweep_store):
+        store, modules = sweep_store
+        assert store.exists()  # the probe did write a run header and a lock
+        assert _loaded(modules, GRID_STDLIB_FORBIDDEN) == []
 
     def test_local_sweep_loads_no_dispatch_ledger_merger_or_pool(self, sweep_store):
         _, modules = sweep_store

@@ -14,6 +14,7 @@ import json
 import os
 import pickle
 import platform
+import shutil
 import signal
 import subprocess
 import sys
@@ -389,6 +390,30 @@ class TestStampedProvenance:
         assert content == canonical_json(
             {"pid": os.getpid(), "host": platform.node()}
         )
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs a git binary")
+    def test_git_describes_the_code_not_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # A sweep started inside another repository must stamp the
+        # commit of the code that ran, not that repository's.
+        other = tmp_path / "other"
+        other.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+        for command in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "c"]):
+            subprocess.run(git + command, cwd=str(other), check=True,
+                           capture_output=True, timeout=60)
+        foreign = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=str(other),
+            check=True, capture_output=True, text=True, timeout=60,
+        ).stdout.strip()
+        assert foreign
+        monkeypatch.chdir(other)
+        store = ExperimentStore(tmp_path / "run.jsonl")
+        store.begin_sweep([GraphSpec("cycle", 8)], ["two_approx"], 3, "sig", 1)
+        with open(store.path, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["git"] != foreign
 
 
 class TestStoreGarbageProperty:

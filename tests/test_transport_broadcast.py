@@ -15,10 +15,9 @@ drawn in.  The engine-level tests do the same through ``Network.run``.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
+from repro._record import as_dict as record_dict
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.congest.errors import BandwidthExceededError, ProtocolError
@@ -95,7 +94,7 @@ def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
         outcome_error = None
     return {
         "error": outcome_error,
-        "metrics": dataclasses.asdict(metrics),
+        "metrics": record_dict(metrics),
         "cache": transport.cache_stats(),
         "measured": measured,
         "inboxes": [(target, list(inbox.items())) for target, inbox in next_inboxes.items()],
@@ -336,7 +335,7 @@ class TestTransportBranch:
             assert measured == []
             assert outcome["error"] is None
             assert outcome["cache"]["misses"] == 0
-            assert outcome["metrics"] == dataclasses.asdict(ExecutionMetrics())
+            assert outcome["metrics"] == record_dict(ExecutionMetrics())
             assert outcome["inboxes"] == []
 
 
@@ -443,7 +442,7 @@ class TestThroughTheEngine:
         as_dicts = _flood(_flood_network(CHAIN, fault_model), as_dict=True)
         assert bulk == []
         assert as_is.results == as_dicts.results
-        assert dataclasses.asdict(as_is.metrics) == dataclasses.asdict(as_dicts.metrics)
+        assert record_dict(as_is.metrics) == record_dict(as_dicts.metrics)
         if fault_model is not None:
             assert as_is.metrics.dropped_messages > 0
             assert as_is.metrics.delayed_messages > 0
@@ -460,7 +459,7 @@ class TestThroughTheEngine:
         assert bulk == []
         assert observer.messages == plain.metrics.messages
         assert plain.results == observed.results
-        assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(observed.metrics)
+        assert record_dict(plain.metrics) == record_dict(observed.metrics)
 
     def test_record_traffic_sees_every_message(self):
         result = _flood(_flood_network(CHAIN, None), record_traffic=True)
@@ -509,8 +508,8 @@ class TestThroughTheEngine:
         assert empty_broadcasts.metrics.messages == 0
         assert empty_broadcasts.results == empty_dicts.results
         assert (
-            dataclasses.asdict(empty_broadcasts.metrics)
-            == dataclasses.asdict(empty_dicts.metrics)
+            record_dict(empty_broadcasts.metrics)
+            == record_dict(empty_dicts.metrics)
         )
 
     def test_paper_algorithms_match_the_per_message_loop(self):
@@ -522,5 +521,5 @@ class TestThroughTheEngine:
                 network.add_observer(_NoopMessageObserver())
             bfs = run_bfs_tree(network, root=graph.nodes()[0])
             exact = run_classical_exact_diameter(network)
-            outcomes.append((dataclasses.asdict(bfs), dataclasses.asdict(exact)))
+            outcomes.append((record_dict(bfs), record_dict(exact)))
         assert outcomes[0] == outcomes[1]
