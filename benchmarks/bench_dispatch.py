@@ -32,27 +32,26 @@ next to the repository root (sibling of ``BENCH_runner.json``):
   must both render the *byte-identical* canonical export of the serial
   run.
 
-The recorded ``headline_speedup`` (the ``repro bench`` regression gate)
-is the two-worker scaling speedup on boxes with >= 4 cores; on smaller
-boxes, where a sub-1.0 speedup is physically expected and meaningless to
-gate on, it is the *overhead headroom* ``OVERHEAD_CAP /
-overhead_ratio`` instead (>= 1.0 means the cap holds, and a growing
-dispatch overhead shows up as a shrinking headline for the baseline
-diff to catch).  The ``gate`` field names which meaning applies.
+The recorded ``headline_speedup`` is the two-worker scaling speedup on
+boxes with >= 4 cores; on smaller boxes, where a sub-1.0 speedup is
+physically expected and meaningless to gate on, it is the *overhead
+headroom* ``OVERHEAD_CAP / overhead_ratio`` instead (>= 1.0 means the
+cap holds, and a growing dispatch overhead shows up as a shrinking
+headline).  The ``gate`` field names which meaning applies.  With
+``--smoke`` the headline must reach ``SMOKE_FLOOR`` on top of the gates
+above (:func:`check`).
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_dispatch.py [--smoke]
 
-or through pytest::
+or through pytest (smoke sizes, same gates)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_dispatch.py -q
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import shutil
 import subprocess
@@ -66,15 +65,21 @@ from repro.dispatch import DispatchCoordinator, RemoteDispatch
 from repro.runner import GraphSpec, resolve_algorithms
 from repro.store import ExperimentStore, merge_shards, render_records
 
+from _harness import Harness, report_path
+
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_dispatch.json",
-)
+OUTPUT_PATH = report_path("BENCH_dispatch.json")
 
 #: Remote wall-clock may not exceed this multiple of serial when the
 #: machine is too small for real scaling (see module docstring).
 OVERHEAD_CAP = 3.0
+
+#: Two-worker scaling required on >= 4-core boxes.
+SCALING_GATE = 1.8
+
+#: The headline's ``--smoke`` floor: 75% of the last committed smoke
+#: baseline.
+SMOKE_FLOOR = 0.75 * 1.8
 
 #: Two workers: the smallest fleet that exercises shard partitioning,
 #: concurrent appends to distinct shard stores, and the merge.
@@ -300,51 +305,54 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+def check(report: dict) -> list:
+    """The gates besides the headline floor; returns the ones that fail.
 
-
-def test_dispatch_identical_and_bounded():
-    """Acceptance gates for the remote dispatch backend.
-
-    Byte-identical streaming and merge are asserted everywhere --
-    including the straggler scenario, whose run must survive forced work
-    stealing with identical output.  The >= 1.8x two-worker scaling gate
-    and the >= ``STRAGGLER_GATE`` gate of the straggler grid against the
+    Byte-identical streaming and merge hold everywhere -- including the
+    straggler scenario, whose run must survive forced work stealing with
+    identical output.  The ``SCALING_GATE`` two-worker scaling gate and
+    the ``STRAGGLER_GATE`` gate of the straggler grid against the
     equal-split bound apply only where scaling is physically possible
     (>= 4 cores: two busy workers plus coordinator and client); smaller
     boxes get the overhead cap instead.  The scheduler must intervene
     (steal or speculate) on every box -- the throttled worker sleeps
     most of its wall time, so an idle second worker always appears.
     """
-    report = run_benchmark(smoke=True)
-    write_report(report)
-    assert report["remote_identical"], report
-    assert report["merge_identical"], report
-    assert report["merged_store_identical"], report
-    assert report["shards"] >= 1, report
     straggler = report["straggler"]
-    assert straggler["adaptive_identical"], report
-    assert straggler["merge_identical"], report
-    assert straggler["steals"] + straggler["speculative_leases"] >= 1, report
+    gates = {
+        "remote export identical to serial": report["remote_identical"],
+        "merged shards identical to serial": report["merge_identical"],
+        "merged store identical to serial": report["merged_store_identical"],
+        "at least one shard": report["shards"] >= 1,
+        "straggler export identical to serial": straggler["adaptive_identical"],
+        "straggler merge identical to serial": straggler["merge_identical"],
+        "a steal or speculative lease":
+            straggler["steals"] + straggler["speculative_leases"] >= 1,
+    }
     if report["cpu_count"] >= 4:
-        assert report["speedup"] >= 1.8, report
-        assert straggler["speedup"] >= STRAGGLER_GATE, report
+        gates[f"two-worker speedup >= {SCALING_GATE}x"] = (
+            report["speedup"] >= SCALING_GATE
+        )
+        gates[f"straggler speedup >= {STRAGGLER_GATE}x"] = (
+            straggler["speedup"] >= STRAGGLER_GATE
+        )
     else:
-        assert report["overhead_ratio"] <= OVERHEAD_CAP, report
+        gates[f"overhead ratio <= {OVERHEAD_CAP}"] = (
+            report["overhead_ratio"] <= OVERHEAD_CAP
+        )
+    return [gate for gate, held in gates.items() if not held]
+
+
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR, full_floor=None,
+    check=check, description=__doc__,
+)
+
+
+def test_dispatch_identical_and_bounded():
+    """Acceptance gates for the remote dispatch backend (:func:`check`)."""
+    HARNESS.gate(run_benchmark(smoke=True))
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small grid for CI smoke runs")
-    parser.add_argument("--out", default=OUTPUT_PATH,
-                        help="where to write the JSON report")
-    arguments = parser.parse_args()
-    outcome = run_benchmark(smoke=arguments.smoke)
-    destination = write_report(outcome, arguments.out)
-    print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    raise SystemExit(HARNESS.main())

@@ -16,13 +16,13 @@ or through pytest (the ``test_`` wrapper asserts the >= 3x speedup the
 engine refactor promises)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_overhead.py -q
+
+Either way the headline is gated (:mod:`_harness`): >= 3x in full mode,
+>= ``SMOKE_FLOOR`` with ``--smoke``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import time
 
 from repro.algorithms.bfs import run_bfs_tree
@@ -31,14 +31,20 @@ from repro.congest.network import Network
 from repro.engine import DenseScheduler, SparseScheduler
 from repro.graphs import generators
 
+from _harness import Harness, report_path
+
 #: Size of the path gadget driving the headline measurement.
 PATH_NODES = 2000
 
+#: Acceptance bar for the headline (full mode).
+TARGET_SPEEDUP = 3.0
+
+#: The headline's ``--smoke`` floor: 75% of the committed smoke baseline
+#: of the retired cross-harness regression gate.
+SMOKE_FLOOR = 0.75 * 13.91
+
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_engine.json",
-)
+OUTPUT_PATH = report_path("BENCH_engine.json")
 
 
 def _metric_snapshot(metrics):
@@ -120,39 +126,16 @@ def run_benchmark(path_nodes: int = PATH_NODES, smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR,
+    full_floor=TARGET_SPEEDUP, description=__doc__,
+)
 
 
 def test_sparse_engine_speedup():
     """The engine refactor's acceptance bar: >= 3x on path-gadget BFS."""
-    report = run_benchmark()
-    write_report(report)
-    assert report["headline_speedup"] >= 3.0, report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes for CI (no speedup bar enforced here)",
-    )
-    parser.add_argument(
-        "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    outcome = run_benchmark(smoke=args.smoke)
-    destination = write_report(outcome, args.out)
-    print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
-    return 0
+    HARNESS.gate(run_benchmark())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(HARNESS.main())

@@ -32,9 +32,10 @@ messages per second through a ``loss=0.1, delay=0.1`` run of the retrying
 ``os.cpu_count()``).  It is informational; the headline does not use it.
 
 Everything but the timings is deterministic (stateless hashed fault
-decisions), so the headline is stable for fixed sizes -- the ``repro
-bench`` regression gate diffs it against ``BENCH_baselines.json``.  Results land
-in ``BENCH_faults.json`` next to the repository root.
+decisions), so the headline is stable for fixed sizes and its floor in
+each mode is exact: ``TARGET_ODDS_RATIO`` in full mode, ``SMOKE_FLOOR``
+with ``--smoke``.  Results land in ``BENCH_faults.json`` next to the
+repository root.
 
 Run it standalone (no pytest plugins needed)::
 
@@ -48,8 +49,6 @@ or through pytest (the ``test_`` wrapper asserts the success gap)::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import time
 
@@ -59,6 +58,8 @@ from repro.congest.errors import CongestSimulationError
 from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
+
+from _harness import Harness, report_path
 
 #: The loss-rate curve of the full report.
 LOSS_RATES = (0.0, 0.02, 0.05, 0.1, 0.15)
@@ -73,16 +74,17 @@ FAULT_TIMEOUT = 256
 #: The fault mix of the throughput workload (the perfbench ``lossy`` one).
 THROUGHPUT_MODEL = FaultModel(loss=0.1, delay=0.1)
 
-#: Acceptance bar (both modes): at the headline loss rate the retrying
+#: Acceptance bar (full mode): at the headline loss rate the retrying
 #: variant must succeed at strictly better smoothed odds than the plain
 #: one.
 TARGET_ODDS_RATIO = 1.5
 
+#: The headline's ``--smoke`` floor: 75% of the last committed smoke
+#: baseline.
+SMOKE_FLOOR = 0.75 * 4.0
+
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_faults.json",
-)
+OUTPUT_PATH = report_path("BENCH_faults.json")
 
 
 def _run_variant(variant: str, graph, seed: int, fault_model):
@@ -257,11 +259,10 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR,
+    full_floor=TARGET_ODDS_RATIO, description=__doc__,
+)
 
 
 def test_fault_success_gap():
@@ -269,36 +270,8 @@ def test_fault_success_gap():
     retrying 2-approximation succeeds at better smoothed odds than the
     plain one (the loss=0 differential identity and the delay-tolerance
     gate are asserted inside the workloads)."""
-    report = run_benchmark()
-    write_report(report)
-    assert report["headline_speedup"] >= TARGET_ODDS_RATIO, report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes for CI (fewer seeds, smaller graph)",
-    )
-    parser.add_argument(
-        "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
-    if report["headline_speedup"] < TARGET_ODDS_RATIO:
-        print(
-            f"FAIL: headline success-odds ratio {report['headline_speedup']} "
-            f"is below the {TARGET_ODDS_RATIO} bar"
-        )
-        return 1
-    return 0
+    HARNESS.gate(run_benchmark())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(HARNESS.main())

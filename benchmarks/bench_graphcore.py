@@ -32,9 +32,6 @@ or through pytest (the ``test_`` wrappers assert the speedup bars)::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import time
 
 from repro.algorithms.bfs import run_bfs_tree
@@ -42,21 +39,20 @@ from repro.congest.network import Network
 from repro.engine import DenseScheduler, SparseScheduler
 from repro.graphs import generators
 
+from _harness import Harness, report_path
+
 #: Node count of the headline all-eccentricities workload.
 ORACLE_NODES = 2000
 
 #: Acceptance bar for the headline oracle (full mode).
 TARGET_SPEEDUP = 5.0
 
-#: Relaxed bar asserted in ``--smoke`` mode (small graphs amortise the
-#: CSR compilation less, and CI boxes are noisy).
-SMOKE_TARGET_SPEEDUP = 3.0
+#: The headline's ``--smoke`` floor (smaller sizes amortise the fast
+#: path's setup less): 75% of the last committed smoke baseline.
+SMOKE_FLOOR = 0.75 * 23.31
 
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_graphcore.json",
-)
+OUTPUT_PATH = report_path("BENCH_graphcore.json")
 
 
 def _time(fn):
@@ -165,48 +161,18 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR,
+    full_floor=TARGET_SPEEDUP, description=__doc__,
+)
 
 
 def test_graphcore_oracle_speedup():
     """The graph-core refactor's acceptance bar: >= 5x on the n=2000
     all-eccentricities oracle, with byte-identical results (the identity
     is asserted inside the workload)."""
-    report = run_benchmark()
-    write_report(report)
-    assert report["headline_speedup"] >= TARGET_SPEEDUP, report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes for CI (relaxed speedup bar)",
-    )
-    parser.add_argument(
-        "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
-    bar = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
-    if report["headline_speedup"] < bar:
-        print(
-            f"FAIL: headline speedup {report['headline_speedup']}x "
-            f"is below the {bar}x bar"
-        )
-        return 1
-    return 0
+    HARNESS.gate(run_benchmark())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(HARNESS.main())

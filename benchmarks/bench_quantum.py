@@ -42,9 +42,6 @@ or through pytest (the ``test_`` wrapper asserts the speedup bar)::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import random
 import time
 
@@ -68,6 +65,8 @@ from repro.quantum.backend import (
 from repro.quantum.maximum_finding import find_maximum
 from repro.runner.algorithms import SWEEP_ALGORITHMS
 
+from _harness import Harness, report_path
+
 #: The sampling reference and the batched production backend, by name.
 BACKENDS = {
     "sampling": SamplingScheduleBackend(),
@@ -88,9 +87,9 @@ SCHEDULE_NODES = 3000
 #: Acceptance bar for the headline schedule speedup (full mode).
 TARGET_SPEEDUP = 5.0
 
-#: Relaxed bar asserted in ``--smoke`` mode (small search spaces amortise
-#: the batched precomputation less, and CI boxes are noisy).
-SMOKE_TARGET_SPEEDUP = 1.5
+#: The headline's ``--smoke`` floor (smaller sizes amortise the fast
+#: path's setup less): 75% of the last committed smoke baseline.
+SMOKE_FLOOR = 0.75 * 3.93
 
 #: Measurement passes per workload; the reported speedup uses the
 #: fastest pass per backend (standard min-time benchmarking).
@@ -100,10 +99,7 @@ REPEATS = 3
 SCHEDULE_SEEDS = 15
 
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_quantum.json",
-)
+OUTPUT_PATH = report_path("BENCH_quantum.json")
 
 
 def _prepare_schedule(nodes: int, variant: str):
@@ -263,48 +259,18 @@ def run_benchmark(smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR,
+    full_floor=TARGET_SPEEDUP, description=__doc__,
+)
 
 
 def test_quantum_schedule_speedup():
     """The schedule-engine acceptance bar: >= 5x batched-vs-sampling on
     the n=3000 exact-diameter (windowed) schedule, with byte-identical
     results (the identity is asserted inside every workload)."""
-    report = run_benchmark()
-    write_report(report)
-    assert report["headline_speedup"] >= TARGET_SPEEDUP, report
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes for CI (relaxed speedup bar)",
-    )
-    parser.add_argument(
-        "--out",
-        default=OUTPUT_PATH,
-        help="where to write the JSON report",
-    )
-    args = parser.parse_args(argv)
-    report = run_benchmark(smoke=args.smoke)
-    destination = write_report(report, args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    print(f"written to {destination}")
-    bar = SMOKE_TARGET_SPEEDUP if args.smoke else TARGET_SPEEDUP
-    if report["headline_speedup"] < bar:
-        print(
-            f"FAIL: headline speedup {report['headline_speedup']}x "
-            f"is below the {bar}x bar"
-        )
-        return 1
-    return 0
+    HARNESS.gate(run_benchmark())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(HARNESS.main())

@@ -29,12 +29,13 @@ speedup only on machines with enough cores to make it physically
 possible)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_runner_scaling.py -q
+
+Either way :func:`check` gates the report, and with ``--smoke`` the
+headline (the grid speedup) must reach ``SMOKE_FLOOR``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import time
 
@@ -48,14 +49,17 @@ from repro.engine.transport import Transport
 from repro.graphs import generators
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
 
+from _harness import Harness, report_path
+
 #: Where the results land (repository root, next to ROADMAP.md).
-OUTPUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_runner.json",
-)
+OUTPUT_PATH = report_path("BENCH_runner.json")
 
 #: Worker count of the headline parallel measurement.
 DEFAULT_JOBS = 4
+
+#: The headline's ``--smoke`` floor: 75% of the last committed smoke
+#: baseline (at ``DEFAULT_JOBS``).
+SMOKE_FLOOR = 0.75 * 0.8
 
 #: The Table-1-style grid: families x sizes, three algorithms per point.
 GRID_FAMILIES = ("controlled", "clique_chain", "cycle")
@@ -262,40 +266,43 @@ def run_benchmark(jobs: int = DEFAULT_JOBS, smoke: bool = False) -> dict:
     return report
 
 
-def write_report(report: dict, path: str = OUTPUT_PATH) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+def check(report: dict) -> list:
+    """The gates besides the headline floor; returns the ones that fail.
+
+    Parallel records and hot-path results are identical in both modes.
+    In full mode the hot path's keying must also be faster, and where
+    ``--jobs`` workers can run on as many cores (>= 4) the grid must
+    reach the >= 3x ``--jobs 4`` criterion (process parallelism cannot
+    beat the core count, so smaller boxes record the number without the
+    gate).
+    """
+    gates = {
+        "parallel records identical": report["grid"]["records_identical"],
+        "hot-path results identical": report["hot_path"]["results_identical"],
+    }
+    if not report["smoke"]:
+        gates["keying speedup >= 1.2x"] = (
+            report["hot_path"]["keying_speedup"] >= 1.2
+        )
+        if report["grid"]["ideal_speedup"] >= 4:
+            gates["grid speedup >= 3.0x"] = report["grid"]["speedup"] >= 3.0
+    return [gate for gate, held in gates.items() if not held]
+
+
+HARNESS = Harness(
+    run_benchmark, OUTPUT_PATH, smoke_floor=SMOKE_FLOOR, full_floor=None,
+    check=check, description=__doc__,
+)
 
 
 def test_parallel_records_identical_and_hot_path_faster():
-    """Acceptance: byte-identical parallel records; hot path not slower.
-
-    The >= 3x ``--jobs 4`` wall-clock criterion is additionally asserted
-    when the machine has >= 4 cores (process parallelism cannot beat the
-    core count, so on smaller boxes the report carries the number without
-    the assertion).
-    """
-    report = run_benchmark()
-    write_report(report)
-    assert report["grid"]["records_identical"], report
-    assert report["hot_path"]["results_identical"], report
-    assert report["hot_path"]["keying_speedup"] >= 1.2, report
-    if report["cpu_count"] >= 4:
-        assert report["grid"]["speedup"] >= 3.0, report
+    """Acceptance: byte-identical parallel records; hot path not slower
+    (:func:`check`)."""
+    HARNESS.gate(run_benchmark())
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = HARNESS.parser()
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS,
                         help="worker processes for the parallel grid run")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small grid for CI smoke runs")
-    parser.add_argument("--out", default=OUTPUT_PATH,
-                        help="where to write the JSON report")
-    arguments = parser.parse_args()
-    outcome = run_benchmark(jobs=arguments.jobs, smoke=arguments.smoke)
-    destination = write_report(outcome, arguments.out)
-    print(json.dumps(outcome, indent=2, sort_keys=True))
-    print(f"written to {destination}")
+    raise SystemExit(HARNESS.main(parser=parser))

@@ -73,10 +73,10 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._digest import key_digest
 from repro.congest.errors import CongestSimulationError
 from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.graphs.graph import Graph
@@ -315,12 +315,11 @@ def grid_signature(
     signatures disagree.  The fault model participates through the task
     keys (see :func:`sweep_task_key`).
     """
-    keys = [
+    return key_digest(
         sweep_task_key(spec, name, base_seed, fault)
         for spec in specs
         for name in algorithm_names
-    ]
-    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
+    )
 
 
 def run_sweep_grid(

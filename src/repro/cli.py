@@ -40,8 +40,7 @@ interoperable -- same task keys, same seed streams)::
 Start-up: :func:`main` builds only the sub-parser of the command it
 runs, from the plain name tuples of :mod:`repro.names`, and each command
 handler imports the layers it runs and the stdlib modules only it needs
-(``threading`` and ``signal`` for ``serve`` and ``worker join``,
-``time`` and ``importlib.util`` for ``bench``).  Beyond
+(``threading`` and ``signal`` for ``serve`` and ``worker join``).  Beyond
 a bare interpreter, ``repro export`` loads from the standard library
 only ``argparse`` (with ``gettext`` and ``locale``), ``csv`` and
 ``__future__``, and ``repro quantum --list`` the same without ``csv``:
@@ -681,133 +680,6 @@ def _cmd_jobs_capacity(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The benchmark harnesses ``repro bench`` runs, in order:
-#: ``(name, harness file, baseline key)``.  Every harness exposes
-#: ``run_benchmark(smoke=...) -> dict`` with a ``headline_speedup`` entry.
-BENCH_HARNESSES = (
-    ("dispatch", "bench_dispatch.py"),
-    ("engine", "bench_engine_overhead.py"),
-    ("faults", "bench_faults.py"),
-    ("graphcore", "bench_graphcore.py"),
-    ("quantum", "bench_quantum.py"),
-    ("runner", "bench_runner_scaling.py"),
-    ("vector", "bench_vector.py"),
-)
-
-#: A harness has regressed when its headline speedup drops more than this
-#: fraction below the committed baseline.
-BENCH_REGRESSION_TOLERANCE = 0.25
-
-
-def _load_harness(path: str):
-    """Import a benchmark harness from its file path.
-
-    ``benchmarks/`` is intentionally not a package (the harnesses run
-    standalone and under pytest), so the modules are loaded by location.
-    """
-    import importlib.util
-
-    name = "repro_bench_" + os.path.splitext(os.path.basename(path))[0]
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        raise ImportError(f"cannot load benchmark harness {path!r}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.analysis.tables import render_table
-    from repro.store import append_jsonl_line, git_describe
-
-    bench_dir = args.dir
-    if not os.path.isdir(bench_dir):
-        print(
-            f"benchmark directory {bench_dir!r} not found "
-            "(run from the repository root or pass --dir)",
-            file=sys.stderr,
-        )
-        return 2
-    mode = "smoke" if args.smoke else "full"
-    baselines = {}
-    if os.path.exists(args.baselines):
-        with open(args.baselines, "r", encoding="utf-8") as handle:
-            baselines = json.load(handle)
-    known = baselines.get(mode, {})
-
-    rows = []
-    measured = {}
-    regressions = []
-    for name, filename in BENCH_HARNESSES:
-        path = os.path.join(bench_dir, filename)
-        if not os.path.exists(path):
-            print(f"skipping {name}: {path} not found", file=sys.stderr)
-            continue
-        harness = _load_harness(path)
-        started = time.perf_counter()
-        report = harness.run_benchmark(smoke=args.smoke)
-        wall = time.perf_counter() - started
-        speedup = report["headline_speedup"]
-        measured[name] = speedup
-        if args.history is not None:
-            # An append-only measurement history (one JSONL row per
-            # harness per run) -- enough to plot speedup drift over
-            # commits without re-running old trees.
-            append_jsonl_line(
-                args.history,
-                {
-                    "kind": "bench",
-                    "commit": git_describe(),
-                    "harness": name,
-                    "mode": mode,
-                    "speedup": speedup,
-                    "wall_seconds": round(wall, 6),
-                    "at": time.time(),
-                },
-            )
-        baseline = known.get(name)
-        if baseline is None:
-            status = "no baseline"
-        else:
-            floor = baseline * (1.0 - BENCH_REGRESSION_TOLERANCE)
-            if speedup < floor:
-                status = f"REGRESSED (floor {floor:.2f}x)"
-                regressions.append(name)
-            else:
-                status = "ok"
-        rows.append(
-            [
-                name,
-                f"{speedup}x",
-                f"{baseline}x" if baseline is not None else "-",
-                status,
-            ]
-        )
-
-    print(render_table(rows, header=["harness", "headline", "baseline", "status"]))
-    if args.history is not None and measured:
-        print(f"{len(measured)} history row(s) appended to {args.history}",
-              file=sys.stderr)
-    if args.update:
-        baselines[mode] = measured
-        with open(args.baselines, "w", encoding="utf-8") as handle:
-            json.dump(baselines, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"baselines ({mode}) written to {args.baselines}", file=sys.stderr)
-        return 0
-    if regressions:
-        print(
-            f"{len(regressions)} harness(es) regressed more than "
-            f"{int(BENCH_REGRESSION_TOLERANCE * 100)}%: "
-            + ", ".join(regressions),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table1
 
@@ -1191,45 +1063,6 @@ def _add_worker_parser(subparsers: argparse._SubParsersAction) -> None:
     join_parser.set_defaults(handler=_cmd_worker_join)
 
 
-def _add_bench_parser(subparsers: argparse._SubParsersAction) -> None:
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the benchmark harnesses and diff their headline "
-        "speedups against committed baselines",
-        description=(
-            "Run every benchmark harness (see benchmarks/) and compare "
-            "each headline speedup against the committed baselines file.  "
-            "A harness that drops more than 25%% below its baseline fails "
-            "the command (exit 1).  Use --update after an intentional "
-            "perf change to rewrite the baselines."
-        ),
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="small workload sizes (the CI configuration)",
-    )
-    bench_parser.add_argument(
-        "--dir", default="benchmarks", metavar="PATH",
-        help="directory holding the harness files (default: benchmarks)",
-    )
-    bench_parser.add_argument(
-        "--baselines", default="BENCH_baselines.json", metavar="PATH",
-        help="baseline speedups file (default: BENCH_baselines.json)",
-    )
-    bench_parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite the baselines from this run instead of comparing",
-    )
-    bench_parser.add_argument(
-        "--history", default=None, metavar="PATH",
-        help=(
-            "append one JSONL row per harness (commit, harness, speedup, "
-            "wall time, mode) to this measurement-history file"
-        ),
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
-
-
 def _add_serve_parser(subparsers: argparse._SubParsersAction) -> None:
     serve_parser = subparsers.add_parser(
         "serve",
@@ -1406,7 +1239,6 @@ _COMMANDS = {
     "export": _add_export_parser,
     "merge": _add_merge_parser,
     "worker": _add_worker_parser,
-    "bench": _add_bench_parser,
     "serve": _add_serve_parser,
     "jobs": _add_jobs_parser,
     "table1": _add_table1_parser,

@@ -49,7 +49,6 @@ from repro._lazy import lazy_exports
 # chunks with the cost model.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "RemoteDispatch": "repro.dispatch.backend",
-    "dispatch_signature": "repro.dispatch.backend",
     "CostModel": "repro.dispatch.cost",
     "plan_chunks": "repro.dispatch.cost",
     "static_cell_cost": "repro.dispatch.cost",

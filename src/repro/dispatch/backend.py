@@ -17,24 +17,11 @@ runners use -- byte-identical output is structural, not coincidental.
 
 from __future__ import annotations
 
-import hashlib
 import socket
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
+from repro._digest import key_digest
 from repro.dispatch.protocol import DispatchError, FramedSocket
-
-
-def dispatch_signature(keys: List[str]) -> str:
-    """The digest identifying one dispatched batch of task keys.
-
-    Stamped into every worker's shard-store header so
-    :func:`repro.store.merge.merge_shards` can refuse to mix shards of
-    different grids.  Same construction as
-    :func:`repro.analysis.sweep.grid_signature` (sha256 over joined
-    keys), but over the *submitted* cells -- a resumed grid dispatches a
-    subset, which is its own identity.
-    """
-    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
 
 
 class RemoteDispatch:
@@ -146,12 +133,15 @@ class RemoteDispatch:
                 specs.append(spec)
             task_refs.append([position, name_index[name]])
             keys.append(sweep_task_key(spec, name, base_seed, fault))
+        # The signature digests the *submitted* cells (a resumed grid
+        # dispatches a subset, which is its own identity); workers stamp
+        # it into their shard headers so merge_shards refuses to mix grids.
         return {
             "specs": [spec_to_dict(spec) for spec in specs],
             "algorithms": names,
             "tasks": task_refs,
             "base_seed": int(base_seed),
-            "signature": dispatch_signature(keys),
+            "signature": key_digest(keys),
             "config": {
                 "fault": None if fault == NULL_FAULT_MODEL else fault.to_dict(),
             },

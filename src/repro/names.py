@@ -2,8 +2,9 @@
 
 Argument parsing needs the names of every registry (export formats,
 graph families, sweep algorithms and quantum problems) but none of the
-code behind them.  The one limit every admission point shares (the
-largest grid graph) lives here for the same reason.
+code behind them.  The limits every admission point shares (the
+largest grid graph, the most worker processes) live here for the same
+reason.
 Keeping the names here, in a module that imports nothing, lets ``repro
 export`` build the full parser without loading the simulator, and lets
 each command import only the layers its handler runs.
@@ -64,3 +65,9 @@ QUANTUM_PROBLEM_NAMES: Tuple[str, ...] = (
 #: can lease a worker a graph it cannot build or skew the cost model with
 #: an impossible cell.
 MAX_GRID_NODES = 2**20
+
+#: The most worker processes one grid may ask for.  ``GridRequest.validate``
+#: (the CLI and ``POST /jobs``) refuses a larger ``jobs``: a daemon job
+#: spawns that many ``repro.dispatch.worker`` children and a local grid
+#: that many pool processes.
+MAX_GRID_JOBS = 256

@@ -34,7 +34,7 @@ from repro._record import FrozenRecord
 from repro.analysis.sweep import run_sweep_grid
 from repro.faults import FaultModel
 from repro.graphs import generators
-from repro.names import MAX_GRID_NODES
+from repro.names import MAX_GRID_JOBS, MAX_GRID_NODES
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -169,6 +169,8 @@ class GridRequest(FrozenRecord):
                 raise ValueError(f"sizes must be >= 1, got {size}")
             if size > MAX_GRID_NODES:
                 raise ValueError(f"sizes must be <= {MAX_GRID_NODES}, got {size}")
+        if self.jobs > MAX_GRID_JOBS:
+            raise ValueError(f"jobs must be <= {MAX_GRID_JOBS}, got {self.jobs}")
         self.algorithm_table()  # raises on unknown algorithm/problem names
 
     # -- derived execution inputs --------------------------------------

@@ -27,6 +27,7 @@ import time
 import pytest
 
 import repro
+from repro._digest import key_digest
 from repro.analysis.sweep import SweepCancelled, run_sweep_grid
 from repro.cli import main
 from repro.dispatch import (
@@ -36,7 +37,6 @@ from repro.dispatch import (
     FramedSocket,
     MAX_FRAME_BYTES,
     RemoteDispatch,
-    dispatch_signature,
     parse_address,
 )
 from repro.dispatch.worker import (
@@ -166,10 +166,10 @@ class TestBackendResolution:
         assert runner.cells == len(records) == len(specs) * len(table)
 
     def test_signature_depends_on_keys(self):
-        first = dispatch_signature(["a", "b"])
-        assert first == dispatch_signature(["a", "b"])
-        assert first != dispatch_signature(["a", "c"])
-        assert len(first) == 16
+        first = key_digest(["a", "b"])
+        assert first == key_digest(["a", "b"])
+        assert first != key_digest(["a", "c"])
+        assert first == "7e18f737311b2dc3"
 
 
 class TestRemoteDispatchMisuse:

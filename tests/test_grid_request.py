@@ -21,8 +21,8 @@ from repro.cli import _grid_request_from_args, build_parser
 from repro.congest.network import Network
 from repro.faults import FaultModel
 from repro.graphs import generators
-from repro.names import MAX_GRID_NODES
-from repro.runner import BatchRunner, task_seed
+from repro.names import MAX_GRID_JOBS, MAX_GRID_NODES
+from repro.runner import BatchRunner, GraphSpec, task_seed
 from repro.service import GridRequest, execute_grid_request, fault_model_from_flags
 from repro.store import ExperimentStore
 
@@ -78,6 +78,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="sizes must be <= "):
                 _request(sizes=(size,)).validate()
 
+    def test_jobs_above_the_process_ceiling(self):
+        # Validation only: no request here is ever executed.
+        _request(jobs=MAX_GRID_JOBS).validate()
+        for jobs in (MAX_GRID_JOBS + 1, 10**6):
+            with pytest.raises(ValueError, match="jobs must be <= 256"):
+                _request(jobs=jobs).validate()
+            payload = dict(_request().to_dict(), jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be <= 256"):
+                GridRequest.from_dict(payload).validate()
+
     def test_non_integer_diameter(self):
         with pytest.raises(ValueError, match="diameter must be an integer"):
             _request(families=("controlled",), diameter="x").validate()
@@ -86,6 +96,21 @@ class TestValidation:
         # Where cells run is the caller's runner, not a request field.
         with pytest.raises(TypeError, match="dispatch"):
             _request(dispatch="remote")
+
+
+class TestGridSignature:
+    def test_signature_is_pinned(self):
+        # Run headers and resume checks compare this digest across
+        # versions: a change in how it is computed orphans every store.
+        specs = (
+            GraphSpec(family="cycle", num_nodes=16, seed=1),
+            GraphSpec(family="clique_chain", num_nodes=24, seed=1),
+        )
+        names = ["classical_exact", "two_approx"]
+        assert grid_signature(specs, names, 7) == "da2d61cc5cf339e7"
+        assert grid_signature(
+            specs, names, 7, FaultModel(loss=0.1)
+        ) == "9588653b2ce40165"
 
 
 class TestSeedStreams:

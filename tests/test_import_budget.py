@@ -13,6 +13,7 @@ They also pin the plain name tuples the parser is built from
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -83,6 +84,19 @@ GRID_LOCAL_FORBIDDEN = (
 #: :mod:`sys` and :mod:`os`.  :mod:`subprocess` stays: ``git describe``
 #: stamps the header.
 GRID_STDLIB_FORBIDDEN = ("dataclasses", "inspect", "platform")
+
+#: What a ``repro sweep --out`` / ``repro quantum`` must not import for
+#: its grid signature: :mod:`repro._digest` takes ``sha256`` from the
+#: builtin module, so no OpenSSL load.
+DIGEST_FORBIDDEN = ("hashlib", "_hashlib")
+
+
+def _builtin_sha256() -> bool:
+    """Whether this interpreter has the builtin sha256 module."""
+    return any(
+        importlib.util.find_spec(name) is not None for name in ("_sha2", "_sha256")
+    )
+
 
 #: What a classical ``repro sweep`` must not import: the quantum layers.
 SWEEP_FORBIDDEN = ("repro.core", "repro.quantum", "repro.qcongest")
@@ -186,6 +200,12 @@ class TestImportBudget:
         store, modules = sweep_store
         assert store.exists()  # the probe did write a run header and a lock
         assert _loaded(modules, GRID_STDLIB_FORBIDDEN) == []
+
+    @pytest.mark.skipif(not _builtin_sha256(), reason="no builtin sha256 module")
+    def test_grid_commands_load_no_hashlib(self, sweep_store, tmp_path):
+        _, modules = sweep_store
+        assert _loaded(modules, DIGEST_FORBIDDEN) == []
+        assert _loaded(_probe(tmp_path, QUANTUM_ARGS), DIGEST_FORBIDDEN) == []
 
     def test_local_sweep_loads_no_dispatch_ledger_merger_or_pool(self, sweep_store):
         _, modules = sweep_store

@@ -160,6 +160,17 @@ class TestAPIBasics:
         assert (info.value.status, info.value.code) == (400, "invalid_request")
         assert "sizes must be <= " in info.value.message
 
+    def test_submit_jobs_above_the_process_ceiling_400(self, idle):
+        # ``idle`` never starts a job slot, so nothing is spawned even if
+        # the request were admitted.
+        client, service = idle
+        payload = dict(_request().to_dict(), jobs=10**6)
+        with pytest.raises(ServiceClientError) as info:
+            client._json("POST", "/jobs", {"tenant": "alice", "request": payload})
+        assert (info.value.status, info.value.code) == (400, "invalid_request")
+        assert "jobs must be <= " in info.value.message
+        assert service.jobs() == []
+
     @pytest.mark.parametrize("fault", [{"bogus": 1}, {"loss": "abc"}])
     def test_submit_malformed_fault_400(self, idle, fault):
         client, _ = idle
