@@ -9,7 +9,15 @@ next to the repository root (sibling of ``BENCH_runner.json``):
   coordinator with two subprocess workers.  Worker startup and
   registration happen *before* the timed window, so the measurement is
   the steady-state dispatch cost (framing, shard leasing, result
-  streaming), not Python import time.  On a >= 4-core box two workers
+  streaming), not Python import time.  Both sides are the best of
+  ``REPEATS`` equally cold runs.  Each remote run gets a fresh
+  coordinator, fleet and shard directory (a worker replays the task
+  keys already in its shard store, so a reused directory would time
+  replay, not computation), and its workers import the cell kernels
+  and build the graphs inside the timed window.  So each serial run
+  gets a fresh interpreter: in one process, later runs skip those
+  imports and reuse the graph and eccentricity caches, and the serial
+  side would be timed warm against a cold remote side.  On a >= 4-core box two workers
   must deliver >= 1.8x; on smaller boxes (CI smoke runners are often
   1-2 cores) the gate is instead an overhead cap -- remote may not cost
   more than ``OVERHEAD_CAP``x serial, because the cells dominate and the
@@ -52,6 +60,7 @@ or through pytest (smoke sizes, same gates)::
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -80,6 +89,10 @@ SCALING_GATE = 1.8
 #: The headline's ``--smoke`` floor: 75% of the last committed smoke
 #: baseline.
 SMOKE_FLOOR = 0.75 * 1.8
+
+#: Timed runs per side of the scaling comparison; each side reports its
+#: fastest (standard min-time benchmarking, as ``bench_quantum.py``).
+REPEATS = 3
 
 #: Two workers: the smallest fleet that exercises shard partitioning,
 #: concurrent appends to distinct shard stores, and the merge.
@@ -185,6 +198,30 @@ def _remote_run(specs, algorithms, shard_dir, throttles=None, **coordinator_kw):
     return records, seconds, stats
 
 
+def _timed_serial(sizes):
+    """One serial run of the scaling grid: ``(seconds, jsonl export)``."""
+    specs = _grid_specs(sizes)
+    algorithms = resolve_algorithms(list(GRID_ALGORITHMS))
+    start = time.perf_counter()
+    records = run_sweep_grid(specs, algorithms, base_seed=BASE_SEED)
+    return time.perf_counter() - start, render_records(records, "jsonl")
+
+
+def _serial_run(sizes):
+    """:func:`_timed_serial` in a fresh interpreter, as cold as a worker."""
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "from bench_dispatch import _timed_serial; "
+        "print(json.dumps(_timed_serial(json.loads(sys.argv[2]))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)),
+         json.dumps(list(sizes))],
+        env=_worker_env(), capture_output=True, text=True, check=True,
+    )
+    return json.loads(result.stdout)
+
+
 def _merged_canon(shard_dir, work_dir, tag):
     shard_paths = sorted(
         os.path.join(shard_dir, name)
@@ -247,18 +284,22 @@ def run_benchmark(smoke: bool = False) -> dict:
     algorithms = resolve_algorithms(list(GRID_ALGORITHMS))
     cells = len(specs) * len(algorithms)
 
-    start = time.perf_counter()
-    serial_records = run_sweep_grid(specs, algorithms, base_seed=BASE_SEED)
-    serial_seconds = time.perf_counter() - start
-    serial_canon = render_records(serial_records, "jsonl")
+    serial_runs = [_serial_run(sizes) for _ in range(REPEATS)]
+    serial_seconds = min(seconds for seconds, _ in serial_runs)
+    serial_canon = serial_runs[0][1]
 
     work_dir = tempfile.mkdtemp(prefix="bench-dispatch-")
     try:
-        shard_dir = os.path.join(work_dir, "shards")
-        remote_records, remote_seconds, _ = _remote_run(
-            specs, algorithms, shard_dir
+        remote_runs = []
+        for repeat in range(REPEATS):
+            shard_dir = os.path.join(work_dir, f"shards-{repeat}")
+            records, seconds, _ = _remote_run(specs, algorithms, shard_dir)
+            remote_runs.append((seconds, shard_dir, records))
+        remote_seconds, shard_dir, _ = min(remote_runs, key=lambda run: run[0])
+        remote_identical = all(
+            render_records(records, "jsonl") == serial_canon
+            for _, _, records in remote_runs
         )
-        remote_canon = render_records(remote_records, "jsonl")
         merged_canon, reloaded_canon, shards = _merged_canon(
             shard_dir, work_dir, "scaling"
         )
@@ -295,7 +336,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         "overhead_ratio": round(overhead_ratio, 3),
         "overhead_cap": OVERHEAD_CAP,
         "shards": shards,
-        "remote_identical": remote_canon == serial_canon,
+        "remote_identical": remote_identical,
         "merge_identical": merged_canon == serial_canon,
         "merged_store_identical": reloaded_canon == serial_canon,
         "straggler": straggler,

@@ -16,8 +16,8 @@ recovery.
 
 Leases are cut when a worker asks for one (see
 :mod:`repro.dispatch.cost`), factoring-style from a per-cell cost model
--- guarantee-based power-law priors calibrated online from cell timings
-piggybacked on heartbeats -- and weighted by each worker's capability
+-- guarantee-based power-law priors calibrated online from the wall
+times completed cells' frames carry -- and weighted by each worker's capability
 score, so shards shrink toward the tail and faster machines get bigger
 slices.  When the pending cells run out, idle workers *steal* the
 costliest in-flight remainder (``trim`` frames tell the victim what to

@@ -20,8 +20,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
-from repro._digest import key_digest
-from repro.dispatch.protocol import DispatchError, FramedSocket
+from repro.dispatch.protocol import DispatchError, FramedSocket, encode_grid
 
 
 class RemoteDispatch:
@@ -103,49 +102,7 @@ class RemoteDispatch:
         tasks = list(tasks)
         if not tasks:
             return iter(())
-        return self._stream(self._describe(tasks, context), len(tasks))
-
-    # -- grid description ----------------------------------------------
-    def _describe(self, tasks: List, context) -> dict:
-        """The wire description of this batch of cells.
-
-        Carries the context's fault model -- exactly what local pool
-        workers receive -- so remote cells run under the same faults on
-        any worker host.  The frame keeps the ``"config": {"fault": ...}``
-        wrapper of earlier releases, so coordinators and workers of
-        either release interoperate.
-        """
-        from repro.analysis.sweep import sweep_task_key
-        from repro.faults import NULL_FAULT_MODEL
-        from repro.store.records import spec_to_dict
-
-        algorithms, base_seed, fault = context
-        names = list(algorithms)
-        name_index = {name: position for position, name in enumerate(names)}
-        specs: List = []
-        spec_index: dict = {}
-        task_refs: List[List[int]] = []
-        keys: List[str] = []
-        for spec, name in tasks:
-            position = spec_index.get(spec)
-            if position is None:
-                position = spec_index[spec] = len(specs)
-                specs.append(spec)
-            task_refs.append([position, name_index[name]])
-            keys.append(sweep_task_key(spec, name, base_seed, fault))
-        # The signature digests the *submitted* cells (a resumed grid
-        # dispatches a subset, which is its own identity); workers stamp
-        # it into their shard headers so merge_shards refuses to mix grids.
-        return {
-            "specs": [spec_to_dict(spec) for spec in specs],
-            "algorithms": names,
-            "tasks": task_refs,
-            "base_seed": int(base_seed),
-            "signature": key_digest(keys),
-            "config": {
-                "fault": None if fault == NULL_FAULT_MODEL else fault.to_dict(),
-            },
-        }
+        return self._stream(encode_grid(tasks, context), len(tasks))
 
     # -- the result stream ---------------------------------------------
     def _stream(self, description: dict, total: int) -> Iterator:

@@ -10,16 +10,19 @@ One coordinator serves two kinds of peers over the same listening socket
   coordinator answers with a ``grid`` description frame (once per worker
   per grid) followed by ``shard`` frames naming the task indices to run;
   the worker streams back one ``cell`` frame per completed cell and a
-  ``shard_done`` when the slice is finished.  Heartbeats carry the wall
-  times of recently completed cells, which calibrate the coordinator's
-  cost model online.
+  ``shard_done`` when the slice is finished.  A freshly computed cell's
+  frame carries its wall time, which calibrates the coordinator's cost
+  model online with the algorithm and node count that the *admitted*
+  grid holds at that index; a heartbeat is liveness only.
 * **clients** (a :class:`repro.dispatch.backend.RemoteDispatch` inside
   ``repro sweep`` or a service daemon job) send a single ``grid`` frame
   describing the cells to run and then receive the completed ``cell``
   frames -- in completion order, dedup'd -- until ``grid_done``.  A
-  description the cost model cannot price is answered with an ``error``
-  frame instead.  A client cancels its grid by closing the connection:
-  the grid's unleased cells are dropped and its leaseholders trimmed.
+  description no worker could run (one that
+  :func:`repro.dispatch.protocol.decode_grid` refuses) is answered with
+  an ``error`` frame instead.  A client cancels its grid by closing the
+  connection: the grid's unleased cells are dropped and its leaseholders
+  trimmed.
 
 Shards are cut **at lease time** from the grid's pending index range,
 sized by the per-cell cost model (:mod:`repro.dispatch.cost`) and
@@ -63,7 +66,13 @@ import time
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.dispatch.cost import FACTOR, CostModel, take_cost_prefix
-from repro.dispatch.protocol import DispatchError, FramedSocket, FrameError
+from repro.dispatch.protocol import (
+    DecodedGrid,
+    DispatchError,
+    FramedSocket,
+    FrameError,
+    decode_grid,
+)
 
 #: Ceiling on one shard's cell count: large enough to amortise per-shard
 #: framing, small enough that a dead worker forfeits little work and
@@ -71,9 +80,12 @@ from repro.dispatch.protocol import DispatchError, FramedSocket, FrameError
 #: (``MAX_CHUNK_CELLS``) is 32.
 MAX_SHARD_CELLS = 16
 
-#: Capability weights below this floor are clamped: a worker that
-#: reported a zero/garbage score must still receive work.
+#: Capability scores outside ``(_MIN_WEIGHT, _MAX_WEIGHT]`` weigh 1.0: a
+#: worker that reported a zero/garbage score must still receive work, and
+#: one claiming a score far above any real probe (a few hundred) must not
+#: overflow the fleet's total weight or take every lease.
 _MIN_WEIGHT = 1e-6
+_MAX_WEIGHT = 1e6
 
 
 class _WorkerState:
@@ -94,11 +106,12 @@ class _WorkerState:
         self.cells = 0
         try:
             score = float(self.capabilities.get("score", 1.0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             score = 1.0
         #: Relative throughput weight for capability-weighted lease
-        #: sizing; only ratios between workers matter.
-        self.weight = score if score > _MIN_WEIGHT else 1.0
+        #: sizing; only ratios between workers matter.  NaN fails the
+        #: range test too.
+        self.weight = score if _MIN_WEIGHT < score <= _MAX_WEIGHT else 1.0
 
 
 class _Shard:
@@ -129,10 +142,14 @@ class _GridState:
 
     def __init__(
         self, grid_id: str, description: Dict[str, Any],
-        costs: List[float], client: FramedSocket,
+        decoded: DecodedGrid, costs: List[float],
+        client: FramedSocket,
     ) -> None:
         self.grid_id = grid_id
+        #: The client's description, forwarded to workers as received.
         self.description = description
+        #: The description as admitted: what each index's cell is.
+        self.decoded = decoded
         #: Per-task-index cost estimates, one per cell.
         self.costs = costs
         self.total = len(costs)
@@ -244,10 +261,7 @@ class DispatchCoordinator:
             except OSError:
                 pass
         for worker in workers:
-            try:
-                worker.conn.send({"type": "shutdown"})
-            except OSError:
-                pass
+            worker.conn.send_quietly({"type": "shutdown"})
             worker.conn.close()
         for grid in grids:
             grid.client.close()
@@ -358,13 +372,10 @@ class DispatchCoordinator:
         elif kind == "grid":
             self._serve_client(conn, first)
         else:
-            try:
-                conn.send({
-                    "type": "error",
-                    "message": f"expected a register or grid frame, got {kind!r}",
-                })
-            except OSError:
-                pass
+            conn.send_quietly({
+                "type": "error",
+                "message": f"expected a register or grid frame, got {kind!r}",
+            })
             conn.close()
 
     # -- worker side ---------------------------------------------------
@@ -388,10 +399,9 @@ class DispatchCoordinator:
                 frame = conn.recv()  # socket.timeout == missed heartbeats
                 if frame is None:
                     return
+                # Any frame, a heartbeat included, proves liveness.
                 kind = frame.get("type")
-                if kind == "heartbeat":
-                    self._on_heartbeat(frame)
-                elif kind == "cell":
+                if kind == "cell":
                     self._on_cell(worker, frame)
                 elif kind == "shard_done":
                     self._on_shard_done(worker, frame)
@@ -451,35 +461,32 @@ class DispatchCoordinator:
     ) -> Optional[_GridState]:
         """Register a client's grid, or answer an ``error`` frame.
 
-        The description must be one the cost model can price (see
-        :meth:`repro.dispatch.cost.CostModel.grid_costs`); anything else
-        is refused here, before it can reach a lease or a worker.
+        The description must decode with the workers' own decoder
+        (:func:`repro.dispatch.protocol.decode_grid`); anything else is
+        refused here, before it can reach a lease or a worker.
         """
         description = submit.get("description")
+        try:
+            decoded = decode_grid(description)
+        except ValueError as error:
+            conn.send_quietly({
+                "type": "error",
+                "message": f"malformed grid description: {error}",
+            })
+            return None
         with self._lock:
             if not self._running:
                 return None
-            try:
-                costs = self._cost_model.grid_costs(description)
-            except ValueError as error:
-                try:
-                    conn.send({
-                        "type": "error",
-                        "message": f"malformed grid description: {error}",
-                    })
-                except OSError:
-                    pass
-                return None
             self._grid_counter += 1
             grid_id = f"g{self._grid_counter}"
-            grid = _GridState(grid_id, description, costs, conn)
+            grid = _GridState(
+                grid_id, description, decoded,
+                self._cost_model.grid_costs(decoded), conn,
+            )
             self._grids[grid_id] = grid
             if grid.total == 0:
                 grid.finished = True
-                try:
-                    conn.send({"type": "grid_done"})
-                except OSError:
-                    pass
+                conn.send_quietly({"type": "grid_done"})
                 return grid
             self._schedule_locked()
         return grid
@@ -510,16 +517,14 @@ class DispatchCoordinator:
                 or not shard.remaining
             ):
                 continue
-            try:
-                worker.conn.send({
-                    "type": "trim",
-                    "grid": grid.grid_id,
-                    "shard": shard.shard_id,
-                    "indices": sorted(shard.remaining),
-                })
+            # A dead worker is dropped by its reader thread.
+            if worker.conn.send_quietly({
+                "type": "trim",
+                "grid": grid.grid_id,
+                "shard": shard.shard_id,
+                "indices": sorted(shard.remaining),
+            }):
                 self._counters["trims_sent"] += 1
-            except OSError:
-                pass  # dead worker: its reader thread drops it
 
     def _fail_grid(self, grid: _GridState, message: str) -> None:
         """A worker reported a cell exception: surface it to the client.
@@ -529,35 +534,10 @@ class DispatchCoordinator:
         (see :func:`repro.analysis.sweep._run_cell`).
         """
         self._drop_grid_locked(grid)
-        try:
-            grid.client.send({"type": "error", "message": message})
-        except OSError:
-            pass
+        grid.client.send_quietly({"type": "error", "message": message})
         grid.client.close()
 
     # -- frame handlers (worker reader threads) ------------------------
-    def _on_heartbeat(self, frame: Dict[str, Any]) -> None:
-        """Liveness plus cost-model calibration from completed-cell times."""
-        timings = frame.get("timings")
-        if timings is None:
-            return
-        if not isinstance(timings, list):
-            raise FrameError("heartbeat 'timings' must be a list")
-        from repro.dispatch.cost import guarantee_of
-
-        with self._lock:
-            for item in timings:
-                try:
-                    algorithm = str(item["algorithm"])
-                    self._cost_model.observe(
-                        algorithm,
-                        int(item["num_nodes"]),
-                        float(item["seconds"]),
-                        guarantee_of(algorithm),
-                    )
-                except (KeyError, TypeError, ValueError, OverflowError):
-                    continue
-
     def _on_cell(self, worker: _WorkerState, frame: Dict[str, Any]) -> None:
         with self._lock:
             grid = self._grids.get(str(frame.get("grid")))
@@ -585,24 +565,26 @@ class DispatchCoordinator:
                 self._counters["duplicate_cells"] += 1
                 return
             grid.completed.add(index)
+            # Calibrate once per admitted cell, with what the grid holds
+            # at this index: the worker's word is only the wall time.
+            spec, name = grid.decoded.cell(index)
+            self._cost_model.observe(
+                name, spec.num_nodes, frame.get("seconds"),
+                grid.decoded.table[name].guarantee,
+            )
             worker.cells += 1
             self._counters["cells"] += 1
-            try:
-                grid.client.send({
-                    "type": "cell",
-                    "index": index,
-                    "key": frame.get("key"),
-                    "record": frame.get("record"),
-                })
-            except OSError:
+            if not grid.client.send_quietly({
+                "type": "cell",
+                "index": index,
+                "key": frame.get("key"),
+                "record": frame.get("record"),
+            }):
                 self._drop_grid_locked(grid)
                 return
             if len(grid.completed) >= grid.total:
                 self._drop_grid_locked(grid)
-                try:
-                    grid.client.send({"type": "grid_done"})
-                except OSError:
-                    pass
+                grid.client.send_quietly({"type": "grid_done"})
 
     def _on_shard_done(self, worker: _WorkerState, frame: Dict[str, Any]) -> None:
         with self._lock:
@@ -755,18 +737,15 @@ class DispatchCoordinator:
             index for index in shard.indices if index in shard.remaining
         ]
         self._counters["steals"] += 1
-        try:
-            victim.conn.send({
-                "type": "trim",
-                "grid": grid.grid_id,
-                "shard": shard.shard_id,
-                "indices": stolen,
-            })
+        # A dead victim's reader thread requeues what is left of its
+        # shard; the stolen cells are already ours.
+        if victim.conn.send_quietly({
+            "type": "trim",
+            "grid": grid.grid_id,
+            "shard": shard.shard_id,
+            "indices": stolen,
+        }):
             self._counters["trims_sent"] += 1
-        except OSError:
-            # Dead victim: its reader thread will requeue what is left of
-            # its shard; the stolen cells are already ours.
-            pass
         return self._new_shard_locked(grid, stolen)
 
     def _speculate_locked(self, thief: _WorkerState) -> Optional[_Shard]:

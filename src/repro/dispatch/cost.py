@@ -13,8 +13,8 @@ work with instead:
   on the algorithm's correctness guarantee (an ``exact`` kernel runs an
   all-pairs-flavoured schedule, ``~n^2`` on the sparse families swept
   here; a ``two_approx`` is a constant number of BFS waves, ``~n``).
-  The prior is *calibrated online*: completed-cell wall times streamed
-  back in worker heartbeats update a per-algorithm scale factor (the
+  The prior is *calibrated online*: the wall times that completed cells'
+  frames carry back update a per-algorithm scale factor (the
   ratio of observed to predicted totals), so absolute estimates converge
   to the deployment's real speed while staying **ordering-independent**
   -- the scale is a ratio of sums, so the estimate after a set of
@@ -41,7 +41,6 @@ grid and calibration state is byte-identical across processes and
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.names import MAX_GRID_NODES
@@ -66,13 +65,17 @@ FACTOR = 2.0
 #: Node-count floor so tiny cells keep a nonzero, comparable cost.
 _MIN_NODES = 2
 
+#: The longest wall time (seconds, about 30 years) a cell observation
+#: may report: a larger one is no real cell's, and a few of them would
+#: overflow every calibrated estimate to infinity.
+MAX_CELL_SECONDS = 1e9
+
 
 def guarantee_of(name: str) -> Optional[str]:
     """The correctness guarantee of a registered sweep algorithm.
 
-    Unknown names return ``None`` rather than raising -- the cost model
-    is advisory, and a coordinator must keep scheduling grids whose
-    kernels it cannot resolve locally.
+    Unknown names return ``None`` rather than raising: the cost model
+    is advisory.
     """
     try:
         from repro.runner.algorithms import SWEEP_ALGORITHMS
@@ -124,15 +127,18 @@ class CostModel:
     ) -> None:
         """Record one completed cell's wall time.
 
-        Negative and non-finite times (a heartbeat is outside input, and
-        JSON admits ``NaN`` and ``Infinity``) are ignored, and so are node
-        counts below 1 or above :data:`repro.names.MAX_GRID_NODES`, which
-        no admitted cell has: one of them would poison every later
+        Times that are not a number from 0 to :data:`MAX_CELL_SECONDS`
+        (a cell frame is outside input, and JSON admits ``NaN``,
+        ``Infinity`` and integers no float holds) are ignored, and so are
+        node counts below 1 or above :data:`repro.names.MAX_GRID_NODES`,
+        which no admitted cell has: one of them would poison every later
         estimate.
         """
-        seconds = float(seconds)
-        if not math.isfinite(seconds) or seconds < 0.0:
+        if type(seconds) not in (int, float) or not (
+            0.0 <= seconds <= MAX_CELL_SECONDS
+        ):
             return
+        seconds = float(seconds)
         if not 1 <= num_nodes <= MAX_GRID_NODES:
             return
         prior = static_cell_cost(num_nodes, guarantee)
@@ -165,59 +171,16 @@ class CostModel:
         scale = self._scale(str(algorithm))
         return prior if scale is None else prior * scale
 
-    def grid_costs(self, description: Any) -> List[float]:
-        """Per-task-index cost estimates for one dispatched grid.
+    def grid_costs(self, grid: Any) -> List[float]:
+        """Per-task-index cost estimates for one admitted grid, in task order.
 
-        ``description`` is the wire grid description of
-        :meth:`repro.dispatch.backend.RemoteDispatch._describe`: specs as
-        plain dicts, algorithm names, and ``tasks`` as ``[spec_index,
-        name_index]`` pairs.  Resolves each algorithm's guarantee through
-        the registries (best-effort) and returns one estimate per task,
-        in task order.
-
-        Raises :class:`ValueError` for a description it cannot price:
-        not an object, without the three lists, with a task that is not
-        a pair of in-range integer indices, or with a spec that is not
-        an object or whose ``num_nodes`` is not an integer from 1 to
-        :data:`repro.names.MAX_GRID_NODES`.
+        ``grid`` is a :class:`repro.dispatch.protocol.DecodedGrid`, whose
+        algorithm table carries each kernel's correctness guarantee.
         """
-        if not isinstance(description, dict):
-            raise ValueError("the description must be an object")
-        specs, names, tasks = (
-            description.get(key) for key in ("specs", "algorithms", "tasks")
-        )
-        if not all(isinstance(item, list) for item in (specs, names, tasks)):
-            raise ValueError("specs, algorithms and tasks must be lists")
-        guarantees = [guarantee_of(name) for name in names]
-        costs: List[float] = []
-        for task in tasks:
-            if not (
-                isinstance(task, list) and len(task) == 2
-                and all(type(index) is int for index in task)
-                and 0 <= task[0] < len(specs) and 0 <= task[1] < len(names)
-            ):
-                raise ValueError(
-                    f"task {task!r} is not a [spec, algorithm] index pair"
-                )
-            spec_index, name_index = task
-            spec = specs[spec_index]
-            if not isinstance(spec, dict):
-                raise ValueError(f"spec {spec_index} is not an object")
-            try:
-                nodes = int(spec.get("num_nodes", _MIN_NODES))
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"spec {spec_index} has no priceable num_nodes"
-                ) from None
-            if not 1 <= nodes <= MAX_GRID_NODES:
-                raise ValueError(
-                    f"spec {spec_index} asks for {nodes} nodes "
-                    f"(1 to {MAX_GRID_NODES})"
-                )
-            costs.append(self.estimate(
-                names[name_index], nodes, guarantees[name_index]
-            ))
-        return costs
+        return [
+            self.estimate(name, spec.num_nodes, grid.table[name].guarantee)
+            for spec, name in map(grid.cell, range(len(grid.tasks)))
+        ]
 
 
 def take_cost_prefix(

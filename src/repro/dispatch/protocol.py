@@ -19,13 +19,19 @@ worker modules document the concrete frame vocabulary:
 
 * worker -> coordinator: ``register`` (with a ``capabilities`` report --
   cpu count, numpy availability, micro-benchmark ``score`` -- feeding
-  capability-weighted lease sizing), ``heartbeat`` (optionally carrying
-  ``timings``, completed-cell wall times that calibrate the
-  coordinator's cost model), ``cell``, ``shard_done``, ``shard_failed``.
+  capability-weighted lease sizing), ``heartbeat`` (liveness only; the
+  ``timings`` and ``kind`` keys older workers send are ignored),
+  ``cell`` (a freshly computed cell's frame carries its wall time in
+  ``seconds``, which calibrates the coordinator's cost model; a replayed
+  cell's carries none), ``shard_done``, ``shard_failed``.
 * coordinator -> worker: ``grid``, ``shard``, ``trim`` (work stealing:
   the named indices were re-leased elsewhere, skip them), ``shutdown``.
 * client <-> coordinator: ``grid`` in; ``cell``, ``grid_done``,
   ``error`` out.
+
+A ``grid`` frame carries a grid description: :func:`encode_grid` writes
+it, and :func:`decode_grid` reads it both to admit a grid and to run its
+shards, so a coordinator admits exactly the grids its workers can run.
 
 A frame larger than :data:`MAX_FRAME_BYTES` is refused on both ends --
 the largest legitimate frame is a grid description (a few hundred bytes
@@ -36,10 +42,11 @@ prefix from a non-protocol peer.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import struct
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.store.records import canonical_json
 
@@ -105,6 +112,14 @@ class FramedSocket:
         with self._send_lock:
             self.sock.sendall(_LENGTH.pack(len(payload)) + payload)
 
+    def send_quietly(self, frame: Dict[str, Any]) -> bool:
+        """Send one frame unless the peer is gone; whether it was sent."""
+        try:
+            self.send(frame)
+        except OSError:
+            return False
+        return True
+
     def recv(self) -> Optional[Dict[str, Any]]:
         """Receive one frame; ``None`` on clean EOF at a frame boundary.
 
@@ -167,3 +182,146 @@ def parse_address(text: str) -> tuple:
     if not 0 < port < 65536:
         raise ValueError(f"coordinator port {port} out of range 1..65535")
     return host, port
+
+
+# ----------------------------------------------------------------------
+# The grid description
+# ----------------------------------------------------------------------
+#: A grid signature: the 16 lowercase hex digits of
+#: :func:`repro._digest.key_digest`.  It names the workers' shard files,
+#: so nothing else may pass.
+_SIGNATURE = re.compile(r"[0-9a-f]{16}")
+_GRID_FIELDS = ["algorithms", "base_seed", "config", "signature", "specs", "tasks"]
+_SPEC_FIELDS = {"diameter", "family", "num_nodes", "seed"}
+
+
+class DecodedGrid(NamedTuple):
+    """What a worker runs a grid's cells from (see :func:`decode_grid`).
+
+    ``table`` maps each algorithm name to its registry entry; ``tasks``
+    holds one ``(spec, algorithm)`` index pair per grid index.
+    """
+
+    specs: List[Any]
+    names: List[str]
+    table: Dict[str, Any]
+    tasks: List[Tuple[int, int]]
+    base_seed: int
+    signature: str
+    fault: Any
+
+    def cell(self, index: int):
+        """The ``(spec, name)`` task of one grid index."""
+        spec_index, name_index = self.tasks[index]
+        return self.specs[spec_index], self.names[name_index]
+
+
+def encode_grid(tasks: List, context) -> Dict[str, Any]:
+    """The wire description of a batch of ``(spec, name)`` grid cells.
+
+    ``context`` is the ``(algorithms, base_seed, fault)`` task context of
+    :func:`repro.analysis.sweep._sweep_one_grid_cell`, so remote cells
+    run under the fault model local pool workers receive.  The
+    ``"config": {"fault": ...}`` wrapper is that of earlier releases, so
+    coordinators and workers of either release interoperate.
+    """
+    from repro._digest import key_digest
+    from repro.analysis.sweep import sweep_task_key
+    from repro.faults import NULL_FAULT_MODEL
+    from repro.store.records import spec_to_dict
+
+    algorithms, base_seed, fault = context
+    names = list(algorithms)
+    name_index = {name: position for position, name in enumerate(names)}
+    specs: List = []
+    spec_index: dict = {}
+    task_refs: List[List[int]] = []
+    keys: List[str] = []
+    for spec, name in tasks:
+        position = spec_index.get(spec)
+        if position is None:
+            position = spec_index[spec] = len(specs)
+            specs.append(spec)
+        task_refs.append([position, name_index[name]])
+        keys.append(sweep_task_key(spec, name, base_seed, fault))
+    # The signature digests the *submitted* cells (a resumed grid
+    # dispatches a subset, which is its own identity); workers stamp
+    # it into their shard headers so merge_shards refuses to mix grids.
+    return {
+        "specs": [spec_to_dict(spec) for spec in specs],
+        "algorithms": names,
+        "tasks": task_refs,
+        "base_seed": int(base_seed),
+        "signature": key_digest(keys),
+        "config": {
+            "fault": None if fault == NULL_FAULT_MODEL else fault.to_dict(),
+        },
+    }
+
+
+def decode_grid(description: Any) -> DecodedGrid:
+    """Decode an :func:`encode_grid` description, or raise ``ValueError``.
+
+    Accepts exactly what a worker can run: specs of a grid family
+    (:func:`repro.names.check_family`) with an integer seed, diameter (or
+    null) and ``num_nodes`` in ``1..MAX_GRID_NODES``; registered sweep
+    algorithms; in-range task index pairs; an integer base seed; a
+    :func:`repro._digest.key_digest` signature; and a config holding at
+    most a fault model.  A config ``tier`` and a top-level ``kind`` from
+    earlier releases are ignored.  No graph is built: a size its family
+    cannot build fails on the worker, as it does in a local run.
+    """
+    from repro.faults import NULL_FAULT_MODEL, FaultModel
+    from repro.names import MAX_GRID_NODES, check_family
+    from repro.runner import GraphSpec, resolve_algorithms
+
+    if not (
+        isinstance(description, dict)
+        and sorted(set(description) - {"kind"}) == _GRID_FIELDS
+    ):
+        raise ValueError(f"the description must be an object of {_GRID_FIELDS}")
+    items, names, tasks, config = (
+        description[key] for key in ("specs", "algorithms", "tasks", "config")
+    )
+    if not (
+        isinstance(items, list) and isinstance(tasks, list)
+        and isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise ValueError("specs and tasks must be lists, algorithms names")
+    specs = []
+    for position, item in enumerate(items):
+        if not (isinstance(item, dict) and set(item) <= _SPEC_FIELDS):
+            raise ValueError(f"spec {position} is not an object of "
+                             f"{sorted(_SPEC_FIELDS)}")
+        nodes, diameter, seed = (
+            item.get(key) for key in ("num_nodes", "diameter", "seed")
+        )
+        if not (type(nodes) is int and 1 <= nodes <= MAX_GRID_NODES):
+            raise ValueError(f"spec {position} asks for {nodes!r} nodes "
+                             f"(an integer from 1 to {MAX_GRID_NODES})")
+        if type(seed) is not int or type(diameter) not in (int, type(None)):
+            raise ValueError(f"spec {position} needs an integer seed and "
+                             "diameter (or null)")
+        check_family(item.get("family"), diameter)
+        specs.append(GraphSpec(item["family"], nodes, diameter, seed))
+    table = resolve_algorithms(names)
+    for task in tasks:
+        if not (
+            isinstance(task, list) and len(task) == 2
+            and all(type(index) is int for index in task)
+            and 0 <= task[0] < len(specs) and 0 <= task[1] < len(names)
+        ):
+            raise ValueError(f"task {task!r} is not a [spec, algorithm] index pair")
+    base_seed, signature = description["base_seed"], description["signature"]
+    if type(base_seed) is not int:
+        raise ValueError(f"base_seed {base_seed!r} is not an integer")
+    if not (isinstance(signature, str) and _SIGNATURE.fullmatch(signature)):
+        raise ValueError(f"signature {signature!r} is not 16 lowercase hex digits")
+    if not (isinstance(config, dict) and set(config) <= {"fault", "tier"}):
+        raise ValueError("the grid config must be an object of 'fault' (or 'tier')")
+    fault = config.get("fault")
+    return DecodedGrid(
+        specs, names, table, [tuple(task) for task in tasks], base_seed,
+        signature,
+        NULL_FAULT_MODEL if fault is None else FaultModel.from_dict(fault),
+    )

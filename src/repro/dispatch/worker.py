@@ -7,8 +7,9 @@ and a micro-benchmark throughput score the coordinator uses to weight
 lease sizes), heartbeat, and for every leased shard run the exact
 per-cell body of a local sweep
 (:func:`repro.analysis.sweep._sweep_one_grid_cell`) with the grid's
-fault model, parsed from the grid frame into the same task context
-local pool workers receive -- so a remote
+fault model, decoded from the grid frame by the coordinator's own
+admission decoder (:func:`repro.dispatch.protocol.decode_grid`) into the
+same task context local pool workers receive -- so a remote
 cell computes the byte-identical record a serial run would.
 
 Every completed cell is appended to the worker's **own** JSONL store
@@ -27,8 +28,9 @@ Between cells the worker polls its connection for ``trim`` frames -- the
 adaptive coordinator's work stealing: trimmed indices were re-leased to
 an idle worker and are skipped here.  A late trim merely means both
 workers computed the cell; the records are identical by construction and
-dedup'd downstream.  Heartbeats carry the wall times of recently
-completed cells, calibrating the coordinator's cost model online.
+dedup'd downstream.  A freshly computed cell's frame carries its wall
+time (``seconds``), calibrating the coordinator's cost model online;
+heartbeats are liveness only.
 
 The connection drops when the coordinator stops or dies; with
 ``once=True`` the worker then exits (the CI smoke mode); with
@@ -43,7 +45,7 @@ benchmark and the CI heterogeneous smoke use to manufacture stragglers.
 The registration micro-benchmark deliberately ignores it: the hook
 models an *unexpected* runtime straggler whose capabilities looked
 normal, the case stealing and speculation exist to absorb (the cost
-model still learns the true cell times from heartbeat telemetry).
+model still learns the true cell times from the cell frames).
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dispatch.protocol import (
+    DecodedGrid,
     DispatchError,
     FramedSocket,
     FrameError,
+    decode_grid,
     parse_address,
 )
 
@@ -81,9 +85,6 @@ THROTTLE_ENV = "REPRO_DISPATCH_THROTTLE"
 #: Supervisor reconnect backoff: initial delay and cap (seconds).
 _BACKOFF_INITIAL = 0.5
 _BACKOFF_CAP = 15.0
-
-#: Cap on timing observations shipped per heartbeat frame.
-_TIMINGS_PER_BEAT = 256
 
 
 def default_worker_id() -> str:
@@ -151,62 +152,6 @@ def probe_capabilities(throttle: Optional[float] = None) -> Dict[str, Any]:
     }
 
 
-class _GridContext:
-    """A grid description resolved into executable objects, once."""
-
-    def __init__(self, description: Dict[str, Any]) -> None:
-        from repro.faults import NULL_FAULT_MODEL, FaultModel
-        from repro.runner import resolve_algorithms
-        from repro.store.records import spec_from_dict
-
-        # ``{"fault": {...} | null}``; the ``tier`` key that coordinators
-        # shipped while the oracle kernel was a selection is ignored.
-        config = description["config"]
-        if not isinstance(config, dict):
-            raise ValueError("the grid config must be an object")
-        unknown = set(config) - {"fault", "tier"}
-        if unknown:
-            raise ValueError(f"unknown grid config fields {sorted(unknown)}")
-        fault = config.get("fault")
-        self.fault = (
-            NULL_FAULT_MODEL if fault is None else FaultModel.from_dict(fault)
-        )
-        self.specs = [spec_from_dict(item) for item in description["specs"]]
-        self.names = list(description["algorithms"])
-        self.tasks = [tuple(item) for item in description["tasks"]]
-        self.base_seed = int(description["base_seed"])
-        self.signature = str(description["signature"])
-        # Cells name sweep algorithms only; the ``kind`` key older
-        # clients sent with a grid is ignored.
-        self.table = resolve_algorithms(self.names)
-
-    def cell(self, index: int):
-        """The ``(spec, name)`` task of one grid index."""
-        spec_index, name_index = self.tasks[index]
-        return self.specs[spec_index], self.names[name_index]
-
-
-class _Telemetry:
-    """Per-cell wall times queued for the heartbeat thread to ship."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._items: List[Dict[str, Any]] = []
-
-    def record(self, algorithm: str, num_nodes: int, seconds: float) -> None:
-        with self._lock:
-            self._items.append({
-                "algorithm": algorithm,
-                "num_nodes": num_nodes,
-                "seconds": round(seconds, 9),
-            })
-
-    def drain(self, limit: int = _TIMINGS_PER_BEAT) -> List[Dict[str, Any]]:
-        with self._lock:
-            taken, self._items = self._items[:limit], self._items[limit:]
-            return taken
-
-
 def _poll_frames(conn: FramedSocket) -> List[Dict[str, Any]]:
     """Frames already waiting on the connection, without blocking.
 
@@ -228,12 +173,11 @@ def _poll_frames(conn: FramedSocket) -> List[Dict[str, Any]]:
 
 def _execute_shard(
     conn: FramedSocket,
-    grid: _GridContext,
+    grid: DecodedGrid,
     frame: Dict[str, Any],
     shard_dir: str,
     worker_id: str,
     stats: Dict[str, int],
-    telemetry: _Telemetry,
     throttle: float,
 ) -> Tuple[int, List[Dict[str, Any]]]:
     """Run one leased shard.
@@ -284,6 +228,13 @@ def _execute_shard(
             spec, name = grid.cell(index)
             key = sweep_task_key(spec, name, grid.base_seed, grid.fault)
             record = completed.get(key)
+            cell: Dict[str, Any] = {
+                "type": "cell",
+                "grid": frame["grid"],
+                "shard": shard_id,
+                "index": index,
+                "key": key,
+            }
             if record is None:
                 cell_started = time.perf_counter()
                 record = _sweep_one_grid_cell(
@@ -292,20 +243,12 @@ def _execute_shard(
                 store.append_record(key, index, record)
                 if throttle:
                     time.sleep(throttle)
-                telemetry.record(
-                    name, spec.num_nodes, time.perf_counter() - cell_started
-                )
+                cell["seconds"] = round(time.perf_counter() - cell_started, 9)
                 fresh += 1
             else:
                 stats["replayed"] += 1
-            conn.send({
-                "type": "cell",
-                "grid": frame["grid"],
-                "shard": shard_id,
-                "index": index,
-                "key": key,
-                "record": record_to_dict(record),
-            })
+            cell["record"] = record_to_dict(record)
+            conn.send(cell)
             streamed += 1
         wall = time.perf_counter() - started
         store.finish_sweep(
@@ -329,7 +272,6 @@ def _serve_connection(
     shard_dir: str,
     worker_id: str,
     stats: Dict[str, int],
-    telemetry: _Telemetry,
     throttle: float,
 ) -> str:
     """Process frames on one live connection.
@@ -337,7 +279,7 @@ def _serve_connection(
     Returns ``"shutdown"`` (coordinator said goodbye) or ``"lost"`` (the
     connection dropped, reconnect may help).
     """
-    grids: Dict[str, _GridContext] = {}
+    grids: Dict[str, DecodedGrid] = {}
     backlog: List[Dict[str, Any]] = []
     while True:
         if backlog:
@@ -356,7 +298,7 @@ def _serve_connection(
             continue  # stale: its shard already finished here
         if kind == "grid":
             try:
-                grids[str(frame["grid"])] = _GridContext(frame["description"])
+                grids[str(frame["grid"])] = decode_grid(frame["description"])
             except Exception as error:
                 _report_failure(conn, frame, "grid", error)
             continue
@@ -370,8 +312,7 @@ def _serve_connection(
                 continue
             try:
                 streamed, deferred = _execute_shard(
-                    conn, grid, frame, shard_dir, worker_id,
-                    stats, telemetry, throttle,
+                    conn, grid, frame, shard_dir, worker_id, stats, throttle,
                 )
                 stats["cells"] += streamed
                 stats["shards"] += 1
@@ -393,15 +334,12 @@ def _report_failure(
     message = "".join(
         traceback.format_exception_only(type(error), error)
     ).strip()
-    try:
-        conn.send({
-            "type": "shard_failed",
-            "grid": frame.get("grid"),
-            "shard": frame.get("shard"),
-            "message": f"{what} failed on this worker: {message}",
-        })
-    except OSError:
-        pass
+    conn.send_quietly({
+        "type": "shard_failed",
+        "grid": frame.get("grid"),
+        "shard": frame.get("shard"),
+        "message": f"{what} failed on this worker: {message}",
+    })
 
 
 def run_worker(
@@ -440,7 +378,6 @@ def run_worker(
     stats = {
         "cells": 0, "shards": 0, "replayed": 0, "trimmed": 0, "sessions": 0,
     }
-    telemetry = _Telemetry()
     backoff = _BACKOFF_INITIAL
     while True:
         deadline = time.monotonic() + connect_wait
@@ -468,24 +405,16 @@ def run_worker(
 
         def _beat(conn=conn, stop=stop_heartbeat):
             while not stop.wait(heartbeat_interval):
-                frame: Dict[str, Any] = {"type": "heartbeat"}
-                timings = telemetry.drain()
-                if timings:
-                    frame["timings"] = timings
-                try:
-                    conn.send(frame)
-                except OSError:
+                if not conn.send_quietly({"type": "heartbeat"}):
                     return
 
-        try:
-            conn.send({
-                "type": "register",
-                "worker": worker_id,
-                "pid": os.getpid(),
-                "host": platform.node(),
-                "capabilities": capabilities,
-            })
-        except OSError:
+        if not conn.send_quietly({
+            "type": "register",
+            "worker": worker_id,
+            "pid": os.getpid(),
+            "host": platform.node(),
+            "capabilities": capabilities,
+        }):
             conn.close()
             continue
         backoff = _BACKOFF_INITIAL  # registered: a restart starts fresh
@@ -495,7 +424,7 @@ def run_worker(
         heartbeat.start()
         try:
             outcome = _serve_connection(
-                conn, shard_dir, worker_id, stats, telemetry, throttle
+                conn, shard_dir, worker_id, stats, throttle
             )
         finally:
             stop_heartbeat.set()

@@ -3,8 +3,8 @@
 Argument parsing needs the names of every registry (export formats,
 graph families, sweep algorithms and quantum problems) but none of the
 code behind them.  The limits every admission point shares (the
-largest grid graph, the most worker processes) live here for the same
-reason.
+largest grid graph, the most worker processes, the family rule) live
+here for the same reason.
 Keeping the names here, in a module that imports nothing, lets ``repro
 export`` build the full parser without loading the simulator, and lets
 each command import only the layers its handler runs.
@@ -59,11 +59,10 @@ QUANTUM_PROBLEM_NAMES: Tuple[str, ...] = (
 )
 
 #: The largest node count a grid cell may ask for.  ``GridRequest.validate``
-#: (the CLI and ``POST /jobs``) and ``CostModel.grid_costs`` (remote
-#: dispatch admission) both refuse sizes outside ``1..MAX_GRID_NODES``,
-#: and ``CostModel.observe`` ignores timings that claim one, so no client
-#: can lease a worker a graph it cannot build or skew the cost model with
-#: an impossible cell.
+#: (the CLI and ``POST /jobs``) and ``repro.dispatch.protocol.decode_grid``
+#: (remote dispatch admission and workers) both refuse sizes outside
+#: ``1..MAX_GRID_NODES``, so no client can lease a worker a graph it
+#: cannot build or skew the cost model with an impossible cell.
 MAX_GRID_NODES = 2**20
 
 #: The most worker processes one grid may ask for.  ``GridRequest.validate``
@@ -71,3 +70,17 @@ MAX_GRID_NODES = 2**20
 #: spawns that many ``repro.dispatch.worker`` children and a local grid
 #: that many pool processes.
 MAX_GRID_JOBS = 256
+
+
+def check_family(family, diameter) -> None:
+    """Raise ``ValueError`` unless ``family`` names a grid graph family.
+
+    A grid family is one of :data:`SWEEP_FAMILIES`, or ``"controlled"``
+    with a target ``diameter``.  The one family rule of
+    ``GridRequest.validate`` and ``repro.dispatch.protocol.decode_grid``.
+    """
+    if family not in SWEEP_FAMILIES and family != "controlled":
+        known = ", ".join(sorted(set(SWEEP_FAMILIES) | {"controlled"}))
+        raise ValueError(f"unknown family {family!r} (available: {known})")
+    if family == "controlled" and diameter is None:
+        raise ValueError("family 'controlled' requires --diameter")

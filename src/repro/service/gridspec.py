@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro._record import FrozenRecord
 from repro.analysis.sweep import run_sweep_grid
 from repro.faults import FaultModel
-from repro.graphs import generators
-from repro.names import MAX_GRID_JOBS, MAX_GRID_NODES
+from repro.names import MAX_GRID_JOBS, MAX_GRID_NODES, check_family
 from repro.runner import (
     BatchRunner,
     GraphSpec,
@@ -150,16 +149,10 @@ class GridRequest(FrozenRecord):
             raise ValueError("a grid needs at least one size")
         if not self.algorithms:
             raise ValueError("a grid needs at least one algorithm")
-        for family in self.families:
-            if family not in generators.SWEEP_FAMILIES and family != "controlled":
-                known = ", ".join(
-                    sorted(set(generators.SWEEP_FAMILIES) | {"controlled"})
-                )
-                raise ValueError(
-                    f"unknown family {family!r} (available: {known})"
-                )
-        if "controlled" in self.families and self.diameter is None:
-            raise ValueError("family 'controlled' requires --diameter")
+        # Every unknown family is reported before a diameterless
+        # ``controlled`` one (a stable sort moves ``controlled`` last).
+        for family in sorted(self.families, key=lambda name: name == "controlled"):
+            check_family(family, self.diameter)
         if self.diameter is not None and not _is_int(self.diameter):
             raise ValueError(
                 f"diameter must be an integer, got {self.diameter!r}"

@@ -39,8 +39,8 @@ from repro.dispatch import (
     RemoteDispatch,
     parse_address,
 )
+from repro.dispatch.protocol import decode_grid, encode_grid
 from repro.dispatch.worker import (
-    _GridContext,
     default_worker_id,
     run_worker,
     shard_store_path,
@@ -50,6 +50,7 @@ from repro.faults import NULL_FAULT_MODEL, FaultModel
 from repro.runner import BatchRunner, GraphSpec, resolve_algorithms
 from repro.service.gridspec import GridRequest, execute_grid_request
 from repro.store import ExperimentStore, merge_shards, render_records
+from repro.store.records import canonical_json
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -203,8 +204,7 @@ class TestGridFrame:
     def _config(self, fault):
         specs, table = _grid(sizes=(10,))
         tasks = [(spec, name) for spec in specs for name in table]
-        backend = RemoteDispatch(address=("127.0.0.1", 1))
-        return backend._describe(tasks, (table, 3, fault))["config"]
+        return encode_grid(tasks, (table, 3, fault))["config"]
 
     def test_null_fault_ships_as_none(self):
         assert self._config(NULL_FAULT_MODEL) == {"fault": None}
@@ -216,6 +216,36 @@ class TestGridFrame:
             "crash_window": 32, "down_rounds": 0, "churn": 0.0,
             "timeout": 256, "seed": 3,
         }}
+
+    SPECS = (
+        GraphSpec("cycle", 6, seed=1),
+        GraphSpec("controlled", 9, diameter=4, seed=2),
+    )
+    TASKS = [(SPECS[0], "two_approx"), (SPECS[1], "classical_exact"),
+             (SPECS[1], "two_approx")]
+    FAULT = FaultModel(loss=0.25, timeout=64, seed=5)
+
+    def _encoded(self):
+        table = resolve_algorithms(["two_approx", "classical_exact"])
+        return encode_grid(self.TASKS, (table, 7, self.FAULT))
+
+    def test_encoding_is_pinned(self):
+        """The bytes earlier releases wrote for the same cells."""
+        assert canonical_json(self._encoded()) == (
+            '{"algorithms":["two_approx","classical_exact"],"base_seed":7,'
+            '"config":{"fault":{"churn":0.0,"crash":0.0,"crash_window":32,'
+            '"delay":0.0,"down_rounds":0,"loss":0.25,"max_delay":1,"seed":5,'
+            '"timeout":64}},"signature":"4ae5740d12536e2f","specs":['
+            '{"diameter":null,"family":"cycle","num_nodes":6,"seed":1},'
+            '{"diameter":4,"family":"controlled","num_nodes":9,"seed":2}],'
+            '"tasks":[[0,0],[1,1],[1,0]]}'
+        )
+
+    def test_decoding_inverts_encoding(self):
+        decoded = decode_grid(self._encoded())
+        assert [decoded.cell(index) for index in range(3)] == self.TASKS
+        assert (decoded.base_seed, decoded.fault) == (7, self.FAULT)
+        assert list(decoded.table) == ["two_approx", "classical_exact"]
 
 
 class TestCoordinator:
@@ -421,8 +451,7 @@ class TestQuantumGrids:
     def _description(self, request):
         table = request.algorithm_table()
         tasks = [(spec, name) for spec in request.specs() for name in table]
-        backend = RemoteDispatch(address=("127.0.0.1", 1))
-        return backend._describe(
+        return encode_grid(
             tasks, (table, request.base_seed(), NULL_FAULT_MODEL)
         )
 
@@ -495,8 +524,8 @@ class TestQuantumGrids:
         algorithms all the same."""
         description = self._description(QUANTUM_REQUEST)
         for kind in ("quantum", "sweep", "banana"):
-            context = _GridContext({**description, "kind": kind})
-            assert list(context.table) == ["quantum_exact", "quantum_radius"]
+            decoded = decode_grid({**description, "kind": kind})
+            assert list(decoded.table) == ["quantum_exact", "quantum_radius"]
 
 
 def _spawn_worker(address, shard_dir, name, heartbeat=0.5):

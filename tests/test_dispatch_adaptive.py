@@ -22,6 +22,7 @@ import json
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -32,8 +33,12 @@ import pytest
 import repro
 from repro.analysis.sweep import run_sweep_grid
 from repro.cli import main
-from repro.dispatch import DispatchCoordinator, RemoteDispatch
-from repro.dispatch.coordinator import _GridState, _WorkerState
+from repro.dispatch import DispatchCoordinator, FramedSocket, RemoteDispatch
+from repro.dispatch.coordinator import (
+    MAX_SHARD_CELLS,
+    _GridState,
+    _WorkerState,
+)
 from repro.dispatch.cost import (
     FACTOR,
     CostModel,
@@ -42,6 +47,7 @@ from repro.dispatch.cost import (
     static_cell_cost,
     take_cost_prefix,
 )
+from repro.dispatch.protocol import decode_grid
 from repro.dispatch.worker import probe_capabilities, run_worker
 from repro.names import MAX_GRID_NODES
 from repro.runner import GraphSpec, resolve_algorithms
@@ -70,6 +76,18 @@ def _canon(records):
     return render_records(records, "jsonl")
 
 
+def _description(specs, algorithms, tasks=None, **fields):
+    """A decodable wire description; ``tasks`` defaults to every pair."""
+    if tasks is None:
+        tasks = [[s, a] for s in range(len(specs))
+                 for a in range(len(algorithms))]
+    return {
+        "specs": specs, "algorithms": algorithms, "tasks": tasks,
+        "base_seed": 0, "signature": "0123456789abcdef",
+        "config": {"fault": None}, **fields,
+    }
+
+
 class TestCostPriors:
     def test_exponent_by_guarantee(self):
         # an exact oracle grows much faster than a two-approx BFS wave
@@ -94,17 +112,14 @@ class TestCostPriors:
         """A quantum grid ships sweep names, so its cells get their
         kernels' ``exact`` prior -- also from a frame that still carries
         the ``"kind": "quantum"`` key clients used to send."""
-        description = {
-            "kind": "quantum",
-            "specs": [{"family": "cycle", "num_nodes": n, "seed": 1}
-                      for n in (12, 20)],
-            "algorithms": ["quantum_exact", "quantum_radius"],
-            "tasks": [[s, a] for s in range(2) for a in range(2)],
-        }
+        description = _description(
+            [{"family": "cycle", "num_nodes": n, "seed": 1} for n in (12, 20)],
+            ["quantum_exact", "quantum_radius"], kind="quantum",
+        )
         expected = [static_cell_cost(n, "exact") for n in (12, 12, 20, 20)]
-        assert CostModel().grid_costs(description) == expected
+        assert CostModel().grid_costs(decode_grid(description)) == expected
         del description["kind"]
-        assert CostModel().grid_costs(description) == expected
+        assert CostModel().grid_costs(decode_grid(description)) == expected
 
 
 class TestCostModelCalibration:
@@ -150,26 +165,16 @@ class TestCostModelCalibration:
             assert model.observation_count() == 0
             assert model.estimate("classical_exact", 50, guarantee="exact") == fresh
 
-    def test_impossible_heartbeat_timing_ignored(self):
-        coordinator = DispatchCoordinator()
-        coordinator._on_heartbeat({"timings": [
-            {"algorithm": "two_approx", "num_nodes": 10**200, "seconds": 1.0},
-        ]})
-        assert coordinator._cost_model.estimate(
-            "classical_exact", 50, guarantee="exact"
-        ) == CostModel().estimate("classical_exact", 50, guarantee="exact")
-
-    def test_grid_costs_refuse_sizes_outside_the_grid_range(self):
-        description = {
-            "specs": [{"family": "cycle", "num_nodes": MAX_GRID_NODES, "seed": 1}],
-            "algorithms": ["two_approx"],
-            "tasks": [[0, 0]],
-        }
-        assert len(CostModel().grid_costs(description)) == 1
+    def test_grid_decoding_refuses_sizes_outside_the_grid_range(self):
+        description = _description(
+            [{"family": "cycle", "num_nodes": MAX_GRID_NODES, "seed": 1}],
+            ["two_approx"],
+        )
+        assert len(CostModel().grid_costs(decode_grid(description))) == 1
         for nodes in (MAX_GRID_NODES + 1, 10**200, 0):
             description["specs"][0]["num_nodes"] = nodes
             with pytest.raises(ValueError, match="asks for"):
-                CostModel().grid_costs(description)
+                decode_grid(description)
 
     def test_non_finite_observations_ignored(self):
         # A heartbeat is JSON, which admits NaN and Infinity; one such
@@ -264,6 +269,10 @@ class _SentFrames:
     def send(self, frame):
         self.frames.append(frame)
 
+    def send_quietly(self, frame):
+        self.send(frame)
+        return True
+
 
 class TestCutTables:
     """Plans and steal splits pinned to the outputs of the loops that
@@ -301,7 +310,7 @@ class TestCutTables:
     ])
     def test_steal_split(self, name, remaining, stolen):
         coordinator = DispatchCoordinator()
-        grid = _GridState("g1", {}, CUT_COSTS[name], client=None)
+        grid = _GridState("g1", {}, None, CUT_COSTS[name], client=None)
         coordinator._grids["g1"] = grid
         victim = _WorkerState("victim", _SentFrames())
         victim.shard = coordinator._new_shard_locked(grid, list(remaining))
@@ -312,6 +321,132 @@ class TestCutTables:
             set(remaining) - set(stolen)
         )
         assert victim.conn.frames[-1]["indices"] == stolen
+
+
+class TestCellTimings:
+    """A fresh cell's frame carries its wall time, and the coordinator
+    calibrates with the algorithm and node count that the *admitted*
+    grid holds at that index -- the worker's word is only the time."""
+
+    def _coordinator(self):
+        coordinator = DispatchCoordinator()
+        decoded = decode_grid(_description(
+            [{"family": "cycle", "num_nodes": 40, "seed": 1},
+             {"family": "path", "num_nodes": 30, "seed": 1}],
+            ["two_approx"],
+        ))
+        coordinator._grids["g1"] = _GridState(
+            "g1", {}, decoded, [1.0, 1.0], client=_SentFrames()
+        )
+        return coordinator, _WorkerState("w", _SentFrames())
+
+    @staticmethod
+    def _cell(index, **fields):
+        return {"type": "cell", "grid": "g1", "index": index, "record": {},
+                **fields}
+
+    def test_seconds_calibrate_with_the_admitted_spec(self):
+        coordinator, worker = self._coordinator()
+        coordinator._on_cell(worker, self._cell(
+            0, seconds=2.0, algorithm="classical_exact", num_nodes=10**200,
+        ))
+        model = coordinator._cost_model
+        assert coordinator.stats()["calibrated_algorithms"] == 1
+        assert model.estimate("two_approx", 40, "two_approx") == \
+            pytest.approx(2.0)
+        assert model.estimate("classical_exact", 50, "exact") == \
+            pytest.approx(2.0 * static_cell_cost(50, "exact")
+                          / static_cell_cost(40, "two_approx"))
+
+    @pytest.mark.parametrize("seconds", [
+        float("nan"), float("inf"), -1.0, "1.5", True, None, [], 10**400,
+        1e308,
+    ])
+    def test_unusable_seconds_ignored(self, seconds):
+        coordinator, worker = self._coordinator()
+        client = coordinator._grids["g1"].client
+        coordinator._on_cell(worker, self._cell(0, seconds=seconds))
+        assert coordinator.stats()["calibrated_algorithms"] == 0
+        assert [frame["index"] for frame in client.frames] == [0]
+
+    def test_replayed_cell_carries_no_time(self):
+        coordinator, worker = self._coordinator()
+        coordinator._on_cell(worker, self._cell(1))
+        assert coordinator.stats()["calibrated_algorithms"] == 0
+
+    def test_duplicate_completion_observes_once(self):
+        coordinator, worker = self._coordinator()
+        coordinator._on_cell(worker, self._cell(0, seconds=1.0))
+        coordinator._on_cell(worker, self._cell(0, seconds=100.0))
+        assert coordinator.stats()["duplicate_cells"] == 1
+        assert coordinator._cost_model.estimate(
+            "two_approx", 40, "two_approx"
+        ) == pytest.approx(1.0)
+
+    def test_heartbeat_timings_change_nothing(self):
+        """Older workers ship timings (and a ``kind``) on heartbeats."""
+        escaped = []
+        previous_hook = threading.excepthook
+        threading.excepthook = lambda args: escaped.append(args.exc_value)
+        coordinator = DispatchCoordinator().start()
+        try:
+            conn = FramedSocket(
+                socket.create_connection(coordinator.address, timeout=10)
+            )
+            conn.send({"type": "register", "worker": "old",
+                       "capabilities": {}})
+            conn.send({"type": "heartbeat", "kind": "sweep", "timings": [
+                {"algorithm": "classical_exact", "num_nodes": 50,
+                 "seconds": 9.0},
+                {"algorithm": "two_approx", "num_nodes": 10**200,
+                 "seconds": 1.0},
+            ]})
+            for registered in (1, 0):
+                deadline = time.monotonic() + 10.0
+                while coordinator.worker_count() != registered:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                conn.close()
+            assert coordinator.stats()["calibrated_algorithms"] == 0
+        finally:
+            coordinator.stop()
+            threading.excepthook = previous_hook
+        assert escaped == []
+
+
+class TestCapabilityWeights:
+    """A ``register`` frame's score is outside input: one that is not a
+    finite number in ``(1e-6, 1e6]`` weighs like an unknown one."""
+
+    @pytest.mark.parametrize("score", [
+        float("inf"), float("nan"), 1e308, 10**400, 0.0, -5.0, "x", None, [],
+    ])
+    def test_unusable_score_weighs_one(self, score):
+        assert _WorkerState("w", None, {"score": score}).weight == 1.0
+
+    def test_probe_score_is_kept(self):
+        assert _WorkerState("w", None, {"score": 285.5}).weight == 285.5
+
+    @pytest.mark.parametrize("scores", [
+        (float("inf"), 1.0, 1.0), (1e308, 1e308, 1.0),
+    ])
+    def test_huge_scores_get_a_fair_lease(self, scores):
+        coordinator = DispatchCoordinator()
+        grid = _GridState("g1", {}, None, [1.0] * 64, client=None)
+        coordinator._grids["g1"] = grid
+        workers = [
+            _WorkerState(f"w{position}", _SentFrames(), {"score": score})
+            for position, score in enumerate(scores)
+        ]
+        for worker in workers:
+            coordinator._workers[id(worker)] = worker
+        # A third of the 64 cells' cost, halved by the factoring divisor.
+        shard = coordinator._cut_shard_locked(grid, workers[0])
+        assert len(shard.indices) == 11 < MAX_SHARD_CELLS
+        json.dumps(
+            [item["weight"] for item in coordinator.stats()["workers"]],
+            allow_nan=False,
+        )
 
 
 class TestPlanHashSeedInvariance:
@@ -327,6 +462,7 @@ class TestPlanHashSeedInvariance:
     SCRIPT = """
 import json, random, sys
 from repro.dispatch.cost import CostModel, plan_chunks
+from repro.dispatch.protocol import decode_grid
 
 model = CostModel()
 observations = [
@@ -346,8 +482,11 @@ description = {
     ],
     "algorithms": ["classical_exact", "two_approx"],
     "tasks": [[s, a] for s in range(6) for a in range(2)],
+    "base_seed": 0,
+    "signature": "0123456789abcdef",
+    "config": {"fault": None},
 }
-costs = model.grid_costs(description)
+costs = model.grid_costs(decode_grid(description))
 print(json.dumps({
     "costs": costs,
     "plan": plan_chunks(costs, workers=3, max_cells=4),
@@ -438,6 +577,8 @@ class TestForcedStealing:
             assert not thread.is_alive(), "worker thread failed to exit"
 
         assert stats["steals"] + stats["speculative_leases"] >= 1, stats
+        # The cells' own frames taught the model their one algorithm.
+        assert stats["calibrated_algorithms"] == 1, stats
         assert _canon(remote) == _canon(serial)
         merged, _ = _merge_all(shard_dir)
         assert _canon(merged) == _canon(serial)

@@ -18,6 +18,7 @@ match a serial run.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 import tempfile
@@ -37,15 +38,17 @@ from repro.dispatch import (
     MAX_FRAME_BYTES,
     RemoteDispatch,
 )
+from repro.dispatch.protocol import encode_grid
 from repro.dispatch.worker import run_worker
 from repro.faults import NULL_FAULT_MODEL, FaultModel
-from repro.runner import GraphSpec, resolve_algorithms
-from repro.store import record_from_dict, render_records
+from repro.runner import SWEEP_ALGORITHMS, GraphSpec, resolve_algorithms
+from repro.store import record_from_dict, record_to_dict, render_records
 
 SPECS = (GraphSpec("cycle", 8, seed=1), GraphSpec("path", 6, seed=1))
 TABLE = resolve_algorithms(["two_approx"])
 TOTAL = len(SPECS) * len(TABLE)
-SERIAL = render_records(run_sweep_grid(SPECS, TABLE, base_seed=3), "jsonl")
+SERIAL_RECORDS = run_sweep_grid(SPECS, TABLE, base_seed=3)
+SERIAL = render_records(SERIAL_RECORDS, "jsonl")
 
 
 def _raw_frame(frame) -> bytes:
@@ -77,7 +80,8 @@ def _run_past_fake_worker(frames, tmp_path):
     """Run the grid with a fake worker holding its lease first.
 
     Returns the client's export, or the exception it raised, and the
-    exceptions that escaped coordinator threads.
+    exceptions that escaped coordinator threads.  Whatever the fake
+    worker sent, every cost estimate must stay finite.
     """
     escaped = []
     previous_hook = threading.excepthook
@@ -130,6 +134,10 @@ def _run_past_fake_worker(frames, tmp_path):
         threading.excepthook = previous_hook
     assert stop_seconds < 2.0
     assert not real.is_alive()
+    for name, info in SWEEP_ALGORITHMS.items():
+        assert math.isfinite(
+            coordinator._cost_model.estimate(name, 64, info.guarantee)
+        ), name
     return outcome.get("export", outcome.get("error")), escaped
 
 
@@ -145,7 +153,8 @@ class TestMalformedWorkerFrames:
         [{"type": "cell", "grid": "g1", "record": {}}],
         [{"type": "cell", "grid": "g1", "index": "0", "record": {}}],
         [{"type": "cell", "grid": "g1", "index": True, "record": {}}],
-        # So did heartbeat timings that are not a list.
+        # So did heartbeat timings that are not a list; a heartbeat is
+        # now liveness only.
         [{"type": "heartbeat", "timings": 7}],
         # A failure report for a shard this worker does not hold used to
         # fail the grid.
@@ -194,9 +203,7 @@ def _raw_grid_client(address, fault, config, outcomes, slot):
     """Submit the test grid under ``fault`` with its frame's ``config``
     replaced by ``config``; store the export or the error frame."""
     tasks = [(spec, name) for spec in SPECS for name in TABLE]
-    description = RemoteDispatch(address=address)._describe(
-        tasks, (TABLE, 3, fault)
-    )
+    description = encode_grid(tasks, (TABLE, 3, fault))
     description["config"] = config
     conn = FramedSocket(socket.create_connection(address, timeout=60))
     try:
@@ -269,22 +276,31 @@ _BAD_INDEX = (
     | st.none() | st.booleans() | st.floats() | st.text(max_size=3)
 )
 _NON_OBJECT = st.none() | st.booleans() | st.integers() | st.floats() | st.lists(_JSON)
+_SECONDS = st.floats() | st.integers(-1, 10**400) | _JSON
 _TIMING = st.fixed_dictionaries({}, optional={
     "algorithm": st.sampled_from(["two_approx", "classical_exact"]) | _JSON,
     "num_nodes": st.integers(-5, 10**400) | _JSON,
-    "seconds": st.floats() | st.integers(-1, 10**400) | _JSON,
+    "seconds": _SECONDS,
     "kind": st.sampled_from(["sweep", "quantum"]) | _JSON,
 })
 _FRAMES = st.lists(st.one_of(
     # A record is the worker's word, so a fuzzed cell pairs a valid
-    # index only with a value that is not a record object.
+    # index only with a value that is not a record object, or with the
+    # record the serial run computed there.
     st.fixed_dictionaries({"type": st.just("cell")}, optional={
         "grid": _GRID, "index": _BAD_INDEX, "record": _JSON, "key": _JSON,
+        "seconds": _SECONDS,
     }),
     st.fixed_dictionaries({
         "type": st.just("cell"), "grid": _GRID,
         "index": st.integers(0, TOTAL - 1), "record": _NON_OBJECT,
-    }),
+    }, optional={"seconds": _SECONDS}),
+    st.integers(0, TOTAL - 1).flatmap(lambda index: st.fixed_dictionaries({
+        "type": st.just("cell"), "grid": st.just("g1"),
+        "index": st.just(index),
+        "record": st.just(record_to_dict(SERIAL_RECORDS[index])),
+        "seconds": _SECONDS,
+    })),
     st.fixed_dictionaries({"type": st.just("heartbeat")}, optional={
         "timings": st.lists(_TIMING | _JSON, max_size=4) | _JSON,
     }),
@@ -313,10 +329,19 @@ class TestWorkerFrameFuzz:
 # ----------------------------------------------------------------------
 # Grid descriptions from an untrusted client
 # ----------------------------------------------------------------------
-_DESCRIPTION = RemoteDispatch(address=("127.0.0.1", 1))._describe(
+_DESCRIPTION = encode_grid(
     [(spec, name) for spec in SPECS for name in TABLE],
     (TABLE, 3, NULL_FAULT_MODEL),
 )
+
+
+def _edited(drop=(), **override):
+    """:data:`_DESCRIPTION` without the ``drop`` fields, then overridden."""
+    description = {
+        key: value for key, value in _DESCRIPTION.items() if key not in drop
+    }
+    description.update(override)
+    return description
 
 
 def _submit_description(description, shard_dir):
@@ -369,19 +394,35 @@ def _submit_description(description, shard_dir):
     return outcome["result"], escaped, left
 
 
+def _one_spec(**spec):
+    return _edited(specs=[{"seed": 1, **spec}], tasks=[[0, 0]])
+
+
 class TestMalformedGridDescriptions:
-    @pytest.mark.parametrize("override", [
-        {"specs": [], "tasks": [[5, 0]]},
-        {"tasks": [[0, 7]]},
-        {"tasks": [["x", 0]]},
-        {"specs": [{"family": "cycle", "num_nodes": 10**400, "seed": 1}],
-         "tasks": [[0, 0]]},
-        {"specs": ["cycle"], "tasks": [[0, 0]]},
+    """Each of these was once admitted; a worker then failed it, or
+    (``slash-signature``) failed to open its shard file and dropped its
+    connection, leaving the client waiting."""
+
+    @pytest.mark.parametrize("description", [
+        _edited(specs=[], tasks=[[5, 0]]),
+        _edited(tasks=[[0, 7]]),
+        _edited(tasks=[["x", 0]]),
+        _one_spec(family="cycle", num_nodes=10**400),
+        _edited(specs=["cycle"], tasks=[[0, 0]]),
+        _one_spec(family="cycle"),
+        _edited(algorithms=["nope"]),
+        _edited(drop=("base_seed",)),
+        _one_spec(family="cycle", num_nodes=8.7),
+        _one_spec(family="cycle", num_nodes="8"),
+        _one_spec(family="moebius", num_nodes=8),
+        _edited(signature="a/b"),
     ], ids=["no-specs", "name-out-of-range", "string-index", "huge-nodes",
-            "string-spec"])
-    def test_refused_with_an_error(self, override, tmp_path):
+            "string-spec", "no-num-nodes", "unknown-algorithm",
+            "no-base-seed", "float-nodes", "string-nodes", "unknown-family",
+            "slash-signature"])
+    def test_refused_with_an_error(self, description, tmp_path):
         result, escaped, left = _submit_description(
-            {**_DESCRIPTION, **override}, str(tmp_path)
+            description, str(tmp_path)
         )
         assert escaped == []
         assert left == []
@@ -403,9 +444,16 @@ _NUM_NODES = (
                        [], {}])
 )
 _SPEC = st.fixed_dictionaries(
-    {"family": st.sampled_from(["cycle", "path"]) | _JSON,
-     "seed": st.integers(0, 3)},
-    optional={"num_nodes": _NUM_NODES},
+    {"family": st.sampled_from(["cycle", "path", "controlled"]) | _JSON},
+    optional={
+        "num_nodes": _NUM_NODES,
+        "seed": st.integers(0, 3) | _JSON,
+        "diameter": st.none() | st.integers(-1, 6) | _JSON,
+        "colour": _JSON,
+    },
+) | _JSON
+_FAULT = st.none() | st.just(
+    FaultModel(loss=0.1, timeout=64, seed=1).to_dict()
 ) | _JSON
 _DESCRIPTIONS = st.fixed_dictionaries({}, optional={
     "specs": st.lists(_SPEC, max_size=3) | _JSON,
@@ -417,6 +465,14 @@ _DESCRIPTIONS = st.fixed_dictionaries({}, optional={
         st.lists(st.integers(-1, 3), min_size=2, max_size=2) | _JSON,
         max_size=4,
     ) | _JSON,
+    "base_seed": st.integers(-3, 3) | _JSON,
+    "signature": st.sampled_from(
+        [_DESCRIPTION["signature"], "a/b", "../0123456789abc", "0" * 17,
+         _DESCRIPTION["signature"].upper()]
+    ) | st.text(max_size=17) | _JSON,
+    "config": st.fixed_dictionaries({}, optional={
+        "fault": _FAULT, "tier": _JSON, "bogus": _JSON,
+    }) | _JSON,
 }).map(lambda override: {**_DESCRIPTION, **override}) | _JSON
 
 
@@ -430,7 +486,10 @@ class TestGridDescriptionFuzz:
         )
         assert escaped == []
         assert left == []
-        if not isinstance(result, DispatchError):
+        if isinstance(result, DispatchError):
+            # Every admitted description decodes on the worker too.
+            assert "unknown grid" not in str(result)
+        else:
             assert len(result) == len(description["tasks"])
 
 
