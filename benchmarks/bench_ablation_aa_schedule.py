@@ -1,4 +1,4 @@
-"""Ablation 3 (DESIGN.md): the amplitude-amplification budget constant.
+"""Ablation 3: the amplitude-amplification budget constant.
 
 Corollary 1's query budget is O(sqrt(log(1/delta) / eps)) with a hidden
 constant; the simulation exposes it (``budget_constant``).  The ablation

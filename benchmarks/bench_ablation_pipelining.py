@@ -1,4 +1,4 @@
-"""Ablation 1 (DESIGN.md): why the DFS-scheduled pipelining matters.
+"""Ablation 1: why the DFS-scheduled pipelining matters.
 
 The Evaluation procedure starts the wave of node v at round 2 tau'(v), which
 Lemmas 2-4 show keeps the waves congestion-free with O(log n) memory.  This

@@ -1,4 +1,4 @@
-"""Ablation 2 (DESIGN.md): the windowed objective f (Eq. 2) vs plain ecc (Eq. 1).
+"""Ablation 2: the windowed objective f (Eq. 2) vs plain ecc (Eq. 1).
 
 Section 3.1's simple algorithm optimizes f(u) = ecc(u) with P_opt >= 1/n and
 pays O~(sqrt(n) * D) rounds; Section 3.2's final algorithm optimizes

@@ -73,7 +73,9 @@ def test_approximation_upper_bounds(run_once, benchmark, jobs, store):
     assert all(row["classical_ok"] and row["quantum_ok"] for row in rows)
     # Both approximation algorithms are sublinear in n (the separation from
     # the Omega~(n) exact lower bound); their relative ordering at these
-    # sizes is dominated by constants, which EXPERIMENTS.md discusses.
+    # sizes is dominated by constants -- chiefly the quantum ball phase's
+    # amplitude-amplification budget, paid in O(D)-round Evaluation calls --
+    # not by the exponents.
     assert classical_fit.exponent <= 0.9
     assert quantum_fit.exponent <= 1.2
     largest = rows[-1]

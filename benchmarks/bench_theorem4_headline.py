@@ -54,8 +54,8 @@ def test_theorem4_guarantee_and_scaling(run_once, benchmark):
     )
     assert all(row["valid"] for row in rows)
     # Sublinear growth in n; the cube-root shape itself only emerges beyond
-    # simulable sizes because the preparation constants dominate here (see
-    # EXPERIMENTS.md), so the assertion is deliberately coarse.
+    # simulable sizes because the preparation constants dominate here, so
+    # the assertion is deliberately coarse.
     assert fit.exponent <= 1.0
     assert max(normalised) / min(normalised) <= 8.0
 

@@ -1,10 +1,10 @@
 """Shared workload builders and reporting helpers for the benchmarks.
 
 Every benchmark regenerates one experiment of the paper (a Table-1 row, a
-figure, or an ablation called out in DESIGN.md).  Measured quantities --
-round counts, fitted exponents, ratios, crossovers -- are attached to the
-pytest-benchmark ``extra_info`` so they appear in the benchmark report
-(``pytest benchmarks/ --benchmark-only``); EXPERIMENTS.md mirrors them.
+figure, or an ablation of one of its design choices, ``bench_ablation_*``).
+Measured quantities -- round counts, fitted exponents, ratios, crossovers --
+are attached to the pytest-benchmark ``extra_info`` so they appear in the
+benchmark report (``pytest benchmarks/ --benchmark-only``).
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ def main() -> None:
     )
     print(
         "the absolute constant reflects the amplitude-amplification budget and the"
-        " O(D)-round Evaluation schedule, see EXPERIMENTS.md)."
+        " O(D)-round Evaluation schedule)."
     )
 
 

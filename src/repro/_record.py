@@ -1,20 +1,26 @@
-"""Plain slotted record classes: value equality and a field-by-field repr.
+"""Plain slotted record classes: one shared constructor, value equality
+and a field-by-field repr.
 
 The result and value types a grid command builds are ``__slots__``
-classes with explicit ``__init__`` methods rather than dataclasses, so
-importing them generates no code and loads neither :mod:`dataclasses` nor
-the :mod:`inspect` it pulls in.  :class:`Record` supplies what the
-dataclass decorator generated besides ``__init__``: ``_fields`` (every
-slot, base classes' first -- the dataclass field order), equality over
-those fields between instances of one class, a ``repr`` that lists them,
-and no hash.  :class:`FrozenRecord` adds refused assignment, a hash over
-the fields (the frozen dataclass's, ``hash`` of the field tuple) and
-pickling through the constructor.
+classes rather than dataclasses, so importing them generates no code and
+loads neither :mod:`dataclasses` nor the :mod:`inspect` it pulls in.  A
+record declares its fields once, in ``__slots__``; :class:`Record`
+supplies the rest of what the dataclass decorator generated: ``_fields``
+(every slot, base classes' first -- the dataclass field order), one
+``__init__`` that takes the fields by position or by name and fills the
+omitted trailing ones from the class's ``_defaults``, equality over the
+fields between instances of one class, a ``repr`` that lists them, and no
+hash.  :class:`FrozenRecord` adds refused assignment, a hash over the
+fields (the frozen dataclass's, ``hash`` of the field tuple) and pickling
+through the constructor.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Mapping, Tuple
+
+#: Marks an argument that was not given.
+_MISSING = object()
 
 
 class Record:
@@ -25,9 +31,45 @@ class Record:
     #: Every field in declaration order, base classes' first.
     _fields: Tuple[str, ...] = ()
 
+    #: The value of every field that may be omitted, by name (merged
+    #: with the base classes').  These fields follow all the others, and
+    #: each value is shared by every instance, so it must be immutable.
+    _defaults: Mapping[str, Any] = {}
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._defaults = {
+            **super(cls, cls)._defaults, **cls.__dict__.get("_defaults", {})
+        }
+        optional = [name in cls._defaults for name in cls._fields]
+        if set(cls._defaults) - set(cls._fields) or optional != sorted(optional):
+            raise TypeError(
+                f"{cls.__qualname__}: defaults must name its last fields"
+            )
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        name = self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        assign = object.__setattr__
+        for field, value in zip(fields, args):
+            assign(self, field, value)
+        defaults = self._defaults
+        for field in fields[len(args):]:
+            value = kwargs.pop(field, _MISSING)
+            if value is _MISSING:
+                value = defaults.get(field, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{name}() missing required field {field!r}")
+            assign(self, field, value)
+        if kwargs:
+            # What is left was given twice or is not a field.
+            raise TypeError(f"{name}() got repeated or unknown fields {sorted(kwargs)}")
 
     def _values(self) -> Tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self._fields])
@@ -43,15 +85,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """Base of an immutable, hashable slotted record whose ``__init__``
-    stores its fields once, through :meth:`_store`."""
+    """Base of an immutable, hashable slotted record."""
 
     __slots__ = ()
-
-    def _store(self, *values: Any) -> None:
-        """Set every field, in ``_fields`` order."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -17,10 +17,9 @@ primitives used throughout the library.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro._record import Record
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -30,20 +29,6 @@ class BFSTreeResult(Record):
     """Outcome of the distributed BFS-tree construction."""
 
     __slots__ = ("root", "parent", "distance", "children", "metrics")
-
-    def __init__(
-        self,
-        root: NodeId,
-        parent: Dict[NodeId, Optional[NodeId]],
-        distance: Dict[NodeId, int],
-        children: Dict[NodeId, Tuple[NodeId, ...]],
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.root = root
-        self.parent = parent
-        self.distance = distance
-        self.children = children
-        self.metrics = metrics
 
     @property
     def depth(self) -> int:
@@ -65,6 +50,8 @@ class _BFSNode(NodeAlgorithm):
         self.distance: Optional[int] = None
         self.parent: Optional[NodeId] = None
         self.children: List[NodeId] = []
+        # Membership beside the list: a hub hears from ~n children.
+        self._child_set: Set[NodeId] = set()
         self._broadcasted = False
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
@@ -72,7 +59,8 @@ class _BFSNode(NodeAlgorithm):
 
         # Record children notifications from any round.
         for sender, payload in inbox.items():
-            if payload == ("ch",) and sender not in self.children:
+            if payload == ("ch",) and sender not in self._child_set:
+                self._child_set.add(sender)
                 self.children.append(sender)
 
         if self.node_id == self.root and round_number == 0:

@@ -20,10 +20,9 @@ for rebuilding it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro._record import Record
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -36,25 +35,11 @@ class AggregateResult(Record):
 
     __slots__ = ("value", "witness", "metrics")
 
-    def __init__(
-        self,
-        value: Any,
-        witness: Optional[NodeId],
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.value = value
-        self.witness = witness
-        self.metrics = metrics
-
 
 class BroadcastResult(Record):
     """Outcome of a tree broadcast: the value received at every node."""
 
     __slots__ = ("values", "metrics")
-
-    def __init__(self, values: Dict[NodeId, Any], metrics: ExecutionMetrics) -> None:
-        self.values = values
-        self.metrics = metrics
 
 
 class _TreeBroadcastNode(NodeAlgorithm):

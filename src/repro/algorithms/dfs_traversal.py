@@ -30,11 +30,10 @@ children are simply skipped by the local rule.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -52,18 +51,6 @@ class EulerTourResult(Record):
     """
 
     __slots__ = ("start", "steps", "visit_time", "metrics")
-
-    def __init__(
-        self,
-        start: NodeId,
-        steps: int,
-        visit_time: Dict[NodeId, int],
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.start = start
-        self.steps = steps
-        self.visit_time = visit_time
-        self.metrics = metrics
 
     @property
     def visited(self) -> Set[NodeId]:

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro._record import Record
-from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
+from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.broadcast import (
     run_tree_aggregate_max,
     run_tree_aggregate_max_witness,
@@ -49,16 +49,6 @@ class ApproxDiameterResult(Record):
     """Outcome of a diameter-approximation algorithm."""
 
     __slots__ = ("estimate", "approximation_factor", "metrics")
-
-    def __init__(
-        self,
-        estimate: int,
-        approximation_factor: float,
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.estimate = estimate
-        self.approximation_factor = approximation_factor
-        self.metrics = metrics
 
     @property
     def rounds(self) -> int:
@@ -81,27 +71,7 @@ class HPRWPreparationResult(Record):
         "aborted",
     )
 
-    def __init__(
-        self,
-        sampled_set: Set[NodeId],
-        w: NodeId,
-        w_tree: BFSTreeResult,
-        d_w: int,
-        ball: Set[NodeId],
-        ball_radius: int,
-        max_ecc_over_samples: int,
-        metrics: ExecutionMetrics,
-        aborted: bool = False,
-    ) -> None:
-        self.sampled_set = sampled_set
-        self.w = w
-        self.w_tree = w_tree
-        self.d_w = d_w
-        self.ball = ball
-        self.ball_radius = ball_radius
-        self.max_ecc_over_samples = max_ecc_over_samples
-        self.metrics = metrics
-        self.aborted = aborted
+    _defaults = {"aborted": False}
 
 
 #: Size of the hash space used for trimming the boundary layer of the ball.

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro._record import Record
-from repro.algorithms.bfs import BFSTreeResult, run_bfs_tree
+from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.broadcast import run_tree_aggregate_max
 from repro.algorithms.dfs_traversal import run_full_euler_tour
 from repro.algorithms.leader_election import run_leader_election
@@ -33,16 +33,6 @@ class ExactDiameterResult(Record):
     """Outcome of the classical exact-diameter computation."""
 
     __slots__ = ("diameter", "leader", "metrics")
-
-    def __init__(
-        self,
-        diameter: int,
-        leader: NodeId,
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.diameter = diameter
-        self.leader = leader
-        self.metrics = metrics
 
     @property
     def rounds(self) -> int:

@@ -25,18 +25,6 @@ class EccentricityResult(Record):
 
     __slots__ = ("node", "eccentricity", "tree", "metrics")
 
-    def __init__(
-        self,
-        node: NodeId,
-        eccentricity: int,
-        tree: BFSTreeResult,
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.node = node
-        self.eccentricity = eccentricity
-        self.tree = tree
-        self.metrics = metrics
-
 
 def run_eccentricity(
     network: Network, node: NodeId, tree: Optional[BFSTreeResult] = None

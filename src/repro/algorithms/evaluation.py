@@ -51,18 +51,6 @@ class EvaluationResult(Record):
 
     __slots__ = ("u0", "value", "window_nodes", "metrics")
 
-    def __init__(
-        self,
-        u0: NodeId,
-        value: int,
-        window_nodes: Set[NodeId],
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.u0 = u0
-        self.value = value
-        self.window_nodes = window_nodes
-        self.metrics = metrics
-
 
 def run_evaluation_procedure(
     network: Network,

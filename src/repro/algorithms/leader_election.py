@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro._record import Record
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -34,10 +33,6 @@ class LeaderElectionResult(Record):
     """Outcome of leader election."""
 
     __slots__ = ("leader", "metrics")
-
-    def __init__(self, leader: NodeId, metrics: ExecutionMetrics) -> None:
-        self.leader = leader
-        self.metrics = metrics
 
 
 class _MaxIdFloodingNode(NodeAlgorithm):

@@ -32,7 +32,6 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._record import Record
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -42,16 +41,6 @@ class MultiSourceBFSResult(Record):
     """Distances from every node to every source."""
 
     __slots__ = ("sources", "distances", "metrics")
-
-    def __init__(
-        self,
-        sources: Tuple[NodeId, ...],
-        distances: Dict[NodeId, Dict[NodeId, int]],
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.sources = sources
-        self.distances = distances
-        self.metrics = metrics
 
     def distance_to_set(self, node: NodeId) -> int:
         """``d(node, S)``: distance to the nearest source."""

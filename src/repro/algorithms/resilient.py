@@ -30,11 +30,10 @@ network is reliable), costing a constant factor in messages and
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 from repro._record import Record
 from repro.algorithms.diameter_approx import ApproxDiameterResult
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -50,18 +49,6 @@ class ResilientBFSResult(Record):
     """Outcome of the retrying BFS flood."""
 
     __slots__ = ("root", "distance", "reached", "metrics")
-
-    def __init__(
-        self,
-        root: NodeId,
-        distance: Dict[NodeId, Optional[int]],
-        reached: int,
-        metrics: ExecutionMetrics,
-    ) -> None:
-        self.root = root
-        self.distance = distance
-        self.reached = reached
-        self.metrics = metrics
 
     @property
     def complete(self) -> bool:

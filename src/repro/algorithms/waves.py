@@ -31,7 +31,7 @@ Evaluation procedure must hand to the leader, and the diameter itself when
 the sources are all of ``V``.
 
 Two knobs exist purely for the *ablation benchmark* that justifies the
-paper's scheduling (Section "Design choices" of DESIGN.md):
+paper's scheduling (``benchmarks/bench_ablation_pipelining.py``):
 
 * ``forward_all=True`` forwards every non-disregarded message instead of a
   single one, which blows past the CONGEST bandwidth budget when waves
@@ -47,7 +47,6 @@ import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._record import Record
-from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -64,10 +63,6 @@ class WaveResult(Record):
     """Outcome of the wave phase: the per-node maxima ``d_v``."""
 
     __slots__ = ("max_distance", "metrics")
-
-    def __init__(self, max_distance: Dict[NodeId, int], metrics: ExecutionMetrics) -> None:
-        self.max_distance = max_distance
-        self.metrics = metrics
 
     @property
     def overall_max(self) -> int:

@@ -32,7 +32,7 @@ quantum optimization loop, ...) sum their phases with :meth:`ExecutionMetrics.me
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro._record import Record
 
@@ -68,41 +68,18 @@ class ExecutionMetrics(Record):
         "phase_rounds",
     )
 
-    def __init__(
-        self,
-        rounds: int = 0,
-        messages: int = 0,
-        total_bits: int = 0,
-        max_edge_bits_per_round: int = 0,
-        bandwidth_limit_bits: Optional[int] = None,
-        bandwidth_violations: int = 0,
-        max_node_memory_bits: int = 0,
-        dropped_messages: int = 0,
-        delayed_messages: int = 0,
-        node_crashes: int = 0,
-        node_restarts: int = 0,
-        churned_edge_rounds: int = 0,
-        size_cache_hits: int = 0,
-        size_cache_misses: int = 0,
-        size_cache_overflows: int = 0,
-        phase_rounds: Optional[Dict[str, int]] = None,
-    ) -> None:
-        self.rounds = rounds
-        self.messages = messages
-        self.total_bits = total_bits
-        self.max_edge_bits_per_round = max_edge_bits_per_round
-        self.bandwidth_limit_bits = bandwidth_limit_bits
-        self.bandwidth_violations = bandwidth_violations
-        self.max_node_memory_bits = max_node_memory_bits
-        self.dropped_messages = dropped_messages
-        self.delayed_messages = delayed_messages
-        self.node_crashes = node_crashes
-        self.node_restarts = node_restarts
-        self.churned_edge_rounds = churned_edge_rounds
-        self.size_cache_hits = size_cache_hits
-        self.size_cache_misses = size_cache_misses
-        self.size_cache_overflows = size_cache_overflows
-        self.phase_rounds = {} if phase_rounds is None else phase_rounds
+    #: Every count starts at zero; ``phase_rounds`` is each instance's own
+    #: fresh dict (``None`` stands for a new empty one).
+    _defaults = {
+        **dict.fromkeys(__slots__, 0),
+        "bandwidth_limit_bits": None,
+        "phase_rounds": None,
+    }
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        if self.phase_rounds is None:
+            self.phase_rounds = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

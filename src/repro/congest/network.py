@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro._record import Record
 from repro.congest.errors import RoundLimitExceededError
@@ -91,15 +91,7 @@ class ExecutionResult(Record):
 
     __slots__ = ("results", "metrics", "traffic")
 
-    def __init__(
-        self,
-        results: Dict[NodeId, Any],
-        metrics: ExecutionMetrics,
-        traffic: Optional[list] = None,
-    ) -> None:
-        self.results = results
-        self.metrics = metrics
-        self.traffic = traffic
+    _defaults = {"traffic": None}
 
     @property
     def rounds(self) -> int:

@@ -35,7 +35,6 @@ from repro.core.coverage import popt_lower_bound, window_maxima
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
-    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     as_network,
@@ -45,7 +44,6 @@ from repro.runner.batch import task_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.quantum.cost_model import QuantumResourceCount
 
 
 class QuantumApproxDiameterResult(QuantumProblemResult):
@@ -53,24 +51,6 @@ class QuantumApproxDiameterResult(QuantumProblemResult):
     ``rounds`` count the preparation and the quantum phase."""
 
     __slots__ = ("estimate", "ball_size", "s_parameter", "w", "preparation")
-
-    def __init__(
-        self,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        optimization: DistributedOptimizationResult,
-        estimate: int,
-        ball_size: int,
-        s_parameter: int,
-        w: NodeId,
-        preparation: HPRWPreparationResult,
-    ) -> None:
-        super().__init__(counts, metrics, optimization)
-        self.estimate = estimate
-        self.ball_size = ball_size
-        self.s_parameter = s_parameter
-        self.w = w
-        self.preparation = preparation
 
 
 class BallEccentricityProblem(DistributedSearchProblem):

@@ -47,7 +47,6 @@ from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (  # the oracle modes, re-exported
     ORACLE_CONGEST,
     ORACLE_REFERENCE,
-    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -55,7 +54,6 @@ from repro.qcongest.framework import (  # the oracle modes, re-exported
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.quantum.cost_model import QuantumResourceCount
 
 #: Evaluation variants.
 VARIANT_SIMPLE = "simple"
@@ -66,22 +64,6 @@ class QuantumDiameterResult(QuantumProblemResult):
     """Outcome of the quantum exact-diameter algorithm."""
 
     __slots__ = ("diameter", "leader", "window_parameter", "variant")
-
-    def __init__(
-        self,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        optimization: DistributedOptimizationResult,
-        diameter: int,
-        leader: NodeId,
-        window_parameter: int,
-        variant: str,
-    ) -> None:
-        super().__init__(counts, metrics, optimization)
-        self.diameter = diameter
-        self.leader = leader
-        self.window_parameter = window_parameter
-        self.variant = variant
 
 
 class ExactDiameterProblem(DistributedSearchProblem):

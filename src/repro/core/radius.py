@@ -41,7 +41,6 @@ from repro.congest.network import Network
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
-    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -49,27 +48,12 @@ from repro.qcongest.framework import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.quantum.cost_model import QuantumResourceCount
 
 
 class QuantumRadiusResult(QuantumProblemResult):
     """Outcome of the quantum exact-radius algorithm."""
 
     __slots__ = ("radius", "center", "leader")
-
-    def __init__(
-        self,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        optimization: DistributedOptimizationResult,
-        radius: int,
-        center: NodeId,
-        leader: NodeId,
-    ) -> None:
-        super().__init__(counts, metrics, optimization)
-        self.radius = radius
-        self.center = center
-        self.leader = leader
 
 
 class ExactRadiusProblem(DistributedSearchProblem):

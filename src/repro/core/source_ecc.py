@@ -38,7 +38,6 @@ from repro.congest.network import Network
 from repro.graphs.graph import Graph, NodeId
 from repro.qcongest.framework import (
     ORACLE_CONGEST,
-    DistributedOptimizationResult,
     DistributedSearchProblem,
     QuantumProblemResult,
     run_distributed_quantum_optimization,
@@ -46,27 +45,12 @@ from repro.qcongest.framework import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quantum.backend import ScheduleBackend
-    from repro.quantum.cost_model import QuantumResourceCount
 
 
 class QuantumSourceEccentricityResult(QuantumProblemResult):
     """Outcome of the quantum single-source eccentricity computation."""
 
     __slots__ = ("eccentricity", "source", "farthest")
-
-    def __init__(
-        self,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        optimization: DistributedOptimizationResult,
-        eccentricity: int,
-        source: NodeId,
-        farthest: NodeId,
-    ) -> None:
-        super().__init__(counts, metrics, optimization)
-        self.eccentricity = eccentricity
-        self.source = source
-        self.farthest = farthest
 
 
 class SourceEccentricityProblem(DistributedSearchProblem):

@@ -88,6 +88,18 @@ _MIN_WEIGHT = 1e-6
 _MAX_WEIGHT = 1e6
 
 
+def _json_scalar(value: Any) -> Any:
+    """``value`` if it is a finite number, a string, a bool or ``None``,
+    else ``None``: a capability as the coordinator keeps and reports it,
+    so :meth:`DispatchCoordinator.stats` stays strict JSON whatever a
+    worker registered (``Infinity``, ``NaN``, nested objects)."""
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    return None
+
+
 class _WorkerState:
     """One registered worker connection and its current lease."""
 
@@ -102,7 +114,9 @@ class _WorkerState:
         self.shard: Optional["_Shard"] = None
         self.known_grids: set = set()
         self.alive = True
-        self.capabilities: Dict[str, Any] = dict(capabilities or {})
+        self.capabilities: Dict[str, Any] = {
+            key: _json_scalar(value) for key, value in (capabilities or {}).items()
+        }
         self.cells = 0
         try:
             score = float(self.capabilities.get("score", 1.0))
@@ -285,7 +299,8 @@ class DispatchCoordinator:
         ``requeues`` / ``duplicate_cells`` count scheduling events since
         start; ``workers`` describes the registered fleet (id, weight,
         capabilities, cells completed); ``idle_workers`` is the number of
-        live workers currently without a lease.  Surfaced by
+        live workers currently without a lease.  Every value is strict
+        JSON (a capability that was not is ``None``).  Surfaced by
         ``--dispatch-stats``, the service ``/metrics`` endpoint and the
         dispatch benchmark's straggler scenario.
         """

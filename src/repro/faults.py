@@ -175,7 +175,7 @@ class FaultModel(FrozenRecord):
             raise ValueError(f"timeout must be >= 1, got {timeout!r}")
         # Probabilities are stored as float so equal models describe (and
         # key) equally: ``loss=0`` and ``loss=0.0`` are one model.
-        self._store(
+        super().__init__(
             float(loss), float(delay), max_delay, float(crash), crash_window,
             down_rounds, float(churn), timeout, seed,
         )

@@ -178,7 +178,13 @@ class DistributedSearchProblem:
 
 
 class DistributedOptimizationResult(Record):
-    """Outcome of one distributed quantum optimization run."""
+    """Outcome of one distributed quantum optimization run.
+
+    ``simulated_runs`` / ``simulated_rounds`` count the CONGEST
+    executions actually simulated during the optimization (as opposed to
+    the *modelled* rounds of ``metrics``), observed via a run-log observer
+    when the problem exposes its network.
+    """
 
     __slots__ = (
         "best_item",
@@ -193,32 +199,7 @@ class DistributedOptimizationResult(Record):
         "simulated_rounds",
     )
 
-    def __init__(
-        self,
-        best_item: Item,
-        best_value: float,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        initialization_rounds: int,
-        setup_rounds_per_call: int,
-        evaluation_rounds_per_call: int,
-        distinct_evaluations: int,
-        simulated_runs: int = 0,
-        simulated_rounds: int = 0,
-    ) -> None:
-        self.best_item = best_item
-        self.best_value = best_value
-        self.counts = counts
-        self.metrics = metrics
-        self.initialization_rounds = initialization_rounds
-        self.setup_rounds_per_call = setup_rounds_per_call
-        self.evaluation_rounds_per_call = evaluation_rounds_per_call
-        self.distinct_evaluations = distinct_evaluations
-        #: CONGEST executions actually simulated during the optimization (as
-        #: opposed to the *modelled* rounds of ``metrics``), observed via a
-        #: run-log observer when the problem exposes its network.
-        self.simulated_runs = simulated_runs
-        self.simulated_rounds = simulated_rounds
+    _defaults = {"simulated_runs": 0, "simulated_rounds": 0}
 
     @property
     def rounds(self) -> int:
@@ -235,16 +216,6 @@ class QuantumProblemResult(Record):
     """
 
     __slots__ = ("counts", "metrics", "optimization")
-
-    def __init__(
-        self,
-        counts: QuantumResourceCount,
-        metrics: ExecutionMetrics,
-        optimization: DistributedOptimizationResult,
-    ) -> None:
-        self.counts = counts
-        self.metrics = metrics
-        self.optimization = optimization
 
     @property
     def rounds(self) -> int:

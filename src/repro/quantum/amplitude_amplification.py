@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Mapping
 
 from repro._record import Record
 
@@ -90,18 +90,6 @@ class AmplificationOutcome(Record):
     """Result of one amplitude-amplification search."""
 
     __slots__ = ("found", "setup_calls", "oracle_calls", "measurements")
-
-    def __init__(
-        self,
-        found: Optional[Item],
-        setup_calls: int,
-        oracle_calls: int,
-        measurements: int,
-    ) -> None:
-        self.found = found
-        self.setup_calls = setup_calls
-        self.oracle_calls = oracle_calls
-        self.measurements = measurements
 
     @property
     def succeeded(self) -> bool:

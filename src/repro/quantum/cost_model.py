@@ -19,7 +19,6 @@ the counts do not depend on which one ran.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro._record import Record
 from repro.congest.metrics import ExecutionMetrics
@@ -30,15 +29,7 @@ class QuantumResourceCount(Record):
 
     __slots__ = ("setup_calls", "evaluation_calls", "measurements")
 
-    def __init__(
-        self,
-        setup_calls: int = 0,
-        evaluation_calls: int = 0,
-        measurements: int = 0,
-    ) -> None:
-        self.setup_calls = setup_calls
-        self.evaluation_calls = evaluation_calls
-        self.measurements = measurements
+    _defaults = {"setup_calls": 0, "evaluation_calls": 0, "measurements": 0}
 
     def merged(self, other: "QuantumResourceCount") -> "QuantumResourceCount":
         """Sum two resource counts (sequential composition)."""
@@ -60,17 +51,7 @@ class QuantumCostModel(Record):
 
     __slots__ = ("initialization", "setup", "evaluation", "internal_register_bits")
 
-    def __init__(
-        self,
-        initialization: ExecutionMetrics,
-        setup: ExecutionMetrics,
-        evaluation: ExecutionMetrics,
-        internal_register_bits: int = 0,
-    ) -> None:
-        self.initialization = initialization
-        self.setup = setup
-        self.evaluation = evaluation
-        self.internal_register_bits = internal_register_bits
+    _defaults = {"internal_register_bits": 0}
 
     def total_metrics(self, counts: QuantumResourceCount) -> ExecutionMetrics:
         """Total execution metrics implied by the given call counts."""

@@ -44,22 +44,6 @@ class MaximumFindingResult(Record):
         "rounds_of_amplification",
     )
 
-    def __init__(
-        self,
-        best_item: Item,
-        best_value: float,
-        setup_calls: int,
-        evaluation_calls: int,
-        measurements: int,
-        rounds_of_amplification: int,
-    ) -> None:
-        self.best_item = best_item
-        self.best_value = best_value
-        self.setup_calls = setup_calls
-        self.evaluation_calls = evaluation_calls
-        self.measurements = measurements
-        self.rounds_of_amplification = rounds_of_amplification
-
 
 def find_maximum(
     amplitudes: Mapping[Item, float],

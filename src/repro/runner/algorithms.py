@@ -86,7 +86,7 @@ class SweepAlgorithmInfo(FrozenRecord):
         if guarantee is not None and guarantee not in GUARANTEES:
             known = ", ".join(GUARANTEES)
             raise ValueError(f"unknown guarantee {guarantee!r} (available: {known})")
-        self._store(kernel, guarantee, force_oracle, oracle)
+        super().__init__(kernel, guarantee, force_oracle, oracle)
 
     @property
     def needs_oracle(self) -> bool:

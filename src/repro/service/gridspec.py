@@ -126,7 +126,7 @@ class GridRequest(FrozenRecord):
     ) -> None:
         # Sequences are stored as tuples so requests hash/compare by value
         # regardless of whether they came from argparse or JSON.
-        self._store(
+        super().__init__(
             tuple(families), tuple(int(size) for size in sizes),
             tuple(algorithms), kind, diameter, seed, jobs, fault,
         )

@@ -15,7 +15,7 @@ This module is a leaf: it imports no simulator layer, so reading a store
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from repro._record import Record
 
@@ -69,29 +69,14 @@ class SweepRecord(Record):
 
     __slots__ = RECORD_FIELDS
 
-    def __init__(
-        self,
-        family: str,
-        algorithm: str,
-        num_nodes: int,
-        diameter: Optional[int],
-        rounds: int,
-        value: float,
-        correct: Optional[bool] = None,
-        extra: Optional[Dict[str, float]] = None,
-        success: bool = True,
-        failure_reason: Optional[str] = None,
-    ) -> None:
-        self.family = family
-        self.algorithm = algorithm
-        self.num_nodes = num_nodes
-        self.diameter = diameter
-        self.rounds = rounds
-        self.value = value
-        self.correct = correct
-        self.extra = {} if extra is None else extra
-        self.success = success
-        self.failure_reason = failure_reason
+    _defaults = {
+        "correct": None, "extra": None, "success": True, "failure_reason": None,
+    }
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        if self.extra is None:
+            self.extra = {}
 
 
 #: Fields that may be absent when loading: stores written before the

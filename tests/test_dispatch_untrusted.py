@@ -199,6 +199,40 @@ class TestMalformedWorkerFrames:
         assert null == SERIAL
 
 
+class TestRegisteredCapabilities:
+    def test_stats_stay_strict_json(self):
+        """A worker may register any JSON, ``Infinity`` and ``NaN``
+        included; ``stats()`` (``--dispatch-stats``, the service
+        ``/metrics``) reports every capability that is not a finite
+        number, string, bool or null as null."""
+        coordinator = DispatchCoordinator()
+        coordinator.start()
+        conn = FramedSocket(
+            socket.create_connection(coordinator.address, timeout=30)
+        )
+        try:
+            conn.sock.sendall(_raw_frame({
+                "type": "register", "worker": "odd", "capabilities": {
+                    "score": math.inf, "drift": -math.inf, "noise": math.nan,
+                    "nested": {"a": [1]}, "list": [2], "cpus": 2,
+                    "ratio": 0.5, "name": "box", "numpy": False, "gpu": None,
+                },
+            }))
+            coordinator.wait_for_workers(1, timeout=30.0)
+            stats = coordinator.stats()
+        finally:
+            conn.close()
+            coordinator.stop()
+        json.dumps(stats, allow_nan=False)
+        [worker] = stats["workers"]
+        assert worker["weight"] == 1.0
+        assert worker["capabilities"] == {
+            "score": None, "drift": None, "noise": None, "nested": None,
+            "list": None, "cpus": 2, "ratio": 0.5, "name": "box",
+            "numpy": False, "gpu": None,
+        }
+
+
 def _raw_grid_client(address, fault, config, outcomes, slot):
     """Submit the test grid under ``fault`` with its frame's ``config``
     replaced by ``config``; store the export or the error frame."""

@@ -68,6 +68,35 @@ class TestBFSTree:
         tree = run_bfs_tree(network, 0)
         assert tree.metrics.max_node_memory_bits <= 3 * 8
 
+    @pytest.mark.parametrize("graph, rounds, messages, total_bits, hub_children", [
+        (generators.star_graph(64), 3, 126, 2961, 63),
+        (generators.diameter_controlled_graph(576, 6, seed=1), 8, 3424, 92977, 570),
+    ], ids=["star", "fixed-diameter"])
+    def test_hub_tree_is_pinned(
+        self, network_factory, graph, rounds, messages, total_bits, hub_children
+    ):
+        """Node 0 is a hub that hears from most of the graph; its tree,
+        rounds and traffic are pinned to the values of the list-scanning
+        implementation, and every node's children are the neighbours one
+        step further whose smallest-``repr`` closer neighbour it is."""
+        tree = run_bfs_tree(network_factory(graph), 0)
+        assert (tree.metrics.rounds, tree.metrics.messages) == (rounds, messages)
+        assert tree.metrics.total_bits == total_bits
+        assert len(tree.children_of(0)) == hub_children
+        distance = graph.bfs_distances(0)
+        expected = {node: [] for node in graph.nodes()}
+        for node in graph.nodes():
+            closer = [
+                neighbor for neighbor in graph.neighbors(node)
+                if distance[neighbor] == distance[node] - 1
+            ]
+            if closer:
+                expected[min(closer, key=repr)].append(node)
+        assert tree.children == {
+            node: tuple(sorted(children, key=repr))
+            for node, children in expected.items()
+        }
+
 
 class TestTreeBroadcast:
     def test_everyone_receives_value(self, small_graph, network_factory):
