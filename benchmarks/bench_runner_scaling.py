@@ -81,11 +81,19 @@ def _grid_specs(sizes):
     )
 
 
+#: Each grid timing is the best of this many runs: one run of the smoke
+#: grid sits inside a shared host's noise.
+GRID_REPEATS = 3
+
+
 def _time_grid(specs, algorithms, jobs):
-    runner = BatchRunner(jobs=jobs)
-    start = time.perf_counter()
-    records = run_sweep_grid(specs, algorithms, runner=runner, base_seed=1)
-    return time.perf_counter() - start, records
+    best = float("inf")
+    for _ in range(GRID_REPEATS):
+        runner = BatchRunner(jobs=jobs)
+        start = time.perf_counter()
+        records = run_sweep_grid(specs, algorithms, runner=runner, base_seed=1)
+        best = min(best, time.perf_counter() - start)
+    return best, records
 
 
 class LegacyTransport(Transport):
@@ -109,8 +117,15 @@ class LegacyTransport(Transport):
                 cache[key] = size
         return size
 
-    def deliver(self, round_number, sender, outbox, next_inboxes, inbox_pool,
-                metrics, listeners=(), plan=None, pending=None):
+    def deliver_round(self, round_number, sends, next_inboxes, metrics,
+                      listeners=(), plan=None, pending=None):
+        # The seed engine delivered each outbox right after its node ran.
+        for sender, outbox in sends:
+            self.deliver(round_number, sender, outbox, next_inboxes, metrics,
+                         listeners, plan, pending)
+
+    def deliver(self, round_number, sender, outbox, next_inboxes, metrics,
+                listeners=(), plan=None, pending=None):
         from repro.congest.errors import BandwidthExceededError, ProtocolError
 
         graph = self.graph
@@ -148,6 +163,24 @@ def _network_with_transport(graph, transport_cls):
         network.graph, network.bandwidth_bits, network.strict_bandwidth
     )
     return network
+
+
+def _legacy_deliver_runs():
+    """Whether a network on :class:`LegacyTransport` routes its rounds
+    through the legacy per-message ``deliver`` (checked on a small,
+    untimed run, so the timed legacy arm does the seed engine's work)."""
+    graph = generators.path_graph(3)
+    network = _network_with_transport(graph, LegacyTransport)
+    calls = []
+    legacy_deliver = network.transport.deliver
+
+    def recording_deliver(*args):
+        calls.append(args)
+        return legacy_deliver(*args)
+
+    network.transport.deliver = recording_deliver
+    run_bfs_tree(network, graph.nodes()[0])
+    return bool(calls)
 
 
 def _time_traffic_workload(scale, transport_cls, repeats=3):
@@ -224,6 +257,8 @@ def run_benchmark(jobs: int = DEFAULT_JOBS, smoke: bool = False) -> dict:
 
     # Part 2: the hot path, before/after on the same workloads.
     scale = 48 if smoke else 120
+    if not _legacy_deliver_runs():
+        raise AssertionError("the legacy arm does not run LegacyTransport.deliver")
     legacy_seconds, legacy_results = _time_traffic_workload(scale, LegacyTransport)
     optimized_seconds, optimized_results = _time_traffic_workload(scale, Transport)
     legacy_tree, legacy_multi = legacy_results

@@ -56,16 +56,28 @@ def _time(fn):
     return time.perf_counter() - start, value
 
 
+#: Each oracle timing is the best of this many runs: one run of the
+#: smoke size sits inside a shared host's noise.
+REPEATS = 3
+
+
 def _time_oracle(nodes: int, stdlib: bool):
     """End-to-end oracle timing (fresh graph + compile), numpy hidden
-    from the oracle when ``stdlib``."""
-    graph = generators.family_for_sweep("clique_chain", nodes, seed=3)
-    if stdlib:
-        with mock.patch.object(indexed, "numpy_or_none", lambda: None):
-            return _time(lambda: graph.compile().all_eccentricities())
-    # Import numpy up front, so the timing covers the oracle only.
-    require_numpy("the vector oracle benchmark")
-    return _time(lambda: graph.compile().all_eccentricities())
+    from the oracle when ``stdlib``; the best of ``REPEATS`` runs, each
+    on its own fresh graph."""
+    if not stdlib:
+        # Import numpy up front, so the timing covers the oracle only.
+        require_numpy("the vector oracle benchmark")
+    best = float("inf")
+    for _ in range(REPEATS):
+        graph = generators.family_for_sweep("clique_chain", nodes, seed=3)
+        if stdlib:
+            with mock.patch.object(indexed, "numpy_or_none", lambda: None):
+                seconds, value = _time(lambda: graph.compile().all_eccentricities())
+        else:
+            seconds, value = _time(lambda: graph.compile().all_eccentricities())
+        best = min(best, seconds)
+    return best, value
 
 
 def _bench_all_eccentricities(nodes: int) -> dict:

@@ -11,12 +11,13 @@ total of ``D + O(1)`` rounds.
 
 Identifiers are compared through a deterministic total order on their
 ``repr`` so that the heterogeneous tuple labels used by the gadget graphs
-are comparable.
+are comparable.  The order is computed once per election as integer ranks
+(:func:`identifier_ranks`), so the nodes compare ranks, never strings.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro._record import Record
 from repro.congest.network import Network
@@ -36,30 +37,47 @@ class LeaderElectionResult(Record):
 
 
 class _MaxIdFloodingNode(NodeAlgorithm):
-    """Flood the largest identifier seen so far."""
+    """Flood the largest identifier seen so far.
 
-    def __init__(self, node_id, neighbors, num_nodes, rng) -> None:
+    ``rank`` maps every node identifier to its position in
+    :func:`identifier_key` order (one dict shared by all nodes; equal keys
+    share a rank), so a received identifier costs one lookup and one
+    integer comparison instead of a ``repr``.
+    """
+
+    def __init__(self, node_id, neighbors, num_nodes, rng, rank) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
         self.best: NodeId = node_id
-        self._best_key = identifier_key(node_id)
+        self._rank = rank
+        self._best_rank = rank[node_id]
         # The node is always "reactively finished": the execution stops when
         # the flooding stabilises (no more improvements anywhere).
         self.finished = True
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
+        rank = self._rank
+        best_rank = self._best_rank
         improved = round_number == 0
-        for _, payload in inbox.items():
-            candidate = tuple(payload)[0] if isinstance(payload, list) else payload
-            key = identifier_key(candidate)
-            if key > self._best_key:
-                self.best, self._best_key = candidate, key
+        for candidate in inbox.values():
+            candidate_rank = rank[candidate]
+            if candidate_rank > best_rank:
+                self.best, best_rank = candidate, candidate_rank
                 improved = True
         if improved:
+            self._best_rank = best_rank
             return self.broadcast(self.best)
         return {}
 
     def result(self):
         return self.best
+
+
+def identifier_ranks(nodes) -> Dict[NodeId, int]:
+    """Each identifier's position in :func:`identifier_key` order; two
+    identifiers with equal keys get the same rank."""
+    keys = {node: identifier_key(node) for node in nodes}
+    position = {key: index for index, key in enumerate(sorted(set(keys.values())))}
+    return {node: position[key] for node, key in keys.items()}
 
 
 def run_leader_election(network: Network) -> LeaderElectionResult:
@@ -68,9 +86,10 @@ def run_leader_election(network: Network) -> LeaderElectionResult:
     Every node ends up knowing the leader's identifier; the returned result
     reports it together with the execution metrics.
     """
+    rank = identifier_ranks(network.graph.nodes())
     execution = network.run(
         lambda node, net: _MaxIdFloodingNode(
-            node, net.neighbors(node), net.num_nodes, net.node_seed(node)
+            node, net.neighbors(node), net.num_nodes, net.node_seed(node), rank
         )
     )
     leaders = set(map(identifier_key, execution.results.values()))

@@ -92,10 +92,17 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         queue = self._queue
         rank = self._rank
         for payload in inbox.values():
-            if not (isinstance(payload, tuple) and payload and payload[0] == "m"):
+            # Exact classes first: a plain tuple payload and an int source
+            # skip the ``isinstance`` calls their subclasses need.
+            if not (
+                (payload.__class__ is tuple or isinstance(payload, tuple))
+                and payload
+                and payload[0] == "m"
+            ):
                 continue
             source, distance = payload[1], payload[2]
-            source = tuple(source) if isinstance(source, list) else source
+            if source.__class__ is not int and isinstance(source, list):
+                source = tuple(source)
             candidate = distance + 1
             current = known.get(source)
             if current is None or candidate < current:

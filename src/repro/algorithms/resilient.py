@@ -74,7 +74,7 @@ class _ResilientBFSNode(NodeAlgorithm):
         best: Optional[int] = None
         for payload in inbox.values():
             if (
-                isinstance(payload, tuple)
+                (payload.__class__ is tuple or isinstance(payload, tuple))
                 and len(payload) == 2
                 and payload[0] == "bfs"
             ):

@@ -92,11 +92,10 @@ class _WaveNode(NodeAlgorithm):
             self.wake_at(schedule.start_round)
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
-        if round_number >= self.duration:
+        if round_number >= self.duration - 1:
             self.finished = True
-            return {}
-        if round_number == self.duration - 1:
-            self.finished = True
+            if round_number >= self.duration:
+                return {}
 
         # Step 2(2): a source starts its own wave at its scheduled round.
         last_tag = self.last_tag
@@ -113,7 +112,7 @@ class _WaveNode(NodeAlgorithm):
         fresh: Optional[List[Tuple[int, int]]] = [] if self.forward_all else None
         best_tag = best_delta = None
         for payload in inbox.values():
-            if isinstance(payload, tuple):
+            if payload.__class__ is tuple or isinstance(payload, tuple):
                 if not (payload and payload[0] == "w"):
                     continue
                 _, tag, delta = payload
@@ -136,6 +135,14 @@ class _WaveNode(NodeAlgorithm):
                             best_tag, best_delta = tag, delta
 
         if best_tag is not None:
+            if not started:
+                # The common case: forward the one fresh wave.  Its tag
+                # exceeds ``last_tag``, which is still ``self.last_tag``.
+                self.last_tag = best_tag
+                best_delta += 1
+                if best_delta > self.max_distance:
+                    self.max_distance = best_delta
+                return self.broadcast(("w", best_tag, best_delta))
             kept: Sequence[Tuple[int, int]] = ((best_tag, best_delta),)
         elif fresh:
             kept = sorted(set(fresh))

@@ -21,11 +21,14 @@ components of :mod:`repro.engine`:
   neighbour validation, memoised size measurement, bandwidth policy,
   message accounting and delivery.
 
-Each round, every scheduled node reads its inbox, computes and hands its
-outbox to the transport.  The core accounting (rounds, messages, bits,
-the per-edge maximum, violations, the memory high-water mark) is done
-inline into the run's own :class:`repro.congest.metrics.ExecutionMetrics`,
-so nested runs stay separate.  Observers attached with
+Each round, every scheduled node reads its inbox and computes its
+outbox; the round's outboxes then go to the transport in one pass
+(:meth:`repro.engine.Transport.deliver_round`) and the round's self-wake
+requests to the scheduler in one call.  The core accounting (rounds,
+messages, bits, the per-edge maximum, violations, the memory high-water
+mark) goes into the run's own
+:class:`repro.congest.metrics.ExecutionMetrics`, so nested runs stay
+separate.  Observers attached with
 :meth:`Network.add_observer` (:mod:`repro.engine.observers`) are opt-in:
 they see run boundaries, and per-message events only when they override
 ``on_message``.  Inboxes are sparse: the inbox mapping of a round holds
@@ -36,8 +39,8 @@ Faults are one branch of the same loop.  A network built with a non-null
 :class:`repro.faults.FaultModel` resolves a per-run
 :class:`repro.faults.FaultPlan`; the loop then merges delayed arrivals,
 counts churn, skips down nodes, hands the restart rounds to the scheduler
-and clamps the round cap to the model's ``timeout``, and the transport
-asks the plan for each message's fate.  The null model resolves no plan,
+and clamps the round cap to the model's ``timeout``, and the transport has
+the plan route each message by its fate.  The null model resolves no plan,
 so its runs are byte-identical to the fault-free simulator.
 
 Bandwidth.  The CONGEST model allows ``bw = O(log n)`` bits per edge per
@@ -163,6 +166,10 @@ class Network:
         #: :meth:`node_seed` per node; ``_seed`` is fixed here, so a
         #: memoised value never goes stale.
         self._node_seeds: Dict[NodeId, int] = {}
+        #: :meth:`neighbors`' table, read from the compiled view it was
+        #: taken from (rebound when a graph mutation replaces the view).
+        self._neighbors_view = None
+        self._neighbor_tuples: Dict[NodeId, tuple] = {}
 
         if scheduler is None:
             scheduler = SparseScheduler()
@@ -181,6 +188,10 @@ class Network:
         self.transport = Transport(graph, bandwidth_bits, strict_bandwidth)
         self.observers: List[MetricsObserver] = []
         self._run_depth = 0
+        #: The running round loop's ``deliver_round`` arguments -- round,
+        #: queued sends, next inboxes, metrics, listeners, plan, pending --
+        #: or ``None`` outside a run (see :meth:`run`).
+        self._queued: Optional[list] = None
         # Per-network counter of fault-aware runs: each run of a faulty
         # network salts its fault stream with this index, so multi-phase
         # algorithms (one ``run`` per phase) draw fresh, reproducible
@@ -215,7 +226,11 @@ class Network:
         is also the tuple the transport recognises, by identity, as the
         targets of a node's :meth:`~repro.congest.node.NodeAlgorithm.broadcast`.
         """
-        return self.graph.compile().neighbors(node)
+        indexed = self.graph.compile()
+        if indexed is not self._neighbors_view:
+            self._neighbors_view = indexed
+            self._neighbor_tuples = indexed.neighbor_tuples()
+        return self._neighbor_tuples[node]
 
     def node_seed(self, node: NodeId) -> int:
         """Deterministic per-node seed: a CRC of the network seed and the
@@ -289,10 +304,17 @@ class Network:
             node: factory(node, self) for node in self.graph.nodes()
         }
 
+        outer = self._queued
         if self._run_depth == 0:
             scheduler = self.scheduler
         else:
             scheduler = type(self.scheduler)()
+            if outer is not None and outer[1]:
+                # The outer round's sends queued so far go out first, as
+                # they would have before this node ran.
+                round_number, sends, *delivery = outer
+                self.transport.deliver_round(round_number, sends, *delivery)
+                sends.clear()
         self._run_depth += 1
         try:
             return self._run_loop(
@@ -300,6 +322,7 @@ class Network:
             )
         finally:
             self._run_depth -= 1
+            self._queued = outer
 
     def _run_loop(
         self,
@@ -363,36 +386,28 @@ class Network:
         )
         uses_wakes = scheduler.uses_wakes
 
-        finished_state: Dict[NodeId, bool] = {}
-        unfinished = 0
+        # Wakes requested during construction (e.g. a wave source that
+        # knows its start round up-front).
+        wakes: list = []
         for node, algorithm in algorithms.items():
-            finished = algorithm.finished
-            finished_state[node] = finished
-            if not finished:
-                unfinished += 1
-            # Wakes requested during construction (e.g. a wave source that
-            # knows its start round up-front).
-            requests = algorithm.consume_wake_requests()
-            if uses_wakes and requests:
-                for request in requests:
-                    scheduler.request_wake(
-                        node, 0 if request is None else max(0, request)
-                    )
+            requests = algorithm._wake_requests
+            if requests:
+                algorithm._wake_requests = []
+                wakes.append((node, requests))
+        if wakes:
+            if uses_wakes:
+                scheduler.request_wakes(0, wakes)
+            wakes.clear()
 
         for observer in observers:
             observer.on_run_start(self)
 
         # Hot-loop bindings: the attribute lookups below run O(active)
-        # times per round, so they are hoisted out of the loop.  Consumed
-        # inbox dicts are recycled through ``inbox_pool`` instead of being
-        # reallocated every round; an inbox is therefore only valid for the
-        # duration of the ``on_round`` call it is passed to (see
-        # :class:`repro.congest.node.NodeAlgorithm`).
-        deliver = transport.deliver
+        # times per round, so they are hoisted out of the loop.
+        deliver_round = transport.deliver_round
         active_nodes = scheduler.active_nodes
-        request_wake = scheduler.request_wake
+        request_wakes = scheduler.request_wakes
         has_scheduled_wakes = scheduler.has_scheduled_wakes
-        inbox_pool: list = []
         peak_memory = 0
         # Full-round fast path: when the scheduler hands back its
         # every-node sequence (identity check), iterate the prezipped
@@ -400,6 +415,17 @@ class Network:
         # this removes O(n) hash probes per dense round.
         full_sequence = scheduler.all_nodes()
         algorithm_pairs = list(algorithms.items())
+        #: The round's ``(node, outbox)`` sends, handed to the transport in
+        #: one pass after every scheduled node has run.  A nested run
+        #: started from an ``on_round`` call delivers the sends queued
+        #: before it first (see :meth:`run`), so the two runs use the
+        #: shared size cache in the order a node-by-node delivery would.
+        sends: list = []
+        sends_append = sends.append
+        wakes_append = wakes.append
+        queued = self._queued = [
+            0, sends, None, metrics, listeners, plan, pending,
+        ]
 
         inboxes: Dict[NodeId, Inbox] = {}
         round_number = 0
@@ -414,8 +440,7 @@ class Network:
                 for sender, target, payload in pending.pop(round_number, ()):
                     inbox = inboxes.get(target)
                     if inbox is None:
-                        inbox = inbox_pool.pop() if inbox_pool else {}
-                        inboxes[target] = inbox
+                        inbox = inboxes[target] = {}
                     inbox.setdefault(sender, payload)
 
             if exact_rounds is not None and round_number >= exact_rounds:
@@ -424,7 +449,10 @@ class Network:
                 # In-flight delayed messages keep the run alive in every
                 # termination check.
                 if not inboxes and not has_scheduled_wakes() and not pending:
-                    if unfinished == 0:
+                    # A node's ``finished`` flag changes only in its own
+                    # ``on_round`` (or constructor), so it is read here,
+                    # once the network is quiet, not after every call.
+                    if all(algorithm.finished for algorithm in algorithms.values()):
                         break
                     # A restart still ahead may produce new work.
                     if plan is None or not plan.restarts_pending(round_number):
@@ -447,52 +475,44 @@ class Network:
             elif active is full_sequence:
                 items = algorithm_pairs
             else:
-                items = [(node, algorithms[node]) for node in active]
+                items = zip(active, map(algorithms.__getitem__, active))
             if has_churn:
                 churned_edge_rounds += len(plan.churned_edges(round_number))
 
             next_inboxes: Dict[NodeId, Inbox] = {}
+            queued[0] = round_number
+            queued[2] = next_inboxes
             inboxes_get = inboxes.get
             for node, algorithm in items:
                 inbox = inboxes_get(node)
                 if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
+                    inbox = {}
                 outbox = algorithm.on_round(round_number, inbox)
                 # A broadcast is tested by its targets tuple: its own
                 # truth test is a Python-level ``__len__`` call.
                 if outbox.targets if outbox.__class__ is Broadcast else outbox:
-                    deliver(
-                        round_number, node, outbox, next_inboxes, inbox_pool,
-                        metrics, listeners, plan, pending,
-                    )
-                # Recycle the consumed inbox (after delivery, in case the
-                # algorithm returned its inbox as the outbox).  Contract
-                # (see NodeAlgorithm.on_round): the inbox is network-owned
-                # and must not be retained or sent as a payload.
-                if inbox:
-                    inbox.clear()
-                inbox_pool.append(inbox)
+                    sends_append((node, outbox))
                 memory = algorithm.memory_bits()
                 if memory is not None and memory > peak_memory:
                     peak_memory = memory
-                finished = algorithm.finished
-                if finished != finished_state[node]:
-                    finished_state[node] = finished
-                    unfinished += -1 if finished else 1
                 # Drain wake requests under every scheduler so they cannot
                 # pile up across the run; only wake-aware schedulers act on
-                # them.
-                if getattr(algorithm, "_wake_requests", None):
-                    requests = algorithm.consume_wake_requests()
-                    if uses_wakes:
-                        for request in requests:
-                            request_wake(
-                                node,
-                                round_number + 1
-                                if request is None
-                                else max(request, round_number + 1),
-                            )
+                # them, in one call per round.
+                requests = algorithm._wake_requests
+                if requests:
+                    algorithm._wake_requests = []
+                    wakes_append((node, requests))
 
+            if sends:
+                deliver_round(
+                    round_number, sends, next_inboxes, metrics, listeners,
+                    plan, pending,
+                )
+                sends.clear()
+            if wakes:
+                if uses_wakes:
+                    request_wakes(round_number + 1, wakes)
+                wakes.clear()
             round_number += 1
             inboxes = next_inboxes
 

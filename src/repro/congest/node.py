@@ -115,6 +115,14 @@ class NodeAlgorithm:
         so a node that never draws never pays for seeding a generator.
     """
 
+    #: Pending self-wake requests, oldest first: ``None`` for
+    #: :meth:`wake_next_round`, an absolute round for :meth:`wake_at`.
+    #: The round loop (``Network._run_loop``) drains them once before
+    #: round 0 and after every ``on_round`` call, under every scheduler.
+    #: The class-level empty default keeps that drain valid for a
+    #: subclass that does not call ``NodeAlgorithm.__init__``.
+    _wake_requests: Sequence[Optional[int]] = ()
+
     def __init__(
         self,
         node_id: NodeId,
@@ -153,12 +161,21 @@ class NodeAlgorithm:
         to the payload it sent in the previous round (absent if it sent
         nothing).  Return a mapping ``{neighbour: payload}`` or ``None``.
 
-        The inbox mapping is owned by the network and recycled across
-        rounds, so it is only valid for the duration of this call: an
-        algorithm that needs the contents later must copy them
-        (``dict(inbox)``), and must never place the inbox object itself
-        (directly or nested) inside an outgoing payload -- send a copy.
+        The inbox mapping is owned by the network and only valid for the
+        duration of this call: an algorithm that needs the contents later
+        must copy them (``dict(inbox)``), and must never place the inbox
+        object itself (directly or nested) inside an outgoing payload --
+        send a copy.  Returning the inbox itself as the outbox is fine.
         The payloads *received* through the inbox are untouched.
+
+        The returned outbox is delivered after every node scheduled in
+        this round has run (one transport pass per round), so it must not
+        be changed after it is returned; a node builds a new outbox each
+        round.  If a round aborts (a send to a non-neighbour, a strict
+        bandwidth violation), the nodes after the offender have already
+        run that round and the run's state is discarded; if one of them
+        raises (in ``on_round`` or a nested run), its error reaches the
+        caller instead of the offender's.
         """
         raise NotImplementedError
 
@@ -213,18 +230,6 @@ class NodeAlgorithm:
         """
         self._wake_requests.append(int(round_number))
 
-    def consume_wake_requests(self) -> List[Optional[int]]:
-        """Drain and return pending wake requests (called by the round loop).
-
-        Entries are ``None`` for :meth:`wake_next_round` or an absolute
-        round number for :meth:`wake_at`.
-        """
-        requests = getattr(self, "_wake_requests", None)
-        if not requests:
-            return []
-        self._wake_requests = []
-        return requests
-
     # ------------------------------------------------------------------
     # Retry/backoff helpers (graceful degradation under faults)
     # ------------------------------------------------------------------
@@ -259,7 +264,10 @@ class NodeAlgorithm:
         lossy network may have dropped, without flooding every round.
         """
         delay = min(cap, base * factor ** max(0, attempt))
-        return self.wake_after(round_number, delay)
+        # :meth:`wake_after`'s target, appended without its two calls.
+        target = round_number + max(1, int(delay))
+        self._wake_requests.append(target)
+        return target
 
     # ------------------------------------------------------------------
     # Conveniences for subclasses

@@ -33,7 +33,7 @@ policy spins to the round cap, the sparse policy raises the same
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.congest.errors import RoundLimitExceededError
 from repro.graphs.graph import NodeId
@@ -93,8 +93,21 @@ class Scheduler:
         """
         raise NotImplementedError
 
-    def request_wake(self, node: NodeId, round_number: int) -> None:
-        """Schedule ``node`` to run in ``round_number`` (absolute)."""
+    def request_wakes(
+        self,
+        earliest: int,
+        requests: Iterable[Tuple[NodeId, Sequence[Optional[int]]]],
+    ) -> None:
+        """Schedule one round's self-wakes.
+
+        ``requests`` holds ``(node, rounds)`` pairs: each entry of
+        ``rounds`` asks to run ``node`` in that absolute round, or, if
+        ``None``, in round ``earliest``; a round before ``earliest`` is
+        clamped to it.  The engine calls this once per round with the
+        requests drained after that round's ``on_round`` calls
+        (``earliest`` is the next round), and once before round 0 with
+        the requests made at construction (``earliest`` 0).
+        """
 
     def has_scheduled_wakes(self) -> bool:
         """Whether any future self-wake is pending (termination input)."""
@@ -198,11 +211,20 @@ class SparseScheduler(Scheduler):
         # check gives the full-round fast path there too.
         return self._nodes
 
-    def request_wake(self, node: NodeId, round_number: int) -> None:
-        bucket = self._wakes.get(round_number)
-        if bucket is None:
-            bucket = self._wakes[round_number] = set()
-        bucket.add(node)
+    def request_wakes(
+        self,
+        earliest: int,
+        requests: Iterable[Tuple[NodeId, Sequence[Optional[int]]]],
+    ) -> None:
+        wakes = self._wakes
+        for node, rounds in requests:
+            for at in rounds:
+                if at is None or at < earliest:
+                    at = earliest
+                bucket = wakes.get(at)
+                if bucket is None:
+                    bucket = wakes[at] = set()
+                bucket.add(node)
 
     def has_scheduled_wakes(self) -> bool:
         return bool(self._wakes)

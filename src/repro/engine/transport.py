@@ -1,7 +1,10 @@
 """Message transport: delivery, size measurement and bandwidth policy.
 
 The transport owns everything that happens to a message between a node's
-outbox and its neighbour's next-round inbox:
+outbox and its neighbour's next-round inbox.  The engine makes one call
+per round, :meth:`Transport.deliver_round`, with every ``(node, outbox)``
+pair of the round in node order (:meth:`Transport.deliver` is that call
+with one pair).  One pass covers:
 
 * the CONGEST contract check (only neighbours may be addressed, enforced
   with :class:`repro.congest.errors.ProtocolError`) -- the per-node
@@ -20,9 +23,11 @@ outbox and its neighbour's next-round inbox:
   :class:`repro.congest.errors.BandwidthExceededError`, otherwise the
   violation is only counted;
 * the run's core message accounting (messages, bits, the per-edge
-  maximum, violations), summed per outbox into the run's
-  :class:`repro.congest.metrics.ExecutionMetrics`;
-* under a fault model, each message's fate (see :meth:`Transport.deliver`).
+  maximum, violations, dropped and delayed messages), summed in the
+  pass's locals and stamped into the run's
+  :class:`repro.congest.metrics.ExecutionMetrics` once per pass;
+* under a fault model, each message's fate, decided while the message is
+  placed (:meth:`repro.faults.FaultPlan.route`).
 
 Whole-neighbourhood sends.  Most of the paper's traffic is a node sending
 one O(log n)-bit value to every neighbour (BFS and distance waves,
@@ -31,7 +36,8 @@ multi-source BFS, leader election).  Such a send is one object, a
 :meth:`repro.congest.node.NodeAlgorithm.broadcast`, whose targets are the
 network's own neighbour tuple of the sender.  When no per-message
 listener is attached, one identity check on that tuple stands for the
-neighbour check, the payload is measured once and its copies are
+neighbour check, the payload is measured once -- a value-tier hit is read
+inline, without a :meth:`Transport.measure` call -- and its copies are
 accounted in bulk.  Every other outbox -- plain dicts, a ``Broadcast``
 over any other targets, everything under a listener -- goes message by
 message.  Both ways give the same metrics, errors, cache counters and
@@ -69,7 +75,9 @@ land in the outer run's delta while their messages do not).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
@@ -125,6 +133,34 @@ def _value_signature(payload: Any):
     if cls in _SCALAR_CLASSES:
         return cls, message_size_bits(payload)
     return None
+
+
+def _signed_as(payload: Any, signature: Any) -> bool:
+    """Whether ``payload`` has the value tier's type ``signature`` (see
+    :func:`_value_signature`), given that it equals the payload the
+    signature was taken from.
+
+    Equal tuples have equal lengths, so the common 2- and 3-tuples are
+    checked element by element without building a tuple of classes.
+    """
+    cls = payload.__class__
+    if cls is not tuple:
+        return cls is signature
+    if signature.__class__ is not tuple:
+        return False
+    length = len(payload)
+    if length == 3:
+        return (
+            payload[0].__class__ is signature[0]
+            and payload[1].__class__ is signature[1]
+            and payload[2].__class__ is signature[2]
+        )
+    if length == 2:
+        return (
+            payload[0].__class__ is signature[0]
+            and payload[1].__class__ is signature[1]
+        )
+    return tuple(map(type, payload)) == signature
 
 
 class Transport:
@@ -215,13 +251,8 @@ class Transport:
         else:
             hashable = True
             if hit is not None:
-                signature, size = hit
-                cls = payload.__class__
-                if cls is not tuple:
-                    if cls is signature:
-                        return size
-                elif signature.__class__ is tuple and tuple(map(type, payload)) == signature:
-                    return size
+                if _signed_as(payload, hit[0]):
+                    return hit[1]
                 # Signature mismatch: an equal-but-differently-typed
                 # payload (e.g. ``(2,)`` probing an entry for ``(2.0,)``).
                 # Fall through, re-measure and retake the slot.
@@ -281,56 +312,80 @@ class Transport:
         }
 
     # ------------------------------------------------------------------
-    def deliver(
+    def deliver_round(
         self,
         round_number: int,
-        sender: NodeId,
-        outbox: Mapping[NodeId, Any],
+        sends: Iterable[Tuple[NodeId, Mapping[NodeId, Any]]],
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
-        inbox_pool: List[Dict[NodeId, Any]],
         metrics: ExecutionMetrics,
         listeners: Sequence[Callable[..., None]] = (),
         plan=None,
         pending: Optional[Dict[int, List[Tuple[NodeId, NodeId, Any]]]] = None,
     ) -> None:
-        """Validate, measure, account and enqueue one node's outbox.
+        """Validate, measure, account and enqueue one round's outboxes.
 
+        ``sends`` holds the round's ``(sender, outbox)`` pairs in the
+        order the nodes ran; they are delivered in that order.
         ``next_inboxes`` is the sparse mapping of the *following* round's
-        inboxes: only nodes that actually receive something get an entry;
-        new inboxes are taken from the engine's ``inbox_pool`` free list
-        before being allocated.  The outbox's messages, bits, largest
-        message and bandwidth violations are added to ``metrics``, and
-        every message is passed to each of ``listeners`` (the
-        ``on_message`` hooks of the run's per-message observers) before
-        the strict bandwidth check.
+        inboxes: only nodes that actually receive something get an entry
+        (a fresh dict).  Every message is passed to each of
+        ``listeners`` (the ``on_message`` hooks of the run's per-message
+        observers) before the strict bandwidth check.  The round's
+        messages, bits, largest message, bandwidth violations and, under
+        a fault plan, dropped and delayed messages are summed in locals
+        and added to ``metrics`` once, at the end of the pass; a pass that
+        raises adds nothing (the run it belongs to is aborted).
 
         A :class:`repro.congest.node.Broadcast` whose ``targets`` is the
-        network's own neighbour tuple of ``sender`` (what
+        network's own neighbour tuple of its sender (what
         :meth:`repro.congest.node.NodeAlgorithm.broadcast` returns) takes
         a shortcut with the same outcome when no listener is attached:
         one identity check stands for the neighbour check, the payload is
-        measured once, charging the cache counters for every copy (see
-        :meth:`measure`), and the copies are accounted in bulk and
-        enqueued in ``targets`` order.  An oversized payload raises the
-        same strict error (naming the first target) or counts one
-        violation per copy.  Every other outbox -- a dict, a
-        ``Broadcast`` over other targets, any outbox under a listener --
-        is checked, measured and accounted message by message.
+        measured once -- a value-tier cache hit is read inline, anything
+        else goes through :meth:`measure`, charging the cache counters for
+        every copy -- and the copies are accounted in bulk and enqueued in
+        ``targets`` order.  An oversized payload raises the same strict
+        error (naming the first target) or counts one violation per copy.
+        Every other outbox -- a dict, a ``Broadcast`` over other targets,
+        any outbox under a listener -- is checked, measured and accounted
+        message by message.
 
         ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
         under the null model.  A faulty network does not change what a
         node *sends* -- every message is accounted and observed whether
-        or not it arrives -- so the fates are decided only after the
-        whole outbox has passed those checks (see :meth:`_route`).
+        or not it arrives -- so an outbox's messages are routed by their
+        fates (:meth:`repro.faults.FaultPlan.route`) only after the whole
+        outbox has passed those checks.
         """
         budget = self.bandwidth_bits
+        own_tuples = self._neighbor_tuples
+        neighbor_sets = self._neighbor_sets
+        value_cache = self._value_cache
+        measure = self.measure
+        bulk = not listeners
         next_inboxes_get = next_inboxes.get
-        if outbox.__class__ is Broadcast and not listeners:
-            targets = outbox.targets
-            if targets is self._neighbor_tuples.get(sender) and targets:
+        messages = bits = peak = violations = dropped = delayed = 0
+        for sender, outbox in sends:
+            if (
+                bulk
+                and outbox.__class__ is Broadcast
+                and outbox.targets is own_tuples.get(sender)
+                and outbox.targets
+            ):
+                targets = outbox.targets
                 payload = outbox.payload
                 count = len(targets)
-                size = self.measure(payload, count)
+                # The value tier's hit path of ``measure``, inline.
+                try:
+                    hit = value_cache.get(payload)
+                except TypeError:
+                    hit = None
+                if hit is not None and (
+                    payload.__class__ is hit[0] or _signed_as(payload, hit[0])
+                ):
+                    size = hit[1]
+                else:
+                    size = measure(payload, count)
                 if size > budget:
                     if self.strict_bandwidth:
                         raise BandwidthExceededError(
@@ -338,118 +393,80 @@ class Transport:
                             f"{size} bits to {targets[0]!r} "
                             f"(budget {budget} bits)"
                         )
-                    metrics.bandwidth_violations += count
-                metrics.messages += count
-                metrics.total_bits += count * size
-                if size > metrics.max_edge_bits_per_round:
-                    metrics.max_edge_bits_per_round = size
+                    violations += count
+                messages += count
+                bits += count * size
+                if size > peak:
+                    peak = size
                 if plan is None:
                     for target in targets:
                         inbox = next_inboxes_get(target)
                         if inbox is None:
-                            inbox = inbox_pool.pop() if inbox_pool else {}
-                            next_inboxes[target] = inbox
+                            inbox = next_inboxes[target] = {}
                         inbox[sender] = payload
-                else:
-                    self._route(
-                        round_number, sender, outbox, next_inboxes, inbox_pool,
-                        metrics, plan, pending,
-                    )
-                return
-
-        neighbors = self._neighbor_sets.get(sender)
-        measure = self.measure
-        count = len(outbox)
-        total = peak = violations = 0
-        for target, payload in outbox.items():
-            if neighbors is None or target not in neighbors:
-                raise ProtocolError(
-                    f"node {sender!r} tried to send to non-neighbour {target!r}"
+            else:
+                neighbors = neighbor_sets.get(sender)
+                for target, payload in outbox.items():
+                    if neighbors is None or target not in neighbors:
+                        raise ProtocolError(
+                            f"node {sender!r} tried to send to non-neighbour {target!r}"
+                        )
+                    size = measure(payload)
+                    messages += 1
+                    bits += size
+                    if size > peak:
+                        peak = size
+                    violation = size > budget
+                    if listeners:
+                        for listener in listeners:
+                            listener(
+                                round_number, sender, target, payload, size, violation
+                            )
+                    if violation:
+                        violations += 1
+                        if self.strict_bandwidth:
+                            raise BandwidthExceededError(
+                                f"round {round_number}: node {sender!r} sent "
+                                f"{size} bits to {target!r} "
+                                f"(budget {budget} bits)"
+                            )
+                    if plan is None:
+                        inbox = next_inboxes_get(target)
+                        if inbox is None:
+                            inbox = next_inboxes[target] = {}
+                        inbox[sender] = payload
+            if plan is not None:
+                lost, late = plan.route(
+                    round_number, sender, outbox.items(), next_inboxes, pending
                 )
-            size = measure(payload)
-            total += size
-            if size > peak:
-                peak = size
-            violation = size > budget
-            if listeners:
-                for listener in listeners:
-                    listener(round_number, sender, target, payload, size, violation)
-            if violation:
-                violations += 1
-                if self.strict_bandwidth:
-                    raise BandwidthExceededError(
-                        f"round {round_number}: node {sender!r} sent "
-                        f"{size} bits to {target!r} "
-                        f"(budget {budget} bits)"
-                    )
-            if plan is None:
-                inbox = next_inboxes_get(target)
-                if inbox is None:
-                    inbox = inbox_pool.pop() if inbox_pool else {}
-                    next_inboxes[target] = inbox
-                inbox[sender] = payload
-        metrics.messages += count
-        metrics.total_bits += total
+                dropped += lost
+                delayed += late
+
+        metrics.messages += messages
+        metrics.total_bits += bits
         if peak > metrics.max_edge_bits_per_round:
             metrics.max_edge_bits_per_round = peak
         if violations:
             metrics.bandwidth_violations += violations
-        if plan is not None:
-            self._route(
-                round_number, sender, outbox, next_inboxes, inbox_pool,
-                metrics, plan, pending,
-            )
+        if dropped:
+            metrics.dropped_messages += dropped
+        if delayed:
+            metrics.delayed_messages += delayed
 
-    def _route(
+    def deliver(
         self,
         round_number: int,
         sender: NodeId,
         outbox: Mapping[NodeId, Any],
         next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
-        inbox_pool: List[Dict[NodeId, Any]],
         metrics: ExecutionMetrics,
-        plan,
-        pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]],
+        listeners: Sequence[Callable[..., None]] = (),
+        plan=None,
+        pending: Optional[Dict[int, List[Tuple[NodeId, NodeId, Any]]]] = None,
     ) -> None:
-        """Enqueue an accounted outbox under a fault plan.
-
-        The fates come from one :meth:`~repro.faults.FaultPlan.outbox_fates`
-        call.  Each message is then dropped if its edge is churned (down)
-        or its fate is a loss, or if its receiver is down at arrival (a
-        delayed message arriving while its receiver is down is lost too);
-        a delayed message is parked in ``pending`` (keyed by absolute
-        arrival round -- the engine merges it into the inboxes of that
-        round) instead of ``next_inboxes``.  The churn and crash checks
-        are bound only when the plan can churn or crash.
-        """
-        next_inboxes_get = next_inboxes.get
-        edge_down = plan.edge_down if plan.model.churn > 0.0 else None
-        node_down = plan.node_down if plan.crash_round else None
-        fates = plan.outbox_fates(round_number, sender, outbox)
-        dropped = delayed = 0
-        for (target, payload), fate in zip(outbox.items(), fates):
-            if fate < 0 or (
-                edge_down is not None and edge_down(round_number, sender, target)
-            ):
-                dropped += 1
-                continue
-            arrival = round_number + 1 + fate
-            if node_down is not None and node_down(arrival, target):
-                dropped += 1
-                continue
-            if fate:
-                delayed += 1
-                bucket = pending.get(arrival)
-                if bucket is None:
-                    bucket = pending[arrival] = []
-                bucket.append((sender, target, payload))
-                continue
-            inbox = next_inboxes_get(target)
-            if inbox is None:
-                inbox = inbox_pool.pop() if inbox_pool else {}
-                next_inboxes[target] = inbox
-            inbox[sender] = payload
-        if dropped:
-            metrics.dropped_messages += dropped
-        if delayed:
-            metrics.delayed_messages += delayed
+        """Deliver one node's outbox: :meth:`deliver_round` of the single
+        pair ``(sender, outbox)``."""
+        self.deliver_round(
+            round_number, ((sender, outbox),), next_inboxes, metrics,
+            listeners, plan, pending,
+        )

@@ -34,7 +34,12 @@ instance, is ``crc32(f"{seed}|{'loss'!r}|{round!r}|{sender!r}|{receiver!r}")
 coordinates).  :class:`FaultPlan` evaluates message and churn decisions
 incrementally -- one CRC prefix per round and outbox, extended by
 precomputed per-target bytes -- which is an exact implementation of that
-text, because ``crc32(b, crc32(a)) == crc32(a + b)``.
+text, because ``crc32(b, crc32(a)) == crc32(a + b)``.  The transport asks
+:meth:`FaultPlan.route` to place each accounted outbox: one loop decides
+every message's fate and puts the message in its target's inbox, among
+the delayed or among the dropped.  :meth:`FaultPlan.outbox_fates` (and
+:meth:`FaultPlan.message_fate`) state the fates as a list; they are the
+specification the tests hold the routing to, not part of delivery.
 This makes faulty executions independent of *evaluation order* -- the
 dense and sparse schedulers consult the plan in different orders yet
 produce identical executions -- and independent of
@@ -288,8 +293,8 @@ class FaultPlan:
     incremental form of the same CRC: the per-label suffix bytes and the
     integer probability cut-offs are built here, the
     ``(seed, tag, round)`` head CRC once per round, the sender's prefix
-    CRC once per outbox (:meth:`outbox_fates`), and each target then
-    costs one ``crc32(suffix, prefix)`` call.  Since
+    CRC once per outbox (:meth:`route`, :meth:`outbox_fates`), and each
+    target then costs one ``crc32(suffix, prefix)`` call.  Since
     ``crc32(b, crc32(a)) == crc32(a + b)``, every decision is
     bit-for-bit the one the hashed text specifies.
     """
@@ -384,20 +389,15 @@ class FaultPlan:
 
         A fate is ``-1`` lost, ``0`` on time, ``d > 0`` delayed by ``d``
         extra rounds (arrival at ``round + 1 + d``).  Every target must be
-        a node of the plan's topology; the transport calls this only after
-        its neighbour check has passed for the whole outbox.
+        a node of the plan's topology.  This is the specification of the
+        fates :meth:`route` decides while it places the messages; the
+        engine itself only routes.
         """
-        if round_number != self._fate_round:
-            self._fate_round = round_number
-            self._loss_head = _round_head(self.seed, "loss", round_number)
-            self._delay_head = _round_head(self.seed, "delay?", round_number)
         crc32 = zlib.crc32
         suffix = self._suffix
         loss_cut = self._loss_cut
         delay_cut = self._delay_cut
-        head = suffix[sender]
-        loss_prefix = crc32(head, self._loss_head)
-        delay_prefix = crc32(head, self._delay_head)
+        loss_prefix, delay_prefix = self._prefixes(round_number, sender)
         max_delay = self.model.max_delay
         fates: List[int] = []
         append = fates.append
@@ -406,22 +406,106 @@ class FaultPlan:
             if loss_cut and crc32(tail, loss_prefix) < loss_cut:
                 append(-1)
             elif delay_cut and crc32(tail, delay_prefix) < delay_cut:
-                if max_delay == 1:
-                    append(1)
-                else:
-                    append(1 + int(
-                        _unit(self.seed, "delay+", round_number, sender, target)
-                        * max_delay
-                    ))
+                append(
+                    1 if max_delay == 1
+                    else self._long_delay(round_number, sender, target)
+                )
             else:
                 append(0)
         return fates
+
+    def _prefixes(self, round_number: int, sender: NodeId) -> Tuple[int, int]:
+        """The CRCs of ``f"{seed}|{tag!r}|{round!r}|{sender!r}"`` for the
+        loss and the delay decisions of ``sender``'s messages in a round;
+        each target's decision extends them by its suffix bytes."""
+        if round_number != self._fate_round:
+            self._fate_round = round_number
+            self._loss_head = _round_head(self.seed, "loss", round_number)
+            self._delay_head = _round_head(self.seed, "delay?", round_number)
+        head = self._suffix[sender]
+        return zlib.crc32(head, self._loss_head), zlib.crc32(head, self._delay_head)
+
+    def _long_delay(self, round_number: int, sender: NodeId, target: NodeId) -> int:
+        """The fate ``1 + d`` of a delayed message when ``max_delay > 1``."""
+        return 1 + int(
+            _unit(self.seed, "delay+", round_number, sender, target)
+            * self.model.max_delay
+        )
 
     def message_fate(
         self, round_number: int, sender: NodeId, receiver: NodeId
     ) -> int:
         """Decide one message's fate (see :meth:`outbox_fates`)."""
         return self.outbox_fates(round_number, sender, (receiver,))[0]
+
+    def route(
+        self,
+        round_number: int,
+        sender: NodeId,
+        items: Iterable[Tuple[NodeId, Any]],
+        next_inboxes: Dict[NodeId, Dict[NodeId, Any]],
+        pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]],
+    ) -> Tuple[int, int]:
+        """Place one outbox's ``(target, payload)`` messages by their fates;
+        return the numbers of dropped and delayed messages.
+
+        One pass decides each message's fate exactly as
+        :meth:`outbox_fates` specifies (the loss CRC, then the delay CRC,
+        with the same per-round heads and per-sender prefixes) and places
+        the message at once.  A message is dropped if its fate is a loss,
+        if its edge is churned (down) this round or if its receiver is
+        down at arrival (a delayed message arriving while its receiver is
+        down is lost too).  A delayed message is appended to ``pending``
+        under its absolute arrival round (the engine merges it into that
+        round's inboxes); an on-time one goes into its target's inbox in
+        ``next_inboxes`` (a fresh dict when new).  The
+        transport calls this only for an outbox that passed its neighbour
+        and bandwidth checks, so every target is a node of the plan.
+        """
+        crc32 = zlib.crc32
+        suffix = self._suffix
+        loss_cut = self._loss_cut
+        delay_cut = self._delay_cut
+        loss_prefix, delay_prefix = self._prefixes(round_number, sender)
+        max_delay = self.model.max_delay
+        churned = None
+        if self.model.churn > 0.0:
+            self._refresh_churn(round_number)
+            churned = self._churn_pairs
+        node_down = self.node_down if self.crash_round else None
+        arrival = round_number + 1
+        next_inboxes_get = next_inboxes.get
+        dropped = delayed = 0
+        for target, payload in items:
+            tail = suffix[target]
+            if loss_cut and crc32(tail, loss_prefix) < loss_cut:
+                dropped += 1
+                continue
+            if delay_cut and crc32(tail, delay_prefix) < delay_cut:
+                fate = (
+                    1 if max_delay == 1
+                    else self._long_delay(round_number, sender, target)
+                )
+            else:
+                fate = 0
+            if churned is not None and (sender, target) in churned:
+                dropped += 1
+                continue
+            if node_down is not None and node_down(arrival + fate, target):
+                dropped += 1
+                continue
+            if fate:
+                delayed += 1
+                bucket = pending.get(arrival + fate)
+                if bucket is None:
+                    bucket = pending[arrival + fate] = []
+                bucket.append((sender, target, payload))
+                continue
+            inbox = next_inboxes_get(target)
+            if inbox is None:
+                inbox = next_inboxes[target] = {}
+            inbox[sender] = payload
+        return dropped, delayed
 
     # ------------------------------------------------------------------
     def churned_edges(self, round_number: int) -> Tuple[Tuple[NodeId, NodeId], ...]:

@@ -368,8 +368,29 @@ class TestSelfWakes:
         node = NodeAlgorithm(0, [1], 2)
         node.wake_next_round()
         node.wake_at(5)
-        assert node.consume_wake_requests() == [None, 5]
-        assert node.consume_wake_requests() == []
+        assert node._wake_requests == [None, 5]
+
+        class _Timed(NodeAlgorithm):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.wake_at(3)
+
+            def on_round(self, round_number, inbox):
+                self.finished = round_number >= 3
+                if not self.finished:
+                    self.wake_next_round()
+                return {}
+
+        for engine in ENGINES:
+            holder = {}
+
+            def factory(node, net):
+                holder[node] = _factory(_Timed)(node, net)
+                return holder[node]
+
+            metrics = _network(generators.path_graph(3), engine).run(factory).metrics
+            assert metrics.rounds == 4, engine
+            assert all(a._wake_requests == [] for a in holder.values()), engine
 
     def test_wake_requests_do_not_pile_up_under_dense(self):
         """The engine drains wake requests even when the scheduler ignores

@@ -455,7 +455,7 @@ class TestRetryHelpers:
         node = self._node()
         assert node.wake_after(5, 3) == 8
         assert node.wake_after(5, 0) == 6  # delay is clamped to >= 1
-        assert node.consume_wake_requests() == [8, 6]
+        assert node._wake_requests == [8, 6]
 
     def test_retry_backoff_doubles_and_caps(self):
         node = self._node()

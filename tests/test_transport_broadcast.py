@@ -39,16 +39,17 @@ class _Unrepresentable(tuple):
 
 
 class _RecordingPlan(FaultPlan):
-    """A fault plan that records the targets of every ``outbox_fates`` call."""
+    """A fault plan that records the targets of every ``route`` call (the
+    transport decides the fates while routing)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.drawn = []
 
-    def outbox_fates(self, round_number, sender, targets):
-        targets = list(targets)
-        self.drawn.append((round_number, sender, targets))
-        return super().outbox_fates(round_number, sender, targets)
+    def route(self, round_number, sender, items, *placement):
+        items = list(items)
+        self.drawn.append((round_number, sender, [target for target, _ in items]))
+        return super().route(round_number, sender, items, *placement)
 
 
 def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
@@ -85,7 +86,7 @@ def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
     next_inboxes = {}
     try:
         transport.deliver(
-            round_number, sender, outbox, next_inboxes, [], metrics, listeners,
+            round_number, sender, outbox, next_inboxes, metrics, listeners,
             plan, pending,
         )
     except Exception as error:  # compared below, type and text
@@ -181,8 +182,9 @@ class TestTransportBranch:
         payload = ("bfs", 3)
         outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload))
         assert measured == [(payload, len(LEAVES))]
+        # A value-tier hit is read inline: no ``measure`` call at all.
         _, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), prefill=[payload])
-        assert measured == [(payload, len(LEAVES))]
+        assert measured == []
         metrics = outcome["metrics"]
         assert metrics["messages"] == len(LEAVES)
         assert metrics["total_bits"] == len(LEAVES) * message_size_bits(payload)
