@@ -34,7 +34,33 @@ def message_size_bits(payload: Any) -> int:
     Raises ``TypeError`` for unsupported payload types so that algorithm
     bugs (e.g. accidentally sending a whole adjacency list object) surface
     immediately instead of silently costing 0 bits.
+
+    The transport sizes every message it delivers, so the paper's usual
+    payloads -- an ``int`` and a flat tuple of scalars such as
+    ``("bfs", d)`` or ``("w", tag, delta)`` -- are sized first, by exact
+    class, in one loop; anything else (subclasses, nested containers,
+    unsupported items) goes through the ``isinstance`` chain below,
+    which is the definition.
     """
+    cls = payload.__class__
+    if cls is int:
+        return payload.bit_length() + (payload < 0) if payload else 1
+    if cls is tuple:
+        size = 0
+        for item in payload:
+            item_cls = item.__class__
+            if item_cls is str:
+                size += 2 + (8 * len(item) or 1)
+            elif item_cls is int:
+                size += 2 + (item.bit_length() + (item < 0) if item else 1)
+            elif item_cls is float:
+                size += 66
+            elif item_cls is bool or item is None:
+                size += 3
+            else:
+                break
+        else:
+            return size or 1
     if payload is None:
         return 1
     if isinstance(payload, bool):

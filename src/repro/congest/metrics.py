@@ -19,54 +19,79 @@ round-complexity formulas, so the simulator records:
   a crashed receiver), messages that arrived late, crash and restart
   events, and (edge, round) pairs in which a churned edge was down.  All
   zero under the null fault model;
-* ``size_cache_hits`` / ``size_cache_misses`` / ``size_cache_overflows`` --
-  effectiveness of the transport's payload-size memo cache during the run
-  (a hit skips re-measuring a payload; an overflow is a payload measured
-  but not cached because the cache budget was exhausted).  Stamped by the
-  execution engine so benchmark reports can show cache behaviour.
+* ``phase_rounds`` -- the rounds each named phase contributed.
 
 Metrics compose: multi-phase algorithms (leader election, then BFS, then the
-quantum optimization loop, ...) sum their phases with :meth:`ExecutionMetrics.merged`.
+quantum optimization loop, ...) sum their phases with :meth:`ExecutionMetrics.merged`,
+and a repeated execution is :meth:`ExecutionMetrics.scaled`.  Each field
+composes by its rule in ``_RULES``: counts add up (and multiply), peaks
+take the maximum (and stay), the bandwidth limit takes the tighter one
+(and stays), and ``phase_rounds`` adds up per phase.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Iterable, Optional
+from operator import add, mul
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro._record import Record
 
 
+def _merge_limits(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _merge_phases(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
+    merged = dict(a)
+    for name, rounds in b.items():
+        merged[name] = merged.get(name, 0) + rounds
+    return merged
+
+
+def _scale_phases(phases: Dict[str, int], repetitions: int) -> Dict[str, int]:
+    return {name: rounds * repetitions for name, rounds in phases.items()}
+
+
+def _kept(value: Any, repetitions: int) -> Any:
+    return value
+
+
+#: How a field composes: ``(merge, scale)``, where ``merge(a, b)`` is its
+#: value over two executions run one after the other and ``scale(value,
+#: repetitions)`` its value over one execution repeated.
+_Rule = Tuple[Callable[[Any, Any], Any], Callable[[Any, int], Any]]
+_SUMMED: _Rule = (add, mul)
+_PEAK: _Rule = (max, _kept)
+_LIMIT: _Rule = (_merge_limits, _kept)
+_PHASES: _Rule = (_merge_phases, _scale_phases)
+
+#: Every field of :class:`ExecutionMetrics`, in order, with its rule.
+_RULES: Dict[str, _Rule] = {
+    "rounds": _SUMMED,
+    "messages": _SUMMED,
+    "total_bits": _SUMMED,
+    "max_edge_bits_per_round": _PEAK,
+    "bandwidth_limit_bits": _LIMIT,
+    "bandwidth_violations": _SUMMED,
+    "max_node_memory_bits": _PEAK,
+    # Fault-layer degradation counters (zero under the null fault model).
+    "dropped_messages": _SUMMED,
+    "delayed_messages": _SUMMED,
+    "node_crashes": _SUMMED,
+    "node_restarts": _SUMMED,
+    "churned_edge_rounds": _SUMMED,
+    "phase_rounds": _PHASES,
+}
+
+
 class ExecutionMetrics(Record):
-    """Aggregated cost of one (phase of a) distributed execution.
+    """Aggregated cost of one (phase of a) distributed execution."""
 
-    Equality compares every field except the three ``size_cache_*``
-    diagnostics: they describe *how* the simulation executed (cold vs
-    warm memo cache, serial vs pool-worker layout), not *what* it
-    computed, so two semantically identical runs may legitimately differ
-    there.
-    """
-
-    __slots__ = (
-        "rounds",
-        "messages",
-        "total_bits",
-        "max_edge_bits_per_round",
-        "bandwidth_limit_bits",
-        "bandwidth_violations",
-        "max_node_memory_bits",
-        # Fault-layer degradation counters (zero under the null fault model).
-        "dropped_messages",
-        "delayed_messages",
-        "node_crashes",
-        "node_restarts",
-        "churned_edge_rounds",
-        # Cache-effectiveness diagnostics, excluded from equality.
-        "size_cache_hits",
-        "size_cache_misses",
-        "size_cache_overflows",
-        "phase_rounds",
-    )
+    __slots__ = tuple(_RULES)
 
     #: Every count starts at zero; ``phase_rounds`` is each instance's own
     #: fresh dict (``None`` stands for a new empty one).
@@ -81,47 +106,16 @@ class ExecutionMetrics(Record):
         if self.phase_rounds is None:
             self.phase_rounds = {}
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _compared(self) == _compared(other)
-
     def record_phase(self, name: str, rounds: int) -> None:
         """Remember how many rounds a named phase contributed."""
         self.phase_rounds[name] = self.phase_rounds.get(name, 0) + rounds
 
     def merged(self, other: "ExecutionMetrics") -> "ExecutionMetrics":
         """Return the metrics of running ``self`` then ``other`` sequentially."""
-        merged = ExecutionMetrics(
-            rounds=self.rounds + other.rounds,
-            messages=self.messages + other.messages,
-            total_bits=self.total_bits + other.total_bits,
-            max_edge_bits_per_round=max(
-                self.max_edge_bits_per_round, other.max_edge_bits_per_round
-            ),
-            bandwidth_limit_bits=_merge_limits(
-                self.bandwidth_limit_bits, other.bandwidth_limit_bits
-            ),
-            bandwidth_violations=self.bandwidth_violations
-            + other.bandwidth_violations,
-            max_node_memory_bits=max(
-                self.max_node_memory_bits, other.max_node_memory_bits
-            ),
-            dropped_messages=self.dropped_messages + other.dropped_messages,
-            delayed_messages=self.delayed_messages + other.delayed_messages,
-            node_crashes=self.node_crashes + other.node_crashes,
-            node_restarts=self.node_restarts + other.node_restarts,
-            churned_edge_rounds=self.churned_edge_rounds
-            + other.churned_edge_rounds,
-            size_cache_hits=self.size_cache_hits + other.size_cache_hits,
-            size_cache_misses=self.size_cache_misses + other.size_cache_misses,
-            size_cache_overflows=self.size_cache_overflows
-            + other.size_cache_overflows,
-        )
-        merged.phase_rounds = dict(self.phase_rounds)
-        for name, rounds in other.phase_rounds.items():
-            merged.phase_rounds[name] = merged.phase_rounds.get(name, 0) + rounds
-        return merged
+        return ExecutionMetrics(*[
+            merge(getattr(self, name), getattr(other, name))
+            for name, (merge, _) in _RULES.items()
+        ])
 
     def scaled(self, repetitions: int) -> "ExecutionMetrics":
         """Return the metrics of repeating this execution ``repetitions`` times.
@@ -132,27 +126,10 @@ class ExecutionMetrics(Record):
         """
         if repetitions < 0:
             raise ValueError(f"repetitions must be >= 0, got {repetitions}")
-        scaled = ExecutionMetrics(
-            rounds=self.rounds * repetitions,
-            messages=self.messages * repetitions,
-            total_bits=self.total_bits * repetitions,
-            max_edge_bits_per_round=self.max_edge_bits_per_round,
-            bandwidth_limit_bits=self.bandwidth_limit_bits,
-            bandwidth_violations=self.bandwidth_violations * repetitions,
-            max_node_memory_bits=self.max_node_memory_bits,
-            dropped_messages=self.dropped_messages * repetitions,
-            delayed_messages=self.delayed_messages * repetitions,
-            node_crashes=self.node_crashes * repetitions,
-            node_restarts=self.node_restarts * repetitions,
-            churned_edge_rounds=self.churned_edge_rounds * repetitions,
-            size_cache_hits=self.size_cache_hits * repetitions,
-            size_cache_misses=self.size_cache_misses * repetitions,
-            size_cache_overflows=self.size_cache_overflows * repetitions,
-        )
-        scaled.phase_rounds = {
-            name: rounds * repetitions for name, rounds in self.phase_rounds.items()
-        }
-        return scaled
+        return ExecutionMetrics(*[
+            scale(getattr(self, name), repetitions)
+            for name, (_, scale) in _RULES.items()
+        ])
 
     @staticmethod
     def total(metrics: Iterable["ExecutionMetrics"]) -> "ExecutionMetrics":
@@ -161,17 +138,3 @@ class ExecutionMetrics(Record):
         for item in metrics:
             result = result.merged(item)
         return result
-
-
-#: The fields equality compares: all but the ``size_cache_*`` diagnostics.
-_compared = attrgetter(*(
-    name for name in ExecutionMetrics._fields if not name.startswith("size_cache_")
-))
-
-
-def _merge_limits(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)

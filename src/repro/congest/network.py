@@ -18,8 +18,8 @@ components of :mod:`repro.engine`:
   sparse policy to, with identical results and metrics for
   idle-quiescent algorithms;
 * a *transport* (:mod:`repro.engine.transport`) moves messages --
-  neighbour validation, memoised size measurement, bandwidth policy,
-  message accounting and delivery.
+  neighbour validation, size measurement, bandwidth policy, message
+  accounting and delivery.
 
 Each round, every scheduled node reads its inbox and computes its
 outbox; the round's outboxes then go to the transport in one pass
@@ -130,8 +130,7 @@ class Network:
         edge churn), kept as :attr:`fault_model`.  ``None`` is the null
         model, byte-identical to the fault-free simulator.
 
-    :attr:`transport` is the network's :class:`repro.engine.Transport`;
-    its payload-size memo cache persists across the runs of one network.
+    :attr:`transport` is the network's :class:`repro.engine.Transport`.
     :attr:`observers` holds the persistent observers
     (:meth:`add_observer`), notified on every top-level run in addition
     to the per-run traffic log.
@@ -188,10 +187,6 @@ class Network:
         self.transport = Transport(graph, bandwidth_bits, strict_bandwidth)
         self.observers: List[MetricsObserver] = []
         self._run_depth = 0
-        #: The running round loop's ``deliver_round`` arguments -- round,
-        #: queued sends, next inboxes, metrics, listeners, plan, pending --
-        #: or ``None`` outside a run (see :meth:`run`).
-        self._queued: Optional[list] = None
         # Per-network counter of fault-aware runs: each run of a faulty
         # network salts its fault stream with this index, so multi-phase
         # algorithms (one ``run`` per phase) draw fresh, reproducible
@@ -271,7 +266,10 @@ class Network:
 
         Re-entrant: a nested ``run`` on the same network (e.g. a factory
         or callback simulating a sub-protocol) gets its own scheduler
-        instance so the outer run's state survives.
+        instance so the outer run's state survives.  A nested run started
+        from a node's ``on_round`` completes before any send of the outer
+        round is delivered: the round's sends go out together once every
+        scheduled node has run.
 
         Parameters
         ----------
@@ -304,17 +302,10 @@ class Network:
             node: factory(node, self) for node in self.graph.nodes()
         }
 
-        outer = self._queued
         if self._run_depth == 0:
             scheduler = self.scheduler
         else:
             scheduler = type(self.scheduler)()
-            if outer is not None and outer[1]:
-                # The outer round's sends queued so far go out first, as
-                # they would have before this node ran.
-                round_number, sends, *delivery = outer
-                self.transport.deliver_round(round_number, sends, *delivery)
-                sends.clear()
         self._run_depth += 1
         try:
             return self._run_loop(
@@ -322,7 +313,6 @@ class Network:
             )
         finally:
             self._run_depth -= 1
-            self._queued = outer
 
     def _run_loop(
         self,
@@ -378,9 +368,6 @@ class Network:
         pending: Dict[int, list] = {}
         churned_edge_rounds = 0
 
-        cache_misses_before = transport.cache_misses
-        cache_overflows_before = transport.cache_overflows
-
         scheduler.begin_run(
             algorithms, indexed, None if plan is None else plan.restart_round
         )
@@ -416,16 +403,10 @@ class Network:
         full_sequence = scheduler.all_nodes()
         algorithm_pairs = list(algorithms.items())
         #: The round's ``(node, outbox)`` sends, handed to the transport in
-        #: one pass after every scheduled node has run.  A nested run
-        #: started from an ``on_round`` call delivers the sends queued
-        #: before it first (see :meth:`run`), so the two runs use the
-        #: shared size cache in the order a node-by-node delivery would.
+        #: one pass after every scheduled node has run.
         sends: list = []
         sends_append = sends.append
         wakes_append = wakes.append
-        queued = self._queued = [
-            0, sends, None, metrics, listeners, plan, pending,
-        ]
 
         inboxes: Dict[NodeId, Inbox] = {}
         round_number = 0
@@ -480,8 +461,6 @@ class Network:
                 churned_edge_rounds += len(plan.churned_edges(round_number))
 
             next_inboxes: Dict[NodeId, Inbox] = {}
-            queued[0] = round_number
-            queued[2] = next_inboxes
             inboxes_get = inboxes.get
             for node, algorithm in items:
                 inbox = inboxes_get(node)
@@ -528,18 +507,6 @@ class Network:
                 1 for at in plan.restart_round.values() if at < round_number
             )
             metrics.churned_edge_rounds = churned_edge_rounds
-        # The transport charges each delivered message exactly one
-        # measurement (a whole-neighbourhood send measures its payload once
-        # and charges the other copies what measuring them would), so the
-        # cache hits of this run are the messages that were not misses
-        # (clamped: a nested run's misses land in this delta while its
-        # messages do not).
-        misses = transport.cache_misses - cache_misses_before
-        metrics.size_cache_misses = misses
-        metrics.size_cache_hits = max(0, metrics.messages - misses)
-        metrics.size_cache_overflows = (
-            transport.cache_overflows - cache_overflows_before
-        )
         for observer in observers:
             observer.on_run_end(metrics)
         results = {node: algorithm.result() for node, algorithm in algorithms.items()}

@@ -53,9 +53,10 @@ class Broadcast(abc.Mapping):
     copied into a dict.  It reads like the equivalent
     ``dict.fromkeys(targets, payload)`` -- iteration, ``len``, lookups,
     ``items()`` and ``values()`` (one-shot iterators here) -- and
-    compares equal to it.  The transport delivers it in bulk when
-    ``targets`` is the network's own neighbour tuple of the sender (see
-    :meth:`repro.engine.transport.Transport.deliver`); any other
+    compares equal to it.  The transport delivers it in bulk -- one
+    payload sizing for every copy -- when ``targets`` is the network's
+    own neighbour tuple of the sender (see
+    :meth:`repro.engine.transport.Transport.deliver_round`); any other
     ``Broadcast`` goes message by message like a dict.  ``targets`` must
     not repeat a node.  To edit an outbox, copy it first:
     ``dict(outbox)``.
@@ -279,8 +280,8 @@ class NodeAlgorithm:
         empty dict for a node without neighbours, so ``if outbox:`` still
         means "sends something").  This is the transport's fast case:
         when the neighbour tuple is the network's own, the payload is
-        measured once for the whole outbox and the copies are accounted
-        in bulk.  To send something else to some neighbours, build a
+        sized once for the whole outbox and the copies are accounted in
+        bulk.  To send something else to some neighbours, build a
         dict (``dict(self.broadcast(payload))`` is one to edit).
         """
         neighbors = self.neighbors

@@ -11,7 +11,7 @@ network holds one of each component below:
   synchronous CONGEST definition -- and survives only as the reference of
   the differential tests and benchmarks.
 * **Transport** (:mod:`repro.engine.transport`) -- message validation,
-  memoised size measurement, the bandwidth policy, the run's message
+  size measurement, the bandwidth policy, the run's message
   accounting and, under a fault model, each message's fate.
 
 Core accounting happens inline in the loop.  **Observers**

@@ -15,10 +15,9 @@ with one pair).  One pass covers:
   every run via :meth:`Transport.bind_topology`; the graph's version
   counter makes the refresh O(1) when the topology is unchanged and
   rebuilds it when the graph was mutated between runs;
-* size measurement via :func:`repro.congest.message.message_size_bits`,
-  behind a memo cache -- the paper's algorithms send the same small tuples
-  (``("bfs", d)``, ``("w", tag, delta)``, ...) over thousands of edges and
-  rounds, so identical payloads are measured once;
+* size measurement: every payload is sized by
+  :func:`repro.congest.message.message_size_bits`, once per message --
+  or once per whole-neighbourhood send (below);
 * the bandwidth policy: in strict mode an oversized message raises
   :class:`repro.congest.errors.BandwidthExceededError`, otherwise the
   violation is only counted;
@@ -36,41 +35,11 @@ multi-source BFS, leader election).  Such a send is one object, a
 :meth:`repro.congest.node.NodeAlgorithm.broadcast`, whose targets are the
 network's own neighbour tuple of the sender.  When no per-message
 listener is attached, one identity check on that tuple stands for the
-neighbour check, the payload is measured once -- a value-tier hit is read
-inline, without a :meth:`Transport.measure` call -- and its copies are
-accounted in bulk.  Every other outbox -- plain dicts, a ``Broadcast``
-over any other targets, everything under a listener -- goes message by
-message.  Both ways give the same metrics, errors, cache counters and
-inboxes, and under a fault plan the same fates in the same order.
-
-Memo cache.  Two tiers, tried hash-first:
-
-* the **value tier** keys scalars and flat tuples of scalars by the payload
-  itself -- no ``repr`` string is built on the hot path.  Because Python's
-  ``==``/``hash`` conflate equal numerics of different types (``2``,
-  ``2.0`` and ``True`` collide, yet cost 2, 64 and 1 bits), each entry
-  stores a *type signature* (the element classes) that is verified with
-  identity checks on every hit; a signature mismatch falls through to a
-  fresh measurement, so the tier is exact by construction.  A miss is
-  measured in its signature pass: one loop over a flat tuple yields both
-  the signature and the size (by the rules of ``message_size_bits``);
-* the **repr tier** is the original ``(type, repr(payload))`` key, used for
-  everything else: nested containers, unhashable payloads (lists, dicts,
-  sets) and exotic types.  Payloads whose ``repr`` fails are measured
-  directly without caching.
-
-Both tiers share one entry budget (``size_cache_limit``); beyond it new
-payloads are measured without being cached (no eviction churn).
-
-Cache effectiveness is reported on the run's metrics without touching
-the hit path: ``measure`` counts only its (rare) misses and
-overflows, and the engine derives per-run hits as ``messages - misses``
-when stamping ``ExecutionMetrics``.  Every delivered message is charged
-exactly one measurement -- performed, or for the copies of a
-whole-neighbourhood send, charged by the miss path as measuring the copy
-would have come out (``measure(payload, copies)``) -- so the identity is
-exact for leaf runs (and clamped for re-entrant nested runs, whose misses
-land in the outer run's delta while their messages do not).
+neighbour check, the payload is sized once and its copies are accounted
+in bulk.  Every other outbox -- plain dicts, a ``Broadcast`` over any
+other targets, everything under a listener -- goes message by message.
+Both ways give the same metrics, errors and inboxes, and under a fault
+plan the same fates in the same order.
 """
 
 from __future__ import annotations
@@ -85,82 +54,6 @@ from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Broadcast
 from repro.graphs.graph import Graph, NodeId
 from repro.graphs.indexed import IndexedGraph
-
-#: Default bound on the number of memoised payload sizes; beyond it new
-#: payloads are measured without being cached (no eviction churn).
-DEFAULT_SIZE_CACHE_LIMIT = 65536
-
-#: Payload classes eligible for the value tier.  Scalars of these classes
-#: (and flat tuples thereof) are fully disambiguated by their class
-#: signature: equal values of the same class always measure the same size.
-_SCALAR_CLASSES = frozenset((int, bool, float, str, type(None)))
-
-
-def _value_signature(payload: Any):
-    """The value tier's ``(type signature, size in bits)`` of ``payload``,
-    or ``None`` if it is ineligible.
-
-    Scalars sign as their class; flat tuples of scalars sign as the tuple
-    of their element classes.  Nested containers are ineligible (their
-    signature would not see inside, so ``(("a", 2),)`` and ``(("a", 2.0),)``
-    could conflate) and fall back to the repr tier.
-
-    A tuple is sized in the same pass that signs it, by the rules of
-    :func:`repro.congest.message.message_size_bits` (the definition,
-    which sizes scalars here): 2 bits of framing per element plus the
-    bit length and sign of an int, 8 bits per character of a str (at
-    least 1), 64 for a float and 1 for a bool or ``None``.
-    """
-    cls = payload.__class__
-    if cls is tuple:
-        signature = []
-        append = signature.append
-        size = 0
-        for item in payload:
-            item_cls = item.__class__
-            if item_cls is str:
-                size += 2 + (8 * len(item) or 1)
-            elif item_cls is int:
-                size += 2 + (item.bit_length() + (item < 0) if item else 1)
-            elif item_cls is float:
-                size += 66
-            elif item_cls is bool or item is None:
-                size += 3
-            else:
-                return None
-            append(item_cls)
-        return tuple(signature), size or 1
-    if cls in _SCALAR_CLASSES:
-        return cls, message_size_bits(payload)
-    return None
-
-
-def _signed_as(payload: Any, signature: Any) -> bool:
-    """Whether ``payload`` has the value tier's type ``signature`` (see
-    :func:`_value_signature`), given that it equals the payload the
-    signature was taken from.
-
-    Equal tuples have equal lengths, so the common 2- and 3-tuples are
-    checked element by element without building a tuple of classes.
-    """
-    cls = payload.__class__
-    if cls is not tuple:
-        return cls is signature
-    if signature.__class__ is not tuple:
-        return False
-    length = len(payload)
-    if length == 3:
-        return (
-            payload[0].__class__ is signature[0]
-            and payload[1].__class__ is signature[1]
-            and payload[2].__class__ is signature[2]
-        )
-    if length == 2:
-        return (
-            payload[0].__class__ is signature[0]
-            and payload[1].__class__ is signature[1]
-        )
-    return tuple(map(type, payload)) == signature
 
 
 class Transport:
@@ -177,9 +70,6 @@ class Transport:
     strict_bandwidth:
         Whether oversized messages abort the run or are merely counted.
         Refreshed per run like ``bandwidth_bits``.
-    size_cache_limit:
-        Maximum number of distinct payloads whose measured size is memoised
-        (shared by both cache tiers).
     """
 
     def __init__(
@@ -187,16 +77,10 @@ class Transport:
         graph: Graph,
         bandwidth_bits: int,
         strict_bandwidth: bool,
-        size_cache_limit: int = DEFAULT_SIZE_CACHE_LIMIT,
     ) -> None:
         self.graph = graph
         self.bandwidth_bits = bandwidth_bits
         self.strict_bandwidth = strict_bandwidth
-        self.size_cache_limit = size_cache_limit
-        #: Value tier: payload -> (type signature, size).
-        self._value_cache: Dict[Any, Tuple[Any, int]] = {}
-        #: Repr tier: (type, repr) -> size.
-        self._size_cache: Dict[Tuple[type, str], int] = {}
         #: Per-node neighbour frozensets, prebound from the compiled CSR
         #: view (one lookup per outbox, one membership test per message).
         #: The engine refreshes the binding per run, so graph mutations
@@ -208,13 +92,6 @@ class Transport:
         #: own tuple is recognised by identity.
         self._neighbor_tuples: Dict[NodeId, Tuple[NodeId, ...]] = {}
         self.bind_topology(graph.compile())
-        # Cache-effectiveness counters, cumulative across the network's
-        # runs; the engine stamps per-run deltas into the run's metrics.
-        # Only misses and overflows are counted (they are rare -- one per
-        # distinct payload); hits are derived from the message count so
-        # the cache-hit path stays increment-free.
-        self.cache_misses = 0
-        self.cache_overflows = 0
 
     # ------------------------------------------------------------------
     def bind_topology(self, indexed: IndexedGraph) -> None:
@@ -233,84 +110,6 @@ class Transport:
             self._neighbor_sets = indexed.neighbor_sets()
             self._neighbor_tuples = indexed.neighbor_tuples()
 
-    def measure(self, payload: Any, copies: int = 1) -> int:
-        """Size of ``payload`` in bits, memoised across the network's runs.
-
-        ``copies`` charges the cache counters as measuring that many
-        copies of the payload one after another would: a hit is a hit for
-        every copy, a miss that caches the payload is one miss (the later
-        copies would hit), and a miss that cannot cache it (a full cache,
-        or a ``repr`` that fails) is repeated by every copy.
-        """
-        # Value tier: hash the payload itself -- no repr on the hot path.
-        value_cache = self._value_cache
-        try:
-            hit = value_cache.get(payload)
-        except TypeError:
-            hashable = False
-        else:
-            hashable = True
-            if hit is not None:
-                if _signed_as(payload, hit[0]):
-                    return hit[1]
-                # Signature mismatch: an equal-but-differently-typed
-                # payload (e.g. ``(2,)`` probing an entry for ``(2.0,)``).
-                # Fall through, re-measure and retake the slot.
-        if hashable:
-            measured = _value_signature(payload)
-            if measured is not None:
-                if (
-                    hit is not None  # overwriting an existing slot
-                    or len(value_cache) + len(self._size_cache)
-                    < self.size_cache_limit
-                ):
-                    value_cache[payload] = measured
-                    self.cache_misses += 1
-                else:
-                    self.cache_misses += copies
-                    self.cache_overflows += copies
-                return measured[1]
-
-        # Repr tier: nested containers, unhashable and exotic payloads.
-        try:
-            key = (payload.__class__, repr(payload))
-        except Exception:
-            # The first copy's miss counts even if measuring it raises,
-            # as it does when copies are measured one by one.
-            self.cache_misses += 1
-            size = message_size_bits(payload)
-            self.cache_misses += copies - 1
-            return size
-        cache = self._size_cache
-        size = cache.get(key)
-        if size is None:
-            size = message_size_bits(payload)
-            if len(cache) + len(self._value_cache) < self.size_cache_limit:
-                cache[key] = size
-                self.cache_misses += 1
-            else:
-                self.cache_misses += copies
-                self.cache_overflows += copies
-        return size
-
-    @property
-    def size_cache_entries(self) -> int:
-        """Number of memoised payload sizes (introspection for benchmarks)."""
-        return len(self._value_cache) + len(self._size_cache)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Cumulative cache-effectiveness counters (for reports).
-
-        Hits are not counted here (the hit path is increment-free); per-run
-        hit counts are derived by the engine and reported on
-        ``ExecutionMetrics.size_cache_hits``.
-        """
-        return {
-            "misses": self.cache_misses,
-            "overflows": self.cache_overflows,
-            "entries": self.size_cache_entries,
-        }
-
     # ------------------------------------------------------------------
     def deliver_round(
         self,
@@ -322,7 +121,7 @@ class Transport:
         plan=None,
         pending: Optional[Dict[int, List[Tuple[NodeId, NodeId, Any]]]] = None,
     ) -> None:
-        """Validate, measure, account and enqueue one round's outboxes.
+        """Validate, size, account and enqueue one round's outboxes.
 
         ``sends`` holds the round's ``(sender, outbox)`` pairs in the
         order the nodes ran; they are delivered in that order.
@@ -341,13 +140,11 @@ class Transport:
         :meth:`repro.congest.node.NodeAlgorithm.broadcast` returns) takes
         a shortcut with the same outcome when no listener is attached:
         one identity check stands for the neighbour check, the payload is
-        measured once -- a value-tier cache hit is read inline, anything
-        else goes through :meth:`measure`, charging the cache counters for
-        every copy -- and the copies are accounted in bulk and enqueued in
+        sized once, and the copies are accounted in bulk and enqueued in
         ``targets`` order.  An oversized payload raises the same strict
         error (naming the first target) or counts one violation per copy.
         Every other outbox -- a dict, a ``Broadcast`` over other targets,
-        any outbox under a listener -- is checked, measured and accounted
+        any outbox under a listener -- is checked, sized and accounted
         message by message.
 
         ``plan`` is the run's :class:`repro.faults.FaultPlan`, or ``None``
@@ -360,8 +157,7 @@ class Transport:
         budget = self.bandwidth_bits
         own_tuples = self._neighbor_tuples
         neighbor_sets = self._neighbor_sets
-        value_cache = self._value_cache
-        measure = self.measure
+        size_of = message_size_bits
         bulk = not listeners
         next_inboxes_get = next_inboxes.get
         messages = bits = peak = violations = dropped = delayed = 0
@@ -375,17 +171,7 @@ class Transport:
                 targets = outbox.targets
                 payload = outbox.payload
                 count = len(targets)
-                # The value tier's hit path of ``measure``, inline.
-                try:
-                    hit = value_cache.get(payload)
-                except TypeError:
-                    hit = None
-                if hit is not None and (
-                    payload.__class__ is hit[0] or _signed_as(payload, hit[0])
-                ):
-                    size = hit[1]
-                else:
-                    size = measure(payload, count)
+                size = size_of(payload)
                 if size > budget:
                     if self.strict_bandwidth:
                         raise BandwidthExceededError(
@@ -411,7 +197,7 @@ class Transport:
                         raise ProtocolError(
                             f"node {sender!r} tried to send to non-neighbour {target!r}"
                         )
-                    size = measure(payload)
+                    size = size_of(payload)
                     messages += 1
                     bits += size
                     if size > peak:

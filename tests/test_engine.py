@@ -3,9 +3,9 @@
 Covers the scheduler seam, the failure paths of ``Network.run`` under
 *both* schedulers (strict bandwidth, round limit, protocol violations), the
 self-wake API that keeps timer-driven algorithms correct under the sparse
-scheduler, the transport's payload-size memo cache, and observers
-(traffic logs, stitched multi-phase recording, run logs, opt-in
-per-message calls).
+scheduler, and observers (traffic logs, stitched multi-phase recording,
+run logs, opt-in per-message calls).  Payload sizing is pinned in
+``tests/test_message_size.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.congest.errors import (
     ProtocolError,
     RoundLimitExceededError,
 )
-from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 from repro.congest.node import NodeAlgorithm
 from repro.engine import (
@@ -27,7 +26,6 @@ from repro.engine import (
     RunLogObserver,
     SparseScheduler,
     StitchedTrafficObserver,
-    Transport,
     TrafficLogObserver,
 )
 from repro.faults import FaultModel
@@ -454,117 +452,6 @@ class TestSelfWakes:
             )
         )
         assert result.results[0] == (1, True)
-
-
-class TestTransportMemoCache:
-    def _transport(self, n=8):
-        graph = generators.path_graph(n)
-        return Transport(graph, bandwidth_bits=64, strict_bandwidth=True)
-
-    def test_measure_matches_reference(self):
-        transport = self._transport()
-        payloads = [None, True, 7, -7, 3.14, "abc", ("bfs", 5), [1, (2, "x")],
-                    {"a": 1}]
-        for payload in payloads:
-            assert transport.measure(payload) == message_size_bits(payload)
-
-    def test_repeated_payloads_hit_the_cache(self):
-        transport = self._transport()
-        assert transport.size_cache_entries == 0
-        first = transport.measure(("bfs", 5))
-        assert transport.size_cache_entries == 1
-        second = transport.measure(("bfs", 5))
-        assert first == second
-        assert transport.size_cache_entries == 1
-
-    def test_cache_distinguishes_equal_but_differently_typed_payloads(self):
-        transport = self._transport()
-        # 2 == 2.0 and hash(2) == hash(2.0), but they cost 2 vs 64 bits.
-        assert transport.measure(2) == message_size_bits(2)
-        assert transport.measure(2.0) == message_size_bits(2.0)
-        assert transport.measure((2,)) == message_size_bits((2,))
-        assert transport.measure((2.0,)) == message_size_bits((2.0,))
-
-    def test_unsupported_payload_still_raises(self):
-        transport = self._transport()
-        with pytest.raises(TypeError):
-            transport.measure(object())
-
-    def test_cache_limit_respected(self):
-        graph = generators.path_graph(4)
-        transport = Transport(
-            graph, bandwidth_bits=64, strict_bandwidth=True, size_cache_limit=2
-        )
-        for value in range(5):
-            transport.measure(("m", value))
-        assert transport.size_cache_entries == 2
-        # Uncached payloads are still measured correctly.
-        assert transport.measure(("m", 4)) == message_size_bits(("m", 4))
-
-    def test_cache_limit_counts_overflows(self):
-        graph = generators.path_graph(4)
-        transport = Transport(
-            graph, bandwidth_bits=64, strict_bandwidth=True, size_cache_limit=2
-        )
-        for value in range(5):
-            transport.measure(("m", value))
-        stats = transport.cache_stats()
-        assert stats["entries"] == 2
-        assert stats["misses"] == 5
-        assert stats["overflows"] == 3
-
-    def test_fast_tier_exact_on_numeric_ping_pong(self):
-        # Alternating probes that compare equal across types must each get
-        # their own size, even though they collide in the value tier.
-        transport = self._transport()
-        for _ in range(3):
-            assert transport.measure((2,)) == message_size_bits((2,))
-            assert transport.measure((2.0,)) == message_size_bits((2.0,))
-            assert transport.measure((True,)) == message_size_bits((True,))
-
-    def test_nested_tuples_fall_back_to_repr_tier_exactly(self):
-        transport = self._transport()
-        assert transport.measure((("a", 2),)) == message_size_bits((("a", 2),))
-        assert transport.measure((("a", 2.0),)) == message_size_bits(
-            (("a", 2.0),)
-        )
-
-    def test_unhashable_payloads_are_cached_via_repr(self):
-        transport = self._transport()
-        first = transport.measure([1, 2, 3])
-        entries = transport.size_cache_entries
-        assert first == message_size_bits([1, 2, 3])
-        assert transport.measure([1, 2, 3]) == first
-        assert transport.size_cache_entries == entries
-
-
-class TestCacheMetricsReporting:
-    def test_run_metrics_carry_cache_stats(self):
-        network = Network(generators.path_graph(30))
-        tree = run_bfs_tree(network, 0)
-        metrics = tree.metrics
-        assert metrics.size_cache_misses > 0
-        assert metrics.size_cache_hits > 0
-        assert (
-            metrics.size_cache_hits + metrics.size_cache_misses
-            == metrics.messages
-        )
-        assert metrics.size_cache_overflows == 0
-
-    def test_second_run_on_same_network_is_all_hits(self):
-        network = Network(generators.path_graph(20))
-        run_bfs_tree(network, 0)
-        metrics = run_bfs_tree(network, 0).metrics
-        assert metrics.size_cache_misses == 0
-        assert metrics.size_cache_hits == metrics.messages
-
-    def test_cache_stats_do_not_affect_metric_equality(self):
-        cold = run_bfs_tree(Network(generators.path_graph(20)), 0).metrics
-        network = Network(generators.path_graph(20))
-        run_bfs_tree(network, 0)
-        warm = run_bfs_tree(network, 0).metrics
-        assert cold.size_cache_misses != warm.size_cache_misses
-        assert cold == warm  # diagnostics are excluded from equality
 
 
 class _TwoPhasePing(NodeAlgorithm):

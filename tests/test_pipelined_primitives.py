@@ -1,15 +1,16 @@
 """The pipelined primitives against straightforward reference forms.
 
-``_WaveNode`` filters a round's inbox in one pass, ``_MultiSourceBFSNode``
-keeps its pending pairs in a heap with lazy deletion, and the transport
-signs and sizes a value-tier miss in one pass.  Each test runs the
-production code and a test-local reference form on the same inputs:
+``_WaveNode`` filters a round's inbox in one pass and
+``_MultiSourceBFSNode`` keeps its pending pairs in a heap with lazy
+deletion.  Each test runs the production code and a test-local reference
+form on the same inputs:
 
 * waves: collect every fresh ``(tag, delta)`` in a list, keep ``max`` of
   it (or ``sorted(set(...))`` of it for the forward-all ablation);
 * multi-source BFS: ``min`` over the pending set keyed by
-  ``(distance, repr(source))``;
-* size measurement: the class signature, then ``message_size_bits``.
+  ``(distance, repr(source))``.
+
+(Payload sizing is held to its reference in ``tests/test_message_size.py``.)
 
 The tests compare everything a caller can observe: outboxes (payload
 values and types, and which targets share one payload object), the node
@@ -21,8 +22,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms import multi_source_bfs, waves
 from repro.algorithms.diameter_approx import run_hprw_three_halves_approximation
@@ -30,9 +29,7 @@ from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.algorithms.multi_source_bfs import _MultiSourceBFSNode, run_multi_source_bfs
 from repro.algorithms.waves import WaveScheduleEntry, _WaveNode, run_distance_waves
 from repro.congest.errors import CongestSimulationError
-from repro.congest.message import message_size_bits
 from repro.congest.network import Network
-from repro.engine.transport import _SCALAR_CLASSES, _value_signature
 from repro.faults import FaultModel
 from repro.graphs import generators
 from repro.graphs.graph import Graph
@@ -98,21 +95,6 @@ def _reference_bfs_round(self, round_number, inbox):
     if self.pending:
         self.wake_next_round()
     return self.broadcast(("m", chosen, self.known[chosen]))
-
-
-def _reference_signature(payload):
-    """The value tier's class signature, before any size is taken."""
-    cls = payload.__class__
-    if cls is tuple:
-        signature = []
-        for item in payload:
-            if item.__class__ not in _SCALAR_CLASSES:
-                return None
-            signature.append(item.__class__)
-        return tuple(signature)
-    if cls in _SCALAR_CLASSES:
-        return cls
-    return None
 
 
 class _ReferenceWaveNode(_WaveNode):
@@ -436,40 +418,3 @@ def test_whole_runs_match_the_reference_rules(monkeypatch, algorithm_name, graph
     )
     reference = _observe(algorithm, Network(graph, seed=7, fault_model=fault))
     assert current == reference
-
-
-# -- single-pass value-tier sizing ------------------------------------------
-SCALARS = st.one_of(
-    st.sampled_from([0, 1, -1, 2, -2, 2**63, -(2**63)]),
-    st.integers(),
-    st.integers(min_value=-(2**300), max_value=2**300),
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=12),
-    st.none(),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.lists(SCALARS, max_size=10).map(tuple))
-def test_flat_tuples_sign_and_size_in_one_pass(payload):
-    assert _value_signature(payload) == (
-        _reference_signature(payload), message_size_bits(payload)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(SCALARS)
-def test_scalars_sign_and_size_in_one_pass(payload):
-    assert _value_signature(payload) == (
-        _reference_signature(payload), message_size_bits(payload)
-    )
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [(("a", 2),), ("w", (1,)), [1, 2], {1: 2}, frozenset([1]), ("w", [1]), (object(),)],
-    ids=repr,
-)
-def test_nested_and_exotic_payloads_are_ineligible(payload):
-    assert _value_signature(payload) is None

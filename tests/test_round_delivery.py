@@ -7,11 +7,11 @@ each message.  This module holds that delivery to what the engine did when
 it delivered each outbox right after its node ran:
 
 * :func:`collect` runs every paper algorithm on small graphs, plainly and
-  with an over-budget bandwidth (strict and counted), a one-entry size
-  cache, a per-message listener with ``record_traffic``, and under fault
-  models; and probe algorithms that send to a non-neighbour, send
-  unhashable and unrepresentable payloads, nest a run on the same
-  network in the middle of a round, and return their own inbox.  Every
+  with an over-budget bandwidth (strict and counted), a per-message
+  listener with ``record_traffic``, and under fault models; and probe
+  algorithms that send to a non-neighbour, send unhashable and
+  unrepresentable payloads, nest a run on the same network in the middle
+  of a round, and return their own inbox.  Every
   result digest, every ``ExecutionMetrics`` field of every run and every
   abort must equal ``tests/data/round_delivery.json``, which was written
   by the node-by-node engine (``PYTHONPATH=src python
@@ -111,7 +111,7 @@ ALGORITHMS = {
 
 # -- probes -------------------------------------------------------------------
 class _Unrepresentable(tuple):
-    """A tuple payload whose ``repr`` fails (measured, never cached)."""
+    """A tuple payload whose ``repr`` fails."""
 
     def __repr__(self):
         raise RuntimeError("no repr")
@@ -248,15 +248,10 @@ def _tiny_bandwidth(strict):
     return condition
 
 
-def _tiny_cache(network):
-    network.transport.size_cache_limit = 1
-
-
 CONDITIONS = {
     "plain": None,
     "strict_oversize": _tiny_bandwidth(True),
     "lax_oversize": _tiny_bandwidth(False),
-    "tiny_cache": _tiny_cache,
     "listener": "listener",
 }
 
@@ -388,8 +383,8 @@ def test_the_cases_cover_every_kind_of_outcome(pinned_and_current):
     }
     assert {"BandwidthExceededError", "ProtocolError"} <= errors
     runs = [run for value in expected["cases"].values() for run in value["runs"]]
-    for field in ("bandwidth_violations", "size_cache_overflows", "dropped_messages",
-                  "delayed_messages", "node_crashes", "churned_edge_rounds"):
+    for field in ("bandwidth_violations", "dropped_messages", "delayed_messages",
+                  "node_crashes", "churned_edge_rounds"):
         assert any(run["metrics"][field] for run in runs), field
 
 

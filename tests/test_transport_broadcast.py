@@ -3,17 +3,19 @@
 ``NodeAlgorithm.broadcast`` returns a :class:`repro.congest.node.Broadcast`
 over the node's neighbour tuple.  ``Transport.deliver`` takes it in bulk
 when that tuple is the network's own (an identity check) and no
-per-message listener is attached: the payload is measured once and its
+per-message listener is attached: the payload is sized once and its
 copies are accounted together.  A plain dict always goes message by
 message.  So every test below delivers a ``Broadcast`` and its
 ``dict(...)`` on fresh transports and compares everything observable: the
-raised error, every ``ExecutionMetrics`` field (cache diagnostics
-included), the cache counters, the filled inboxes in order and, under a
-fault plan, the parked delayed messages and the order the fates were
-drawn in.  The engine-level tests do the same through ``Network.run``.
+raised error, every ``ExecutionMetrics`` field, the filled inboxes in
+order and, under a fault plan, the parked delayed messages and the order
+the fates were drawn in.  The engine-level tests do the same through
+``Network.run``.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
@@ -26,13 +28,14 @@ from repro.congest.metrics import ExecutionMetrics
 from repro.congest.network import Network
 from repro.congest.node import Broadcast, NodeAlgorithm
 from repro.engine import MetricsObserver, Transport
+from repro.engine import transport as transport_module
 from repro.engine.scheduler import DenseScheduler
 from repro.faults import FaultModel, FaultPlan
 from repro.graphs import Graph, generators
 
 
 class _Unrepresentable(tuple):
-    """A tuple payload whose ``repr`` fails (measured, never cached)."""
+    """A tuple payload whose ``repr`` fails."""
 
     def __repr__(self):
         raise RuntimeError("no repr")
@@ -52,30 +55,19 @@ class _RecordingPlan(FaultPlan):
         return super().route(round_number, sender, items, *placement)
 
 
-def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
+def _deliver(graph, sender, outbox, listen=False, fault_model=None,
              round_number=0, **transport_args):
     """Deliver ``outbox`` on a fresh transport; return what it left behind.
 
-    ``prefill`` payloads are measured first (to fill the cache).  With
-    ``listen`` a listener records every message; with ``fault_model`` the
-    delivery runs under a fresh plan of it.  The outcome holds the error
-    (type and text) or ``None``, every metrics field, the cache counters,
-    the ``measure`` calls the delivery made, the filled inboxes (as
-    ordered item lists, in creation order), the listener's events, the
-    parked delayed messages and the fate draws.
+    With ``listen`` a listener records every message; with
+    ``fault_model`` the delivery runs under a fresh plan of it.  The
+    outcome holds the error (type and text) or ``None``, every metrics
+    field, the filled inboxes (as ordered item lists, in creation order),
+    the listener's events, the parked delayed messages and the fate
+    draws.
     """
     args = {"bandwidth_bits": 64, "strict_bandwidth": True, **transport_args}
     transport = Transport(graph, **args)
-    for payload in prefill:
-        transport.measure(payload)
-    measured = []
-    measure = transport.measure
-
-    def counting_measure(payload, copies=1):
-        measured.append((payload, copies))
-        return measure(payload, copies)
-
-    transport.measure = counting_measure
     events = []
     listeners = [lambda *event: events.append(event)] if listen else []
     plan = pending = None
@@ -96,8 +88,6 @@ def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
     return {
         "error": outcome_error,
         "metrics": record_dict(metrics),
-        "cache": transport.cache_stats(),
-        "measured": measured,
         "inboxes": [(target, list(inbox.items())) for target, inbox in next_inboxes.items()],
         "events": events,
         "pending": pending,
@@ -105,22 +95,28 @@ def _deliver(graph, sender, outbox, prefill=(), listen=False, fault_model=None,
     }
 
 
-def _both_ways(graph, sender, outbox, **kwargs):
-    """The outcomes of delivering ``outbox`` and ``dict(outbox)``.
+def _sizing(sized):
+    """Patch the transport's ``message_size_bits`` to append every payload
+    it sizes to ``sized``."""
+    size_of = transport_module.message_size_bits
 
-    Everything but the ``measure`` calls must agree; the calls of the
-    ``Broadcast`` delivery are returned with the outcome.
-    """
+    def recording(payload):
+        sized.append(payload)
+        return size_of(payload)
+
+    return mock.patch.object(transport_module, "message_size_bits", recording)
+
+
+def _both_ways(graph, sender, outbox, **kwargs):
+    """The outcomes of delivering ``outbox`` and ``dict(outbox)``, which
+    must agree, and the payloads the ``Broadcast`` delivery sized."""
     assert isinstance(outbox, Broadcast)
-    as_is = _deliver(graph, sender, outbox, **kwargs)
+    sized = []
+    with _sizing(sized):
+        as_is = _deliver(graph, sender, outbox, **kwargs)
     per_message = _deliver(graph, sender, dict(outbox), **kwargs)
-    assert [copies for _, copies in per_message["measured"]] == [1] * len(
-        per_message["measured"]
-    )
-    measured = as_is.pop("measured")
-    per_message.pop("measured")
     assert as_is == per_message
-    return as_is, measured
+    return as_is, sized
 
 
 def _own(graph, node):
@@ -178,23 +174,19 @@ class TestBroadcastMapping:
 
 
 class TestTransportBranch:
-    def test_broadcast_is_measured_once(self):
+    def test_broadcast_is_sized_once(self):
         payload = ("bfs", 3)
-        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload))
-        assert measured == [(payload, len(LEAVES))]
-        # A value-tier hit is read inline: no ``measure`` call at all.
-        _, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), prefill=[payload])
-        assert measured == []
+        outcome, sized = _both_ways(STAR, HUB, Broadcast(LEAVES, payload))
+        assert sized == [payload]
         metrics = outcome["metrics"]
         assert metrics["messages"] == len(LEAVES)
         assert metrics["total_bits"] == len(LEAVES) * message_size_bits(payload)
         assert metrics["max_edge_bits_per_round"] == message_size_bits(payload)
         assert outcome["inboxes"] == [(leaf, [(HUB, payload)]) for leaf in LEAVES]
-        assert outcome["cache"]["misses"] == 1
 
     def test_oversized_broadcast_raises_naming_the_first_target(self):
-        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, "x" * 20))
-        assert len(measured) == 1
+        outcome, sized = _both_ways(STAR, HUB, Broadcast(LEAVES, "x" * 20))
+        assert len(sized) == 1
         error_type, text = outcome["error"]
         assert error_type is BandwidthExceededError
         assert f"to {LEAVES[0]!r}" in text
@@ -214,49 +206,31 @@ class TestTransportBranch:
         assert outcome["error"][0] is TypeError
 
     @pytest.mark.parametrize(
-        "payload, kwargs, misses, overflows",
-        [
-            (("bfs", 1), {"size_cache_limit": 0}, 5, 5),
-            ([1, (2, "x")], {"size_cache_limit": 0}, 5, 5),
-            (("bfs", 1), {"size_cache_limit": 1, "prefill": [("other",)]}, 6, 5),
-            ([1, 2], {"size_cache_limit": 1, "prefill": [("other",)]}, 6, 5),
-            (("bfs", 1), {"size_cache_limit": 1}, 1, 0),
-            (_Unrepresentable((1, 2)), {}, 5, 0),
-            (("bfs", 1), {"prefill": [("bfs", 1)]}, 1, 0),
-            ((2,), {"prefill": [(2.0,)]}, 2, 0),
-            ([1, 2], {}, 1, 0),
-        ],
-        ids=[
-            "no-cache-value-tier",
-            "no-cache-repr-tier",
-            "full-cache-value-tier",
-            "full-cache-repr-tier",
-            "last-free-slot",
-            "failing-repr",
-            "warm-cache",
-            "signature-mismatch",
-            "cold-cache-repr-tier",
-        ],
+        "payload",
+        [[1, (2, "x")], {"k": (1, 2.0)}, _Unrepresentable((1, 2)), (2.0,), (("a", 2),)],
+        ids=["list", "dict", "failing-repr", "float-tuple", "nested-tuple"],
     )
-    def test_cache_counters_match_per_message_measurement(
-        self, payload, kwargs, misses, overflows
-    ):
-        outcome, _ = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), **kwargs)
+    def test_any_payload_matches_per_message_sizing(self, payload):
+        outcome, sized = _both_ways(
+            STAR, HUB, Broadcast(LEAVES, payload), bandwidth_bits=128
+        )
         assert outcome["error"] is None
-        assert outcome["cache"]["misses"] == misses
-        assert outcome["cache"]["overflows"] == overflows
+        assert sized == [payload]
+        assert outcome["metrics"]["total_bits"] == len(LEAVES) * message_size_bits(
+            payload
+        )
 
     def test_degree_one_sender(self):
         sender = LEAVES[0]
-        outcome, measured = _both_ways(STAR, sender, Broadcast(_own(STAR, sender), ("ch",)))
-        assert measured == [(("ch",), 1)]
+        outcome, sized = _both_ways(STAR, sender, Broadcast(_own(STAR, sender), ("ch",)))
+        assert sized == [("ch",)]
         assert outcome["inboxes"] == [(HUB, [(sender, ("ch",))])]
 
     def test_equal_foreign_targets_go_per_message(self):
         foreign = tuple(list(LEAVES))
         assert foreign == LEAVES and foreign is not LEAVES
-        outcome, measured = _both_ways(STAR, HUB, Broadcast(foreign, ("bfs", 2)))
-        assert measured == [(("bfs", 2), 1)] * len(LEAVES)
+        outcome, sized = _both_ways(STAR, HUB, Broadcast(foreign, ("bfs", 2)))
+        assert sized == [("bfs", 2)] * len(LEAVES)
         assert outcome["metrics"]["messages"] == len(LEAVES)
 
     @pytest.mark.parametrize("targets", [
@@ -283,12 +257,12 @@ class TestTransportBranch:
 
     def test_an_attached_listener_sees_every_copy(self):
         payload = ("w", 4, 1)
-        outcome, measured = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), listen=True)
+        outcome, sized = _both_ways(STAR, HUB, Broadcast(LEAVES, payload), listen=True)
         size = message_size_bits(payload)
         assert outcome["events"] == [
             (0, HUB, leaf, payload, size, False) for leaf in LEAVES
         ]
-        assert measured == [(payload, 1)] * len(LEAVES)
+        assert sized == [payload] * len(LEAVES)
 
     def test_an_attached_listener_sees_the_copies_before_the_strict_error(self):
         outcome, _ = _both_ways(
@@ -333,10 +307,9 @@ class TestTransportBranch:
         own = _own(lonely, 0)
         assert own == ()
         for payload, kwargs in [(("bfs", 0), {}), ("x" * 20, {})]:
-            outcome, measured = _both_ways(lonely, 0, Broadcast(own, payload), **kwargs)
-            assert measured == []
+            outcome, sized = _both_ways(lonely, 0, Broadcast(own, payload), **kwargs)
+            assert sized == []
             assert outcome["error"] is None
-            assert outcome["cache"]["misses"] == 0
             assert outcome["metrics"] == record_dict(ExecutionMetrics())
             assert outcome["inboxes"] == []
 
@@ -416,33 +389,21 @@ def _flood(network, as_dict=False, record_traffic=False):
     )
 
 
-def _bulk_measures(monkeypatch):
-    """Record the ``copies`` of every ``Transport.measure`` call above 1."""
-    bulk = []
-    measure = Transport.measure
-
-    def recording(self, payload, copies=1):
-        if copies > 1:
-            bulk.append(copies)
-        return measure(self, payload, copies)
-
-    monkeypatch.setattr(Transport, "measure", recording)
-    return bulk
-
-
 CHAIN = generators.family_for_sweep("clique_chain", 16, seed=3)
 LOSS_DELAY = FaultModel(loss=0.15, delay=0.25, max_delay=3, timeout=50)
 
 
 class TestThroughTheEngine:
     @pytest.mark.parametrize("fault_model", [None, LOSS_DELAY], ids=["null", "loss_delay"])
-    def test_broadcasts_match_their_dicts(self, fault_model, monkeypatch):
-        bulk = _bulk_measures(monkeypatch)
-        as_is = _flood(_flood_network(CHAIN, fault_model))
-        assert bulk  # the bulk way was taken
-        del bulk[:]
-        as_dicts = _flood(_flood_network(CHAIN, fault_model), as_dict=True)
-        assert bulk == []
+    def test_broadcasts_match_their_dicts(self, fault_model):
+        as_is_sized, as_dicts_sized = [], []
+        with _sizing(as_is_sized):
+            as_is = _flood(_flood_network(CHAIN, fault_model))
+        with _sizing(as_dicts_sized):
+            as_dicts = _flood(_flood_network(CHAIN, fault_model), as_dict=True)
+        # Fewer sizings than messages: the bulk way was taken.
+        assert len(as_is_sized) < as_is.metrics.messages
+        assert len(as_dicts_sized) == as_dicts.metrics.messages
         assert as_is.results == as_dicts.results
         assert record_dict(as_is.metrics) == record_dict(as_dicts.metrics)
         if fault_model is not None:
@@ -450,15 +411,15 @@ class TestThroughTheEngine:
             assert as_is.metrics.delayed_messages > 0
 
     @pytest.mark.parametrize("fault_model", [None, LOSS_DELAY], ids=["null", "loss_delay"])
-    def test_an_observer_sees_every_broadcast_copy(self, fault_model, monkeypatch):
-        bulk = _bulk_measures(monkeypatch)
+    def test_an_observer_sees_every_broadcast_copy(self, fault_model):
         plain = _flood(_flood_network(CHAIN, fault_model))
         observed_network = _flood_network(CHAIN, fault_model)
         observer = _NoopMessageObserver()
         observed_network.add_observer(observer)
-        del bulk[:]
-        observed = _flood(observed_network)
-        assert bulk == []
+        sized = []
+        with _sizing(sized):
+            observed = _flood(observed_network)
+        assert len(sized) == observed.metrics.messages
         assert observer.messages == plain.metrics.messages
         assert plain.results == observed.results
         assert record_dict(plain.metrics) == record_dict(observed.metrics)
@@ -490,7 +451,7 @@ class TestThroughTheEngine:
     @pytest.mark.parametrize("graph", [Graph(nodes=[7]), CHAIN], ids=["lonely", "chain"])
     def test_an_empty_broadcast_sends_nothing(self, graph, scheduler):
         """An empty ``Broadcast`` counts as no message, like an empty dict:
-        the same rounds and metrics, and nothing measured -- the empty
+        the same rounds and metrics, and nothing sized -- the empty
         tuple is also an isolated node's own neighbour tuple."""
         outcomes = []
         for as_dict in (False, True):

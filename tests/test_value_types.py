@@ -120,13 +120,9 @@ def test_fault_model_fields_keep_their_order():
 
 
 class TestExecutionMetrics:
-    def test_equality_ignores_cache_counters_only(self):
+    def test_equality_compares_every_field(self):
         plain = ExecutionMetrics(rounds=3, messages=4, total_bits=9)
-        cached = ExecutionMetrics(
-            rounds=3, messages=4, total_bits=9, size_cache_hits=5,
-            size_cache_misses=2, size_cache_overflows=1,
-        )
-        assert plain == cached
+        assert plain == ExecutionMetrics(rounds=3, messages=4, total_bits=9)
         assert plain != ExecutionMetrics(rounds=3, messages=4, total_bits=10)
         phased = ExecutionMetrics(rounds=3, messages=4, total_bits=9)
         phased.record_phase("bfs", 3)
@@ -140,13 +136,13 @@ class TestExecutionMetrics:
         first = ExecutionMetrics(
             rounds=3, messages=4, total_bits=9, max_edge_bits_per_round=6,
             bandwidth_limit_bits=32, max_node_memory_bits=7,
-            dropped_messages=1, size_cache_hits=2,
+            dropped_messages=1,
         )
         first.record_phase("bfs", 3)
         second = ExecutionMetrics(
             rounds=5, messages=1, total_bits=2, max_edge_bits_per_round=8,
             bandwidth_limit_bits=16, bandwidth_violations=1,
-            max_node_memory_bits=3, delayed_messages=2, size_cache_misses=4,
+            max_node_memory_bits=3, delayed_messages=2,
         )
         second.record_phase("bfs", 1)
         second.record_phase("tour", 4)
@@ -158,7 +154,6 @@ class TestExecutionMetrics:
         )
         expected.phase_rounds = {"bfs": 4, "tour": 4}
         assert merged == expected
-        assert (merged.size_cache_hits, merged.size_cache_misses) == (2, 4)
         assert first.phase_rounds == {"bfs": 3}
         assert ExecutionMetrics.total([first, second]) == merged
         assert repr(ExecutionMetrics(rounds=2)) == (
@@ -166,6 +161,5 @@ class TestExecutionMetrics:
             "max_edge_bits_per_round=0, bandwidth_limit_bits=None, "
             "bandwidth_violations=0, max_node_memory_bits=0, dropped_messages=0, "
             "delayed_messages=0, node_crashes=0, node_restarts=0, "
-            "churned_edge_rounds=0, size_cache_hits=0, size_cache_misses=0, "
-            "size_cache_overflows=0, phase_rounds={})"
+            "churned_edge_rounds=0, phase_rounds={})"
         )
