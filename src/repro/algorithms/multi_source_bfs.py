@@ -88,6 +88,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
 
     def on_round(self, round_number: int, inbox: Inbox) -> Optional[Outbox]:
         known = self.known
+        known_get = known.get
         pending = self.pending
         queue = self._queue
         rank = self._rank
@@ -104,7 +105,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
             if source.__class__ is not int and isinstance(source, list):
                 source = tuple(source)
             candidate = distance + 1
-            current = known.get(source)
+            current = known_get(source)
             if current is None or candidate < current:
                 known[source] = candidate
                 pending.add(source)
@@ -120,8 +121,9 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         pending.discard(chosen)
         if pending:
             # The queue is not drained: ask the (sparse) scheduler to run us
-            # again next round even if no new message arrives.
-            self.wake_next_round()
+            # again next round even if no new message arrives
+            # (:meth:`wake_next_round`'s request, appended without its call).
+            self._wake_requests.append(None)
         return self.broadcast(("m", chosen, distance))
 
     def result(self):

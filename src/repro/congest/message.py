@@ -46,17 +46,18 @@ def message_size_bits(payload: Any) -> int:
     if cls is int:
         return payload.bit_length() + (payload < 0) if payload else 1
     if cls is tuple:
-        size = 0
+        # Two bits of framing per item, then each item's own size.
+        size = 2 * len(payload)
         for item in payload:
             item_cls = item.__class__
-            if item_cls is str:
-                size += 2 + (8 * len(item) or 1)
-            elif item_cls is int:
-                size += 2 + (item.bit_length() + (item < 0) if item else 1)
+            if item_cls is int:
+                size += item.bit_length() + (item < 0) if item else 1
+            elif item_cls is str:
+                size += 8 * len(item) or 1
             elif item_cls is float:
-                size += 66
+                size += 64
             elif item_cls is bool or item is None:
-                size += 3
+                size += 1
             else:
                 break
         else:

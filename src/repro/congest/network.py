@@ -28,7 +28,10 @@ requests to the scheduler in one call.  The core accounting (rounds,
 messages, bits, the per-edge maximum, violations, the memory high-water
 mark) goes into the run's own
 :class:`repro.congest.metrics.ExecutionMetrics`, so nested runs stay
-separate.  Observers attached with
+separate.  The memory high-water mark is read once per node when a run
+of at least one round ends: a node's
+:meth:`~repro.congest.node.NodeAlgorithm.memory_bits` never decreases
+during a run, so its final value is its peak.  Observers attached with
 :meth:`Network.add_observer` (:mod:`repro.engine.observers`) are opt-in:
 they see run boundaries, and per-message events only when they override
 ``on_message``.  Inboxes are sparse: the inbox mapping of a round holds
@@ -149,7 +152,8 @@ class Network:
             raise ValueError("cannot build a network over an empty graph")
         # Compiling here both performs the connectivity check on the CSR
         # fast path and warms the cached view each run binds.
-        if not graph.compile().is_connected():
+        indexed = graph.compile()
+        if not indexed.is_connected():
             raise ValueError("the CONGEST network topology must be connected")
         self.graph = graph
         self.num_nodes = graph.num_nodes
@@ -167,8 +171,8 @@ class Network:
         self._node_seeds: Dict[NodeId, int] = {}
         #: :meth:`neighbors`' table, read from the compiled view it was
         #: taken from (rebound when a graph mutation replaces the view).
-        self._neighbors_view = None
-        self._neighbor_tuples: Dict[NodeId, tuple] = {}
+        self._neighbors_view = indexed
+        self._neighbor_tuples: Dict[NodeId, tuple] = indexed.neighbor_tuples()
 
         if scheduler is None:
             scheduler = SparseScheduler()
@@ -216,14 +220,17 @@ class Network:
 
         Algorithm factories should use this instead of
         ``network.graph.neighbors(node)``: the tuple is prebound on the
-        CSR view (no per-call list copy) and stays valid for the
-        network's lifetime -- the topology of a network is static.  It
+        CSR view (no per-call list copy) and stays the same object until
+        the graph is mutated; the first call after a mutation rebinds
+        the table from the graph's fresh view.  It
         is also the tuple the transport recognises, by identity, as the
         targets of a node's :meth:`~repro.congest.node.NodeAlgorithm.broadcast`.
         """
-        indexed = self.graph.compile()
-        if indexed is not self._neighbors_view:
-            self._neighbors_view = indexed
+        # A mutation clears the graph's cached view (``Graph._compiled``),
+        # so while that view is still the one bound here the table is
+        # current without a ``compile()`` call.
+        if self.graph._compiled is not self._neighbors_view:
+            indexed = self._neighbors_view = self.graph.compile()
             self._neighbor_tuples = indexed.neighbor_tuples()
         return self._neighbor_tuples[node]
 
@@ -395,7 +402,6 @@ class Network:
         active_nodes = scheduler.active_nodes
         request_wakes = scheduler.request_wakes
         has_scheduled_wakes = scheduler.has_scheduled_wakes
-        peak_memory = 0
         # Full-round fast path: when the scheduler hands back its
         # every-node sequence (identity check), iterate the prezipped
         # (node, algorithm) pairs instead of one dict lookup per node --
@@ -471,9 +477,6 @@ class Network:
                 # truth test is a Python-level ``__len__`` call.
                 if outbox.targets if outbox.__class__ is Broadcast else outbox:
                     sends_append((node, outbox))
-                memory = algorithm.memory_bits()
-                if memory is not None and memory > peak_memory:
-                    peak_memory = memory
                 # Drain wake requests under every scheduler so they cannot
                 # pile up across the run; only wake-aware schedulers act on
                 # them, in one call per round.
@@ -496,7 +499,17 @@ class Network:
             inboxes = next_inboxes
 
         metrics.rounds = round_number
-        metrics.max_node_memory_bits = peak_memory
+        if round_number:
+            # Every node ran in round 0 (both schedulers run all of them,
+            # and no crash starts before round 1), and a node's footprint
+            # never decreases during a run (the ``memory_bits`` contract),
+            # so its value now is its peak: one read per node per run.
+            peak_memory = 0
+            for algorithm in algorithms.values():
+                memory = algorithm.memory_bits()
+                if memory is not None and memory > peak_memory:
+                    peak_memory = memory
+            metrics.max_node_memory_bits = peak_memory
         if plan is not None:
             # Crash and restart events fire at the top of their round, so
             # exactly the events of the rounds that ran have happened.

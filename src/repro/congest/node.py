@@ -43,6 +43,8 @@ from repro.graphs.graph import NodeId
 Outbox = Mapping[NodeId, Any]
 Inbox = Dict[NodeId, Any]
 
+_new_object = object.__new__
+
 
 class Broadcast(abc.Mapping):
     """A read-only outbox that sends one ``payload`` to every node of
@@ -59,7 +61,8 @@ class Broadcast(abc.Mapping):
     :meth:`repro.engine.transport.Transport.deliver_round`); any other
     ``Broadcast`` goes message by message like a dict.  ``targets`` must
     not repeat a node.  To edit an outbox, copy it first:
-    ``dict(outbox)``.
+    ``dict(outbox)``.  :meth:`NodeAlgorithm.broadcast` fills the two
+    slots of a bare instance itself, skipping the ``__init__`` frame.
     """
 
     __slots__ = ("targets", "payload")
@@ -190,6 +193,14 @@ class NodeAlgorithm:
         Algorithms that care about the paper's memory bounds (e.g. the
         Figure-2 Evaluation procedure, which must run in ``O(log n)`` bits
         per node) override this; returning ``None`` opts out of accounting.
+
+        The value must never decrease during a run (a high-water mark, not
+        the live footprint): the round loop reads it once per node, when a
+        run of at least one round ends, and reports the largest value as
+        ``ExecutionMetrics.max_node_memory_bits`` (0 for a run of no
+        rounds).  Every node has run by then -- all nodes run in round 0
+        and no crash starts earlier -- so the final value is the node's
+        peak.
         """
         return None
 
@@ -283,9 +294,18 @@ class NodeAlgorithm:
         sized once for the whole outbox and the copies are accounted in
         bulk.  To send something else to some neighbours, build a
         dict (``dict(self.broadcast(payload))`` is one to edit).
+
+        The outbox is made with ``object.__new__`` and two slot stores,
+        the same object ``Broadcast(self.neighbors, payload)`` makes
+        without its ``__init__`` frame: one Python frame per broadcast.
         """
         neighbors = self.neighbors
-        return Broadcast(neighbors, payload) if neighbors else {}
+        if not neighbors:
+            return {}
+        outbox = _new_object(Broadcast)
+        outbox.targets = neighbors
+        outbox.payload = payload
+        return outbox
 
     def send_to(self, neighbor: NodeId, payload: Any) -> Outbox:
         """An outbox that sends ``payload`` to a single neighbour."""

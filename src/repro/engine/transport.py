@@ -8,13 +8,16 @@ with one pair).  One pass covers:
 
 * the CONGEST contract check (only neighbours may be addressed, enforced
   with :class:`repro.congest.errors.ProtocolError`) -- the per-node
-  neighbour frozensets are prebound from the graph's compiled CSR view
+  neighbour frozensets come from the graph's compiled CSR view
   (:meth:`repro.graphs.indexed.IndexedGraph.neighbor_sets`), so the hot
   loop performs one frozenset-membership test per message instead of a
-  ``has_edge`` call.  The engine refreshes the binding at the start of
-  every run via :meth:`Transport.bind_topology`; the graph's version
-  counter makes the refresh O(1) when the topology is unchanged and
-  rebuilds it when the graph was mutated between runs;
+  ``has_edge`` call.  They are fetched on the first outbox that is
+  checked message by message, so a run whose sends are all
+  own-neighbourhood broadcasts never builds them.  The engine refreshes
+  the binding at the start of every run via
+  :meth:`Transport.bind_topology`; the graph's version counter makes the
+  refresh O(1) when the topology is unchanged and drops the stale sets
+  when the graph was mutated between runs;
 * size measurement: every payload is sized by
   :func:`repro.congest.message.message_size_bits`, once per message --
   or once per whole-neighbourhood send (below);
@@ -81,12 +84,13 @@ class Transport:
         self.graph = graph
         self.bandwidth_bits = bandwidth_bits
         self.strict_bandwidth = strict_bandwidth
-        #: Per-node neighbour frozensets, prebound from the compiled CSR
-        #: view (one lookup per outbox, one membership test per message).
-        #: The engine refreshes the binding per run, so graph mutations
-        #: between runs are honoured.
+        #: Per-node neighbour frozensets from the compiled CSR view (one
+        #: lookup per outbox, one membership test per message), or
+        #: ``None`` until an outbox first needs them.  The engine
+        #: refreshes the binding per run, so graph mutations between runs
+        #: are honoured.
         self._indexed: Optional[IndexedGraph] = None
-        self._neighbor_sets: Dict[NodeId, Any] = {}
+        self._neighbor_sets: Optional[Dict[NodeId, Any]] = None
         #: Per-node neighbour tuples, the ones the network's algorithm
         #: factories hand to the nodes: a node's ``Broadcast`` over its
         #: own tuple is recognised by identity.
@@ -95,19 +99,20 @@ class Transport:
 
     # ------------------------------------------------------------------
     def bind_topology(self, indexed: IndexedGraph) -> None:
-        """(Re)bind the per-node neighbour sets and tuples from a compiled
-        view.
+        """(Re)bind the per-node neighbour tuples from a compiled view.
 
         Called by the engine at the start of every run with
         ``graph.compile()``: on an unmutated graph the compiled view is
         the same cached object and the rebind is a no-op identity check;
-        after a mutation a fresh view arrives and the frozensets and
-        tuples are rebuilt (and cached on the view, shared with other
-        transports and with the network's algorithm factories).
+        after a mutation a fresh view arrives, its tuples are bound (and
+        cached on the view, shared with other transports and with the
+        network's algorithm factories), and the old view's neighbour
+        frozensets are dropped: :meth:`deliver_round` fetches the new
+        view's on the first outbox it checks message by message.
         """
         if indexed is not self._indexed:
             self._indexed = indexed
-            self._neighbor_sets = indexed.neighbor_sets()
+            self._neighbor_sets = None
             self._neighbor_tuples = indexed.neighbor_tuples()
 
     # ------------------------------------------------------------------
@@ -191,6 +196,10 @@ class Transport:
                             inbox = next_inboxes[target] = {}
                         inbox[sender] = payload
             else:
+                if neighbor_sets is None:
+                    neighbor_sets = self._neighbor_sets = (
+                        self._indexed.neighbor_sets()
+                    )
                 neighbors = neighbor_sets.get(sender)
                 for target, payload in outbox.items():
                     if neighbors is None or target not in neighbors:

@@ -3,8 +3,9 @@
 Covers the scheduler seam, the failure paths of ``Network.run`` under
 *both* schedulers (strict bandwidth, round limit, protocol violations), the
 self-wake API that keeps timer-driven algorithms correct under the sparse
-scheduler, and observers (traffic logs, stitched multi-phase recording,
-run logs, opt-in per-message calls).  Payload sizing is pinned in
+scheduler, observers (traffic logs, stitched multi-phase recording,
+run logs, opt-in per-message calls) and the memory high-water mark read
+once per node at the end of a run.  Payload sizing is pinned in
 ``tests/test_message_size.py``.
 """
 
@@ -583,3 +584,99 @@ class TestObservers:
         assert metrics.messages > 0
         assert metrics.dropped_messages == metrics.messages
         assert len(result.traffic) == metrics.messages
+
+
+class _GrowingMemory(NodeAlgorithm):
+    """Floods for ``rounds`` rounds; its footprint grows with every call.
+
+    ``history`` records the footprint after each ``on_round``, the values
+    a per-call read would have seen; ``reads`` counts ``memory_bits``
+    calls.  With ``opt_out`` the node reports ``None``.
+    """
+
+    def __init__(self, node_id, neighbors, num_nodes, rounds, opt_out):
+        super().__init__(node_id, neighbors, num_nodes)
+        self.rounds = rounds
+        self.opt_out = opt_out
+        self.calls = 0
+        self.history = []
+        self.reads = 0
+
+    def _footprint(self):
+        return None if self.opt_out else 8 * self.calls + self.node_id
+
+    def on_round(self, round_number, inbox):
+        self.calls += 1
+        self.history.append(self._footprint())
+        self.finished = round_number >= self.rounds - 1
+        return self.broadcast(round_number) if round_number < self.rounds else {}
+
+    def memory_bits(self):
+        self.reads += 1
+        return self._footprint()
+
+
+class TestMemoryHighWaterMark:
+    """``max_node_memory_bits`` is read once per node when a run ends and
+    equals the largest footprint any node had after any of its rounds."""
+
+    def _run(self, engine, rounds=5, opt_out=(), fault_model=None, **run_args):
+        network = _network(generators.cycle_graph(8), engine, fault_model=fault_model)
+        nodes = {}
+
+        def factory(node, net):
+            nodes[node] = _GrowingMemory(
+                node, net.neighbors(node), net.num_nodes, rounds, node in opt_out
+            )
+            return nodes[node]
+
+        metrics = network.run(factory, **run_args).metrics
+        return metrics, nodes
+
+    @staticmethod
+    def _peak(nodes):
+        return max(
+            (value for node in nodes.values() for value in node.history
+             if value is not None),
+            default=0,
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_the_final_maximum_is_reported(self, engine):
+        metrics, nodes = self._run(engine)
+        peak = self._peak(nodes)
+        assert peak > max(node.history[0] for node in nodes.values())
+        assert metrics.max_node_memory_bits == peak
+        assert [node.reads for node in nodes.values()] == [1] * len(nodes)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_run_of_no_rounds_reports_zero_and_reads_nothing(self, engine):
+        metrics, nodes = self._run(engine, exact_rounds=0)
+        assert metrics.rounds == 0
+        assert metrics.max_node_memory_bits == 0
+        assert all(node.reads == 0 and not node.history for node in nodes.values())
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("down_rounds", [0, 2], ids=["crash", "crash_restart"])
+    def test_crashed_nodes_report_the_state_they_kept(self, engine, down_rounds):
+        model = FaultModel(crash=0.5, crash_window=3, down_rounds=down_rounds, seed=4)
+        metrics, nodes = self._run(
+            engine, rounds=8, fault_model=model, exact_rounds=10
+        )
+        assert metrics.node_crashes > 0
+        assert (metrics.node_restarts > 0) == (down_rounds > 0)
+        assert metrics.max_node_memory_bits == self._peak(nodes)
+        assert all(node.reads == 1 for node in nodes.values())
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nodes_that_return_none_are_left_out(self, engine):
+        # Node 7 would hold the peak (the offset is the label).
+        metrics, nodes = self._run(engine, opt_out={7})
+        assert metrics.max_node_memory_bits == self._peak(nodes)
+        assert metrics.max_node_memory_bits % 8 == 6
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_run_where_every_node_opts_out_reports_zero(self, engine):
+        metrics, _ = self._run(engine, opt_out=set(range(8)))
+        assert metrics.rounds > 0
+        assert metrics.max_node_memory_bits == 0

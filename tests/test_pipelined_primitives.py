@@ -1,12 +1,14 @@
 """The pipelined primitives against straightforward reference forms.
 
-``_WaveNode`` filters a round's inbox in one pass and
-``_MultiSourceBFSNode`` keeps its pending pairs in a heap with lazy
-deletion.  Each test runs the production code and a test-local reference
-form on the same inputs:
+``_WaveNode`` filters a round's inbox in one pass, ``_ResilientBFSNode``
+reads its announcements in one loop, and ``_MultiSourceBFSNode`` keeps
+its pending pairs in a heap with lazy deletion.  Each test runs the
+production code and a test-local reference form on the same inputs:
 
 * waves: collect every fresh ``(tag, delta)`` in a list, keep ``max`` of
   it (or ``sorted(set(...))`` of it for the forward-all ablation);
+* resilient BFS: the smallest ``d + 1`` over the ``("bfs", d)``
+  announcements, one payload at a time;
 * multi-source BFS: ``min`` over the pending set keyed by
   ``(distance, repr(source))``.
 
@@ -22,11 +24,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms import multi_source_bfs, waves
+from repro.algorithms import multi_source_bfs, resilient, waves
 from repro.algorithms.diameter_approx import run_hprw_three_halves_approximation
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
 from repro.algorithms.multi_source_bfs import _MultiSourceBFSNode, run_multi_source_bfs
+from repro.algorithms.resilient import (
+    _ResilientBFSNode,
+    run_resilient_two_approximation,
+)
 from repro.algorithms.waves import WaveScheduleEntry, _WaveNode, run_distance_waves
 from repro.congest.errors import CongestSimulationError
 from repro.congest.network import Network
@@ -97,12 +105,44 @@ def _reference_bfs_round(self, round_number, inbox):
     return self.broadcast(("m", chosen, self.known[chosen]))
 
 
+def _reference_resilient_round(self, round_number, inbox):
+    """The retrying flood with its announcements read one at a time."""
+    best = None
+    for payload in inbox.values():
+        if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "bfs":
+            candidate = payload[1] + 1
+            if best is None or candidate < best:
+                best = candidate
+    if self.node_id == self.root and round_number == 0:
+        best = 0
+
+    if best is not None and (self.distance is None or best < self.distance):
+        self.distance = best
+        self._attempt = 0
+        self._next_retry = self.retry_backoff(round_number, 0)
+        return self.broadcast(("bfs", self.distance))
+
+    if self._next_retry is not None and round_number >= self._next_retry:
+        self._attempt += 1
+        if self._attempt > self.max_retries:
+            self._next_retry = None
+            self.finished = True
+            return None
+        self._next_retry = self.retry_backoff(round_number, self._attempt)
+        return self.broadcast(("bfs", self.distance))
+    return None
+
+
 class _ReferenceWaveNode(_WaveNode):
     on_round = _reference_wave_round
 
 
 class _ReferenceBFSNode(_MultiSourceBFSNode):
     on_round = _reference_bfs_round
+
+
+class _ReferenceResilientNode(_ResilientBFSNode):
+    on_round = _reference_resilient_round
 
 
 # -- observation helpers ----------------------------------------------------
@@ -113,6 +153,8 @@ def _typed(value):
 
 def _outbox_shape(outbox):
     """Targets, typed payloads, and which targets share a payload object."""
+    if outbox is None:
+        return None
     payloads = list(outbox.values())
     identities = [id(payload) for payload in payloads]
     sharing = [identities.index(identity) for identity in identities]
@@ -140,6 +182,30 @@ def _drive_waves(cls, rounds, schedule=None, duration=12, forward_all=False):
 def _assert_waves_agree(rounds, **kwargs):
     expected = _drive_waves(_ReferenceWaveNode, rounds, **kwargs)
     assert _drive_waves(_WaveNode, rounds, **kwargs) == expected
+    return expected
+
+
+def _drive_resilient(cls, rounds, root=0, distance=None):
+    node = cls(0, NEIGHBORS, 8, 0, root, 2)
+    node.distance = distance
+    trace = []
+    for round_number, inbox in rounds:
+        outbox = node.on_round(round_number, inbox)
+        trace.append((
+            _outbox_shape(outbox),
+            _typed(node.distance),
+            node._attempt,
+            node._next_retry,
+            node.finished,
+            list(node._wake_requests),
+            node.memory_bits(),
+        ))
+    return trace
+
+
+def _assert_resilient_agree(rounds, **kwargs):
+    expected = _drive_resilient(_ReferenceResilientNode, rounds, **kwargs)
+    assert _drive_resilient(_ResilientBFSNode, rounds, **kwargs) == expected
     return expected
 
 
@@ -269,6 +335,39 @@ def test_waves_agree_on_random_inboxes(forward_all):
         )
 
 
+# -- resilient BFS: random inboxes ------------------------------------------
+ANNOUNCEMENTS = st.tuples(
+    st.just("bfs"), st.one_of(st.integers(0, 9), st.integers(0, 9).map(float))
+)
+RESILIENT_PAYLOADS = st.one_of(
+    ANNOUNCEMENTS,
+    st.lists(ANNOUNCEMENTS, min_size=1, max_size=2),
+    st.sampled_from([
+        (), ("a", 1), ("bfs",), ("bfs", -1, 0), ("w", 1, 1), ("m", 0, 0), 3, None, "bfs",
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inboxes=st.lists(
+        st.dictionaries(st.integers(1, 8), RESILIENT_PAYLOADS, max_size=5),
+        min_size=1, max_size=4,
+    ),
+    root=st.sampled_from([0, 5]),
+    distance=st.one_of(st.none(), st.integers(0, 10)),
+)
+def test_resilient_bfs_agrees_on_random_inboxes(inboxes, root, distance):
+    # Announcements (``5`` and ``5.0`` alike), foreign and malformed
+    # tuples, lists and other payloads; round 0 is the root's start, and
+    # the empty rounds after the inboxes run the retries.
+    rounds = list(enumerate(inboxes))
+    rounds += [(round_number, {}) for round_number in range(len(inboxes), len(inboxes) + 10)]
+    trace = _assert_resilient_agree(rounds, root=root, distance=distance)
+    if root == 0:
+        assert trace[0][1] == _typed(0)
+
+
 # -- multi-source BFS: hand-built inboxes -----------------------------------
 def _sent(trace):
     """The payload each round broadcast, for the rounds that sent one."""
@@ -377,6 +476,7 @@ def _forward_all_waves(network):
 
 ALGORITHMS = {
     "classical_exact": run_classical_exact_diameter,
+    "resilient_two_approx": run_resilient_two_approximation,
     "hprw_three_halves": lambda network: run_hprw_three_halves_approximation(network, seed=4),
     "multi_source_bfs": lambda network: run_multi_source_bfs(
         network, sorted(network.graph.nodes(), key=repr)[::3]
@@ -415,6 +515,9 @@ def test_whole_runs_match_the_reference_rules(monkeypatch, algorithm_name, graph
     monkeypatch.setattr(waves._WaveNode, "on_round", _reference_wave_round)
     monkeypatch.setattr(
         multi_source_bfs._MultiSourceBFSNode, "on_round", _reference_bfs_round
+    )
+    monkeypatch.setattr(
+        resilient._ResilientBFSNode, "on_round", _reference_resilient_round
     )
     reference = _observe(algorithm, Network(graph, seed=7, fault_model=fault))
     assert current == reference

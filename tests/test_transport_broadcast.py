@@ -22,6 +22,7 @@ import pytest
 from repro._record import as_dict as record_dict
 from repro.algorithms.bfs import run_bfs_tree
 from repro.algorithms.diameter_exact import run_classical_exact_diameter
+from repro.algorithms.resilient import run_resilient_bfs
 from repro.congest.errors import BandwidthExceededError, ProtocolError
 from repro.congest.message import message_size_bits
 from repro.congest.metrics import ExecutionMetrics
@@ -32,6 +33,7 @@ from repro.engine import transport as transport_module
 from repro.engine.scheduler import DenseScheduler
 from repro.faults import FaultModel, FaultPlan
 from repro.graphs import Graph, generators
+from repro.graphs.indexed import IndexedGraph
 
 
 class _Unrepresentable(tuple):
@@ -486,3 +488,83 @@ class TestThroughTheEngine:
             exact = run_classical_exact_diameter(network)
             outcomes.append((record_dict(bfs), record_dict(exact)))
         assert outcomes[0] == outcomes[1]
+
+
+# ----------------------------------------------------------------------
+# Topology binding
+# ----------------------------------------------------------------------
+class _SendTo(NodeAlgorithm):
+    """Node 0 sends a dict outbox to ``target`` in round 0; every node
+    keeps the neighbour tuple its factory passed."""
+
+    def __init__(self, node_id, neighbors, num_nodes, target):
+        super().__init__(node_id, neighbors, num_nodes)
+        self.target = target
+        self.finished = True
+
+    def on_round(self, round_number, inbox):
+        if self.node_id == 0 and round_number == 0:
+            return {self.target: ("p", 0)}
+        return {}
+
+    def result(self):
+        return self.neighbors
+
+
+def _send_to(network, target):
+    return network.run(
+        lambda node, net: _SendTo(node, net.neighbors(node), net.num_nodes, target)
+    )
+
+
+def _counting_neighbor_sets():
+    """Patch ``IndexedGraph.neighbor_sets`` to count its calls."""
+    return mock.patch.object(
+        IndexedGraph, "neighbor_sets", autospec=True,
+        side_effect=IndexedGraph.neighbor_sets,
+    )
+
+
+class TestTopologyBinding:
+    def test_broadcast_only_runs_never_fetch_the_neighbour_sets(self):
+        network = Network(generators.cycle_graph(6), seed=2)
+        with _counting_neighbor_sets() as fetched:
+            assert run_resilient_bfs(network, 0).complete
+            assert fetched.call_count == 0
+            _send_to(network, 1)
+            assert fetched.call_count == 1
+            _send_to(network, 5)
+            assert fetched.call_count == 1
+
+    def test_a_fresh_transport_refuses_a_non_neighbour(self):
+        graph = generators.cycle_graph(6)
+        outcome = _deliver(graph, 0, {1: ("p", 0), 3: ("p", 0)})
+        assert outcome["error"] == (
+            ProtocolError, "node 0 tried to send to non-neighbour 3"
+        )
+
+    def test_the_neighbour_check_follows_graph_mutations_between_runs(self):
+        graph = generators.path_graph(4)
+        network = Network(graph)
+        with pytest.raises(ProtocolError, match="^node 0 tried to send to non-neighbour 2$"):
+            _send_to(network, 2)
+        graph.add_edge(0, 2)
+        assert _send_to(network, 2).metrics.messages == 1
+        graph.remove_edge(0, 2)
+        with pytest.raises(ProtocolError, match="^node 0 tried to send to non-neighbour 2$"):
+            _send_to(network, 2)
+
+    def test_factories_see_the_neighbours_of_a_mutated_graph(self):
+        graph = generators.path_graph(4)
+        network = Network(graph)
+        before = _send_to(network, 1).results
+        with mock.patch.object(graph, "compile", wraps=graph.compile) as compile_calls:
+            assert network.neighbors(0) is before[0]
+            assert compile_calls.call_count == 0
+        graph.add_edge(0, 3)
+        after = _send_to(network, 1).results
+        assert before[0] == (1,) and after[0] == (1, 3)
+        assert after[3] == (2, 0)
+        # The new tuples are the transport's own, so broadcasts stay bulk.
+        own = graph.compile().neighbor_tuples()
+        assert all(after[node] is own[node] for node in graph.nodes())
