@@ -16,10 +16,10 @@ primitives used throughout the library.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro._record import Record
+from repro.congest.message import log_n_bits
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -45,7 +45,7 @@ class _BFSNode(NodeAlgorithm):
 
     def __init__(self, node_id, neighbors, num_nodes, rng, root: NodeId) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
-        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._log_n = log_n_bits(num_nodes)
         self.root = root
         self.distance: Optional[int] = None
         self.parent: Optional[NodeId] = None

@@ -29,11 +29,11 @@ children are simply skipped by the local rule.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro._record import Record
 from repro.algorithms.bfs import BFSTreeResult
+from repro.congest.message import log_n_bits
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -75,7 +75,7 @@ class _EulerTourNode(NodeAlgorithm):
         member: Callable[[NodeId], bool],
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
-        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._log_n = log_n_bits(num_nodes)
         self.tree = tree
         self.start = start
         self.budget = budget

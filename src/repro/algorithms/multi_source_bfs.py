@@ -27,11 +27,11 @@ optimization phase.
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._record import Record
+from repro.congest.message import log_n_bits
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -69,7 +69,7 @@ class _MultiSourceBFSNode(NodeAlgorithm):
         rank: Dict[NodeId, int],
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
-        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._log_n = log_n_bits(num_nodes)
         self._rank = rank
         self.known: Dict[NodeId, int] = {}
         self.pending: Set[NodeId] = set()

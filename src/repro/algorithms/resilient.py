@@ -29,11 +29,11 @@ network is reliable), costing a constant factor in messages and
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro._record import Record
 from repro.algorithms.diameter_approx import ApproxDiameterResult
+from repro.congest.message import log_n_bits
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -63,7 +63,7 @@ class _ResilientBFSNode(NodeAlgorithm):
         self, node_id, neighbors, num_nodes, rng, root: NodeId, max_retries: int
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
-        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._log_n = log_n_bits(num_nodes)
         self.root = root
         self.max_retries = max_retries
         self.distance: Optional[int] = None

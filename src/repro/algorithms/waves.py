@@ -43,10 +43,10 @@ paper's scheduling (``benchmarks/bench_ablation_pipelining.py``):
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._record import Record
+from repro.congest.message import log_n_bits
 from repro.congest.network import Network
 from repro.congest.node import Inbox, NodeAlgorithm, Outbox
 from repro.graphs.graph import NodeId
@@ -79,7 +79,7 @@ class _WaveNode(NodeAlgorithm):
         forward_all: bool,
     ) -> None:
         super().__init__(node_id, neighbors, num_nodes, rng)
-        self._log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+        self._log_n = log_n_bits(num_nodes)
         self.schedule = schedule
         self.duration = duration
         self.forward_all = forward_all

@@ -23,6 +23,12 @@ def _int_bits(value: int) -> int:
     return magnitude_bits + sign_bit
 
 
+def log_n_bits(n: int) -> int:
+    """The CONGEST word, ``max(1, ceil(log2(n + 1)))`` bits, computed
+    exactly: the float form loses a bit from ``n = 2**49`` on."""
+    return n.bit_length() or 1
+
+
 def message_size_bits(payload: Any) -> int:
     """Return the size, in bits, charged for ``payload``.
 

@@ -59,13 +59,13 @@ model.
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from typing import Callable, Dict, List, Optional
 
 from repro._record import Record
 from repro.congest.errors import RoundLimitExceededError
+from repro.congest.message import log_n_bits
 from repro.congest.metrics import ExecutionMetrics
 from repro.congest.node import Broadcast, Inbox, NodeAlgorithm
 from repro.engine.observers import MetricsObserver, TrafficLogObserver
@@ -158,9 +158,7 @@ class Network:
         self.graph = graph
         self.num_nodes = graph.num_nodes
         if bandwidth_bits is None:
-            bandwidth_bits = BANDWIDTH_LOG_FACTOR * max(
-                1, math.ceil(math.log2(self.num_nodes + 1))
-            )
+            bandwidth_bits = BANDWIDTH_LOG_FACTOR * log_n_bits(self.num_nodes)
         if bandwidth_bits < 1:
             raise ValueError(f"bandwidth must be >= 1 bit, got {bandwidth_bits}")
         self.bandwidth_bits = bandwidth_bits
@@ -293,9 +291,9 @@ class Network:
             nodes up-front).
         record_traffic:
             When true, the result carries a per-message traffic log of
-            ``(round, sender, receiver, bits)`` tuples.  The two-party
-            reduction of Theorem 10 uses it to measure how many bits cross
-            the cut of a gadget graph in each round.
+            ``(round, sender, receiver, bits)`` tuples for this run; tests
+            compare it.  The Theorem-10 reduction spans several runs and
+            records with :class:`repro.engine.observers.StitchedTrafficObserver`.
 
         Returns
         -------

@@ -19,9 +19,9 @@
 The four quantum problem modules each hold one
 :class:`repro.qcongest.framework.DistributedSearchProblem` subclass, which
 supplies only the problem's Initialization, its Evaluation (run on the
-simulator, and as a reference value plus one representative run) and,
-where ``1/n`` is not it, its ``P_opt`` bound.  The oracle modes, Setup
-cost, amplitudes, register size and the shared result fields
+simulator, and as a reference value) and, where ``1/n`` is not it, its
+``P_opt`` bound.  The oracle modes, Setup cost, amplitudes, register size
+and the shared result fields
 (:class:`repro.qcongest.framework.QuantumProblemResult`) live in the
 framework, written once.
 

@@ -102,12 +102,6 @@ class BallEccentricityProblem(DistributedSearchProblem):
             )
         return float(self._window_maxima[u0])
 
-    def representative_evaluation(self) -> ExecutionMetrics:
-        return run_evaluation_procedure(
-            self.network, self.tree, self.window_parameter, self.tree.root,
-            members=self.preparation.ball,
-        ).metrics
-
     def optimum_mass_lower_bound(self) -> float:
         return popt_lower_bound(len(self.preparation.ball), self.window_parameter)
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.congest.message import log_n_bits
+
 
 def _check(n: int, diameter: int) -> None:
     if n < 1:
@@ -116,7 +118,7 @@ def table1_rows(memory_qubits: Optional[int] = None) -> List[Table1Row]:
     def theorem3(n: int, diameter: int) -> float:
         s = memory_qubits
         if s is None:
-            s = max(1, math.ceil(math.log2(n + 1)) ** 2)
+            s = log_n_bits(n) ** 2
         return quantum_exact_lower_bounded_memory(n, diameter, s)
 
     return [

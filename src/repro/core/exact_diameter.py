@@ -27,9 +27,10 @@ Two oracle modes control how branch values ``f(u0)`` are obtained:
   every distinct ``u0`` the schedule touches (slow but end-to-end);
 * ``"reference"`` computes the same values from the sequential distance
   oracle and one walk of the same Euler tour (every ``f(u0)`` at once,
-  :func:`repro.core.coverage.window_maxima`), and measures the per-call
-  cost from one representative CONGEST run.  The two
-  modes return identical values; the test-suite checks this.
+  :func:`repro.core.coverage.window_maxima`), then runs the Evaluation
+  procedure once, for the costliest branch it evaluated, to charge per
+  call.  The two modes report identical values and costs; the test-suite
+  checks this.
 """
 
 from __future__ import annotations
@@ -123,17 +124,12 @@ class ExactDiameterProblem(DistributedSearchProblem):
             )
         return float(self._window_maxima[u0])
 
-    def representative_evaluation(self) -> ExecutionMetrics:
-        """The Evaluation procedure from the tree's root (its schedule is
-        fixed and input-independent); the simple variant's includes the
-        convergecast its congest path charges."""
-        root = self.tree.root
+    def evaluation_cost_rank(self, u0: NodeId) -> float:
+        """The simple variant's BFS from ``u0`` runs ``ecc(u0)`` rounds;
+        the windowed schedule is fixed."""
         if self.variant == VARIANT_SIMPLE:
-            sample = run_eccentricity(self.network, root)
-            return sample.metrics.merged(self._report(0, root))
-        return run_evaluation_procedure(
-            self.network, self.tree, self.window_parameter, root
-        ).metrics
+            return self.all_eccentricities()[u0]
+        return 0
 
     def _report(self, value: int, u0: NodeId) -> ExecutionMetrics:
         """Route ``value`` from ``u0`` back to the leader: the depth of

@@ -24,8 +24,9 @@ useless for a minimum.)
 Like the diameter problems, two oracle modes exist: ``"congest"`` runs
 every branch's BFS end-to-end on the simulator, ``"reference"`` serves
 branch values from the sequential CSR eccentricity oracle
-(:meth:`repro.graphs.indexed.IndexedGraph.all_eccentricities`) and
-measures the per-call cost from one representative run.  Ground truth for
+(:meth:`repro.graphs.indexed.IndexedGraph.all_eccentricities`) and runs
+one BFS, from the evaluated node of largest eccentricity, to charge per
+call.  Ground truth for
 the correctness gate is :meth:`repro.graphs.indexed.IndexedGraph.radius`.
 """
 
@@ -104,16 +105,9 @@ class ExactRadiusProblem(DistributedSearchProblem):
     def reference_value(self, u0: NodeId) -> float:
         return float(-self.all_eccentricities()[u0])
 
-    def representative_evaluation(self) -> ExecutionMetrics:
-        """BFS from the tree's root plus a convergecast (the schedule is
-        input-independent up to depth)."""
-        sample = run_eccentricity(self.network, self.tree.root)
-        report = run_tree_aggregate_max(
-            self.network, self.tree, {
-                node: 0 for node in self.network.graph.nodes()
-            },
-        )
-        return sample.metrics.merged(report.metrics)
+    def evaluation_cost_rank(self, u0: NodeId) -> float:
+        """The BFS from ``u0`` runs ``ecc(u0)`` rounds."""
+        return self.all_eccentricities()[u0]
 
 
 def quantum_exact_radius(

@@ -96,13 +96,6 @@ class SourceEccentricityProblem(DistributedSearchProblem):
     def reference_value(self, v: NodeId) -> float:
         return float(self.tree.distance[v])
 
-    def representative_evaluation(self) -> ExecutionMetrics:
-        """One convergecast (its schedule is input-independent)."""
-        return run_tree_aggregate_max(
-            self.network, self.tree,
-            {node: 0 for node in self.network.graph.nodes()},
-        ).metrics
-
 
 def quantum_source_eccentricity(
     network: Union[Network, Graph],

@@ -58,9 +58,9 @@ class MetricsObserver:
 class TrafficLogObserver(MetricsObserver):
     """Record every message of one run as ``(round, sender, receiver, bits)``.
 
-    This implements ``Network.run(record_traffic=True)``: the Theorem-10
-    reduction uses the log to measure how many bits cross the cut of a
-    gadget graph in each round.
+    This implements ``Network.run(record_traffic=True)``, which tests use
+    to compare one run's traffic; the Theorem-10 reduction records across
+    runs with :class:`StitchedTrafficObserver`.
     """
 
     def __init__(self) -> None:

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.congest.message import log_n_bits
+
 
 def theorem5_communication_lower_bound(k: int, messages: int) -> float:
     """[BGK+15]: ``r``-message quantum protocols for ``DISJ_k`` need
@@ -65,7 +67,7 @@ def theorem3_lower_bound(
     """
     if n < 1 or diameter < 0 or memory_qubits < 1:
         raise ValueError("invalid parameters")
-    b = cut_edges if cut_edges is not None else max(1, math.ceil(math.log2(n + 1)))
+    b = cut_edges if cut_edges is not None else log_n_bits(n)
     d = max(1, diameter)
     return math.sqrt(n * d / (b + memory_qubits)) + diameter
 

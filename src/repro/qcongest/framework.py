@@ -24,9 +24,10 @@ exact radius; single-source eccentricity -- all in :mod:`repro.core`) is a
   (the BFS tree Setup broadcasts over);
 * ``congest_evaluation(item)`` -- its Evaluation procedure run on the
   simulator, returning ``(f(item), metrics)``;
-* ``reference_value(item)`` and ``representative_evaluation()`` -- the
-  same value from a sequential oracle, and one real Evaluation run whose
-  cost every reference-mode call is charged;
+* ``reference_value(item)`` -- the same value from a sequential oracle;
+* ``evaluation_cost_rank(item)`` when an Evaluation's length depends on
+  the item: reference mode charges one ``congest_evaluation``, of the
+  first evaluated item of maximal rank -- the run congest mode charges;
 * ``optimum_mass_lower_bound()`` (and ``search_space()``) when ``P_opt >=
   1/n`` over all nodes does not hold.
 
@@ -67,7 +68,7 @@ Item = Hashable
 
 #: Oracle modes: ``"congest"`` runs every Evaluation on the simulator,
 #: ``"reference"`` serves branch values from a sequential oracle and
-#: charges each call the cost of one representative run.
+#: runs one Evaluation, the costliest, to charge per call.
 ORACLE_CONGEST = "congest"
 ORACLE_REFERENCE = "reference"
 
@@ -97,7 +98,6 @@ class DistributedSearchProblem:
         #: Initialization (or by the constructor when it precedes it).
         self.tree: Optional["BFSTreeResult"] = None
         self._setup_cost: Optional[ExecutionMetrics] = None
-        self._reference_cost: Optional[ExecutionMetrics] = None
         self._eccentricities: Optional[Dict[NodeId, int]] = None
 
     # -- supplied by each problem ---------------------------------------
@@ -113,21 +113,20 @@ class DistributedSearchProblem:
         """``f(item)`` from the sequential oracle (reference mode)."""
         raise NotImplementedError
 
-    def representative_evaluation(self) -> ExecutionMetrics:
-        """One real Evaluation run, charged per call in reference mode."""
-        raise NotImplementedError
+    def evaluation_cost_rank(self, item: Item) -> float:
+        """Orders items by how long their Evaluation runs; reference mode
+        charges the first evaluated item of maximal rank.  By default
+        every item ranks the same: the Evaluation's schedule is fixed."""
+        return 0
 
     # -- shared ----------------------------------------------------------
-    def evaluate(self, item: Item) -> Tuple[float, ExecutionMetrics]:
-        """Evaluate ``f(item)`` distributively; return the value and cost."""
+    def evaluate(self, item: Item) -> Tuple[float, Optional[ExecutionMetrics]]:
+        """``f(item)`` and the cost of its run (``None`` in reference mode)."""
         if self.tree is None:
             raise RuntimeError("initialization must run before evaluation")
         if self.oracle_mode == ORACLE_CONGEST:
             return self.congest_evaluation(item)
-        value = self.reference_value(item)
-        if self._reference_cost is None:
-            self._reference_cost = self.representative_evaluation()
-        return value, self._reference_cost
+        return self.reference_value(item), None
 
     def search_space(self) -> List[Item]:
         """The set ``X`` over which the optimization runs: every node."""
@@ -268,13 +267,15 @@ def run_distributed_quantum_optimization(
             raise ValueError("the search space must be non-empty")
         setup_metrics = problem.setup_cost()
 
-        # find_maximum evaluates each item once, so this holds one cost
-        # per distinct item.
+        # find_maximum evaluates each item once; reference mode runs none.
+        evaluated: List[Item] = []
         evaluation_costs: List[ExecutionMetrics] = []
 
         def value_of(item: Item) -> float:
             value, metrics = problem.evaluate(item)
-            evaluation_costs.append(metrics)
+            evaluated.append(item)
+            if metrics is not None:
+                evaluation_costs.append(metrics)
             return value
 
         outcome = find_maximum(
@@ -286,6 +287,10 @@ def run_distributed_quantum_optimization(
             budget_constant=budget_constant,
             backend=backend,
         )
+        if not evaluation_costs:
+            # Charge the run congest mode would: the first item of maximal rank.
+            charged = max(evaluated, key=problem.evaluation_cost_rank)
+            evaluation_costs.append(problem.congest_evaluation(charged)[1])
     finally:
         if observed:
             network.remove_observer(run_log)
@@ -312,7 +317,7 @@ def run_distributed_quantum_optimization(
         initialization_rounds=initialization_metrics.rounds,
         setup_rounds_per_call=setup_metrics.rounds,
         evaluation_rounds_per_call=per_evaluation.rounds,
-        distinct_evaluations=len(evaluation_costs),
+        distinct_evaluations=len(evaluated),
         simulated_runs=run_log.runs,
         simulated_rounds=run_log.rounds,
     )

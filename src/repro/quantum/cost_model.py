@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 
 from repro._record import Record
+from repro.congest.message import log_n_bits
 from repro.congest.metrics import ExecutionMetrics
 
 
@@ -96,6 +97,6 @@ def leader_memory_bits(num_nodes: int, eps: float) -> int:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    log_n = max(1, math.ceil(math.log2(num_nodes + 1)))
+    log_n = log_n_bits(num_nodes)
     stages = max(1, math.ceil(math.log2(1.0 / eps)))
     return log_n * stages

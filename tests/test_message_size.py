@@ -4,7 +4,8 @@ The transport sizes every message it delivers, so ``message_size_bits``
 sizes an ``int`` and a flat tuple of scalars by exact class, in one loop,
 before its ``isinstance`` chain.  ``_reference_size_bits`` below is that
 chain alone, as it stood before the fast path: every payload must get the
-same size, or raise the same ``TypeError``, from both.
+same size, or raise the same ``TypeError``, from both.  ``log_n_bits``,
+the CONGEST word, is held to the float formula it replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.congest.message import message_size_bits
+from repro.congest.message import log_n_bits, message_size_bits
 
 
 def _reference_int_bits(value):
@@ -153,3 +154,20 @@ def test_unsupported_items_raise_the_same_type_error(payload):
     with pytest.raises(TypeError) as current:
         message_size_bits(payload)
     assert str(current.value) == str(reference.value)
+
+
+def _float_word(n):
+    return max(1, math.ceil(math.log2(n + 1)))
+
+
+def test_log_n_bits_is_the_float_word_below_two_to_the_49():
+    for n in range(2 ** 17 + 2):
+        assert log_n_bits(n) == _float_word(n), n
+    for k in range(17, 49):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            assert log_n_bits(n) == _float_word(n) == n.bit_length(), n
+    # From 2**49 on, log2 rounds n + 1 down to the power of two below it
+    # and the float word loses a bit; the exact one does not.
+    assert _float_word(2 ** 49) == 49
+    assert log_n_bits(2 ** 49) == 50
+    assert log_n_bits(2 ** 64 + 1) == 65

@@ -183,26 +183,34 @@ class TestDistributedOptimization:
 
 
 class _DepthProblem(DistributedSearchProblem):
-    """Only the hooks a problem supplies: ``f(v) = dist(0, v)``; the
-    base class provides everything else."""
+    """Only the hooks a problem supplies: ``f(v) = dist(0, v)``, whose
+    Evaluation runs ``10 + dist(0, v)`` rounds; the base class provides
+    everything else.  Records which items each oracle served."""
 
     def __init__(self, network, oracle_mode="congest"):
         super().__init__(network, oracle_mode)
-        self.representative_runs = 0
+        self.congest_runs = []
+        self.referenced = []
 
     def initialization(self):
         self.tree = run_bfs_tree(self.network, 0)
         return self.tree.metrics
 
     def congest_evaluation(self, item):
-        return float(self.tree.distance[item]), ExecutionMetrics(rounds=7)
+        self.congest_runs.append(item)
+        depth = self.tree.distance[item]
+        return float(depth), ExecutionMetrics(rounds=10 + depth)
 
     def reference_value(self, item):
+        self.referenced.append(item)
         return float(self.tree.distance[item])
 
-    def representative_evaluation(self):
-        self.representative_runs += 1
-        return ExecutionMetrics(rounds=self.representative_runs)
+
+class _RankedDepthProblem(_DepthProblem):
+    """``_DepthProblem`` whose rank says which Evaluation runs longest."""
+
+    def evaluation_cost_rank(self, item):
+        return self.tree.distance[item]
 
 
 class TestDistributedSearchProblemDefaults:
@@ -219,7 +227,7 @@ class TestDistributedSearchProblemDefaults:
         with pytest.raises(RuntimeError, match="initialization must run"):
             problem.evaluate(3)
 
-    def test_modes_share_values_and_reference_cost_is_memoised(self):
+    def test_modes_share_values_and_reference_runs_nothing(self):
         graph = generators.path_graph(6)
         congest = _DepthProblem(graph)
         reference = _DepthProblem(graph, oracle_mode="reference")
@@ -227,11 +235,41 @@ class TestDistributedSearchProblemDefaults:
         reference.initialization()
         for node in graph.nodes():
             value, metrics = congest.evaluate(node)
-            assert metrics.rounds == 7
-            reference_value, reference_metrics = reference.evaluate(node)
-            assert reference_value == value == node
-            assert reference_metrics.rounds == 1
-        assert reference.representative_runs == 1
+            assert value == node and metrics.rounds == 10 + node
+            assert reference.evaluate(node) == (value, None)
+        assert congest.congest_runs == graph.nodes()
+        assert reference.congest_runs == []
+        assert reference.evaluation_cost_rank(5) == reference.evaluation_cost_rank(0)
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_reference_mode_charges_one_congest_evaluation(self, ranked):
+        # On an odd cycle two nodes share every nonzero depth, so the
+        # deepest evaluated items can tie; the first of them is charged.
+        graph = generators.cycle_graph(11)
+        problem_class = _RankedDepthProblem if ranked else _DepthProblem
+        results = {}
+        problems = {}
+        for mode in ("congest", "reference"):
+            problems[mode] = problem_class(graph, oracle_mode=mode)
+            results[mode] = run_distributed_quantum_optimization(
+                problems[mode], delta=0.1, rng=random.Random(3)
+            )
+        reference = problems["reference"]
+        evaluated = reference.referenced
+        depth = reference.tree.distance
+        deepest = max(depth[item] for item in evaluated)
+        first_deepest = next(item for item in evaluated if depth[item] == deepest)
+        assert evaluated[0] != first_deepest
+        charged = first_deepest if ranked else evaluated[0]
+        assert reference.congest_runs == [charged]
+        result = results["reference"]
+        assert result.evaluation_rounds_per_call == 10 + depth[charged]
+        assert result.distinct_evaluations == len(evaluated)
+        assert problems["congest"].congest_runs == evaluated
+        # Congest mode charges its costliest run: the ranked rule agrees.
+        congest = results["congest"]
+        assert congest.evaluation_rounds_per_call == 10 + deepest
+        assert (result.metrics.rounds == congest.metrics.rounds) == ranked
 
     def test_uniform_setup_popt_and_register(self):
         graph = generators.cycle_graph(9)
